@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-tree bench-basecase bench-traverse bench-ilist bench-serve bench-persist bench-shard bench-compare stats trace-smoke serve-smoke metrics-smoke shard-smoke
+.PHONY: check build vet test race bench-selftest bench bench-tree bench-basecase bench-traverse bench-ilist bench-serve bench-persist bench-shard bench-compare stats trace-smoke serve-smoke metrics-smoke shard-smoke
 
 # Tier-1 gate: everything must pass before a change lands.
-check: build vet test race trace-smoke serve-smoke metrics-smoke shard-smoke
+check: build vet test race bench-selftest trace-smoke serve-smoke metrics-smoke shard-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ test:
 # explicitly.
 race:
 	$(GO) test -race ./internal/traverse/... ./internal/engine/... ./internal/tree/... ./internal/trace/... ./internal/serve/... ./internal/persist/... ./internal/metrics/... ./internal/shard/...
+
+# The benchmark is a Go module of its own (benchmark/go.mod), so
+# `go test ./...` never reaches it: vet it and run its toy-scale
+# self-test (every workload, oracle, counters it reads) explicitly.
+bench-selftest:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 bench:
 	$(GO) test -bench=. -benchmem .

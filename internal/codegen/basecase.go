@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"math"
+
 	"portal/internal/fastmath"
 	"portal/internal/geom"
 	"portal/internal/lang"
@@ -20,27 +22,83 @@ import (
 // the differential-testing oracle for every one of these loops.
 
 // BaseCase performs the direct point-to-point computation for a leaf
-// pair (Algorithm 1, line 4).
+// pair (Algorithm 1, line 4). Bound-rule problems run it behind the
+// point gate (DESIGN §9.1): the prune rule instantiated on the
+// degenerate box {q} with q's own admission threshold w. The kernel's
+// value at the point of rn's box nearest to q (max-side: farthest from
+// it) bounds its value at every reference point inside, with no
+// rounding slack, so under the strict admission v < w (v > w) a
+// d2 >= w (d2 <= w) proves the sweep of rn for q would change nothing.
+// Only the maximal runs of admitted query points are swept.
 func (r *Run) BaseCase(qn, rn *tree.Node) {
-	// Every specialized loop evaluates the kernel exactly once per
-	// point pair; one plain multiply-add per leaf pair keeps the count
-	// without touching the inner loops.
-	r.kernelEvals += int64(qn.Count()) * int64(rn.Count())
+	if r.fused != nil {
+		r.fusedBaseCases++
+	}
+	pb := r.PointBound
+	if pb == nil {
+		r.sweep(qn.Begin, qn.End, rn)
+		return
+	}
+	lo, hi, far := rn.BBox.Min, rn.BBox.Max, r.Ex.maxSide
+	// near is the gate value of the query box itself — of its point
+	// nearest to rn's box — and so a floor under every point's: one
+	// compare settles most points without computing their own.
+	near := math.Inf(-1)
+	if r.gate && !far {
+		for j, l := range lo {
+			r.qbuf[j] = min(max(l, qn.BBox.Min[j]), qn.BBox.Max[j])
+		}
+		near = fastmath.Hypot2Box(r.qbuf, 1, lo, hi, false)
+	}
+	run, swept := -1, false // run: start of the open run of admitted points
+	for qi := qn.Begin; qi <= qn.End; qi++ {
+		if qi < qn.End {
+			w := pb[qi]
+			skip := w < near
+			if !skip && r.gate {
+				d2 := fastmath.Hypot2Box(r.qFlat[qi*r.qStep:], r.qStride, lo, hi, far)
+				skip = d2 >= w
+				if far {
+					skip = d2 <= w
+				}
+			}
+			if !skip {
+				if run < 0 {
+					run = qi
+				}
+				continue
+			}
+		}
+		if run >= 0 {
+			r.sweep(run, qi, rn)
+			for ; run < qi; run++ {
+				pb[run] = r.pointBound(run)
+			}
+			run, swept = -1, true
+		}
+	}
+	if swept {
+		r.updateLeafBound(qn)
+	}
+}
+
+// sweep evaluates query positions [qb, qe) against every point of rn
+// through the loop selected at Bind. Every loop evaluates the kernel
+// exactly once per point pair; one multiply-add per sweep keeps the
+// count without touching the inner loops.
+func (r *Run) sweep(qb, qe int, rn *tree.Node) {
+	r.kernelEvals += int64(qe-qb) * int64(rn.Count())
 	switch {
 	case r.Ex.Opts.ForceInterp:
-		r.interpBaseCase(qn, rn)
+		r.interpBaseCase(qb, qe, rn)
 	case r.fused != nil:
 		// Fused operator-specialized loop (basecase_fused.go): distance,
 		// kernel body, and operator update in one tiled loop.
-		r.fusedBaseCases++
-		r.fused(r, qn, rn)
+		r.fused(r, qb, qe, rn)
 	case r.evalD2 != nil:
-		r.euclidBaseCase(qn, rn)
+		r.euclidBaseCase(qb, qe, rn)
 	default:
-		r.genericBaseCase(qn, rn)
-	}
-	if r.NodeBound != nil {
-		r.updateLeafBound(qn)
+		r.genericBaseCase(qb, qe, rn)
 	}
 }
 
@@ -58,14 +116,11 @@ func (r *Run) Batchable() bool {
 // BaseCaseBatch sweeps one reference leaf against every buffered query
 // leaf back-to-back through the fused loop — the reference tile stays
 // hot across the whole sweep instead of being re-streamed once per
-// query leaf. Only reachable when Batchable() returned true, so the
-// dispatch mirrors exactly the fused arm of BaseCase.
+// query leaf. Only reachable when Batchable() returned true (no bound,
+// so no gate).
 func (r *Run) BaseCaseBatch(qns []*tree.Node, rn *tree.Node) {
-	rc := int64(rn.Count())
 	for _, qn := range qns {
-		r.kernelEvals += int64(qn.Count()) * rc
-		r.fusedBaseCases++
-		r.fused(r, qn, rn)
+		r.BaseCase(qn, rn)
 	}
 }
 
@@ -76,31 +131,24 @@ func (r *Run) BaseCaseBatch(qns []*tree.Node, rn *tree.Node) {
 // per-base-case feedback (KNN's shrinking bound must refuse), a fused
 // loop to sweep with, discovery order preserved under ForceInterp for
 // oracle comparability.
-func (r *Run) ListCompatible() bool {
-	return r.NodeBound == nil && r.fused != nil && !r.Ex.Opts.ForceInterp
-}
+func (r *Run) ListCompatible() bool { return r.Batchable() }
 
 // BaseCaseList sweeps one query leaf against every reference leaf on
 // its interaction list in one flat pass — the transpose of
 // BaseCaseBatch: the query tile and its accumulators stay hot across
 // the whole list, and the loop over reference arena IDs is branch-free
 // (the prune/approximate decisions were all made during list
-// building). Only reachable when ListCompatible() returned true, so
-// the dispatch mirrors exactly the fused arm of BaseCase.
+// building). Only reachable when ListCompatible() returned true.
 func (r *Run) BaseCaseList(qn *tree.Node, refs []int32) {
-	qc := int64(qn.Count())
 	nodes := r.R.Nodes
 	for _, id := range refs {
-		rn := &nodes[id]
-		r.kernelEvals += qc * int64(rn.Count())
-		r.fusedBaseCases++
-		r.fused(r, qn, rn)
+		r.BaseCase(qn, &nodes[id])
 	}
 }
 
 // euclidBaseCase handles Euclidean-family metrics with the
 // layout-specialized distance loops.
-func (r *Run) euclidBaseCase(qn, rn *tree.Node) {
+func (r *Run) euclidBaseCase(qb, qe int, rn *tree.Node) {
 	qd := r.Q.Data
 	rd := r.R.Data
 	// Fully specialized loops for indicator windows: the comparisons
@@ -108,10 +156,10 @@ func (r *Run) euclidBaseCase(qn, rn *tree.Node) {
 	if r.Ex.hasWindow && qd.Layout() == storage.RowMajor && rd.Layout() == storage.RowMajor {
 		switch r.op {
 		case lang.UNIONARG:
-			r.windowUnionRowMajor(qn, rn)
+			r.windowUnionRowMajor(qb, qe, rn)
 			return
 		case lang.SUM:
-			r.windowSumRowMajor(qn, rn)
+			r.windowSumRowMajor(qb, qe, rn)
 			return
 		}
 	}
@@ -120,18 +168,18 @@ func (r *Run) euclidBaseCase(qn, rn *tree.Node) {
 	// path (the d=4 body would silently drop dimensions).
 	if qd.Layout() == storage.ColMajor && rd.Layout() == storage.ColMajor &&
 		r.Q.Dim() <= storage.ColMajorMaxDim {
-		r.euclidColMajor(qn, rn)
+		r.euclidColMajor(qb, qe, rn)
 		return
 	}
 	if qd.Layout() == storage.RowMajor && rd.Layout() == storage.RowMajor {
-		r.euclidRowMajor(qn, rn)
+		r.euclidRowMajor(qb, qe, rn)
 		return
 	}
 	ident := r.identity
 	// Mixed layouts: keep a zero-copy row view on whichever side has
 	// one and materialize only the other side through scratch.
 	if qd.Layout() == storage.RowMajor {
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				v := fastmath.Hypot2(q, rd.Point(ri, r.rbuf))
@@ -144,7 +192,7 @@ func (r *Run) euclidBaseCase(qn, rn *tree.Node) {
 		return
 	}
 	if rd.Layout() == storage.RowMajor {
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Point(qi, r.qbuf)
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				v := fastmath.Hypot2(q, rd.Row(ri))
@@ -157,7 +205,7 @@ func (r *Run) euclidBaseCase(qn, rn *tree.Node) {
 		return
 	}
 	// No row view on either side: both points through scratch buffers.
-	for qi := qn.Begin; qi < qn.End; qi++ {
+	for qi := qb; qi < qe; qi++ {
 		q := qd.Point(qi, r.qbuf)
 		for ri := rn.Begin; ri < rn.End; ri++ {
 			v := fastmath.Hypot2(q, rd.Point(ri, r.rbuf))
@@ -171,11 +219,11 @@ func (r *Run) euclidBaseCase(qn, rn *tree.Node) {
 
 // euclidRowMajor: the dimension loop is unit-stride over each point's
 // row; Hypot2 provides the 4-way unrolled accumulator chains.
-func (r *Run) euclidRowMajor(qn, rn *tree.Node) {
+func (r *Run) euclidRowMajor(qb, qe int, rn *tree.Node) {
 	qd := r.Q.Data
 	rd := r.R.Data
 	ident := r.identity
-	for qi := qn.Begin; qi < qn.End; qi++ {
+	for qi := qb; qi < qe; qi++ {
 		q := qd.Row(qi)
 		for ri := rn.Begin; ri < rn.End; ri++ {
 			v := fastmath.Hypot2(q, rd.Row(ri))
@@ -190,14 +238,14 @@ func (r *Run) euclidRowMajor(qn, rn *tree.Node) {
 // euclidColMajor: dimension-specialized bodies (d ≤ 4) walk the
 // contiguous per-dimension columns so the reference loop is
 // unit-stride — the column-major vectorization pattern.
-func (r *Run) euclidColMajor(qn, rn *tree.Node) {
+func (r *Run) euclidColMajor(qb, qe int, rn *tree.Node) {
 	d := r.Q.Dim()
 	ident := r.identity
 	switch d {
 	case 1:
 		q0 := r.Q.Data.Col(0)
 		r0 := r.R.Data.Col(0)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				d0 := a0 - r0[ri]
@@ -211,7 +259,7 @@ func (r *Run) euclidColMajor(qn, rn *tree.Node) {
 	case 2:
 		q0, q1 := r.Q.Data.Col(0), r.Q.Data.Col(1)
 		r0, r1 := r.R.Data.Col(0), r.R.Data.Col(1)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				d0 := a0 - r0[ri]
@@ -226,7 +274,7 @@ func (r *Run) euclidColMajor(qn, rn *tree.Node) {
 	case 3:
 		q0, q1, q2 := r.Q.Data.Col(0), r.Q.Data.Col(1), r.Q.Data.Col(2)
 		r0, r1, r2 := r.R.Data.Col(0), r.R.Data.Col(1), r.R.Data.Col(2)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				d0 := a0 - r0[ri]
@@ -242,7 +290,7 @@ func (r *Run) euclidColMajor(qn, rn *tree.Node) {
 	default: // 4
 		q0, q1, q2, q3 := r.Q.Data.Col(0), r.Q.Data.Col(1), r.Q.Data.Col(2), r.Q.Data.Col(3)
 		r0, r1, r2, r3 := r.R.Data.Col(0), r.R.Data.Col(1), r.R.Data.Col(2), r.R.Data.Col(3)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				d0 := a0 - r0[ri]
@@ -261,12 +309,12 @@ func (r *Run) euclidColMajor(qn, rn *tree.Node) {
 
 // genericBaseCase handles non-Euclidean metrics and Mahalanobis
 // kernels through the point-pair evaluators.
-func (r *Run) genericBaseCase(qn, rn *tree.Node) {
+func (r *Run) genericBaseCase(qb, qe int, rn *tree.Node) {
 	qd := r.Q.Data
 	rd := r.R.Data
 	body := r.Ex.bodyFnOrIdentity()
 	if r.mahal != nil {
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Point(qi, r.qbuf)
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				p := rd.Point(ri, r.rbuf)
@@ -276,7 +324,7 @@ func (r *Run) genericBaseCase(qn, rn *tree.Node) {
 		return
 	}
 	metric := r.Ex.Plan.DistKernel.Metric
-	for qi := qn.Begin; qi < qn.End; qi++ {
+	for qi := qb; qi < qe; qi++ {
 		q := qd.Point(qi, r.qbuf)
 		for ri := rn.Begin; ri < rn.End; ri++ {
 			p := rd.Point(ri, r.rbuf)
@@ -333,11 +381,11 @@ func (r *Run) geomMetricOf() geom.Metric {
 
 // windowUnionRowMajor is the fully inlined range-search base case:
 // squared thresholds, row views, direct appends.
-func (r *Run) windowUnionRowMajor(qn, rn *tree.Node) {
+func (r *Run) windowUnionRowMajor(qb, qe int, rn *tree.Node) {
 	qd := r.Q.Data
 	rd := r.R.Data
 	lo2, hi2 := r.Ex.winLo2, r.Ex.winHi2
-	for qi := qn.Begin; qi < qn.End; qi++ {
+	for qi := qb; qi < qe; qi++ {
 		q := qd.Row(qi)
 		for ri := rn.Begin; ri < rn.End; ri++ {
 			d2 := fastmath.Hypot2(q, rd.Row(ri))
@@ -350,11 +398,11 @@ func (r *Run) windowUnionRowMajor(qn, rn *tree.Node) {
 
 // windowSumRowMajor is the fully inlined counting base case (2-point
 // correlation).
-func (r *Run) windowSumRowMajor(qn, rn *tree.Node) {
+func (r *Run) windowSumRowMajor(qb, qe int, rn *tree.Node) {
 	qd := r.Q.Data
 	rd := r.R.Data
 	lo2, hi2 := r.Ex.winLo2, r.Ex.winHi2
-	for qi := qn.Begin; qi < qn.End; qi++ {
+	for qi := qb; qi < qe; qi++ {
 		q := qd.Row(qi)
 		cnt := 0
 		for ri := rn.Begin; ri < rn.End; ri++ {

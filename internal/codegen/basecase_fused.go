@@ -63,7 +63,7 @@ import (
 // read all per-fork state (Val, Arg, KLists, scratch buffers) from the
 // *Run argument so the same fusedFn value is safe to share across
 // Fork clones.
-type fusedFn func(r *Run, qn, rn *tree.Node)
+type fusedFn func(r *Run, qb, qe int, rn *tree.Node)
 
 // fusedTileR is the reference-loop tile size: 256 points is 2 KiB per
 // column (so all four columns of a d=4 leaf fit comfortably in L1
@@ -459,54 +459,54 @@ func selectWindow(op lang.Op, qd, rd *storage.Storage, lo2, hi2 float64) fusedFn
 func fuseOp[P pairSrc[P], K d2Kernel](op lang.Op, k K) fusedFn {
 	switch op {
 	case lang.SUM:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedSum(r, p.bind(r), k, qn, rn)
+			fusedSum(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.PROD:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedProd(r, p.bind(r), k, qn, rn)
+			fusedProd(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.MIN:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedMin(r, p.bind(r), k, qn, rn)
+			fusedMin(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.MAX:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedMax(r, p.bind(r), k, qn, rn)
+			fusedMax(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.ARGMIN:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedArgMin(r, p.bind(r), k, qn, rn)
+			fusedArgMin(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.ARGMAX:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedArgMax(r, p.bind(r), k, qn, rn)
+			fusedArgMax(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.KMIN, lang.KARGMIN:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedKMin(r, p.bind(r), k, qn, rn)
+			fusedKMin(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.KMAX, lang.KARGMAX:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedKMax(r, p.bind(r), k, qn, rn)
+			fusedKMax(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.UNION:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedUnion(r, p.bind(r), k, qn, rn)
+			fusedUnion(r, p.bind(r), k, qb, qe, rn)
 		}
 	case lang.UNIONARG:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedUnionArg(r, p.bind(r), k, qn, rn)
+			fusedUnionArg(r, p.bind(r), k, qb, qe, rn)
 		}
 	}
 	return nil
@@ -516,14 +516,14 @@ func fuseOp[P pairSrc[P], K d2Kernel](op lang.Op, k K) fusedFn {
 func windowOp[P pairSrc[P]](op lang.Op, lo2, hi2 float64) fusedFn {
 	switch op {
 	case lang.SUM:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedWindowSum(r, p.bind(r), lo2, hi2, qn, rn)
+			fusedWindowSum(r, p.bind(r), lo2, hi2, qb, qe, rn)
 		}
 	case lang.UNIONARG:
-		return func(r *Run, qn, rn *tree.Node) {
+		return func(r *Run, qb, qe int, rn *tree.Node) {
 			var p P
-			fusedWindowUnion(r, p.bind(r), lo2, hi2, qn, rn)
+			fusedWindowUnion(r, p.bind(r), lo2, hi2, qb, qe, rn)
 		}
 	}
 	return nil
@@ -537,14 +537,14 @@ func windowOp[P pairSrc[P]](op lang.Op, lo2, hi2 float64) fusedFn {
 // the tile sweep; Val/Arg see one read-modify-write per (query, tile)
 // instead of one per pair.
 
-func fusedSum[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedSum[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			var acc float64
 			for ri := rb; ri < re; ri++ {
@@ -555,14 +555,14 @@ func fusedSum[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
 	}
 }
 
-func fusedProd[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedProd[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			acc := 1.0
 			for ri := rb; ri < re; ri++ {
@@ -573,14 +573,14 @@ func fusedProd[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
 	}
 }
 
-func fusedMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			best := val[qi]
 			for ri := rb; ri < re; ri++ {
@@ -593,14 +593,14 @@ func fusedMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
 	}
 }
 
-func fusedMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			best := val[qi]
 			for ri := rb; ri < re; ri++ {
@@ -613,14 +613,14 @@ func fusedMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
 	}
 }
 
-func fusedArgMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedArgMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	val, arg := r.Val, r.Arg
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			best := val[qi]
 			bestArg := -1
@@ -636,14 +636,14 @@ func fusedArgMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) 
 	}
 }
 
-func fusedArgMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedArgMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	val, arg := r.Val, r.Arg
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			best := val[qi]
 			bestArg := -1
@@ -659,14 +659,14 @@ func fusedArgMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) 
 	}
 }
 
-func fusedKMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedKMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			kl := kls[qi]
 			worst := kl.Worst()
@@ -680,14 +680,14 @@ func fusedKMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
 	}
 }
 
-func fusedKMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedKMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			kl := kls[qi]
 			worst := kl.Worst()
@@ -701,13 +701,13 @@ func fusedKMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
 	}
 }
 
-func fusedUnion[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedUnion[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			idx, vals := r.IdxLists[qi], r.ValLists[qi]
 			for ri := rb; ri < re; ri++ {
@@ -719,13 +719,13 @@ func fusedUnion[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
 	}
 }
 
-func fusedUnionArg[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node) {
+func fusedUnionArg[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			idx := r.IdxLists[qi]
 			for ri := rb; ri < re; ri++ {
@@ -738,14 +738,14 @@ func fusedUnionArg[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qn, rn *tree.Node
 	}
 }
 
-func fusedWindowSum[P pairSrc[P]](r *Run, p P, lo2, hi2 float64, qn, rn *tree.Node) {
+func fusedWindowSum[P pairSrc[P]](r *Run, p P, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			cnt := 0
 			for ri := rb; ri < re; ri++ {
@@ -758,13 +758,13 @@ func fusedWindowSum[P pairSrc[P]](r *Run, p P, lo2, hi2 float64, qn, rn *tree.No
 	}
 }
 
-func fusedWindowUnion[P pairSrc[P]](r *Run, p P, lo2, hi2 float64, qn, rn *tree.Node) {
+func fusedWindowUnion[P pairSrc[P]](r *Run, p P, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
 			re = rn.End
 		}
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
 			idx := r.IdxLists[qi]
 			for ri := rb; ri < re; ri++ {

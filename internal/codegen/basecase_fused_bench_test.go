@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"portal/internal/dataset"
 	"portal/internal/expr"
 	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/lower"
 	"portal/internal/storage"
+	"portal/internal/traverse"
 	"portal/internal/tree"
 )
 
@@ -95,4 +97,27 @@ func BenchmarkBaseCaseLeaf2PC3Col(b *testing.B) {
 	benchLeafPair(b, 3, storage.ColMajor, lang.SUM, 0, func() *expr.Kernel {
 		return expr.NewThresholdKernel(2)
 	})
+}
+
+// BenchmarkKNNTraversal3Col is a whole sequential k-NN self-join
+// (k=5, leaf 32, Plummer d=3 — the benchmark's knn-batch shape): here
+// the point gate, not the kernel, is the base case's dominant cost.
+func BenchmarkKNNTraversal3Col(b *testing.B) {
+	data := dataset.GeneratePlummer(100000, 7)
+	spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, data, nil).
+		AddLayerK(lang.KARGMIN, 5, data, expr.NewDistanceKernel(geom.Euclidean))
+	plan, prog, err := lower.Lower("bench", spec, lower.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex, err := Compile(plan, prog, Options{NoStats: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	t := tree.BuildKD(data, &tree.Options{LeafSize: 32})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := ex.Bind(t, t)
+		traverse.Run(t, t, run)
+	}
 }

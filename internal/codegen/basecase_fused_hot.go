@@ -47,16 +47,16 @@ func selectGaussHot(op lang.Op, qd, rd *storage.Storage, gc float64) fusedFn {
 	case bothColMajor(qd, rd):
 		switch qd.Dim() {
 		case 1:
-			return func(r *Run, qn, rn *tree.Node) { hotSumGaussCol1(r, gc, qn, rn) }
+			return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussCol1(r, gc, qb, qe, rn) }
 		case 2:
-			return func(r *Run, qn, rn *tree.Node) { hotSumGaussCol2(r, gc, qn, rn) }
+			return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussCol2(r, gc, qb, qe, rn) }
 		case 3:
-			return func(r *Run, qn, rn *tree.Node) { hotSumGaussCol3(r, gc, qn, rn) }
+			return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussCol3(r, gc, qb, qe, rn) }
 		default:
-			return func(r *Run, qn, rn *tree.Node) { hotSumGaussCol4(r, gc, qn, rn) }
+			return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussCol4(r, gc, qb, qe, rn) }
 		}
 	case bothRowMajor(qd, rd):
-		return func(r *Run, qn, rn *tree.Node) { hotSumGaussRow(r, gc, qn, rn) }
+		return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussRow(r, gc, qb, qe, rn) }
 	}
 	return nil
 }
@@ -104,8 +104,8 @@ func selectIdentHot(op lang.Op, qd, rd *storage.Storage) fusedFn {
 // (two-point counting and range-search collection against the
 // compiled squared thresholds).
 func selectWindowHot(op lang.Op, qd, rd *storage.Storage, lo2, hi2 float64) fusedFn {
-	mk := func(f func(r *Run, lo2, hi2 float64, qn, rn *tree.Node)) fusedFn {
-		return func(r *Run, qn, rn *tree.Node) { f(r, lo2, hi2, qn, rn) }
+	mk := func(f func(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node)) fusedFn {
+		return func(r *Run, qb, qe int, rn *tree.Node) { f(r, lo2, hi2, qb, qe, rn) }
 	}
 	col := bothColMajor(qd, rd)
 	row := bothRowMajor(qd, rd)
@@ -157,14 +157,14 @@ func bothRowMajor(qd, rd *storage.Storage) bool {
 
 // ---- KDE: SUM over the fast Gaussian body ----
 
-func hotSumGaussCol1(r *Run, gc float64, qn, rn *tree.Node) {
+func hotSumGaussCol1(r *Run, gc float64, qb, qe int, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
 			var acc float64
 			for _, v0 := range r0 {
@@ -176,7 +176,7 @@ func hotSumGaussCol1(r *Run, gc float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotSumGaussCol2(r *Run, gc float64, qn, rn *tree.Node) {
+func hotSumGaussCol2(r *Run, gc float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
@@ -184,7 +184,7 @@ func hotSumGaussCol2(r *Run, gc float64, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
 			var acc float64
 			for j, v0 := range r0 {
@@ -197,7 +197,7 @@ func hotSumGaussCol2(r *Run, gc float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotSumGaussCol3(r *Run, gc float64, qn, rn *tree.Node) {
+func hotSumGaussCol3(r *Run, gc float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
@@ -205,7 +205,7 @@ func hotSumGaussCol3(r *Run, gc float64, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			var acc float64
 			for j, v0 := range r0 {
@@ -219,7 +219,7 @@ func hotSumGaussCol3(r *Run, gc float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotSumGaussCol4(r *Run, gc float64, qn, rn *tree.Node) {
+func hotSumGaussCol4(r *Run, gc float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
@@ -227,7 +227,7 @@ func hotSumGaussCol4(r *Run, gc float64, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			var acc float64
 			for j, v0 := range r0 {
@@ -242,12 +242,12 @@ func hotSumGaussCol4(r *Run, gc float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotSumGaussRow(r *Run, gc float64, qn, rn *tree.Node) {
+func hotSumGaussRow(r *Run, gc float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
 			var acc float64
 			for ri := rb; ri < re; ri++ {
@@ -260,14 +260,14 @@ func hotSumGaussRow(r *Run, gc float64, qn, rn *tree.Node) {
 
 // ---- SUM over the raw squared distance ----
 
-func hotSumIdentCol1(r *Run, qn, rn *tree.Node) {
+func hotSumIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
 			var acc float64
 			for _, v0 := range r0 {
@@ -279,7 +279,7 @@ func hotSumIdentCol1(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotSumIdentCol2(r *Run, qn, rn *tree.Node) {
+func hotSumIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
@@ -287,7 +287,7 @@ func hotSumIdentCol2(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
 			var acc float64
 			for j, v0 := range r0 {
@@ -300,7 +300,7 @@ func hotSumIdentCol2(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotSumIdentCol3(r *Run, qn, rn *tree.Node) {
+func hotSumIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
@@ -308,7 +308,7 @@ func hotSumIdentCol3(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			var acc float64
 			for j, v0 := range r0 {
@@ -322,7 +322,7 @@ func hotSumIdentCol3(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotSumIdentCol4(r *Run, qn, rn *tree.Node) {
+func hotSumIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
@@ -330,7 +330,7 @@ func hotSumIdentCol4(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			var acc float64
 			for j, v0 := range r0 {
@@ -345,12 +345,12 @@ func hotSumIdentCol4(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotSumIdentRow(r *Run, qn, rn *tree.Node) {
+func hotSumIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
 			var acc float64
 			for ri := rb; ri < re; ri++ {
@@ -367,14 +367,14 @@ func hotSumIdentRow(r *Run, qn, rn *tree.Node) {
 // register; KList.Insert — the only call left in the loop — runs only
 // on admission, which is rare once the list warms up.
 
-func hotKMinIdentCol1(r *Run, qn, rn *tree.Node) {
+func hotKMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
 			kl := kls[qi]
 			worst := kl.Worst()
@@ -389,7 +389,7 @@ func hotKMinIdentCol1(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotKMinIdentCol2(r *Run, qn, rn *tree.Node) {
+func hotKMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
@@ -397,7 +397,7 @@ func hotKMinIdentCol2(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
 			kl := kls[qi]
 			worst := kl.Worst()
@@ -413,7 +413,7 @@ func hotKMinIdentCol2(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotKMinIdentCol3(r *Run, qn, rn *tree.Node) {
+func hotKMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
@@ -421,7 +421,7 @@ func hotKMinIdentCol3(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			kl := kls[qi]
 			worst := kl.Worst()
@@ -438,7 +438,7 @@ func hotKMinIdentCol3(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotKMinIdentCol4(r *Run, qn, rn *tree.Node) {
+func hotKMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
@@ -446,7 +446,7 @@ func hotKMinIdentCol4(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			kl := kls[qi]
 			worst := kl.Worst()
@@ -464,12 +464,12 @@ func hotKMinIdentCol4(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotKMinIdentRow(r *Run, qn, rn *tree.Node) {
+func hotKMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
 			kl := kls[qi]
 			worst := kl.Worst()
@@ -485,14 +485,14 @@ func hotKMinIdentRow(r *Run, qn, rn *tree.Node) {
 
 // ---- MIN over the raw squared distance (nearest distance) ----
 
-func hotMinIdentCol1(r *Run, qn, rn *tree.Node) {
+func hotMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
 			best := val[qi]
 			for _, v0 := range r0 {
@@ -506,7 +506,7 @@ func hotMinIdentCol1(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotMinIdentCol2(r *Run, qn, rn *tree.Node) {
+func hotMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
@@ -514,7 +514,7 @@ func hotMinIdentCol2(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
 			best := val[qi]
 			for j, v0 := range r0 {
@@ -529,7 +529,7 @@ func hotMinIdentCol2(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotMinIdentCol3(r *Run, qn, rn *tree.Node) {
+func hotMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
@@ -537,7 +537,7 @@ func hotMinIdentCol3(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			best := val[qi]
 			for j, v0 := range r0 {
@@ -553,7 +553,7 @@ func hotMinIdentCol3(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotMinIdentCol4(r *Run, qn, rn *tree.Node) {
+func hotMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
@@ -561,7 +561,7 @@ func hotMinIdentCol4(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			best := val[qi]
 			for j, v0 := range r0 {
@@ -578,12 +578,12 @@ func hotMinIdentCol4(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotMinIdentRow(r *Run, qn, rn *tree.Node) {
+func hotMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
 			best := val[qi]
 			for ri := rb; ri < re; ri++ {
@@ -598,14 +598,14 @@ func hotMinIdentRow(r *Run, qn, rn *tree.Node) {
 
 // ---- NN: ARGMIN over the raw squared distance ----
 
-func hotArgMinIdentCol1(r *Run, qn, rn *tree.Node) {
+func hotArgMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	val, arg := r.Val, r.Arg
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
 			best := val[qi]
 			bestArg := -1
@@ -622,7 +622,7 @@ func hotArgMinIdentCol1(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotArgMinIdentCol2(r *Run, qn, rn *tree.Node) {
+func hotArgMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
@@ -630,7 +630,7 @@ func hotArgMinIdentCol2(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
 			best := val[qi]
 			bestArg := -1
@@ -648,7 +648,7 @@ func hotArgMinIdentCol2(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotArgMinIdentCol3(r *Run, qn, rn *tree.Node) {
+func hotArgMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
@@ -656,7 +656,7 @@ func hotArgMinIdentCol3(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			best := val[qi]
 			bestArg := -1
@@ -675,7 +675,7 @@ func hotArgMinIdentCol3(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotArgMinIdentCol4(r *Run, qn, rn *tree.Node) {
+func hotArgMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
@@ -683,7 +683,7 @@ func hotArgMinIdentCol4(r *Run, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			best := val[qi]
 			bestArg := -1
@@ -703,12 +703,12 @@ func hotArgMinIdentCol4(r *Run, qn, rn *tree.Node) {
 	}
 }
 
-func hotArgMinIdentRow(r *Run, qn, rn *tree.Node) {
+func hotArgMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	val, arg := r.Val, r.Arg
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
 			best := val[qi]
 			bestArg := -1
@@ -726,14 +726,14 @@ func hotArgMinIdentRow(r *Run, qn, rn *tree.Node) {
 
 // ---- 2PC: strict-window counting ----
 
-func hotWindowSumCol1(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowSumCol1(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
 			cnt := 0
 			for _, v0 := range r0 {
@@ -747,7 +747,7 @@ func hotWindowSumCol1(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotWindowSumCol2(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowSumCol2(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
@@ -755,7 +755,7 @@ func hotWindowSumCol2(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
 			cnt := 0
 			for j, v0 := range r0 {
@@ -770,7 +770,7 @@ func hotWindowSumCol2(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotWindowSumCol3(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowSumCol3(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
@@ -778,7 +778,7 @@ func hotWindowSumCol3(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			cnt := 0
 			for j, v0 := range r0 {
@@ -794,7 +794,7 @@ func hotWindowSumCol3(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotWindowSumCol4(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowSumCol4(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
@@ -802,7 +802,7 @@ func hotWindowSumCol4(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			cnt := 0
 			for j, v0 := range r0 {
@@ -819,12 +819,12 @@ func hotWindowSumCol4(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotWindowSumRow(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowSumRow(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
 			cnt := 0
 			for ri := rb; ri < re; ri++ {
@@ -839,13 +839,13 @@ func hotWindowSumRow(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 
 // ---- RS: strict-window collection ----
 
-func hotWindowUnionCol1(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowUnionCol1(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
 			idx := r.IdxLists[qi]
 			for j, v0 := range r0 {
@@ -859,14 +859,14 @@ func hotWindowUnionCol1(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotWindowUnionCol2(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowUnionCol2(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
 			idx := r.IdxLists[qi]
 			for j, v0 := range r0 {
@@ -881,14 +881,14 @@ func hotWindowUnionCol2(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotWindowUnionCol3(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowUnionCol3(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			idx := r.IdxLists[qi]
 			for j, v0 := range r0 {
@@ -904,14 +904,14 @@ func hotWindowUnionCol3(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotWindowUnionCol4(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowUnionCol4(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			idx := r.IdxLists[qi]
 			for j, v0 := range r0 {
@@ -928,11 +928,11 @@ func hotWindowUnionCol4(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
 	}
 }
 
-func hotWindowUnionRow(r *Run, lo2, hi2 float64, qn, rn *tree.Node) {
+func hotWindowUnionRow(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qn.Begin; qi < qn.End; qi++ {
+		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
 			idx := r.IdxLists[qi]
 			for ri := rb; ri < re; ri++ {

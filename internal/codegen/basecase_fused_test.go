@@ -379,38 +379,53 @@ func TestMixedLayoutBaseCase(t *testing.T) {
 }
 
 // TestFusedStatsAccounting: fusion must not change what the stats
-// layer sees — KernelEvals and BaseCases identical across fused,
-// legacy, and FusedBaseCases reflecting exactly who ran the leaves.
+// layer sees — KernelEvals and BaseCases identical across fused and
+// legacy (for the bound rule too: the point gate sits in the
+// dispatcher, above both), the ungated interpreter evaluating every
+// base-case pair, and FusedBaseCases reflecting exactly who ran the
+// leaves.
 func TestFusedStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	q := storage.MustFromRows(randRows(rng, 60, 3))
 	r := storage.MustFromRows(randRows(rng, 70, 3))
-	mkSpec := func() *lang.PortalExpr {
-		return (&lang.PortalExpr{}).
-			AddLayer(lang.FORALL, q, nil).
-			AddLayer(lang.SUM, r, expr.NewGaussianKernel(1))
-	}
-	fused := fullRun(t, mkSpec(), 1e-9, Options{})
-	legacy := fullRun(t, mkSpec(), 1e-9, Options{NoFuse: true})
-	interp := fullRun(t, mkSpec(), 1e-9, Options{ForceInterp: true})
-	if fused.Stats.KernelEvals != legacy.Stats.KernelEvals {
-		t.Errorf("kernel evals: fused %d vs legacy %d", fused.Stats.KernelEvals, legacy.Stats.KernelEvals)
-	}
-	if fused.Stats.BaseCases != legacy.Stats.BaseCases {
-		t.Errorf("base cases: fused %d vs legacy %d", fused.Stats.BaseCases, legacy.Stats.BaseCases)
-	}
-	if fused.Stats.BaseCases == 0 || fused.Stats.FusedBaseCases != fused.Stats.BaseCases {
-		t.Errorf("fused run: %d fused of %d base cases", fused.Stats.FusedBaseCases, fused.Stats.BaseCases)
-	}
-	if legacy.Stats.FusedBaseCases != 0 || interp.Stats.FusedBaseCases != 0 {
-		t.Errorf("legacy/interp runs must report zero fused base cases (%d, %d)",
-			legacy.Stats.FusedBaseCases, interp.Stats.FusedBaseCases)
+	for name, inner := range map[string]func(*lang.PortalExpr) *lang.PortalExpr{
+		"kde": func(s *lang.PortalExpr) *lang.PortalExpr { return s.AddLayer(lang.SUM, r, expr.NewGaussianKernel(1)) },
+		"knn": func(s *lang.PortalExpr) *lang.PortalExpr {
+			return s.AddLayerK(lang.KARGMIN, 3, r, expr.NewDistanceKernel(geom.SqEuclidean))
+		},
+	} {
+		mkSpec := func() *lang.PortalExpr { return inner((&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil)) }
+		fused := fullRun(t, mkSpec(), 1e-9, Options{})
+		legacy := fullRun(t, mkSpec(), 1e-9, Options{NoFuse: true})
+		interp := fullRun(t, mkSpec(), 1e-9, Options{ForceInterp: true})
+		if fused.Stats.KernelEvals != legacy.Stats.KernelEvals {
+			t.Errorf("%s kernel evals: fused %d vs legacy %d", name, fused.Stats.KernelEvals, legacy.Stats.KernelEvals)
+		}
+		if name == "knn" && fused.Stats.KernelEvals >= fused.Stats.BaseCasePairs {
+			t.Errorf("knn: point gate skipped nothing (%d evals of %d pairs)", fused.Stats.KernelEvals, fused.Stats.BaseCasePairs)
+		}
+		if want := interp.Stats.BaseCasePairs + interp.Stats.Approxes; interp.Stats.KernelEvals != want {
+			t.Errorf("%s interp: %d kernel evals, want every base-case pair (+approxes) = %d", name, interp.Stats.KernelEvals, want)
+		}
+		if fused.Stats.BaseCases != legacy.Stats.BaseCases || fused.Stats.BaseCasePairs != interp.Stats.BaseCasePairs {
+			t.Errorf("%s base cases: fused %d vs legacy %d; pairs fused %d vs interp %d", name,
+				fused.Stats.BaseCases, legacy.Stats.BaseCases, fused.Stats.BaseCasePairs, interp.Stats.BaseCasePairs)
+		}
+		if fused.Stats.BaseCases == 0 || fused.Stats.FusedBaseCases != fused.Stats.BaseCases {
+			t.Errorf("%s fused run: %d fused of %d base cases", name, fused.Stats.FusedBaseCases, fused.Stats.BaseCases)
+		}
+		if legacy.Stats.FusedBaseCases != 0 || interp.Stats.FusedBaseCases != 0 {
+			t.Errorf("%s legacy/interp runs must report zero fused base cases (%d, %d)", name,
+				legacy.Stats.FusedBaseCases, interp.Stats.FusedBaseCases)
+		}
 	}
 }
 
 // TestFusedLoopsZeroAlloc pins the zero-allocation guarantee of the
 // non-append fused loops: bind + setQ traffic must stay on the stack
-// (value pair sources; no gcshape boxing).
+// (value pair sources; no gcshape boxing). The loops run through
+// BaseCase, so the bound-rule cases also pin the point gate and its
+// PointBound refresh at zero allocations.
 func TestFusedLoopsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	n := 64
@@ -458,7 +473,7 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 		if !qn.IsLeaf() || !rn.IsLeaf() {
 			t.Fatalf("%s: roots are not leaves", c.name)
 		}
-		allocs := testing.AllocsPerRun(20, func() { c.run.fused(c.run, qn, rn) })
+		allocs := testing.AllocsPerRun(20, func() { c.run.BaseCase(qn, rn) })
 		if allocs != 0 {
 			t.Errorf("%s: fused loop allocates %.1f per base case, want 0", c.name, allocs)
 		}

@@ -19,9 +19,9 @@ import (
 // oracle the specialized loops are differential-tested against.
 
 // interpBaseCase executes the BaseCase IR for a leaf pair.
-func (r *Run) interpBaseCase(qn, rn *tree.Node) {
+func (r *Run) interpBaseCase(qb, qe int, rn *tree.Node) {
 	env := &interpEnv{
-		run: r, qn: qn, rn: rn,
+		run: r, qb: qb, qe: qe, rn: rn,
 		ints:    map[string]int{},
 		scalars: map[string]float64{},
 	}
@@ -30,7 +30,8 @@ func (r *Run) interpBaseCase(qn, rn *tree.Node) {
 
 type interpEnv struct {
 	run     *Run
-	qn, rn  *tree.Node
+	qb, qe  int
+	rn      *tree.Node
 	ints    map[string]int
 	scalars map[string]float64
 }
@@ -187,9 +188,9 @@ func (e *interpEnv) eval(x ir.Expr) float64 {
 func (e *interpEnv) prop(name string) float64 {
 	switch name {
 	case "query.start":
-		return float64(e.qn.Begin)
+		return float64(e.qb)
 	case "query.end":
-		return float64(e.qn.End)
+		return float64(e.qe)
 	case "reference.start":
 		return float64(e.rn.Begin)
 	case "reference.end":

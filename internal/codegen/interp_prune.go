@@ -22,11 +22,11 @@ import (
 func (r *Run) InterpPruneApprox(qn, rn *tree.Node, qBound float64) prune.Decision {
 	env := &pruneEnv{
 		interpEnv: interpEnv{
-			run: r, qn: qn, rn: rn,
+			run: r, qb: qn.Begin, qe: qn.End, rn: rn,
 			ints:    map[string]int{},
 			scalars: map[string]float64{},
 		},
-		qBound: qBound,
+		qn: qn, qBound: qBound,
 	}
 	d, returned := env.execPrune(r.Ex.Prog.PruneApprox.Body)
 	if !returned {
@@ -37,6 +37,7 @@ func (r *Run) InterpPruneApprox(qn, rn *tree.Node, qBound float64) prune.Decisio
 
 type pruneEnv struct {
 	interpEnv
+	qn     *tree.Node
 	qBound float64
 }
 

@@ -23,21 +23,19 @@ type KList struct {
 
 // NewKList returns a list of capacity k primed with the operator's
 // identity values (+Inf for min-side, -Inf for max-side).
-func NewKList(k int, maxSide bool) *KList {
-	l := &KList{
-		Vals:    make([]float64, k),
-		Args:    make([]int, k),
-		maxSide: maxSide,
+func NewKList(k int, maxSide bool) *KList { return &newKLists(1, k, maxSide)[0] }
+
+// newKLists returns n primed lists carved out of one value slab and
+// one argument slab (capacity-limited sub-slices): three allocations
+// for a whole query set instead of three per query point.
+func newKLists(n, k int, maxSide bool) []KList {
+	vals, args := make([]float64, n*k), make([]int, n*k)
+	lists := make([]KList, n)
+	for i := range lists {
+		lists[i] = KList{Vals: vals[i*k : (i+1)*k : (i+1)*k], Args: args[i*k : (i+1)*k : (i+1)*k], maxSide: maxSide}
+		lists[i].Reset()
 	}
-	fill := math.Inf(1)
-	if maxSide {
-		fill = math.Inf(-1)
-	}
-	for i := range l.Vals {
-		l.Vals[i] = fill
-		l.Args[i] = -1
-	}
-	return l
+	return lists
 }
 
 // K returns the list capacity.
@@ -101,4 +99,25 @@ func (l *KList) Reset() {
 		l.Vals[i] = fill
 		l.Args[i] = -1
 	}
+}
+
+// finalizeKLists assembles the per-query k-list outputs in original
+// query order with reference positions mapped back to original
+// indices, skipping unfilled slots. All lists are sub-slices of one
+// argument slab and one value slab.
+func (r *Run) finalizeKLists() ([][]int, [][]float64) {
+	n, rIdx := len(r.KLists), r.R.Index
+	argLists, valLists := make([][]int, n), make([][]float64, n)
+	args, vals := make([]int, 0, n*r.Ex.Plan.K), make([]float64, 0, n*r.Ex.Plan.K)
+	for pos := range r.KLists {
+		kl, b := &r.KLists[pos], len(args)
+		for j, a := range kl.Args {
+			if a >= 0 {
+				args, vals = append(args, rIdx[a]), append(vals, kl.Vals[j])
+			}
+		}
+		orig := r.Q.Index[pos]
+		argLists[orig], valLists[orig] = args[b:len(args):len(args)], vals[b:len(vals):len(vals)]
+	}
+	return argLists, valLists
 }

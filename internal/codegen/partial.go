@@ -72,23 +72,7 @@ func (r *Run) FinalizePartial() *Partial {
 			}
 		}
 	case r.KLists != nil:
-		p.ArgLists = make([][]int, n)
-		p.ValueLists = make([][]float64, n)
-		for pos := 0; pos < n; pos++ {
-			orig := qIdx[pos]
-			kl := r.KLists[pos]
-			args := make([]int, 0, kl.K())
-			vals := make([]float64, 0, kl.K())
-			for j := 0; j < kl.K(); j++ {
-				if kl.Args[j] < 0 {
-					continue
-				}
-				args = append(args, rIdx[kl.Args[j]])
-				vals = append(vals, kl.Vals[j])
-			}
-			p.ArgLists[orig] = args
-			p.ValueLists[orig] = vals
-		}
+		p.ArgLists, p.ValueLists = r.finalizeKLists()
 	case r.IdxLists != nil:
 		p.ArgLists = make([][]int, n)
 		for pos := 0; pos < n; pos++ {
@@ -140,6 +124,27 @@ func (r *Run) RootBound() float64 {
 		return math.Inf(-1)
 	}
 	return math.Inf(1)
+}
+
+// SeedBounds starts this run from the best-so-far state local proved
+// over the same query tree against a different reference tree — the
+// shard tier's import pass continuing where the shard-local pass
+// stopped instead of re-deriving every bound from ±Inf. Values carry
+// over without their reference positions (Arg stays -1, which the
+// finalize paths already skip as an unfilled slot), so this run
+// reports only candidates that beat local's, ordered as the merge
+// would order them, and every node and point bound stays in force. A
+// no-op for rules without bounds. Call before the traversal.
+func (r *Run) SeedBounds(local *Run) {
+	if r.NodeBound == nil {
+		return
+	}
+	copy(r.NodeBound, local.NodeBound)
+	copy(r.PointBound, local.PointBound)
+	copy(r.Val, local.Val)
+	for i := range r.KLists {
+		copy(r.KLists[i].Vals, local.KLists[i].Vals)
+	}
 }
 
 // ApplyRemoteApprox folds a peer shard's exported node aggregate

@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"portal/internal/expr"
 	"portal/internal/fastmath"
@@ -11,6 +12,7 @@ import (
 	"portal/internal/linalg"
 	"portal/internal/prune"
 	"portal/internal/stats"
+	"portal/internal/storage"
 	"portal/internal/traverse"
 	"portal/internal/tree"
 )
@@ -59,9 +61,25 @@ type Run struct {
 	// Per-query state, indexed by reordered query position.
 	Val      []float64
 	Arg      []int
-	KLists   []*KList
+	KLists   []KList
 	IdxLists [][]int
 	ValLists [][]float64
+
+	// PointBound holds every query position's admission threshold (the
+	// current best for single reductions, the k-th best for k-lists) for
+	// bound-rule problems, nil otherwise: the flat array the point gate
+	// and updateLeafBound read instead of chasing KLists[i].Vals[k-1].
+	// BaseCase refreshes a slot whenever that point was swept.
+	PointBound []float64
+	// gate enables BaseCase's point gate: a bound rule whose working
+	// kernel is the raw squared Euclidean distance, the one body the
+	// gate's exactness argument covers (DESIGN §9.1). Off under
+	// ForceInterp, the ungated oracle.
+	gate bool
+	// The gate's layout-independent view of the query points: dimension
+	// j of position qi is qFlat[qi*qStep+j*qStride].
+	qFlat          []float64
+	qStep, qStride int
 
 	// Per-query-node state, indexed by node ID.
 	NodeBound     []float64
@@ -128,10 +146,7 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 			}
 		}
 	case lang.KMIN, lang.KMAX, lang.KARGMIN, lang.KARGMAX:
-		run.KLists = make([]*KList, n)
-		for i := range run.KLists {
-			run.KLists[i] = NewKList(ex.Plan.K, ex.maxSide)
-		}
+		run.KLists = newKLists(n, ex.Plan.K, ex.maxSide)
 	case lang.UNION, lang.UNIONARG:
 		run.IdxLists = make([][]int, n)
 		if ex.Plan.InnerOp == lang.UNION {
@@ -139,14 +154,15 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 		}
 	}
 	if ex.Rule.Kind == prune.BoundRule {
-		run.NodeBound = make([]float64, q.NodeCount)
+		bounds := make([]float64, q.NodeCount+n)
 		init := math.Inf(1)
 		if ex.maxSide {
 			init = math.Inf(-1)
 		}
-		for i := range run.NodeBound {
-			run.NodeBound[i] = init
+		for i := range bounds {
+			bounds[i] = init
 		}
+		run.NodeBound, run.PointBound = bounds[:q.NodeCount:q.NodeCount], bounds[q.NodeCount:]
 	}
 	if ex.Rule.Kind == prune.TauRule || (ex.Rule.Kind == prune.WindowRule && ex.Plan.InnerOp == lang.SUM) {
 		run.NodeDelta = make([]float64, q.NodeCount)
@@ -157,6 +173,11 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 	run.evalD2 = ex.compileEvalD2()
 	run.identity = ex.Plan.DistKernel != nil &&
 		ex.Plan.DistKernel.Metric == geom.SqEuclidean && ex.bodyFn == nil
+	run.gate = run.PointBound != nil && run.identity && !ex.Opts.ForceInterp
+	run.qFlat, run.qStep, run.qStride = q.Data.Flat(), q.Dim(), 1
+	if q.Data.Layout() == storage.ColMajor {
+		run.qStep, run.qStride = 1, n
+	}
 	run.op = ex.Plan.InnerOp
 	run.fused = ex.selectFused(q.Data, r.Data)
 	if mk := ex.Plan.MahalKernel; mk != nil {
@@ -375,35 +396,19 @@ func (r *Run) PostChildren(qn *tree.Node) {
 	r.NodeBound[qn.ID] = b
 }
 
-// updateLeafBound recomputes a leaf's bound from its points' current
-// best values after a base case.
+// updateLeafBound recomputes a leaf's bound — the loosest of its
+// points' thresholds — after a base case swept some of them.
 func (r *Run) updateLeafBound(qn *tree.Node) {
-	if r.NodeBound == nil {
-		return
-	}
-	var b float64
+	pb := r.PointBound[qn.Begin:qn.End]
 	if r.Ex.maxSide {
-		b = math.Inf(1)
-		for i := qn.Begin; i < qn.End; i++ {
-			v := r.pointBound(i)
-			if v < b {
-				b = v
-			}
-		}
+		r.NodeBound[qn.ID] = slices.Min(pb)
 	} else {
-		b = math.Inf(-1)
-		for i := qn.Begin; i < qn.End; i++ {
-			v := r.pointBound(i)
-			if v > b {
-				b = v
-			}
-		}
+		r.NodeBound[qn.ID] = slices.Max(pb)
 	}
-	r.NodeBound[qn.ID] = b
 }
 
-// pointBound is the per-point admission threshold: the current best
-// for single reductions, the k-th best for k-lists.
+// pointBound reads position i's admission threshold from the operator
+// state (PointBound caches it).
 func (r *Run) pointBound(i int) float64 {
 	if r.KLists != nil {
 		return r.KLists[i].Worst()
@@ -442,23 +447,7 @@ func (r *Run) Finalize() *Output {
 				}
 			}
 		case r.KLists != nil:
-			out.ArgLists = make([][]int, n)
-			out.ValueLists = make([][]float64, n)
-			for pos := 0; pos < n; pos++ {
-				orig := qIdx[pos]
-				kl := r.KLists[pos]
-				args := make([]int, 0, kl.K())
-				vals := make([]float64, 0, kl.K())
-				for j := 0; j < kl.K(); j++ {
-					if kl.Args[j] < 0 {
-						continue
-					}
-					args = append(args, rIdx[kl.Args[j]])
-					vals = append(vals, kl.Vals[j])
-				}
-				out.ArgLists[orig] = args
-				out.ValueLists[orig] = vals
-			}
+			out.ArgLists, out.ValueLists = r.finalizeKLists()
 		case r.IdxLists != nil:
 			out.ArgLists = make([][]int, n)
 			for pos := 0; pos < n; pos++ {

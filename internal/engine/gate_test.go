@@ -1,0 +1,165 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"portal/internal/codegen"
+	"portal/internal/expr"
+	"portal/internal/geom"
+	"portal/internal/lang"
+	"portal/internal/storage"
+)
+
+// Differential suite for the point gate (DESIGN §9) against the IR
+// interpreter, which never gates: every bound-rule operator must give
+// the same values, ids and tie order gated as ungated — sequentially,
+// under the steal scheduler (run this under -race), and sharded, where
+// the import passes start from the shard-local bounds.
+//
+// The interpreter sums the squared distance left to right while the
+// backend's loops use Hypot2's four lanes, so for d >= 4 the two agree
+// bit for bit only where the arithmetic is exact. The inputs are
+// therefore an integer lattice and a dyadic grid with repeated points:
+// exact sums in every order, and gap² == worst ties everywhere, which
+// is the boundary the gate's >= has to get right. Float inputs are
+// covered against the ungated loops themselves in
+// codegen.TestPointGateIsExact.
+
+func gateStorage(rng *rand.Rand, kind string, n, d int, l storage.Layout) *storage.Storage {
+	s := storage.NewWithLayout(n, d, l)
+	row := make([]float64, d)
+	for i := 0; i < n; i++ {
+		if kind == "lattice" || i%3 == 0 {
+			for j := range row {
+				if kind == "lattice" {
+					row[j] = float64(rng.Intn(5))
+				} else {
+					row[j] = float64(rng.Intn(513)-256) / 64
+				}
+			}
+		} // else: repeat the previous point
+		s.SetPoint(i, row)
+	}
+	return s
+}
+
+func outputsIdentical(t *testing.T, ctx string, got, want *codegen.Output) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Values, want.Values) || !reflect.DeepEqual(got.Args, want.Args) ||
+		!reflect.DeepEqual(got.ArgLists, want.ArgLists) || !reflect.DeepEqual(got.ValueLists, want.ValueLists) ||
+		got.HasScalar != want.HasScalar || got.Scalar != want.Scalar {
+		t.Fatalf("%s: outputs differ\n got %+v %v %v %v %v\nwant %+v %v %v %v %v", ctx,
+			got.Values, got.Args, got.ArgLists, got.ValueLists, got.Scalar,
+			want.Values, want.Args, want.ArgLists, want.ValueLists, want.Scalar)
+	}
+}
+
+func TestPointGateMatchesInterpreter(t *testing.T) {
+	sq := func() *expr.Kernel { return expr.NewDistanceKernel(geom.SqEuclidean) }
+	type opCase struct {
+		name  string
+		build func(q, r *storage.Storage) *lang.PortalExpr
+		// oracle, when set, is the per-query problem the interpreter runs
+		// instead (it cannot execute scalar outer reductions); the test
+		// takes the max of its values.
+		oracle func(q, r *storage.Storage) *lang.PortalExpr
+	}
+	var ops []opCase
+	for _, op := range []lang.Op{lang.MIN, lang.ARGMIN, lang.MAX, lang.ARGMAX} {
+		op := op
+		ops = append(ops, opCase{name: op.String(), build: func(q, r *storage.Storage) *lang.PortalExpr {
+			return (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).AddLayer(op, r, sq())
+		}})
+	}
+	for _, op := range []lang.Op{lang.KMIN, lang.KARGMIN, lang.KMAX, lang.KARGMAX} {
+		for _, k := range []int{1, 5, 20} { // 20 > the 8-point leaves
+			op, k := op, k
+			ops = append(ops, opCase{name: fmt.Sprintf("%v-k%d", op, k), build: func(q, r *storage.Storage) *lang.PortalExpr {
+				return (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).AddLayerK(op, k, r, sq())
+			}})
+		}
+	}
+	hausdorff := func(outer lang.Op) func(q, r *storage.Storage) *lang.PortalExpr {
+		return func(q, r *storage.Storage) *lang.PortalExpr {
+			return (&lang.PortalExpr{}).AddLayer(outer, q, nil).
+				AddLayer(lang.MIN, r, expr.NewDistanceKernel(geom.Euclidean))
+		}
+	}
+	ops = append(ops, opCase{"hausdorff", hausdorff(lang.MAX), hausdorff(lang.FORALL)})
+	combos := []struct {
+		tree   TreeKind
+		ql, rl storage.Layout
+	}{
+		{KDTree, storage.RowMajor, storage.RowMajor},
+		{Octree, storage.ColMajor, storage.ColMajor},
+		{KDTree, storage.ColMajor, storage.RowMajor},
+		{Octree, storage.RowMajor, storage.ColMajor},
+	}
+	for d := 1; d <= 6; d++ {
+		for ci, cb := range combos {
+			kind := []string{"lattice", "dyadic"}[(d+ci)%2]
+			rng := rand.New(rand.NewSource(int64(1300 + 10*d + ci)))
+			q := gateStorage(rng, kind, 70, d, cb.ql)
+			r := gateStorage(rng, kind, 90, d, cb.rl)
+			for oi, oc := range ops {
+				ctx := fmt.Sprintf("%s d=%d %s tree=%d %v-%v", oc.name, d, kind, cb.tree, cb.ql, cb.rl)
+				// ExactMath: the interpreter's per-pair sqrt (Hausdorff) must be
+				// the exact one the backend takes once at Finalize.
+				cfg := Config{LeafSize: 8, Tree: cb.tree, Codegen: codegen.Options{ExactMath: true}}
+				interpCfg := cfg
+				interpCfg.Codegen.ForceInterp = true
+				runOracle := func(cfg Config) *codegen.Output {
+					if oc.oracle == nil {
+						out, err := Run(ctx, oc.build(q, r), cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return out
+					}
+					out, err := Run(ctx, oc.oracle(q, r), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return &codegen.Output{Scalar: slices.Max(out.Values), HasScalar: true, Stats: out.Stats}
+				}
+				gated, err := Run(ctx, oc.build(q, r), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				interp := runOracle(interpCfg)
+				outputsIdentical(t, ctx+" gated vs interp", gated, interp)
+				// (The Hausdorff oracle walks in distance space, where the
+				// squared bound re-rounds: its node prunes may differ.)
+				if oc.oracle == nil && (gated.Stats.KernelEvals > interp.Stats.KernelEvals ||
+					gated.Stats.BaseCasePairs != interp.Stats.BaseCasePairs) {
+					t.Fatalf("%s: gated %+v vs interp %+v: want the same walk and no more evaluations", ctx, gated.Stats, interp.Stats)
+				}
+				cfg.Parallel, cfg.Workers = true, 4
+				steal, err := Run(ctx, oc.build(q, r), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outputsIdentical(t, ctx+" steal vs seq", steal, gated)
+				if steal.Stats.KernelEvals != gated.Stats.KernelEvals {
+					t.Fatalf("%s: steal evaluated %d pairs, sequential %d", ctx, steal.Stats.KernelEvals, gated.Stats.KernelEvals)
+				}
+				if (d+oi)%3 != 0 {
+					continue // the sharded interpreter runs are the slow ones: every third case
+				}
+				for _, k := range []int{1, 4} {
+					cfg.Shards, interpCfg.Shards = k, k
+					sharded, err := Run(ctx, oc.build(q, r), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					shardedInterp := runOracle(interpCfg)
+					outputsIdentical(t, fmt.Sprintf("%s shards=%d gated vs interp", ctx, k), sharded, shardedInterp)
+				}
+			}
+		}
+	}
+}

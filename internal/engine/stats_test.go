@@ -6,9 +6,11 @@ import (
 
 	"portal/internal/codegen"
 	"portal/internal/expr"
+	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/stats"
 	"portal/internal/storage"
+	"portal/internal/traverse"
 )
 
 // The observability layer end-to-end: Config.CollectStats attaches a
@@ -37,8 +39,10 @@ func TestCollectStatsAttachesReport(t *testing.T) {
 	if rep.Traversal.KernelEvals == 0 || rep.Traversal.BaseCasePairs == 0 {
 		t.Errorf("missing base-case accounting: %+v", rep.Traversal)
 	}
-	if rep.Traversal.KernelEvals != rep.Traversal.BaseCasePairs {
-		t.Errorf("pure base-case problem: kernel evals %d != base-case pairs %d",
+	// NN is a bound rule: the point gate skips pairs the walk still
+	// counted, so evaluations are at most the base-case pairs.
+	if rep.Traversal.KernelEvals > rep.Traversal.BaseCasePairs {
+		t.Errorf("kernel evals %d exceed base-case pairs %d",
 			rep.Traversal.KernelEvals, rep.Traversal.BaseCasePairs)
 	}
 	if rep.Phases.Traversal <= 0 {
@@ -104,6 +108,11 @@ func TestStatsSequentialEqualsParallelPruningExact(t *testing.T) {
 			s.KernelEvals != p.KernelEvals {
 			t.Errorf("%s: sequential %+v != parallel %+v", tc.name, s, p)
 		}
+		// No bound, no point gate: every base-case pair is evaluated
+		// (KDE adds one centroid evaluation per approximation).
+		if want := s.BaseCasePairs + s.Approxes; s.KernelEvals != want {
+			t.Errorf("%s: kernel evals %d, want base-case pairs + approxes = %d", tc.name, s.KernelEvals, want)
+		}
 		// 2PC and RS prune outright; KDE eliminates via approximation —
 		// either way the traversal must have removed pairwise work.
 		if s.EliminatedPairs() == 0 {
@@ -115,6 +124,52 @@ func TestStatsSequentialEqualsParallelPruningExact(t *testing.T) {
 		if p.TasksSpawned == 0 {
 			t.Errorf("%s: parallel run spawned no tasks", tc.name)
 		}
+	}
+}
+
+// The KernelEvals contract for bound rules: the point gate makes it the
+// count of evaluations actually performed, so base_case_pairs −
+// kernel_evals is the point-pruned work. The walk is deterministic per
+// query subtree, so the count is the same under every schedule and on
+// the fused and NoFuse paths (one gate, in the dispatcher); the
+// interpreter oracle is ungated and evaluates every pair.
+func TestKernelEvalsBoundRuleContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	rows := make([][]float64, 3000)
+	for i := range rows {
+		rows[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	pts := storage.MustFromRows(rows)
+	spec := (&lang.PortalExpr{}).
+		AddLayer(lang.FORALL, pts, nil).
+		AddLayerK(lang.KARGMIN, 5, pts, expr.NewDistanceKernel(geom.Euclidean))
+	run := func(cfg Config) stats.TraversalStats {
+		cfg.LeafSize, cfg.CollectStats = 16, true
+		out, err := Run("knn", spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Report.Traversal
+	}
+	seq := run(Config{})
+	if seq.KernelEvals <= 0 || seq.KernelEvals >= seq.BaseCasePairs {
+		t.Fatalf("gated k-NN: kernel evals %d, want in (0, base-case pairs %d)", seq.KernelEvals, seq.BaseCasePairs)
+	}
+	for name, cfg := range map[string]Config{
+		"steal":  {Parallel: true, Workers: 4},
+		"spawn":  {Parallel: true, Workers: 4, Schedule: traverse.ScheduleSpawn},
+		"nofuse": {Codegen: codegen.Options{NoFuse: true}},
+	} {
+		got := run(cfg)
+		if got.KernelEvals != seq.KernelEvals || got.BaseCasePairs != seq.BaseCasePairs || got.Prunes != seq.Prunes {
+			t.Errorf("%s: evals/pairs/prunes %d/%d/%d, sequential fused %d/%d/%d", name,
+				got.KernelEvals, got.BaseCasePairs, got.Prunes, seq.KernelEvals, seq.BaseCasePairs, seq.Prunes)
+		}
+	}
+	interp := run(Config{Codegen: codegen.Options{ForceInterp: true}})
+	if interp.KernelEvals != interp.BaseCasePairs || interp.BaseCasePairs != seq.BaseCasePairs {
+		t.Errorf("interpreter: evals %d, pairs %d; want both = %d (ungated, same walk)",
+			interp.KernelEvals, interp.BaseCasePairs, seq.BaseCasePairs)
 	}
 }
 

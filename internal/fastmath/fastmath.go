@@ -190,3 +190,48 @@ func Hypot2(p, q []float64) float64 {
 	}
 	return (s0 + s1) + (s2 + s3)
 }
+
+// Hypot2Box is Hypot2(p, c) for the point c of the box [lo, hi]
+// nearest to p (far: the corner farthest from p), without
+// materializing c: the same per-dimension differences, squared and
+// summed in Hypot2's four-lane order. Dimension j of p is p[j*stride],
+// so the point can be a row (stride 1) or a position in column-major
+// storage (stride n). Every rounding step of Hypot2 is monotone in
+// |p[j]-q[j]|, and c minimizes (far: maximizes) that offset over the
+// box in every dimension, so Hypot2(p, q) >= Hypot2Box(p, …) (far:
+// <=) for every q inside the box — exactly, not up to rounding.
+func Hypot2Box(p []float64, stride int, lo, hi []float64, far bool) float64 {
+	hi = hi[:len(lo)]
+	var s0, s1, s2, s3 float64
+	j := 0
+	for ; j+4 <= len(lo); j += 4 {
+		d0 := boxOffset(p[j*stride], lo[j], hi[j], far)
+		d1 := boxOffset(p[(j+1)*stride], lo[j+1], hi[j+1], far)
+		d2 := boxOffset(p[(j+2)*stride], lo[j+2], hi[j+2], far)
+		d3 := boxOffset(p[(j+3)*stride], lo[j+3], hi[j+3], far)
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	for ; j < len(lo); j++ {
+		d := boxOffset(p[j*stride], lo[j], hi[j], far)
+		s0 += d * d
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// boxOffset is x - c up to sign for c the end of [lo, hi] nearest to x
+// (0 inside the interval), or with far the end farthest from x.
+func boxOffset(x, lo, hi float64, far bool) float64 {
+	a, b := x-lo, hi-x // a + b >= 0: at most one is negative
+	switch {
+	case far:
+		return max(a, b)
+	case a < 0:
+		return a
+	case b < 0:
+		return b
+	}
+	return 0
+}

@@ -251,6 +251,55 @@ func TestHypot2MatchesNaive(t *testing.T) {
 	}
 }
 
+// Hypot2Box must be bit-for-bit Hypot2 against the materialized nearest
+// (farthest) box point in either storage stride, and bound Hypot2
+// against every point inside the box with no rounding slack — the two
+// facts the backend's point gate rests on. Boxes are a few ulps to a
+// few units wide and points sit inside, on, and far outside them, so
+// the comparisons run where rounding could flip them.
+func TestHypot2BoxExactBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for iter := 0; iter < 20000; iter++ {
+		d := 1 + rng.Intn(9)
+		stride := 1 + rng.Intn(2)*rng.Intn(5)
+		p := make([]float64, d*stride)
+		lo, hi, near, farC, in := make([]float64, d), make([]float64, d), make([]float64, d), make([]float64, d), make([]float64, d)
+		scale := math.Ldexp(1, rng.Intn(40)-20)
+		for j := 0; j < d; j++ {
+			lo[j] = rng.NormFloat64()
+			hi[j] = lo[j] + scale*rng.Float64()*float64(rng.Intn(2))
+			x := lo[j] + math.Max(hi[j]-lo[j], scale)*(3*rng.Float64()-1)
+			if rng.Intn(4) == 0 {
+				x = []float64{lo[j], hi[j]}[rng.Intn(2)]
+			}
+			p[j*stride] = x
+			near[j] = math.Min(math.Max(x, lo[j]), hi[j])
+			farC[j] = lo[j]
+			if hi[j]-x > x-lo[j] {
+				farC[j] = hi[j]
+			}
+			in[j] = lo[j] + (hi[j]-lo[j])*rng.Float64()
+			if in[j] > hi[j] {
+				in[j] = hi[j]
+			}
+		}
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = p[j*stride]
+		}
+		n, f := Hypot2Box(p, stride, lo, hi, false), Hypot2Box(p, stride, lo, hi, true)
+		if want := Hypot2(row, near); n != want {
+			t.Fatalf("d=%d near: Hypot2Box %v != Hypot2 at nearest point %v", d, n, want)
+		}
+		if want := Hypot2(row, farC); f != want {
+			t.Fatalf("d=%d far: Hypot2Box %v != Hypot2 at farthest corner %v", d, f, want)
+		}
+		if v := Hypot2(row, in); v < n || v > f {
+			t.Fatalf("d=%d: inside point evaluates to %v outside [%v, %v]", d, v, n, f)
+		}
+	}
+}
+
 func TestHypot2ZeroLength(t *testing.T) {
 	if got := Hypot2(nil, nil); got != 0 {
 		t.Errorf("Hypot2(nil,nil) = %v, want 0", got)

@@ -74,7 +74,7 @@ func (f *family) writeSeries(w *bufio.Writer, s *series) {
 	case s.g != nil:
 		f.writeSample(w, "", s.labels, "", strconv.FormatInt(s.g.Value(), 10))
 	case s.h != nil:
-		buckets, sum, count := s.h.snapshot()
+		buckets, sum := s.h.snapshot()
 		var cum int64
 		for i, b := range buckets {
 			cum += b
@@ -85,7 +85,10 @@ func (f *family) writeSeries(w *bufio.Writer, s *series) {
 			f.writeSample(w, "_bucket", s.labels, le, strconv.FormatInt(cum, 10))
 		}
 		f.writeSample(w, "_sum", s.labels, "", formatFloat(float64(sum)/s.h.div))
-		f.writeSample(w, "_count", s.labels, "", strconv.FormatInt(count, 10))
+		// _count is the cumulative of the buckets just written, not the
+		// separately updated counter: a scrape racing Observe must still
+		// satisfy +Inf bucket == _count.
+		f.writeSample(w, "_count", s.labels, "", strconv.FormatInt(cum, 10))
 	}
 }
 

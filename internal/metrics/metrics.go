@@ -216,10 +216,10 @@ func (h *Histogram) QuantileBucket(q float64) int {
 
 // snapshot reads all buckets at one (non-atomic across buckets) pass
 // for exposition; counts are each individually consistent.
-func (h *Histogram) snapshot() (buckets []int64, sum, count int64) {
+func (h *Histogram) snapshot() (buckets []int64, sum int64) {
 	buckets = make([]int64, h.nb+1)
 	for i := range buckets {
 		buckets[i] = h.buckets[i].Load()
 	}
-	return buckets, h.sum.Load(), h.count.Load()
+	return buckets, h.sum.Load()
 }

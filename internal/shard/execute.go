@@ -202,6 +202,7 @@ func Execute(ex *codegen.Executable, qp, rp *Partition, cfg ExecConfig) (*codege
 			cfg.Trace.TaskEnd(bt)
 		}
 		run := ex.Bind(qp.Pieces[i].Tree, it)
+		run.SeedBounds(runsLocal[i])
 		t0 := time.Now()
 		var tt *trace.Task
 		if cfg.Trace != nil {

@@ -2,12 +2,14 @@ package traverse
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"portal/internal/prune"
 	"portal/internal/stats"
+	"portal/internal/trace"
 	"portal/internal/tree"
 )
 
@@ -177,6 +179,57 @@ func TestWorkersOneIsPureSequential(t *testing.T) {
 		}
 		if one.TasksSpawned != 0 || one.TasksStolen != 0 || one.InlineFallbacks != 0 {
 			t.Fatalf("%v: Workers=1 accounted tasks: %+v", sched, one)
+		}
+	}
+}
+
+// leafRootRule fails the test if the traversal forks it, and records
+// the goroutine count it observes from inside base cases.
+type leafRootRule struct {
+	countRule
+	t          *testing.T
+	goroutines int
+}
+
+func (l *leafRootRule) BaseCase(qn, rn *tree.Node) {
+	l.countRule.BaseCase(qn, rn)
+	l.goroutines = max(l.goroutines, runtime.NumGoroutine())
+}
+func (l *leafRootRule) Fork() Rule {
+	l.t.Error("single-leaf query tree forked a worker rule")
+	return l
+}
+
+// A single-leaf query tree has no query-side split to create a task
+// at, so every schedule must walk it sequentially at any worker count:
+// one executed task, one span, no worker goroutines left spinning in a
+// steal loop for the length of the traversal.
+func TestSingleLeafQueryIsSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	q := buildTree(rng, 16, 3, 32)
+	r := buildTree(rng, 10000, 3, 32)
+	if !q.Root.IsLeaf() {
+		t.Fatal("query tree is not a single leaf")
+	}
+	for _, sched := range []Schedule{ScheduleSteal, ScheduleSpawn, ScheduleIList} {
+		c := &leafRootRule{t: t, countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
+		rec := trace.New()
+		var st stats.TraversalStats
+		before := runtime.NumGoroutine()
+		RunParallel(q, r, c, Options{Workers: 4, Schedule: sched, Stats: &st, Trace: rec})
+		if st.TasksExecuted != 1 || st.TasksSpawned != 0 || st.TasksStolen != 0 {
+			t.Fatalf("%v: executed/spawned/stolen = %d/%d/%d, want 1/0/0", sched, st.TasksExecuted, st.TasksSpawned, st.TasksStolen)
+		}
+		if n := len(rec.Spans()); n != 1 {
+			t.Fatalf("%v: %d spans, want 1", sched, n)
+		}
+		if c.goroutines > before {
+			t.Fatalf("%v: %d goroutines during the walk, %d before it", sched, c.goroutines, before)
+		}
+		for i, n := range c.perQuery {
+			if n != int64(r.Len()) {
+				t.Fatalf("%v: query %d saw %d reference points, want %d", sched, i, n, r.Len())
+			}
 		}
 	}
 }

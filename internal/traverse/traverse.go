@@ -356,8 +356,9 @@ type parCtx struct {
 // subtrees: all per-query and per-query-node state is then written by
 // exactly one task, while the reference tree is shared read-only.
 //
-// Workers == 1 takes the sequential path — byte-identical to RunStats
-// regardless of BatchBaseCases — except under ScheduleIList, which
+// Workers == 1, or a single-leaf query tree at any worker count, takes
+// the sequential path — byte-identical to RunStats regardless of
+// BatchBaseCases — except under ScheduleIList, which
 // keeps its two-tier build/sweep structure at every worker count (the
 // answers are still byte-identical: one worker preserves the exact
 // sequential discovery order within every list).
@@ -365,6 +366,12 @@ func RunParallel(q, r *tree.Tree, rule Rule, opts Options) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if q.Root.IsLeaf() {
+		// Tasks are created only at query-side splits: a single-leaf
+		// query tree has nothing to hand a second worker, which would
+		// only spin in its steal loop for the whole traversal.
+		workers = 1
 	}
 	if opts.Schedule == ScheduleIList {
 		runIList(q, r, rule, workers, opts)
