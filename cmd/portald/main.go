@@ -1,7 +1,7 @@
 // Command portald is the long-lived Portal query server: it keeps
 // named datasets resident as immutable tree snapshots, caches compiled
-// problems, batches concurrent queries into shared traversal ticks,
-// and serves the JSON API of internal/serve over HTTP.
+// problems, runs concurrent queries under one shared traversal worker
+// budget, and serves the JSON API of internal/serve over HTTP.
 //
 //	portald -addr :7070 -workers 8
 //
@@ -30,10 +30,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7070", "listen address (host:port; port 0 picks a free port)")
-	workers := flag.Int("workers", 0, "traversal worker budget per batch tick (0 = GOMAXPROCS)")
-	leaf := flag.Int("leaf", 32, "tree leaf capacity")
-	tick := flag.Duration("tick", 2*time.Millisecond, "query batching window")
-	maxBatch := flag.Int("max-batch", 64, "max queries per batch tick")
+	workers := flag.Int("workers", 0, "traversal worker budget shared by all in-flight queries (0 = GOMAXPROCS)")
+	leaf := flag.Int("leaf", 32, "dataset tree leaf capacity (query-point trees are density-matched to it)")
 	dataDir := flag.String("data-dir", "", "dataset snapshot directory: published datasets persist here and are mmap-restored on restart without rebuilding trees")
 	slowQuery := flag.Duration("slow-query", time.Second, "slow-query log threshold; queries at or over it are captured with their full stats report at GET /debug/queries (0 disables)")
 	traceSample := flag.Int("trace-sample", 128, "trace every Nth query and capture its Chrome trace at GET /debug/queries (0 disables, 1 traces everything)")
@@ -55,8 +53,6 @@ func main() {
 	srv := serve.NewServer(serve.Config{
 		LeafSize:     *leaf,
 		Workers:      *workers,
-		Tick:         *tick,
-		MaxBatch:     *maxBatch,
 		DataDir:      *dataDir,
 		SlowQuery:    *slowQuery,
 		TraceSampleN: *traceSample,
@@ -125,8 +121,8 @@ func main() {
 	srv.Close()
 
 	st := srv.Stats(false)
-	log.Printf("portald: served %d queries in %d batches (compile cache: %d hits, %d misses)",
-		st.Queries, st.Batches, st.CompileCache.Hits, st.CompileCache.Misses)
+	log.Printf("portald: served %d queries (compile cache: %d hits, %d misses)",
+		st.Queries, st.CompileCache.Hits, st.CompileCache.Misses)
 	log.Printf("portald: registry: %d datasets, %d snapshots created, %d reclaimed",
 		st.Registry.Datasets, st.Registry.SnapshotsCreated, st.Registry.SnapshotsReclaimed)
 }

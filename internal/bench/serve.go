@@ -18,8 +18,8 @@ import (
 // published snapshot, measured in-process (Server.Query directly) and
 // over HTTP (httptest server + the Go client), across a worker sweep.
 // The compiled-problem cache is warmed before timing so p50/p99
-// reflect steady-state serving — admission, batching tick, bind,
-// multi-traversal, finalize — not one-off Compile cost.
+// reflect steady-state serving — query-tree build, the wait for a free
+// worker, bind, traversal, finalize — not one-off Compile cost.
 
 // serveWorkers is the traversal worker sweep of every configuration.
 var serveWorkers = []int{1, 2, 4, 8}
@@ -133,7 +133,11 @@ func measureServe(o Options, problem, mode string, n, workers int) ServeResult {
 		panic(err)
 	}
 
-	perClient := 4 * o.Reps
+	// A request is ~0.1–3 ms, so 100·reps per client keeps every
+	// configuration's window in the hundreds of milliseconds: long
+	// enough that goroutine start-up and one scheduling hiccup do not
+	// move the median.
+	perClient := 100 * o.Reps
 	latencies := make([][]time.Duration, serveClients)
 	var wg sync.WaitGroup
 	start := time.Now()

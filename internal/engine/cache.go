@@ -117,11 +117,16 @@ func (c *Cache) Compile(name string, spec *lang.PortalExpr, cfg Config) (*Proble
 // on. The IR fingerprint covers the program structure (including
 // storage-injection shape and folded kernel constants); the explicit
 // fields pin the plan metadata, layout/dimension specialization
-// context, and codegen knobs that select among compiled variants.
+// context, and codegen knobs that select among compiled variants. Whether
+// the spec is a self-join is part of the key although the compiled code
+// does not depend on it: ExecuteOnChecked holds a self-join Problem to
+// one tree on both sides, so it must not be handed to an external-point
+// query of the same shape.
 func cacheKey(plan *lower.Plan, prog *ir.Program, spec *lang.PortalExpr, cfg Config) string {
 	outer, inner := spec.Outer(), spec.Inner()
-	return fmt.Sprintf("ir=%s|op=%v/%v|k=%d|kernel=%s|layout=%v/%v|d=%d|tau=%g|cg=%+v",
+	return fmt.Sprintf("ir=%s|self=%t|op=%v/%v|k=%d|kernel=%s|layout=%v/%v|d=%d|tau=%g|cg=%+v",
 		ir.Fingerprint(prog),
+		outer.Data == inner.Data,
 		plan.OuterOp, plan.InnerOp, plan.K,
 		plan.Kernel.String(),
 		outer.Data.Layout(), inner.Data.Layout(),

@@ -85,8 +85,19 @@ func TestCacheKeyDistinguishesShapes(t *testing.T) {
 		t.Fatal("NoFuse variant hit the fused entry")
 	}
 
-	if c.Len() != 4 {
-		t.Fatalf("cache holds %d entries, want 4 distinct shapes", c.Len())
+	// The same operator over external query points is not a self-join:
+	// the cached self-join problem would refuse its two-tree binding.
+	ext := (&lang.PortalExpr{}).
+		AddLayer(lang.FORALL, randStorage(rng, 20, 3), nil).
+		AddLayer(lang.ARGMIN, data, expr.NewDistanceKernel(geom.Euclidean))
+	if _, hit, err := c.Compile("nn", ext, base); err != nil {
+		t.Fatal(err)
+	} else if hit {
+		t.Fatal("external-point nn hit the self-join entry")
+	}
+
+	if c.Len() != 5 {
+		t.Fatalf("cache holds %d entries, want 5 distinct shapes", c.Len())
 	}
 }
 

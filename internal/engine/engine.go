@@ -259,15 +259,8 @@ func (p *Problem) executeOn(qt, rt *tree.Tree, cfg Config, buildDur time.Duratio
 	start := time.Now()
 	traverse.RunParallel(qt, rt, run, cfg.traverseOptions(st))
 	traverseDur := time.Since(start)
-	return p.finishRun(run, qt, rt, cfg, buildDur, traverseDur, builtHere), nil
-}
 
-// finishRun finalizes a bound run and assembles its Report — the back
-// half of executeOn, shared with the batch execution path, which
-// traverses many runs under one worker budget and then finishes each
-// one here.
-func (p *Problem) finishRun(run *codegen.Run, qt, rt *tree.Tree, cfg Config, buildDur, traverseDur time.Duration, builtHere bool) *codegen.Output {
-	start := time.Now()
+	start = time.Now()
 	var ft *trace.Task
 	if cfg.Trace != nil {
 		ft = cfg.Trace.TaskBegin(trace.PhaseFinalize, 0)
@@ -313,7 +306,7 @@ func (p *Problem) finishRun(run *codegen.Run, qt, rt *tree.Tree, cfg Config, bui
 			cfg.StatsSink.Merge(rep)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Rule exposes the generated prune/approximate rule (for reports).

@@ -20,8 +20,8 @@ import (
 //	GET    /datasets          list dataset heads
 //	DELETE /datasets/{name}   drop a dataset head
 //	POST   /query             run a QueryRequest, returns QueryResponse
-//	GET    /stats             server stats (queries, batches, cache
-//	                          counters, registry refcounts)
+//	GET    /stats             server stats (queries, cache counters,
+//	                          registry refcounts)
 //	GET    /healthz           liveness (200 as long as the process
 //	                          serves HTTP)
 //	GET    /readyz            readiness: 200 once startup restore has
@@ -154,11 +154,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad query: %w", err))
 		return
 	}
-	resp, err := s.Query(&req)
+	resp, err := s.QueryContext(r.Context(), &req)
 	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, ErrUnknownDataset) {
+		switch {
+		case errors.Is(err, ErrUnknownDataset):
 			status = http.StatusNotFound
+		case errors.Is(err, ErrCanceled):
+			status = http.StatusServiceUnavailable
 		}
 		writeError(w, status, err)
 		return

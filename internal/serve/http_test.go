@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"portal/internal/engine"
 	"portal/internal/problems"
@@ -31,7 +30,7 @@ func httpRandRows(rng *rand.Rand, n, d int) [][]float64 {
 // step.
 func TestServerHTTPEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	s := serve.NewServer(serve.Config{LeafSize: 16, Workers: 2, Tick: time.Millisecond})
+	s := serve.NewServer(serve.Config{LeafSize: 16, Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -29,7 +29,9 @@ type serverMetrics struct {
 	queries *metrics.CounterVec
 	latency *metrics.HistogramVec
 
-	// Admission batching.
+	// Admission: queries in flight when one is admitted, and its wait
+	// for a free worker. The family names predate direct dispatch and
+	// stay for dashboards and the benchmark that read them.
 	batchSize *metrics.Histogram
 	tickWait  *metrics.Histogram
 
@@ -87,10 +89,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Server-side query latency (admission through finalize), log-bucketed.",
 			metrics.HistogramOpts{}, "problem", "dataset", "outcome"),
 		batchSize: r.Histogram("portal_batch_size",
-			"Queries per admission tick.",
+			"Queries in flight (holding workers) when a query is admitted, itself included.",
 			metrics.HistogramOpts{Base: 1, Buckets: 12, Div: 1}),
 		tickWait: r.Histogram("portal_batch_tick_wait_seconds",
-			"Per-query wait from admission to tick execution.",
+			"Per-query wait for a free traversal worker (zero unless the whole budget is busy).",
 			metrics.HistogramOpts{}),
 		tasksExecuted: r.Counter("portal_traverse_tasks_executed_total",
 			"Traversal tasks executed (sampled from per-query stats at query end)."),
@@ -161,9 +163,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.CounterFunc("portal_compile_cache_evictions_total",
 		"Compiled problems evicted by the cache's LRU bound.",
 		func() float64 { return float64(s.cache.Counters().Evictions) })
-	r.CounterFunc("portal_batches_total",
-		"Admission ticks executed.",
-		func() float64 { return float64(s.batches.Load()) })
 	r.GaugeFunc("portal_ready",
 		"1 once startup restore has completed, else 0.",
 		func() float64 {

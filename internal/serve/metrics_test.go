@@ -27,7 +27,7 @@ func metricsRandRows(rng *rand.Rand, n, d int) [][]float64 {
 // percentiles — log-bucketing loses resolution, never accuracy.
 func TestLatencyHistogramReconciles(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewServer(Config{LeafSize: 16, Workers: 2, Tick: time.Millisecond})
+	s := NewServer(Config{LeafSize: 16, Workers: 2})
 	defer s.Close()
 	data := storage.MustFromRows(metricsRandRows(rng, 2000, 3))
 	if _, err := s.PutDataset("recon", data); err != nil {

@@ -141,8 +141,12 @@ func main() {
 	if got := e.Sum("portal_traverse_tasks_executed_total"); got <= 0 {
 		fail("portal_traverse_tasks_executed_total = %g, want > 0", got)
 	}
-	if got := e.Sum("portal_batch_size"); got <= 0 {
-		fail("portal_batch_size observed %g batches, want > 0", got)
+	// Admission is recorded once per executed query (queries in flight,
+	// wait for a worker) and never for a rejected one.
+	for _, family := range []string{"portal_batch_size", "portal_batch_tick_wait_seconds"} {
+		if got := e.Sum(family); got != okQueries {
+			fail("%s observed %g admissions, want %d", family, got, okQueries)
+		}
 	}
 	fmt.Printf("metricsmoke: /metrics validated (%d series), counters advanced by %d\n",
 		len(e.Samples), okQueries+1)

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"portal/internal/storage"
 	"portal/internal/tree"
@@ -22,7 +21,7 @@ import (
 func TestServerWarmRestart(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dir := t.TempDir()
-	cfg := Config{LeafSize: 16, Workers: 2, Tick: time.Millisecond, DataDir: dir}
+	cfg := Config{LeafSize: 16, Workers: 2, DataDir: dir}
 
 	ptRows := randRows(rng, 400, 3)
 	refRows := randRows(rng, 300, 3)
@@ -125,7 +124,7 @@ func TestServerWarmRestart(t *testing.T) {
 func TestLoadDataDirSkipsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	dir := t.TempDir()
-	cfg := Config{LeafSize: 16, Workers: 2, Tick: time.Millisecond, DataDir: dir}
+	cfg := Config{LeafSize: 16, Workers: 2, DataDir: dir}
 
 	a := newTestServer(t, cfg)
 	mustPut(t, a, "good", storage.MustFromRows(randRows(rng, 200, 3)))
@@ -151,7 +150,7 @@ func TestLoadDataDirSkipsCorrupt(t *testing.T) {
 // sentinel is matchable with errors.Is in-process and maps to
 // http.StatusNotFound on the wire — no string matching anywhere.
 func TestUnknownDatasetTyped(t *testing.T) {
-	s := newTestServer(t, Config{Tick: time.Millisecond})
+	s := newTestServer(t, Config{})
 	_, err := s.Query(&QueryRequest{Dataset: "nope", Problem: "knn"})
 	if !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("error %v does not match ErrUnknownDataset", err)

@@ -25,7 +25,8 @@ type QueryLogEntry struct {
 	Error string `json:"error,omitempty"`
 	// LatencyNS is the server-side latency (admission → finalize).
 	LatencyNS int64 `json:"latency_ns"`
-	// BatchSize is the admission-tick batch the query rode.
+	// BatchSize is the number of queries in flight when this one was
+	// admitted, itself included.
 	BatchSize int `json:"batch_size"`
 	// Sampled marks queries picked by the 1-in-N trace sampler.
 	Sampled bool `json:"sampled,omitempty"`

@@ -1,7 +1,8 @@
 // Package serve is the long-lived query path over the Portal engine:
-// a registry of immutable, refcounted dataset snapshots, a batching
-// executor that admits concurrent small queries into one traversal
-// tick, and an HTTP JSON API (cmd/portald) with a thin Go client
+// a registry of immutable, refcounted dataset snapshots, a dispatcher
+// that runs each query on its caller's goroutine the moment a
+// traversal worker is free (one worker budget shared by all in-flight
+// queries), and an HTTP JSON API (cmd/portald) with a thin Go client
 // (internal/serve/client).
 //
 // The registry follows the MVCC snapshot-handle pattern: each named

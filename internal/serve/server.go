@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"portal/internal/codegen"
 	"portal/internal/engine"
 	"portal/internal/lang"
 	"portal/internal/metrics"
@@ -29,19 +31,13 @@ import (
 
 // Config tunes the server.
 type Config struct {
-	// LeafSize is the tree leaf capacity for dataset and query-point
-	// trees (default 32).
+	// LeafSize is the leaf capacity of dataset trees (default 32). A
+	// request's query-point tree is built at the density-matched
+	// tree.QueryLeafSize instead.
 	LeafSize int
-	// Workers is the traversal worker budget shared by each batch
-	// tick; 0 means GOMAXPROCS.
+	// Workers is the traversal worker budget shared by all in-flight
+	// queries (and by tree builds at publish); 0 means GOMAXPROCS.
 	Workers int
-	// Tick is the batching window: after the first query of a tick
-	// arrives, the admitter collects further queries for this long
-	// (or until MaxBatch) before running them as one multi-traversal.
-	// Default 2ms.
-	Tick time.Duration
-	// MaxBatch caps queries per tick (default 64).
-	MaxBatch int
 	// DataDir, when set, persists every published dataset as a
 	// zero-deserialization tree snapshot (internal/persist) under this
 	// directory, and LoadDataDir restores them on restart without
@@ -83,12 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Tick <= 0 {
-		c.Tick = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.QueryLogSize <= 0 {
 		c.QueryLogSize = 64
@@ -136,7 +126,8 @@ type QueryResponse struct {
 	CacheHit bool `json:"cache_hit"`
 	// DatasetVersion is the snapshot version the query ran against.
 	DatasetVersion int64 `json:"dataset_version"`
-	// BatchSize is the number of queries in the tick this one rode.
+	// BatchSize is the number of queries in flight (holding workers)
+	// when this one was admitted, itself included.
 	BatchSize int `json:"batch_size"`
 	// LatencyNS is the server-side latency: admission through
 	// finalize.
@@ -158,48 +149,76 @@ type DatasetInfo struct {
 // Stats is the server's observability snapshot.
 type Stats struct {
 	Queries      int64               `json:"queries"`
-	Batches      int64               `json:"batches"`
 	CompileCache stats.CacheCounters `json:"compile_cache"`
 	Registry     RegistryStats       `json:"registry"`
 	Datasets     []DatasetInfo       `json:"dataset_list,omitempty"`
 }
 
-// pending is one admitted query waiting for its tick.
+// pending is one prepared query: the compiled problem bound to its
+// trees (or partitions), and — once dispatched — its result.
 type pending struct {
-	item     *engine.BatchItem
-	snap     *Snapshot
-	hit      bool
-	start    time.Time
-	admitted time.Time
-	batch    int
-	done     chan struct{}
+	prob   *engine.Problem
+	qt, rt *tree.Tree
+	cfg    engine.Config
+	// qp/rp are the query- and reference-side partitions of a sharded
+	// query (nil on the unsharded path), run through
+	// engine.ExecuteShardedOn instead of the tree pair.
+	qp, rp *shard.Partition
+
+	snap  *Snapshot
+	hit   bool
+	start time.Time
 	// sampled marks a query picked by the 1-in-N trace sampler; rec
 	// is its (or a Trace-requesting caller's) trace collector.
 	sampled bool
 	rec     *trace.Collector
-	// qp/rp are the query- and reference-side partitions of a sharded
-	// query (nil on the unsharded path). Sharded items skip the batch
-	// multi-traversal and run through engine.ExecuteShardedOn instead.
-	qp, rp *shard.Partition
+
+	// batch is the number of queries in flight at admission, this one
+	// included; out/err are the execution's result.
+	batch int
+	out   *codegen.Output
+	err   error
+}
+
+// pointsPerWorker is how many query points a query brings for each
+// traversal worker it asks for. Handing work to a second worker costs a
+// thread wake-up and a join, which a short traversal does not earn
+// back: against 100 k Plummer references (k-NN, k=5, 2 vCPUs) a
+// 16-point request takes 163 µs on one worker and 320 µs on two,
+// 64 points 0.84 vs 1.0 ms, 128 points 1.87 vs 1.69 ms, 512 points
+// 8.4 vs 5.5 ms.
+const pointsPerWorker = 128
+
+// wantWorkers is the number of traversal workers the query can use out
+// of budget: one per pointsPerWorker query points, rounded up.
+func (p *pending) wantWorkers(budget int) int {
+	// qt holds every query point, sharded or not.
+	return min(budget, (p.qt.Len()+pointsPerWorker-1)/pointsPerWorker)
 }
 
 // Server is the long-lived query engine: registry + compiled-problem
-// cache + batching executor. It serves in-process callers via Query
-// and HTTP callers via Handler (api.go).
+// cache + worker-token dispatcher. It serves in-process callers via
+// Query and HTTP callers via Handler (api.go).
 type Server struct {
 	cfg   Config
 	reg   *Registry
 	cache *engine.Cache
 
-	queue chan *pending
-	quit  chan struct{}
-	wg    sync.WaitGroup
+	// workers is the traversal worker budget: a counting semaphore of
+	// cfg.Workers tokens. A query holds one token per traversal worker
+	// it runs, so the workers of all in-flight queries never exceed
+	// the budget. inflight counts the queries holding tokens.
+	workers  chan struct{}
+	inflight atomic.Int64
 
+	// closeMu orders admission against Close: running.Add happens
+	// under the read lock with closed still false, so Close's Wait
+	// sees every admitted query.
 	closeMu sync.RWMutex
 	closed  bool
+	running sync.WaitGroup
 
 	queries atomic.Int64
-	batches atomic.Int64
 
 	// m is the continuous telemetry behind GET /metrics; slow and
 	// sampled are the /debug/queries capture rings; seq drives the
@@ -215,14 +234,15 @@ type Server struct {
 	ready atomic.Bool
 }
 
-// NewServer starts a server (its batching goroutine runs until Close).
+// NewServer returns a server ready to publish datasets and answer
+// queries. It owns no goroutine: queries execute on their callers'.
 func NewServer(cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg.withDefaults(),
-		reg:   NewRegistry(),
-		cache: engine.NewCacheSize(cfg.CacheSize),
-		queue: make(chan *pending, 4*cfg.withDefaults().MaxBatch),
-		quit:  make(chan struct{}),
+		cfg:     cfg,
+		reg:     NewRegistry(),
+		cache:   engine.NewCacheSize(cfg.CacheSize),
+		workers: make(chan struct{}, cfg.Workers),
 	}
 	s.slow = newQueryRing(s.cfg.QueryLogSize)
 	s.sampled = newQueryRing(s.cfg.QueryLogSize)
@@ -231,8 +251,6 @@ func NewServer(cfg Config) *Server {
 	// finishes (or the operator overrides via SetReady); one without
 	// has nothing to restore.
 	s.ready.Store(s.cfg.DataDir == "")
-	s.wg.Add(1)
-	go s.batchLoop()
 	return s
 }
 
@@ -252,18 +270,13 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // assert on its refcounts).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Close stops admitting queries, runs any already-admitted ones, and
-// waits for the batcher to exit.
+// Close stops admitting queries and returns once every already-admitted
+// one has finished. Later queries are refused.
 func (s *Server) Close() {
 	s.closeMu.Lock()
-	if s.closed {
-		s.closeMu.Unlock()
-		return
-	}
 	s.closed = true
 	s.closeMu.Unlock()
-	close(s.quit)
-	s.wg.Wait()
+	s.running.Wait()
 }
 
 // PutDataset publishes data under name: builds the tree off to the
@@ -390,7 +403,6 @@ func (s *Server) LoadDataDir() (int, error) {
 func (s *Server) Stats(withDatasets bool) Stats {
 	st := Stats{
 		Queries:      s.queries.Load(),
-		Batches:      s.batches.Load(),
 		CompileCache: s.cache.Counters(),
 		Registry:     s.reg.Stats(),
 	}
@@ -409,44 +421,122 @@ func (s *Server) Stats(withDatasets bool) Stats {
 	return st
 }
 
-// Query admits one request, waits for its tick to execute, and
-// returns the response. Safe for arbitrary concurrent use.
+// Query is QueryContext without cancellation.
 func (s *Server) Query(req *QueryRequest) (*QueryResponse, error) {
+	return s.QueryContext(context.Background(), req)
+}
+
+// QueryContext prepares the request, waits for a free traversal worker
+// (the only wait: there is no batching window), executes the query on
+// the calling goroutine, and returns the response. A ctx cancelled
+// while the query waits for a worker fails it with ErrCanceled before
+// anything executes; a query that has started runs to completion. Safe
+// for arbitrary concurrent use.
+func (s *Server) QueryContext(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
 	start := time.Now()
+	reject := func(err error) (*QueryResponse, error) {
+		s.m.observeQuery(req.Problem, req.Dataset, outcomeRejected, time.Since(start).Nanoseconds(), nil)
+		return nil, err
+	}
 	snap, ok := s.reg.Acquire(req.Dataset)
 	if !ok {
-		s.m.observeQuery(req.Problem, req.Dataset, outcomeRejected, time.Since(start).Nanoseconds(), nil)
-		return nil, fmt.Errorf("serve: %w %q", ErrUnknownDataset, req.Dataset)
+		return reject(fmt.Errorf("serve: %w %q", ErrUnknownDataset, req.Dataset))
 	}
 	defer snap.Release()
 	s.m.refsHW.Max(snap.Refs())
 
 	p, err := s.prepare(req, snap)
 	if err != nil {
-		s.m.observeQuery(req.Problem, req.Dataset, outcomeRejected, time.Since(start).Nanoseconds(), nil)
-		return nil, err
+		return reject(err)
 	}
 	p.start = start
 	p.snap = snap
 
+	if err := s.dispatch(ctx, p); err != nil {
+		return reject(err)
+	}
+	s.queries.Add(1)
+	s.finishQuery(req, p)
+	if p.err != nil {
+		return nil, p.err
+	}
+	return s.respond(req, p), nil
+}
+
+// dispatch is admission and execution: take one worker token — blocking
+// only while all cfg.Workers workers are busy, and giving up with
+// ErrCanceled if ctx ends first — then whatever further tokens the
+// query can use (wantWorkers) that are free right now, run the query
+// with that many workers, and give the tokens back. A lone large query
+// on an idle server therefore starts at once with the whole budget,
+// while cfg.Workers concurrent small queries run side by side with one
+// worker each. The returned error means the query was refused and
+// nothing ran; an execution failure is p.err.
+func (s *Server) dispatch(ctx context.Context, p *pending) error {
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
-		s.m.observeQuery(req.Problem, req.Dataset, outcomeRejected, time.Since(start).Nanoseconds(), nil)
-		return nil, fmt.Errorf("serve: server closed")
+		return errors.New("serve: server closed")
 	}
-	p.admitted = time.Now()
-	s.queue <- p
+	s.running.Add(1)
 	s.closeMu.RUnlock()
+	defer s.running.Done()
 
-	<-p.done
-	s.queries.Add(1)
-	s.finishQuery(req, p)
-	if p.item.Err != nil {
-		return nil, p.item.Err
+	waitStart := time.Now()
+	select {
+	case s.workers <- struct{}{}:
+	case <-ctx.Done():
+		return fmt.Errorf("serve: %w waiting for a worker: %w", ErrCanceled, ctx.Err())
 	}
-	return s.respond(req, p)
+	held := 1
+	for want := p.wantWorkers(s.cfg.Workers); held < want && s.tryWorker(); held++ {
+	}
+	s.m.tickWait.Observe(time.Since(waitStart).Nanoseconds())
+	p.batch = int(s.inflight.Add(1))
+	s.m.batchSize.Observe(int64(p.batch))
+	defer func() {
+		s.inflight.Add(-1)
+		for ; held > 0; held-- {
+			<-s.workers
+		}
+	}()
+	p.out, p.err = s.execute(p, held)
+	return nil
 }
+
+// tryWorker takes a worker token if one is free right now.
+func (s *Server) tryWorker() bool {
+	select {
+	case s.workers <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// execute runs the prepared query with the given number of traversal
+// workers. A panic on the way (bind, traversal, finalize) fails this
+// query alone: it becomes its error, and dispatch still releases the
+// query's workers.
+func (s *Server) execute(p *pending, workers int) (out *codegen.Output, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("serve: query panicked: %v", r)
+		}
+	}()
+	cfg := p.cfg
+	cfg.Parallel = workers > 1
+	cfg.Workers = workers
+	if p.rp != nil {
+		return p.prob.ExecuteShardedOn(p.qp, p.rp, cfg)
+	}
+	return p.prob.ExecuteOnChecked(p.qt, p.rt, cfg)
+}
+
+// ErrCanceled is the sentinel for queries whose caller gave up (its
+// context ended) while they waited for a traversal worker. Nothing of
+// such a query executes.
+var ErrCanceled = errors.New("query canceled")
 
 // Outcome label values — a closed set, per the cardinality rules.
 const (
@@ -454,8 +544,9 @@ const (
 	// outcomeError marks queries that were admitted but failed in
 	// execution (bind/traverse/finalize).
 	outcomeError = "error"
-	// outcomeRejected marks queries refused before admission (unknown
-	// dataset or problem, malformed points, closed server).
+	// outcomeRejected marks queries refused before execution (unknown
+	// dataset or problem, malformed points, closed server, caller gone
+	// while waiting for a worker).
 	outcomeRejected = "rejected"
 )
 
@@ -466,12 +557,12 @@ const (
 func (s *Server) finishQuery(req *QueryRequest, p *pending) {
 	lat := time.Since(p.start)
 	outcome := outcomeOK
-	if p.item.Err != nil {
+	if p.err != nil {
 		outcome = outcomeError
 	}
 	var rep *stats.Report
-	if p.item.Out != nil {
-		rep = p.item.Out.Report
+	if p.out != nil {
+		rep = p.out.Report
 	}
 	s.m.observeQuery(req.Problem, req.Dataset, outcome, lat.Nanoseconds(), rep)
 
@@ -489,8 +580,8 @@ func (s *Server) finishQuery(req *QueryRequest, p *pending) {
 		Sampled:   p.sampled,
 		Report:    rep,
 	}
-	if p.item.Err != nil {
-		e.Error = p.item.Err.Error()
+	if p.err != nil {
+		e.Error = p.err.Error()
 	}
 	if p.rec != nil {
 		var buf bytes.Buffer
@@ -509,7 +600,7 @@ func (s *Server) finishQuery(req *QueryRequest, p *pending) {
 }
 
 // prepare resolves the request to a compiled problem bound to trees —
-// the front half of a query, off the batch path.
+// the front half of a query, done before it asks for a worker.
 func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 	var qd *storage.Storage
 	var qt *tree.Tree
@@ -526,7 +617,7 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 			return nil, fmt.Errorf("serve: query points are %d-dimensional, dataset %q is %d-dimensional",
 				qd.Dim(), snap.Name, snap.Data.Dim())
 		}
-		qt = tree.BuildKD(qd, &tree.Options{LeafSize: s.cfg.LeafSize})
+		qt = tree.BuildKD(qd, &tree.Options{LeafSize: tree.QueryLeafSize(s.cfg.LeafSize, qd.Len(), snap.Data.Len())})
 	}
 
 	// Stats are always collected on the serving path: report assembly
@@ -588,9 +679,11 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		return nil, err
 	}
 	p := &pending{
-		item:    &engine.BatchItem{P: prob, Qt: qt, Rt: snap.Tree, Cfg: cfg},
+		prob:    prob,
+		qt:      qt,
+		rt:      snap.Tree,
+		cfg:     cfg,
 		hit:     hit,
-		done:    make(chan struct{}),
 		sampled: sampled,
 		rec:     rec,
 	}
@@ -605,14 +698,14 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		} else {
 			p.qp = snap.Partition.RouteQueries(qd, shard.Options{LeafSize: s.cfg.LeafSize})
 		}
-		p.item.Cfg.Shards = s.cfg.Shards
+		p.cfg.Shards = s.cfg.Shards
 	}
 	return p, nil
 }
 
-// respond assembles the wire response from a completed item.
-func (s *Server) respond(req *QueryRequest, p *pending) (*QueryResponse, error) {
-	out := p.item.Out
+// respond assembles the wire response from a completed query.
+func (s *Server) respond(req *QueryRequest, p *pending) *QueryResponse {
+	out := p.out
 	resp := &QueryResponse{
 		CacheHit:       p.hit,
 		DatasetVersion: p.snap.Version,
@@ -639,80 +732,5 @@ func (s *Server) respond(req *QueryRequest, p *pending) (*QueryResponse, error) 
 		out.Report.CompileCache = &cc
 		resp.Report = out.Report
 	}
-	return resp, nil
-}
-
-// batchLoop is the admission tick: the first admitted query opens a
-// window; further queries join until the window closes or the batch
-// fills; the whole tick runs as one multi-traversal over the shared
-// worker budget.
-func (s *Server) batchLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case p := <-s.queue:
-			s.collectAndRun(p)
-		case <-s.quit:
-			// Drain queries admitted before Close flipped the flag.
-			for {
-				select {
-				case p := <-s.queue:
-					s.collectAndRun(p)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (s *Server) collectAndRun(first *pending) {
-	batch := []*pending{first}
-	timer := time.NewTimer(s.cfg.Tick)
-collect:
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case p := <-s.queue:
-			batch = append(batch, p)
-		case <-timer.C:
-			break collect
-		}
-	}
-	timer.Stop()
-
-	s.m.batchSize.Observe(int64(len(batch)))
-	plain := make([]*engine.BatchItem, 0, len(batch))
-	for _, p := range batch {
-		p.batch = len(batch)
-		s.m.tickWait.Observe(time.Since(p.admitted).Nanoseconds())
-		if p.rp == nil {
-			plain = append(plain, p.item)
-		}
-	}
-	engine.ExecuteOnBatch(plain, s.cfg.Workers)
-	// Sharded items run after the tick's multi-traversal, each over the
-	// full worker budget: the shard fan-out is itself the batch.
-	for _, p := range batch {
-		if p.rp != nil {
-			s.runSharded(p)
-		}
-	}
-	s.batches.Add(1)
-	for _, p := range batch {
-		close(p.done)
-	}
-}
-
-// runSharded executes one sharded item over its snapshot's pre-built
-// partitions. Failures stay per item, like the batch path's.
-func (s *Server) runSharded(p *pending) {
-	cfg := p.item.Cfg
-	cfg.Parallel = s.cfg.Workers > 1
-	cfg.Workers = s.cfg.Workers
-	defer func() {
-		if r := recover(); r != nil {
-			p.item.Err = fmt.Errorf("serve: sharded query panicked: %v", r)
-		}
-	}()
-	p.item.Out, p.item.Err = p.item.P.ExecuteShardedOn(p.qp, p.rp, cfg)
+	return resp
 }

@@ -3,9 +3,7 @@ package serve
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"portal/internal/engine"
 	"portal/internal/problems"
@@ -30,7 +28,7 @@ func mustPut(t *testing.T, s *Server, name string, data *storage.Storage) *Snaps
 
 func TestServerSelfJoinQueryAndCacheHit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s := newTestServer(t, Config{LeafSize: 16, Workers: 2, Tick: time.Millisecond})
+	s := newTestServer(t, Config{LeafSize: 16, Workers: 2})
 	rows := randRows(rng, 400, 3)
 	mustPut(t, s, "pts", storage.MustFromRows(rows))
 
@@ -76,7 +74,7 @@ func TestServerSelfJoinQueryAndCacheHit(t *testing.T) {
 
 func TestServerExternalPointsQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	s := newTestServer(t, Config{LeafSize: 16, Workers: 2, Tick: time.Millisecond})
+	s := newTestServer(t, Config{LeafSize: 16, Workers: 2})
 	refRows := randRows(rng, 300, 3)
 	mustPut(t, s, "ref", storage.MustFromRows(refRows))
 	qRows := randRows(rng, 40, 3)
@@ -105,49 +103,5 @@ func TestServerExternalPointsQuery(t *testing.T) {
 	// Dimension mismatch is rejected cleanly.
 	if _, err := s.Query(&QueryRequest{Dataset: "ref", Problem: "kde", Points: [][]float64{{1, 2}}}); err == nil {
 		t.Fatal("2-d query points against a 3-d dataset did not error")
-	}
-}
-
-// Concurrent queries inside one tick must ride one batch: with a wide
-// tick, at least some responses report BatchSize > 1 and the batch
-// counter stays below the query counter.
-func TestServerBatchesConcurrentQueries(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s := newTestServer(t, Config{LeafSize: 16, Workers: 4, Tick: 50 * time.Millisecond, MaxBatch: 32})
-	mustPut(t, s, "pts", storage.MustFromRows(randRows(rng, 500, 3)))
-
-	const n = 12
-	var wg sync.WaitGroup
-	batched := make([]int, n)
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := s.Query(&QueryRequest{Dataset: "pts", Problem: "knn", K: 3})
-			if err != nil {
-				errs <- err
-				return
-			}
-			batched[i] = resp.BatchSize
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	max := 0
-	for _, b := range batched {
-		if b > max {
-			max = b
-		}
-	}
-	if max < 2 {
-		t.Fatalf("no query rode a multi-query tick (max batch size %d)", max)
-	}
-	st := s.Stats(false)
-	if st.Batches >= st.Queries {
-		t.Fatalf("batches (%d) not fewer than queries (%d) — admission never batched", st.Batches, st.Queries)
 	}
 }

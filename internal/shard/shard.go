@@ -143,7 +143,7 @@ func Split(s *storage.Storage, o Options) *Partition {
 	}
 	groups, rt, splitter := splitIndices(s, k, o.Mode)
 	p := &Partition{Splitter: splitter, Source: s, rt: rt}
-	p.Pieces = buildPieces(s, groups, o)
+	p.Pieces = buildPieces(s, groups, nil, o)
 	return p
 }
 
@@ -152,7 +152,9 @@ func Split(s *storage.Storage, o Options) *Partition {
 // region owns it (any routing is correct — it affects only how much
 // boundary the exchange must ship — so boundary ties route
 // arbitrarily). Pieces with no queries get a nil Tree and are skipped
-// by the executor.
+// by the executor. Each shard's query tree is built at the leaf size
+// density-matched to that shard's reference points
+// (tree.QueryLeafSize), not at o.LeafSize.
 func (p *Partition) RouteQueries(q *storage.Storage, o Options) *Partition {
 	groups := make([][]int, p.K())
 	buf := make([]float64, q.Dim())
@@ -161,7 +163,7 @@ func (p *Partition) RouteQueries(q *storage.Storage, o Options) *Partition {
 		groups[sh] = append(groups[sh], i)
 	}
 	return &Partition{
-		Pieces:   buildPieces(q, groups, o),
+		Pieces:   buildPieces(q, groups, p.Pieces, o),
 		Splitter: p.Splitter,
 		Source:   q,
 		rt:       p.rt,
@@ -170,8 +172,10 @@ func (p *Partition) RouteQueries(q *storage.Storage, o Options) *Partition {
 
 // buildPieces gathers each group into its own storage and builds the
 // shard trees, concurrently up to the worker cap. Empty groups yield
-// empty pieces (nil Tree).
-func buildPieces(s *storage.Storage, groups [][]int, o Options) []Piece {
+// empty pieces (nil Tree). refs, when non-nil, are the reference
+// pieces the groups are queries against: group i's tree then takes the
+// query leaf size matched to refs[i].
+func buildPieces(s *storage.Storage, groups [][]int, refs []Piece, o Options) []Piece {
 	pieces := make([]Piece, len(groups))
 	cap := o.workers()
 	if cap <= 0 {
@@ -199,6 +203,9 @@ func buildPieces(s *storage.Storage, groups [][]int, o Options) []Piece {
 			// tree builds serially so K builds never oversubscribe the
 			// worker cap.
 			topts := &tree.Options{LeafSize: o.LeafSize}
+			if refs != nil {
+				topts.LeafSize = tree.QueryLeafSize(o.LeafSize, len(g), len(refs[i].Orig))
+			}
 			var tr *tree.Tree
 			if o.Oct {
 				tr = tree.BuildOct(st, topts)

@@ -17,7 +17,7 @@ func BuildOct(s *storage.Storage, opts *Options) *Tree {
 		panic("tree: octree fan-out impractical beyond 6 dimensions; use BuildKD")
 	}
 	b := newBuilder(s, opts)
-	pl := &pool{}
+	pl := rootPool(b.n, b.d)
 	root := pl.node()
 	*root = bnode{begin: 0, end: s.Len(), bbox: pl.rect(b.d)}
 	tt := b.beginRoot()

@@ -200,6 +200,23 @@ func (o *Options) workers() int {
 // DefaultLeafSize is the leaf capacity used when Options.LeafSize is 0.
 const DefaultLeafSize = 32
 
+// QueryLeafSize is the leaf capacity for a tree over nq external query
+// points that will be traversed against an nr-point reference tree of
+// leaf capacity leaf (0 means DefaultLeafSize): leaf·nq/nr clamped to
+// [1, leaf], so a query leaf covers about one reference leaf's worth
+// of reference points. A small request built at the reference leaf
+// size is a single leaf whose box spans the data set — nothing prunes
+// against it; at the density-matched size its leaves are as tight as
+// the reference leaves they meet (the paper's leaf-size tuning,
+// Section V-B, applied to the query side).
+func QueryLeafSize(leaf, nq, nr int) int {
+	if leaf <= 0 {
+		leaf = DefaultLeafSize
+	}
+	matched := int64(leaf) * int64(nq) / int64(max(nr, 1))
+	return int(max(1, min(int64(leaf), matched)))
+}
+
 // minSpawnCount is the subtree size below which parallel construction
 // stops forking tasks: small ranges are cheaper to build inline than
 // to schedule.
@@ -251,6 +268,26 @@ const (
 	floatChunk = 4096
 	ptrChunk   = 1024
 )
+
+// rootPool returns the calling goroutine's pool for an n-point build in
+// d dimensions. Every internal node of either tree kind has at least
+// two non-empty children, so a tree over n points has at most 2n-1
+// nodes, each with one 2·d-float box: a build of fewer than nodeChunk/2
+// points cannot fill a node chunk, and its chunks are sized to the
+// build instead — a per-request query tree of 16 points then allocates
+// a few KB, not the ~90 KB of full chunks. Larger builds and the pools
+// of spawned tasks allocate full chunks on demand.
+func rootPool(n, d int) *pool {
+	if n >= nodeChunk/2 {
+		return &pool{}
+	}
+	nodes := 2*n - 1
+	return &pool{
+		nodes:  make([]bnode, 0, nodes),
+		floats: make([]float64, 0, min(floatChunk, nodes*2*d)),
+		ptrs:   make([]*bnode, 0, nodes-1),
+	}
+}
 
 func (pl *pool) node() *bnode {
 	if len(pl.nodes) == cap(pl.nodes) {
@@ -443,7 +480,7 @@ func (b *builder) endRoot(tt *trace.Task) {
 // uses for both Portal and the expert baseline (Section V-B).
 func BuildKD(s *storage.Storage, opts *Options) *Tree {
 	b := newBuilder(s, opts)
-	pl := &pool{}
+	pl := rootPool(b.n, b.d)
 	root := pl.node()
 	*root = bnode{begin: 0, end: s.Len(), bbox: pl.rect(b.d)}
 	tt := b.beginRoot()

@@ -3,6 +3,7 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -432,5 +433,41 @@ func BenchmarkBuildOct10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildOct(s, &Options{LeafSize: 32})
+	}
+}
+
+func TestQueryLeafSize(t *testing.T) {
+	for _, c := range []struct{ leaf, nq, nr, want int }{
+		{32, 16, 100_000, 1},   // a small request: one point per leaf
+		{32, 5000, 100_000, 1}, // 1.6 reference leaves' worth rounds down
+		{32, 25_000, 100_000, 8},
+		{32, 100_000, 100_000, 32},
+		{32, 1_000_000, 100_000, 32}, // never above the reference leaf
+		{16, 256, 3000, 1},
+		{0, 50_000, 100_000, DefaultLeafSize / 2}, // 0 means the default
+		{32, 1, 0, 32},                            // degenerate reference side
+	} {
+		if got := QueryLeafSize(c.leaf, c.nq, c.nr); got != c.want {
+			t.Errorf("QueryLeafSize(%d, %d, %d) = %d, want %d", c.leaf, c.nq, c.nr, got, c.want)
+		}
+	}
+}
+
+// A small build must not pay for full-size chunk pools: a 16-point
+// tree at one point per leaf (a served request's query tree) stays
+// within a few KB, where full chunks alone are ~90 KB.
+func TestSmallBuildAllocatesSmallPools(t *testing.T) {
+	s := randStorage(rand.New(rand.NewSource(5)), 16, 3)
+	const builds = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < builds; i++ {
+		if tr := BuildKD(s, &Options{LeafSize: 1}); tr.NodeCount != 31 {
+			t.Fatalf("16 points at leaf 1 built %d nodes, want 31", tr.NodeCount)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if perBuild := (m1.TotalAlloc - m0.TotalAlloc) / builds; perBuild > 16<<10 {
+		t.Fatalf("a 16-point build allocates %d bytes, want at most 16 KB", perBuild)
 	}
 }
