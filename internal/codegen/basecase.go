@@ -22,29 +22,38 @@ import (
 // the differential-testing oracle for every one of these loops.
 
 // BaseCase performs the direct point-to-point computation for a leaf
-// pair (Algorithm 1, line 4). Bound-rule problems run it behind the
-// point gate (DESIGN §9.1): the prune rule instantiated on the
-// degenerate box {q} with q's own admission threshold w. The kernel's
-// value at the point of rn's box nearest to q (max-side: farthest from
-// it) bounds its value at every reference point inside, with no
-// rounding slack, so under the strict admission v < w (v > w) a
-// d2 >= w (d2 <= w) proves the sweep of rn for q would change nothing.
-// Only the maximal runs of admitted query points are swept.
+// pair (Algorithm 1, line 4) behind the point gate (DESIGN §9.1): the
+// generated rule instantiated on the degenerate box {q} of each query
+// point, with the kernel's own arithmetic at the point of rn's box
+// nearest to q (or the corner farthest from it). Only the maximal runs
+// of points the rule cannot settle are swept.
 func (r *Run) BaseCase(qn, rn *tree.Node) {
 	if r.fused != nil {
 		r.fusedBaseCases++
 	}
-	pb := r.PointBound
-	if pb == nil {
+	switch {
+	case r.PointBound != nil:
+		r.boundBaseCase(qn, rn)
+	case r.gate != gateNone:
+		r.settleBaseCase(qn, rn)
+	default:
 		r.sweep(qn.Begin, qn.End, rn)
-		return
 	}
+}
+
+// boundBaseCase is BaseCase under a bound rule, with q's own admission
+// threshold w as the bound. The gate value bounds the kernel at every
+// reference point inside rn's box with no rounding slack, so under the
+// strict admission v < w (v > w) a d2 >= w (d2 <= w) proves the sweep
+// of rn for q would change nothing.
+func (r *Run) boundBaseCase(qn, rn *tree.Node) {
+	pb, gated := r.PointBound, r.gate == gateBound
 	lo, hi, far := rn.BBox.Min, rn.BBox.Max, r.Ex.maxSide
 	// near is the gate value of the query box itself — of its point
 	// nearest to rn's box — and so a floor under every point's: one
 	// compare settles most points without computing their own.
 	near := math.Inf(-1)
-	if r.gate && !far {
+	if gated && !far {
 		for j, l := range lo {
 			r.qbuf[j] = min(max(l, qn.BBox.Min[j]), qn.BBox.Max[j])
 		}
@@ -55,7 +64,7 @@ func (r *Run) BaseCase(qn, rn *tree.Node) {
 		if qi < qn.End {
 			w := pb[qi]
 			skip := w < near
-			if !skip && r.gate {
+			if !skip && gated {
 				d2 := fastmath.Hypot2Box(r.qFlat[qi*r.qStep:], r.qStride, lo, hi, far)
 				skip = d2 >= w
 				if far {
@@ -79,6 +88,46 @@ func (r *Run) BaseCase(qn, rn *tree.Node) {
 	}
 	if swept {
 		r.updateLeafBound(qn)
+	}
+}
+
+// settleBaseCase is BaseCase under the τ and window rules, whose point
+// forms read no per-point state. The window rule skips q when every
+// squared distance into rn's box falls outside (winLo2, winHi2) — exact,
+// like the bound gate. The τ rule approximates rn for q when kmax(q, rn)
+// < τ, tested in log space; kmin >= 0 makes that the rule's kmax − kmin
+// < τ, and the estimator is ComputeApprox's: the kernel at rn's centroid
+// times its mass, within τ of every reference point it replaces.
+func (r *Run) settleBaseCase(qn, rn *tree.Node) {
+	ex, tau := r.Ex, r.gate == gateTau
+	lo, hi := rn.BBox.Min, rn.BBox.Max
+	run := -1 // start of the open run of unsettled points
+	for qi := qn.Begin; qi <= qn.End; qi++ {
+		if qi < qn.End {
+			q := r.qFlat[qi*r.qStep:]
+			near := fastmath.Hypot2Box(q, r.qStride, lo, hi, false)
+			var settled bool
+			if tau {
+				settled = ex.tauC*near < ex.lnTau
+			} else {
+				settled = near >= ex.winHi2 ||
+					ex.winLo2 >= 0 && fastmath.Hypot2Box(q, r.qStride, lo, hi, true) <= ex.winLo2
+			}
+			if !settled {
+				if run < 0 {
+					run = qi
+				}
+				continue
+			}
+			if tau {
+				r.kernelEvals++
+				r.Val[qi] += r.evalD2(fastmath.Hypot2(r.Q.Data.Point(qi, r.qbuf), rn.Centroid)) * rn.Mass
+			}
+		}
+		if run >= 0 {
+			r.sweep(run, qi, rn)
+			run = -1
+		}
 	}
 }
 
@@ -116,8 +165,8 @@ func (r *Run) Batchable() bool {
 // BaseCaseBatch sweeps one reference leaf against every buffered query
 // leaf back-to-back through the fused loop — the reference tile stays
 // hot across the whole sweep instead of being re-streamed once per
-// query leaf. Only reachable when Batchable() returned true (no bound,
-// so no gate).
+// query leaf. Only reachable when Batchable() returned true (no bound:
+// at most the τ or window gate, whose decisions no ordering changes).
 func (r *Run) BaseCaseBatch(qns []*tree.Node, rn *tree.Node) {
 	for _, qn := range qns {
 		r.BaseCase(qn, rn)

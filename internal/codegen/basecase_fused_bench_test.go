@@ -1,11 +1,13 @@
 package codegen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"portal/internal/dataset"
 	"portal/internal/expr"
+	"portal/internal/fastmath"
 	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/lower"
@@ -97,6 +99,54 @@ func BenchmarkBaseCaseLeaf2PC3Col(b *testing.B) {
 	benchLeafPair(b, 3, storage.ColMajor, lang.SUM, 0, func() *expr.Kernel {
 		return expr.NewThresholdKernel(2)
 	})
+}
+
+// BenchmarkGaussRowBaseCase is one leaf pair of the benchmark's
+// kde-batch shape — row-major Gaussian SUM, 32-point leaves, the two
+// clouds overlapping so the τ gate sweeps every point — reported per
+// point pair, through Run.BaseCase and as the hand-written loop over the
+// same rows (no gate, no dispatcher) it is to be held against.
+func BenchmarkGaussRowBaseCase(b *testing.B) {
+	const leaf = 32
+	for _, d := range []int{5, 9, 16} {
+		rng := rand.New(rand.NewSource(11))
+		q := storageWithLayout(randRows(rng, leaf, d), storage.RowMajor)
+		r := storageWithLayout(randRows(rng, leaf, d), storage.RowMajor)
+		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
+			AddLayer(lang.SUM, r, expr.NewGaussianKernel(3))
+		plan, prog, err := lower.Lower("bench", spec, lower.Options{Tau: 1e-3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ex, err := Compile(plan, prog, Options{NoStats: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := ex.Bind(tree.BuildKD(q, &tree.Options{LeafSize: leaf}), tree.BuildKD(r, &tree.Options{LeafSize: leaf}))
+		qn, rn := run.Q.Node(0), run.R.Node(0)
+		run.BaseCase(qn, rn)
+		if run.gate != gateTau || run.kernelEvals != leaf*leaf {
+			b.Fatalf("gate %d ran %d of %d pairs; want the τ gate sweeping all of them", run.gate, run.kernelEvals, leaf*leaf)
+		}
+		perPair := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(leaf*leaf), "ns/pair")
+		}
+		b.Run(fmt.Sprintf("d=%d/basecase", d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				run.BaseCase(qn, rn)
+			}
+			perPair(b)
+		})
+		b.Run(fmt.Sprintf("d=%d/handwritten", d), func(b *testing.B) {
+			qs, rs, val := run.Q.Data.Flat(), run.R.Data.Flat(), run.Val
+			for i := 0; i < b.N; i++ {
+				for qi := 0; qi < leaf; qi++ {
+					val[qi] += fastmath.SumGaussRows(ex.fuseC, qs[qi*d:(qi+1)*d], rs)
+				}
+			}
+			perPair(b)
+		})
+	}
 }
 
 // BenchmarkKNNTraversal3Col is a whole sequential k-NN self-join

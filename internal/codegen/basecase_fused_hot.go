@@ -242,18 +242,16 @@ func hotSumGaussCol4(r *Run, gc float64, qb, qe int, rn *tree.Node) {
 	}
 }
 
+// hotSumGaussRow hands each query row a whole tile of reference rows:
+// Hypot2 and ExpFast do not inline, so the pair loop lives in fastmath
+// where their bodies can (same operations, same order, same bits).
 func hotSumGaussRow(r *Run, gc float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	val := r.Val
+	qd, d := r.Q.Data, r.Q.Dim()
+	refs, val := r.R.Data.Flat(), r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
+		tile := refs[rb*d : min(rb+fusedTileR, rn.End)*d]
 		for qi := qb; qi < qe; qi++ {
-			q := qd.Row(qi)
-			var acc float64
-			for ri := rb; ri < re; ri++ {
-				acc += fastmath.ExpFast(gc * fastmath.Hypot2(q, rd.Row(ri)))
-			}
-			val[qi] += acc
+			val[qi] += fastmath.SumGaussRows(gc, qd.Row(qi), tile)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"portal/internal/expr"
@@ -267,6 +268,61 @@ func TestFusedWindowBoundary(t *testing.T) {
 	}
 }
 
+// TestWindowOpenAtZero pins the lower boundary at lo = 0: the window
+// (0, hi) is open, so on a self-join no point is its own neighbour and
+// exact duplicates do not list each other — on the fused loops, their
+// NoFuse twins and the interpreter alike, for every layout. (The
+// compiled threshold used to be −1 for lo = 0, admitting d² = 0.) The
+// one-sided 2-point-correlation window, lo = −∞, still counts them.
+func TestWindowOpenAtZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	variants := []struct {
+		name string
+		opts Options
+	}{{"fused", Options{}}, {"nofuse", Options{NoFuse: true}}, {"interp", Options{ForceInterp: true}}}
+	for d := 1; d <= 4; d++ {
+		rows := gateRows(rng, "dups", 60, d)
+		for _, lay := range []storage.Layout{storage.RowMajor, storage.ColMajor} {
+			data := storageWithLayout(rows, lay)
+			for _, tc := range []struct {
+				name     string
+				op       lang.Op
+				kernel   func() *expr.Kernel
+				wantSelf bool
+			}{
+				{"range-unionarg", lang.UNIONARG, func() *expr.Kernel { return expr.NewRangeKernel(0, 4) }, false},
+				{"range-sum", lang.SUM, func() *expr.Kernel { return expr.NewRangeKernel(0, 4) }, false},
+				{"threshold-sum", lang.SUM, func() *expr.Kernel { return expr.NewThresholdKernel(4) }, true},
+			} {
+				var outs []*Output
+				for _, v := range variants {
+					spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, data, nil).AddLayer(tc.op, data, tc.kernel())
+					outs = append(outs, fullRun(t, spec, 0, v.opts))
+					ctx := fmt.Sprintf("%s d=%d %v %s", tc.name, d, lay, v.name)
+					compareOutputs(t, ctx+" vs fused", outs[len(outs)-1], outs[0], 0)
+				}
+				// Brute force with the documented strict window.
+				for i, qi := range rows {
+					var want []int
+					for j, rj := range rows {
+						if d2 := geom.SqDist(qi, rj); d2 < 16 && (d2 > 0 || tc.wantSelf) {
+							want = append(want, j)
+						}
+					}
+					ctx := fmt.Sprintf("%s d=%d %v query %d", tc.name, d, lay, i)
+					if tc.op == lang.SUM {
+						closeVals(t, ctx, outs[0].Values[i:i+1], []float64{float64(len(want))}, 0)
+						continue
+					}
+					got := append([]int(nil), outs[0].ArgLists[i]...)
+					sort.Ints(got)
+					sameInts(t, ctx, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestFusedDispatchSelection asserts the fused loop is only installed
 // when it should be: never for non-Euclidean metrics, Mahalanobis
 // kernels, NoFuse, or ForceInterp — and always for the bread-and-
@@ -421,16 +477,58 @@ func TestFusedStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestHotGaussRowMatchesGenericTier: the row-major KDE loop hands whole
+// reference tiles to fastmath.SumGaussRows; it must stay bit-identical
+// to the generic tier's per-pair Hypot2 + ExpFast, across the tile
+// boundary (a 300-point leaf) and the 4-lane remainder dimensions.
+func TestHotGaussRowMatchesGenericTier(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const n = 300
+	for _, d := range []int{1, 3, 4, 5, 9, 16} {
+		q := storageWithLayout(randRows(rng, n, d), storage.RowMajor)
+		r := storageWithLayout(randRows(rng, n, d), storage.RowMajor)
+		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
+			AddLayer(lang.SUM, r, expr.NewGaussianKernel(2))
+		plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := Compile(plan, prog, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qt := tree.BuildKD(q, &tree.Options{LeafSize: n})
+		rt := tree.BuildKD(r, &tree.Options{LeafSize: n})
+		hot, generic := ex.Bind(qt, rt), ex.Bind(qt, rt)
+		hotSumGaussRow(hot, ex.fuseC, 0, n, rt.Root)
+		fuseOp[pairsRow](lang.SUM, gaussK{gc: ex.fuseC})(generic, 0, n, rt.Root)
+		for i := range hot.Val {
+			if math.Float64bits(hot.Val[i]) != math.Float64bits(generic.Val[i]) || hot.Val[i] == 0 {
+				t.Fatalf("d=%d query %d: hot %v generic %v", d, i, hot.Val[i], generic.Val[i])
+			}
+		}
+	}
+}
+
 // TestFusedLoopsZeroAlloc pins the zero-allocation guarantee of the
 // non-append fused loops: bind + setQ traffic must stay on the stack
 // (value pair sources; no gcshape boxing). The loops run through
-// BaseCase, so the bound-rule cases also pin the point gate and its
-// PointBound refresh at zero allocations.
+// BaseCase, so the cases also pin the point gate at zero allocations:
+// the bound rule's PointBound refresh, and — on query clouds shifted
+// half out of the reference box, so that the gate settles some points
+// and sweeps the rest — the τ rule's point approximation and the window
+// rule's skip.
 func TestFusedLoopsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	n := 64
-	mk := func(d int, l storage.Layout, op lang.Op, k int, kernel *expr.Kernel) *Run {
-		q := storageWithLayout(randRows(rng, n, d), l)
+	mk := func(d int, l storage.Layout, op lang.Op, k int, kernel *expr.Kernel, shift float64) *Run {
+		qRows := randRows(rng, n, d)
+		for _, row := range qRows {
+			for j := range row {
+				row[j] += shift
+			}
+		}
+		q := storageWithLayout(qRows, l)
 		r := storageWithLayout(randRows(rng, n, d), l)
 		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil)
 		if k > 0 {
@@ -455,13 +553,18 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name string
 		run  *Run
+		gate gateKind // when set: the gate must settle some points, not all
 	}{
-		{"sum-gauss-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(1))},
-		{"sum-plummer-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewPlummerKernel(0.2))},
-		{"argmin-ident-col2", mk(2, storage.ColMajor, lang.ARGMIN, 0, expr.NewDistanceKernel(geom.SqEuclidean))},
-		{"kmin-euclid-row5", mk(5, storage.RowMajor, lang.KMIN, 8, expr.NewDistanceKernel(geom.Euclidean))},
-		{"windowsum-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewThresholdKernel(2))},
-		{"min-mixed", mk(4, storage.RowMajor, lang.MIN, 0, expr.NewDistanceKernel(geom.SqEuclidean))},
+		{"sum-gauss-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(1), 0), gateNone},
+		{"sum-plummer-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewPlummerKernel(0.2), 0), gateNone},
+		{"argmin-ident-col2", mk(2, storage.ColMajor, lang.ARGMIN, 0, expr.NewDistanceKernel(geom.SqEuclidean), 0), gateNone},
+		{"kmin-euclid-row5", mk(5, storage.RowMajor, lang.KMIN, 8, expr.NewDistanceKernel(geom.Euclidean), 0), gateNone},
+		{"windowsum-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewThresholdKernel(2), 0), gateNone},
+		{"min-mixed", mk(4, storage.RowMajor, lang.MIN, 0, expr.NewDistanceKernel(geom.SqEuclidean), 0), gateNone},
+		{"taugate-row9", mk(9, storage.RowMajor, lang.SUM, 0, expr.NewGaussianKernel(0.5), 6), gateTau},
+		{"taugate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(0.5), 8), gateTau},
+		{"windowgate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewRangeKernel(1, 2), 8), gateWindow},
+		{"windowgate-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewThresholdKernel(2), 6), gateWindow},
 	}
 	for _, c := range cases {
 		if c.run.fused == nil {
@@ -472,6 +575,13 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 		rn := c.run.R.Node(0)
 		if !qn.IsLeaf() || !rn.IsLeaf() {
 			t.Fatalf("%s: roots are not leaves", c.name)
+		}
+		if c.gate != gateNone {
+			c.run.BaseCase(qn, rn)
+			if evals := c.run.kernelEvals; c.run.gate != c.gate || evals == 0 || evals >= int64(n*n) {
+				t.Errorf("%s: gate %d ran %d of %d evaluations; want gate %d settling some points and sweeping others",
+					c.name, c.run.gate, evals, n*n, c.gate)
+			}
 		}
 		allocs := testing.AllocsPerRun(20, func() { c.run.BaseCase(qn, rn) })
 		if allocs != 0 {

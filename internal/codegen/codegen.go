@@ -71,6 +71,9 @@ type Executable struct {
 	// base cases compare against inline.
 	hasWindow      bool
 	winLo2, winHi2 float64
+	// tauC < 0 marks a compiled τ rule over the Gaussian exp(tauC·d²);
+	// lnTau is ln τ, the threshold of the rule's log-space point form.
+	tauC, lnTau float64
 	// decide is the compiled prune/approximate condition, nil when
 	// only the generic interval fallback applies.
 	decide decideFn

@@ -113,6 +113,7 @@ func (ex *Executable) compileDecide() decideFn {
 			return nil
 		}
 		tau := ex.Plan.Tau
+		ex.tauC, ex.lnTau = c, math.Log(tau)
 		return func(qn, rn *tree.Node, _ float64) prune.Decision {
 			kmax := fastmath.ExpFast(c * qn.BBox.MinDist2(rn.BBox))
 			kmin := fastmath.ExpFast(c * qn.BBox.MaxDist2(rn.BBox))
@@ -182,12 +183,13 @@ func strictWindow(body expr.Expr) bool {
 }
 
 // sqThreshold squares a threshold preserving sign conventions for
-// distances (d >= 0).
+// distances (d >= 0). Zero stays zero: the window is open, so d = 0
+// does not exceed a lower threshold of 0.
 func sqThreshold(t float64) float64 {
 	if math.IsInf(t, 1) {
 		return math.Inf(1)
 	}
-	if t <= 0 {
+	if t < 0 {
 		if math.IsInf(t, -1) {
 			return math.Inf(-1)
 		}

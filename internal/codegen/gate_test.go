@@ -2,13 +2,16 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"portal/internal/expr"
+	"portal/internal/fastmath"
 	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/lower"
+	"portal/internal/prune"
 	"portal/internal/storage"
 	"portal/internal/traverse"
 	"portal/internal/tree"
@@ -16,10 +19,11 @@ import (
 
 // runGate is fullRun with the tree kind selectable and the point gate
 // forced off on request: the same kernels, the same arithmetic, the
-// same walk — the only difference is whether BaseCase skips sweeps.
-func runGate(t *testing.T, spec *lang.PortalExpr, oct, gate bool) *Output {
+// same walk — the only difference is whether BaseCase settles points
+// before it sweeps. want is the gate Bind must have selected.
+func runGate(t *testing.T, spec *lang.PortalExpr, tau float64, oct bool, want gateKind, gate bool) *Output {
 	t.Helper()
-	plan, prog, err := lower.Lower("t", spec, lower.Options{})
+	plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +38,12 @@ func runGate(t *testing.T, spec *lang.PortalExpr, oct, gate bool) *Output {
 	qt := build(spec.Outer().Data, &tree.Options{LeafSize: 8})
 	rt := build(spec.Inner().Data, &tree.Options{LeafSize: 8})
 	run := ex.Bind(qt, rt)
-	if !run.gate {
-		t.Fatal("bound rule over the squared Euclidean distance did not enable the point gate")
+	if run.gate != want {
+		t.Fatalf("Bind selected point gate %d, want %d", run.gate, want)
 	}
-	run.gate = gate
+	if !gate {
+		run.gate = gateNone
+	}
 	traverse.RunStats(qt, rt, run, run.TraversalStats())
 	return run.Finalize()
 }
@@ -66,16 +72,19 @@ func gateRows(rng *rand.Rand, kind string, n, d int) [][]float64 {
 	return rows
 }
 
-// TestPointGateIsExact: for every bound-rule operator the gated run
-// must be bit-identical to the ungated run of the same loops — values,
-// ids and tie order — on float inputs, across tree kinds, all four
-// layout pairs, d ∈ {1..6} and k ∈ {1, 5, more than a leaf holds}.
-// This is the FP-monotonicity argument of DESIGN §9 under test: any
-// skip that rounding made unsound would change an answer here.
+// TestPointGateIsExact: for every bound-rule operator, and for window
+// SUM/UNIONARG, the gated run must be bit-identical to the ungated run
+// of the same loops — values, ids, list and tie order — on float
+// inputs, lattices (gap² == worst ties; points at exactly the window
+// radii) and duplicates, across tree kinds, all four layout pairs,
+// d ∈ {1..6} and k ∈ {1, 5, more than a leaf holds}. This is the
+// FP-monotonicity argument of DESIGN §9.1 under test: any skip that
+// rounding made unsound would change an answer here.
 func TestPointGateIsExact(t *testing.T) {
 	sq := func() *expr.Kernel { return expr.NewDistanceKernel(geom.SqEuclidean) }
 	type opCase struct {
 		name  string
+		gate  gateKind
 		build func(q, r *storage.Storage) *lang.PortalExpr
 	}
 	inner := func(op lang.Op, k int, kernel func() *expr.Kernel) func(q, r *storage.Storage) *lang.PortalExpr {
@@ -89,25 +98,40 @@ func TestPointGateIsExact(t *testing.T) {
 	}
 	var ops []opCase
 	for _, op := range []lang.Op{lang.MIN, lang.ARGMIN, lang.MAX, lang.ARGMAX} {
-		ops = append(ops, opCase{op.String(), inner(op, 0, sq)})
+		ops = append(ops, opCase{op.String(), gateBound, inner(op, 0, sq)})
 	}
 	for _, op := range []lang.Op{lang.KMIN, lang.KARGMIN, lang.KMAX, lang.KARGMAX} {
 		for _, k := range []int{1, 5, 20} {
-			ops = append(ops, opCase{fmt.Sprintf("%v-k%d", op, k), inner(op, k, sq)})
+			ops = append(ops, opCase{fmt.Sprintf("%v-k%d", op, k), gateBound, inner(op, k, sq)})
 		}
 	}
 	// Hausdorff reaches the gate through the squared-space rewrite of
 	// the Euclidean kernel (one sqrt at Finalize).
-	ops = append(ops, opCase{"hausdorff", func(q, r *storage.Storage) *lang.PortalExpr {
+	ops = append(ops, opCase{"hausdorff", gateBound, func(q, r *storage.Storage) *lang.PortalExpr {
 		return (&lang.PortalExpr{}).AddLayer(lang.MAX, q, nil).
 			AddLayer(lang.MIN, r, expr.NewDistanceKernel(geom.Euclidean))
 	}})
+	// Windows with integer radii: lattice pairs sit exactly on lo and hi
+	// (2² = 4, 3² = 9, 5² = 25 are attainable squared lattice distances);
+	// lo = 0 and the one-sided threshold exercise the near test alone.
+	for _, w := range []struct {
+		name   string
+		kernel func() *expr.Kernel
+	}{
+		{"range(2,5)", func() *expr.Kernel { return expr.NewRangeKernel(2, 5) }},
+		{"range(0,3)", func() *expr.Kernel { return expr.NewRangeKernel(0, 3) }},
+		{"threshold(3)", func() *expr.Kernel { return expr.NewThresholdKernel(3) }},
+	} {
+		for _, op := range []lang.Op{lang.SUM, lang.UNIONARG} {
+			ops = append(ops, opCase{fmt.Sprintf("%v-%s", op, w.name), gateWindow, inner(op, 0, w.kernel)})
+		}
+	}
 	layouts := [][2]storage.Layout{
 		{storage.RowMajor, storage.RowMajor}, {storage.ColMajor, storage.ColMajor},
 		{storage.RowMajor, storage.ColMajor}, {storage.ColMajor, storage.RowMajor},
 	}
 	rng := rand.New(rand.NewSource(61))
-	var gatedEvals, ungatedEvals int64
+	var gatedEvals, ungatedEvals [gateWindow + 1]int64
 	for d := 1; d <= 6; d++ {
 		for li, lay := range layouts {
 			kind := []string{"gauss", "lattice", "dups"}[(d+li)%3]
@@ -116,22 +140,102 @@ func TestPointGateIsExact(t *testing.T) {
 			for _, oc := range ops {
 				for _, oct := range []bool{false, true} {
 					ctx := fmt.Sprintf("%s d=%d %v-%v %s oct=%v", oc.name, d, lay[0], lay[1], kind, oct)
-					gated := runGate(t, oc.build(q, r), oct, true)
-					ungated := runGate(t, oc.build(q, r), oct, false)
+					gated := runGate(t, oc.build(q, r), 0, oct, oc.gate, true)
+					ungated := runGate(t, oc.build(q, r), 0, oct, oc.gate, false)
 					compareOutputs(t, ctx, gated, ungated, 0)
 					if ungated.Stats.KernelEvals != ungated.Stats.BaseCasePairs ||
 						gated.Stats.BaseCasePairs != ungated.Stats.BaseCasePairs ||
-						gated.Stats.Prunes != ungated.Stats.Prunes {
+						gated.Stats.Prunes != ungated.Stats.Prunes || gated.Stats.Approxes != ungated.Stats.Approxes {
 						t.Fatalf("%s: the gate changed the walk: gated %+v ungated %+v", ctx, gated.Stats, ungated.Stats)
 					}
-					gatedEvals += gated.Stats.KernelEvals
-					ungatedEvals += ungated.Stats.KernelEvals
+					gatedEvals[oc.gate] += gated.Stats.KernelEvals
+					ungatedEvals[oc.gate] += ungated.Stats.KernelEvals
 				}
 			}
 		}
 	}
-	if gatedEvals*4 > ungatedEvals*3 {
-		t.Errorf("point gate skipped too little to have been exercised: %d of %d evaluations ran", gatedEvals, ungatedEvals)
+	for _, g := range []gateKind{gateBound, gateWindow} {
+		if gatedEvals[g]*4 > ungatedEvals[g]*3 {
+			t.Errorf("point gate %d skipped too little to have been exercised: %d of %d evaluations ran", g, gatedEvals[g], ungatedEvals[g])
+		}
+	}
+}
+
+// tauCounter is a Run that records, per query position, how many
+// reference points the τ gate is about to approximate: the same test
+// on the same Hypot2Box value, ahead of the Run's own BaseCase.
+type tauCounter struct {
+	*Run
+	approximated []float64
+}
+
+func (c *tauCounter) BaseCase(qn, rn *tree.Node) {
+	for qi := qn.Begin; qi < qn.End; qi++ {
+		near := fastmath.Hypot2Box(c.qFlat[qi*c.qStep:], c.qStride, rn.BBox.Min, rn.BBox.Max, false)
+		if c.Ex.tauC*near < c.Ex.lnTau {
+			c.approximated[qi] += float64(rn.Count())
+		}
+	}
+	c.Run.BaseCase(qn, rn)
+}
+
+// TestTauGateWithinBudget: the τ gate replaces exact sweeps by
+// ComputeApprox's estimator, so gated and ungated runs of the same walk
+// differ, per query, by less than τ for every reference point the gate
+// approximated — and by nothing where it approximated none.
+func TestTauGateWithinBudget(t *testing.T) {
+	const tau = 1e-3
+	layouts := [][2]storage.Layout{
+		{storage.RowMajor, storage.RowMajor}, {storage.ColMajor, storage.ColMajor},
+		{storage.RowMajor, storage.ColMajor}, {storage.ColMajor, storage.RowMajor},
+	}
+	rng := rand.New(rand.NewSource(71))
+	var settled, exactQueries int
+	for d := 1; d <= 9; d++ {
+		lay := layouts[d%len(layouts)]
+		kind := []string{"gauss", "lattice", "dups"}[d%3]
+		q := storageWithLayout(gateRows(rng, kind, 150, d), lay[0])
+		r := storageWithLayout(gateRows(rng, kind, 170, d), lay[1])
+		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
+			AddLayer(lang.SUM, r, expr.NewGaussianKernel(1.5))
+		plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: tau})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := Compile(plan, prog, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qt := tree.BuildKD(q, &tree.Options{LeafSize: 8})
+		rt := tree.BuildKD(r, &tree.Options{LeafSize: 8})
+		counter := &tauCounter{Run: ex.Bind(qt, rt), approximated: make([]float64, q.Len())}
+		if counter.gate != gateTau {
+			t.Fatalf("d=%d: Gaussian SUM under the τ rule selected gate %d", d, counter.gate)
+		}
+		traverse.RunStats(qt, rt, counter, counter.TraversalStats())
+		gated := counter.Finalize()
+		ungated := runGate(t, spec, tau, false, gateTau, false)
+		if gated.Stats.BaseCasePairs != ungated.Stats.BaseCasePairs || gated.Stats.Approxes != ungated.Stats.Approxes ||
+			gated.Stats.KernelEvals > ungated.Stats.KernelEvals {
+			t.Fatalf("d=%d: gated %+v ungated %+v: want the same walk and no more evaluations", d, gated.Stats, ungated.Stats)
+		}
+		for pos, refs := range counter.approximated {
+			i := qt.Index[pos]
+			diff := math.Abs(gated.Values[i] - ungated.Values[i])
+			// The slack is the reassociation of an exact sum of <= 170 terms.
+			if diff > tau*refs+1e-12*ungated.Values[i] {
+				t.Fatalf("d=%d query %d: gated %v ungated %v differ by %v with %v references approximated (budget %v)",
+					d, i, gated.Values[i], ungated.Values[i], diff, refs, tau*refs)
+			}
+			if refs > 0 {
+				settled++
+			} else {
+				exactQueries++
+			}
+		}
+	}
+	if settled == 0 || exactQueries == 0 {
+		t.Errorf("%d queries had references approximated, %d had none: want both kinds", settled, exactQueries)
 	}
 }
 
@@ -166,13 +270,64 @@ func TestPointGateOnlyCoversIdentityBody(t *testing.T) {
 		qt := tree.BuildKD(q, &tree.Options{LeafSize: 8})
 		rt := tree.BuildKD(r, &tree.Options{LeafSize: 8})
 		run := ex.Bind(qt, rt)
-		if run.PointBound == nil || run.gate {
+		if run.PointBound == nil || run.gate != gateNone {
 			t.Fatalf("%s: PointBound set %v, gate %v; want bounds without a gate", c.name, run.PointBound != nil, run.gate)
 		}
 		traverse.RunStats(qt, rt, run, run.TraversalStats())
 		if out := run.Finalize(); out.Stats.Prunes == 0 || out.Stats.KernelEvals != out.Stats.BaseCasePairs {
 			t.Fatalf("%s: %d prunes, %d evals of %d pairs; want pruning and every pair evaluated",
 				c.name, out.Stats.Prunes, out.Stats.KernelEvals, out.Stats.BaseCasePairs)
+		}
+	}
+}
+
+// Where the gates' arguments do not reach, BaseCase must sweep whole
+// leaves: UNION records the zero-valued pairs a window skip would drop,
+// a τ rule over any body but the compiled Gaussian has no kmax to test
+// in log space, PROD has no additive estimator, and the interpreter is
+// the ungated oracle of all three gates.
+func TestPointGateLeavesOtherShapesUngated(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	q := storage.MustFromRows(gateRows(rng, "gauss", 60, 3))
+	r := storage.MustFromRows(gateRows(rng, "gauss", 80, 3))
+	for _, c := range []struct {
+		name   string
+		op     lang.Op
+		kernel *expr.Kernel
+		opts   Options
+	}{
+		{"window-union", lang.UNION, expr.NewRangeKernel(1, 4), Options{}},
+		{"window-prod", lang.PROD, expr.NewThresholdKernel(4), Options{}},
+		{"plummer-sum", lang.SUM, expr.NewPlummerKernel(0.3), Options{}},
+		{"gauss-prod", lang.PROD, expr.NewGaussianKernel(1.5), Options{}},
+		{"window-unionarg-interp", lang.UNIONARG, expr.NewRangeKernel(1, 4), Options{ForceInterp: true}},
+		{"window-sum-interp", lang.SUM, expr.NewThresholdKernel(4), Options{ForceInterp: true}},
+		{"gauss-sum-interp", lang.SUM, expr.NewGaussianKernel(1.5), Options{ForceInterp: true}},
+	} {
+		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).AddLayer(c.op, r, c.kernel)
+		plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: 1e-2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := Compile(plan, prog, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qt := tree.BuildKD(q, &tree.Options{LeafSize: 8})
+		rt := tree.BuildKD(r, &tree.Options{LeafSize: 8})
+		run := ex.Bind(qt, rt)
+		if run.gate != gateNone {
+			t.Fatalf("%s: Bind selected point gate %d, want none", c.name, run.gate)
+		}
+		traverse.RunStats(qt, rt, run, run.TraversalStats())
+		st := run.Finalize().Stats
+		want := st.BaseCasePairs
+		if ex.Rule.Kind == prune.TauRule {
+			want += st.Approxes // one centroid evaluation each
+		}
+		if st.Prunes+st.Approxes == 0 || st.KernelEvals != want {
+			t.Fatalf("%s: %d prunes, %d approxes, %d evals; want a pruning walk and every base-case pair evaluated (%d)",
+				c.name, st.Prunes, st.Approxes, st.KernelEvals, want)
 		}
 	}
 }

@@ -71,11 +71,10 @@ type Run struct {
 	// and updateLeafBound read instead of chasing KLists[i].Vals[k-1].
 	// BaseCase refreshes a slot whenever that point was swept.
 	PointBound []float64
-	// gate enables BaseCase's point gate: a bound rule whose working
-	// kernel is the raw squared Euclidean distance, the one body the
-	// gate's exactness argument covers (DESIGN §9.1). Off under
-	// ForceInterp, the ungated oracle.
-	gate bool
+	// gate is the rule family BaseCase re-applies at each query point
+	// (DESIGN §9.1), fixed at Bind. gateNone under ForceInterp, the
+	// ungated oracle.
+	gate gateKind
 	// The gate's layout-independent view of the query points: dimension
 	// j of position qi is qFlat[qi*qStep+j*qStride].
 	qFlat          []float64
@@ -110,6 +109,24 @@ type Run struct {
 }
 
 var _ traverse.Rule = (*Run)(nil)
+
+// gateKind names the point form of the generated rule. Each covers
+// only the kernels its exactness (τ: error) argument does; every other
+// combination sweeps whole leaves.
+type gateKind uint8
+
+const (
+	gateNone gateKind = iota
+	// gateBound: a bound rule over the raw squared Euclidean distance.
+	gateBound
+	// gateTau: the τ rule over a decreasing Gaussian of the squared
+	// Euclidean distance, under SUM.
+	gateTau
+	// gateWindow: a strict Euclidean indicator window under SUM or
+	// UNIONARG. UNION records the zero-valued pairs too, so a skipped
+	// sweep would be missed.
+	gateWindow
+)
 
 // Bind attaches the executable to a tree pair and initializes all
 // runtime state with the operator identity values assigned during
@@ -173,7 +190,17 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 	run.evalD2 = ex.compileEvalD2()
 	run.identity = ex.Plan.DistKernel != nil &&
 		ex.Plan.DistKernel.Metric == geom.SqEuclidean && ex.bodyFn == nil
-	run.gate = run.PointBound != nil && run.identity && !ex.Opts.ForceInterp
+	switch op := ex.Plan.InnerOp; {
+	case ex.Opts.ForceInterp:
+	case run.PointBound != nil:
+		if run.identity {
+			run.gate = gateBound
+		}
+	case ex.tauC < 0 && op == lang.SUM:
+		run.gate = gateTau
+	case ex.hasWindow && (op == lang.SUM || op == lang.UNIONARG):
+		run.gate = gateWindow
+	}
 	run.qFlat, run.qStep, run.qStride = q.Data.Flat(), q.Dim(), 1
 	if q.Data.Layout() == storage.ColMajor {
 		run.qStep, run.qStride = 1, n

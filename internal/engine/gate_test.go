@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/storage"
+	"portal/internal/traverse"
 )
 
 // Differential suite for the point gate (DESIGN §9) against the IR
@@ -160,6 +162,83 @@ func TestPointGateMatchesInterpreter(t *testing.T) {
 					outputsIdentical(t, fmt.Sprintf("%s shards=%d gated vs interp", ctx, k), sharded, shardedInterp)
 				}
 			}
+		}
+	}
+}
+
+// TestTauGateAcrossSchedules: the τ gate's point approximations err by
+// less than τ per reference point, like the node rule's. So the gated
+// KDE stays within n·τ of the ungated interpreter on the same walk;
+// its decisions read no traversal state, so sequential, steal and ilist
+// runs evaluate the same pairs and agree to reassociation; and sharded
+// runs (other trees, other approximations) stay within n·τ of brute
+// force. Run under -race: the gate writes Val from whichever worker
+// owns the query leaf.
+func TestTauGateAcrossSchedules(t *testing.T) {
+	const tau = 1e-3
+	for ci, c := range []struct {
+		d    int
+		l    storage.Layout
+		tree TreeKind
+	}{
+		{2, storage.ColMajor, Octree}, {5, storage.RowMajor, KDTree}, {9, storage.RowMajor, KDTree}, {6, storage.ColMajor, KDTree},
+	} {
+		// Two clusters a few bandwidths apart: fat high-d leaf boxes the
+		// node rule cannot settle, individual points that can be.
+		rng := rand.New(rand.NewSource(int64(1700 + ci)))
+		data := storage.NewWithLayout(600, c.d, c.l)
+		row := make([]float64, c.d)
+		for i := 0; i < data.Len(); i++ {
+			for j := range row {
+				row[j] = rng.NormFloat64() + float64(i%2*4)
+			}
+			data.SetPoint(i, row)
+		}
+		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, data, nil).
+			AddLayer(lang.SUM, data, expr.NewGaussianKernel(0.7))
+		ctx := fmt.Sprintf("d=%d %v tree=%d", c.d, c.l, c.tree)
+		run := func(cfg Config) *codegen.Output {
+			cfg.LeafSize, cfg.Tau, cfg.Tree = 16, tau, c.tree
+			out, err := Run(ctx, spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		within := func(label string, got, want []float64, tol float64) {
+			t.Helper()
+			for i, v := range got {
+				if !(math.Abs(v-want[i]) <= tol) {
+					t.Fatalf("%s %s: query %d: %v vs %v, tolerance %v", ctx, label, i, v, want[i], tol)
+				}
+			}
+		}
+		budget := tau * float64(data.Len())
+		seq := run(Config{})
+		interp := run(Config{Codegen: codegen.Options{ForceInterp: true}})
+		within("gated vs interp", seq.Values, interp.Values, budget)
+		if seq.Stats.BaseCasePairs != interp.Stats.BaseCasePairs || seq.Stats.KernelEvals >= interp.Stats.KernelEvals {
+			t.Fatalf("%s: gated %+v interp %+v: want the same walk with fewer evaluations", ctx, seq.Stats, interp.Stats)
+		}
+		for name, cfg := range map[string]Config{
+			"steal":   {Parallel: true, Workers: 4},
+			"ilist-1": {Parallel: true, Workers: 1, Schedule: traverse.ScheduleIList},
+			"ilist-4": {Parallel: true, Workers: 4, Schedule: traverse.ScheduleIList},
+		} {
+			got := run(cfg)
+			within(name+" vs sequential", got.Values, seq.Values, 1e-12*slices.Max(seq.Values))
+			if got.Stats.KernelEvals != seq.Stats.KernelEvals {
+				t.Fatalf("%s %s: evaluated %d pairs, sequential %d", ctx, name, got.Stats.KernelEvals, seq.Stats.KernelEvals)
+			}
+		}
+		brute, err := BruteForce(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		within("gated vs brute force", seq.Values, brute.Values, budget)
+		for _, k := range []int{1, 4} {
+			sharded := run(Config{Shards: k, Parallel: true, Workers: 4})
+			within(fmt.Sprintf("shards=%d vs brute force", k), sharded.Values, brute.Values, budget)
 		}
 	}
 }

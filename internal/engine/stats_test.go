@@ -16,8 +16,9 @@ import (
 // The observability layer end-to-end: Config.CollectStats attaches a
 // Report with non-trivial counters and phase timings, Config.StatsSink
 // accumulates, and for pruning-exact problems (window and tau rules,
-// whose decisions don't depend on traversal-order-tightened bounds)
-// the parallel counters equal the sequential ones exactly.
+// whose decisions — node- and point-granular alike — don't depend on
+// traversal-order-tightened bounds) the parallel counters equal the
+// sequential ones exactly.
 
 func TestCollectStatsAttachesReport(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -59,14 +60,23 @@ func TestCollectStatsAttachesReport(t *testing.T) {
 
 // For pruning-exact problems the parallel traversal must make exactly
 // the sequential decisions: same prunes, approxes, base-case pairs, and
-// kernel evaluations.
+// kernel evaluations — the τ and window point gates (DESIGN §9.1) read
+// no state a schedule could reorder, unlike the bound gate. KernelEvals
+// counts evaluations performed (a τ approximation, node- or
+// point-granular, is one), so it stays below base-case pairs + approxes
+// wherever a gate settled a point, and reaches it only on the ungated
+// interpreter, which walks the same pairs.
 func TestStatsSequentialEqualsParallelPruningExact(t *testing.T) {
 	cases := []struct {
 		name string
 		spec func(rng *rand.Rand) *lang.PortalExpr
 		tau  float64
+		// scalarOuter: the interpreter cannot execute scalar outer
+		// reductions and runs under FORALL instead; the walk does not
+		// depend on the outer operator.
+		scalarOuter bool
 	}{
-		{name: "2pc", spec: func(rng *rand.Rand) *lang.PortalExpr {
+		{name: "2pc", scalarOuter: true, spec: func(rng *rand.Rand) *lang.PortalExpr {
 			pts := randRows(rng, 500, 3, 3)
 			return (&lang.PortalExpr{}).
 				AddLayer(lang.SUM, storage.MustFromRows(pts), nil).
@@ -89,29 +99,41 @@ func TestStatsSequentialEqualsParallelPruningExact(t *testing.T) {
 	}
 	for i, tc := range cases {
 		spec := tc.spec(rand.New(rand.NewSource(int64(60 + i))))
-		cfg := Config{LeafSize: 16, Tau: tc.tau, CollectStats: true}
-		seq, err := Run(tc.name, spec, cfg)
-		if err != nil {
-			t.Fatal(err)
+		run := func(cfg Config) stats.TraversalStats {
+			cfg.LeafSize, cfg.Tau, cfg.CollectStats = 16, tc.tau, true
+			spec := spec
+			if cfg.Codegen.ForceInterp && tc.scalarOuter {
+				in := spec.Inner()
+				spec = (&lang.PortalExpr{}).AddLayer(lang.FORALL, spec.Outer().Data, nil).AddLayer(in.Op, in.Data, in.Kernel)
+			}
+			out, err := Run(tc.name, spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out.Report.Traversal
 		}
-		pcfg := cfg
-		pcfg.Parallel = true
-		pcfg.Workers = 4
-		par, err := Run(tc.name, spec, pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, p := seq.Report.Traversal, par.Report.Traversal
+		s, p := run(Config{}), run(Config{Parallel: true, Workers: 4})
 		if s.Prunes != p.Prunes || s.Approxes != p.Approxes || s.Visits != p.Visits ||
 			s.BaseCases != p.BaseCases || s.BaseCasePairs != p.BaseCasePairs ||
 			s.PrunedPairs != p.PrunedPairs || s.ApproxPairs != p.ApproxPairs ||
 			s.KernelEvals != p.KernelEvals {
 			t.Errorf("%s: sequential %+v != parallel %+v", tc.name, s, p)
 		}
-		// No bound, no point gate: every base-case pair is evaluated
-		// (KDE adds one centroid evaluation per approximation).
-		if want := s.BaseCasePairs + s.Approxes; s.KernelEvals != want {
-			t.Errorf("%s: kernel evals %d, want base-case pairs + approxes = %d", tc.name, s.KernelEvals, want)
+		// Only the τ rule evaluates the kernel to approximate.
+		ceiling := s.BaseCasePairs
+		if tc.tau > 0 {
+			ceiling += s.Approxes
+		}
+		if s.KernelEvals <= 0 || s.KernelEvals >= ceiling {
+			t.Errorf("%s: kernel evals %d, want in (0, %d): the point gate settled nothing", tc.name, s.KernelEvals, ceiling)
+		}
+		if nf := run(Config{Codegen: codegen.Options{NoFuse: true}}); nf.KernelEvals != s.KernelEvals {
+			t.Errorf("%s: NoFuse evaluated %d pairs, fused %d (one gate, above both)", tc.name, nf.KernelEvals, s.KernelEvals)
+		}
+		interp := run(Config{Codegen: codegen.Options{ForceInterp: true}})
+		if interp.KernelEvals != ceiling || interp.BaseCasePairs != s.BaseCasePairs || interp.Approxes != s.Approxes {
+			t.Errorf("%s: interpreter evals/pairs/approxes %d/%d/%d; want %d/%d/%d (ungated, same walk)", tc.name,
+				interp.KernelEvals, interp.BaseCasePairs, interp.Approxes, ceiling, s.BaseCasePairs, s.Approxes)
 		}
 		// 2PC and RS prune outright; KDE eliminates via approximation —
 		// either way the traversal must have removed pairwise work.

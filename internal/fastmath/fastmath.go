@@ -102,46 +102,66 @@ func PowInt(x float64, n int) float64 {
 // sufficient for Gaussian kernel evaluation where the approximation
 // tolerance τ dominates. Out-of-range inputs saturate like math.Exp.
 func ExpFast(x float64) float64 {
-	if x != x { // NaN
+	if x >= expMinNormal && x <= expMax {
+		k, r := expReduce(x)
+		return expPoly(r) * pow2(k)
+	}
+	switch {
+	case x != x: // NaN
 		return x
-	}
-	if x > 709.0 {
+	case x > expMax:
 		return math.Inf(1)
-	}
-	if x < -745.0 {
+	case x < -745.0:
 		return 0
 	}
-	// Range reduction: x = k*ln2 + r with |r| <= ln2/2.
+	// Subnormal result range: keep Ldexp's careful rounding.
+	k, r := expReduce(x)
+	return math.Ldexp(expPoly(r), int(k))
+}
+
+// ExpFast's in-range path is cut into three helpers small enough for
+// the compiler to inline, so a loop that must not pay a call per
+// element (SumGaussRows) runs the same operations in the same order —
+// bit-identical by construction. In range means expMinNormal <= x <=
+// expMax: there -1021 <= k <= 1023, so with the polynomial in
+// [~0.707, ~1.415) the product p·2^k stays normal and multiplying by
+// the exactly-representable power of two is error-free — identical to
+// Ldexp without the function call (math.Ldexp is not a compiler
+// intrinsic).
+const (
+	expMax       = 709.0
+	expMinNormal = -708.0
+)
+
+// expReduce splits x = k·ln2 + r with |r| <= ln2/2.
+func expReduce(x float64) (k, r float64) {
 	const (
 		log2e = 1.4426950408889634
 		ln2Hi = 6.93147180369123816490e-01
 		ln2Lo = 1.90821492927058770002e-10
 	)
-	k := math.Floor(x*log2e + 0.5)
-	r := (x - k*ln2Hi) - k*ln2Lo
-	// Degree-8 Taylor polynomial of e^r on |r| <= ln2/2, evaluated in
-	// Estrin form: the coefficient pairs are independent, so the
-	// dependency chain is ~4 multiply-adds deep instead of Horner's 8 —
-	// this is the latency on the critical path of every fused Gaussian
-	// base-case iteration.
+	k = math.Floor(x*log2e + 0.5)
+	return k, (x - k*ln2Hi) - k*ln2Lo
+}
+
+// expPoly is the degree-8 Taylor polynomial of e^r on |r| <= ln2/2 in
+// Estrin form: the coefficient pairs are independent, so the
+// dependency chain is ~4 multiply-adds deep instead of Horner's 8 —
+// this is the latency on the critical path of every fused Gaussian
+// base-case iteration.
+func expPoly(r float64) float64 {
 	r2 := r * r
 	r4 := r2 * r2
 	p01 := 1.0 + r
 	p23 := 0.5 + r*(1.0/6)
 	p45 := 1.0/24 + r*(1.0/120)
 	p67 := 1.0/720 + r*(1.0/5040)
-	p := p01 + r2*p23 + r4*(p45+r2*p67) + (r4*r4)*(1.0/40320)
-	// Scale by 2^k. p is in [~0.707, ~1.415), so for k >= -1021 the
-	// product stays normal and multiplying by the exactly-representable
-	// power of two is error-free — identical to Ldexp but without the
-	// function call (math.Ldexp is not a compiler intrinsic, and this
-	// runs once per point pair in the fused Gaussian base cases).
-	// k <= 1023 always holds here because x <= 709.
-	if k >= -1021 {
-		return p * math.Float64frombits(uint64(int64(k)+1023)<<52)
-	}
-	// Subnormal result range: keep Ldexp's careful rounding.
-	return math.Ldexp(p, int(k))
+	return p01 + r2*p23 + r4*(p45+r2*p67) + (r4*r4)*(1.0/40320)
+}
+
+// pow2 is 2^k for integral -1022 <= k <= 1023.
+func pow2(k float64) float64 {
+	return math.Float64frombits(uint64(int64(k)+1023) << 52)
 }
 
 // GaussianKernel evaluates exp(-d2 / (2*sigma^2)) — the Gaussian kernel
@@ -191,6 +211,44 @@ func Hypot2(p, q []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// SumGaussRows returns Σ ExpFast(c·Hypot2(q, row)) over the rows of a
+// flat row-major block of len(q)-dimensional points, accumulated in row
+// order: the fused Gaussian SUM base case for one query point, bit for
+// bit, without a call per pair — neither Hypot2 nor ExpFast inlines.
+func SumGaussRows(c float64, q, rows []float64) float64 {
+	var acc float64
+	if len(q) == 0 {
+		return 0
+	}
+	for ; len(rows) >= len(q); rows = rows[len(q):] {
+		p := rows[:len(q)]
+		var s0, s1, s2, s3 float64
+		i := 0
+		for ; i+4 <= len(q); i += 4 {
+			d0 := q[i] - p[i]
+			d1 := q[i+1] - p[i+1]
+			d2 := q[i+2] - p[i+2]
+			d3 := q[i+3] - p[i+3]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		for ; i < len(q); i++ {
+			d := q[i] - p[i]
+			s0 += d * d
+		}
+		x := c * ((s0 + s1) + (s2 + s3))
+		if x >= expMinNormal && x <= expMax {
+			k, r := expReduce(x)
+			acc += expPoly(r) * pow2(k)
+		} else {
+			acc += ExpFast(x)
+		}
+	}
+	return acc
+}
+
 // Hypot2Box is Hypot2(p, c) for the point c of the box [lo, hi]
 // nearest to p (far: the corner farthest from p), without
 // materializing c: the same per-dimension differences, squared and
@@ -223,15 +281,12 @@ func Hypot2Box(p []float64, stride int, lo, hi []float64, far bool) float64 {
 
 // boxOffset is x - c up to sign for c the end of [lo, hi] nearest to x
 // (0 inside the interval), or with far the end farthest from x.
+// Branch-free: which side of a box a point lies on is unpredictable
+// per dimension, and a mispredicted compare costs more than the min.
 func boxOffset(x, lo, hi float64, far bool) float64 {
 	a, b := x-lo, hi-x // a + b >= 0: at most one is negative
-	switch {
-	case far:
+	if far {
 		return max(a, b)
-	case a < 0:
-		return a
-	case b < 0:
-		return b
 	}
-	return 0
+	return min(a, b, 0)
 }

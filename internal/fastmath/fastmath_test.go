@@ -1,6 +1,7 @@
 package fastmath
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -185,6 +186,52 @@ func TestExpFastEdges(t *testing.T) {
 	if got := ExpFast(0); got != 1 {
 		t.Errorf("ExpFast(0) = %v, want 1", got)
 	}
+	// The seams between the inlined in-range path and the Ldexp path:
+	// accurate on both sides, subnormal results included.
+	for _, x := range []float64{expMax, expMinNormal, math.Nextafter(expMinNormal, -1000), -708.3, -720, -744.9} {
+		want := math.Exp(x)
+		if got := ExpFast(x); math.Abs(got-want) > 3e-9*want+0x1p-1074 {
+			t.Errorf("ExpFast(%v) = %v, want %v", x, got, want)
+		}
+	}
+}
+
+// SumGaussRows must be the per-pair calls it replaces bit for bit, on
+// both sides of ExpFast's range checks.
+func TestSumGaussRowsMatchesPerPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	outOfRange := 0
+	for iter := 0; iter < 3000; iter++ {
+		d, n := 1+rng.Intn(17), rng.Intn(40)
+		q, rows := make([]float64, d), make([]float64, n*d)
+		for i := range q {
+			q[i] = rng.NormFloat64()
+		}
+		for i := range rows {
+			rows[i] = rng.NormFloat64()
+		}
+		c := -math.Ldexp(rng.Float64(), rng.Intn(16)-4)
+		if iter%16 == 0 {
+			c = -c
+		}
+		var want float64
+		for i := 0; i < n; i++ {
+			x := c * Hypot2(q, rows[i*d:(i+1)*d])
+			if x < expMinNormal || x > expMax {
+				outOfRange++
+			}
+			want += ExpFast(x)
+		}
+		if got := SumGaussRows(c, q, rows); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("d=%d n=%d c=%v: SumGaussRows %v != per-pair sum %v", d, n, c, got, want)
+		}
+	}
+	if outOfRange == 0 {
+		t.Error("no pair left ExpFast's inlined range: the fallback was not exercised")
+	}
+	if got := SumGaussRows(-1, nil, nil); got != 0 {
+		t.Errorf("SumGaussRows over nothing = %v, want 0", got)
+	}
 }
 
 func TestGaussianKernel(t *testing.T) {
@@ -297,7 +344,36 @@ func TestHypot2BoxExactBound(t *testing.T) {
 		if v := Hypot2(row, in); v < n || v > f {
 			t.Fatalf("d=%d: inside point evaluates to %v outside [%v, %v]", d, v, n, f)
 		}
+		// The branch-free offsets against the compare-and-select form
+		// they replaced, squared and summed in Hypot2's lane order.
+		var sn, sf [4]float64
+		for j := 0; j < d; j++ {
+			lane := 0
+			if j < d&^3 {
+				lane = j % 4
+			}
+			on, of := boxOffsetSwitch(p[j*stride], lo[j], hi[j], false), boxOffsetSwitch(p[j*stride], lo[j], hi[j], true)
+			sn[lane] += on * on
+			sf[lane] += of * of
+		}
+		if wn, wf := (sn[0]+sn[1])+(sn[2]+sn[3]), (sf[0]+sf[1])+(sf[2]+sf[3]); math.Float64bits(n) != math.Float64bits(wn) || math.Float64bits(f) != math.Float64bits(wf) {
+			t.Fatalf("d=%d stride=%d: Hypot2Box (%v, %v) != switch form (%v, %v)", d, stride, n, f, wn, wf)
+		}
 	}
+}
+
+// boxOffsetSwitch is boxOffset as it was before it went branch-free.
+func boxOffsetSwitch(x, lo, hi float64, far bool) float64 {
+	a, b := x-lo, hi-x
+	switch {
+	case far:
+		return max(a, b)
+	case a < 0:
+		return a
+	case b < 0:
+		return b
+	}
+	return 0
 }
 
 func TestHypot2ZeroLength(t *testing.T) {
@@ -353,3 +429,42 @@ func BenchmarkMathExp(b *testing.B) {
 	}
 	_ = s
 }
+
+// BenchmarkHypot2Box times the point gate's distance on boxes the
+// points fall on either side of unpredictably, dimension by dimension.
+func BenchmarkHypot2Box(b *testing.B) {
+	const n = 1024
+	rng := rand.New(rand.NewSource(3))
+	for _, d := range []int{3, 9} {
+		rows, cols := make([]float64, n*d), make([]float64, n*d)
+		for i := 0; i < n; i++ {
+			for j := 0; j < d; j++ {
+				rows[i*d+j] = rng.NormFloat64()
+				cols[j*n+i] = rows[i*d+j]
+			}
+		}
+		lo, hi := make([]float64, d), make([]float64, d)
+		for j := range lo {
+			lo[j], hi[j] = -0.5, 0.5
+		}
+		for _, far := range []bool{false, true} {
+			side := map[bool]string{false: "near", true: "far"}[far]
+			b.Run(fmt.Sprintf("%s/d=%d/row", side, d), func(b *testing.B) {
+				var s float64
+				for i := 0; i < b.N; i++ {
+					s += Hypot2Box(rows[i%n*d:], 1, lo, hi, far)
+				}
+				benchSink = s
+			})
+			b.Run(fmt.Sprintf("%s/d=%d/col", side, d), func(b *testing.B) {
+				var s float64
+				for i := 0; i < b.N; i++ {
+					s += Hypot2Box(cols[i%n:], n, lo, hi, far)
+				}
+				benchSink = s
+			})
+		}
+	}
+}
+
+var benchSink float64
