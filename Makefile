@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-selftest bench bench-tree bench-basecase bench-traverse bench-ilist bench-serve bench-persist bench-shard bench-compare stats trace-smoke serve-smoke metrics-smoke shard-smoke
+.PHONY: check build vet test race bench-selftest bench-smoke bench bench-tree bench-basecase bench-traverse bench-ilist bench-serve bench-persist bench-shard bench-compare stats trace-smoke serve-smoke metrics-smoke shard-smoke
 
 # Tier-1 gate: everything must pass before a change lands.
-check: build vet test race bench-selftest trace-smoke serve-smoke metrics-smoke shard-smoke
+check: build vet test race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke shard-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,12 @@ bench-selftest:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
+# The micro-benchmarks are plain `go test -bench` with no JSON gate, so
+# nothing else notices when a renamed hook stops one compiling or a
+# set-up assertion stops holding: run each once.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/fastmath ./internal/traverse
+
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -44,9 +50,9 @@ bench-basecase:
 	$(GO) test -bench='BenchmarkKListInsert|BenchmarkBaseCase' -benchmem ./internal/codegen/ ./internal/bench/
 	$(GO) run ./cmd/portalbench -experiment basecase -scale 10000 -reps 3 -json BENCH_basecase.json
 
-# Traversal-scheduler benchmark: work-stealing vs fixed spawn-depth
-# scheduling (and steal+batching) for knn/kde/2pc on uniform and
-# Plummer-clustered data, W in {1,2,4,8}; writes BENCH_traverse.json.
+# Traversal benchmark: work stealing with and without base-case
+# batching for knn/kde/2pc on uniform and Plummer-clustered data,
+# W in {1,2,4,8}; writes BENCH_traverse.json.
 bench-traverse:
 	$(GO) run ./cmd/portalbench -experiment traverse -scale 10000 -reps 3 -json BENCH_traverse.json
 

@@ -17,8 +17,9 @@
 // base-case pairs, kernel evaluations, phase timings) to stderr, or
 // -stats-json FILE to capture them as JSON.
 //
-// Parallel runtime: -schedule picks the traversal scheduler (steal,
-// the work-stealing default, or spawn, the fixed spawn-depth legacy);
+// Parallel runtime: -schedule picks the traversal schedule (steal,
+// the work-stealing default that runs base cases where it finds them,
+// or ilist, which lists them first and sweeps the lists after);
 // -batch defers leaf base cases and sweeps them per reference leaf
 // through the fused kernels (steal scheduler, batchable operators
 // only — operators whose prune bounds need immediate base-case
@@ -133,7 +134,7 @@ func main() {
 	leaf := flag.Int("leaf", 32, "tree leaf size q")
 	seq := flag.Bool("seq", false, "disable parallel execution")
 	workers := flag.Int("workers", 0, "cap worker goroutines for tree build and traversal (0 = GOMAXPROCS)")
-	schedule := flag.String("schedule", "steal", "parallel traversal scheduler: steal (work-stealing deques), spawn (fixed spawn depth), or ilist (interaction-list build + flat kernel sweeps)")
+	schedule := flag.String("schedule", "steal", "parallel traversal schedule: steal (work-stealing deques, base cases at discovery) or ilist (interaction-list build + flat kernel sweeps)")
 	batch := flag.Bool("batch", false, "defer and batch leaf base cases by reference leaf (steal scheduler, batchable operators only)")
 	shards := flag.Int("shards", 0, "spatial shard count for sharded execution with locally-essential-tree boundary exchange (0/1 = unsharded)")
 	statsFlag := flag.Bool("stats", false, "print traversal statistics to stderr after the run")

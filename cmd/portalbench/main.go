@@ -10,7 +10,7 @@
 //	portalbench -stats [-scale N]           # traversal statistics (JSON on stdout)
 //	portalbench -experiment all [-scale N] [-seq] [-reps R]
 //	portalbench -experiment basecase        # fused vs legacy base-case loops
-//	portalbench -experiment traverse        # steal vs spawn scheduler sweep
+//	portalbench -experiment traverse        # steal vs steal+batch traversal sweep
 //	portalbench -experiment ilist           # interaction lists vs steal+batch
 //	portalbench -experiment serve           # portald p50/p99 latency and QPS
 //	portalbench -experiment persist         # tree snapshot save/load vs rebuild
@@ -317,7 +317,7 @@ func main() {
 		jsonOut = bench.BaseCase(o, os.Stdout)
 		jsonKind = bench.KindBaseCase
 	case "traverse":
-		fmt.Println("== Traversal schedulers (spawn vs steal vs steal+batch) ==")
+		fmt.Println("== Traversal (steal vs steal+batch) ==")
 		jsonOut = bench.Traverse(o, os.Stdout)
 		jsonKind = bench.KindTraverse
 	case "ilist":

@@ -37,7 +37,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 128, "trace every Nth query and capture its Chrome trace at GET /debug/queries (0 disables, 1 traces everything)")
 	queryLog := flag.Int("query-log", 64, "entries retained per capture ring (slow and sampled)")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/")
-	schedule := flag.String("schedule", "steal", "traversal scheduler for served queries: steal (work-stealing deques), spawn (fixed spawn depth), or ilist (interaction-list build + flat kernel sweeps)")
+	schedule := flag.String("schedule", "steal", "traversal schedule for served queries: steal (work-stealing deques, base cases at discovery) or ilist (interaction-list build + flat kernel sweeps)")
 	shards := flag.Int("shards", 0, "spatial shard count: datasets publish with pre-built sharded partitions and queries run through the locally-essential-tree exchange tier (0/1 = unsharded)")
 	flag.Parse()
 

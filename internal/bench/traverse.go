@@ -9,18 +9,15 @@ import (
 	"portal/internal/dataset"
 	"portal/internal/engine"
 	"portal/internal/storage"
-	"portal/internal/traverse"
 )
 
-// This file benchmarks the parallel traversal schedulers
-// (internal/traverse): the work-stealing runtime against the legacy
-// fixed spawn-depth scheduler, and the further gain from
-// reference-leaf interaction batching. Uniform data is the
-// well-balanced regime where a static partition is already fine;
-// the Plummer sphere is the clustered regime where most of the pair
-// work lands in a few dense subtrees and dynamic balance pays.
-// Trees are built once per configuration and shared by all three
-// measurements; only the traversal is timed.
+// This file benchmarks the parallel traversal (internal/traverse): the
+// work-stealing runtime, and the further gain from reference-leaf
+// interaction batching. Uniform data is the well-balanced regime; the
+// Plummer sphere is the clustered regime where most of the pair work
+// lands in a few dense subtrees and dynamic balance pays. Trees are
+// built once per configuration and shared by both measurements; only
+// the traversal is timed.
 
 // TraverseResult is one configuration's scheduler measurement (the
 // BENCH_traverse.json row format).
@@ -29,15 +26,12 @@ type TraverseResult struct {
 	Dataset string `json:"dataset"` // "uniform" | "plummer"
 	N       int    `json:"n"`
 	Workers int    `json:"workers"`
-	// SpawnNS/StealNS time the fixed spawn-depth and work-stealing
-	// schedulers; BatchNS is the steal scheduler with base-case
-	// batching on (identical to StealNS when the compiled rule is not
-	// batchable, e.g. KNN's bound feedback).
-	SpawnNS int64 `json:"spawn_ns"`
+	// StealNS times the work-stealing scheduler; BatchNS is the same
+	// with base-case batching on (identical to StealNS when the
+	// compiled rule is not batchable, e.g. KNN's bound feedback).
 	StealNS int64 `json:"steal_ns"`
 	BatchNS int64 `json:"batch_ns"`
-	// StealSpeedup is SpawnNS/StealNS; BatchSpeedup is StealNS/BatchNS.
-	StealSpeedup float64 `json:"steal_speedup"`
+	// BatchSpeedup is StealNS/BatchNS.
 	BatchSpeedup float64 `json:"batch_speedup"`
 }
 
@@ -73,7 +67,7 @@ func traverseData(name string, n int, seed int64) *storage.Storage {
 }
 
 // Traverse runs the scheduler grid at o.Scale points and reports
-// spawn vs steal vs steal+batch traversal times.
+// steal vs steal+batch traversal times.
 func Traverse(o Options, w io.Writer) []TraverseResult {
 	o = o.fill()
 	results := make([]TraverseResult, 0, len(traverseConfigs)*len(traverseWorkers))
@@ -82,18 +76,17 @@ func Traverse(o Options, w io.Writer) []TraverseResult {
 			r := measureTraverse(o, c.problem, c.dataset, o.Scale, workers)
 			results = append(results, r)
 			if w != nil {
-				fmt.Fprintf(w, "%-3s %-7s N=%-7d W=%-2d spawn=%-12v steal=%-12v batch=%-12v steal=%.2fx batch=%.2fx\n",
+				fmt.Fprintf(w, "%-3s %-7s N=%-7d W=%-2d steal=%-12v batch=%-12v batch=%.2fx\n",
 					r.Problem, r.Dataset, r.N, r.Workers,
-					time.Duration(r.SpawnNS), time.Duration(r.StealNS), time.Duration(r.BatchNS),
-					r.StealSpeedup, r.BatchSpeedup)
+					time.Duration(r.StealNS), time.Duration(r.BatchNS), r.BatchSpeedup)
 			}
 		}
 	}
 	return results
 }
 
-// measureTraverse times one configuration's traversal under each
-// scheduler on identical pre-built trees.
+// measureTraverse times one configuration's traversal with and without
+// batching on identical pre-built trees.
 func measureTraverse(o Options, problem, ds string, n, workers int) TraverseResult {
 	o = o.fill()
 	data := traverseData(ds, n, o.Seed)
@@ -116,17 +109,13 @@ func measureTraverse(o Options, problem, ds string, n, workers int) TraverseResu
 			}
 		}))
 	}
-	spawnCfg := cfg
-	spawnCfg.Schedule = traverse.ScheduleSpawn
-	spawnNS := run(spawnCfg)
-	stealNS := run(cfg) // ScheduleSteal is the zero value
+	stealNS := run(cfg)
 	batchCfg := cfg
 	batchCfg.BatchBaseCases = true
 	batchNS := run(batchCfg)
 	return TraverseResult{
 		Problem: problem, Dataset: ds, N: n, Workers: workers,
-		SpawnNS: spawnNS, StealNS: stealNS, BatchNS: batchNS,
-		StealSpeedup: float64(spawnNS) / float64(stealNS),
+		StealNS: stealNS, BatchNS: batchNS,
 		BatchSpeedup: float64(stealNS) / float64(batchNS),
 	}
 }

@@ -17,15 +17,14 @@ func TestTraverseExperiment(t *testing.T) {
 		t.Fatalf("%d results, want %d", len(results), want)
 	}
 	for _, r := range results {
-		if r.SpawnNS <= 0 || r.StealNS <= 0 || r.BatchNS <= 0 {
+		if r.StealNS <= 0 || r.BatchNS <= 0 {
 			t.Errorf("%s/%s W=%d: non-positive timings %+v", r.Problem, r.Dataset, r.Workers, r)
 		}
 		if r.N != 1200 {
 			t.Errorf("%s/%s W=%d: config not recorded: %+v", r.Problem, r.Dataset, r.Workers, r)
 		}
-		if r.StealSpeedup <= 0 || r.BatchSpeedup <= 0 {
-			t.Errorf("%s/%s W=%d: speedups %v %v", r.Problem, r.Dataset, r.Workers,
-				r.StealSpeedup, r.BatchSpeedup)
+		if r.BatchSpeedup <= 0 {
+			t.Errorf("%s/%s W=%d: batch speedup %v", r.Problem, r.Dataset, r.Workers, r.BatchSpeedup)
 		}
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("plummer")) {
@@ -65,7 +64,7 @@ func TestLoadTraverseBaseline(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "BENCH_traverse.json")
 	row := `[{"problem":"knn","dataset":"plummer","n":10000,"workers":8,` +
-		`"spawn_ns":500,"steal_ns":300,"batch_ns":290,"steal_speedup":1.67,"batch_speedup":1.03}]`
+		`"steal_ns":300,"batch_ns":290,"batch_speedup":1.03}]`
 	if err := os.WriteFile(good, []byte(row), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,20 @@
 // with a generic IR interpreter as the fallback and differential-
 // testing oracle, and the prune/approximate functions are compiled
 // from the generated rule of internal/prune.
+//
+// # Panics
+//
+// The package panics only on states a bug alone can produce, never on
+// input, and each site's message starts "codegen: ":
+//
+//   - Finalize or FinalizePartial on a Run one of them already
+//     consumed (run.go): both work in place — the push-down accumulates
+//     into NodeDelta and Val, k-list outputs are the run's own slabs —
+//     so a second call would double-count or re-map;
+//   - IR the lowering emitted but the backend has no case for: a
+//     statement, expression, property or intrinsic unknown to the
+//     interpreters (interp.go, interp_prune.go), an unknown metric
+//     (metricDistFn) or outer operator (Finalize).
 package codegen
 
 import (
@@ -74,9 +88,11 @@ type Executable struct {
 	// tauC < 0 marks a compiled τ rule over the Gaussian exp(tauC·d²);
 	// lnTau is ln τ, the threshold of the rule's log-space point form.
 	tauC, lnTau float64
-	// decide is the compiled prune/approximate condition, nil when
-	// only the generic interval fallback applies.
-	decide decideFn
+	// decide is the compiled window or τ condition, nil when only the
+	// generic interval fallback applies; boundForm is its counterpart
+	// for bound rules (decide.go).
+	decide    decideFn
+	boundForm boundForm
 	// fuseKind classifies the kernel body for the fused base cases
 	// (basecase_fused.go); fuseC carries the pre-folded coefficient
 	// (Gaussian exponent scale or Plummer softening).

@@ -201,8 +201,8 @@ func compileNN(t *testing.T, metric geom.Metric) *Executable {
 // interval rule on random node pairs.
 func TestCompiledDecideMatchesGeneric(t *testing.T) {
 	ex := compileNN(t, geom.Euclidean)
-	if ex.decide == nil {
-		t.Fatal("NN should have a compiled decide")
+	if ex.boundForm != boundSq {
+		t.Fatal("NN should have a compiled squared-space bound decision")
 	}
 	if !ex.sqrtOut {
 		t.Fatal("NN should use the squared-space optimization")
@@ -218,7 +218,7 @@ func TestCompiledDecideMatchesGeneric(t *testing.T) {
 		}
 		qn, rn := mk(), mk()
 		bound := rng.Float64() * 30 // squared-space bound
-		got := ex.decide(qn, rn, bound)
+		got := ex.pruneBound(qn.BBox.MinDist2(rn.BBox), bound)
 		want := ex.Rule.Decide(qn.BBox, rn.BBox, bound)
 		return got == want
 	}
@@ -254,7 +254,7 @@ func TestCompiledWindowDecideMatchesGeneric(t *testing.T) {
 			return &tree.Node{BBox: geom.FromPoints(2, pts)}
 		}
 		qn, rn := mk(), mk()
-		return ex.decide(qn, rn, 0) == ex.Rule.Decide(qn.BBox, rn.BBox, 0)
+		return ex.decide(qn, rn) == ex.Rule.Decide(qn.BBox, rn.BBox, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -293,7 +293,7 @@ func TestCompiledTauDecideSound(t *testing.T) {
 		}
 		qs, qr := mkPts()
 		rs, rr := mkPts()
-		if ex.decide(&tree.Node{BBox: qr}, &tree.Node{BBox: rr}, 0) != prune.Approx {
+		if ex.decide(&tree.Node{BBox: qr}, &tree.Node{BBox: rr}) != prune.Approx {
 			return true
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
@@ -315,7 +315,7 @@ func TestCompiledTauDecideSound(t *testing.T) {
 // with the interval fallback.
 func TestNonEuclideanFallback(t *testing.T) {
 	ex := compileNN(t, geom.Manhattan)
-	if ex.decide != nil {
+	if ex.decide != nil || ex.boundForm != boundInterval {
 		t.Fatal("Manhattan NN should use the generic decide fallback")
 	}
 	if ex.sqrtOut {

@@ -10,16 +10,58 @@ import (
 	"portal/internal/tree"
 )
 
-// This file compiles the generated prune/approximate rule into a
-// straight-line decision closure — the backend treatment of the
-// Prune/Approximate IR. The generic fallback is prune.Rule.Decide
-// (interval evaluation over the kernel AST); the compiled forms below
-// cover the rule/kernel shapes of every Table III problem and avoid
-// AST walks, interface dispatch, and square roots on the traversal's
-// hottest path.
-type decideFn func(qn, rn *tree.Node, qBound float64) prune.Decision
+// This file compiles the generated prune/approximate rule into
+// straight-line code — the backend treatment of the Prune/Approximate
+// IR. The generic fallback is prune.Rule.Decide (interval evaluation
+// over the kernel AST); the compiled forms below cover the rule/kernel
+// shapes of every Table III problem and avoid AST walks, interface
+// dispatch, and square roots on the traversal's hottest path. Window
+// and τ rules compile to a decision closure; a bound rule compiles to a
+// boundForm, the space Executable.pruneBound compares the pair's score
+// in.
+type decideFn func(qn, rn *tree.Node) prune.Decision
 
-// compileDecide returns the specialized decision function, or nil when
+// boundForm is how a bound rule's decision reads the pair's score (the
+// squared box distance, Run.Score).
+type boundForm uint8
+
+const (
+	// boundInterval: no compiled comparison; prune.Rule.Decide over the
+	// kernel AST.
+	boundInterval boundForm = iota
+	// boundSq: identity kernel over the squared Euclidean metric — the
+	// bound is a squared distance, like the score.
+	boundSq
+	// boundPlain: identity kernel over the Euclidean metric — the bound
+	// is a distance; compare against its square to skip the square
+	// root.
+	boundPlain
+)
+
+// pruneBound is the compiled bound rule given the pair's score and the
+// query node's bound: prune when even the best reference point of the
+// pair cannot beat it. On the max side both are compared negated, which
+// is exact.
+func (ex *Executable) pruneBound(score, qBound float64) prune.Decision {
+	if ex.boundForm == boundPlain {
+		// A bound no base case has set yet (+Inf min side, -Inf max
+		// side) prunes nothing; its square would.
+		if ex.maxSide && !(qBound > 0) || !ex.maxSide && math.IsInf(qBound, 1) {
+			return prune.Visit
+		}
+		qBound *= qBound
+	}
+	if ex.maxSide {
+		qBound = -qBound
+	}
+	if score > qBound {
+		return prune.Prune
+	}
+	return prune.Visit
+}
+
+// compileDecide compiles the rule: it returns the window or τ decision
+// closure, or sets ex.boundForm for a bound rule, or does neither when
 // no specialization applies.
 func (ex *Executable) compileDecide() decideFn {
 	rule := ex.Rule
@@ -31,45 +73,16 @@ func (ex *Executable) compileDecide() decideFn {
 
 	switch rule.Kind {
 	case prune.BoundRule:
-		if k.Body != nil || !euclidFamily {
-			return nil
-		}
 		// Identity kernel over a Euclidean-family metric: bounds are
 		// pure box distances. The kernel space may be plain or squared
-		// distance; both are monotone in MinDist2, so compare in the
-		// kernel's own space.
-		if k.Metric == geom.SqEuclidean {
-			if rule.MaxSide {
-				return func(qn, rn *tree.Node, qBound float64) prune.Decision {
-					if qn.BBox.MaxDist2(rn.BBox) < qBound {
-						return prune.Prune
-					}
-					return prune.Visit
-				}
-			}
-			return func(qn, rn *tree.Node, qBound float64) prune.Decision {
-				if qn.BBox.MinDist2(rn.BBox) > qBound {
-					return prune.Prune
-				}
-				return prune.Visit
-			}
+		// distance; both are monotone in the squared box distance.
+		switch {
+		case k.Body == nil && k.Metric == geom.SqEuclidean:
+			ex.boundForm = boundSq
+		case k.Body == nil && k.Metric == geom.Euclidean:
+			ex.boundForm = boundPlain
 		}
-		// Euclidean distance kernel: compare squared forms to skip the
-		// square root (bound is in distance space, square it once).
-		if rule.MaxSide {
-			return func(qn, rn *tree.Node, qBound float64) prune.Decision {
-				if qBound > 0 && qn.BBox.MaxDist2(rn.BBox) < qBound*qBound {
-					return prune.Prune
-				}
-				return prune.Visit
-			}
-		}
-		return func(qn, rn *tree.Node, qBound float64) prune.Decision {
-			if !math.IsInf(qBound, 1) && qn.BBox.MinDist2(rn.BBox) > qBound*qBound {
-				return prune.Prune
-			}
-			return prune.Visit
-		}
+		return nil
 
 	case prune.WindowRule:
 		if !euclidFamily {
@@ -90,7 +103,7 @@ func (ex *Executable) compileDecide() decideFn {
 		}
 		ex.hasWindow = true
 		ex.winLo2, ex.winHi2 = lo2, hi2
-		return func(qn, rn *tree.Node, _ float64) prune.Decision {
+		return func(qn, rn *tree.Node) prune.Decision {
 			dlo := qn.BBox.MinDist2(rn.BBox)
 			dhi := qn.BBox.MaxDist2(rn.BBox)
 			if dhi <= lo2 || dlo >= hi2 {
@@ -114,7 +127,7 @@ func (ex *Executable) compileDecide() decideFn {
 		}
 		tau := ex.Plan.Tau
 		ex.tauC, ex.lnTau = c, math.Log(tau)
-		return func(qn, rn *tree.Node, _ float64) prune.Decision {
+		return func(qn, rn *tree.Node) prune.Decision {
 			kmax := fastmath.ExpFast(c * qn.BBox.MinDist2(rn.BBox))
 			kmin := fastmath.ExpFast(c * qn.BBox.MaxDist2(rn.BBox))
 			if kmax-kmin < tau {

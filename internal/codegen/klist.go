@@ -101,23 +101,26 @@ func (l *KList) Reset() {
 	}
 }
 
-// finalizeKLists assembles the per-query k-list outputs in original
-// query order with reference positions mapped back to original
-// indices, skipping unfilled slots. All lists are sub-slices of one
-// argument slab and one value slab.
+// finalizeKLists turns the run's own k-list slabs into the per-query
+// outputs, in original query order: each list is compacted in place
+// over its unfilled slots (Arg -1: never filled, or seeded by
+// SeedBounds; the write index never passes the read index) with
+// reference positions mapped back to original indices, and handed out
+// as a capacity-limited sub-slice, so appending to one query's list
+// cannot reach its neighbour's.
 func (r *Run) finalizeKLists() ([][]int, [][]float64) {
 	n, rIdx := len(r.KLists), r.R.Index
 	argLists, valLists := make([][]int, n), make([][]float64, n)
-	args, vals := make([]int, 0, n*r.Ex.Plan.K), make([]float64, 0, n*r.Ex.Plan.K)
 	for pos := range r.KLists {
-		kl, b := &r.KLists[pos], len(args)
+		kl, m := &r.KLists[pos], 0
 		for j, a := range kl.Args {
 			if a >= 0 {
-				args, vals = append(args, rIdx[a]), append(vals, kl.Vals[j])
+				kl.Args[m], kl.Vals[m] = rIdx[a], kl.Vals[j]
+				m++
 			}
 		}
 		orig := r.Q.Index[pos]
-		argLists[orig], valLists[orig] = args[b:len(args):len(args)], vals[b:len(vals):len(vals)]
+		argLists[orig], valLists[orig] = kl.Args[:m:m], kl.Vals[:m:m]
 	}
 	return argLists, valLists
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"portal/internal/fastmath"
-	"portal/internal/lang"
 )
 
 // This file is the backend's sharded-execution surface: the hooks the
@@ -42,70 +41,13 @@ type Partial struct {
 
 // FinalizePartial runs the push-down passes and assembles the
 // per-query state without the outer reduction — the shard-local half
-// of Finalize. Like Finalize it consumes the run: call exactly once,
-// after the traversal (and after any ApplyRemoteApprox /
-// AddRemoteCount calls, whose root deltas the push-down distributes).
+// of Finalize. Like Finalize it consumes the run: call exactly once (a
+// second call panics), after the traversal (and after any
+// ApplyRemoteApprox / AddRemoteCount calls, whose root deltas the
+// push-down distributes) and after any SeedBounds that reads this run.
 func (r *Run) FinalizePartial() *Partial {
-	if r.NodeDelta != nil {
-		r.pushDownDeltas()
-	}
-	if r.pendingRanges != nil {
-		r.pushDownRanges()
-	}
-	p := &Partial{Stats: *r.stats}
-	plan := r.Ex.Plan
-	n := r.Q.Len()
-	qIdx := r.Q.Index
-	rIdx := r.R.Index
-
-	switch {
-	case plan.InnerOp == lang.ARGMIN || plan.InnerOp == lang.ARGMAX:
-		p.Args = make([]int, n)
-		p.Values = make([]float64, n)
-		for pos := 0; pos < n; pos++ {
-			orig := qIdx[pos]
-			p.Values[orig] = r.Val[pos]
-			if a := r.Arg[pos]; a >= 0 {
-				p.Args[orig] = rIdx[a]
-			} else {
-				p.Args[orig] = -1
-			}
-		}
-	case r.KLists != nil:
-		p.ArgLists, p.ValueLists = r.finalizeKLists()
-	case r.IdxLists != nil:
-		p.ArgLists = make([][]int, n)
-		for pos := 0; pos < n; pos++ {
-			orig := qIdx[pos]
-			lst := make([]int, len(r.IdxLists[pos]))
-			for j, ri := range r.IdxLists[pos] {
-				lst[j] = rIdx[ri]
-			}
-			p.ArgLists[orig] = lst
-		}
-		if r.ValLists != nil {
-			p.ValueLists = make([][]float64, n)
-			for pos := 0; pos < n; pos++ {
-				p.ValueLists[qIdx[pos]] = r.ValLists[pos]
-			}
-		}
-	default:
-		p.Values = make([]float64, n)
-		for pos := 0; pos < n; pos++ {
-			p.Values[qIdx[pos]] = r.Val[pos]
-		}
-	}
-	if r.Ex.sqrtOut {
-		for i := range p.Values {
-			p.Values[i] = math.Sqrt(p.Values[i])
-		}
-		for _, vl := range p.ValueLists {
-			for i := range vl {
-				vl[i] = math.Sqrt(vl[i])
-			}
-		}
-	}
-	return p
+	r.consume("FinalizePartial")
+	return r.perQuery()
 }
 
 // RootBound returns the query root's best-so-far prune bound after
@@ -134,7 +76,8 @@ func (r *Run) RootBound() float64 {
 // finalize paths already skip as an unfilled slot), so this run
 // reports only candidates that beat local's, ordered as the merge
 // would order them, and every node and point bound stays in force. A
-// no-op for rules without bounds. Call before the traversal.
+// no-op for rules without bounds. Call before the traversal, and before
+// local is finalized: finalizing compacts local's k-lists in place.
 func (r *Run) SeedBounds(local *Run) {
 	if r.NodeBound == nil {
 		return

@@ -52,7 +52,7 @@ type Output struct {
 
 // Run is an Executable bound to a (query tree, reference tree) pair:
 // the runtime state of one problem execution. *Run implements
-// traverse.Rule.
+// traverse.ScoredRule.
 type Run struct {
 	Ex *Executable
 	Q  *tree.Tree
@@ -106,9 +106,13 @@ type Run struct {
 	// pairs it executed, folded into TraversalStats like kernelEvals.
 	fused          fusedFn
 	fusedBaseCases int64
+
+	// finalized is set by the first Finalize or FinalizePartial, which
+	// consumes the run.
+	finalized bool
 }
 
-var _ traverse.Rule = (*Run)(nil)
+var _ traverse.ScoredRule = (*Run)(nil)
 
 // gateKind names the point form of the generated rule. Each covers
 // only the kernels its exactness (τ: error) argument does; every other
@@ -334,18 +338,45 @@ func (r *Run) FlushStats(st *stats.TraversalStats) {
 
 // PruneApprox evaluates the generated prune/approximate condition for
 // the node pair (Algorithm 1, line 1), through the compiled decision
-// closure when one exists.
+// when one exists. Decision counting happens in the traversal layer
+// (which sees the returned Decision); the backend only contributes
+// KernelEvals.
 func (r *Run) PruneApprox(qn, rn *tree.Node) prune.Decision {
-	var qBound float64
-	if r.NodeBound != nil {
-		qBound = r.NodeBound[qn.ID]
+	switch {
+	case r.NodeBound != nil:
+		return r.PruneScored(qn, rn, r.Score(qn, rn))
+	case r.Ex.decide != nil:
+		return r.Ex.decide(qn, rn)
 	}
-	// Decision counting happens in the traversal layer (which sees the
-	// returned Decision); the backend only contributes KernelEvals.
-	if r.Ex.decide != nil {
-		return r.Ex.decide(qn, rn, qBound)
+	return r.Ex.Rule.Decide(qn.BBox, rn.BBox, 0)
+}
+
+// Scored implements traverse.ScoredRule: bound rules take the scored
+// descent. τ and window rules read both box distances or none and have
+// no bound a visit order could tighten.
+func (r *Run) Scored() bool { return r.NodeBound != nil }
+
+// Score is the pair's squared box distance, signed so that the child
+// whose base cases tighten the bound fastest scores lowest: the
+// nearest on the min side, the farthest on the max side.
+func (r *Run) Score(qn, rn *tree.Node) float64 {
+	q, b := &qn.BBox, &rn.BBox
+	if r.Ex.maxSide {
+		return -fastmath.BoxMaxDist2(q.Min, q.Max, b.Min, b.Max)
 	}
-	return r.Ex.Rule.Decide(qn.BBox, rn.BBox, qBound)
+	return fastmath.BoxMinDist2(q.Min, q.Max, b.Min, b.Max)
+}
+
+// PruneScored is the bound rule's decision given the pair's Score,
+// against the bound qn holds now. A bound rule without a compiled
+// comparison (non-Euclidean metric, kernel body, Mahalanobis) keeps the
+// score for its visit order only and decides by interval evaluation.
+func (r *Run) PruneScored(qn, rn *tree.Node, score float64) prune.Decision {
+	qBound := r.NodeBound[qn.ID]
+	if r.Ex.boundForm == boundInterval {
+		return r.Ex.Rule.Decide(qn.BBox, rn.BBox, qBound)
+	}
+	return r.Ex.pruneBound(score, qBound)
 }
 
 // ComputeApprox applies the approximation for the pair (Algorithm 1,
@@ -382,20 +413,6 @@ func (ex *Executable) bodyFnOrIdentity() func(float64) float64 {
 		return func(d float64) float64 { return d }
 	}
 	return ex.bodyFn
-}
-
-// SwapRefChildren visits the reference child nearer to the query
-// child first so best-so-far bounds tighten sooner. Only meaningful
-// for bound-rule problems; a no-op otherwise.
-func (r *Run) SwapRefChildren(qc, a, b *tree.Node) bool {
-	if r.NodeBound == nil {
-		return false
-	}
-	if r.Ex.maxSide {
-		// Max-side bounds tighten fastest from the farthest child.
-		return qc.BBox.MaxDist2(b.BBox) > qc.BBox.MaxDist2(a.BBox)
-	}
-	return qc.BBox.MinDist2(b.BBox) < qc.BBox.MinDist2(a.BBox)
 }
 
 // PostChildren tightens the query node's prune bound from its
@@ -444,106 +461,118 @@ func (r *Run) pointBound(i int) float64 {
 }
 
 // Finalize pushes down pending node contributions and assembles the
-// Output in original index order.
+// Output in original index order. It consumes the run — the push-down
+// accumulates in place and k-list outputs are the run's own slabs — so
+// a second Finalize or FinalizePartial panics.
 func (r *Run) Finalize() *Output {
+	r.consume("Finalize")
+	if r.Ex.Plan.OuterOp == lang.FORALL {
+		p := r.perQuery()
+		return &Output{Values: p.Values, Args: p.Args, ArgLists: p.ArgLists, ValueLists: p.ValueLists, Stats: p.Stats}
+	}
+	var s float64
+	switch r.Ex.Plan.OuterOp {
+	case lang.SUM:
+		for _, v := range r.Val {
+			s += v
+		}
+	case lang.MAX:
+		s = math.Inf(-1)
+		for _, v := range r.Val {
+			if v > s {
+				s = v
+			}
+		}
+	case lang.MIN:
+		s = math.Inf(1)
+		for _, v := range r.Val {
+			if v < s {
+				s = v
+			}
+		}
+	case lang.PROD:
+		s = 1
+		for _, v := range r.Val {
+			s *= v
+		}
+	default:
+		panic(fmt.Sprintf("codegen: unsupported outer op %v", r.Ex.Plan.OuterOp))
+	}
+	if r.Ex.sqrtOut {
+		s = math.Sqrt(s)
+	}
+	return &Output{Scalar: s, HasScalar: true, Stats: *r.stats}
+}
+
+// consume is the first half of both finalize entry points: mark the run
+// consumed, then distribute the pending node contributions.
+func (r *Run) consume(entry string) {
+	if r.finalized {
+		panic(fmt.Sprintf("codegen: %s on run %q, which Finalize or FinalizePartial already consumed", entry, r.Ex.Plan.Name))
+	}
+	r.finalized = true
 	if r.NodeDelta != nil {
 		r.pushDownDeltas()
 	}
 	if r.pendingRanges != nil {
 		r.pushDownRanges()
 	}
-	out := &Output{Stats: *r.stats}
-	plan := r.Ex.Plan
-	n := r.Q.Len()
-	qIdx := r.Q.Index
-	rIdx := r.R.Index
+}
 
-	switch plan.OuterOp {
-	case lang.FORALL:
-		switch {
-		case plan.InnerOp == lang.ARGMIN || plan.InnerOp == lang.ARGMAX:
-			out.Args = make([]int, n)
-			out.Values = make([]float64, n)
+// perQuery assembles the per-query state in original query order, with
+// reference positions mapped back to original indices and the
+// squared-space optimization undone (one exact square root per output
+// value).
+func (r *Run) perQuery() *Partial {
+	p := &Partial{Stats: *r.stats}
+	n, qIdx, rIdx := r.Q.Len(), r.Q.Index, r.R.Index
+	switch op := r.Ex.Plan.InnerOp; {
+	case op == lang.ARGMIN || op == lang.ARGMAX:
+		p.Args = make([]int, n)
+		p.Values = make([]float64, n)
+		for pos := 0; pos < n; pos++ {
+			orig := qIdx[pos]
+			p.Values[orig] = r.Val[pos]
+			if a := r.Arg[pos]; a >= 0 {
+				p.Args[orig] = rIdx[a]
+			} else {
+				p.Args[orig] = -1
+			}
+		}
+	case r.KLists != nil:
+		p.ArgLists, p.ValueLists = r.finalizeKLists()
+	case r.IdxLists != nil:
+		p.ArgLists = make([][]int, n)
+		for pos := 0; pos < n; pos++ {
+			lst := make([]int, len(r.IdxLists[pos]))
+			for j, ri := range r.IdxLists[pos] {
+				lst[j] = rIdx[ri]
+			}
+			p.ArgLists[qIdx[pos]] = lst
+		}
+		if r.ValLists != nil {
+			p.ValueLists = make([][]float64, n)
 			for pos := 0; pos < n; pos++ {
-				orig := qIdx[pos]
-				out.Values[orig] = r.Val[pos]
-				if a := r.Arg[pos]; a >= 0 {
-					out.Args[orig] = rIdx[a]
-				} else {
-					out.Args[orig] = -1
-				}
-			}
-		case r.KLists != nil:
-			out.ArgLists, out.ValueLists = r.finalizeKLists()
-		case r.IdxLists != nil:
-			out.ArgLists = make([][]int, n)
-			for pos := 0; pos < n; pos++ {
-				orig := qIdx[pos]
-				lst := make([]int, len(r.IdxLists[pos]))
-				for j, p := range r.IdxLists[pos] {
-					lst[j] = rIdx[p]
-				}
-				out.ArgLists[orig] = lst
-			}
-			if r.ValLists != nil {
-				out.ValueLists = make([][]float64, n)
-				for pos := 0; pos < n; pos++ {
-					out.ValueLists[qIdx[pos]] = r.ValLists[pos]
-				}
-			}
-		default:
-			out.Values = make([]float64, n)
-			for pos := 0; pos < n; pos++ {
-				out.Values[qIdx[pos]] = r.Val[pos]
+				p.ValueLists[qIdx[pos]] = r.ValLists[pos]
 			}
 		}
-	case lang.SUM:
-		var s float64
-		for _, v := range r.Val {
-			s += v
-		}
-		out.Scalar, out.HasScalar = s, true
-	case lang.MAX:
-		s := math.Inf(-1)
-		for _, v := range r.Val {
-			if v > s {
-				s = v
-			}
-		}
-		out.Scalar, out.HasScalar = s, true
-	case lang.MIN:
-		s := math.Inf(1)
-		for _, v := range r.Val {
-			if v < s {
-				s = v
-			}
-		}
-		out.Scalar, out.HasScalar = s, true
-	case lang.PROD:
-		s := 1.0
-		for _, v := range r.Val {
-			s *= v
-		}
-		out.Scalar, out.HasScalar = s, true
 	default:
-		panic(fmt.Sprintf("codegen: unsupported outer op %v", plan.OuterOp))
+		p.Values = make([]float64, n)
+		for pos := 0; pos < n; pos++ {
+			p.Values[qIdx[pos]] = r.Val[pos]
+		}
 	}
 	if r.Ex.sqrtOut {
-		// Undo the squared-space comparison optimization on the
-		// user-visible values (one exact square root per output).
-		for i := range out.Values {
-			out.Values[i] = math.Sqrt(out.Values[i])
+		for i := range p.Values {
+			p.Values[i] = math.Sqrt(p.Values[i])
 		}
-		for _, vl := range out.ValueLists {
+		for _, vl := range p.ValueLists {
 			for i := range vl {
 				vl[i] = math.Sqrt(vl[i])
 			}
 		}
-		if out.HasScalar {
-			out.Scalar = math.Sqrt(out.Scalar)
-		}
 	}
-	return out
+	return p
 }
 
 // pushDownDeltas adds every node's pending approximation delta to all

@@ -27,8 +27,9 @@ func randRows(rng *rand.Rand, n, d int) [][]float64 {
 	return rows
 }
 
-// fullRun compiles, binds, and traverses a two-layer spec.
-func fullRun(t *testing.T, spec *lang.PortalExpr, tau float64, opts Options) *Output {
+// traversedRun compiles, binds, and traverses a two-layer spec,
+// stopping short of Finalize.
+func traversedRun(t *testing.T, spec *lang.PortalExpr, tau float64, opts Options) *Run {
 	t.Helper()
 	plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: tau})
 	if err != nil {
@@ -42,7 +43,13 @@ func fullRun(t *testing.T, spec *lang.PortalExpr, tau float64, opts Options) *Ou
 	rt := tree.BuildKD(spec.Inner().Data, &tree.Options{LeafSize: 8})
 	run := ex.Bind(qt, rt)
 	traverse.RunStats(qt, rt, run, run.TraversalStats())
-	return run.Finalize()
+	return run
+}
+
+// fullRun is traversedRun finalized.
+func fullRun(t *testing.T, spec *lang.PortalExpr, tau float64, opts Options) *Output {
+	t.Helper()
+	return traversedRun(t, spec, tau, opts).Finalize()
 }
 
 // The full matrix of execution paths must agree pairwise: specialized

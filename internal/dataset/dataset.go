@@ -234,8 +234,8 @@ func GenerateElliptical(n int, seed int64) *storage.Storage {
 // condition, with density ∝ (1 + r²/a²)^{-5/2}. The central
 // concentration makes tree traversals heavily skewed — most of the
 // pair work lands in a few dense subtrees — which is the regime where
-// dynamic (work-stealing) scheduling beats a fixed spawn-depth
-// partition (an auxiliary dataset, not part of Table II).
+// dynamic (work-stealing) scheduling beats a fixed task partition
+// (an auxiliary dataset, not part of Table II).
 func GeneratePlummer(n int, seed int64) *storage.Storage {
 	rng := rand.New(rand.NewSource(seed*6151 + 17))
 	s := storage.New(n, 3)

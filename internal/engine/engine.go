@@ -51,11 +51,9 @@ type Config struct {
 	Parallel bool
 	// Workers caps traversal parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Schedule selects the traversal scheduler; the zero value is the
-	// work-stealing runtime (traverse.ScheduleSteal),
-	// traverse.ScheduleSpawn the legacy fixed spawn-depth scheduler,
-	// and traverse.ScheduleIList the two-tier interaction-list
-	// schedule (list-building walk, then flat kernel sweeps; honored
+	// Schedule selects the traversal schedule; the zero value is the
+	// work-stealing runtime (traverse.ScheduleSteal), and
+	// traverse.ScheduleIList the two-tier interaction-list schedule (list-building walk, then flat kernel sweeps; honored
 	// at every worker count, including non-parallel configs).
 	Schedule traverse.Schedule
 	// BatchBaseCases defers leaf base cases into per-worker

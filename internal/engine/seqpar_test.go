@@ -141,7 +141,6 @@ func TestSequentialParallelEquivalenceAllOperators(t *testing.T) {
 	}{
 		{name: "steal", schedule: traverse.ScheduleSteal},
 		{name: "steal-batch", schedule: traverse.ScheduleSteal, batch: true},
-		{name: "spawn", schedule: traverse.ScheduleSpawn},
 		{name: "ilist", schedule: traverse.ScheduleIList},
 	}
 	for i, tc := range seqParCases() {

@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"portal/internal/codegen"
+	"portal/internal/dataset"
 	"portal/internal/expr"
 	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/stats"
 	"portal/internal/storage"
-	"portal/internal/traverse"
 )
 
 // The observability layer end-to-end: Config.CollectStats attaches a
@@ -179,7 +179,6 @@ func TestKernelEvalsBoundRuleContract(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{
 		"steal":  {Parallel: true, Workers: 4},
-		"spawn":  {Parallel: true, Workers: 4, Schedule: traverse.ScheduleSpawn},
 		"nofuse": {Codegen: codegen.Options{NoFuse: true}},
 	} {
 		got := run(cfg)
@@ -192,6 +191,36 @@ func TestKernelEvalsBoundRuleContract(t *testing.T) {
 	if interp.KernelEvals != interp.BaseCasePairs || interp.BaseCasePairs != seq.BaseCasePairs {
 		t.Errorf("interpreter: evals %d, pairs %d; want both = %d (ungated, same walk)",
 			interp.KernelEvals, interp.BaseCasePairs, seq.BaseCasePairs)
+	}
+}
+
+// The score-once walk changed how a pair's box distance reaches the
+// decision, not any decision: at one worker its counters are the
+// counters the twice-scoring walk produced (recorded at the commit
+// before the change), kd-tree and octree, min and max side.
+func TestWalkCountersUnchangedByScoring(t *testing.T) {
+	pts := dataset.GeneratePlummer(20000, 7)
+	for _, tc := range []struct {
+		tree                                  TreeKind
+		op                                    lang.Op
+		visits, prunes, baseCases, kernelEval int64
+	}{
+		{KDTree, lang.KARGMIN, 177344, 153757, 94569, 1789223},
+		{KDTree, lang.KARGMAX, 19183, 18542, 9752, 1811519},
+		{Octree, lang.KARGMIN, 593572, 595093, 510263, 20011604},
+		{Octree, lang.KARGMAX, 14894, 610, 12962, 181049},
+	} {
+		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, pts, nil).
+			AddLayerK(tc.op, 5, pts, expr.NewDistanceKernel(geom.Euclidean))
+		out, err := Run("knn", spec, Config{LeafSize: 32, CollectStats: true, Tree: tc.tree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := out.Report.Traversal
+		if st.Visits != tc.visits || st.Prunes != tc.prunes || st.BaseCases != tc.baseCases || st.KernelEvals != tc.kernelEval {
+			t.Errorf("tree %d %v: visits/prunes/base cases/kernel evals %d/%d/%d/%d, recorded %d/%d/%d/%d", tc.tree, tc.op,
+				st.Visits, st.Prunes, st.BaseCases, st.KernelEvals, tc.visits, tc.prunes, tc.baseCases, tc.kernelEval)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func TestEngineTraceEndToEnd(t *testing.T) {
 	p := rep.Trace
 
 	// Traversal spans: one per top-level task execution (the root
-	// walk plus spawned goroutines or main-loop steals). Build spans:
+	// walk plus main-loop steals). Build spans:
 	// one root per tree plus every spawned subtree. One finalize
 	// span.
 	if want := int(rep.Traversal.TasksExecuted); p.TraverseSpans != want {

@@ -290,3 +290,33 @@ func boxOffset(x, lo, hi float64, far bool) float64 {
 	}
 	return min(a, b, 0)
 }
+
+// BoxMinDist2 is the squared distance between the nearest points of
+// the boxes [alo, ahi] and [blo, bhi] — geom.Rect.MinDist2 bit for bit
+// on finite boxes, without its two unpredictable branches per
+// dimension: at most one of the gaps alo-bhi and blo-ahi is positive,
+// so max(gap, gap, 0) is the magnitude MinDist2 selects (and a
+// dimension it skips adds +0), summed in the same order.
+func BoxMinDist2(alo, ahi, blo, bhi []float64) float64 {
+	ahi, blo, bhi = ahi[:len(alo)], blo[:len(alo)], bhi[:len(alo)]
+	var s float64
+	for j, al := range alo {
+		d := max(al-bhi[j], blo[j]-ahi[j], 0)
+		s += d * d
+	}
+	return s
+}
+
+// BoxMaxDist2 is the squared distance between the farthest corners of
+// the boxes [alo, ahi] and [blo, bhi] — geom.Rect.MaxDist2 bit for bit:
+// the same two magnitudes per dimension, the larger squared, summed in
+// the same order.
+func BoxMaxDist2(alo, ahi, blo, bhi []float64) float64 {
+	ahi, blo, bhi = ahi[:len(alo)], blo[:len(alo)], bhi[:len(alo)]
+	var s float64
+	for j, al := range alo {
+		d := max(math.Abs(ahi[j]-blo[j]), math.Abs(bhi[j]-al))
+		s += d * d
+	}
+	return s
+}

@@ -188,11 +188,21 @@ func (r *boruvkaRule) annotateComponents(n *tree.Node) int {
 }
 
 func (r *boruvkaRule) PruneApprox(qn, rn *tree.Node) prune.Decision {
-	// Same uniform component on both sides: no admissible edge.
-	if cq := r.comp[qn.ID]; cq != -1 && cq == r.comp[rn.ID] {
-		return prune.Prune
-	}
-	if qn.BBox.MinDist2(rn.BBox) > r.bnd[qn.ID] {
+	return r.PruneScored(qn, rn, r.Score(qn, rn))
+}
+
+// Scored implements traverse.ScoredRule: the walk visits the nearer
+// reference child first, so per-node bounds tighten sooner, and hands
+// each pair's box distance to PruneScored.
+func (r *boruvkaRule) Scored() bool { return true }
+func (r *boruvkaRule) Score(qn, rn *tree.Node) float64 {
+	return fastmath.BoxMinDist2(qn.BBox.Min, qn.BBox.Max, rn.BBox.Min, rn.BBox.Max)
+}
+
+func (r *boruvkaRule) PruneScored(qn, rn *tree.Node, score float64) prune.Decision {
+	// Same uniform component on both sides (no admissible edge), or
+	// nothing in rn can beat qn's bound.
+	if cq := r.comp[qn.ID]; cq != -1 && cq == r.comp[rn.ID] || score > r.bnd[qn.ID] {
 		return prune.Prune
 	}
 	return prune.Visit
@@ -249,12 +259,6 @@ func (r *boruvkaRule) PostChildren(qn *tree.Node) {
 		}
 	}
 	r.bnd[qn.ID] = b
-}
-
-// SwapRefChildren visits the nearer reference child first so per-node
-// bounds tighten sooner.
-func (r *boruvkaRule) SwapRefChildren(qc, a, b *tree.Node) bool {
-	return qc.BBox.MinDist2(b.BBox) < qc.BBox.MinDist2(a.BBox)
 }
 
 func (r *boruvkaRule) Fork() traverse.Rule {

@@ -282,6 +282,36 @@ func TestShardedK1ByteIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedKNNMatchesBrute holds sharded k-NN against brute force
+// directly. The import runs start from the shard-local runs' k-lists
+// (SeedBounds) and both kinds of run hand out their own slabs at
+// FinalizePartial, so a seeded slot reported as a neighbour, or a list
+// finalized before it seeded another run, would show here.
+func TestShardedKNNMatchesBrute(t *testing.T) {
+	data := genPoints(300, 3, storage.ChooseLayout(3), 23)
+	spec := problems.KNNSpec(data, data, 5)
+	want, err := engine.BruteForce(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		got, err := engine.Run("knn", spec, engine.Config{LeafSize: 16, Parallel: true, Workers: 4, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := range want.ValueLists {
+			if len(got.ValueLists[q]) != 5 || len(got.ArgLists[q]) != 5 {
+				t.Fatalf("K=%d: query %d has %d values, %d args", shards, q, len(got.ValueLists[q]), len(got.ArgLists[q]))
+			}
+			for j, w := range want.ValueLists[q] {
+				if relDiff(w, got.ValueLists[q][j]) > 1e-12 {
+					t.Fatalf("K=%d: query %d rank %d: distance %v, brute force %v", shards, q, j, got.ValueLists[q][j], w)
+				}
+			}
+		}
+	}
+}
+
 // TestShardedDegenerate covers the splits that defeat Morton order.
 func TestShardedDegenerate(t *testing.T) {
 	t.Run("identical-points", func(t *testing.T) {

@@ -86,13 +86,12 @@ type TraversalStats struct {
 	// approximation).
 	KernelEvals int64 `json:"kernel_evals"`
 	// TasksSpawned counts tasks forked by the parallel traversal: deque
-	// pushes under the work-stealing scheduler, goroutine spawns under
-	// the legacy spawn-depth scheduler.
+	// pushes under the work-stealing scheduler, goroutine spawns in the
+	// m-way traversal.
 	TasksSpawned int64 `json:"tasks_spawned"`
 	// TasksExecuted counts top-level task executions — the dispatches
-	// that open a trace span: each round's root walk plus, under
-	// stealing, every task picked up by an idle worker's main loop, or,
-	// under the spawn scheduler, every spawned goroutine. Traverse
+	// that open a trace span: each round's root walk plus every task
+	// picked up by an idle worker's main loop. Traverse
 	// spans == TasksExecuted is the recorder invariant checked by
 	// tracecheck. Tasks a worker runs while helping inside a join wait
 	// fold into the enclosing execution and are not counted here.
@@ -101,9 +100,9 @@ type TraversalStats struct {
 	// (work-stealing scheduler only; includes steals performed while
 	// helping inside a join wait).
 	TasksStolen int64 `json:"tasks_stolen"`
-	// InlineFallbacks counts spawn points that found the workers
-	// saturated (spawn scheduler) or the deque full (steal scheduler)
-	// and ran the child inline instead (the paper's switch from task
+	// InlineFallbacks counts spawn points that found the deque full
+	// (the m-way traversal: the workers saturated) and ran the child
+	// inline instead (the paper's switch from task
 	// creation to straight-line execution).
 	InlineFallbacks int64 `json:"inline_fallbacks"`
 	// DequeHighWater is the peak occupancy observed on any single

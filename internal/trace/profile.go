@@ -86,9 +86,8 @@ type Profile struct {
 	// TraverseSpans and BuildSpans break out the two task-parallel
 	// phases. TraverseSpans == the traversal's TasksExecuted counter
 	// (each round's root walk plus every top-level task a worker
-	// dispatched — spawned goroutines under the spawn scheduler,
-	// main-loop steals under the work-stealing scheduler; tasks run
-	// while helping inside a join fold into the enclosing span).
+	// dispatched from its main steal loop; tasks run while helping
+	// inside a join fold into the enclosing span).
 	Spans         int `json:"spans"`
 	TraverseSpans int `json:"traverse_spans"`
 	BuildSpans    int `json:"build_spans"`

@@ -40,8 +40,7 @@ func TestKDESmoke(t *testing.T) {
 	}
 
 	// Acceptance criterion: traversal spans == TasksExecuted (one per
-	// top-level task dispatch — the root walk plus spawned goroutines
-	// or main-loop steals, depending on the scheduler).
+	// top-level task dispatch — the root walk plus main-loop steals).
 	ts := &sink.Traversal
 	if want := int(ts.TasksExecuted); counts["traverse"] != want {
 		t.Errorf("traverse spans = %d, want TasksExecuted = %d", counts["traverse"], want)

@@ -9,8 +9,8 @@
 // metadata or complete event with sane timestamps, and at least one
 // span exists. With -stats: the traverse plus list-build span count
 // must equal tasks_executed (each top-level task dispatch — root
-// walks, spawned goroutines, main-loop steals, list-building walks
-// under the ilist schedule — is exactly one span, accumulated across
+// walks, main-loop steals, list-building walks under the ilist
+// schedule — is exactly one span, accumulated across
 // rounds; the ilist execution phase's list-exec spans are per sweep
 // worker and outside the invariant), the per-depth decision totals
 // must sum exactly to the TraversalStats aggregates, and the

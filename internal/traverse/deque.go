@@ -10,16 +10,16 @@ import (
 // dequeCap bounds each worker's task deque. Tasks are coarse (the
 // adaptive cutoff keeps each one above a pair-count floor), so a full
 // deque signals the worker is far ahead of the thieves; the push
-// fails and the child runs inline instead — the same task-creation to
-// straight-line switch the spawn scheduler's semaphore provides.
+// fails and the child runs inline instead — the paper's switch from
+// task creation to straight-line execution.
 const dequeCap = 256
 
 // task is one unit of traversal work under the work-stealing
 // scheduler: a query child to be paired against every reference child
 // of rn (split(rn) — rn itself when rn is a leaf). Keeping the parent
-// reference node instead of materializing its split avoids allocating
-// the one-element slice for leaf reference nodes and keeps the
-// reference-child ordering hook on the executing worker's rule.
+// reference node instead of materializing its split keeps the task
+// small and leaves scoring and ordering the reference children to the
+// executing worker's rule.
 type task struct {
 	qn *tree.Node
 	// rn is the *parent* reference node; execution runs qn against

@@ -1,6 +1,6 @@
 // Interaction-list execution tier (Schedule = ilist).
 //
-// The default schedulers interleave the irregular tree walk with
+// The default schedule interleaves the irregular tree walk with
 // base-case math: every leaf pair executes at its discovery site,
 // deep inside the recursion, so the fused kernels run bracketed by
 // branchy traversal code and the query tile is re-streamed every time
@@ -39,7 +39,7 @@
 // Operator compatibility mirrors BatchableRule: rules declare
 // list-compatibility via ListRule, and incompatible configurations —
 // KNN's shrinking bound needs every base case's feedback before the
-// next prune decision — fall back cleanly to the plain scheduler.
+// next prune decision — fall back cleanly to the default schedule.
 package traverse
 
 import (
@@ -131,20 +131,21 @@ const ilistExecChunk = 256
 // sequential path for one worker, the work-stealing runtime otherwise.
 func runIList(q, r *tree.Tree, rule Rule, workers int, opts Options) {
 	lr, ok := rule.(ListRule)
-	if !ok || !lr.ListCompatible() {
-		if workers == 1 {
-			runSeq(q, r, rule, opts.Stats, opts.Trace)
-			return
-		}
-		runSteal(q, r, rule, workers, opts, nil)
-		return
+	var ls *ilistState
+	if ok && lr.ListCompatible() {
+		ls = acquireIList(q.NodeCount)
 	}
-	ls := acquireIList(q.NodeCount)
 	if workers == 1 {
-		runListBuildSeq(q, r, lr, opts.Stats, opts.Trace, ls)
-		sweepRange(q, lr, 0, len(ls.refs), opts.Stats, opts.Trace, ls)
+		runSeq(q, r, rule, opts.Stats, opts.Trace, ls)
 	} else {
 		runSteal(q, r, rule, workers, opts, ls)
+	}
+	if ls == nil {
+		return
+	}
+	if workers == 1 {
+		sweepRange(q, lr, 0, len(ls.refs), opts.Stats, opts.Trace, ls)
+	} else {
 		execLists(q, lr, workers, opts, ls)
 	}
 	if opts.Stats != nil {
@@ -155,26 +156,6 @@ func runIList(q, r *tree.Tree, rule Rule, workers int, opts Options) {
 		}
 	}
 	releaseIList(ls)
-}
-
-// runListBuildSeq is the sequential list-building walk: dual with
-// deferral, recorded as one list-build span.
-func runListBuildSeq(q, r *tree.Tree, rule ListRule, st *stats.TraversalStats, rec trace.Recorder, ls *ilistState) {
-	ord, _ := Rule(rule).(ChildOrderer)
-	var tt *trace.Task
-	if rec != nil {
-		tt = rec.TaskBegin(trace.PhaseListBuild, 0)
-	}
-	if st != nil {
-		st.TasksExecuted++
-	}
-	dual(q.Root, r.Root, rule, ord, 0, st, tt, ls)
-	if st != nil {
-		flushRule(rule, st)
-	}
-	if tt != nil {
-		rec.TaskEnd(tt)
-	}
 }
 
 // execLists runs the execution phase on workers goroutines (the caller

@@ -22,7 +22,6 @@ func TestParseScheduleTable(t *testing.T) {
 	}{
 		{"steal", ScheduleSteal},
 		{"", ScheduleSteal}, // empty spelling is the default
-		{"spawn", ScheduleSpawn},
 		{"ilist", ScheduleIList},
 	}
 	for _, tc := range accepted {
@@ -36,7 +35,7 @@ func TestParseScheduleTable(t *testing.T) {
 	}
 	rejected := []string{
 		"STEAL", "Steal", "work-steal", "stealing",
-		"SPAWN", "spawn ", " spawn", "spawn-depth",
+		"spawn", "SPAWN", "spawn ", " spawn", "spawn-depth",
 		"ILIST", "IList", "ilists", "list", "interaction-list",
 		"default", "auto", "0", "1", "seq", "sequential",
 	}
@@ -63,7 +62,7 @@ func TestParseScheduleTable(t *testing.T) {
 // TestScheduleStringRoundTrip: every schedule's String() parses back
 // to itself — the property flags and reports depend on.
 func TestScheduleStringRoundTrip(t *testing.T) {
-	for _, s := range []Schedule{ScheduleSteal, ScheduleSpawn, ScheduleIList} {
+	for _, s := range []Schedule{ScheduleSteal, ScheduleIList} {
 		got, err := ParseSchedule(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseSchedule(%v.String()) = %v, %v", s, got, err)

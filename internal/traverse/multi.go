@@ -88,6 +88,24 @@ type MultiOptions struct {
 	Stats *stats.TraversalStats
 }
 
+// SpawnDepthFor derives the default task-spawn depth from the worker
+// count: the smallest depth whose 2^depth task-tree leaves give every
+// worker at least 8 tasks for load balancing. Because the leaf count
+// is a power of two, the per-worker task count lands in [8, 16) —
+// "at least 8×", not exactly 8×, for non-power-of-two worker counts.
+// A single worker has nothing to balance: workers <= 1 returns 0, the
+// pure-sequential depth (no task plumbing, zero spawns).
+func SpawnDepthFor(workers int) int {
+	if workers <= 1 {
+		return 0
+	}
+	depth := 1
+	for 1<<depth < workers*8 {
+		depth++
+	}
+	return depth
+}
+
 // multiParCtx is the shared state of one parallel m-way traversal.
 type multiParCtx struct {
 	sem  chan struct{}
@@ -134,7 +152,7 @@ func RunMultiParallel(ts []*tree.Tree, rule MultiRule, opts MultiOptions) {
 	}
 }
 
-// multiParDual mirrors multiDual with parDual's spawn structure:
+// multiParDual mirrors multiDual with a fixed-depth spawn structure:
 // first-tree children other than the last are offered to the
 // semaphore and forked into tasks iterating their share of the child
 // cartesian product; the frame's closing Wait is the correctness

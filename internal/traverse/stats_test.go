@@ -41,9 +41,8 @@ func (h *hwmRule) BaseCase(qn, rn *tree.Node) {
 func (h *hwmRule) PostChildren(*tree.Node) {}
 func (h *hwmRule) Fork() Rule              { return h }
 
-// The semaphore fix: Workers=W must never run more than W concurrent
-// rule callbacks. The spawning goroutine counts against the cap, so the
-// semaphore holds W-1 slots — previously W slots yielded W+1 workers.
+// Workers=W must never run more than W concurrent rule callbacks: the
+// calling goroutine counts against the cap.
 func TestParallelPeakConcurrencyAtMostWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := buildTree(rng, 256, 2, 8)
@@ -56,29 +55,6 @@ func TestParallelPeakConcurrencyAtMostWorkers(t *testing.T) {
 		}
 		if h.max == 0 {
 			t.Fatalf("Workers=%d: no base case ran", w)
-		}
-	}
-}
-
-// SpawnDepthFor promises "at least 8 tasks per worker" for real
-// parallelism; with a power-of-two leaf count the per-worker share
-// must land in [8, 16). One worker has nothing to balance and must
-// short-circuit to the pure-sequential depth 0.
-func TestSpawnDepthForInvariant(t *testing.T) {
-	if d := SpawnDepthFor(1); d != 0 {
-		t.Errorf("workers=1 depth=%d, want 0 (pure sequential)", d)
-	}
-	if d := SpawnDepthFor(0); d != 0 {
-		t.Errorf("workers=0 depth=%d, want 0 (pure sequential)", d)
-	}
-	for w := 2; w <= 64; w++ {
-		d := SpawnDepthFor(w)
-		leaves := 1 << d
-		if leaves < 8*w {
-			t.Errorf("workers=%d depth=%d: %d task leaves < 8 per worker", w, d, leaves)
-		}
-		if leaves >= 16*w {
-			t.Errorf("workers=%d depth=%d: %d task leaves overshoot (≥16 per worker)", w, d, leaves)
 		}
 	}
 }
@@ -131,36 +107,30 @@ func TestStatsSequentialParallelEquivalence(t *testing.T) {
 		t.Fatalf("sequential TasksExecuted = %d, want 1 (the root walk)", seq.TasksExecuted)
 	}
 
-	for _, sched := range []Schedule{ScheduleSteal, ScheduleSpawn} {
-		c2 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
-		var par stats.TraversalStats
-		RunParallel(q, r, c2, Options{Workers: 4, Schedule: sched, Stats: &par})
+	c2 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
+	var par stats.TraversalStats
+	RunParallel(q, r, c2, Options{Workers: 4, Stats: &par})
 
-		if seq.Visits != par.Visits || seq.Prunes != par.Prunes || seq.Approxes != par.Approxes ||
-			seq.BaseCases != par.BaseCases || seq.BaseCasePairs != par.BaseCasePairs ||
-			seq.PrunedPairs != par.PrunedPairs || seq.ApproxPairs != par.ApproxPairs ||
-			seq.MaxDepth != par.MaxDepth {
-			t.Fatalf("%v: seq %+v != par %+v", sched, seq, par)
-		}
-		if par.TasksSpawned == 0 {
-			t.Fatalf("%v: parallel traversal spawned no tasks", sched)
-		}
-		if par.TasksExecuted == 0 {
-			t.Fatalf("%v: parallel traversal executed no tasks", sched)
-		}
-		if sched == ScheduleSpawn && par.TasksExecuted != par.TasksSpawned+1 {
-			t.Fatalf("spawn: TasksExecuted %d, want TasksSpawned+1 = %d",
-				par.TasksExecuted, par.TasksSpawned+1)
-		}
-		if sched == ScheduleSteal && par.DequeHighWater == 0 {
-			t.Fatalf("steal: deque high-water never recorded: %+v", par)
-		}
+	if seq.Visits != par.Visits || seq.Prunes != par.Prunes || seq.Approxes != par.Approxes ||
+		seq.BaseCases != par.BaseCases || seq.BaseCasePairs != par.BaseCasePairs ||
+		seq.PrunedPairs != par.PrunedPairs || seq.ApproxPairs != par.ApproxPairs ||
+		seq.MaxDepth != par.MaxDepth {
+		t.Fatalf("seq %+v != par %+v", seq, par)
+	}
+	if par.TasksSpawned == 0 {
+		t.Fatal("parallel traversal spawned no tasks")
+	}
+	if par.TasksExecuted == 0 {
+		t.Fatal("parallel traversal executed no tasks")
+	}
+	if par.DequeHighWater == 0 {
+		t.Fatalf("deque high-water never recorded: %+v", par)
 	}
 }
 
-// Workers=1 must be a pure sequential run under either schedule: zero
-// task accounting, identical decision counters, exactly one executed
-// "task" (the root walk).
+// Workers=1 must be a pure sequential run: zero task accounting,
+// identical decision counters, exactly one executed "task" (the root
+// walk).
 func TestWorkersOneIsPureSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	q := buildTree(rng, 300, 3, 8)
@@ -170,16 +140,14 @@ func TestWorkersOneIsPureSequential(t *testing.T) {
 	var seq stats.TraversalStats
 	RunStats(q, r, c1, &seq)
 
-	for _, sched := range []Schedule{ScheduleSteal, ScheduleSpawn} {
-		c2 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
-		var one stats.TraversalStats
-		RunParallel(q, r, c2, Options{Workers: 1, Schedule: sched, BatchBaseCases: true, Stats: &one})
-		if one != seq {
-			t.Fatalf("%v: Workers=1 stats %+v differ from sequential %+v", sched, one, seq)
-		}
-		if one.TasksSpawned != 0 || one.TasksStolen != 0 || one.InlineFallbacks != 0 {
-			t.Fatalf("%v: Workers=1 accounted tasks: %+v", sched, one)
-		}
+	c2 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
+	var one stats.TraversalStats
+	RunParallel(q, r, c2, Options{Workers: 1, BatchBaseCases: true, Stats: &one})
+	if one != seq {
+		t.Fatalf("Workers=1 stats %+v differ from sequential %+v", one, seq)
+	}
+	if one.TasksSpawned != 0 || one.TasksStolen != 0 || one.InlineFallbacks != 0 {
+		t.Fatalf("Workers=1 accounted tasks: %+v", one)
 	}
 }
 
@@ -211,7 +179,7 @@ func TestSingleLeafQueryIsSequential(t *testing.T) {
 	if !q.Root.IsLeaf() {
 		t.Fatal("query tree is not a single leaf")
 	}
-	for _, sched := range []Schedule{ScheduleSteal, ScheduleSpawn, ScheduleIList} {
+	for _, sched := range []Schedule{ScheduleSteal, ScheduleIList} {
 		c := &leafRootRule{t: t, countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
 		rec := trace.New()
 		var st stats.TraversalStats

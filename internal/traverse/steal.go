@@ -1,16 +1,15 @@
-// Work-stealing traversal runtime (the default parallel scheduler).
+// Work-stealing traversal runtime (the parallel scheduler).
 //
-// The spawn-depth scheduler commits to a task partition up front: below
-// the fixed depth everything runs inline, so one skewed subtree —
-// clustered data, asymmetric pruning — can pin the whole tail of the
-// traversal on a single worker while the rest idle. The work-stealing
-// runtime keeps the task supply dynamic instead, the behaviour the
-// paper gets from OpenMP's task scheduler (Section IV-F): every worker
-// owns a bounded deque of traversal tasks, pushes child tasks as it
-// descends, pops them back LIFO (depth-first, cache-hot), and when its
-// own deque runs dry steals FIFO from a victim chosen by scanning the
-// other workers — FIFO steals take the largest-granularity task
-// available, so one steal rebalances the most work.
+// A task partition fixed up front lets one skewed subtree — clustered
+// data, asymmetric pruning — pin the whole tail of the traversal on a
+// single worker while the rest idle. The work-stealing runtime keeps
+// the task supply dynamic instead, the behaviour the paper gets from
+// OpenMP's task scheduler (Section IV-F): every worker owns a bounded
+// deque of traversal tasks, pushes child tasks as it descends, pops
+// them back LIFO (depth-first, cache-hot), and when its own deque runs
+// dry steals FIFO from a victim chosen by scanning the other workers —
+// FIFO steals take the largest-granularity task available, so one
+// steal rebalances the most work.
 //
 // Task creation is throttled by an adaptive pair-count cutoff rather
 // than a depth: a query split spawns only while the node pair still
@@ -21,10 +20,10 @@
 // Joins block but workers never idle in them: a parent waiting for its
 // spawned query children to finish *helps* — pops its own deque, then
 // steals — until the join resolves, and only then runs PostChildren.
-// Query-subtree disjointness is preserved exactly as in the spawn
-// scheduler: tasks are created only at query-side splits, and a parent
-// resolves its join before its caller can start a sibling pair over
-// the same query subtree, so two live tasks never share query state.
+// Query-subtree disjointness holds because tasks are created only at
+// query-side splits, and a parent resolves its join before its caller
+// can start a sibling pair over the same query subtree, so two live
+// tasks never share query state.
 //
 // Interaction batching (optional, BatchBaseCases) defers leaf base
 // cases instead of running them at discovery: each worker buffers
@@ -42,7 +41,6 @@ import (
 	"runtime"
 	"sync"
 
-	"portal/internal/prune"
 	"portal/internal/stats"
 	"portal/internal/trace"
 	"portal/internal/tree"
@@ -94,28 +92,26 @@ func stealCutoff(q, r *tree.Tree, workers int) int64 {
 
 // stealCtx is the shared state of one work-stealing traversal.
 type stealCtx struct {
-	workers int
-	cutoff  int64
-	root    *stats.TraversalStats
-	rec     trace.Recorder
-	// lists, when non-nil, puts the whole walk in list-building mode
-	// (ScheduleIList): leaf base cases are recorded into the shared
-	// interaction lists instead of executing. Appends to one query
-	// leaf's list are safe without further synchronization because
-	// tasks own disjoint query subtrees and a parent's join resolves
-	// before its caller starts a sibling pair over the same subtree —
-	// the join atomics and deque mutex carry the happens-before edges.
-	lists *ilistState
-	// phase labels the walk's top-level trace spans: PhaseTraverse
-	// normally, PhaseListBuild when lists is set.
-	phase trace.Phase
+	cutoff int64
+	root   *stats.TraversalStats
+	rec    trace.Recorder
 	// done closes after worker 0's root walk returns. The root walk
 	// cannot return until every join it transitively created resolved,
 	// and a join resolves only after each of its tasks was removed
 	// from a deque and executed — so at close time every deque is
 	// empty, no task is in flight, and no further push can happen.
 	done chan struct{}
-	ws   []*stealWorker
+	ws   []*worker
+}
+
+// workerStats is one worker's private counters, padded by a cache
+// line. The walk reads and writes them on every node pair, and two
+// workers' structs allocated back to back would otherwise put the last
+// field of one (MaxDepth) on the same line as the first fields of the
+// next (Visits, Prunes): false sharing on the hottest loads of the step.
+type workerStats struct {
+	stats.TraversalStats
+	_ [64]byte
 }
 
 // batchBuf is one worker's interaction buffer: reference leaf →
@@ -127,24 +123,6 @@ type batchBuf struct {
 	buckets map[*tree.Node][]*tree.Node
 }
 
-// stealWorker is one worker's private state: its deque, its forked
-// rule (worker 0 keeps the root rule), its stats/trace buffers, and
-// its interaction buffer when batching is on.
-type stealWorker struct {
-	id    int
-	sc    *stealCtx
-	rule  Rule
-	ord   ChildOrderer
-	batch *batchBuf
-	st    *stats.TraversalStats
-	// tt is the currently open trace span: the root walk for worker 0,
-	// the current top-level task for thieves. Tasks executed while
-	// helping inside a join fold into this enclosing span, so open
-	// spans never exceed the worker count.
-	tt *trace.Task
-	dq deque
-}
-
 // runSteal executes the traversal on workers >= 2 under the
 // work-stealing scheduler. The calling goroutine is worker 0 and walks
 // the root pair; workers 1..W-1 start with empty deques and live by
@@ -153,17 +131,11 @@ type stealWorker struct {
 // moot and stays off) and spans are labeled PhaseListBuild.
 func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options, lists *ilistState) {
 	sc := &stealCtx{
-		workers: workers,
-		cutoff:  stealCutoff(q, r, workers),
-		root:    opts.Stats,
-		rec:     opts.Trace,
-		lists:   lists,
-		phase:   trace.PhaseTraverse,
-		done:    make(chan struct{}),
-		ws:      make([]*stealWorker, workers),
-	}
-	if lists != nil {
-		sc.phase = trace.PhaseListBuild
+		cutoff: stealCutoff(q, r, workers),
+		root:   opts.Stats,
+		rec:    opts.Trace,
+		done:   make(chan struct{}),
+		ws:     make([]*worker, workers),
 	}
 	batching := false
 	if lists == nil && opts.BatchBaseCases {
@@ -176,8 +148,7 @@ func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options, lists *ilis
 		if i > 0 {
 			wr = rule.Fork()
 		}
-		w := &stealWorker{id: i, sc: sc, rule: wr}
-		w.ord, _ = wr.(ChildOrderer)
+		w := &worker{id: i, sc: sc, dq: new(deque), rule: wr, scorer: scorerOf(wr), lists: lists}
 		if batching {
 			w.batch = &batchBuf{
 				rule:    wr.(BatchableRule),
@@ -185,14 +156,14 @@ func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options, lists *ilis
 			}
 		}
 		if sc.root != nil {
-			w.st = &stats.TraversalStats{}
+			w.st = &new(workerStats).TraversalStats
 		}
 		sc.ws[i] = w
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < workers; i++ {
 		wg.Add(1)
-		go func(w *stealWorker) {
+		go func(w *worker) {
 			defer wg.Done()
 			w.stealLoop()
 			w.finish()
@@ -200,12 +171,12 @@ func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options, lists *ilis
 	}
 	w0 := sc.ws[0]
 	if sc.rec != nil {
-		w0.tt = sc.rec.TaskBegin(sc.phase, 0)
+		w0.tt = sc.rec.TaskBegin(walkPhase(lists), 0)
 	}
 	if w0.st != nil {
 		w0.st.TasksExecuted++
 	}
-	w0.pair(q.Root, r.Root, 0)
+	w0.rootPair(q, r)
 	// The root walk's own buffered base cases have no enclosing task
 	// execution to drain them; sweep them now, before declaring the
 	// traversal finished.
@@ -223,7 +194,7 @@ func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options, lists *ilis
 // stealLoop is the main loop of workers 1..W-1: acquire a top-level
 // task — own deque first (provably empty here, but harmless), then a
 // victim scan — or yield until the traversal completes.
-func (w *stealWorker) stealLoop() {
+func (w *worker) stealLoop() {
 	for {
 		if t, ok := w.dq.pop(); ok {
 			w.runTop(t, false)
@@ -245,12 +216,12 @@ func (w *stealWorker) stealLoop() {
 // runTop executes a top-level task: it counts toward TasksExecuted and
 // opens its own trace span (the spans == TasksExecuted invariant).
 // Tasks run while helping inside a join do not come through here.
-func (w *stealWorker) runTop(t task, stolen bool) {
+func (w *worker) runTop(t task, stolen bool) {
 	if w.st != nil {
 		w.st.TasksExecuted++
 	}
 	if w.sc.rec != nil {
-		w.tt = w.sc.rec.TaskBegin(w.sc.phase, t.depth)
+		w.tt = w.sc.rec.TaskBegin(walkPhase(w.lists), t.depth)
 		if stolen {
 			w.tt.MarkStolen()
 		}
@@ -264,7 +235,7 @@ func (w *stealWorker) runTop(t task, stolen bool) {
 
 // trySteal scans the other workers starting after w's own slot and
 // takes the oldest task of the first non-empty deque.
-func (w *stealWorker) trySteal() (task, bool) {
+func (w *worker) trySteal() (task, bool) {
 	ws := w.sc.ws
 	for i := 1; i < len(ws); i++ {
 		if t, ok := ws[(w.id+i)%len(ws)].dq.steal(); ok {
@@ -284,95 +255,37 @@ func (w *stealWorker) trySteal() (task, bool) {
 // disjoint tasks, and flushing under the task's join decrement orders
 // every such flush before the PostChildren of any enclosing query
 // node.
-func (w *stealWorker) exec(t task) {
-	w.inlineChild(t.qn, t.rn, t.depth)
+func (w *worker) exec(t task) {
+	w.refChildren(t.qn, t.rn, t.depth)
 	w.drainBatch()
 	t.join.add(-1)
 }
 
-// inlineChild runs the child pairs of one query child qc against
-// split(rn) at depth cdepth, applying the reference-child ordering
-// hook — the straight-line equivalent of executing task{qc, rn}.
-func (w *stealWorker) inlineChild(qc, rn *tree.Node, cdepth int) {
-	if rn.IsLeaf() {
-		w.pair(qc, rn, cdepth)
-		return
-	}
-	rc := rn.Children
-	if w.ord != nil && len(rc) == 2 && w.ord.SwapRefChildren(qc, rc[0], rc[1]) {
-		w.pair(qc, rc[1], cdepth)
-		w.pair(qc, rc[0], cdepth)
-		return
-	}
-	for _, c := range rc {
-		w.pair(qc, c, cdepth)
-	}
-}
-
-// pair is Algorithm 1 under the work-stealing scheduler: identical
-// decision structure to dual, with task creation at query-side splits
-// while the pair's coverage exceeds the cutoff.
-func (w *stealWorker) pair(qn, rn *tree.Node, depth int) {
-	st, tt := w.st, w.tt
-	if st != nil && int64(depth) > st.MaxDepth {
-		st.MaxDepth = int64(depth)
-	}
-	switch w.rule.PruneApprox(qn, rn) {
-	case prune.Prune:
-		recPrune(st, tt, depth, qn, rn)
-		return
-	case prune.Approx:
-		recApprox(st, tt, depth, qn, rn)
-		w.rule.ComputeApprox(qn, rn)
-		return
-	}
-	if st != nil {
-		st.Visits++
-	}
-	if tt != nil {
-		tt.Visit(depth)
-	}
-	if qn.IsLeaf() && rn.IsLeaf() {
-		recBase(st, tt, depth, qn, rn)
-		switch {
-		case w.sc.lists != nil:
-			w.sc.lists.record(qn, rn)
-		case w.batch != nil:
-			w.bufferBase(qn, rn)
-		default:
-			w.rule.BaseCase(qn, rn)
-		}
-		return
-	}
-	qsplit := split(qn)
-	if len(qsplit) >= 2 && pairCount(qn, rn) > w.sc.cutoff {
-		// Spawn all but the last query child as tasks; the join is
-		// incremented before each push so a thief's early completion
-		// can never drop pending below the true outstanding count.
-		jn := &join{}
-		for _, qc := range qsplit[:len(qsplit)-1] {
-			jn.add(1)
-			if w.dq.push(task{qn: qc, rn: rn, depth: depth + 1, join: jn}) {
-				if st != nil {
-					st.TasksSpawned++
-				}
-			} else {
-				jn.add(-1)
-				if st != nil {
-					st.InlineFallbacks++
-				}
-				w.inlineChild(qc, rn, depth+1)
+// spawnChildren is pair's query split above the cutoff: all but the
+// last query child become tasks (run inline when the deque is full),
+// the last runs here, and the worker helps until every task has
+// finished — only then may the caller run PostChildren. The join is
+// incremented before each push so a thief's early completion can never
+// drop pending below the true outstanding count.
+func (w *worker) spawnChildren(qsplit []*tree.Node, rn *tree.Node, depth int) {
+	jn := &join{}
+	last := len(qsplit) - 1
+	for _, qc := range qsplit[:last] {
+		jn.add(1)
+		if w.dq.push(task{qn: qc, rn: rn, depth: depth, join: jn}) {
+			if w.st != nil {
+				w.st.TasksSpawned++
 			}
+		} else {
+			jn.add(-1)
+			if w.st != nil {
+				w.st.InlineFallbacks++
+			}
+			w.refChildren(qc, rn, depth)
 		}
-		w.inlineChild(qsplit[len(qsplit)-1], rn, depth+1)
-		w.helpUntil(jn)
-		w.rule.PostChildren(qn)
-		return
 	}
-	for _, qc := range qsplit {
-		w.inlineChild(qc, rn, depth+1)
-	}
-	w.rule.PostChildren(qn)
+	w.refChildren(qsplit[last], rn, depth)
+	w.helpUntil(jn)
 }
 
 // helpUntil blocks until the join resolves, executing other tasks
@@ -381,7 +294,7 @@ func (w *stealWorker) pair(qn, rn *tree.Node, depth int) {
 // enclosing top-level span and do not count as executed tasks.
 // Deadlock-free: joins wait only on strict query-descendants, and a
 // deepest outstanding task never waits on anything.
-func (w *stealWorker) helpUntil(jn *join) {
+func (w *worker) helpUntil(jn *join) {
 	for !jn.done() {
 		if t, ok := w.dq.pop(); ok {
 			w.exec(t)
@@ -399,7 +312,7 @@ func (w *stealWorker) helpUntil(jn *join) {
 // flushing the bucket when it reaches capacity. The base case was
 // already recorded (recBase) at discovery, so decision counters stay
 // identical between the immediate and batched paths.
-func (w *stealWorker) bufferBase(qn, rn *tree.Node) {
+func (w *worker) bufferBase(qn, rn *tree.Node) {
 	qns := append(w.batch.buckets[rn], qn)
 	if len(qns) >= batchBucketCap {
 		w.flushBucket(rn, qns)
@@ -410,7 +323,7 @@ func (w *stealWorker) bufferBase(qn, rn *tree.Node) {
 
 // flushBucket sweeps one reference leaf against its buffered query
 // leaves and resets the bucket in place.
-func (w *stealWorker) flushBucket(rn *tree.Node, qns []*tree.Node) {
+func (w *worker) flushBucket(rn *tree.Node, qns []*tree.Node) {
 	w.batch.rule.BaseCaseBatch(qns, rn)
 	if w.st != nil {
 		w.st.BatchFlushes++
@@ -423,7 +336,7 @@ func (w *stealWorker) flushBucket(rn *tree.Node, qns []*tree.Node) {
 }
 
 // drainBatch flushes every non-empty bucket.
-func (w *stealWorker) drainBatch() {
+func (w *worker) drainBatch() {
 	if w.batch == nil {
 		return
 	}
@@ -436,7 +349,7 @@ func (w *stealWorker) drainBatch() {
 
 // finish folds the worker's private observers into the run: deque
 // high-water, rule-level counters, then one atomic merge.
-func (w *stealWorker) finish() {
+func (w *worker) finish() {
 	if w.st == nil {
 		return
 	}

@@ -108,8 +108,7 @@ func TestBatchBaseCasesCoverage(t *testing.T) {
 	}
 }
 
-// Batching must not engage for rules that do not opt in, nor under the
-// spawn scheduler, nor at Workers=1.
+// Batching must not engage for rules that do not opt in.
 func TestBatchBaseCasesGating(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	q := buildTree(rng, 400, 3, 8)
@@ -121,14 +120,6 @@ func TestBatchBaseCasesGating(t *testing.T) {
 	RunParallel(q, r, c, Options{Workers: 4, BatchBaseCases: true, Stats: &st})
 	if st.BatchFlushes != 0 || st.BatchedBaseCases != 0 {
 		t.Fatalf("non-batchable rule recorded batching: %+v", st)
-	}
-
-	// Spawn scheduler: batching is a steal-runtime feature.
-	b := &batchCountRule{countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
-	var st2 stats.TraversalStats
-	RunParallel(q, r, b, Options{Workers: 4, Schedule: ScheduleSpawn, BatchBaseCases: true, Stats: &st2})
-	if st2.BatchFlushes != 0 || b.batchedLeaves != 0 {
-		t.Fatalf("spawn scheduler engaged batching: %+v", st2)
 	}
 }
 

@@ -53,57 +53,44 @@ func TestTraceSequentialSingleSpan(t *testing.T) {
 }
 
 // A parallel traced run opens TasksExecuted spans — the root walk plus
-// one per top-level task dispatch (spawned goroutines under the spawn
-// scheduler, main-loop steals under the work-stealing scheduler) — and
-// its lane high-water mark never exceeds the worker cap.
+// one per top-level task dispatch (a main-loop steal) — and its lane
+// high-water mark never exceeds the worker cap.
 func TestTraceParallelSpanCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	q := buildTree(rng, 500, 3, 8)
 	r := buildTree(rng, 400, 3, 8)
 
-	for _, sched := range []Schedule{ScheduleSteal, ScheduleSpawn} {
-		for _, w := range []int{2, 4} {
-			rec := trace.New()
-			c := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
-			var st stats.TraversalStats
-			RunParallel(q, r, c, Options{Workers: w, Schedule: sched, Stats: &st, Trace: rec})
+	for _, w := range []int{2, 4} {
+		rec := trace.New()
+		c := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
+		var st stats.TraversalStats
+		RunParallel(q, r, c, Options{Workers: w, Stats: &st, Trace: rec})
 
-			spans := rec.Spans()
-			if want := int(st.TasksExecuted); len(spans) != want {
-				t.Fatalf("%v Workers=%d: %d spans, want TasksExecuted = %d", sched, w, len(spans), want)
+		spans := rec.Spans()
+		if want := int(st.TasksExecuted); len(spans) != want {
+			t.Fatalf("Workers=%d: %d spans, want TasksExecuted = %d", w, len(spans), want)
+		}
+		if hw := rec.MaxWorkers(); hw > w {
+			t.Fatalf("Workers=%d: lane high-water %d exceeds cap", w, hw)
+		}
+		var roots int
+		for _, sp := range spans {
+			if sp.SpawnDepth == 0 {
+				roots++
 			}
-			if sched == ScheduleSpawn {
-				if want := int(st.TasksSpawned) + 1; len(spans) != want {
-					t.Fatalf("spawn Workers=%d: %d spans, want TasksSpawned+1 = %d", w, len(spans), want)
-				}
-			}
-			if hw := rec.MaxWorkers(); hw > w {
-				t.Fatalf("%v Workers=%d: lane high-water %d exceeds cap", sched, w, hw)
-			}
-			var roots int
-			for _, sp := range spans {
-				if sp.SpawnDepth == 0 {
-					roots++
-				}
-			}
-			if roots != 1 {
-				t.Fatalf("%v Workers=%d: %d root spans, want 1", sched, w, roots)
-			}
-			p := rec.Profile()
-			if p.TraverseSpans != int(st.TasksExecuted) {
-				t.Fatalf("%v Workers=%d: profile TraverseSpans %d != TasksExecuted %d",
-					sched, w, p.TraverseSpans, st.TasksExecuted)
-			}
-			// Under the steal scheduler every top-level span except the
-			// root walk was dispatched via a steal; the spawn scheduler
-			// never marks spans stolen.
-			wantStolen := 0
-			if sched == ScheduleSteal {
-				wantStolen = int(st.TasksExecuted) - 1
-			}
-			if p.StolenSpans != wantStolen {
-				t.Fatalf("%v Workers=%d: StolenSpans %d, want %d", sched, w, p.StolenSpans, wantStolen)
-			}
+		}
+		if roots != 1 {
+			t.Fatalf("Workers=%d: %d root spans, want 1", w, roots)
+		}
+		p := rec.Profile()
+		if p.TraverseSpans != int(st.TasksExecuted) {
+			t.Fatalf("Workers=%d: profile TraverseSpans %d != TasksExecuted %d",
+				w, p.TraverseSpans, st.TasksExecuted)
+		}
+		// Every top-level span except the root walk was dispatched via
+		// a steal.
+		if want := int(st.TasksExecuted) - 1; p.StolenSpans != want {
+			t.Fatalf("Workers=%d: StolenSpans %d, want %d", w, p.StolenSpans, want)
 		}
 	}
 }

@@ -11,15 +11,14 @@
 //
 // Parallelization follows Section IV-F: task parallelism over the
 // traversal recursion, with tasks created at query-side child splits.
-// Two schedulers implement it. The default work-stealing runtime
-// (steal.go) pushes tasks onto per-worker bounded LIFO deques and lets
-// idle workers steal FIFO from victims, with an adaptive inline cutoff
-// by subtree pair-count — the dynamic-scheduling behaviour the paper
-// gets from OpenMP tasks. The legacy spawn-depth scheduler (parDual)
-// spawns goroutines down to a fixed depth behind a workers-1 semaphore
-// and runs everything below inline. Either way, once task creation
-// stops the remaining recursion runs sequentially (data parallelism
-// inside leaf base cases is the specialized kernels' unrolled loops).
+// One scheduler implements it, the work-stealing runtime of steal.go:
+// tasks go onto per-worker bounded LIFO deques, idle workers steal FIFO
+// from victims, and an adaptive cutoff by subtree pair-count stops task
+// creation — the dynamic-scheduling behaviour the paper gets from
+// OpenMP tasks. Below the cutoff, and for one worker, the recursion
+// runs sequentially (data parallelism inside leaf base cases is the
+// specialized kernels' unrolled loops). Every schedule runs the same
+// step, worker.pair.
 //
 // Observability: the traversal is also where the prune/approximate
 // decisions are *counted*. Pass a stats.TraversalStats to RunStats (or
@@ -34,7 +33,6 @@ package traverse
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"portal/internal/prune"
 	"portal/internal/stats"
@@ -62,12 +60,39 @@ type Rule interface {
 	Fork() Rule
 }
 
-// ChildOrderer is an optional Rule capability: rules with best-so-far
-// bounds visit the more promising reference child first, tightening
-// bounds sooner (the classic nearest-child-first heuristic).
-// SwapRefChildren reports whether b should be visited before a.
-type ChildOrderer interface {
-	SwapRefChildren(qc, a, b *tree.Node) bool
+// ScoredRule is an optional Rule capability: a rule whose decision is
+// one comparison of the pair's box distance against the query node's
+// best-so-far bound. The walk computes that distance — the score —
+// once, when it forms the child pair, and uses it twice: two reference
+// children are visited in ascending score (the classic
+// nearest-child-first heuristic, which tightens bounds sooner), and
+// each child's decision is handed its own score instead of recomputing
+// it. Discovered by interface assertion on the rule value, so a rule
+// that embeds a scored rule and overrides BaseCase keeps the scored
+// descent.
+type ScoredRule interface {
+	Rule
+	// Scored reports whether this rule instance takes the scored
+	// descent; when false the walk calls PruneApprox and visits
+	// reference children in tree order.
+	Scored() bool
+	// Score returns the pair's box distance, signed so that the pair to
+	// visit first scores lower.
+	Score(qn, rn *tree.Node) float64
+	// PruneScored is PruneApprox given score = Score(qn, rn). It must
+	// read qn's bound when called, not when the pair was scored: the
+	// first child's base cases tighten the bound the second child is
+	// tested against.
+	PruneScored(qn, rn *tree.Node, score float64) prune.Decision
+}
+
+// scorerOf returns rule's scored form, or nil when the walk should run
+// it unscored.
+func scorerOf(rule Rule) ScoredRule {
+	if sr, ok := rule.(ScoredRule); ok && sr.Scored() {
+		return sr
+	}
+	return nil
 }
 
 // StatsReporter is an optional Rule capability: when the traversal
@@ -86,29 +111,37 @@ func Run(q, r *tree.Tree, rule Rule) { RunStats(q, r, rule, nil) }
 // RunStats is Run with statistics collection into st (nil disables
 // collection entirely, leaving the hot path counter-free).
 func RunStats(q, r *tree.Tree, rule Rule, st *stats.TraversalStats) {
-	runSeq(q, r, rule, st, nil)
+	runSeq(q, r, rule, st, nil, nil)
 }
 
 // runSeq is the sequential traversal with optional statistics and
-// tracing. The whole walk is recorded as one root span, so a traced
-// sequential run always emits exactly one traverse span
-// (TasksExecuted = 1, TasksSpawned = 0).
-func runSeq(q, r *tree.Tree, rule Rule, st *stats.TraversalStats, rec trace.Recorder) {
-	ord, _ := rule.(ChildOrderer)
-	var tt *trace.Task
+// tracing: one worker with no scheduler. The whole walk is recorded as
+// one root span, so a traced sequential run always emits exactly one
+// span (TasksExecuted = 1, TasksSpawned = 0). A non-nil ls makes it
+// ScheduleIList's list-building walk.
+func runSeq(q, r *tree.Tree, rule Rule, st *stats.TraversalStats, rec trace.Recorder, ls *ilistState) {
+	w := worker{rule: rule, scorer: scorerOf(rule), st: st, lists: ls}
 	if rec != nil {
-		tt = rec.TaskBegin(trace.PhaseTraverse, 0)
+		w.tt = rec.TaskBegin(walkPhase(ls), 0)
 	}
 	if st != nil {
 		st.TasksExecuted++
 	}
-	dual(q.Root, r.Root, rule, ord, 0, st, tt, nil)
+	w.rootPair(q, r)
 	if st != nil {
 		flushRule(rule, st)
 	}
-	if tt != nil {
-		rec.TaskEnd(tt)
+	if w.tt != nil {
+		rec.TaskEnd(w.tt)
 	}
+}
+
+// walkPhase labels a walk's top-level trace spans.
+func walkPhase(ls *ilistState) trace.Phase {
+	if ls != nil {
+		return trace.PhaseListBuild
+	}
+	return trace.PhaseTraverse
 }
 
 func flushRule(rule Rule, st *stats.TraversalStats) {
@@ -172,23 +205,75 @@ func recBase(st *stats.TraversalStats, tt *trace.Task, depth int, qn, rn *tree.N
 	}
 }
 
-// dual is Algorithm 1. The power-set of child tuples is materialized
-// implicitly by the nested loops over each node's split set. tt is
-// the current task's trace buffer (nil when tracing is off); like st
-// it is single-writer for the task's lifetime. ls, when non-nil, puts
-// the walk in list-building mode: leaf base cases are recorded into
-// the interaction lists instead of executing (see ilist.go).
-func dual(qn, rn *tree.Node, rule Rule, ord ChildOrderer, depth int, st *stats.TraversalStats, tt *trace.Task, ls *ilistState) {
+// worker is one goroutine's traversal state: its rule (worker 0 and the
+// sequential walk keep the root rule, the others a fork), its
+// stats/trace buffers, where its leaf pairs go, and under the
+// work-stealing runtime its scheduler and deque.
+type worker struct {
+	rule Rule
+	// scorer is rule's scored form; nil runs it unscored.
+	scorer ScoredRule
+	// st is single-writer for the worker's lifetime; nil disables
+	// collection.
+	st *stats.TraversalStats
+	// tt is the currently open trace span (nil when tracing is off):
+	// the root walk for worker 0, the current top-level task for
+	// thieves. Tasks executed while helping inside a join fold into
+	// this enclosing span, so open spans never exceed the worker count.
+	tt *trace.Task
+	// lists, when non-nil, puts the walk in list-building mode
+	// (ScheduleIList): leaf base cases are recorded into the shared
+	// interaction lists instead of executing. Appends to one query
+	// leaf's list are safe without further synchronization because
+	// tasks own disjoint query subtrees and a parent's join resolves
+	// before its caller starts a sibling pair over the same subtree —
+	// the join atomics and deque mutex carry the happens-before edges.
+	lists *ilistState
+	// batch, when non-nil, buffers leaf base cases by reference leaf
+	// (Options.BatchBaseCases).
+	batch *batchBuf
+
+	// sc is the work-stealing runtime this worker belongs to and dq its
+	// deque there; both nil for the sequential walk, which never
+	// creates tasks.
+	sc *stealCtx
+	id int
+	dq *deque
+}
+
+// rootPair walks the root pair.
+func (w *worker) rootPair(q, r *tree.Tree) {
+	var score float64
+	if w.scorer != nil {
+		score = w.scorer.Score(q.Root, r.Root)
+	}
+	w.pair(q.Root, r.Root, score, 0)
+}
+
+// pair is Algorithm 1's step, the one body every schedule runs. The
+// power-set of child tuples is materialized implicitly by the loops
+// over each node's split set; under the work-stealing runtime a query
+// split whose pair still covers more point pairs than the cutoff hands
+// its children out as tasks. score is Score(qn, rn) for a scored rule
+// and unused otherwise.
+func (w *worker) pair(qn, rn *tree.Node, score float64, depth int) {
+	st, tt := w.st, w.tt
 	if st != nil && int64(depth) > st.MaxDepth {
 		st.MaxDepth = int64(depth)
 	}
-	switch rule.PruneApprox(qn, rn) {
+	var d prune.Decision
+	if w.scorer != nil {
+		d = w.scorer.PruneScored(qn, rn, score)
+	} else {
+		d = w.rule.PruneApprox(qn, rn)
+	}
+	switch d {
 	case prune.Prune:
 		recPrune(st, tt, depth, qn, rn)
 		return
 	case prune.Approx:
 		recApprox(st, tt, depth, qn, rn)
-		rule.ComputeApprox(qn, rn)
+		w.rule.ComputeApprox(qn, rn)
 		return
 	}
 	if st != nil {
@@ -199,26 +284,53 @@ func dual(qn, rn *tree.Node, rule Rule, ord ChildOrderer, depth int, st *stats.T
 	}
 	if qn.IsLeaf() && rn.IsLeaf() {
 		recBase(st, tt, depth, qn, rn)
-		if ls != nil {
-			ls.record(qn, rn)
-		} else {
-			rule.BaseCase(qn, rn)
+		switch {
+		case w.lists != nil:
+			w.lists.record(qn, rn)
+		case w.batch != nil:
+			w.bufferBase(qn, rn)
+		default:
+			w.rule.BaseCase(qn, rn)
 		}
 		return
 	}
 	qsplit := split(qn)
-	rsplit := split(rn)
-	for _, qc := range qsplit {
-		if ord != nil && len(rsplit) == 2 && ord.SwapRefChildren(qc, rsplit[0], rsplit[1]) {
-			dual(qc, rsplit[1], rule, ord, depth+1, st, tt, ls)
-			dual(qc, rsplit[0], rule, ord, depth+1, st, tt, ls)
-			continue
-		}
-		for _, rc := range rsplit {
-			dual(qc, rc, rule, ord, depth+1, st, tt, ls)
+	if w.sc != nil && len(qsplit) >= 2 && pairCount(qn, rn) > w.sc.cutoff {
+		w.spawnChildren(qsplit, rn, depth+1)
+	} else {
+		for _, qc := range qsplit {
+			w.refChildren(qc, rn, depth+1)
 		}
 	}
-	rule.PostChildren(qn)
+	w.rule.PostChildren(qn)
+}
+
+// refChildren runs query child qc against split(rn) at depth depth —
+// the straight-line equivalent of executing task{qc, rn}. A scored
+// rule's child pairs are scored here, once each; two reference children
+// swap iff the second scores strictly lower, so equal scores keep tree
+// order.
+func (w *worker) refChildren(qc, rn *tree.Node, depth int) {
+	rsplit, sr := split(rn), w.scorer
+	if sr == nil {
+		for _, rc := range rsplit {
+			w.pair(qc, rc, 0, depth)
+		}
+		return
+	}
+	if len(rsplit) == 2 {
+		a, b := rsplit[0], rsplit[1]
+		sa, sb := sr.Score(qc, a), sr.Score(qc, b)
+		if sb < sa {
+			a, b, sa, sb = b, a, sb, sa
+		}
+		w.pair(qc, a, sa, depth)
+		w.pair(qc, b, sb, depth)
+		return
+	}
+	for _, rc := range rsplit {
+		w.pair(qc, rc, sr.Score(qc, rc), depth)
+	}
 }
 
 // split returns the node's children, or the node itself when it is a
@@ -230,36 +342,29 @@ func split(n *tree.Node) []*tree.Node {
 	return n.Children
 }
 
-// Schedule selects the parallel traversal's task scheduler.
+// Schedule selects how the parallel traversal executes leaf base cases.
 type Schedule int
 
 const (
-	// ScheduleSteal (the default) runs the work-stealing runtime:
-	// per-worker bounded LIFO deques of traversal tasks, idle workers
-	// stealing FIFO from victims chosen by scan, and an adaptive
-	// inline cutoff by subtree pair-count. See steal.go.
+	// ScheduleSteal (the default) runs every base case at its
+	// discovery site under the work-stealing runtime: per-worker
+	// bounded LIFO deques of traversal tasks, idle workers stealing
+	// FIFO from victims chosen by scan, and an adaptive inline cutoff
+	// by subtree pair-count. See steal.go.
 	ScheduleSteal Schedule = iota
-	// ScheduleSpawn runs the legacy fixed spawn-depth scheduler:
-	// query-side goroutine spawns down to SpawnDepth behind a
-	// workers-1 semaphore, everything below inline.
-	ScheduleSpawn
 	// ScheduleIList separates the traversal into two tiers: a
 	// list-building walk (under the work-stealing runtime, or
 	// sequential for one worker) that defers every leaf base case into
 	// per-query-leaf interaction lists, then an execution phase that
 	// sweeps each list as one flat pass through the backend's fused
 	// kernels. Rules that cannot defer base cases (ListRule absent or
-	// ListCompatible false) fall back to the plain scheduler. See
-	// ilist.go.
+	// ListCompatible false) fall back to ScheduleSteal. See ilist.go.
 	ScheduleIList
 )
 
 // String names the schedule for flags and reports.
 func (s Schedule) String() string {
-	switch s {
-	case ScheduleSpawn:
-		return "spawn"
-	case ScheduleIList:
+	if s == ScheduleIList {
 		return "ilist"
 	}
 	return "steal"
@@ -272,7 +377,7 @@ type UnknownScheduleError struct {
 }
 
 func (e *UnknownScheduleError) Error() string {
-	return fmt.Sprintf("traverse: unknown schedule %q (want steal, spawn, or ilist)", e.Name)
+	return fmt.Sprintf("traverse: unknown schedule %q (want steal or ilist)", e.Name)
 }
 
 // ParseSchedule maps the flag spelling to a Schedule. The empty string
@@ -282,8 +387,6 @@ func ParseSchedule(s string) (Schedule, error) {
 	switch s {
 	case "steal", "":
 		return ScheduleSteal, nil
-	case "spawn":
-		return ScheduleSpawn, nil
 	case "ilist":
 		return ScheduleIList, nil
 	}
@@ -299,13 +402,8 @@ type Options struct {
 	// so one -workers setting governs the build and traversal phases
 	// uniformly.
 	Workers int
-	// Schedule selects the scheduler; the zero value is ScheduleSteal.
+	// Schedule selects the schedule; the zero value is ScheduleSteal.
 	Schedule Schedule
-	// SpawnDepth controls how deep query-side splits keep spawning
-	// tasks under ScheduleSpawn; 0 derives it from Workers via
-	// SpawnDepthFor. Ignored by ScheduleSteal, whose inline cutoff is
-	// adaptive by pair-count.
-	SpawnDepth int
 	// BatchBaseCases defers leaf base cases into per-worker
 	// interaction buffers keyed by reference leaf, sweeping one
 	// reference tile against many query leaves per flush. Takes
@@ -316,39 +414,11 @@ type Options struct {
 	// task accumulates privately and merges on completion.
 	Stats *stats.TraversalStats
 	// Trace, when non-nil, records one span per traversal task (the
-	// caller's root walk plus every spawned task) and per-depth
-	// decision profiles, under the same per-task ownership model as
-	// Stats: a task's trace.Task buffer is private until TaskEnd.
+	// caller's root walk plus every top-level task a thief runs) and
+	// per-depth decision profiles, under the same per-task ownership
+	// model as Stats: a task's trace.Task buffer is private until
+	// TaskEnd.
 	Trace trace.Recorder
-}
-
-// SpawnDepthFor derives the default task-spawn depth from the worker
-// count: the smallest depth whose 2^depth task-tree leaves give every
-// worker at least 8 tasks for load balancing. Because the leaf count
-// is a power of two, the per-worker task count lands in [8, 16) —
-// "at least 8×", not exactly 8×, for non-power-of-two worker counts.
-// A single worker has nothing to balance: workers <= 1 returns 0, the
-// pure-sequential depth (no task plumbing, zero spawns).
-func SpawnDepthFor(workers int) int {
-	if workers <= 1 {
-		return 0
-	}
-	depth := 1
-	for 1<<depth < workers*8 {
-		depth++
-	}
-	return depth
-}
-
-// parCtx is the shared state of one parallel traversal: the task
-// WaitGroup, the worker-cap semaphore, the stats accumulator that
-// completing tasks merge into, and the trace recorder tasks report to
-// (either may be nil when that observer is off).
-type parCtx struct {
-	wg   sync.WaitGroup
-	sem  chan struct{}
-	root *stats.TraversalStats
-	rec  trace.Recorder
 }
 
 // RunParallel performs the traversal with query-side task parallelism.
@@ -373,164 +443,12 @@ func RunParallel(q, r *tree.Tree, rule Rule, opts Options) {
 		// only spin in its steal loop for the whole traversal.
 		workers = 1
 	}
-	if opts.Schedule == ScheduleIList {
+	switch {
+	case opts.Schedule == ScheduleIList:
 		runIList(q, r, rule, workers, opts)
-		return
-	}
-	if workers == 1 {
-		runSeq(q, r, rule, opts.Stats, opts.Trace)
-		return
-	}
-	if opts.Schedule != ScheduleSpawn {
+	case workers == 1:
+		runSeq(q, r, rule, opts.Stats, opts.Trace, nil)
+	default:
 		runSteal(q, r, rule, workers, opts, nil)
-		return
 	}
-	depth := opts.SpawnDepth
-	if depth <= 0 {
-		depth = SpawnDepthFor(workers)
-	}
-	// The calling goroutine is itself a worker and recurses inline for
-	// the whole traversal, so only workers-1 semaphore slots exist: a
-	// spawned task holds its slot for its entire lifetime, capping
-	// concurrency at 1 (caller) + (workers-1) spawned = workers.
-	pc := &parCtx{sem: make(chan struct{}, workers-1), root: opts.Stats, rec: opts.Trace}
-	var local *stats.TraversalStats
-	if pc.root != nil {
-		local = &stats.TraversalStats{}
-	}
-	var tt *trace.Task
-	if pc.rec != nil {
-		tt = pc.rec.TaskBegin(trace.PhaseTraverse, 0)
-	}
-	if local != nil {
-		local.TasksExecuted++
-	}
-	ord, _ := rule.(ChildOrderer)
-	parDual(q.Root, r.Root, rule, ord, depth, 0, pc, local, tt)
-	pc.wg.Wait()
-	if local != nil {
-		// All tasks have merged; fold the caller's share in last.
-		flushRule(rule, local)
-		local.MergeAtomic(pc.root)
-	}
-	if tt != nil {
-		// Root span closes after the last task: its extent is the
-		// traversal's wall time.
-		pc.rec.TaskEnd(tt)
-	}
-}
-
-// parDual mirrors dual but spawns the first query-child group into a
-// new task while the current goroutine continues with the second —
-// the recursive OpenMP-task pattern of Section IV-F — until spawnDepth
-// is exhausted or the semaphore shows the workers are saturated.
-func parDual(qn, rn *tree.Node, rule Rule, ord ChildOrderer, spawnDepth, depth int, pc *parCtx, st *stats.TraversalStats, tt *trace.Task) {
-	if st != nil && int64(depth) > st.MaxDepth {
-		st.MaxDepth = int64(depth)
-	}
-	switch rule.PruneApprox(qn, rn) {
-	case prune.Prune:
-		recPrune(st, tt, depth, qn, rn)
-		return
-	case prune.Approx:
-		recApprox(st, tt, depth, qn, rn)
-		rule.ComputeApprox(qn, rn)
-		return
-	}
-	if st != nil {
-		st.Visits++
-	}
-	if tt != nil {
-		tt.Visit(depth)
-	}
-	if qn.IsLeaf() && rn.IsLeaf() {
-		recBase(st, tt, depth, qn, rn)
-		rule.BaseCase(qn, rn)
-		return
-	}
-	qsplit := split(qn)
-	rsplit := split(rn)
-	if spawnDepth <= 0 || len(qsplit) < 2 {
-		for _, qc := range qsplit {
-			if ord != nil && len(rsplit) == 2 && ord.SwapRefChildren(qc, rsplit[0], rsplit[1]) {
-				dual(qc, rsplit[1], rule, ord, depth+1, st, tt, nil)
-				dual(qc, rsplit[0], rule, ord, depth+1, st, tt, nil)
-				continue
-			}
-			for _, rc := range rsplit {
-				dual(qc, rc, rule, ord, depth+1, st, tt, nil)
-			}
-		}
-		rule.PostChildren(qn)
-		return
-	}
-	// Spawn tasks for all but the last query child; saturation is
-	// handled by the semaphore — when no slot is free the work runs
-	// inline instead (switching from task creation to straight-line
-	// data-parallel execution, as in the paper).
-	var localWG sync.WaitGroup
-	for i, qc := range qsplit {
-		if i < len(qsplit)-1 {
-			select {
-			case pc.sem <- struct{}{}:
-				forked := rule.Fork()
-				fordered, _ := forked.(ChildOrderer)
-				if st != nil {
-					st.TasksSpawned++
-				}
-				localWG.Add(1)
-				pc.wg.Add(1)
-				go func(qc *tree.Node) {
-					defer pc.wg.Done()
-					defer localWG.Done()
-					defer func() { <-pc.sem }()
-					var tst *stats.TraversalStats
-					if pc.root != nil {
-						tst = &stats.TraversalStats{TasksExecuted: 1}
-					}
-					var ttt *trace.Task
-					if pc.rec != nil {
-						// The task's span opens here, on the spawned
-						// goroutine: its extent is the task's execution,
-						// not the spawn point's queueing.
-						ttt = pc.rec.TaskBegin(trace.PhaseTraverse, depth+1)
-					}
-					if fordered != nil && len(rsplit) == 2 && fordered.SwapRefChildren(qc, rsplit[0], rsplit[1]) {
-						parDual(qc, rsplit[1], forked, fordered, spawnDepth-1, depth+1, pc, tst, ttt)
-						parDual(qc, rsplit[0], forked, fordered, spawnDepth-1, depth+1, pc, tst, ttt)
-					} else {
-						for _, rc := range rsplit {
-							parDual(qc, rc, forked, fordered, spawnDepth-1, depth+1, pc, tst, ttt)
-						}
-					}
-					if tst != nil {
-						// Task completion: fold the rule's counters in,
-						// then merge once into the shared accumulator.
-						flushRule(forked, tst)
-						tst.MergeAtomic(pc.root)
-					}
-					if ttt != nil {
-						pc.rec.TaskEnd(ttt)
-					}
-				}(qc)
-				continue
-			default:
-				if st != nil {
-					st.InlineFallbacks++
-				}
-			}
-		}
-		if ord != nil && len(rsplit) == 2 && ord.SwapRefChildren(qc, rsplit[0], rsplit[1]) {
-			parDual(qc, rsplit[1], rule, ord, spawnDepth-1, depth+1, pc, st, tt)
-			parDual(qc, rsplit[0], rule, ord, spawnDepth-1, depth+1, pc, st, tt)
-			continue
-		}
-		for _, rc := range rsplit {
-			parDual(qc, rc, rule, ord, spawnDepth-1, depth+1, pc, st, tt)
-		}
-	}
-	// The query node's bound may only be tightened once every child
-	// task has finished.
-	localWG.Wait()
-	rule.PostChildren(qn)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"portal/internal/prune"
+	"portal/internal/stats"
 	"portal/internal/storage"
 	"portal/internal/tree"
 )
@@ -161,33 +162,67 @@ func (o *orderRule) PostChildren(qn *tree.Node) {
 }
 func (o *orderRule) Fork() Rule { return o }
 
-// orderedRule records the visit order of reference children to verify
-// the ChildOrderer capability is honored.
-type orderedRule struct {
+// scoredCountRule is a scored countRule: the score is the pair's box
+// distance and the decision checks it was handed exactly that.
+type scoredCountRule struct {
 	countRule
-	swaps int64
+	t       *testing.T
+	scores  int64 // Score calls
+	decides int64 // PruneScored calls
+	visited []*tree.Node
 }
 
-func (o *orderedRule) SwapRefChildren(qc, a, b *tree.Node) bool {
-	if qc.BBox.MinDist2(b.BBox) < qc.BBox.MinDist2(a.BBox) {
-		atomic.AddInt64(&o.swaps, 1)
-		return true
+func (s *scoredCountRule) PruneApprox(qn, rn *tree.Node) prune.Decision {
+	s.t.Error("scored rule decided through PruneApprox")
+	return prune.Visit
+}
+func (s *scoredCountRule) Scored() bool { return true }
+func (s *scoredCountRule) Score(qn, rn *tree.Node) float64 {
+	s.scores++
+	return qn.BBox.MinDist2(rn.BBox)
+}
+func (s *scoredCountRule) PruneScored(qn, rn *tree.Node, score float64) prune.Decision {
+	s.decides++
+	if score != qn.BBox.MinDist2(rn.BBox) {
+		s.t.Errorf("pair (%d, %d) handed score %v, its own is %v", qn.ID, rn.ID, score, qn.BBox.MinDist2(rn.BBox))
 	}
-	return false
+	if qn.ID == 0 {
+		s.visited = append(s.visited, rn)
+	}
+	return prune.Visit
 }
-func (o *orderedRule) Fork() Rule { return o }
+func (s *scoredCountRule) Fork() Rule { return s }
 
-func TestChildOrdererInvoked(t *testing.T) {
+// A scored rule is scored exactly once per pair, decides with that
+// score, and sees two reference children nearest first.
+func TestScoredRuleScoresOncePerPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	q := buildTree(rng, 300, 3, 8)
+	q := buildTree(rng, 8, 3, 8) // one query leaf: its visits are the reference order
 	r := buildTree(rng, 300, 3, 8)
-	o := &orderedRule{countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
-	Run(q, r, o)
-	if o.swaps == 0 {
-		t.Fatal("orderer never invoked/swapped")
+	s := &scoredCountRule{t: t, countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
+	var st stats.TraversalStats
+	RunStats(q, r, s, &st)
+	if s.scores != s.decides || s.decides != st.Visits {
+		t.Fatalf("%d scores, %d decisions, %d visits: want one of each per pair", s.scores, s.decides, st.Visits)
+	}
+	swaps := 0
+	for i := 0; i+1 < len(s.visited); i++ {
+		a, b := s.visited[i], s.visited[i+1]
+		if a.Depth != b.Depth || r.Parent[a.ID] != r.Parent[b.ID] {
+			continue // not the two children of one split
+		}
+		if q.Root.BBox.MinDist2(b.BBox) < q.Root.BBox.MinDist2(a.BBox) {
+			t.Fatalf("reference children %d, %d visited farthest first", a.ID, b.ID)
+		}
+		if b.ID < a.ID {
+			swaps++
+		}
+	}
+	if swaps == 0 {
+		t.Fatal("no reference split was visited out of tree order")
 	}
 	// Coverage must be unaffected by reordering.
-	for i, n := range o.perQuery {
+	for i, n := range s.perQuery {
 		if n != int64(r.Len()) {
 			t.Fatalf("query %d saw %d, want %d", i, n, r.Len())
 		}
@@ -200,21 +235,6 @@ func TestWorkerCapOne(t *testing.T) {
 	r := buildTree(rng, 128, 2, 8)
 	c := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
 	RunParallel(q, r, c, Options{Workers: 1}) // must fall back to sequential
-	for i, n := range c.perQuery {
-		if n != int64(r.Len()) {
-			t.Fatalf("query %d saw %d", i, n)
-		}
-	}
-}
-
-func TestExplicitSpawnDepth(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	q := buildTree(rng, 256, 2, 8)
-	r := buildTree(rng, 256, 2, 8)
-	c := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
-	// SpawnDepth is a spawn-scheduler knob; the steal scheduler's
-	// cutoff is adaptive and ignores it.
-	RunParallel(q, r, c, Options{Workers: 3, Schedule: ScheduleSpawn, SpawnDepth: 2})
 	for i, n := range c.perQuery {
 		if n != int64(r.Len()) {
 			t.Fatalf("query %d saw %d", i, n)
