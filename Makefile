@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-selftest bench-smoke bench bench-tree bench-basecase bench-traverse bench-ilist bench-serve bench-persist bench-shard bench-compare stats trace-smoke serve-smoke metrics-smoke shard-smoke
+.PHONY: check build vet test race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke shard-smoke
 
 # Tier-1 gate: everything must pass before a change lands.
 check: build vet test race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke shard-smoke
@@ -30,71 +30,13 @@ bench-selftest:
 
 # The micro-benchmarks are plain `go test -bench` with no JSON gate, so
 # nothing else notices when a renamed hook stops one compiling or a
-# set-up assertion stops holding: run each once.
+# set-up assertion stops holding: run each once (the 1e6-point tree
+# builds included: the whole target is a few seconds).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/fastmath ./internal/traverse
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/fastmath ./internal/traverse ./internal/tree ./internal/persist
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Tree-construction benchmark (1e5 and 1e6 points, serial vs parallel
-# arena build, with allocation counts); writes BENCH_treebuild.json.
-bench-tree:
-	$(GO) test -bench=BenchmarkTreeBuild -benchmem ./internal/bench/
-	$(GO) run ./cmd/portalbench -experiment treebuild -reps 3 -json BENCH_treebuild.json
-
-# Base-case kernel benchmark: fused operator-specialized loops vs the
-# legacy per-pair update path on base-case-dominated configurations
-# (leaf=256); writes BENCH_basecase.json.
-bench-basecase:
-	$(GO) test -bench='BenchmarkKListInsert|BenchmarkBaseCase' -benchmem ./internal/codegen/ ./internal/bench/
-	$(GO) run ./cmd/portalbench -experiment basecase -scale 10000 -reps 3 -json BENCH_basecase.json
-
-# Traversal benchmark: work stealing with and without base-case
-# batching for knn/kde/2pc on uniform and Plummer-clustered data,
-# W in {1,2,4,8}; writes BENCH_traverse.json.
-bench-traverse:
-	$(GO) run ./cmd/portalbench -experiment traverse -scale 10000 -reps 3 -json BENCH_traverse.json
-
-# Interaction-list benchmark: the ilist schedule (list-building walk +
-# flat kernel sweeps) vs steal+batch for knn/kde/2pc/rs on uniform and
-# Plummer-clustered data, W in {1,2,4,8}; knn is the fallback control.
-# Writes BENCH_ilist.json. reps=5: the two-phase measurement is the
-# most oversubscription-sensitive row set, so best-of needs more
-# samples to converge than the single-phase benches.
-bench-ilist:
-	$(GO) run ./cmd/portalbench -experiment ilist -scale 10000 -reps 5 -json BENCH_ilist.json
-
-# Serving benchmark: p50/p99 latency and QPS vs workers for the
-# portald query path, driven in-process and over HTTP; writes
-# BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/portalbench -experiment serve -scale 10000 -reps 3 -json BENCH_serve.json
-
-# Persistence benchmark: tree build vs checksummed snapshot save and
-# mmap load at 1e5/1e6 points (build-once/load-many economics of
-# portald -data-dir); writes BENCH_persist.json.
-bench-persist:
-	$(GO) run ./cmd/portalbench -experiment persist -reps 3 -json BENCH_persist.json
-
-# Sharded-execution benchmark: unsharded single tree vs K spatial
-# shards with locally-essential-tree boundary exchange, kde/knn on
-# uniform and clustered data, K in {1,2,4,8} x W in {1,4}; writes
-# BENCH_shard.json with exchange_summary_bytes columns. The embedded
-# 50% tolerance loosens the gate for this experiment: shard-parallel
-# timings flap hard on single-CPU runners where the K-way concurrency
-# cannot pay for the exchange.
-bench-shard:
-	$(GO) run ./cmd/portalbench -experiment shard -scale 10000 -reps 3 -baseline-tol 0.5 -json BENCH_shard.json
-
-# Regression gate: rerun the recorded BENCH_treebuild.json,
-# BENCH_basecase.json, BENCH_traverse.json, BENCH_ilist.json,
-# BENCH_serve.json, BENCH_persist.json, and BENCH_shard.json
-# configurations and fail on regression past tolerance in any (25%
-# default; a baseline-embedded tolerance, e.g. shard's 50%, overrides
-# for its own gate; persistence gates on snapshot load time).
-bench-compare:
-	$(GO) run ./cmd/portalbench -compare BENCH_treebuild.json,BENCH_basecase.json,BENCH_traverse.json,BENCH_ilist.json,BENCH_serve.json,BENCH_persist.json,BENCH_shard.json -scale 10000 -reps 3
 
 stats:
 	$(GO) run ./cmd/portalbench -stats -scale 10000

@@ -17,13 +17,11 @@
 // base-case pairs, kernel evaluations, phase timings) to stderr, or
 // -stats-json FILE to capture them as JSON.
 //
-// Parallel runtime: -schedule picks the traversal schedule (steal,
-// the work-stealing default that runs base cases where it finds them,
-// or ilist, which lists them first and sweeps the lists after);
-// -batch defers leaf base cases and sweeps them per reference leaf
-// through the fused kernels (steal scheduler, batchable operators
-// only — operators whose prune bounds need immediate base-case
-// feedback, like k-NN, silently run unbatched).
+// Parallel runtime: the tree build and the traversal run on -workers
+// goroutines (default GOMAXPROCS) under one work-stealing scheduler, a
+// leaf pair's base case executing where the walk finds it; -seq runs
+// both on the calling goroutine, and -shards K splits the domain into
+// K spatial shards first.
 //
 // Profiling: -trace FILE records an execution trace (build, traversal,
 // and finalize spans plus per-depth decision profiles) and writes it
@@ -57,7 +55,6 @@ import (
 	"portal/internal/stats"
 	"portal/internal/storage"
 	"portal/internal/trace"
-	"portal/internal/traverse"
 	"portal/internal/tree"
 	"portal/nbody"
 )
@@ -134,8 +131,6 @@ func main() {
 	leaf := flag.Int("leaf", 32, "tree leaf size q")
 	seq := flag.Bool("seq", false, "disable parallel execution")
 	workers := flag.Int("workers", 0, "cap worker goroutines for tree build and traversal (0 = GOMAXPROCS)")
-	schedule := flag.String("schedule", "steal", "parallel traversal schedule: steal (work-stealing deques, base cases at discovery) or ilist (interaction-list build + flat kernel sweeps)")
-	batch := flag.Bool("batch", false, "defer and batch leaf base cases by reference leaf (steal scheduler, batchable operators only)")
 	shards := flag.Int("shards", 0, "spatial shard count for sharded execution with locally-essential-tree boundary exchange (0/1 = unsharded)")
 	statsFlag := flag.Bool("stats", false, "print traversal statistics to stderr after the run")
 	statsJSON := flag.String("stats-json", "", "write traversal statistics as JSON to this file ('-' for stderr)")
@@ -155,13 +150,7 @@ func main() {
 		ref, err = storage.FromCSV(*refPath)
 		fatal(err)
 	}
-	sched, err := traverse.ParseSchedule(*schedule)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "portal: %v\n", err)
-		os.Exit(2)
-	}
-	cfg := nbody.Config{LeafSize: *leaf, Parallel: !*seq, Workers: *workers, Tau: *tau,
-		Schedule: sched, BatchBaseCases: *batch, Shards: *shards}
+	cfg := nbody.Config{LeafSize: *leaf, Parallel: !*seq, Workers: *workers, Tau: *tau, Shards: *shards}
 	var sink *stats.Report
 	if *statsFlag || *statsJSON != "" {
 		sink = &stats.Report{}
@@ -255,7 +244,7 @@ func main() {
 	case "bh":
 		acc, err := nbody.BarnesHut(query, nil, problems.BHConfig{
 			Theta: *theta, Eps: *eps, LeafSize: *leaf,
-			Parallel: !*seq, Workers: *workers, Schedule: sched,
+			Parallel: !*seq, Workers: *workers,
 			Stats: sink, Trace: cfg.Trace,
 		})
 		fatal(err)

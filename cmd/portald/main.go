@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"portal/internal/serve"
-	"portal/internal/traverse"
 )
 
 func main() {
@@ -37,14 +36,9 @@ func main() {
 	traceSample := flag.Int("trace-sample", 128, "trace every Nth query and capture its Chrome trace at GET /debug/queries (0 disables, 1 traces everything)")
 	queryLog := flag.Int("query-log", 64, "entries retained per capture ring (slow and sampled)")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/")
-	schedule := flag.String("schedule", "steal", "traversal schedule for served queries: steal (work-stealing deques, base cases at discovery) or ilist (interaction-list build + flat kernel sweeps)")
 	shards := flag.Int("shards", 0, "spatial shard count: datasets publish with pre-built sharded partitions and queries run through the locally-essential-tree exchange tier (0/1 = unsharded)")
 	flag.Parse()
 
-	sched, err := traverse.ParseSchedule(*schedule)
-	if err != nil {
-		log.Fatalf("portald: %v", err)
-	}
 	if *dataDir != "" {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("portald: data dir: %v", err)
@@ -57,7 +51,6 @@ func main() {
 		SlowQuery:    *slowQuery,
 		TraceSampleN: *traceSample,
 		QueryLogSize: *queryLog,
-		Schedule:     sched,
 		Shards:       *shards,
 	})
 

@@ -13,10 +13,9 @@ import (
 // StatsReports runs the observability experiment: the core problems
 // (k-NN, KDE, range search, 2-point correlation) on IHEPC at the
 // configured scale, each with a StatsSink attached, returning one
-// Report per problem. This is the data behind BENCH_*.json
-// pruned-fraction tracking — a perf regression that doesn't change
-// seconds but *does* change how many pairs survive pruning shows up
-// here first. When w is non-nil the human-readable form of every
+// Report per problem. This is pruned-fraction tracking — a perf
+// regression that doesn't change seconds but *does* change how many
+// pairs survive pruning shows up here first. When w is non-nil the human-readable form of every
 // report is written to it as it completes.
 func StatsReports(o Options, w io.Writer) []*stats.Report {
 	o = o.fill()

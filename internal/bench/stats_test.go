@@ -7,7 +7,7 @@ import (
 
 // The -stats experiment must produce, for every core problem, a report
 // whose counters show real pruning and whose JSON carries the schema
-// BENCH_*.json consumers depend on.
+// -stats consumers depend on.
 func TestStatsReports(t *testing.T) {
 	o := Options{Scale: 2000, Seed: 1, Parallel: true, LeafSize: 32}
 	reports := StatsReports(o, nil)

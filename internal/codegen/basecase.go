@@ -151,50 +151,6 @@ func (r *Run) sweep(qb, qe int, rn *tree.Node) {
 	}
 }
 
-// Batchable reports whether the traversal may defer this Run's base
-// cases into reference-leaf interaction buffers (traverse's
-// BatchableRule capability). Deferral is safe only when no query-node
-// bound consumes per-base-case feedback (bound-based operators like
-// KNN prune off results as they land) and a fused loop exists to make
-// the batched sweep worthwhile; the interpreter path keeps discovery
-// order for oracle comparability.
-func (r *Run) Batchable() bool {
-	return r.NodeBound == nil && r.fused != nil && !r.Ex.Opts.ForceInterp
-}
-
-// BaseCaseBatch sweeps one reference leaf against every buffered query
-// leaf back-to-back through the fused loop — the reference tile stays
-// hot across the whole sweep instead of being re-streamed once per
-// query leaf. Only reachable when Batchable() returned true (no bound:
-// at most the τ or window gate, whose decisions no ordering changes).
-func (r *Run) BaseCaseBatch(qns []*tree.Node, rn *tree.Node) {
-	for _, qn := range qns {
-		r.BaseCase(qn, rn)
-	}
-}
-
-// ListCompatible reports whether the traversal may defer this Run's
-// base cases into per-query-leaf interaction lists and execute them
-// after the walk (traverse's ListRule capability). The safety
-// condition is Batchable's — no query-node bound consuming
-// per-base-case feedback (KNN's shrinking bound must refuse), a fused
-// loop to sweep with, discovery order preserved under ForceInterp for
-// oracle comparability.
-func (r *Run) ListCompatible() bool { return r.Batchable() }
-
-// BaseCaseList sweeps one query leaf against every reference leaf on
-// its interaction list in one flat pass — the transpose of
-// BaseCaseBatch: the query tile and its accumulators stay hot across
-// the whole list, and the loop over reference arena IDs is branch-free
-// (the prune/approximate decisions were all made during list
-// building). Only reachable when ListCompatible() returned true.
-func (r *Run) BaseCaseList(qn *tree.Node, refs []int32) {
-	nodes := r.R.Nodes
-	for _, id := range refs {
-		r.BaseCase(qn, &nodes[id])
-	}
-}
-
 // euclidBaseCase handles Euclidean-family metrics with the
 // layout-specialized distance loops.
 func (r *Run) euclidBaseCase(qb, qe int, rn *tree.Node) {

@@ -51,15 +51,6 @@ type Config struct {
 	Parallel bool
 	// Workers caps traversal parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Schedule selects the traversal schedule; the zero value is the
-	// work-stealing runtime (traverse.ScheduleSteal), and
-	// traverse.ScheduleIList the two-tier interaction-list schedule (list-building walk, then flat kernel sweeps; honored
-	// at every worker count, including non-parallel configs).
-	Schedule traverse.Schedule
-	// BatchBaseCases defers leaf base cases into per-worker
-	// reference-leaf interaction buffers (work-stealing scheduler,
-	// Workers >= 2, batchable operators only; see traverse.Options).
-	BatchBaseCases bool
 	// Codegen tunes the backend; zero value means DefaultOptions.
 	Codegen codegen.Options
 	// Weights optionally assigns reference point masses (Barnes-Hut).
@@ -235,20 +226,13 @@ func (p *Problem) ExecuteOn(qt, rt *tree.Tree, cfg Config) (*codegen.Output, err
 // traverseOptions maps the config (and a per-run stats accumulator)
 // onto the traversal runtime's options. A non-parallel config pins
 // Workers to 1 — the sequential path inside RunParallel — while still
-// recording the walk as one root span when tracing is on. Schedule is
-// kept even then: the interaction-list schedule has a meaningful (and
-// still byte-identical) single-worker form.
+// recording the walk as one root span when tracing is on.
 func (c Config) traverseOptions(st *stats.TraversalStats) traverse.Options {
+	opts := traverse.Options{Workers: c.Workers, Stats: st, Trace: c.Trace}
 	if !c.Parallel {
-		return traverse.Options{Workers: 1, Schedule: c.Schedule, Stats: st, Trace: c.Trace}
+		opts.Workers = 1
 	}
-	return traverse.Options{
-		Workers:        c.Workers,
-		Schedule:       c.Schedule,
-		BatchBaseCases: c.BatchBaseCases,
-		Stats:          st,
-		Trace:          c.Trace,
-	}
+	return opts
 }
 
 func (p *Problem) executeOn(qt, rt *tree.Tree, cfg Config, buildDur time.Duration, builtHere bool) (*codegen.Output, error) {

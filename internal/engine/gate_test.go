@@ -13,7 +13,6 @@ import (
 	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/storage"
-	"portal/internal/traverse"
 )
 
 // Differential suite for the point gate (DESIGN §9) against the IR
@@ -169,8 +168,8 @@ func TestPointGateMatchesInterpreter(t *testing.T) {
 // TestTauGateAcrossSchedules: the τ gate's point approximations err by
 // less than τ per reference point, like the node rule's. So the gated
 // KDE stays within n·τ of the ungated interpreter on the same walk;
-// its decisions read no traversal state, so sequential, steal and ilist
-// runs evaluate the same pairs and agree to reassociation; and sharded
+// its decisions read no traversal state, so sequential and steal runs
+// evaluate the same pairs and agree to reassociation; and sharded
 // runs (other trees, other approximations) stay within n·τ of brute
 // force. Run under -race: the gate writes Val from whichever worker
 // owns the query leaf.
@@ -220,16 +219,10 @@ func TestTauGateAcrossSchedules(t *testing.T) {
 		if seq.Stats.BaseCasePairs != interp.Stats.BaseCasePairs || seq.Stats.KernelEvals >= interp.Stats.KernelEvals {
 			t.Fatalf("%s: gated %+v interp %+v: want the same walk with fewer evaluations", ctx, seq.Stats, interp.Stats)
 		}
-		for name, cfg := range map[string]Config{
-			"steal":   {Parallel: true, Workers: 4},
-			"ilist-1": {Parallel: true, Workers: 1, Schedule: traverse.ScheduleIList},
-			"ilist-4": {Parallel: true, Workers: 4, Schedule: traverse.ScheduleIList},
-		} {
-			got := run(cfg)
-			within(name+" vs sequential", got.Values, seq.Values, 1e-12*slices.Max(seq.Values))
-			if got.Stats.KernelEvals != seq.Stats.KernelEvals {
-				t.Fatalf("%s %s: evaluated %d pairs, sequential %d", ctx, name, got.Stats.KernelEvals, seq.Stats.KernelEvals)
-			}
+		steal := run(Config{Parallel: true, Workers: 4})
+		within("steal vs sequential", steal.Values, seq.Values, 1e-12*slices.Max(seq.Values))
+		if steal.Stats.KernelEvals != seq.Stats.KernelEvals {
+			t.Fatalf("%s steal: evaluated %d pairs, sequential %d", ctx, steal.Stats.KernelEvals, seq.Stats.KernelEvals)
 		}
 		brute, err := BruteForce(spec)
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/storage"
-	"portal/internal/traverse"
 )
 
 // Sequential-vs-parallel equivalence across every operator family.
@@ -134,15 +133,6 @@ func outputsEquivalent(t *testing.T, name string, spec *lang.PortalExpr, par, se
 }
 
 func TestSequentialParallelEquivalenceAllOperators(t *testing.T) {
-	variants := []struct {
-		name     string
-		schedule traverse.Schedule
-		batch    bool
-	}{
-		{name: "steal", schedule: traverse.ScheduleSteal},
-		{name: "steal-batch", schedule: traverse.ScheduleSteal, batch: true},
-		{name: "ilist", schedule: traverse.ScheduleIList},
-	}
 	for i, tc := range seqParCases() {
 		tc := tc
 		seed := int64(100 + i)
@@ -154,18 +144,12 @@ func TestSequentialParallelEquivalenceAllOperators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range variants {
-				pcfg := cfg
-				pcfg.Parallel = true
-				pcfg.Workers = 4
-				pcfg.Schedule = v.schedule
-				pcfg.BatchBaseCases = v.batch
-				par, err := Run(tc.name+"/"+v.name, spec, pcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				outputsEquivalent(t, tc.name+"/"+v.name, spec, par, seq)
+			cfg.Parallel, cfg.Workers = true, 4
+			par, err := Run(tc.name+"/steal", spec, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			outputsEquivalent(t, tc.name+"/steal", spec, par, seq)
 		})
 	}
 }

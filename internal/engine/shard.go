@@ -25,13 +25,11 @@ func (c Config) shardOptions() shard.Options {
 // shardExecConfig maps the config onto the shard executor's options.
 func (c Config) shardExecConfig() shard.ExecConfig {
 	return shard.ExecConfig{
-		Parallel:       c.Parallel,
-		Workers:        c.Workers,
-		Schedule:       c.Schedule,
-		BatchBaseCases: c.BatchBaseCases,
-		LeafSize:       c.LeafSize,
-		Oct:            c.Tree == Octree,
-		Trace:          c.Trace,
+		Parallel: c.Parallel,
+		Workers:  c.Workers,
+		LeafSize: c.LeafSize,
+		Oct:      c.Tree == Octree,
+		Trace:    c.Trace,
 	}
 }
 

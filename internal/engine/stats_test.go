@@ -152,8 +152,8 @@ func TestStatsSequentialEqualsParallelPruningExact(t *testing.T) {
 // The KernelEvals contract for bound rules: the point gate makes it the
 // count of evaluations actually performed, so base_case_pairs −
 // kernel_evals is the point-pruned work. The walk is deterministic per
-// query subtree, so the count is the same under every schedule and on
-// the fused and NoFuse paths (one gate, in the dispatcher); the
+// query subtree, so the count is the same sequentially and under the
+// steal scheduler, and on the fused and NoFuse paths (one gate, in the dispatcher); the
 // interpreter oracle is ungated and evaluates every pair.
 func TestKernelEvalsBoundRuleContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -194,32 +194,48 @@ func TestKernelEvalsBoundRuleContract(t *testing.T) {
 	}
 }
 
-// The score-once walk changed how a pair's box distance reaches the
-// decision, not any decision: at one worker its counters are the
-// counters the twice-scoring walk produced (recorded at the commit
-// before the change), kd-tree and octree, min and max side.
-func TestWalkCountersUnchangedByScoring(t *testing.T) {
-	pts := dataset.GeneratePlummer(20000, 7)
+// The walk's counters at one worker are a contract: a change that is
+// not meant to alter a decision must leave them exactly where the
+// commit before it had them. One row per rule family — the bound rule
+// (k-NN, kd-tree and octree, min and max side), the τ rule with its
+// point gate (Gaussian KDE) and the window rule with its point gate
+// (range search) — on fixed seeds, numbers recorded from the parent
+// commit.
+func TestWalkCountersPinned(t *testing.T) {
+	plummer := dataset.GeneratePlummer(20000, 7)
+	knn := func(op lang.Op) *lang.PortalExpr {
+		return (&lang.PortalExpr{}).AddLayer(lang.FORALL, plummer, nil).
+			AddLayerK(op, 5, plummer, expr.NewDistanceKernel(geom.Euclidean))
+	}
+	ihepc := dataset.MustGenerate("IHEPC", 6000, 7)
+	kde := (&lang.PortalExpr{}).AddLayer(lang.FORALL, ihepc, nil).
+		AddLayer(lang.SUM, ihepc, expr.NewGaussianKernel(0.2))
+	ellip := dataset.GenerateElliptical(50000, 7)
+	rs := (&lang.PortalExpr{}).AddLayer(lang.FORALL, ellip, nil).
+		AddLayer(lang.UNIONARG, ellip, expr.NewRangeKernel(0, 0.02))
 	for _, tc := range []struct {
-		tree                                  TreeKind
-		op                                    lang.Op
-		visits, prunes, baseCases, kernelEval int64
+		name string
+		spec *lang.PortalExpr
+		cfg  Config
+		// visits, prunes, approxes, base cases, base-case pairs, kernel evals
+		want [6]int64
 	}{
-		{KDTree, lang.KARGMIN, 177344, 153757, 94569, 1789223},
-		{KDTree, lang.KARGMAX, 19183, 18542, 9752, 1811519},
-		{Octree, lang.KARGMIN, 593572, 595093, 510263, 20011604},
-		{Octree, lang.KARGMAX, 14894, 610, 12962, 181049},
+		{"knn-min/kd", knn(lang.KARGMIN), Config{}, [6]int64{177344, 153757, 0, 94569, 36064610, 1789223}},
+		{"knn-max/kd", knn(lang.KARGMAX), Config{}, [6]int64{19183, 18542, 0, 9752, 3679971, 1811519}},
+		{"knn-min/oct", knn(lang.KARGMIN), Config{Tree: Octree}, [6]int64{593572, 595093, 0, 510263, 60345701, 20011604}},
+		{"knn-max/oct", knn(lang.KARGMAX), Config{Tree: Octree}, [6]int64{14894, 610, 0, 12962, 281201, 181049}},
+		{"kde-tau/kd", kde, Config{Tau: 1e-3}, [6]int64{15039, 0, 3926, 10298, 5658064, 3321473}},
+		{"rangesearch/kd", rs, Config{}, [6]int64{20999, 34862, 0, 7034, 4195444, 1306881}},
 	} {
-		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, pts, nil).
-			AddLayerK(tc.op, 5, pts, expr.NewDistanceKernel(geom.Euclidean))
-		out, err := Run("knn", spec, Config{LeafSize: 32, CollectStats: true, Tree: tc.tree})
+		tc.cfg.LeafSize, tc.cfg.CollectStats = 32, true
+		out, err := Run(tc.name, tc.spec, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := out.Report.Traversal
-		if st.Visits != tc.visits || st.Prunes != tc.prunes || st.BaseCases != tc.baseCases || st.KernelEvals != tc.kernelEval {
-			t.Errorf("tree %d %v: visits/prunes/base cases/kernel evals %d/%d/%d/%d, recorded %d/%d/%d/%d", tc.tree, tc.op,
-				st.Visits, st.Prunes, st.BaseCases, st.KernelEvals, tc.visits, tc.prunes, tc.baseCases, tc.kernelEval)
+		got := [6]int64{st.Visits, st.Prunes, st.Approxes, st.BaseCases, st.BaseCasePairs, st.KernelEvals}
+		if got != tc.want {
+			t.Errorf("%s: visits/prunes/approxes/base cases/base-case pairs/kernel evals %v, recorded %v", tc.name, got, tc.want)
 		}
 	}
 }

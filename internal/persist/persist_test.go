@@ -356,3 +356,44 @@ func TestSaveAtomicReplace(t *testing.T) {
 		t.Fatalf("%d directory entries after replace, want just the snapshot", len(entries))
 	}
 }
+
+// BenchmarkSnapshot is the build-once / load-many economics of a
+// persisted dataset: constructing the kd-tree of 1e5 3-d points,
+// writing its checksummed snapshot, and mapping it back.
+func BenchmarkSnapshot(b *testing.B) {
+	const n = 100000
+	data := randStorage(rand.New(rand.NewSource(1)), n, 3)
+	tr := tree.BuildKD(data, nil)
+	path := filepath.Join(b.TempDir(), "tree.snap")
+	if err := Save(path, tr); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tree.BuildKD(data, nil)
+		}
+	})
+	b.Run("save", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := Save(path, tr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l, err := Load(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Touch the tree so a lazily faulted mapping cannot report
+			// a load it never performed.
+			if l.Tree.Len() != n || l.Tree.NodeCount != tr.NodeCount {
+				b.Fatalf("round trip: %d points, %d nodes", l.Tree.Len(), l.Tree.NodeCount)
+			}
+			if err := l.Release(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -38,9 +38,6 @@ type BHConfig struct {
 	Parallel bool
 	// Workers caps parallelism.
 	Workers int
-	// Schedule selects the parallel traversal scheduler (zero value:
-	// work-stealing).
-	Schedule traverse.Schedule
 	// Stats, when non-nil, receives (via Merge) the execution's
 	// observability Report — Barnes-Hut's analogue of
 	// engine.Config.StatsSink.
@@ -96,7 +93,7 @@ func BarnesHut(pos *storage.Storage, mass []float64, cfg BHConfig) ([][]float64,
 		// still recording the walk as one root span when tracing is on.
 		workers = 1
 	}
-	traverse.RunParallel(t, t, r, traverse.Options{Workers: workers, Schedule: cfg.Schedule, Stats: st, Trace: cfg.Trace})
+	traverse.RunParallel(t, t, r, traverse.Options{Workers: workers, Stats: st, Trace: cfg.Trace})
 	travDur := time.Since(travStart)
 	finStart := time.Now()
 	var ft *trace.Task

@@ -75,7 +75,7 @@ func MST(data *storage.Storage, cfg Config) ([]MSTEdge, float64, error) {
 			// the round as one root span when tracing is on.
 			roundWorkers = 1
 		}
-		traverse.RunParallel(t, t, r, traverse.Options{Workers: roundWorkers, Schedule: cfg.Schedule, Stats: st, Trace: cfg.Trace})
+		traverse.RunParallel(t, t, r, traverse.Options{Workers: roundWorkers, Stats: st, Trace: cfg.Trace})
 		if cfg.StatsSink != nil {
 			workers := 1
 			if cfg.Parallel {

@@ -40,17 +40,8 @@ type serverMetrics struct {
 	tasksExecuted *metrics.Counter
 	tasksStolen   *metrics.Counter
 	dequeHW       *metrics.Gauge
-	batchFlushes  *metrics.Counter
-	batchedBase   *metrics.Counter
 	basePairs     *metrics.Counter
 	prunedPairs   *metrics.Counter
-
-	// Interaction-list schedule (Schedule = ilist): per-query list
-	// counters and a list-length histogram, zero unless the server
-	// runs with -schedule ilist and the operator is list-compatible.
-	listsSwept  *metrics.Counter
-	listEntries *metrics.Counter
-	listLen     *metrics.Histogram
 
 	// Registry high-water of any single snapshot's refcount.
 	refsHW *metrics.Gauge
@@ -100,21 +91,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Traversal tasks stolen from another worker's deque."),
 		dequeHW: r.Gauge("portal_traverse_deque_high_water",
 			"Peak occupancy observed on any worker deque since startup."),
-		batchFlushes: r.Counter("portal_traverse_batch_flushes_total",
-			"Reference-leaf interaction-buffer flushes."),
-		batchedBase: r.Counter("portal_traverse_batched_base_cases_total",
-			"Base cases executed through interaction batching."),
 		basePairs: r.Counter("portal_traverse_base_case_pairs_total",
 			"Point pairs enumerated by base cases (work not eliminated)."),
 		prunedPairs: r.Counter("portal_traverse_eliminated_pairs_total",
 			"Point pairs eliminated by pruning or approximation."),
-		listsSwept: r.Counter("portal_traverse_lists_swept_total",
-			"Per-query-leaf interaction lists executed by the ilist schedule's sweep phase."),
-		listEntries: r.Counter("portal_traverse_list_entries_total",
-			"Reference leaves recorded on swept interaction lists."),
-		listLen: r.Histogram("portal_traverse_list_length",
-			"Interaction-list length (reference leaves per query leaf), per query mean.",
-			metrics.HistogramOpts{Base: 1, Buckets: 16, Div: 1}),
 		refsHW: r.Gauge("portal_registry_refs_high_water",
 			"Highest refcount observed on any single snapshot."),
 		snapSave: r.Histogram("portal_snapshot_save_seconds",
@@ -211,15 +191,8 @@ func (m *serverMetrics) observeQuery(problem, dataset, outcome string, latencyNS
 	m.tasksExecuted.Add(t.TasksExecuted)
 	m.tasksStolen.Add(t.TasksStolen)
 	m.dequeHW.Max(t.DequeHighWater)
-	m.batchFlushes.Add(t.BatchFlushes)
-	m.batchedBase.Add(t.BatchedBaseCases)
 	m.basePairs.Add(t.BaseCasePairs)
 	m.prunedPairs.Add(t.EliminatedPairs())
-	if t.ListsSwept > 0 {
-		m.listsSwept.Add(t.ListsSwept)
-		m.listEntries.Add(t.ListEntries)
-		m.listLen.Observe(t.ListEntries / t.ListsSwept)
-	}
 	if sh := rep.Sharding; sh != nil {
 		m.shardQueries.Inc()
 		m.shardExchangeBytes.With1(dataset).Add(sh.ExchangeSummaryBytes)

@@ -25,7 +25,6 @@ import (
 	"portal/internal/stats"
 	"portal/internal/storage"
 	"portal/internal/trace"
-	"portal/internal/traverse"
 	"portal/internal/tree"
 )
 
@@ -59,12 +58,6 @@ type Config struct {
 	// QueryLogSize caps each capture ring (slow and sampled); default
 	// 64 entries.
 	QueryLogSize int
-	// Schedule selects the traversal scheduler for every served query
-	// (the zero value is the work-stealing default;
-	// traverse.ScheduleIList runs the two-tier interaction-list
-	// schedule). The compiled-problem cache key is unaffected, so
-	// flipping the schedule never fragments the cache.
-	Schedule traverse.Schedule
 	// Shards, when > 1, publishes every dataset with a pre-built
 	// sharded partition and serves its queries through the spatially
 	// sharded execution tier (engine.Config.Shards semantics). The
@@ -626,7 +619,7 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 	// slow-query log attach a full report — without ever touching the
 	// traversal hot path. The response still carries the report only
 	// when the caller asked.
-	cfg := engine.Config{LeafSize: s.cfg.LeafSize, Schedule: s.cfg.Schedule, CollectStats: true}
+	cfg := engine.Config{LeafSize: s.cfg.LeafSize, CollectStats: true}
 	// The 1-in-N sampler: query number seq is sampled when
 	// seq % N == 1 % N, which picks the very first query (fast signal
 	// after startup) and handles N == 1 (trace everything).

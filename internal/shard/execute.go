@@ -19,10 +19,8 @@ import (
 // slice of engine.Config (the engine maps its config here; shard
 // cannot import engine).
 type ExecConfig struct {
-	Parallel       bool
-	Workers        int
-	Schedule       traverse.Schedule
-	BatchBaseCases bool
+	Parallel bool
+	Workers  int
 	// LeafSize and Oct shape the locally-essential import trees (they
 	// should match the partition's shard trees).
 	LeafSize int
@@ -34,16 +32,11 @@ type ExecConfig struct {
 }
 
 func (c ExecConfig) traverseOptions(st *stats.TraversalStats) traverse.Options {
+	opts := traverse.Options{Workers: c.Workers, Stats: st, Trace: c.Trace}
 	if !c.Parallel {
-		return traverse.Options{Workers: 1, Schedule: c.Schedule, Stats: st, Trace: c.Trace}
+		opts.Workers = 1
 	}
-	return traverse.Options{
-		Workers:        c.Workers,
-		Schedule:       c.Schedule,
-		BatchBaseCases: c.BatchBaseCases,
-		Stats:          st,
-		Trace:          c.Trace,
-	}
+	return opts
 }
 
 // importSet accumulates everything one shard imports from its peers.

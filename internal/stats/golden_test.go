@@ -32,8 +32,6 @@ func goldenReport() *Report {
 			BaseCasePairs:  4000000, PrunedPairs: 56000000, ApproxPairs: 40000000,
 			KernelEvals: 4000800, TasksSpawned: 24, TasksExecuted: 25, TasksStolen: 9,
 			InlineFallbacks: 3, DequeHighWater: 5,
-			BatchFlushes: 40, BatchedBaseCases: 2800,
-			ListsSwept: 120, ListEntries: 3000, ListMaxLen: 64, ListBytes: 262144,
 			MaxDepth: 9,
 		},
 		Build:  TreeBuildStats{Workers: 4, TasksSpawned: 6, InlineFallbacks: 1},
@@ -49,12 +47,7 @@ func goldenReport() *Report {
 		},
 		Trace: &trace.Profile{
 			WallNS: 93000000, Spans: 33, TraverseSpans: 21, BuildSpans: 7,
-			ListBuildSpans: 4, ListExecSpans: 1,
 			StolenSpans: 9, MaxWorkers: 4, Utilization: 0.85,
-			BatchSizes: trace.Histogram{
-				Buckets: []trace.HistBucket{{UpToNS: 32, Count: 40}},
-				MinNS:   12, MaxNS: 32, MeanNS: 28,
-			},
 			Workers: []trace.WorkerProfile{
 				{Worker: 0, Spans: 17, BusyNS: 90000000, Utilization: 0.97},
 				{Worker: 1, Spans: 16, BusyNS: 75000000, Utilization: 0.81},
@@ -72,7 +65,7 @@ func goldenReport() *Report {
 	}
 }
 
-// TestReportGoldenJSON pins the schema_version=4 JSON wire format.
+// TestReportGoldenJSON pins the schema_version=5 JSON wire format.
 func TestReportGoldenJSON(t *testing.T) {
 	b, err := goldenReport().JSON()
 	if err != nil {
@@ -80,7 +73,7 @@ func TestReportGoldenJSON(t *testing.T) {
 	}
 	b = append(b, '\n')
 
-	golden := filepath.Join("testdata", "report_v4.golden.json")
+	golden := filepath.Join("testdata", "report_v5.golden.json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -52,7 +52,15 @@ import (
 // otherwise unchanged; the traverse-span invariant now also counts
 // traversals run per shard (their task spans land in the same
 // traverse/list-build names).
-const ReportSchemaVersion = 4
+//
+// Version 5: a leaf pair's base case runs where the walk finds it and
+// nowhere else, so the counters of the two deferral tiers are removed
+// from "traversal": batch_flushes, batched_base_cases, lists_swept,
+// list_entries, list_max_len, list_bytes. The "trace" block loses what
+// described them (list_build_spans, list_exec_spans, batch_sizes) and
+// the list-build / list-exec span names; the span invariant is traverse
+// spans == tasks_executed.
+const ReportSchemaVersion = 5
 
 // TraversalStats counts traversal events. Within one task the fields
 // are plain (single-writer); cross-task aggregation goes through
@@ -71,8 +79,10 @@ type TraversalStats struct {
 	// FusedBaseCases counts the subset of BaseCases executed by the
 	// backend's fused operator-specialized loops (see
 	// internal/codegen/basecase_fused.go) rather than the per-pair
-	// update path or the IR interpreter. Equal to BaseCases when every
-	// leaf pair took a fused loop; 0 under ForceInterp or NoFuse.
+	// update path or the IR interpreter. The loop is selected once per
+	// run, so this is BaseCases when the run's (kernel, operator,
+	// layout) combination has one and 0 otherwise — in particular under
+	// ForceInterp or NoFuse.
 	FusedBaseCases int64 `json:"fused_base_cases"`
 	// BaseCasePairs totals the point pairs enumerated by base cases —
 	// the work the prune/approximate conditions could not eliminate.
@@ -100,37 +110,15 @@ type TraversalStats struct {
 	// (work-stealing scheduler only; includes steals performed while
 	// helping inside a join wait).
 	TasksStolen int64 `json:"tasks_stolen"`
-	// InlineFallbacks counts spawn points that found the deque full
-	// (the m-way traversal: the workers saturated) and ran the child
-	// inline instead (the paper's switch from task
-	// creation to straight-line execution).
+	// InlineFallbacks counts spawn points that found the worker's deque
+	// full (the m-way traversal: the workers saturated) and ran the
+	// child inline instead — the paper's switch from task creation to
+	// straight-line execution.
 	InlineFallbacks int64 `json:"inline_fallbacks"`
 	// DequeHighWater is the peak occupancy observed on any single
 	// worker's task deque (work-stealing scheduler only; merged by
 	// maximum, like MaxDepth).
 	DequeHighWater int64 `json:"deque_high_water"`
-	// BatchFlushes counts reference-leaf interaction-buffer sweeps by
-	// the batched base-case path (zero unless BatchBaseCases is on and
-	// the rule is batchable).
-	BatchFlushes int64 `json:"batch_flushes"`
-	// BatchedBaseCases counts the subset of BaseCases that were
-	// deferred into an interaction buffer and executed by a batch
-	// flush rather than at discovery.
-	BatchedBaseCases int64 `json:"batched_base_cases"`
-	// ListsSwept counts the per-query-leaf interaction lists executed
-	// by the interaction-list schedule's sweep phase (zero unless
-	// Schedule is ilist and the rule is list-compatible); ListEntries
-	// totals the reference leaves those lists held — every deferred
-	// base case appears exactly once, so ListEntries == BaseCases for a
-	// compatible ilist run.
-	ListsSwept  int64 `json:"lists_swept"`
-	ListEntries int64 `json:"list_entries"`
-	// ListMaxLen is the longest single interaction list swept (merged
-	// by maximum, like MaxDepth).
-	ListMaxLen int64 `json:"list_max_len"`
-	// ListBytes is the list arena's memory high-water for the run:
-	// slot-array plus retained per-list capacities (merged by maximum).
-	ListBytes int64 `json:"list_bytes"`
 	// MaxDepth is the deepest recursion level reached (root = 0).
 	MaxDepth int64 `json:"max_depth"`
 }
@@ -153,16 +141,6 @@ func (s *TraversalStats) Add(o *TraversalStats) {
 	if o.DequeHighWater > s.DequeHighWater {
 		s.DequeHighWater = o.DequeHighWater
 	}
-	s.BatchFlushes += o.BatchFlushes
-	s.BatchedBaseCases += o.BatchedBaseCases
-	s.ListsSwept += o.ListsSwept
-	s.ListEntries += o.ListEntries
-	if o.ListMaxLen > s.ListMaxLen {
-		s.ListMaxLen = o.ListMaxLen
-	}
-	if o.ListBytes > s.ListBytes {
-		s.ListBytes = o.ListBytes
-	}
 	if o.MaxDepth > s.MaxDepth {
 		s.MaxDepth = o.MaxDepth
 	}
@@ -184,12 +162,6 @@ func (s *TraversalStats) MergeAtomic(dst *TraversalStats) {
 	atomic.AddInt64(&dst.TasksExecuted, s.TasksExecuted)
 	atomic.AddInt64(&dst.TasksStolen, s.TasksStolen)
 	atomic.AddInt64(&dst.InlineFallbacks, s.InlineFallbacks)
-	atomic.AddInt64(&dst.BatchFlushes, s.BatchFlushes)
-	atomic.AddInt64(&dst.BatchedBaseCases, s.BatchedBaseCases)
-	atomic.AddInt64(&dst.ListsSwept, s.ListsSwept)
-	atomic.AddInt64(&dst.ListEntries, s.ListEntries)
-	atomicMaxInt64(&dst.ListMaxLen, s.ListMaxLen)
-	atomicMaxInt64(&dst.ListBytes, s.ListBytes)
 	atomicMaxInt64(&dst.DequeHighWater, s.DequeHighWater)
 	atomicMaxInt64(&dst.MaxDepth, s.MaxDepth)
 }
@@ -442,13 +414,6 @@ func (r *Report) String() string {
 		r.TotalPairs, t.BaseCasePairs, t.PrunedPairs, t.ApproxPairs, 100*r.PrunedFraction())
 	s += fmt.Sprintf("  kernel evals: %d  base cases: %d (fused: %d)  tasks: spawned=%d executed=%d stolen=%d (inline fallbacks: %d, deque hw: %d)",
 		t.KernelEvals, t.BaseCases, t.FusedBaseCases, t.TasksSpawned, t.TasksExecuted, t.TasksStolen, t.InlineFallbacks, t.DequeHighWater)
-	if t.BatchFlushes > 0 || t.BatchedBaseCases > 0 {
-		s += fmt.Sprintf("\n  batching: flushes=%d batched base cases=%d", t.BatchFlushes, t.BatchedBaseCases)
-	}
-	if t.ListsSwept > 0 {
-		s += fmt.Sprintf("\n  interaction lists: swept=%d entries=%d max-len=%d arena=%dB",
-			t.ListsSwept, t.ListEntries, t.ListMaxLen, t.ListBytes)
-	}
 	if b := r.Build; b.Workers > 0 {
 		s += fmt.Sprintf("\n  tree build: workers=%d tasks=%d (inline fallbacks: %d)",
 			b.Workers, b.TasksSpawned, b.InlineFallbacks)

@@ -75,7 +75,7 @@ func TestReportMergeAndFraction(t *testing.T) {
 }
 
 // The JSON schema documented in README must stay stable: these keys are
-// what BENCH_*.json consumers grep for.
+// what consumers of -stats-json grep for.
 func TestReportJSONSchema(t *testing.T) {
 	r := &Report{Problem: "kde", Workers: 2, QueryN: 10, RefN: 10, Rounds: 1,
 		TotalPairs: 100, Traversal: TraversalStats{Prunes: 1, KernelEvals: 9}}
@@ -88,8 +88,7 @@ func TestReportJSONSchema(t *testing.T) {
 		`"total_pairs"`, `"traversal"`, `"prunes"`, `"approxes"`, `"visits"`,
 		`"base_cases"`, `"base_case_pairs"`, `"pruned_pairs"`, `"approx_pairs"`,
 		`"kernel_evals"`, `"tasks_spawned"`, `"tasks_executed"`, `"tasks_stolen"`,
-		`"inline_fallbacks"`, `"deque_high_water"`, `"batch_flushes"`,
-		`"batched_base_cases"`, `"max_depth"`,
+		`"inline_fallbacks"`, `"deque_high_water"`, `"max_depth"`,
 		`"phases"`, `"tree_build_ns"`, `"traversal_ns"`, `"finalize_ns"`,
 	} {
 		if !strings.Contains(string(b), key) {

@@ -54,10 +54,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		if sp.Stolen {
 			args["stolen"] = true
 		}
-		if sp.Batches > 0 {
-			args["batches"] = sp.Batches
-			args["batched_leaves"] = sp.BatchedLeaves
-		}
 		ct.TraceEvents = append(ct.TraceEvents, chromeEvent{
 			Name:  sp.Phase.String(),
 			Phase: "X",
@@ -77,9 +73,8 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 // its structural invariants: every event is a metadata ("M") or
 // complete ("X") event with a nonnegative timestamp, every "X" event
 // has a name and a duration >= 0. It returns the count of "X" spans
-// per name ("traverse", "build", "finalize", "list-build",
-// "list-exec"). Used by the tracecheck command and the trace-smoke
-// gate.
+// per name ("traverse", "build", "finalize", ...). Used by the
+// tracecheck command and the trace-smoke gate.
 func ValidateChromeTrace(b []byte) (map[string]int, error) {
 	var ct chromeTrace
 	if err := json.Unmarshal(b, &ct); err != nil {

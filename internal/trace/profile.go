@@ -91,12 +91,6 @@ type Profile struct {
 	Spans         int `json:"spans"`
 	TraverseSpans int `json:"traverse_spans"`
 	BuildSpans    int `json:"build_spans"`
-	// ListBuildSpans counts the interaction-list schedule's
-	// list-building tasks (they replace traverse spans one-for-one:
-	// TraverseSpans + ListBuildSpans == TasksExecuted); ListExecSpans
-	// counts its per-worker list-execution sweeps.
-	ListBuildSpans int `json:"list_build_spans,omitempty"`
-	ListExecSpans  int `json:"list_exec_spans,omitempty"`
 	// StolenSpans is the number of traverse spans whose task was taken
 	// from another worker's deque (work-stealing scheduler only).
 	StolenSpans int `json:"stolen_spans"`
@@ -108,10 +102,6 @@ type Profile struct {
 	Workers []WorkerProfile `json:"workers,omitempty"`
 	// TaskDurations is a power-of-two histogram over span durations.
 	TaskDurations Histogram `json:"task_durations"`
-	// BatchSizes is a power-of-two histogram over the query-leaf count
-	// of each interaction-buffer flush (empty unless base-case
-	// batching ran).
-	BatchSizes Histogram `json:"batch_sizes,omitempty"`
 	// Depths[d] aggregates traversal decisions made at recursion
 	// depth d across all tasks; summing over d reproduces the
 	// TraversalStats aggregates, and len(Depths)-1 == MaxDepth.
@@ -143,17 +133,9 @@ func (c *Collector) Profile() *Profile {
 			}
 		case PhaseBuild:
 			p.BuildSpans++
-		case PhaseListBuild:
-			p.ListBuildSpans++
-			if sp.Stolen {
-				p.StolenSpans++
-			}
-		case PhaseListExec:
-			p.ListExecSpans++
 		}
 	}
 	p.TaskDurations = durationHist(durs)
-	p.BatchSizes = durationHist(c.batches)
 	for lane, busy := range c.busy {
 		wp := WorkerProfile{Worker: lane, BusyNS: busy}
 		if p.WallNS > 0 {
@@ -177,17 +159,9 @@ func (p *Profile) String() string {
 	fmt.Fprintf(&b, "trace: spans=%d (traverse=%d stolen=%d build=%d) wall=%v workers=%d utilization=%.1f%%\n",
 		p.Spans, p.TraverseSpans, p.StolenSpans, p.BuildSpans,
 		time.Duration(p.WallNS).Round(time.Microsecond), p.MaxWorkers, 100*p.Utilization)
-	if p.ListBuildSpans > 0 || p.ListExecSpans > 0 {
-		fmt.Fprintf(&b, "  interaction lists: build spans=%d exec spans=%d\n",
-			p.ListBuildSpans, p.ListExecSpans)
-	}
 	fmt.Fprintf(&b, "  task duration: min=%v mean=%v max=%v\n",
 		time.Duration(p.TaskDurations.MinNS), time.Duration(p.TaskDurations.MeanNS),
 		time.Duration(p.TaskDurations.MaxNS))
-	if len(p.BatchSizes.Buckets) > 0 {
-		fmt.Fprintf(&b, "  batch size (query leaves/flush): min=%d mean=%d max=%d\n",
-			p.BatchSizes.MinNS, p.BatchSizes.MeanNS, p.BatchSizes.MaxNS)
-	}
 	for _, w := range p.Workers {
 		fmt.Fprintf(&b, "  worker %d: spans=%d busy=%v (%.1f%%)\n",
 			w.Worker, w.Spans, time.Duration(w.BusyNS).Round(time.Microsecond), 100*w.Utilization)

@@ -47,16 +47,6 @@ const (
 	// PhaseFinalize is the result-assembly phase (push-downs, output
 	// reordering).
 	PhaseFinalize
-	// PhaseListBuild is a list-building traversal task under the
-	// interaction-list schedule: the walk records base cases into
-	// per-query-leaf lists instead of executing them. These spans stand
-	// in for PhaseTraverse spans one-for-one (the spans-vs-tasks
-	// invariant counts both).
-	PhaseListBuild
-	// PhaseListExec is an interaction-list execution sweep: one span
-	// per sweep worker, flushing recorded lists through the fused
-	// kernels. Each swept list is recorded as a Batch.
-	PhaseListExec
 	// PhaseShardBuild is a per-shard tree construction under the
 	// sharded execution tier: one span per shard tree (plus one per
 	// locally-essential import tree). Items is the shard's point
@@ -76,8 +66,7 @@ const (
 )
 
 // String returns the span name used in exports ("traverse", "build",
-// "finalize", "list-build", "list-exec", "shard-build", "exchange",
-// "shard-exec").
+// "finalize", "shard-build", "exchange", "shard-exec").
 func (p Phase) String() string {
 	switch p {
 	case PhaseTraverse:
@@ -86,10 +75,6 @@ func (p Phase) String() string {
 		return "build"
 	case PhaseFinalize:
 		return "finalize"
-	case PhaseListBuild:
-		return "list-build"
-	case PhaseListExec:
-		return "list-exec"
 	case PhaseShardBuild:
 		return "shard-build"
 	case PhaseExchange:
@@ -152,11 +137,6 @@ type Span struct {
 	// Stolen marks a traversal task executed by a worker that took it
 	// from another worker's deque (work-stealing scheduler only).
 	Stolen bool `json:"stolen,omitempty"`
-	// Batches counts the interaction-buffer flushes this task
-	// performed; BatchedLeaves totals the query leaves those flushes
-	// swept (base-case batching only).
-	Batches       int   `json:"batches,omitempty"`
-	BatchedLeaves int64 `json:"batched_leaves,omitempty"`
 }
 
 // Task is the per-task recording buffer. It is owned by exactly one
@@ -170,7 +150,6 @@ type Task struct {
 	start      time.Time
 	items      int64
 	stolen     bool
-	batches    []int64 // query-leaf count per interaction-buffer flush
 	depths     []DepthCounters
 }
 
@@ -220,10 +199,6 @@ func (t *Task) SetItems(n int64) { t.items = n }
 // scheduler marks top-level tasks taken from a victim's deque).
 func (t *Task) MarkStolen() { t.stolen = true }
 
-// Batch records one interaction-buffer flush that swept n buffered
-// query leaves against a reference leaf.
-func (t *Task) Batch(n int) { t.batches = append(t.batches, int64(n)) }
-
 // Recorder receives execution events. TaskBegin/TaskEnd bracket one
 // task's lifetime; the returned *Task is the task's private buffer
 // (see the package comment for the ownership model). Profile returns
@@ -252,10 +227,9 @@ type Collector struct {
 	mu     sync.Mutex
 	lanes  []bool // lane occupancy; index = worker id
 	laneHW int    // high-water lane count == peak task concurrency
-	spans   []Span
-	depths  []DepthCounters
-	busy    []int64 // accumulated span duration per lane, ns
-	batches []int64 // query-leaf count per interaction-buffer flush
+	spans  []Span
+	depths []DepthCounters
+	busy   []int64 // accumulated span duration per lane, ns
 }
 
 var _ Recorder = (*Collector)(nil)
@@ -300,25 +274,18 @@ func (c *Collector) TaskEnd(t *Task) {
 	if items == 0 {
 		items = pairs
 	}
-	var batchedLeaves int64
-	for _, n := range t.batches {
-		batchedLeaves += n
-	}
 	sp := Span{
-		Phase:         t.phase,
-		Worker:        t.worker,
-		StartNS:       t.start.Sub(c.epoch).Nanoseconds(),
-		DurNS:         end.Sub(t.start).Nanoseconds(),
-		SpawnDepth:    t.spawnDepth,
-		Decisions:     decisions,
-		Items:         items,
-		Stolen:        t.stolen,
-		Batches:       len(t.batches),
-		BatchedLeaves: batchedLeaves,
+		Phase:      t.phase,
+		Worker:     t.worker,
+		StartNS:    t.start.Sub(c.epoch).Nanoseconds(),
+		DurNS:      end.Sub(t.start).Nanoseconds(),
+		SpawnDepth: t.spawnDepth,
+		Decisions:  decisions,
+		Items:      items,
+		Stolen:     t.stolen,
 	}
 	c.mu.Lock()
 	c.spans = append(c.spans, sp)
-	c.batches = append(c.batches, t.batches...)
 	for len(c.depths) < len(t.depths) {
 		c.depths = append(c.depths, DepthCounters{})
 	}

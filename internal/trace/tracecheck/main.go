@@ -7,15 +7,12 @@
 //
 // Structural checks (always): the file parses, every event is a
 // metadata or complete event with sane timestamps, and at least one
-// span exists. With -stats: the traverse plus list-build span count
-// must equal tasks_executed (each top-level task dispatch — root
-// walks, main-loop steals, list-building walks under the ilist
-// schedule — is exactly one span, accumulated across
-// rounds; the ilist execution phase's list-exec spans are per sweep
-// worker and outside the invariant), the per-depth decision totals
-// must sum exactly to the TraversalStats aggregates, and the
-// depth-profile height must match max_depth. Exits non-zero on any
-// violation.
+// span exists. With -stats: the traverse span count must equal
+// tasks_executed (each top-level task dispatch — root walks and
+// main-loop steals — is exactly one span, accumulated across rounds),
+// the per-depth decision totals must sum exactly to the TraversalStats
+// aggregates, and the depth-profile height must match max_depth. Exits
+// non-zero on any violation.
 package main
 
 import (
@@ -40,9 +37,8 @@ func main() {
 	fatal(err)
 	counts, err := trace.ValidateChromeTrace(b)
 	fatal(err)
-	fmt.Printf("tracecheck: %s ok — spans: traverse=%d build=%d finalize=%d list-build=%d list-exec=%d\n",
-		*tracePath, counts["traverse"], counts["build"], counts["finalize"],
-		counts["list-build"], counts["list-exec"])
+	fmt.Printf("tracecheck: %s ok — spans: traverse=%d build=%d finalize=%d\n",
+		*tracePath, counts["traverse"], counts["build"], counts["finalize"])
 	if *statsPath == "" {
 		return
 	}
@@ -58,12 +54,9 @@ func main() {
 
 	// Every top-level task dispatch is one span; tasks_executed
 	// already accumulates each round's root walk, so no rounds
-	// adjustment is needed. Under the ilist schedule the walk's spans
-	// carry the list-build phase instead of traverse, so the invariant
-	// counts both.
-	if walk, want := counts["traverse"]+counts["list-build"], int(t.TasksExecuted); walk != want {
-		fatalf("traverse+list-build spans = %d+%d = %d, want tasks_executed = %d",
-			counts["traverse"], counts["list-build"], walk, want)
+	// adjustment is needed.
+	if got, want := counts["traverse"], int(t.TasksExecuted); got != want {
+		fatalf("traverse spans = %d, want tasks_executed = %d", got, want)
 	}
 
 	if rep.Trace == nil {

@@ -28,7 +28,7 @@ type task struct {
 	// depth is the recursion depth of the (qn, rc) child pairs.
 	depth int
 	// join resolves the spawn site's barrier: the executing worker
-	// decrements it after the task (and its batch drain) completes.
+	// decrements it after the task completes.
 	join *join
 }
 

@@ -142,7 +142,7 @@ func TestWorkersOneIsPureSequential(t *testing.T) {
 
 	c2 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
 	var one stats.TraversalStats
-	RunParallel(q, r, c2, Options{Workers: 1, BatchBaseCases: true, Stats: &one})
+	RunParallel(q, r, c2, Options{Workers: 1, Stats: &one})
 	if one != seq {
 		t.Fatalf("Workers=1 stats %+v differ from sequential %+v", one, seq)
 	}
@@ -169,8 +169,8 @@ func (l *leafRootRule) Fork() Rule {
 }
 
 // A single-leaf query tree has no query-side split to create a task
-// at, so every schedule must walk it sequentially at any worker count:
-// one executed task, one span, no worker goroutines left spinning in a
+// at, so it must be walked sequentially at any worker count: one
+// executed task, one span, no worker goroutines left spinning in a
 // steal loop for the length of the traversal.
 func TestSingleLeafQueryIsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -179,25 +179,23 @@ func TestSingleLeafQueryIsSequential(t *testing.T) {
 	if !q.Root.IsLeaf() {
 		t.Fatal("query tree is not a single leaf")
 	}
-	for _, sched := range []Schedule{ScheduleSteal, ScheduleIList} {
-		c := &leafRootRule{t: t, countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
-		rec := trace.New()
-		var st stats.TraversalStats
-		before := runtime.NumGoroutine()
-		RunParallel(q, r, c, Options{Workers: 4, Schedule: sched, Stats: &st, Trace: rec})
-		if st.TasksExecuted != 1 || st.TasksSpawned != 0 || st.TasksStolen != 0 {
-			t.Fatalf("%v: executed/spawned/stolen = %d/%d/%d, want 1/0/0", sched, st.TasksExecuted, st.TasksSpawned, st.TasksStolen)
-		}
-		if n := len(rec.Spans()); n != 1 {
-			t.Fatalf("%v: %d spans, want 1", sched, n)
-		}
-		if c.goroutines > before {
-			t.Fatalf("%v: %d goroutines during the walk, %d before it", sched, c.goroutines, before)
-		}
-		for i, n := range c.perQuery {
-			if n != int64(r.Len()) {
-				t.Fatalf("%v: query %d saw %d reference points, want %d", sched, i, n, r.Len())
-			}
+	c := &leafRootRule{t: t, countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
+	rec := trace.New()
+	var st stats.TraversalStats
+	before := runtime.NumGoroutine()
+	RunParallel(q, r, c, Options{Workers: 4, Stats: &st, Trace: rec})
+	if st.TasksExecuted != 1 || st.TasksSpawned != 0 || st.TasksStolen != 0 {
+		t.Fatalf("executed/spawned/stolen = %d/%d/%d, want 1/0/0", st.TasksExecuted, st.TasksSpawned, st.TasksStolen)
+	}
+	if n := len(rec.Spans()); n != 1 {
+		t.Fatalf("%d spans, want 1", n)
+	}
+	if c.goroutines > before {
+		t.Fatalf("%d goroutines during the walk, %d before it", c.goroutines, before)
+	}
+	for i, n := range c.perQuery {
+		if n != int64(r.Len()) {
+			t.Fatalf("query %d saw %d reference points, want %d", i, n, r.Len())
 		}
 	}
 }

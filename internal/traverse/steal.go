@@ -24,17 +24,6 @@
 // query-side splits, and a parent resolves its join before its caller
 // can start a sibling pair over the same query subtree, so two live
 // tasks never share query state.
-//
-// Interaction batching (optional, BatchBaseCases) defers leaf base
-// cases instead of running them at discovery: each worker buffers
-// (query leaf, reference leaf) pairs keyed by reference leaf and
-// flushes a bucket by sweeping the one reference tile against all
-// buffered query leaves back-to-back through the backend's fused
-// kernels — the reference tile is loaded once per flush instead of
-// once per query leaf. Buffers are drained at the end of every task
-// execution *before* the task's join decrement, so all writes a flush
-// performs are ordered before the parent's PostChildren for any query
-// subtree involved.
 package traverse
 
 import (
@@ -45,30 +34,6 @@ import (
 	"portal/internal/trace"
 	"portal/internal/tree"
 )
-
-// BatchableRule is an optional Rule capability: rules whose base cases
-// may be deferred and reordered — no per-base-case feedback into the
-// prune bounds, results independent of leaf-pair execution order
-// within the documented operator tolerances (bit-exact for
-// comparative reductions, 1e-12 for SUM/PROD) — can batch them by
-// reference leaf.
-type BatchableRule interface {
-	Rule
-	// Batchable reports whether deferral is semantically safe for this
-	// bound configuration (e.g. the backend refuses when a query-node
-	// bound needs immediate base-case feedback, as in KNN).
-	Batchable() bool
-	// BaseCaseBatch runs the base case of every buffered query leaf
-	// against one reference leaf back-to-back, reusing the hot
-	// reference tile.
-	BaseCaseBatch(qns []*tree.Node, rn *tree.Node)
-}
-
-// batchBucketCap flushes a reference-leaf bucket once this many query
-// leaves have accumulated against it. 32 leaves × a 256-point leaf is
-// deep enough to amortize the reference-tile loads without letting
-// deferred work grow unboundedly between drains.
-const batchBucketCap = 32
 
 // stealCutoffFloor scales the minimum task granularity: a task must
 // cover at least this many leaf-pair units (floor = 16 ·
@@ -114,22 +79,11 @@ type workerStats struct {
 	_ [64]byte
 }
 
-// batchBuf is one worker's interaction buffer: reference leaf →
-// pending query leaves. Flushed buckets keep their slot (capacity
-// reused, length zeroed), so the map grows to the number of distinct
-// reference leaves this worker ever buffered, not the flush count.
-type batchBuf struct {
-	rule    BatchableRule
-	buckets map[*tree.Node][]*tree.Node
-}
-
 // runSteal executes the traversal on workers >= 2 under the
 // work-stealing scheduler. The calling goroutine is worker 0 and walks
 // the root pair; workers 1..W-1 start with empty deques and live by
-// stealing. A non-nil lists runs the walk as ScheduleIList's
-// list-building phase: base cases are deferred into lists (batching is
-// moot and stays off) and spans are labeled PhaseListBuild.
-func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options, lists *ilistState) {
+// stealing.
+func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options) {
 	sc := &stealCtx{
 		cutoff: stealCutoff(q, r, workers),
 		root:   opts.Stats,
@@ -137,24 +91,12 @@ func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options, lists *ilis
 		done:   make(chan struct{}),
 		ws:     make([]*worker, workers),
 	}
-	batching := false
-	if lists == nil && opts.BatchBaseCases {
-		if br, ok := rule.(BatchableRule); ok && br.Batchable() {
-			batching = true
-		}
-	}
 	for i := range sc.ws {
 		wr := rule
 		if i > 0 {
 			wr = rule.Fork()
 		}
-		w := &worker{id: i, sc: sc, dq: new(deque), rule: wr, scorer: scorerOf(wr), lists: lists}
-		if batching {
-			w.batch = &batchBuf{
-				rule:    wr.(BatchableRule),
-				buckets: make(map[*tree.Node][]*tree.Node),
-			}
-		}
+		w := &worker{id: i, sc: sc, dq: new(deque), rule: wr, scorer: scorerOf(wr)}
 		if sc.root != nil {
 			w.st = &new(workerStats).TraversalStats
 		}
@@ -171,16 +113,12 @@ func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options, lists *ilis
 	}
 	w0 := sc.ws[0]
 	if sc.rec != nil {
-		w0.tt = sc.rec.TaskBegin(walkPhase(lists), 0)
+		w0.tt = sc.rec.TaskBegin(trace.PhaseTraverse, 0)
 	}
 	if w0.st != nil {
 		w0.st.TasksExecuted++
 	}
 	w0.rootPair(q, r)
-	// The root walk's own buffered base cases have no enclosing task
-	// execution to drain them; sweep them now, before declaring the
-	// traversal finished.
-	w0.drainBatch()
 	close(sc.done)
 	wg.Wait()
 	w0.finish()
@@ -221,7 +159,7 @@ func (w *worker) runTop(t task, stolen bool) {
 		w.st.TasksExecuted++
 	}
 	if w.sc.rec != nil {
-		w.tt = w.sc.rec.TaskBegin(walkPhase(w.lists), t.depth)
+		w.tt = w.sc.rec.TaskBegin(trace.PhaseTraverse, t.depth)
 		if stolen {
 			w.tt.MarkStolen()
 		}
@@ -249,15 +187,11 @@ func (w *worker) trySteal() (task, bool) {
 }
 
 // exec runs one task — the query child against every reference child
-// of the task's parent reference node — then drains this worker's
-// whole interaction buffer *before* resolving the join: a query leaf's
-// pairs may be buffered by different workers across temporally
-// disjoint tasks, and flushing under the task's join decrement orders
-// every such flush before the PostChildren of any enclosing query
-// node.
+// of the task's parent reference node — and only then resolves the
+// join: the decrement orders every write the task made before the
+// PostChildren of any enclosing query node.
 func (w *worker) exec(t task) {
 	w.refChildren(t.qn, t.rn, t.depth)
-	w.drainBatch()
 	t.join.add(-1)
 }
 
@@ -305,45 +239,6 @@ func (w *worker) helpUntil(jn *join) {
 			continue
 		}
 		runtime.Gosched()
-	}
-}
-
-// bufferBase defers a leaf base case into the reference leaf's bucket,
-// flushing the bucket when it reaches capacity. The base case was
-// already recorded (recBase) at discovery, so decision counters stay
-// identical between the immediate and batched paths.
-func (w *worker) bufferBase(qn, rn *tree.Node) {
-	qns := append(w.batch.buckets[rn], qn)
-	if len(qns) >= batchBucketCap {
-		w.flushBucket(rn, qns)
-		return
-	}
-	w.batch.buckets[rn] = qns
-}
-
-// flushBucket sweeps one reference leaf against its buffered query
-// leaves and resets the bucket in place.
-func (w *worker) flushBucket(rn *tree.Node, qns []*tree.Node) {
-	w.batch.rule.BaseCaseBatch(qns, rn)
-	if w.st != nil {
-		w.st.BatchFlushes++
-		w.st.BatchedBaseCases += int64(len(qns))
-	}
-	if w.tt != nil {
-		w.tt.Batch(len(qns))
-	}
-	w.batch.buckets[rn] = qns[:0]
-}
-
-// drainBatch flushes every non-empty bucket.
-func (w *worker) drainBatch() {
-	if w.batch == nil {
-		return
-	}
-	for rn, qns := range w.batch.buckets {
-		if len(qns) > 0 {
-			w.flushBucket(rn, qns)
-		}
 	}
 }
 

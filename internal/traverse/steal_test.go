@@ -2,7 +2,6 @@ package traverse
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,102 +23,56 @@ func (w *workCountRule) BaseCase(qn, rn *tree.Node) {
 }
 func (w *workCountRule) Fork() Rule { return w }
 
-// The steal scheduler must cover every pair exactly once while
-// actually distributing work: with several workers on an unpruned
-// traversal, tasks get spawned, stolen, and the deque high-water mark
-// is observed.
+// Every leaf pair must reach BaseCase exactly once, where the walk finds
+// it, at one worker and at several, with the BaseCases counter equal to
+// the count. With several workers on an unpruned traversal the steal
+// scheduler must also actually distribute the work: tasks get spawned,
+// stolen, and the deque high-water mark is observed.
 func TestStealSchedulerCoversAndSteals(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	q := buildTree(rng, 256, 3, 8)
 	r := buildTree(rng, 256, 3, 8)
-	c := &workCountRule{countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
-	var st stats.TraversalStats
-	RunParallel(q, r, c, Options{Workers: 4, Stats: &st})
-	for i, n := range c.perQuery {
-		if n != int64(r.Len()) {
-			t.Fatalf("query %d saw %d reference points, want %d", i, n, r.Len())
-		}
+	newRule := func() *workCountRule {
+		return &workCountRule{countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
 	}
-	if st.TasksSpawned == 0 {
-		t.Fatal("steal scheduler spawned no tasks")
-	}
-	if st.TasksStolen == 0 {
-		t.Fatal("no task was ever stolen (thieves idle for the whole run)")
-	}
-	if st.DequeHighWater == 0 {
-		t.Fatal("deque high-water never observed")
-	}
-	if st.TasksExecuted < 1 || st.TasksExecuted > st.TasksStolen+1 {
-		t.Fatalf("TasksExecuted %d outside [1, TasksStolen+1=%d]", st.TasksExecuted, st.TasksStolen+1)
-	}
-	// PostChildren fires once per visited (query, reference) pair with
-	// a non-leaf query node; the steal scheduler must reproduce the
-	// sequential counts exactly (join-protected, after all children).
-	seq := &workCountRule{countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
+	seq := newRule()
 	Run(q, r, seq)
-	q.Walk(func(n *tree.Node) {
-		if c.postSeen[n.ID] != seq.postSeen[n.ID] {
-			t.Fatalf("PostChildren fired %d times for node %d, sequential says %d",
-				c.postSeen[n.ID], n.ID, seq.postSeen[n.ID])
+	for _, workers := range []int{1, 4} {
+		c := newRule()
+		var st stats.TraversalStats
+		RunParallel(q, r, c, Options{Workers: workers, Stats: &st})
+		for i, n := range c.perQuery {
+			if n != int64(r.Len()) {
+				t.Fatalf("w=%d: query %d saw %d reference points, want %d", workers, i, n, r.Len())
+			}
 		}
-	})
-}
-
-// batchCountRule is a batchable countRule: BaseCaseBatch replays the
-// buffered query leaves through BaseCase, so coverage accounting is
-// shared with the immediate path.
-type batchCountRule struct {
-	countRule
-	batchedLeaves int64
-}
-
-func (b *batchCountRule) Batchable() bool { return true }
-func (b *batchCountRule) BaseCaseBatch(qns []*tree.Node, rn *tree.Node) {
-	atomic.AddInt64(&b.batchedLeaves, int64(len(qns)))
-	for _, qn := range qns {
-		b.countRule.BaseCase(qn, rn)
-	}
-}
-func (b *batchCountRule) Fork() Rule { return b }
-
-// Base-case batching must preserve exact pair coverage while routing
-// every base case through the deferred path.
-func TestBatchBaseCasesCoverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	q := buildTree(rng, 1200, 3, 8)
-	r := buildTree(rng, 1000, 3, 8)
-	b := &batchCountRule{countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
-	var st stats.TraversalStats
-	RunParallel(q, r, b, Options{Workers: 4, BatchBaseCases: true, Stats: &st})
-	for i, n := range b.perQuery {
-		if n != int64(r.Len()) {
-			t.Fatalf("query %d saw %d reference points, want %d", i, n, r.Len())
+		if want := int64(q.LeafCount * r.LeafCount); c.baseCases != want || st.BaseCases != want {
+			t.Fatalf("w=%d: rule ran %d base cases, stats counted %d, want %d leaf pairs", workers, c.baseCases, st.BaseCases, want)
 		}
-	}
-	if st.BatchFlushes == 0 {
-		t.Fatal("no interaction-buffer flush happened")
-	}
-	// With a batchable rule every discovered base case defers.
-	if st.BatchedBaseCases != st.BaseCases {
-		t.Fatalf("BatchedBaseCases %d != BaseCases %d", st.BatchedBaseCases, st.BaseCases)
-	}
-	if b.batchedLeaves != st.BatchedBaseCases {
-		t.Fatalf("rule saw %d batched leaves, stats say %d", b.batchedLeaves, st.BatchedBaseCases)
-	}
-}
-
-// Batching must not engage for rules that do not opt in.
-func TestBatchBaseCasesGating(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	q := buildTree(rng, 400, 3, 8)
-	r := buildTree(rng, 400, 3, 8)
-
-	// Non-batchable rule: flag on, but no flushes may be recorded.
-	c := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
-	var st stats.TraversalStats
-	RunParallel(q, r, c, Options{Workers: 4, BatchBaseCases: true, Stats: &st})
-	if st.BatchFlushes != 0 || st.BatchedBaseCases != 0 {
-		t.Fatalf("non-batchable rule recorded batching: %+v", st)
+		// PostChildren fires once per visited (query, reference) pair with
+		// a non-leaf query node; the steal scheduler must reproduce the
+		// sequential counts exactly (join-protected, after all children).
+		q.Walk(func(n *tree.Node) {
+			if c.postSeen[n.ID] != seq.postSeen[n.ID] {
+				t.Fatalf("w=%d: PostChildren fired %d times for node %d, sequential says %d",
+					workers, c.postSeen[n.ID], n.ID, seq.postSeen[n.ID])
+			}
+		})
+		if workers == 1 {
+			continue
+		}
+		if st.TasksSpawned == 0 {
+			t.Fatal("steal scheduler spawned no tasks")
+		}
+		if st.TasksStolen == 0 {
+			t.Fatal("no task was ever stolen (thieves idle for the whole run)")
+		}
+		if st.DequeHighWater == 0 {
+			t.Fatal("deque high-water never observed")
+		}
+		if st.TasksExecuted < 1 || st.TasksExecuted > st.TasksStolen+1 {
+			t.Fatalf("TasksExecuted %d outside [1, TasksStolen+1=%d]", st.TasksExecuted, st.TasksStolen+1)
+		}
 	}
 }
 

@@ -17,8 +17,9 @@
 // creation — the dynamic-scheduling behaviour the paper gets from
 // OpenMP tasks. Below the cutoff, and for one worker, the recursion
 // runs sequentially (data parallelism inside leaf base cases is the
-// specialized kernels' unrolled loops). Every schedule runs the same
-// step, worker.pair.
+// specialized kernels' unrolled loops). Both run the same step,
+// worker.pair, and a leaf pair's base case executes where the walk
+// finds it.
 //
 // Observability: the traversal is also where the prune/approximate
 // decisions are *counted*. Pass a stats.TraversalStats to RunStats (or
@@ -31,7 +32,6 @@
 package traverse
 
 import (
-	"fmt"
 	"runtime"
 
 	"portal/internal/prune"
@@ -111,18 +111,17 @@ func Run(q, r *tree.Tree, rule Rule) { RunStats(q, r, rule, nil) }
 // RunStats is Run with statistics collection into st (nil disables
 // collection entirely, leaving the hot path counter-free).
 func RunStats(q, r *tree.Tree, rule Rule, st *stats.TraversalStats) {
-	runSeq(q, r, rule, st, nil, nil)
+	runSeq(q, r, rule, st, nil)
 }
 
 // runSeq is the sequential traversal with optional statistics and
 // tracing: one worker with no scheduler. The whole walk is recorded as
 // one root span, so a traced sequential run always emits exactly one
-// span (TasksExecuted = 1, TasksSpawned = 0). A non-nil ls makes it
-// ScheduleIList's list-building walk.
-func runSeq(q, r *tree.Tree, rule Rule, st *stats.TraversalStats, rec trace.Recorder, ls *ilistState) {
-	w := worker{rule: rule, scorer: scorerOf(rule), st: st, lists: ls}
+// span (TasksExecuted = 1, TasksSpawned = 0).
+func runSeq(q, r *tree.Tree, rule Rule, st *stats.TraversalStats, rec trace.Recorder) {
+	w := worker{rule: rule, scorer: scorerOf(rule), st: st}
 	if rec != nil {
-		w.tt = rec.TaskBegin(walkPhase(ls), 0)
+		w.tt = rec.TaskBegin(trace.PhaseTraverse, 0)
 	}
 	if st != nil {
 		st.TasksExecuted++
@@ -134,14 +133,6 @@ func runSeq(q, r *tree.Tree, rule Rule, st *stats.TraversalStats, rec trace.Reco
 	if w.tt != nil {
 		rec.TaskEnd(w.tt)
 	}
-}
-
-// walkPhase labels a walk's top-level trace spans.
-func walkPhase(ls *ilistState) trace.Phase {
-	if ls != nil {
-		return trace.PhaseListBuild
-	}
-	return trace.PhaseTraverse
 }
 
 func flushRule(rule Rule, st *stats.TraversalStats) {
@@ -207,8 +198,8 @@ func recBase(st *stats.TraversalStats, tt *trace.Task, depth int, qn, rn *tree.N
 
 // worker is one goroutine's traversal state: its rule (worker 0 and the
 // sequential walk keep the root rule, the others a fork), its
-// stats/trace buffers, where its leaf pairs go, and under the
-// work-stealing runtime its scheduler and deque.
+// stats/trace buffers, and under the work-stealing runtime its
+// scheduler and deque.
 type worker struct {
 	rule Rule
 	// scorer is rule's scored form; nil runs it unscored.
@@ -221,17 +212,6 @@ type worker struct {
 	// thieves. Tasks executed while helping inside a join fold into
 	// this enclosing span, so open spans never exceed the worker count.
 	tt *trace.Task
-	// lists, when non-nil, puts the walk in list-building mode
-	// (ScheduleIList): leaf base cases are recorded into the shared
-	// interaction lists instead of executing. Appends to one query
-	// leaf's list are safe without further synchronization because
-	// tasks own disjoint query subtrees and a parent's join resolves
-	// before its caller starts a sibling pair over the same subtree —
-	// the join atomics and deque mutex carry the happens-before edges.
-	lists *ilistState
-	// batch, when non-nil, buffers leaf base cases by reference leaf
-	// (Options.BatchBaseCases).
-	batch *batchBuf
 
 	// sc is the work-stealing runtime this worker belongs to and dq its
 	// deque there; both nil for the sequential walk, which never
@@ -250,7 +230,7 @@ func (w *worker) rootPair(q, r *tree.Tree) {
 	w.pair(q.Root, r.Root, score, 0)
 }
 
-// pair is Algorithm 1's step, the one body every schedule runs. The
+// pair is Algorithm 1's step, the one body both walks run. The
 // power-set of child tuples is materialized implicitly by the loops
 // over each node's split set; under the work-stealing runtime a query
 // split whose pair still covers more point pairs than the cutoff hands
@@ -284,14 +264,7 @@ func (w *worker) pair(qn, rn *tree.Node, score float64, depth int) {
 	}
 	if qn.IsLeaf() && rn.IsLeaf() {
 		recBase(st, tt, depth, qn, rn)
-		switch {
-		case w.lists != nil:
-			w.lists.record(qn, rn)
-		case w.batch != nil:
-			w.bufferBase(qn, rn)
-		default:
-			w.rule.BaseCase(qn, rn)
-		}
+		w.rule.BaseCase(qn, rn)
 		return
 	}
 	qsplit := split(qn)
@@ -342,57 +315,6 @@ func split(n *tree.Node) []*tree.Node {
 	return n.Children
 }
 
-// Schedule selects how the parallel traversal executes leaf base cases.
-type Schedule int
-
-const (
-	// ScheduleSteal (the default) runs every base case at its
-	// discovery site under the work-stealing runtime: per-worker
-	// bounded LIFO deques of traversal tasks, idle workers stealing
-	// FIFO from victims chosen by scan, and an adaptive inline cutoff
-	// by subtree pair-count. See steal.go.
-	ScheduleSteal Schedule = iota
-	// ScheduleIList separates the traversal into two tiers: a
-	// list-building walk (under the work-stealing runtime, or
-	// sequential for one worker) that defers every leaf base case into
-	// per-query-leaf interaction lists, then an execution phase that
-	// sweeps each list as one flat pass through the backend's fused
-	// kernels. Rules that cannot defer base cases (ListRule absent or
-	// ListCompatible false) fall back to ScheduleSteal. See ilist.go.
-	ScheduleIList
-)
-
-// String names the schedule for flags and reports.
-func (s Schedule) String() string {
-	if s == ScheduleIList {
-		return "ilist"
-	}
-	return "steal"
-}
-
-// UnknownScheduleError reports a schedule spelling ParseSchedule does
-// not recognize.
-type UnknownScheduleError struct {
-	Name string
-}
-
-func (e *UnknownScheduleError) Error() string {
-	return fmt.Sprintf("traverse: unknown schedule %q (want steal or ilist)", e.Name)
-}
-
-// ParseSchedule maps the flag spelling to a Schedule. The empty string
-// is the default (steal); any other unrecognized spelling returns an
-// *UnknownScheduleError.
-func ParseSchedule(s string) (Schedule, error) {
-	switch s {
-	case "steal", "":
-		return ScheduleSteal, nil
-	case "ilist":
-		return ScheduleIList, nil
-	}
-	return ScheduleSteal, &UnknownScheduleError{Name: s}
-}
-
 // Options configure the parallel traversal.
 type Options struct {
 	// Workers caps concurrency; 0 means GOMAXPROCS. The calling
@@ -402,14 +324,6 @@ type Options struct {
 	// so one -workers setting governs the build and traversal phases
 	// uniformly.
 	Workers int
-	// Schedule selects the schedule; the zero value is ScheduleSteal.
-	Schedule Schedule
-	// BatchBaseCases defers leaf base cases into per-worker
-	// interaction buffers keyed by reference leaf, sweeping one
-	// reference tile against many query leaves per flush. Takes
-	// effect only under ScheduleSteal with Workers >= 2 and a rule
-	// that implements BatchableRule and reports Batchable().
-	BatchBaseCases bool
 	// Stats, when non-nil, receives the traversal's statistics. Each
 	// task accumulates privately and merges on completion.
 	Stats *stats.TraversalStats
@@ -427,11 +341,8 @@ type Options struct {
 // exactly one task, while the reference tree is shared read-only.
 //
 // Workers == 1, or a single-leaf query tree at any worker count, takes
-// the sequential path — byte-identical to RunStats regardless of
-// BatchBaseCases — except under ScheduleIList, which
-// keeps its two-tier build/sweep structure at every worker count (the
-// answers are still byte-identical: one worker preserves the exact
-// sequential discovery order within every list).
+// the sequential path, byte-identical to RunStats; otherwise the
+// work-stealing runtime of steal.go runs it.
 func RunParallel(q, r *tree.Tree, rule Rule, opts Options) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -443,12 +354,9 @@ func RunParallel(q, r *tree.Tree, rule Rule, opts Options) {
 		// only spin in its steal loop for the whole traversal.
 		workers = 1
 	}
-	switch {
-	case opts.Schedule == ScheduleIList:
-		runIList(q, r, rule, workers, opts)
-	case workers == 1:
-		runSeq(q, r, rule, opts.Stats, opts.Trace, nil)
-	default:
-		runSteal(q, r, rule, workers, opts, nil)
+	if workers == 1 {
+		runSeq(q, r, rule, opts.Stats, opts.Trace)
+		return
 	}
+	runSteal(q, r, rule, workers, opts)
 }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -433,6 +434,29 @@ func BenchmarkBuildOct10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildOct(s, &Options{LeafSize: 32})
+	}
+}
+
+// BenchmarkTreeBuild is kd-tree and octree construction at the scales a
+// served dataset has — 1e5 and 1e6 normal 3-d points — serial and with
+// 8 workers.
+func BenchmarkTreeBuild(b *testing.B) {
+	for _, n := range []int{100000, 1000000} {
+		data := randStorage(rand.New(rand.NewSource(1)), n, 3)
+		for _, kind := range []string{"kd", "oct"} {
+			build := BuildKD
+			if kind == "oct" {
+				build = BuildOct
+			}
+			for _, workers := range []int{1, 8} {
+				opts := &Options{Parallel: workers > 1, Workers: workers}
+				b.Run(fmt.Sprintf("%s/n=%d/workers=%d", kind, n, workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						build(data, opts)
+					}
+				})
+			}
+		}
 	}
 }
 
