@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke shard-smoke
+.PHONY: check build vet cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke shard-smoke
 
 # Tier-1 gate: everything must pass before a change lands.
-check: build vet test race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke shard-smoke
+check: build vet cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke shard-smoke
 
 build:
 	$(GO) build ./...
@@ -11,8 +11,21 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The vector row kernel (internal/fastmath/sumgauss_amd64.s) is what an
+# amd64 host builds and tests; every other GOARCH runs the Go body, and
+# nothing above compiles that configuration. arm64 stands in for them.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/fastmath ./internal/codegen
+
 test:
 	$(GO) test ./...
+
+# Fuzz targets run their seed corpus (testdata/fuzz/<Target>/) under
+# `go test`; this leg mutates for a few seconds as well. One line per
+# target: -fuzz takes a single target of a single package.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzSumGaussRows -fuzztime 5s ./internal/fastmath
 
 # The traversal, engine, tree build, trace recorder, serving path,
 # snapshot persistence, and metrics core are where parallelism (and

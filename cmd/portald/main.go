@@ -27,6 +27,12 @@ import (
 	"portal/internal/serve"
 )
 
+// Connection timeouts of the HTTP server; constants, not flags.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":7070", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "traversal worker budget shared by all in-flight queries (0 = GOMAXPROCS)")
@@ -73,7 +79,15 @@ func main() {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	hs := &http.Server{Handler: handler}
+	// ReadTimeout and WriteTimeout stay unset on purpose: a dataset
+	// upload or a long query is legitimate for as long as it takes, until
+	// cancellation is threaded through engine. A client that never sends
+	// its headers, or parks an idle keep-alive connection, is not.
+	hs := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

@@ -104,8 +104,13 @@ func BenchmarkBaseCaseLeaf2PC3Col(b *testing.B) {
 // BenchmarkGaussRowBaseCase is one leaf pair of the benchmark's
 // kde-batch shape — row-major Gaussian SUM, 32-point leaves, the two
 // clouds overlapping so the τ gate sweeps every point — reported per
-// point pair, through Run.BaseCase and as the hand-written loop over the
-// same rows (no gate, no dispatcher) it is to be held against.
+// point pair, through Run.BaseCase, as the hand-written loop over the
+// same rows (no gate, no dispatcher) it is to be held against, and as
+// the scalar Go form of that loop: per-pair Hypot2 + ExpFast, the sum
+// SumGaussRows is defined as and, where it has a vector body, does not
+// run (fastmath's own BenchmarkSumGaussRows times its inlined Go body,
+// which no other package can reach). basecase − handwritten is what the
+// framework adds; scalar − handwritten is what the vector body buys.
 func BenchmarkGaussRowBaseCase(b *testing.B) {
 	const leaf = 32
 	for _, d := range []int{5, 9, 16} {
@@ -142,6 +147,19 @@ func BenchmarkGaussRowBaseCase(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for qi := 0; qi < leaf; qi++ {
 					val[qi] += fastmath.SumGaussRows(ex.fuseC, qs[qi*d:(qi+1)*d], rs)
+				}
+			}
+			perPair(b)
+		})
+		b.Run(fmt.Sprintf("d=%d/scalar", d), func(b *testing.B) {
+			qs, rs, val := run.Q.Data.Flat(), run.R.Data.Flat(), run.Val
+			for i := 0; i < b.N; i++ {
+				for qi := 0; qi < leaf; qi++ {
+					var acc float64
+					for ri := 0; ri < leaf; ri++ {
+						acc += fastmath.ExpFast(ex.fuseC * fastmath.Hypot2(qs[qi*d:(qi+1)*d], rs[ri*d:(ri+1)*d]))
+					}
+					val[qi] += acc
 				}
 			}
 			perPair(b)

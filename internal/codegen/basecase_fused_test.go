@@ -479,32 +479,35 @@ func TestFusedStatsAccounting(t *testing.T) {
 
 // TestHotGaussRowMatchesGenericTier: the row-major KDE loop hands whole
 // reference tiles to fastmath.SumGaussRows; it must stay bit-identical
-// to the generic tier's per-pair Hypot2 + ExpFast, across the tile
-// boundary (a 300-point leaf) and the 4-lane remainder dimensions.
+// to the generic tier's per-pair Hypot2 + ExpFast — the cross-path
+// check on the vector body one level up — across the tile boundary
+// (leaves of 297..300 points: every remainder of a four-row group after
+// a 256-row tile) and the 4-lane remainder dimensions.
 func TestHotGaussRowMatchesGenericTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	const n = 300
-	for _, d := range []int{1, 3, 4, 5, 9, 16} {
-		q := storageWithLayout(randRows(rng, n, d), storage.RowMajor)
-		r := storageWithLayout(randRows(rng, n, d), storage.RowMajor)
-		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
-			AddLayer(lang.SUM, r, expr.NewGaussianKernel(2))
-		plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: 1e-9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := Compile(plan, prog, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		qt := tree.BuildKD(q, &tree.Options{LeafSize: n})
-		rt := tree.BuildKD(r, &tree.Options{LeafSize: n})
-		hot, generic := ex.Bind(qt, rt), ex.Bind(qt, rt)
-		hotSumGaussRow(hot, ex.fuseC, 0, n, rt.Root)
-		fuseOp[pairsRow](lang.SUM, gaussK{gc: ex.fuseC})(generic, 0, n, rt.Root)
-		for i := range hot.Val {
-			if math.Float64bits(hot.Val[i]) != math.Float64bits(generic.Val[i]) || hot.Val[i] == 0 {
-				t.Fatalf("d=%d query %d: hot %v generic %v", d, i, hot.Val[i], generic.Val[i])
+	for _, n := range []int{297, 298, 299, 300} {
+		for _, d := range []int{1, 3, 4, 5, 9, 16, 17, 28} {
+			q := storageWithLayout(randRows(rng, n, d), storage.RowMajor)
+			r := storageWithLayout(randRows(rng, n, d), storage.RowMajor)
+			spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
+				AddLayer(lang.SUM, r, expr.NewGaussianKernel(2))
+			plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: 1e-9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := Compile(plan, prog, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			qt := tree.BuildKD(q, &tree.Options{LeafSize: n})
+			rt := tree.BuildKD(r, &tree.Options{LeafSize: n})
+			hot, generic := ex.Bind(qt, rt), ex.Bind(qt, rt)
+			hotSumGaussRow(hot, ex.fuseC, 0, n, rt.Root)
+			fuseOp[pairsRow](lang.SUM, gaussK{gc: ex.fuseC})(generic, 0, n, rt.Root)
+			for i := range hot.Val {
+				if math.Float64bits(hot.Val[i]) != math.Float64bits(generic.Val[i]) || hot.Val[i] == 0 {
+					t.Fatalf("n=%d d=%d query %d: hot %v generic %v", n, d, i, hot.Val[i], generic.Val[i])
+				}
 			}
 		}
 	}

@@ -8,6 +8,38 @@
 // seeded Newton iteration; with two refinement steps the relative
 // error stays below 5e-6, and with one step below 0.18% — both bounds
 // are enforced by property tests.
+//
+// Panics: the functions of a float64 accept every value and never
+// panic. Hypot2, Hypot2Box, BoxMinDist2 and BoxMaxDist2 index their
+// other slices by the length of the first, so a shorter one is an
+// index-out-of-range panic — a caller's bug, not an input. SumGaussRows
+// has no such precondition: it never panics, and it ignores a trailing
+// partial row.
+//
+// # Vector row kernel
+//
+// SumGaussRows, the fused Gaussian base case for one query point, has
+// two bodies that return the same bits:
+//
+//	amd64, CPU and OS with AVX2   sumgauss_amd64.s, four rows per step
+//	everything else               the Go loop (sumGaussRowsGo)
+//
+// The choice is one unexported variable set at init from CPUID; there
+// is no flag, environment variable or build tag to select with. The Go
+// loop is also the vector body's finisher (a group of rows with a term
+// outside ExpFast's inlined range goes back to it) and the oracle of
+// its tests; TestVectorPathLive and the avx2 variants of
+// BenchmarkSumGaussRows say which body a machine runs.
+//
+// What is promised is path independence within one binary: both bodies
+// perform the same IEEE operations in the same order, none of them
+// fused. Identical results across architectures never were a contract:
+// on arm64, ppc64le, s390x and riscv64 the Go compiler fuses x*y + z
+// into one rounding, so the Go loop itself answers differently there
+// than on amd64.
+//
+// Assembly cannot be preempted asynchronously, so one call into it
+// covers at most 256 rows (a microsecond or two).
 package fastmath
 
 import "math"
@@ -133,15 +165,29 @@ const (
 	expMinNormal = -708.0
 )
 
+// The constants of the in-range path, named so that the vector body's
+// table (sumgauss_amd64.go) is built from the same constant expressions
+// these helpers evaluate: there is one place to change a coefficient.
+const (
+	expLog2e = 1.4426950408889634
+	expHalf  = 0.5
+	expLn2Hi = 6.93147180369123816490e-01
+	expLn2Lo = 1.90821492927058770002e-10
+	expC0    = 1.0
+	expC2    = 0.5
+	expC3    = 1.0 / 6
+	expC4    = 1.0 / 24
+	expC5    = 1.0 / 120
+	expC6    = 1.0 / 720
+	expC7    = 1.0 / 5040
+	expC8    = 1.0 / 40320
+	expBias  = 1023
+)
+
 // expReduce splits x = k·ln2 + r with |r| <= ln2/2.
 func expReduce(x float64) (k, r float64) {
-	const (
-		log2e = 1.4426950408889634
-		ln2Hi = 6.93147180369123816490e-01
-		ln2Lo = 1.90821492927058770002e-10
-	)
-	k = math.Floor(x*log2e + 0.5)
-	return k, (x - k*ln2Hi) - k*ln2Lo
+	k = math.Floor(x*expLog2e + expHalf)
+	return k, (x - k*expLn2Hi) - k*expLn2Lo
 }
 
 // expPoly is the degree-8 Taylor polynomial of e^r on |r| <= ln2/2 in
@@ -152,16 +198,16 @@ func expReduce(x float64) (k, r float64) {
 func expPoly(r float64) float64 {
 	r2 := r * r
 	r4 := r2 * r2
-	p01 := 1.0 + r
-	p23 := 0.5 + r*(1.0/6)
-	p45 := 1.0/24 + r*(1.0/120)
-	p67 := 1.0/720 + r*(1.0/5040)
-	return p01 + r2*p23 + r4*(p45+r2*p67) + (r4*r4)*(1.0/40320)
+	p01 := expC0 + r
+	p23 := expC2 + r*expC3
+	p45 := expC4 + r*expC5
+	p67 := expC6 + r*expC7
+	return p01 + r2*p23 + r4*(p45+r2*p67) + (r4*r4)*expC8
 }
 
 // pow2 is 2^k for integral -1022 <= k <= 1023.
 func pow2(k float64) float64 {
-	return math.Float64frombits(uint64(int64(k)+1023) << 52)
+	return math.Float64frombits(uint64(int64(k)+expBias) << 52)
 }
 
 // GaussianKernel evaluates exp(-d2 / (2*sigma^2)) — the Gaussian kernel
@@ -214,12 +260,30 @@ func Hypot2(p, q []float64) float64 {
 // SumGaussRows returns Σ ExpFast(c·Hypot2(q, row)) over the rows of a
 // flat row-major block of len(q)-dimensional points, accumulated in row
 // order: the fused Gaussian SUM base case for one query point, bit for
-// bit, without a call per pair — neither Hypot2 nor ExpFast inlines.
+// bit, without a call per pair — neither Hypot2 nor ExpFast inlines. A
+// trailing partial row is ignored; no input panics.
 func SumGaussRows(c float64, q, rows []float64) float64 {
-	var acc float64
 	if len(q) == 0 {
 		return 0
 	}
+	if sumGaussRowsVec != nil {
+		return sumGaussRowsVec(c, q, rows)
+	}
+	return sumGaussRowsGo(0, c, q, rows)
+}
+
+// sumGaussRowsVec is this platform's vector body of SumGaussRows, set
+// once at init where there is one (amd64 with AVX2) and nil everywhere
+// else. It returns sumGaussRowsGo(0, c, q, rows) bit for bit.
+var sumGaussRowsVec func(c float64, q, rows []float64) float64
+
+// sumGaussRowsGo is SumGaussRows continuing from acc: the whole
+// implementation where there is no vector body, the finisher for a
+// group of rows the vector body declines, and the oracle the tests hold
+// it to. It takes the accumulator because Σ in row order is the
+// contract: a remainder summed on its own and added would round
+// differently.
+func sumGaussRowsGo(acc, c float64, q, rows []float64) float64 {
 	for ; len(rows) >= len(q); rows = rows[len(q):] {
 		p := rows[:len(q)]
 		var s0, s1, s2, s3 float64

@@ -196,44 +196,6 @@ func TestExpFastEdges(t *testing.T) {
 	}
 }
 
-// SumGaussRows must be the per-pair calls it replaces bit for bit, on
-// both sides of ExpFast's range checks.
-func TestSumGaussRowsMatchesPerPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	outOfRange := 0
-	for iter := 0; iter < 3000; iter++ {
-		d, n := 1+rng.Intn(17), rng.Intn(40)
-		q, rows := make([]float64, d), make([]float64, n*d)
-		for i := range q {
-			q[i] = rng.NormFloat64()
-		}
-		for i := range rows {
-			rows[i] = rng.NormFloat64()
-		}
-		c := -math.Ldexp(rng.Float64(), rng.Intn(16)-4)
-		if iter%16 == 0 {
-			c = -c
-		}
-		var want float64
-		for i := 0; i < n; i++ {
-			x := c * Hypot2(q, rows[i*d:(i+1)*d])
-			if x < expMinNormal || x > expMax {
-				outOfRange++
-			}
-			want += ExpFast(x)
-		}
-		if got := SumGaussRows(c, q, rows); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("d=%d n=%d c=%v: SumGaussRows %v != per-pair sum %v", d, n, c, got, want)
-		}
-	}
-	if outOfRange == 0 {
-		t.Error("no pair left ExpFast's inlined range: the fallback was not exercised")
-	}
-	if got := SumGaussRows(-1, nil, nil); got != 0 {
-		t.Errorf("SumGaussRows over nothing = %v, want 0", got)
-	}
-}
-
 func TestGaussianKernel(t *testing.T) {
 	// At d2=0 the kernel is 1; at d2=2*sigma^2 it is 1/e.
 	if got := GaussianKernel(0, 1.5); got != 1 {
