@@ -1,7 +1,7 @@
 package codegen
 
 import (
-	"math"
+	"math/bits"
 
 	"portal/internal/fastmath"
 	"portal/internal/geom"
@@ -21,114 +21,148 @@ import (
 // loop"). The IR interpreter in interp.go is the generic fallback and
 // the differential-testing oracle for every one of these loops.
 
+// gateChunk is how many query positions one survivor mask covers.
+const gateChunk = 64
+
 // BaseCase performs the direct point-to-point computation for a leaf
 // pair (Algorithm 1, line 4) behind the point gate (DESIGN §9.1): the
 // generated rule instantiated on the degenerate box {q} of each query
 // point, with the kernel's own arithmetic at the point of rn's box
-// nearest to q (or the corner farthest from it). Only the maximal runs
-// of points the rule cannot settle are swept.
+// nearest to q (or the corner farthest from it). The gate decides a
+// chunk of the leaf at a time — a point's decision reads nothing another
+// point's sweep writes, so all of them can precede the first sweep — and
+// only the maximal runs of points the rule cannot settle are swept, most
+// often none.
 func (r *Run) BaseCase(qn, rn *tree.Node) {
 	if r.fused != nil {
 		r.fusedBaseCases++
 	}
-	switch {
-	case r.PointBound != nil:
-		r.boundBaseCase(qn, rn)
-	case r.gate != gateNone:
-		r.settleBaseCase(qn, rn)
-	default:
+	pb := r.PointBound
+	if pb == nil && r.gate == gateNone {
 		r.sweep(qn.Begin, qn.End, rn)
+		return
 	}
-}
-
-// boundBaseCase is BaseCase under a bound rule, with q's own admission
-// threshold w as the bound. The gate value bounds the kernel at every
-// reference point inside rn's box with no rounding slack, so under the
-// strict admission v < w (v > w) a d2 >= w (d2 <= w) proves the sweep
-// of rn for q would change nothing.
-func (r *Run) boundBaseCase(qn, rn *tree.Node) {
-	pb, gated := r.PointBound, r.gate == gateBound
-	lo, hi, far := rn.BBox.Min, rn.BBox.Max, r.Ex.maxSide
-	// near is the gate value of the query box itself — of its point
-	// nearest to rn's box — and so a floor under every point's: one
-	// compare settles most points without computing their own.
-	near := math.Inf(-1)
-	if gated && !far {
-		for j, l := range lo {
-			r.qbuf[j] = min(max(l, qn.BBox.Min[j]), qn.BBox.Max[j])
-		}
-		near = fastmath.Hypot2Box(r.qbuf, 1, lo, hi, false)
-	}
-	run, swept := -1, false // run: start of the open run of admitted points
-	for qi := qn.Begin; qi <= qn.End; qi++ {
-		if qi < qn.End {
-			w := pb[qi]
-			skip := w < near
-			if !skip && gated {
-				d2 := fastmath.Hypot2Box(r.qFlat[qi*r.qStep:], r.qStride, lo, hi, far)
-				skip = d2 >= w
-				if far {
-					skip = d2 <= w
+	swept := false
+	for qb := qn.Begin; qb < qn.End; qb += gateChunk {
+		qe := min(qb+gateChunk, qn.End)
+		for m := r.settle(qb, qe, qn, rn); m != 0; {
+			b := bits.TrailingZeros64(m)
+			e := b + bits.TrailingZeros64(^(m >> b)) // [b, e): the lowest run of set bits
+			m &^= 1<<e - 1
+			r.sweep(qb+b, qb+e, rn)
+			swept = true
+			if pb != nil {
+				for i := qb + b; i < qb+e; i++ {
+					pb[i] = r.pointBound(i)
 				}
 			}
-			if !skip {
-				if run < 0 {
-					run = qi
-				}
-				continue
-			}
-		}
-		if run >= 0 {
-			r.sweep(run, qi, rn)
-			for ; run < qi; run++ {
-				pb[run] = r.pointBound(run)
-			}
-			run, swept = -1, true
 		}
 	}
-	if swept {
+	if swept && pb != nil {
 		r.updateLeafBound(qn)
 	}
 }
 
-// settleBaseCase is BaseCase under the τ and window rules, whose point
-// forms read no per-point state. The window rule skips q when every
-// squared distance into rn's box falls outside (winLo2, winHi2) — exact,
-// like the bound gate. The τ rule approximates rn for q when kmax(q, rn)
-// < τ, tested in log space; kmin >= 0 makes that the rule's kmax − kmin
-// < τ, and the estimator is ComputeApprox's: the kernel at rn's centroid
-// times its mass, within τ of every reference point it replaces.
-func (r *Run) settleBaseCase(qn, rn *tree.Node) {
-	ex, tau := r.Ex, r.gate == gateTau
-	lo, hi := rn.BBox.Min, rn.BBox.Max
-	run := -1 // start of the open run of unsettled points
-	for qi := qn.Begin; qi <= qn.End; qi++ {
-		if qi < qn.End {
-			q := r.qFlat[qi*r.qStep:]
-			near := fastmath.Hypot2Box(q, r.qStride, lo, hi, false)
-			var settled bool
-			if tau {
-				settled = ex.tauC*near < ex.lnTau
-			} else {
-				settled = near >= ex.winHi2 ||
-					ex.winLo2 >= 0 && fastmath.Hypot2Box(q, r.qStride, lo, hi, true) <= ex.winLo2
-			}
-			if !settled {
-				if run < 0 {
-					run = qi
-				}
-				continue
-			}
-			if tau {
-				r.kernelEvals++
-				r.Val[qi] += r.evalD2(fastmath.Hypot2(r.Q.Data.Point(qi, r.qbuf), rn.Centroid)) * rn.Mass
-			}
+// settle is the point gate's mask producer: it applies the rule to the
+// at most gateChunk positions [qb, qe) of qn and returns bit i set when
+// position qb+i is left for the sweep. A bound run without a gate
+// (ForceInterp, a kernel the exactness argument does not cover) settles
+// nothing.
+func (r *Run) settle(qb, qe int, qn, rn *tree.Node) uint64 {
+	ex := r.Ex
+	all := ^uint64(0) >> (gateChunk - (qe - qb))
+	switch r.gate {
+	case gateBound:
+		// q's own admission threshold w is the bound. The gate value bounds
+		// the kernel at every reference point inside rn's box with no
+		// rounding slack, so under the strict admission v < w (v > w) a
+		// d2 >= w (d2 <= w) proves the sweep of rn for q would change
+		// nothing.
+		w := r.PointBound[qb:qe]
+		if ex.maxSide {
+			return r.boxMask(all, qb, rn, w, true)
 		}
-		if run >= 0 {
-			r.sweep(run, qi, rn)
-			run = -1
+		return r.nearMask(qb, qn, rn, w)
+	case gateWindow:
+		// Skip q when every squared distance into rn's box falls outside
+		// (winLo2, winHi2) — exact, like the bound gate, and the same two
+		// tests against constant thresholds. The walk has already held
+		// qn's own box against winHi2: no floor.
+		m := r.nearMask(qb, nil, rn, ex.winGate.hi[:qe-qb])
+		if ex.winLo2 >= 0 {
+			m = r.boxMask(m, qb, rn, ex.winGate.lo[:qe-qb], true)
 		}
+		return m
+	case gateTau:
+		// Approximate rn for q when kmax(q, rn) < τ, tested in log space;
+		// kmin >= 0 makes that the rule's kmax − kmin < τ, and the estimator
+		// is ComputeApprox's: the kernel at rn's centroid times its mass,
+		// within τ of every reference point it replaces. Nothing else in
+		// this base case touches a settled point's Val, so the estimates
+		// all land here, in position order, before the first sweep.
+		lo, hi := rn.BBox.Min, rn.BBox.Max
+		var m uint64
+		for qi := qb; qi < qe; qi++ {
+			near := fastmath.Hypot2Box(r.qFlat[qi*r.qStep:], r.qStride, lo, hi, false)
+			m |= bit(!(ex.tauC*near < ex.lnTau)) << ((qi - qb) & 63)
+		}
+		for rest := all &^ m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
+			r.kernelEvals++
+			r.Val[qi] += r.evalD2(fastmath.Hypot2(r.Q.Data.Point(qi, r.qbuf), rn.Centroid)) * rn.Mass
+		}
+		return m
 	}
+	return all
+}
+
+// nearMask is the positions qb+i, i < len(w), whose squared distance to
+// the nearest point of rn's box does not settle against w[i]: near >=
+// w[i]. qn, when not nil, is the query leaf: the value of its own box is
+// a floor under every point's, and one compare against it settles most
+// points without computing their own. Unit-stride columns of at most
+// four dimensions are the mask kernel's, floor included.
+func (r *Run) nearMask(qb int, qn, rn *tree.Node, w []float64) uint64 {
+	lo, hi := rn.BBox.Min, rn.BBox.Max
+	var qlo, qhi []float64
+	if qn != nil {
+		qlo, qhi = qn.BBox.Min, qn.BBox.Max
+	}
+	if r.qStep == 1 && len(lo) <= storage.ColMajorMaxDim {
+		return fastmath.NearMaskCols(r.qFlat[qb:], r.qStride, qlo, qhi, lo, hi, w)
+	}
+	in := ^uint64(0) >> (gateChunk - len(w))
+	if qn != nil {
+		in = fastmath.NearFloorMask(r.qbuf, qlo, qhi, lo, hi, w)
+	}
+	return r.boxMask(in, qb, rn, w, false)
+}
+
+// boxMask returns in without the positions qb+i whose squared distance
+// to rn's box settles against w[i] — near >= w[i], or with far the far
+// value <= w[i] — at one Hypot2Box per set bit.
+func (r *Run) boxMask(in uint64, qb int, rn *tree.Node, w []float64, far bool) uint64 {
+	lo, hi := rn.BBox.Min, rn.BBox.Max
+	m := in
+	for rest := in; rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(rest)
+		d2 := fastmath.Hypot2Box(r.qFlat[(qb+i)*r.qStep:], r.qStride, lo, hi, far)
+		skip := d2 >= w[i]
+		if far {
+			skip = d2 <= w[i]
+		}
+		m &^= bit(skip) << (i & 63)
+	}
+	return m
+}
+
+// bit is 1 for true: a flag-setting instruction, not a branch, so a mask
+// is built without one unpredictable jump per point.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sweep evaluates query positions [qb, qe) against every point of rn

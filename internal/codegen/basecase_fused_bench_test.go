@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -167,9 +168,98 @@ func BenchmarkGaussRowBaseCase(b *testing.B) {
 	}
 }
 
+// BenchmarkPointGateLeaf is one leaf pair of a k-NN (k = 5) through
+// Run.BaseCase with the thresholds arranged, per point of the query
+// leaf: "none" — below the floor, so nothing survives and nothing is
+// swept, as in 85 % of knn-batch's leaf pairs; "mix" — knn-batch's
+// shares: a quarter of the points pass the floor, one in the leaf (3–4 %)
+// survives its own test and is swept (+Inf: an unfilled k-list, reset
+// before every call). Column-major leaves take the mask
+// kernel (fastmath.NearMaskCols: the vector body where there is one),
+// the row-major one the per-point producer; a one-point leaf is a
+// serving request's.
+func BenchmarkPointGateLeaf(b *testing.B) {
+	for _, c := range []struct {
+		d int
+		l storage.Layout
+	}{{1, storage.ColMajor}, {2, storage.ColMajor}, {3, storage.ColMajor}, {4, storage.ColMajor}, {9, storage.RowMajor}} {
+		for _, leaf := range []int{1, 24, 32} {
+			for _, mix := range []bool{false, true} {
+				name := fmt.Sprintf("d=%d/%v/leaf=%d/none", c.d, c.l, leaf)
+				if mix {
+					name = fmt.Sprintf("d=%d/%v/leaf=%d/mix", c.d, c.l, leaf)
+				}
+				b.Run(name, func(b *testing.B) {
+					rng := rand.New(rand.NewSource(7))
+					qRows, rRows := randRows(rng, leaf, c.d), randRows(rng, 32, c.d)
+					for _, row := range rRows {
+						for j := range row {
+							row[j] += 30 // a box apart: the floor is above zero
+						}
+					}
+					q, r := storageWithLayout(qRows, c.l), storageWithLayout(rRows, c.l)
+					spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
+						AddLayerK(lang.KARGMIN, 5, r, expr.NewDistanceKernel(geom.Euclidean))
+					plan, prog, err := lower.Lower("bench", spec, lower.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					ex, err := Compile(plan, prog, Options{NoStats: true})
+					if err != nil {
+						b.Fatal(err)
+					}
+					run := ex.Bind(tree.BuildKD(q, &tree.Options{LeafSize: 32}), tree.BuildKD(r, &tree.Options{LeafSize: 32}))
+					qn, rn := run.Q.Node(0), run.R.Node(0)
+					if run.gate != gateBound || !qn.IsLeaf() || !rn.IsLeaf() {
+						b.Fatalf("gate %d, query leaf %v, reference leaf %v: want the bound gate on one leaf pair", run.gate, qn.IsLeaf(), rn.IsLeaf())
+					}
+					lo, hi := rn.BBox.Min, rn.BBox.Max
+					for j, l := range lo {
+						run.qbuf[j] = min(max(l, qn.BBox.Min[j]), qn.BBox.Max[j])
+					}
+					floor := fastmath.Hypot2Box(run.qbuf, 1, lo, hi, false)
+					if !(floor > 0) {
+						b.Fatalf("the boxes touch (floor %v): no threshold is below the floor", floor)
+					}
+					for i := range run.PointBound {
+						own := fastmath.Hypot2Box(run.qFlat[i*run.qStep:], run.qStride, lo, hi, false)
+						switch {
+						case !mix || i%4 != 3%leaf:
+							run.PointBound[i] = floor / 2
+						case i == 11 && leaf > 1:
+							run.PointBound[i] = math.Inf(1)
+						default:
+							run.PointBound[i] = (floor + own) / 2
+						}
+					}
+					survivor := -1
+					if mix && leaf > 1 {
+						survivor = 11
+					}
+					evals := run.kernelEvals
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if survivor >= 0 { // an unfilled k-list again: the sweep admits its five every time
+							run.KLists[survivor].Reset()
+							run.PointBound[survivor] = math.Inf(1)
+						}
+						run.BaseCase(qn, rn)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(leaf), "ns/point")
+					if swept, want := run.kernelEvals-evals, int64(b.N)*int64(rn.Count()); (survivor >= 0 && swept != want) || (survivor < 0 && swept != 0) {
+						b.Fatalf("%d kernel evaluations in %d base cases: the thresholds do not arrange what the name says", swept, b.N)
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkKNNTraversal3Col is a whole sequential k-NN self-join
-// (k=5, leaf 32, Plummer d=3 — the benchmark's knn-batch shape): here
-// the point gate, not the kernel, is the base case's dominant cost.
+// (k=5, leaf 32, Plummer d=3 — the benchmark's knn-batch shape). Since
+// the gate decides a leaf at a time (EXPERIMENTS "Leaf-at-a-time point
+// gate") the sweep it guards and its k-list inserts are about half of
+// the samples, the walk's box scores a sixth, the gate a seventh.
 func BenchmarkKNNTraversal3Col(b *testing.B) {
 	data := dataset.GeneratePlummer(100000, 7)
 	spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, data, nil).

@@ -85,6 +85,10 @@ type Executable struct {
 	// base cases compare against inline.
 	hasWindow      bool
 	winLo2, winHi2 float64
+	// winGate is winLo2 and winHi2 repeated gateChunk times each: the
+	// window's constant thresholds in the per-point form the gate's mask
+	// producers take. Read-only after Compile.
+	winGate *struct{ lo, hi [gateChunk]float64 }
 	// tauC < 0 marks a compiled τ rule over the Gaussian exp(tauC·d²);
 	// lnTau is ln τ, the threshold of the rule's log-space point form.
 	tauC, lnTau float64

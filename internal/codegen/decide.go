@@ -103,6 +103,10 @@ func (ex *Executable) compileDecide() decideFn {
 		}
 		ex.hasWindow = true
 		ex.winLo2, ex.winHi2 = lo2, hi2
+		ex.winGate = new(struct{ lo, hi [gateChunk]float64 })
+		for i := range ex.winGate.lo {
+			ex.winGate.lo[i], ex.winGate.hi[i] = lo2, hi2
+		}
 		return func(qn, rn *tree.Node) prune.Decision {
 			dlo := qn.BBox.MinDist2(rn.BBox)
 			dhi := qn.BBox.MaxDist2(rn.BBox)

@@ -21,7 +21,7 @@ import (
 // forced off on request: the same kernels, the same arithmetic, the
 // same walk — the only difference is whether BaseCase settles points
 // before it sweeps. want is the gate Bind must have selected.
-func runGate(t *testing.T, spec *lang.PortalExpr, tau float64, oct bool, want gateKind, gate bool) *Output {
+func runGate(t *testing.T, spec *lang.PortalExpr, tau float64, oct bool, leaf int, want gateKind, gate bool) *Output {
 	t.Helper()
 	plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: tau})
 	if err != nil {
@@ -35,8 +35,8 @@ func runGate(t *testing.T, spec *lang.PortalExpr, tau float64, oct bool, want ga
 	if oct {
 		build = tree.BuildOct
 	}
-	qt := build(spec.Outer().Data, &tree.Options{LeafSize: 8})
-	rt := build(spec.Inner().Data, &tree.Options{LeafSize: 8})
+	qt := build(spec.Outer().Data, &tree.Options{LeafSize: leaf})
+	rt := build(spec.Inner().Data, &tree.Options{LeafSize: leaf})
 	run := ex.Bind(qt, rt)
 	if run.gate != want {
 		t.Fatalf("Bind selected point gate %d, want %d", run.gate, want)
@@ -46,6 +46,24 @@ func runGate(t *testing.T, spec *lang.PortalExpr, tau float64, oct bool, want ga
 	}
 	traverse.RunStats(qt, rt, run, run.TraversalStats())
 	return run.Finalize()
+}
+
+// gateLeafSizes put the edges of the gate's masks under test: a survivor
+// mask covers 64 positions and the vector body decides four at a time,
+// so these leave tails of 0 to 3 points behind whole groups (3: no group
+// at all), fill a mask exactly (64) and spill a second one of 1 and of 6
+// points (65, 70).
+var gateLeafSizes = []int{1, 3, 4, 5, 8, 33, 64, 65, 70}
+
+// gateQueryCount is how many query points make a kd-tree whose leaves
+// hold exactly leaf of them: leaf·2^k, the median splits halving evenly
+// all the way down.
+func gateQueryCount(leaf int) int {
+	n := leaf
+	for n < 90 {
+		n *= 2
+	}
+	return n
 }
 
 // gateRows draws the three input families of the gate suite: Gaussian
@@ -77,9 +95,12 @@ func gateRows(rng *rand.Rand, kind string, n, d int) [][]float64 {
 // of the same loops — values, ids, list and tie order — on float
 // inputs, lattices (gap² == worst ties; points at exactly the window
 // radii) and duplicates, across tree kinds, all four layout pairs,
-// d ∈ {1..6} and k ∈ {1, 5, more than a leaf holds}. This is the
-// FP-monotonicity argument of DESIGN §9.1 under test: any skip that
-// rounding made unsound would change an answer here.
+// d ∈ {1..6}, k ∈ {1, 5, 20} and gateLeafSizes (the cases take the leaf
+// sizes in turn). This is the FP-monotonicity argument of DESIGN §9.1
+// under test, and its order-independence argument with it: any skip that
+// rounding made unsound, and any decision that depended on a sweep the
+// old point-at-a-time loop had already made, would change an answer
+// here.
 func TestPointGateIsExact(t *testing.T) {
 	sq := func() *expr.Kernel { return expr.NewDistanceKernel(geom.SqEuclidean) }
 	type opCase struct {
@@ -132,16 +153,20 @@ func TestPointGateIsExact(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(61))
 	var gatedEvals, ungatedEvals [gateWindow + 1]int64
+	cases := 0
 	for d := 1; d <= 6; d++ {
 		for li, lay := range layouts {
 			kind := []string{"gauss", "lattice", "dups"}[(d+li)%3]
-			q := storageWithLayout(gateRows(rng, kind, 90, d), lay[0])
+			qRows := gateRows(rng, kind, 160, d)
 			r := storageWithLayout(gateRows(rng, kind, 110, d), lay[1])
 			for _, oc := range ops {
 				for _, oct := range []bool{false, true} {
-					ctx := fmt.Sprintf("%s d=%d %v-%v %s oct=%v", oc.name, d, lay[0], lay[1], kind, oct)
-					gated := runGate(t, oc.build(q, r), 0, oct, oc.gate, true)
-					ungated := runGate(t, oc.build(q, r), 0, oct, oc.gate, false)
+					leaf := gateLeafSizes[cases%len(gateLeafSizes)]
+					cases++
+					q := storageWithLayout(qRows[:gateQueryCount(leaf)], lay[0])
+					ctx := fmt.Sprintf("%s d=%d %v-%v %s oct=%v leaf=%d", oc.name, d, lay[0], lay[1], kind, oct, leaf)
+					gated := runGate(t, oc.build(q, r), 0, oct, leaf, oc.gate, true)
+					ungated := runGate(t, oc.build(q, r), 0, oct, leaf, oc.gate, false)
 					compareOutputs(t, ctx, gated, ungated, 0)
 					if ungated.Stats.KernelEvals != ungated.Stats.BaseCasePairs ||
 						gated.Stats.BaseCasePairs != ungated.Stats.BaseCasePairs ||
@@ -157,6 +182,44 @@ func TestPointGateIsExact(t *testing.T) {
 	for _, g := range []gateKind{gateBound, gateWindow} {
 		if gatedEvals[g]*4 > ungatedEvals[g]*3 {
 			t.Errorf("point gate %d skipped too little to have been exercised: %d of %d evaluations ran", g, gatedEvals[g], ungatedEvals[g])
+		}
+	}
+}
+
+// The vector mask kernel loads 32 bytes at a time from the query columns
+// and from PointBound. PointBound is the tail of one slab and the last
+// column ends the flat buffer — in an mmap'd snapshot, a mapping — and a
+// tree's last query leaf always ends both. Pin the shape where its final
+// group of four does: a full 64-point last leaf in buffers without spare
+// capacity, in both layouts (the row-major one takes the per-point
+// producer, whose last row ends the buffer likewise).
+func TestPointGateLastLeafEndsStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, lay := range []storage.Layout{storage.ColMajor, storage.RowMajor} {
+		q := storageWithLayout(gateRows(rng, "gauss", 128, 3), lay)
+		r := storageWithLayout(gateRows(rng, "gauss", 110, 3), lay)
+		qt := tree.BuildKD(q, &tree.Options{LeafSize: 64})
+		last, flat := &qt.Nodes[len(qt.Nodes)-1], qt.Data.Flat()
+		if !last.IsLeaf() || last.Count() != 64 || last.End != qt.Len() || len(flat) != 3*last.End || cap(flat) != len(flat) {
+			t.Fatalf("%v: last node [%d, %d) of %d points, flat buffer %d of %d: want a 64-point leaf ending a full buffer",
+				lay, last.Begin, last.End, qt.Len(), len(flat), cap(flat))
+		}
+		for _, c := range []struct {
+			name string
+			want gateKind
+			spec *lang.PortalExpr
+		}{
+			{"knn", gateBound, (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
+				AddLayerK(lang.KARGMIN, 5, r, expr.NewDistanceKernel(geom.SqEuclidean))},
+			{"range-count", gateWindow, (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
+				AddLayer(lang.SUM, r, expr.NewRangeKernel(1, 4))},
+		} {
+			gated := runGate(t, c.spec, 0, false, 64, c.want, true)
+			ungated := runGate(t, c.spec, 0, false, 64, c.want, false)
+			compareOutputs(t, fmt.Sprintf("%s %v", c.name, lay), gated, ungated, 0)
+			if gated.Stats.KernelEvals >= ungated.Stats.KernelEvals {
+				t.Errorf("%s %v: the gate skipped nothing (%d evaluations either way)", c.name, lay, gated.Stats.KernelEvals)
+			}
 		}
 	}
 }
@@ -194,7 +257,8 @@ func TestTauGateWithinBudget(t *testing.T) {
 	for d := 1; d <= 9; d++ {
 		lay := layouts[d%len(layouts)]
 		kind := []string{"gauss", "lattice", "dups"}[d%3]
-		q := storageWithLayout(gateRows(rng, kind, 150, d), lay[0])
+		leaf := gateLeafSizes[d-1] // nine dimensions, nine leaf sizes
+		q := storageWithLayout(gateRows(rng, kind, gateQueryCount(leaf), d), lay[0])
 		r := storageWithLayout(gateRows(rng, kind, 170, d), lay[1])
 		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
 			AddLayer(lang.SUM, r, expr.NewGaussianKernel(1.5))
@@ -206,15 +270,15 @@ func TestTauGateWithinBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qt := tree.BuildKD(q, &tree.Options{LeafSize: 8})
-		rt := tree.BuildKD(r, &tree.Options{LeafSize: 8})
+		qt := tree.BuildKD(q, &tree.Options{LeafSize: leaf})
+		rt := tree.BuildKD(r, &tree.Options{LeafSize: leaf})
 		counter := &tauCounter{Run: ex.Bind(qt, rt), approximated: make([]float64, q.Len())}
 		if counter.gate != gateTau {
 			t.Fatalf("d=%d: Gaussian SUM under the τ rule selected gate %d", d, counter.gate)
 		}
 		traverse.RunStats(qt, rt, counter, counter.TraversalStats())
 		gated := counter.Finalize()
-		ungated := runGate(t, spec, tau, false, gateTau, false)
+		ungated := runGate(t, spec, tau, false, leaf, gateTau, false)
 		if gated.Stats.BaseCasePairs != ungated.Stats.BaseCasePairs || gated.Stats.Approxes != ungated.Stats.Approxes ||
 			gated.Stats.KernelEvals > ungated.Stats.KernelEvals {
 			t.Fatalf("d=%d: gated %+v ungated %+v: want the same walk and no more evaluations", d, gated.Stats, ungated.Stats)

@@ -59,6 +59,13 @@ func outputsIdentical(t *testing.T, ctx string, got, want *codegen.Output) {
 	}
 }
 
+// gateLeafSizes put the edges of the gate's masks under test (DESIGN
+// §9.1, §9.2): a survivor mask covers 64 positions and the vector body
+// decides four at a time, so these leave tails of 0 to 3 points behind
+// whole groups, fill a mask exactly and spill a second one of 1 and of 6
+// points.
+var gateLeafSizes = []int{1, 3, 4, 5, 8, 33, 64, 65, 70}
+
 func TestPointGateMatchesInterpreter(t *testing.T) {
 	sq := func() *expr.Kernel { return expr.NewDistanceKernel(geom.SqEuclidean) }
 	type opCase struct {
@@ -77,7 +84,7 @@ func TestPointGateMatchesInterpreter(t *testing.T) {
 		}})
 	}
 	for _, op := range []lang.Op{lang.KMIN, lang.KARGMIN, lang.KMAX, lang.KARGMAX} {
-		for _, k := range []int{1, 5, 20} { // 20 > the 8-point leaves
+		for _, k := range []int{1, 5, 20} { // 20: more than the small leaves hold
 			op, k := op, k
 			ops = append(ops, opCase{name: fmt.Sprintf("%v-k%d", op, k), build: func(q, r *storage.Storage) *lang.PortalExpr {
 				return (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).AddLayerK(op, k, r, sq())
@@ -100,17 +107,26 @@ func TestPointGateMatchesInterpreter(t *testing.T) {
 		{KDTree, storage.ColMajor, storage.RowMajor},
 		{Octree, storage.RowMajor, storage.ColMajor},
 	}
+	cases := 0
 	for d := 1; d <= 6; d++ {
 		for ci, cb := range combos {
 			kind := []string{"lattice", "dyadic"}[(d+ci)%2]
 			rng := rand.New(rand.NewSource(int64(1300 + 10*d + ci)))
-			q := gateStorage(rng, kind, 70, d, cb.ql)
 			r := gateStorage(rng, kind, 90, d, cb.rl)
 			for oi, oc := range ops {
-				ctx := fmt.Sprintf("%s d=%d %s tree=%d %v-%v", oc.name, d, kind, cb.tree, cb.ql, cb.rl)
+				// The cases take the leaf sizes in turn, each with the query
+				// count whose kd-tree leaves hold exactly that many points.
+				leaf := gateLeafSizes[cases%len(gateLeafSizes)]
+				cases++
+				nq := leaf
+				for nq < 90 {
+					nq *= 2
+				}
+				q := gateStorage(rng, kind, nq, d, cb.ql)
+				ctx := fmt.Sprintf("%s d=%d %s tree=%d %v-%v leaf=%d", oc.name, d, kind, cb.tree, cb.ql, cb.rl, leaf)
 				// ExactMath: the interpreter's per-pair sqrt (Hausdorff) must be
 				// the exact one the backend takes once at Finalize.
-				cfg := Config{LeafSize: 8, Tree: cb.tree, Codegen: codegen.Options{ExactMath: true}}
+				cfg := Config{LeafSize: leaf, Tree: cb.tree, Codegen: codegen.Options{ExactMath: true}}
 				interpCfg := cfg
 				interpCfg.Codegen.ForceInterp = true
 				runOracle := func(cfg Config) *codegen.Output {

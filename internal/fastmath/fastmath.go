@@ -10,39 +10,50 @@
 // are enforced by property tests.
 //
 // Panics: the functions of a float64 accept every value and never
-// panic. Hypot2, Hypot2Box, BoxMinDist2 and BoxMaxDist2 index their
-// other slices by the length of the first, so a shorter one is an
-// index-out-of-range panic — a caller's bug, not an input. SumGaussRows
-// has no such precondition: it never panics, and it ignores a trailing
-// partial row.
+// panic. Hypot2, Hypot2Box, BoxMinDist2, BoxMaxDist2 and NearFloorMask
+// index their other slices by the length of the first, so a shorter one
+// is an index-out-of-range panic — a caller's bug, not an input.
+// NearMaskCols checks its preconditions in Go before any vector load:
+// len(lo) outside 1..4 or len(w) > 64 panics by name, and len(cols) <
+// (d−1)·stride + len(w) or cap(hi) < len(lo) is an index panic there,
+// never a wild read in the assembly.
+// SumGaussRows has no precondition: it never panics, and it ignores a
+// trailing partial row.
 //
-// # Vector row kernel
+// # Vector bodies
 //
-// SumGaussRows, the fused Gaussian base case for one query point, has
-// two bodies that return the same bits:
+// Two functions have a second body that returns the same bits:
 //
-//	amd64, CPU and OS with AVX2   sumgauss_amd64.s, four rows per step
-//	everything else               the Go loop (sumGaussRowsGo)
+//	                      amd64, CPU and OS with AVX2             everything else
+//	SumGaussRows          sumgauss_amd64.s, four rows per step    sumGaussRowsGo
+//	NearMaskCols          nearmask_amd64.s, four points per step  nearMaskColsGo
 //
-// The choice is one unexported variable set at init from CPUID; there
-// is no flag, environment variable or build tag to select with. The Go
-// loop is also the vector body's finisher (a group of rows with a term
-// outside ExpFast's inlined range goes back to it) and the oracle of
-// its tests; TestVectorPathLive and the avx2 variants of
-// BenchmarkSumGaussRows say which body a machine runs.
+// SumGaussRows is the fused Gaussian base case for one query point,
+// NearMaskCols the point gate's near test for one leaf of column-major
+// points. The choice is one unexported variable each, set at init from
+// one CPUID probe; there is no flag, environment variable or build tag to
+// select with. The Go bodies are also the vector bodies' finishers — a
+// group of rows with a term outside ExpFast's inlined range, the last
+// len(w) mod 4 points of a leaf, a box with a side that is not finite —
+// and the oracles of their tests; TestVectorPathLive and the avx2
+// variants of BenchmarkSumGaussRows and BenchmarkNearMaskCols say which
+// bodies a machine runs.
 //
 // What is promised is path independence within one binary: both bodies
 // perform the same IEEE operations in the same order, none of them
 // fused. Identical results across architectures never were a contract:
 // on arm64, ppc64le, s390x and riscv64 the Go compiler fuses x*y + z
-// into one rounding, so the Go loop itself answers differently there
+// into one rounding, so the Go loops themselves answer differently there
 // than on amd64.
 //
 // Assembly cannot be preempted asynchronously, so one call into it
-// covers at most 256 rows (a microsecond or two).
+// covers at most 256 rows, or 64 points (a microsecond or two).
 package fastmath
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // invSqrtEdge handles inputs the bit-trick seed cannot: the magic
 // constant assumes a normal, finite float. +Inf's exponent bits make
@@ -353,6 +364,133 @@ func boxOffset(x, lo, hi float64, far bool) float64 {
 		return max(a, b)
 	}
 	return min(a, b, 0)
+}
+
+// NearMaskCols is the point gate's near test for up to 64 points stored
+// as unit-stride columns — dimension j of point i is cols[j*stride+i],
+// d = len(lo) in 1..4 — against one threshold each: bit i of the result
+// is set iff w[i] does not settle point i,
+//
+//	!(Hypot2Box(cols[i:], stride, lo, hi, false) >= w[i])
+//
+// for i < len(w) <= 64. Every lane performs Hypot2Box's operations in
+// Hypot2Box's order — ((d0²)+d1²)+d2² for d <= 3, (d0²+d1²)+(d2²+d3²) at
+// d = 4 — so the mask is the per-point calls' bit for bit, NaN
+// coordinates and thresholds (never settled) included.
+//
+// [qlo, qhi], when not nil, is a box the caller vouches holds every
+// point: the Go body then settles what it can against the box's own
+// near value first (NearFloorMask), which a body that decides four
+// points per step has no use for. A point outside the box — a NaN
+// coordinate is outside every box — may come back either way; swept, it
+// admits nothing.
+func NearMaskCols(cols []float64, stride int, qlo, qhi, lo, hi, w []float64) uint64 {
+	d, n := len(lo), len(w)
+	if d < 1 || d > 4 || n > 64 {
+		panic("fastmath: NearMaskCols wants 1 to 4 dimensions and at most 64 points")
+	}
+	if n == 0 {
+		return 0
+	}
+	hi = hi[:d]
+	_ = cols[(d-1)*stride+n-1] // the vector body checks nothing: a short cols panics here
+	all := ^uint64(0) >> (64 - uint(n))
+	if nearMaskColsVec != nil && n >= vecLanes {
+		// The vector body's min keeps a NaN offset only when x-lo and hi-x
+		// are NaN together, which a finite box guarantees. A sum with a
+		// term that is not finite is itself not finite: such a box is the
+		// Go body's.
+		var span float64
+		for j, l := range lo {
+			span += hi[j] - l
+		}
+		if span-span == 0 {
+			head := all >> (uint(n) % vecLanes) // the points in whole groups
+			m := nearMaskColsVec(&cols[0], stride, &lo[0], &hi[0], d, &w[0], n/vecLanes)
+			return m&head | nearMaskColsGo(all&^head, cols, stride, lo, hi, w)
+		}
+	}
+	in := all
+	if qlo != nil && n >= 4 {
+		// The floor costs about what one point's own test does and
+		// settles three in four: not worth computing for a point or two.
+		var c [4]float64
+		if in = NearFloorMask(c[:d], qlo, qhi, lo, hi, w); in == 0 {
+			return 0
+		}
+	}
+	return nearMaskColsGo(in, cols, stride, lo, hi, w)
+}
+
+// vecLanes is how many points the vector body of NearMaskCols decides at
+// once (one per float64 lane of a YMM register). It only ever loads whole
+// groups: the columns and w may end their mapping, so the last len(w) mod
+// vecLanes points are the Go body's.
+const vecLanes = 4
+
+// nearMaskColsVec is this platform's vector body of NearMaskCols, set
+// once at init where there is one (amd64 with AVX2) and nil everywhere
+// else: bit i of its result is bit i of nearMaskColsGo(all ones, …) for
+// the 4·groups first points, given a finite box.
+var nearMaskColsVec func(cols *float64, stride int, lo, hi *float64, d int, w *float64, groups int) uint64
+
+// NearFloorMask is the near test of a whole box of points at once: bit i
+// of the result is set iff !(w[i] < near), i < len(w) <= 64, for near the
+// Hypot2Box value of the point of [qlo, qhi] nearest to [lo, hi] — by
+// Hypot2Box's monotonicity a floor under the value of every point inside
+// [qlo, qhi], exactly. A cleared bit is a point its own test would
+// settle; one compare each clears most. c is scratch for len(lo) values.
+func NearFloorMask(c, qlo, qhi, lo, hi, w []float64) uint64 {
+	for j, l := range lo {
+		c[j] = min(max(l, qlo[j]), qhi[j])
+	}
+	near := Hypot2Box(c, 1, lo, hi, false)
+	var below uint64 // bit i: w[i] < near, built from the top bit down
+	for i := len(w) - 1; i >= 0; i-- {
+		below = below<<1 + bit(w[i] < near)
+	}
+	return ^below & (^uint64(0) >> (64 - uint(len(w))))
+}
+
+// nearMaskColsGo is NearMaskCols for the set bits of in alone: the whole
+// implementation where there is no vector body, the finisher of the last
+// len(w) mod 4 points where there is one, and the oracle the tests hold
+// it to. The branches on d go the same way every iteration.
+func nearMaskColsGo(in uint64, cols []float64, stride int, lo, hi, w []float64) uint64 {
+	d, m := len(lo), in
+	for rest := in; rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(rest)
+		t := boxOffset(cols[i], lo[0], hi[0], false)
+		s := t * t
+		if d == 4 {
+			t1 := boxOffset(cols[stride+i], lo[1], hi[1], false)
+			t2 := boxOffset(cols[2*stride+i], lo[2], hi[2], false)
+			t3 := boxOffset(cols[3*stride+i], lo[3], hi[3], false)
+			// Hypot2's four lanes each hold one rounded square; the
+			// conversions keep an FMA target from fusing them away.
+			s = (s + float64(t1*t1)) + (float64(t2*t2) + float64(t3*t3))
+		} else {
+			if d >= 2 {
+				t = boxOffset(cols[stride+i], lo[1], hi[1], false)
+				s += t * t
+			}
+			if d == 3 {
+				t = boxOffset(cols[2*stride+i], lo[2], hi[2], false)
+				s += t * t
+			}
+		}
+		m &^= bit(s >= w[i]) << (i & 63)
+	}
+	return m
+}
+
+// bit is 1 for true: a flag-setting instruction, not a branch, so a mask
+// is built without one unpredictable jump per point.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // BoxMinDist2 is the squared distance between the nearest points of

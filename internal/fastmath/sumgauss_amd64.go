@@ -34,6 +34,7 @@ const vecMaxRows = 256
 func init() {
 	if hasAVX2() {
 		sumGaussRowsVec = sumGaussRowsAVX2
+		nearMaskColsVec = nearMaskColsAsm
 	}
 }
 
@@ -86,6 +87,11 @@ func sumGaussRowsAVX2(c float64, q, rows []float64) float64 {
 //
 //go:noescape
 func sumGaussRowsAsm(c float64, q *float64, d int, rows *float64, n int, acc float64, tab *[len(expTab)]float64) (done int, sum float64)
+
+// nearMaskColsAsm is the vector body of NearMaskCols (nearmask_amd64.s).
+//
+//go:noescape
+func nearMaskColsAsm(cols *float64, stride int, lo, hi *float64, d int, w *float64, groups int) uint64
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -7,26 +7,32 @@ import (
 	"unsafe"
 )
 
-// Rows can be the last bytes of a mapping (persist.Load aliases the
-// point buffer of an mmap'd snapshot), so a vector load that runs past
-// the last row is a SIGBUS in portald, not a wrong digit. Put rows, and
-// separately q, flush against a PROT_NONE page.
-func TestSumGaussRowsNoOverRead(t *testing.T) {
+// guardPage maps two pages, revokes the second, and returns a function
+// that copies a slice so that its last byte is the last readable one: a
+// load that runs past it is a fault, not a wrong digit.
+func guardPage(t *testing.T) (beforeGuard func(src []float64) []float64) {
 	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
-	defer syscall.Munmap(mem)
+	t.Cleanup(func() { syscall.Munmap(mem) })
 	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	// beforeGuard copies src so that its last byte is the last readable one.
-	beforeGuard := func(src []float64) []float64 {
+	return func(src []float64) []float64 {
 		dst := unsafe.Slice((*float64)(unsafe.Pointer(&mem[page-8*len(src)])), len(src))
 		copy(dst, src)
 		return dst
 	}
+}
+
+// Rows can be the last bytes of a mapping (persist.Load aliases the
+// point buffer of an mmap'd snapshot), so a vector load that runs past
+// the last row is a SIGBUS in portald, not a wrong digit. Put rows, and
+// separately q, flush against a PROT_NONE page.
+func TestSumGaussRowsNoOverRead(t *testing.T) {
+	beforeGuard := guardPage(t)
 	rng := rand.New(rand.NewSource(29))
 	for d := 1; d <= 17; d++ {
 		for n := 1; n <= 9; n++ {
@@ -38,6 +44,40 @@ func TestSumGaussRowsNoOverRead(t *testing.T) {
 			}
 			if got := SumGaussRows(c, beforeGuard(q), rows); !sameBits(got, want) {
 				t.Errorf("d=%d n=%d q before the guard page: %v, want %v", d, n, got, want)
+			}
+		}
+	}
+}
+
+// The gate's columns end the flat buffer of a column-major store — the
+// same mapping — and its thresholds are the tail of one slab. Put the
+// last column's last point, and separately the last threshold, flush
+// against the guard page, at every tail the vector body leaves.
+func TestNearMaskColsNoOverRead(t *testing.T) {
+	beforeGuard := guardPage(t)
+	rng := rand.New(rand.NewSource(31))
+	for d := 1; d <= 4; d++ {
+		for n := 1; n <= 9; n++ {
+			_, cols := randPoints(rng, 1, d*n)
+			lo, hi, w := make([]float64, d), make([]float64, d), make([]float64, n)
+			for j := range lo {
+				lo[j], hi[j] = 0.5, 1
+			}
+			for i := range w {
+				w[i] = Hypot2Box(cols[i:], n, lo, hi, false) * 2 * rng.Float64()
+			}
+			want := nearMaskOracle(^uint64(0), cols, n, lo, hi, w)
+			if got := NearMaskCols(beforeGuard(cols), n, nil, nil, lo, hi, w); got != want {
+				t.Errorf("d=%d n=%d columns before the guard page: %#x, want %#x", d, n, got, want)
+			}
+			if got := NearMaskCols(cols, n, nil, nil, lo, hi, beforeGuard(w)); got != want {
+				t.Errorf("d=%d n=%d thresholds before the guard page: %#x, want %#x", d, n, got, want)
+			}
+			if got := NearMaskCols(cols, n, nil, nil, beforeGuard(lo), hi, w); got != want {
+				t.Errorf("d=%d n=%d box minimum before the guard page: %#x, want %#x", d, n, got, want)
+			}
+			if got := NearMaskCols(cols, n, nil, nil, lo, beforeGuard(hi), w); got != want {
+				t.Errorf("d=%d n=%d box maximum before the guard page: %#x, want %#x", d, n, got, want)
 			}
 		}
 	}

@@ -107,24 +107,25 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 	}
 }
 
-// A broken CPUID stub would turn every suite green on the Go body and
-// the benchmark would quietly lose the vector one: where the hardware
-// has AVX2, the package must have selected it.
+// A broken CPUID stub would turn every suite green on the Go bodies and
+// the benchmark would quietly lose the vector ones: where the hardware
+// has AVX2, the package must have selected both.
 func TestVectorPathLive(t *testing.T) {
+	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body", vectorPath(), nearMaskPath())
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("GOARCH=%s has no vector body: SumGaussRows runs the %s body", runtime.GOARCH, vectorPath())
+		t.Skipf("GOARCH=%s has no vector bodies: %s", runtime.GOARCH, paths)
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
-		t.Skipf("cannot tell whether the CPU has avx2 (%v): SumGaussRows runs the %s body", err, vectorPath())
+		t.Skipf("cannot tell whether the CPU has avx2 (%v): %s", err, paths)
 	}
 	if !strings.Contains(string(info), " avx2") {
-		t.Skipf("no avx2 in /proc/cpuinfo: SumGaussRows runs the %s body", vectorPath())
+		t.Skipf("no avx2 in /proc/cpuinfo: %s", paths)
 	}
-	if sumGaussRowsVec == nil {
-		t.Fatal("/proc/cpuinfo lists avx2 but the package selected the Go body")
+	if sumGaussRowsVec == nil || nearMaskColsVec == nil {
+		t.Fatalf("/proc/cpuinfo lists avx2 but %s", paths)
 	}
-	t.Logf("SumGaussRows runs the %s body", vectorPath())
+	t.Log(paths)
 }
 
 // FuzzSumGaussRows holds the dispatching SumGaussRows to the Go body on

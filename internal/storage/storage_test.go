@@ -339,3 +339,31 @@ func TestFromFlat(t *testing.T) {
 	}()
 	FromFlat(4, 2, ColMajor, buf)
 }
+
+// FuzzReadCSV: the CSV decoder is fed whatever a client uploads (PUT
+// /datasets) or a user points the CLI at. It must never panic, and what
+// it accepts must be a rectangular set of finite values — a NaN or an
+// infinity that got through would poison every pivot comparison and
+// bounding box downstream. The checked-in corpus (testdata/fuzz/
+// FuzzReadCSV) holds the small shapes; the line longer than the
+// scanner's first buffer is generated here rather than stored.
+func FuzzReadCSV(f *testing.F) {
+	f.Add([]byte(strings.Repeat("0.125,", 350_000) + "1\n")) // one 2 MB line
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			if s != nil {
+				t.Fatalf("ReadCSV returned both a store and %v", err)
+			}
+			return
+		}
+		if s.Len() < 1 || s.Dim() < 1 || len(s.Flat()) != s.Len()*s.Dim() {
+			t.Fatalf("ReadCSV accepted %d points of %d dimensions in %d values", s.Len(), s.Dim(), len(s.Flat()))
+		}
+		for i, v := range s.Flat() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ReadCSV accepted the non-finite value %v (flat index %d)", v, i)
+			}
+		}
+	})
+}
