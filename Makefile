@@ -11,10 +11,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The vector bodies (internal/fastmath/sumgauss_amd64.s, nearmask_amd64.s)
-# are what an amd64 host builds and tests; every other GOARCH runs the Go
-# bodies, and nothing above compiles that configuration. arm64 stands in
-# for them.
+# The vector bodies (internal/fastmath/sumgauss_amd64.s, nearmask_amd64.s,
+# minmax_amd64.s) are what an amd64 host builds and tests; every other
+# GOARCH runs the Go bodies, and nothing above compiles that
+# configuration. arm64 stands in for them.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/fastmath ./internal/codegen
@@ -28,6 +28,7 @@ test:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSumGaussRows -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzNearMaskCols -fuzztime 5s ./internal/fastmath
+	$(GO) test -run '^$$' -fuzz FuzzMinMaxCol -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/storage
 
 # The traversal, engine, tree build, trace recorder, serving path,

@@ -1,7 +1,10 @@
 package codegen
 
 import (
+	"encoding/json"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,10 +64,91 @@ func TestKListOutputsAreDisjointSlabs(t *testing.T) {
 	}
 }
 
+// A range search where most queries match nothing: every query still
+// gets a list — non-nil and empty, so it encodes as [] and not null —
+// and a list that holds something is the run's own slice, mapped to
+// original indices and capacity-limited so an append to it reallocates
+// instead of running into memory another list owns. UNION, whose lists
+// also hold the zero-valued pairs, keeps each value beside its index.
+func TestRangeListsAreSparseAndDisjoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	qRows, rRows := randRows(rng, 400, 3), randRows(rng, 40, 3)
+	q, r := storage.MustFromRows(qRows), storage.MustFromRows(rRows)
+	const lo, hi = 0.2, 0.9
+	var want [][]int // by the definition: lo < |q - r| < hi, ascending
+	empties := 0
+	for _, qp := range qRows {
+		ids := []int{}
+		for ri, rp := range rRows {
+			if d := math.Sqrt(geom.SqDist(qp, rp)); lo < d && d < hi {
+				ids = append(ids, ri)
+			}
+		}
+		if want = append(want, ids); len(ids) == 0 {
+			empties++
+		}
+	}
+	if empties < len(want)/2 || empties == len(want) {
+		t.Fatalf("%d of %d queries match nothing: the set-up wants most, not all", empties, len(want))
+	}
+	for _, op := range []lang.Op{lang.UNIONARG, lang.UNION} {
+		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
+			AddLayer(op, r, expr.NewRangeKernel(lo, hi))
+		out := fullRun(t, spec, 0, Options{})
+		if len(out.ArgLists) != len(want) || (op == lang.UNION) != (out.ValueLists != nil) {
+			t.Fatalf("%v: %d arg lists, value lists %v", op, len(out.ArgLists), out.ValueLists != nil)
+		}
+		for i, args := range out.ArgLists {
+			if args == nil || cap(args) != len(args) {
+				t.Fatalf("%v: query %d has list %#v with capacity %d", op, i, args, cap(args))
+			}
+			if enc, _ := json.Marshal(args); len(args) == 0 && string(enc) != "[]" {
+				t.Fatalf("%v: query %d's empty list encodes as %s", op, i, enc)
+			}
+			hits := args
+			if op == lang.UNION { // every pair the walk did not prune, its indicator beside it
+				if len(out.ValueLists[i]) != len(args) {
+					t.Fatalf("%v: query %d has %d values for %d indices", op, i, len(out.ValueLists[i]), len(args))
+				}
+				hits = nil
+				for j, v := range out.ValueLists[i] {
+					d := math.Sqrt(geom.SqDist(qRows[i], rRows[args[j]]))
+					if in := lo < d && d < hi; v != 0 && v != 1 || in != (v == 1) {
+						t.Fatalf("%v: query %d pairs value %v with reference %d at distance %v", op, i, v, args[j], d)
+					} else if in {
+						hits = append(hits, args[j])
+					}
+				}
+			}
+			if got := sortedCopy(hits); !slices.Equal(got, want[i]) {
+				t.Fatalf("%v: query %d lists %v, want %v", op, i, got, want[i])
+			}
+		}
+		if op == lang.UNION {
+			continue
+		}
+		// Appending to every list must leave every other list intact.
+		for i := range out.ArgLists {
+			out.ArgLists[i] = append(out.ArgLists[i], -7)
+		}
+		for i, args := range out.ArgLists {
+			if got := sortedCopy(args[:len(args)-1]); !slices.Equal(got, want[i]) {
+				t.Fatalf("%v: an append to another list changed query %d's to %v, want %v", op, i, got, want[i])
+			}
+		}
+	}
+}
+
+func sortedCopy(s []int) []int {
+	c := slices.Clone(s)
+	slices.Sort(c)
+	return c
+}
+
 // Finalize and FinalizePartial consume the run: the push-down passes
-// accumulate in place and k-list outputs are mapped in place, so a
-// second call of either must panic — naming the run — rather than
-// double-count or re-map.
+// accumulate in place and k-list and id-list outputs are mapped in
+// place, so a second call of either must panic — naming the run —
+// rather than double-count or re-map.
 func TestFinalizeTwicePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := storage.MustFromRows(randRows(rng, 120, 3))
@@ -76,12 +160,16 @@ func TestFinalizeTwicePanics(t *testing.T) {
 		return (&lang.PortalExpr{}).AddLayer(lang.FORALL, pts, nil).
 			AddLayerK(lang.KARGMIN, 3, pts, expr.NewDistanceKernel(geom.Euclidean))
 	}
+	rs := func() *lang.PortalExpr {
+		return (&lang.PortalExpr{}).AddLayer(lang.FORALL, pts, nil).
+			AddLayer(lang.UNIONARG, pts, expr.NewRangeKernel(0, 1))
+	}
 	for name, second := range map[string]func(*Run){
 		"Finalize":        func(r *Run) { r.Finalize() },
 		"FinalizePartial": func(r *Run) { r.FinalizePartial() },
 	} {
 		t.Run(name, func(t *testing.T) {
-			for _, spec := range []*lang.PortalExpr{kde(), knn()} {
+			for _, spec := range []*lang.PortalExpr{kde(), knn(), rs()} {
 				run := traversedRun(t, spec, 0.05, Options{})
 				if name == "Finalize" {
 					run.FinalizePartial() // the first call may be either entry point

@@ -542,13 +542,25 @@ func (r *Run) perQuery() *Partial {
 	case r.KLists != nil:
 		p.ArgLists, p.ValueLists = r.finalizeKLists()
 	case r.IdxLists != nil:
+		// Most queries of a range search match nothing (rs-build: 458 ids
+		// over 1e6 queries): every list starts as one shared empty slice,
+		// written in order — non-nil, so it encodes as [] — and only the
+		// lists that hold something are scattered to their query's slot.
+		// Those are the run's own appended slices, mapped in place and
+		// capacity-limited so an append to one cannot reach another.
 		p.ArgLists = make([][]int, n)
-		for pos := 0; pos < n; pos++ {
-			lst := make([]int, len(r.IdxLists[pos]))
-			for j, ri := range r.IdxLists[pos] {
+		empty := []int{}
+		for i := range p.ArgLists {
+			p.ArgLists[i] = empty
+		}
+		for pos, lst := range r.IdxLists {
+			if len(lst) == 0 {
+				continue
+			}
+			for j, ri := range lst {
 				lst[j] = rIdx[ri]
 			}
-			p.ArgLists[qIdx[pos]] = lst
+			p.ArgLists[qIdx[pos]] = lst[:len(lst):len(lst)]
 		}
 		if r.ValLists != nil {
 			p.ValueLists = make([][]float64, n)

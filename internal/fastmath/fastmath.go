@@ -434,6 +434,91 @@ const vecLanes = 4
 // the 4·groups first points, given a finite box.
 var nearMaskColsVec func(cols *float64, stride int, lo, hi *float64, d int, w *float64, groups int) uint64
 
+// MinMaxCol returns the smallest and the largest value of a non-empty
+// column as the loop "mn, mx := c[0], c[0]; if v < mn { mn = v }; if
+// v > mx { mx = v }" finds them, bit for bit: a NaN that is not c[0] is
+// passed over, and of a +0 and a -0 the one seen first wins.
+func MinMaxCol(c []float64) (mn, mx float64) {
+	if minMaxColVec == nil || len(c) < minMaxLanes {
+		return minMaxColGo(c)
+	}
+	mn, mx = c[0], c[0]
+	for rest := c; len(rest) > 0; {
+		// The last chunk takes a tail shorter than the vector body's
+		// least into itself.
+		chunk := rest
+		if len(rest) >= minMaxChunk+minMaxLanes {
+			chunk = rest[:minMaxChunk]
+		}
+		rest = rest[len(chunk):]
+		cmn, cmx, nan := minMaxColVec(&chunk[0], len(chunk))
+		if nan {
+			// A lane that began on a NaN stayed there and has lost the
+			// keys behind it.
+			return minMaxColGo(c)
+		}
+		if cmn < mn {
+			mn = cmn
+		}
+		if cmx > mx {
+			mx = cmx
+		}
+	}
+	// The loop moves on a strict compare only, so it ends on the first
+	// key of the extreme value — and zero is the one value whose keys are
+	// not all the same bits; the lanes met them in another order.
+	if mn == 0 {
+		mn = firstZero(c)
+	}
+	if mx == 0 {
+		mx = firstZero(c)
+	}
+	return mn, mx
+}
+
+// firstZero returns the first key of c that is a zero, sign and all; c
+// holds one.
+func firstZero(c []float64) float64 {
+	i := 0
+	for c[i] != 0 {
+		i++
+	}
+	return c[i]
+}
+
+// minMaxLanes is how many running minima (and maxima) the vector body
+// of MinMaxCol keeps — two YMM registers of four float64 lanes — and so
+// the shortest column it takes; minMaxChunk bounds one call into it,
+// which cannot be preempted asynchronously (32 KB of keys, ≈ 1–2 µs).
+const (
+	minMaxLanes = 8
+	minMaxChunk = 4096
+)
+
+// minMaxColVec is this platform's vector body of MinMaxCol, set once at
+// init where there is one (amd64 with AVX2) and nil everywhere else. It
+// runs minMaxColGo in minMaxLanes lanes, lane l over c[l], c[l+8], …
+// (some of the last eight keys possibly twice), n >= minMaxLanes, and
+// returns the lanes' extremes — up to the sign of a zero — or nan if a
+// lane began on one.
+var minMaxColVec func(c *float64, n int) (mn, mx float64, nan bool)
+
+// minMaxColGo is MinMaxCol where there is no vector body, for columns
+// the vector body's lanes cannot answer for, and the oracle the tests
+// hold it to.
+func minMaxColGo(c []float64) (mn, mx float64) {
+	mn, mx = c[0], c[0]
+	for _, v := range c[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return mn, mx
+}
+
 // NearFloorMask is the near test of a whole box of points at once: bit i
 // of the result is set iff !(w[i] < near), i < len(w) <= 64, for near the
 // Hypot2Box value of the point of [qlo, qhi] nearest to [lo, hi] — by
@@ -447,7 +532,7 @@ func NearFloorMask(c, qlo, qhi, lo, hi, w []float64) uint64 {
 	near := Hypot2Box(c, 1, lo, hi, false)
 	var below uint64 // bit i: w[i] < near, built from the top bit down
 	for i := len(w) - 1; i >= 0; i-- {
-		below = below<<1 + bit(w[i] < near)
+		below = below<<1 + Bit(w[i] < near)
 	}
 	return ^below & (^uint64(0) >> (64 - uint(len(w))))
 }
@@ -479,14 +564,14 @@ func nearMaskColsGo(in uint64, cols []float64, stride int, lo, hi, w []float64) 
 				s += t * t
 			}
 		}
-		m &^= bit(s >= w[i]) << (i & 63)
+		m &^= Bit(s >= w[i]) << (i & 63)
 	}
 	return m
 }
 
-// bit is 1 for true: a flag-setting instruction, not a branch, so a mask
+// Bit is 1 for true: a flag-setting instruction, not a branch, so a mask
 // is built without one unpredictable jump per point.
-func bit(b bool) uint64 {
+func Bit(b bool) uint64 {
 	if b {
 		return 1
 	}

@@ -35,6 +35,7 @@ func init() {
 	if hasAVX2() {
 		sumGaussRowsVec = sumGaussRowsAVX2
 		nearMaskColsVec = nearMaskColsAsm
+		minMaxColVec = minMaxColAsm
 	}
 }
 
@@ -92,6 +93,11 @@ func sumGaussRowsAsm(c float64, q *float64, d int, rows *float64, n int, acc flo
 //
 //go:noescape
 func nearMaskColsAsm(cols *float64, stride int, lo, hi *float64, d int, w *float64, groups int) uint64
+
+// minMaxColAsm is the vector body of MinMaxCol (minmax_amd64.s).
+//
+//go:noescape
+func minMaxColAsm(c *float64, n int) (mn, mx float64, nan bool)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -82,3 +82,22 @@ func TestNearMaskColsNoOverRead(t *testing.T) {
 		}
 	}
 }
+
+// A column-major store's last column ends the flat buffer — the mapping,
+// for a snapshot's — and the ragged end is one load that must start
+// eight keys before the column's end, not run past it: put columns of
+// every short length, and of lengths around the chunk edge, flush
+// against the guard page.
+func TestMinMaxColNoOverRead(t *testing.T) {
+	beforeGuard := guardPage(t)
+	rng := rand.New(rand.NewSource(41))
+	page := syscall.Getpagesize() / 8
+	lengths := []int{page - 1, page}
+	for n := 1; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		_, c := randPoints(rng, 1, n)
+		checkMinMaxCol(t, beforeGuard(c), "column before the guard page")
+	}
+}

@@ -1,0 +1,259 @@
+package tree
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"portal/internal/dataset"
+	"portal/internal/storage"
+)
+
+// exportHash is the first 8 bytes of a sha256 over every array of
+// tree.Export — bits, not values, so a -0 for a +0 or a swapped pair
+// of equal keys changes it.
+func exportHash(t *Tree) string {
+	f := t.Export()
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i := range f.Parent {
+		put(uint64(int64(f.Parent[i])))
+		put(uint64(int64(f.Depth[i])))
+		put(uint64(f.Begin[i]))
+		put(uint64(f.End[i]))
+		put(math.Float64bits(f.Mass[i]))
+	}
+	for _, v := range f.Coords {
+		put(math.Float64bits(v))
+	}
+	for _, v := range f.Points {
+		put(math.Float64bits(v))
+	}
+	for _, v := range f.Index {
+		put(uint64(int64(v)))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// mix is a splitmix64 step: the filler coordinates of the golden inputs.
+func mix(x uint64) float64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return float64((x^x>>31)>>11) / (1 << 53)
+}
+
+type goldenInput struct {
+	name string
+	n    int
+	at   func(i, j int) float64
+}
+
+// goldenInputs are the build's hard cases as coordinate functions, so
+// one input serves every dimensionality: dimensions past a generator's
+// third re-read its columns at a shifted point.
+func goldenInputs() []goldenInput {
+	const n = 100_000
+	shifted := func(s *storage.Storage) func(i, j int) float64 {
+		return func(i, j int) float64 { return s.At((i+7919*(j/3))%n, j%3) }
+	}
+	filler := func(i, j int) float64 { return mix(uint64(i)*16 + uint64(j)) }
+	return []goldenInput{
+		{"elliptical", n, shifted(dataset.GenerateElliptical(n, 1))},
+		{"plummer", n, shifted(dataset.GeneratePlummer(n, 1))},
+		// 7 x 5 x 3 integer lattice: 105 distinct points, ~190 copies each.
+		{"lattice", 20_000, func(i, j int) float64 {
+			return float64(i * (2*j + 3) % [3]int{7, 5, 3}[j%3])
+		}},
+		{"allequal", 5_000, func(i, j int) float64 { return 7 }},
+		{"sorted", 20_000, func(i, j int) float64 {
+			if j == 0 {
+				return float64(i)
+			}
+			return filler(i, j)
+		}},
+		{"organpipe", 20_000, func(i, j int) float64 {
+			if j == 0 {
+				return float64(min(i, 20_000-1-i))
+			}
+			return filler(i, j)
+		}},
+	}
+}
+
+// exportGolden holds exportHash of every input x shape, recorded at the
+// commit before the block partition (e9601be): the partition, the
+// bounding-box scan and the builder's set-up may change how the tree is
+// computed, never one bit of it. Re-record only from a commit whose
+// trees are the contract.
+var exportGolden = map[string]string{
+	"elliptical/column-major/d=1": "0ede8204ae1d485b",
+	"elliptical/column-major/d=2": "275fb9c814ded72e",
+	"elliptical/column-major/d=3": "a0f7a3d7f3631277",
+	"elliptical/column-major/d=4": "4958f9db33bfc85e",
+	"elliptical/column-major/d=6": "051cd1b95c488609",
+	"elliptical/row-major/d=9":    "9586d9ec2365a27b",
+	"plummer/column-major/d=1":    "08bafacf30e3ec4b",
+	"plummer/column-major/d=2":    "ec60c909ad7cd758",
+	"plummer/column-major/d=3":    "6c7cc2abd9772e25",
+	"plummer/column-major/d=4":    "6929c469ed3e2c31",
+	"plummer/column-major/d=6":    "e3f19f2457f1c849",
+	"plummer/row-major/d=9":       "03dfb3217649cfa4",
+	"lattice/column-major/d=1":    "e295d50b11331c2f",
+	"lattice/column-major/d=2":    "ca6b2e2b7b89b551",
+	"lattice/column-major/d=3":    "7f2f769170ed8b77",
+	"lattice/column-major/d=4":    "8cae45dc48abd4d3",
+	"lattice/column-major/d=6":    "d53ec2abdfe768cb",
+	"lattice/row-major/d=9":       "3fa428b957322d23",
+	"allequal/column-major/d=1":   "8c540184d0fc1034",
+	"allequal/column-major/d=2":   "ef72a41b19645b35",
+	"allequal/column-major/d=3":   "7635e888207a954d",
+	"allequal/column-major/d=4":   "63340d767736d24f",
+	"allequal/column-major/d=6":   "7eb5aaf0f8a3b2c6",
+	"allequal/row-major/d=9":      "9846f6d04ded08d5",
+	"sorted/column-major/d=1":     "e197603cf63d02bf",
+	"sorted/column-major/d=2":     "f3321a38879e8aab",
+	"sorted/column-major/d=3":     "7702793cfc1b0d54",
+	"sorted/column-major/d=4":     "df115e8bd08fb661",
+	"sorted/column-major/d=6":     "a37f2f1fb7c07c9f",
+	"sorted/row-major/d=9":        "9030cc6b2fd24f37",
+	"organpipe/column-major/d=1":  "e5648eab526d99f9",
+	"organpipe/column-major/d=2":  "ac0893cdc0d57e8e",
+	"organpipe/column-major/d=3":  "408e93d3a5b03d47",
+	"organpipe/column-major/d=4":  "6f143c1be0276152",
+	"organpipe/column-major/d=6":  "71ea375049ef7093",
+	"organpipe/row-major/d=9":     "9ed59ef251b89188",
+}
+
+func TestExportGolden(t *testing.T) {
+	shapes := []struct {
+		layout storage.Layout
+		d      int
+	}{
+		{storage.ColMajor, 1}, {storage.ColMajor, 2}, {storage.ColMajor, 3}, {storage.ColMajor, 4},
+		{storage.ColMajor, 6}, // above ColMajorMaxDim: any number of mirror columns
+		{storage.RowMajor, 9},
+	}
+	for _, in := range goldenInputs() {
+		for _, sh := range shapes {
+			s := storage.NewWithLayout(in.n, sh.d, sh.layout)
+			for i := 0; i < in.n; i++ {
+				for j := 0; j < sh.d; j++ {
+					s.Set(i, j, in.at(i, j))
+				}
+			}
+			name := fmt.Sprintf("%s/%s/d=%d", in.name, sh.layout, sh.d)
+			for _, w := range []int{1, 2} {
+				got := exportHash(BuildKD(s, &Options{Parallel: w > 1, Workers: w}))
+				if got != exportGolden[name] {
+					t.Errorf("W=%d builds another tree than the recorded one (%s); this build's line:\n\t%q: %q,", w, exportGolden[name], name, got)
+				}
+			}
+		}
+	}
+}
+
+// classicHoare is the pass partition must reproduce: the same scans,
+// the same swaps in the same order, the same crossed positions.
+func classicHoare(key []float64, id []int, pivot float64) (int, int) {
+	i, j := 0, len(key)-1
+	for i <= j {
+		for key[i] < pivot {
+			i++
+		}
+		for key[j] > pivot {
+			j--
+		}
+		if i <= j {
+			key[i], key[j] = key[j], key[i]
+			id[i], id[j] = id[j], id[i]
+			i++
+			j--
+		}
+	}
+	return i, j
+}
+
+// partition against the classic pass on every range length across the
+// one-, two- and four-block edges, with pivots that make one side all
+// stoppers (minimum, maximum), ties (a duplicated value) and infinite
+// keys. Every mirror layout rides along: the index array, one to five
+// columns (three in partition's locals, the rest in swapWide) and rows.
+func TestPartitionMatchesClassicHoare(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for n := 1; n <= 600; n++ {
+		base := make([]float64, n)
+		for i := range base {
+			base[i] = float64(rng.Intn(n/3 + 2)) // about three copies of each value
+		}
+		lo, hi := slices.Min(base), slices.Max(base)
+		if n > 4 {
+			base[rng.Intn(n)], base[rng.Intn(n)] = math.Inf(1), math.Inf(-1)
+		}
+		for _, pivot := range []float64{lo, hi, base[n/2], math.Inf(1), math.Inf(-1)} {
+			if !slices.Contains(base, pivot) {
+				continue // the scans rely on the pivot being a key of the range
+			}
+			for ncols := 0; ncols <= 5; ncols++ {
+				const d = 3
+				wantKey, wantID := slices.Clone(base), identity(n)
+				wi, wj := classicHoare(wantKey, wantID, pivot)
+
+				key, m := slices.Clone(base), mirror{id: identity(n)}
+				for c := 0; c < ncols; c++ {
+					m.cols = append(m.cols, tagged(n, c, 1))
+				}
+				if ncols == 0 {
+					m.rows, m.d = tagged(n, 0, d), d
+				}
+				gi, gj := partition(key, 0, n-1, pivot, &m)
+
+				if gi != wi || gj != wj {
+					t.Fatalf("n=%d pivot=%v cols=%d: scans crossed at (%d, %d), classic (%d, %d)", n, pivot, ncols, gi, gj, wi, wj)
+				}
+				for p := range key {
+					if math.Float64bits(key[p]) != math.Float64bits(wantKey[p]) || m.id[p] != wantID[p] {
+						t.Fatalf("n=%d pivot=%v cols=%d: position %d holds key %v of point %d, classic %v of %d",
+							n, pivot, ncols, p, key[p], m.id[p], wantKey[p], wantID[p])
+					}
+					for c, col := range m.cols {
+						if col[p] != float64(wantID[p]*8+c) {
+							t.Fatalf("n=%d pivot=%v: column %d of %d did not follow the index array at %d", n, pivot, c, ncols, p)
+						}
+					}
+					for k := 0; k < m.d; k++ {
+						if m.rows[p*d+k] != float64(wantID[p]*8+k) {
+							t.Fatalf("n=%d pivot=%v: rows did not follow the index array at %d", n, pivot, p)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func identity(n int) []int {
+	id := make([]int, n)
+	for i := range id {
+		id[i] = i
+	}
+	return id
+}
+
+// tagged is d values per point that name the point and the coordinate,
+// so a mirror that missed a swap is visible.
+func tagged(n, c, d int) []float64 {
+	out := make([]float64, n*d)
+	for i := range out {
+		out[i] = float64(i/d*8 + c + i%d)
+	}
+	return out
+}

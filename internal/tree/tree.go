@@ -41,10 +41,13 @@ package tree
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"portal/internal/fastmath"
 	"portal/internal/geom"
 	"portal/internal/stats"
 	"portal/internal/storage"
@@ -392,7 +395,9 @@ func newBuilder(s *storage.Storage, opts *Options) *builder {
 		panic("tree: cannot build over empty storage")
 	}
 	b := &builder{
-		work:    make([]float64, s.Len()*s.Dim()),
+		// Clone, not make + copy: every float is about to be overwritten
+		// and none needs clearing first.
+		work:    slices.Clone(s.Flat()),
 		idx:     make([]int, s.Len()),
 		layout:  s.Layout(),
 		n:       s.Len(),
@@ -403,7 +408,6 @@ func newBuilder(s *storage.Storage, opts *Options) *builder {
 	if opts != nil {
 		b.rec = opts.Trace
 	}
-	copy(b.work, s.Flat())
 	if opts != nil && opts.Weights != nil {
 		if len(opts.Weights) != s.Len() {
 			panic(fmt.Sprintf("tree: %d weights for %d points", len(opts.Weights), s.Len()))
@@ -531,17 +535,7 @@ func (b *builder) buildKD(n *bnode, pl *pool) {
 func (b *builder) scanBBox(lo, hi int, r geom.Rect) {
 	if b.layout == storage.ColMajor {
 		for j := 0; j < b.d; j++ {
-			c := b.col(j)[lo:hi]
-			mn, mx := c[0], c[0]
-			for _, v := range c[1:] {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			r.Min[j], r.Max[j] = mn, mx
+			r.Min[j], r.Max[j] = fastmath.MinMaxCol(b.col(j)[lo:hi])
 		}
 		return
 	}
@@ -579,69 +573,36 @@ func median3(a, m, z float64) float64 {
 
 // selectNth partially sorts working points [lo,hi) so position nth
 // holds the point that would be there in full sorted order by the dim
-// coordinate (Hoare quickselect, median-of-three pivot values). All
-// coordinate columns and the index array are swapped together, keeping
-// the working copy permuted in lockstep — the comparisons read the
-// split dimension's contiguous column directly.
+// coordinate (Hoare quickselect, median-of-three pivot values). The
+// comparisons read one contiguous key column — the split dimension's
+// own column in a column-major build, the dim coordinates extracted
+// once into a buffer in a row-major one — and every swap is mirrored
+// into the index array and the rest of the working copy, keeping both
+// permuted in lockstep.
 func (b *builder) selectNth(lo, hi, nth, dim int, pl *pool) {
+	m := mirror{id: b.idx[lo:hi]}
+	var key []float64
 	if b.layout == storage.ColMajor {
-		b.selectNthCols(lo, hi, nth, dim)
-		return
-	}
-	b.selectNthRows(lo, hi, nth, dim, pl)
-}
-
-// selectNthCols is the column-major quickselect: comparisons run over
-// the split dimension's column, swaps mirror into the (at most
-// ColMajorMaxDim-1) remaining columns and the index array. Explicitly
-// column-major storage above ColMajorMaxDim (the layout-ablation
-// configurations) takes the generic variant, which handles any number
-// of mirror columns.
-func (b *builder) selectNthCols(lo, hi, nth, dim int) {
-	if b.d > storage.ColMajorMaxDim {
-		b.selectNthColsGeneric(lo, hi, nth, dim)
-		return
-	}
-	key := b.col(dim)
-	id := b.idx
-	var o1, o2, o3 []float64
-	{
-		var os [3][]float64
-		k := 0
+		key = b.col(dim)[lo:hi]
+		var few [storage.ColMajorMaxDim - 1][]float64
+		m.cols = few[:0] // explicit column-major above ColMajorMaxDim outgrows it
 		for j := 0; j < b.d; j++ {
 			if j != dim {
-				os[k] = b.col(j)
-				k++
+				m.cols = append(m.cols, b.col(j)[lo:hi])
 			}
 		}
-		o1, o2, o3 = os[0], os[1], os[2]
+	} else {
+		key = pl.keySlice(hi - lo)
+		for i := range key {
+			key[i] = b.work[(lo+i)*b.d+dim]
+		}
+		m.rows, m.d = b.work[lo*b.d:hi*b.d], b.d
 	}
+	nth -= lo
+	lo, hi = 0, len(key)
 	for hi-lo > 1 {
 		pivot := median3(key[lo], key[lo+(hi-lo)/2], key[hi-1])
-		i, j := lo, hi-1
-		for i <= j {
-			for key[i] < pivot {
-				i++
-			}
-			for key[j] > pivot {
-				j--
-			}
-			if i <= j {
-				key[i], key[j] = key[j], key[i]
-				id[i], id[j] = id[j], id[i]
-				if o1 != nil {
-					o1[i], o1[j] = o1[j], o1[i]
-					if o2 != nil {
-						o2[i], o2[j] = o2[j], o2[i]
-						if o3 != nil {
-							o3[i], o3[j] = o3[j], o3[i]
-						}
-					}
-				}
-				i++
-				j--
-			}
-		}
+		i, j := partition(key, lo, hi-1, pivot, &m)
 		switch {
 		case nth <= j:
 			hi = j + 1
@@ -653,92 +614,137 @@ func (b *builder) selectNthCols(lo, hi, nth, dim int) {
 	}
 }
 
-// selectNthColsGeneric mirrors swaps into a slice of the non-split
-// columns instead of unrolled locals; only explicit column-major
-// storage with d > ColMajorMaxDim reaches it, so the extra indirection
-// is off the default layouts' build path.
-func (b *builder) selectNthColsGeneric(lo, hi, nth, dim int) {
-	key := b.col(dim)
-	id := b.idx
-	others := make([][]float64, 0, b.d-1)
-	for j := 0; j < b.d; j++ {
-		if j != dim {
-			others = append(others, b.col(j))
-		}
+// mirror is what a partition permutes alongside its key column: the
+// index array and, by layout, the other coordinate columns or the whole
+// rows — all sliced to the key column's range, so one position indexes
+// every one of them.
+type mirror struct {
+	id   []int
+	cols [][]float64 // column-major: the non-split columns
+	rows []float64   // row-major: the points, d floats each
+	d    int
+}
+
+// swapWide mirrors a swap into what partition does not keep in locals:
+// the columns past the third (explicit column-major storage above
+// ColMajorMaxDim) and row-major rows.
+func (m *mirror) swapWide(a, b int) {
+	for _, c := range m.cols[min(3, len(m.cols)):] {
+		c[a], c[b] = c[b], c[a]
 	}
-	for hi-lo > 1 {
-		pivot := median3(key[lo], key[lo+(hi-lo)/2], key[hi-1])
-		i, j := lo, hi-1
-		for i <= j {
-			for key[i] < pivot {
-				i++
-			}
-			for key[j] > pivot {
-				j--
-			}
-			if i <= j {
-				key[i], key[j] = key[j], key[i]
-				id[i], id[j] = id[j], id[i]
-				for _, o := range others {
-					o[i], o[j] = o[j], o[i]
-				}
-				i++
-				j--
-			}
-		}
-		switch {
-		case nth <= j:
-			hi = j + 1
-		case nth >= i:
-			lo = i
-		default:
-			return
+	if m.rows != nil {
+		ra, rb := m.rows[a*m.d:(a+1)*m.d], m.rows[b*m.d:(b+1)*m.d]
+		for k, v := range ra {
+			ra[k], rb[k] = rb[k], v
 		}
 	}
 }
 
-// selectNthRows is the row-major quickselect: the dim coordinates are
-// extracted once into a contiguous key buffer and rows are swapped
-// whole (a row swap is a contiguous d-element exchange).
-func (b *builder) selectNthRows(lo, hi, nth, dim int, pl *pool) {
-	d := b.d
-	keys := pl.keySlice(hi - lo)
-	for i := lo; i < hi; i++ {
-		keys[i-lo] = b.work[i*d+dim]
-	}
-	id := b.idx[lo:hi]
-	n := nth - lo
-	klo, khi := 0, len(keys)
-	for khi-klo > 1 {
-		pivot := median3(keys[klo], keys[klo+(khi-klo)/2], keys[khi-1])
-		i, j := klo, khi-1
-		for i <= j {
-			for keys[i] < pivot {
-				i++
-			}
-			for keys[j] > pivot {
-				j--
-			}
-			if i <= j {
-				keys[i], keys[j] = keys[j], keys[i]
-				id[i], id[j] = id[j], id[i]
-				ri, rj := b.row(lo+i), b.row(lo+j)
-				for k, v := range ri {
-					ri[k], rj[k] = rj[k], v
+// block is the partition's block length: one bit of a stopper mask per
+// position.
+const block = 64
+
+// partition is one Hoare pass over key[i..j] around pivot, returning
+// the crossed scan positions (j < i). A left stopper is a key the
+// classic left scan halts on, !(key < pivot), a right stopper one the
+// right scan halts on, !(key > pivot); the classic pass swaps the k-th
+// left stopper with the k-th right stopper until the scans cross. While
+// two whole blocks fit between the scans the stoppers of the outermost
+// block on each side are found without a jump per key, as masks, and
+// paired off in that same order; a mask that runs empty is refilled
+// from the next block inwards. The blocks are disjoint and a swapped
+// position is never looked at again, so those swaps are a prefix of the
+// classic pass's own sequence, and the classic loop picks the rest up
+// at the first stopper of each side not yet paired (DESIGN 7.1).
+func partition(key []float64, i, j int, pivot float64, m *mirror) (int, int) {
+	// The default layouts' mirror — the index array and at most three
+	// columns — lives in locals; the swap is then straight-line code.
+	id, wide := m.id, len(m.cols) > 3 || m.rows != nil
+	var o [3][]float64
+	copy(o[:], m.cols)
+	o1, o2, o3 := o[0], o[1], o[2]
+	swap := func(a, b int) {
+		key[a], key[b] = key[b], key[a]
+		id[a], id[b] = id[b], id[a]
+		if o1 != nil {
+			o1[a], o1[b] = o1[b], o1[a]
+			if o2 != nil {
+				o2[a], o2[b] = o2[b], o2[a]
+				if o3 != nil {
+					o3[a], o3[b] = o3[b], o3[a]
 				}
-				i++
-				j--
 			}
 		}
-		switch {
-		case n <= j:
-			khi = j + 1
-		case n >= i:
-			klo = i
-		default:
-			return
+		if wide {
+			m.swapWide(a, b)
 		}
 	}
+
+	var ml, mr uint64 // unpaired stoppers; bit k is position i+k, position j-k
+	for j-i+1 >= 2*block {
+		if ml == 0 {
+			ml = leftStoppers((*[block]float64)(key[i:]), pivot)
+		}
+		if mr == 0 {
+			mr = rightStoppers((*[block]float64)(key[j-block+1:]), pivot)
+		}
+		for ml != 0 && mr != 0 {
+			swap(i+bits.TrailingZeros64(ml), j-bits.TrailingZeros64(mr))
+			ml &= ml - 1
+			mr &= mr - 1
+		}
+		if ml == 0 {
+			i += block
+		}
+		if mr == 0 {
+			j -= block
+		}
+	}
+	if ml != 0 {
+		i += bits.TrailingZeros64(ml)
+	}
+	if mr != 0 {
+		j -= bits.TrailingZeros64(mr)
+	}
+	for i <= j {
+		for key[i] < pivot {
+			i++
+		}
+		for key[j] > pivot {
+			j--
+		}
+		if i <= j {
+			swap(i, j)
+			i++
+			j--
+		}
+	}
+	return i, j
+}
+
+// leftStoppers has bit k set when blk[k] stops a left scan. The mask is
+// built over the keys the scan passes, four to a step — Bit is a
+// flag-setting instruction, so the loop body has no jump — and
+// complemented once.
+func leftStoppers(blk *[block]float64, pivot float64) uint64 {
+	var m uint64
+	for k := block - 4; k >= 0; k -= 4 {
+		m = m<<4 +
+			fastmath.Bit(blk[k+3] < pivot)<<3 + fastmath.Bit(blk[k+2] < pivot)<<2 +
+			fastmath.Bit(blk[k+1] < pivot)<<1 + fastmath.Bit(blk[k] < pivot)
+	}
+	return ^m
+}
+
+// rightStoppers has bit k set when blk[block-1-k] stops a right scan.
+func rightStoppers(blk *[block]float64, pivot float64) uint64 {
+	var m uint64
+	for k := 0; k < block; k += 4 {
+		m = m<<4 +
+			fastmath.Bit(blk[k] > pivot)<<3 + fastmath.Bit(blk[k+1] > pivot)<<2 +
+			fastmath.Bit(blk[k+2] > pivot)<<1 + fastmath.Bit(blk[k+3] > pivot)
+	}
+	return ^m
 }
 
 // finish flattens the build hierarchy into the preorder arena,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"portal/internal/dataset"
 	"portal/internal/geom"
 	"portal/internal/storage"
 )
@@ -438,21 +439,33 @@ func BenchmarkBuildOct10k(b *testing.B) {
 }
 
 // BenchmarkTreeBuild is kd-tree and octree construction at the scales a
-// served dataset has — 1e5 and 1e6 normal 3-d points — serial and with
-// 8 workers.
+// served dataset has — 1e5 and 1e6 normal 3-d points, and the 1e6
+// Elliptical set the rs-build workload builds — serial and at
+// GOMAXPROCS, the two worker counts the benchmark's solves run at.
 func BenchmarkTreeBuild(b *testing.B) {
-	for _, n := range []int{100000, 1000000} {
-		data := randStorage(rand.New(rand.NewSource(1)), n, 3)
+	inputs := []struct {
+		name string
+		data *storage.Storage
+	}{
+		{"n=100000", randStorage(rand.New(rand.NewSource(1)), 100000, 3)},
+		{"n=1000000", randStorage(rand.New(rand.NewSource(1)), 1000000, 3)},
+		{"elliptical=1000000", dataset.GenerateElliptical(1000000, 1)},
+	}
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
+	}
+	for _, in := range inputs {
 		for _, kind := range []string{"kd", "oct"} {
 			build := BuildKD
 			if kind == "oct" {
 				build = BuildOct
 			}
-			for _, workers := range []int{1, 8} {
-				opts := &Options{Parallel: workers > 1, Workers: workers}
-				b.Run(fmt.Sprintf("%s/n=%d/workers=%d", kind, n, workers), func(b *testing.B) {
+			for _, w := range workers {
+				opts := &Options{Parallel: w > 1, Workers: w}
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", kind, in.name, w), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						build(data, opts)
+						build(in.data, opts)
 					}
 				})
 			}
