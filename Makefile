@@ -30,13 +30,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNearMaskCols -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzMinMaxCol -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/storage
+	$(GO) test -run '^$$' -fuzz FuzzValidate -fuzztime 5s ./internal/metrics
 
 # The traversal, engine, tree build, trace recorder, serving path,
 # snapshot persistence, and metrics core are where parallelism (and
-# shared mmap state) lives; run them under the race detector
-# explicitly.
+# shared mmap state) lives, and internal/problems holds the rules that
+# run parallel outside the engine (the 3-point fork/join, MST,
+# Barnes-Hut); run them under the race detector explicitly.
 race:
-	$(GO) test -race ./internal/traverse/... ./internal/engine/... ./internal/tree/... ./internal/trace/... ./internal/serve/... ./internal/persist/... ./internal/metrics/... ./internal/shard/...
+	$(GO) test -race ./internal/traverse/... ./internal/engine/... ./internal/tree/... ./internal/trace/... ./internal/serve/... ./internal/persist/... ./internal/metrics/... ./internal/shard/... ./internal/problems/...
 
 # The benchmark is a Go module of its own (benchmark/go.mod), so
 # `go test ./...` never reaches it: vet it and run its toy-scale
@@ -50,7 +52,7 @@ bench-selftest:
 # set-up assertion stops holding: run each once (the 1e6-point tree
 # builds included: the whole target is a few seconds).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/fastmath ./internal/traverse ./internal/tree ./internal/persist
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/fastmath ./internal/traverse ./internal/tree ./internal/persist ./internal/problems
 
 bench:
 	$(GO) test -bench=. -benchmem .

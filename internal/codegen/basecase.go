@@ -4,22 +4,18 @@ import (
 	"math/bits"
 
 	"portal/internal/fastmath"
-	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/storage"
 	"portal/internal/tree"
 )
 
-// This file holds the specialized base-case loops the backend emits —
-// the Go analogue of the paper's auto-vectorized BaseCase (Section
-// IV-F). The layout chosen by Storage decides which loop runs
-// unit-stride: for column-major (d ≤ 4) the *point* loop walks each
-// dimension's contiguous column with a dimension-specialized body
-// (the paper's "vectorization at the level of the middle loop"); for
-// row-major the *dimension* loop walks each point's contiguous row
-// with 4-way unrolled accumulation ("vectorization in the innermost
-// loop"). The IR interpreter in interp.go is the generic fallback and
-// the differential-testing oracle for every one of these loops.
+// This file holds the base case's entry: the point gate, and the
+// dispatcher that hands the points it leaves to one of three loops —
+// the fused operator-specialized loops of basecase_fused.go (every
+// Euclidean-family kernel: the Go analogue of the paper's
+// auto-vectorized BaseCase, Section IV-F), genericBaseCase below (any
+// other metric, Mahalanobis), or the IR interpreter of interp.go, which
+// is the differential-testing oracle for the other two.
 
 // gateChunk is how many query positions one survivor mask covers.
 const gateChunk = 64
@@ -175,174 +171,9 @@ func (r *Run) sweep(qb, qe int, rn *tree.Node) {
 	case r.Ex.Opts.ForceInterp:
 		r.interpBaseCase(qb, qe, rn)
 	case r.fused != nil:
-		// Fused operator-specialized loop (basecase_fused.go): distance,
-		// kernel body, and operator update in one tiled loop.
 		r.fused(r, qb, qe, rn)
-	case r.evalD2 != nil:
-		r.euclidBaseCase(qb, qe, rn)
 	default:
 		r.genericBaseCase(qb, qe, rn)
-	}
-}
-
-// euclidBaseCase handles Euclidean-family metrics with the
-// layout-specialized distance loops.
-func (r *Run) euclidBaseCase(qb, qe int, rn *tree.Node) {
-	qd := r.Q.Data
-	rd := r.R.Data
-	// Fully specialized loops for indicator windows: the comparisons
-	// are inlined against the compiled squared thresholds.
-	if r.Ex.hasWindow && qd.Layout() == storage.RowMajor && rd.Layout() == storage.RowMajor {
-		switch r.op {
-		case lang.UNIONARG:
-			r.windowUnionRowMajor(qb, qe, rn)
-			return
-		case lang.SUM:
-			r.windowSumRowMajor(qb, qe, rn)
-			return
-		}
-	}
-	// The dimension-specialized column walks only cover d ≤ 4; an
-	// explicitly column-major store above that must take the buffered
-	// path (the d=4 body would silently drop dimensions).
-	if qd.Layout() == storage.ColMajor && rd.Layout() == storage.ColMajor &&
-		r.Q.Dim() <= storage.ColMajorMaxDim {
-		r.euclidColMajor(qb, qe, rn)
-		return
-	}
-	if qd.Layout() == storage.RowMajor && rd.Layout() == storage.RowMajor {
-		r.euclidRowMajor(qb, qe, rn)
-		return
-	}
-	ident := r.identity
-	// Mixed layouts: keep a zero-copy row view on whichever side has
-	// one and materialize only the other side through scratch.
-	if qd.Layout() == storage.RowMajor {
-		for qi := qb; qi < qe; qi++ {
-			q := qd.Row(qi)
-			for ri := rn.Begin; ri < rn.End; ri++ {
-				v := fastmath.Hypot2(q, rd.Point(ri, r.rbuf))
-				if !ident {
-					v = r.evalD2(v)
-				}
-				r.update(qi, ri, v)
-			}
-		}
-		return
-	}
-	if rd.Layout() == storage.RowMajor {
-		for qi := qb; qi < qe; qi++ {
-			q := qd.Point(qi, r.qbuf)
-			for ri := rn.Begin; ri < rn.End; ri++ {
-				v := fastmath.Hypot2(q, rd.Row(ri))
-				if !ident {
-					v = r.evalD2(v)
-				}
-				r.update(qi, ri, v)
-			}
-		}
-		return
-	}
-	// No row view on either side: both points through scratch buffers.
-	for qi := qb; qi < qe; qi++ {
-		q := qd.Point(qi, r.qbuf)
-		for ri := rn.Begin; ri < rn.End; ri++ {
-			v := fastmath.Hypot2(q, rd.Point(ri, r.rbuf))
-			if !ident {
-				v = r.evalD2(v)
-			}
-			r.update(qi, ri, v)
-		}
-	}
-}
-
-// euclidRowMajor: the dimension loop is unit-stride over each point's
-// row; Hypot2 provides the 4-way unrolled accumulator chains.
-func (r *Run) euclidRowMajor(qb, qe int, rn *tree.Node) {
-	qd := r.Q.Data
-	rd := r.R.Data
-	ident := r.identity
-	for qi := qb; qi < qe; qi++ {
-		q := qd.Row(qi)
-		for ri := rn.Begin; ri < rn.End; ri++ {
-			v := fastmath.Hypot2(q, rd.Row(ri))
-			if !ident {
-				v = r.evalD2(v)
-			}
-			r.update(qi, ri, v)
-		}
-	}
-}
-
-// euclidColMajor: dimension-specialized bodies (d ≤ 4) walk the
-// contiguous per-dimension columns so the reference loop is
-// unit-stride — the column-major vectorization pattern.
-func (r *Run) euclidColMajor(qb, qe int, rn *tree.Node) {
-	d := r.Q.Dim()
-	ident := r.identity
-	switch d {
-	case 1:
-		q0 := r.Q.Data.Col(0)
-		r0 := r.R.Data.Col(0)
-		for qi := qb; qi < qe; qi++ {
-			a0 := q0[qi]
-			for ri := rn.Begin; ri < rn.End; ri++ {
-				d0 := a0 - r0[ri]
-				v := d0 * d0
-				if !ident {
-					v = r.evalD2(v)
-				}
-				r.update(qi, ri, v)
-			}
-		}
-	case 2:
-		q0, q1 := r.Q.Data.Col(0), r.Q.Data.Col(1)
-		r0, r1 := r.R.Data.Col(0), r.R.Data.Col(1)
-		for qi := qb; qi < qe; qi++ {
-			a0, a1 := q0[qi], q1[qi]
-			for ri := rn.Begin; ri < rn.End; ri++ {
-				d0 := a0 - r0[ri]
-				d1 := a1 - r1[ri]
-				v := d0*d0 + d1*d1
-				if !ident {
-					v = r.evalD2(v)
-				}
-				r.update(qi, ri, v)
-			}
-		}
-	case 3:
-		q0, q1, q2 := r.Q.Data.Col(0), r.Q.Data.Col(1), r.Q.Data.Col(2)
-		r0, r1, r2 := r.R.Data.Col(0), r.R.Data.Col(1), r.R.Data.Col(2)
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
-			for ri := rn.Begin; ri < rn.End; ri++ {
-				d0 := a0 - r0[ri]
-				d1 := a1 - r1[ri]
-				d2 := a2 - r2[ri]
-				v := d0*d0 + d1*d1 + d2*d2
-				if !ident {
-					v = r.evalD2(v)
-				}
-				r.update(qi, ri, v)
-			}
-		}
-	default: // 4
-		q0, q1, q2, q3 := r.Q.Data.Col(0), r.Q.Data.Col(1), r.Q.Data.Col(2), r.Q.Data.Col(3)
-		r0, r1, r2, r3 := r.R.Data.Col(0), r.R.Data.Col(1), r.R.Data.Col(2), r.R.Data.Col(3)
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
-			for ri := rn.Begin; ri < rn.End; ri++ {
-				d0 := a0 - r0[ri]
-				d1 := a1 - r1[ri]
-				d2 := a2 - r2[ri]
-				d3 := a3 - r3[ri]
-				v := (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
-				if !ident {
-					v = r.evalD2(v)
-				}
-				r.update(qi, ri, v)
-			}
-		}
 	}
 }
 
@@ -407,49 +238,5 @@ func (r *Run) update(qi, ri int, v float64) {
 		if v > 0 {
 			r.IdxLists[qi] = append(r.IdxLists[qi], ri)
 		}
-	}
-}
-
-// geomMetricOf exposes the metric for tests.
-func (r *Run) geomMetricOf() geom.Metric {
-	if r.Ex.Plan.DistKernel != nil {
-		return r.Ex.Plan.DistKernel.Metric
-	}
-	return geom.Euclidean
-}
-
-// windowUnionRowMajor is the fully inlined range-search base case:
-// squared thresholds, row views, direct appends.
-func (r *Run) windowUnionRowMajor(qb, qe int, rn *tree.Node) {
-	qd := r.Q.Data
-	rd := r.R.Data
-	lo2, hi2 := r.Ex.winLo2, r.Ex.winHi2
-	for qi := qb; qi < qe; qi++ {
-		q := qd.Row(qi)
-		for ri := rn.Begin; ri < rn.End; ri++ {
-			d2 := fastmath.Hypot2(q, rd.Row(ri))
-			if d2 > lo2 && d2 < hi2 {
-				r.IdxLists[qi] = append(r.IdxLists[qi], ri)
-			}
-		}
-	}
-}
-
-// windowSumRowMajor is the fully inlined counting base case (2-point
-// correlation).
-func (r *Run) windowSumRowMajor(qb, qe int, rn *tree.Node) {
-	qd := r.Q.Data
-	rd := r.R.Data
-	lo2, hi2 := r.Ex.winLo2, r.Ex.winHi2
-	for qi := qb; qi < qe; qi++ {
-		q := qd.Row(qi)
-		cnt := 0
-		for ri := rn.Begin; ri < rn.End; ri++ {
-			d2 := fastmath.Hypot2(q, rd.Row(ri))
-			if d2 > lo2 && d2 < hi2 {
-				cnt++
-			}
-		}
-		r.Val[qi] += float64(cnt)
 	}
 }

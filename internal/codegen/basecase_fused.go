@@ -13,11 +13,10 @@ import (
 
 // This file implements the fused operator-specialized base cases — the
 // backend's closest analogue of the paper's fully specialized,
-// auto-vectorized BaseCase (Section IV-F). Where basecase.go routes
-// every point pair through the per-pair `update` switch and (for
-// non-identity kernels) an indirect evalD2 closure call, the loops
-// here are selected once per compiled problem and fuse three things
-// into one tight loop body:
+// auto-vectorized BaseCase (Section IV-F). Where genericBaseCase
+// routes every point pair through the per-pair `update` switch and an
+// indirect metric call, the loops here are selected once per compiled
+// problem and fuse three things into one tight loop body:
 //
 //   - the squared-distance computation, specialized to the storage
 //     layout (per-dimension column walks for column-major d ≤ 4,
@@ -51,9 +50,11 @@ import (
 // pair state stays on the stack in both tiers.
 //
 // Numerics: comparative operators (MIN/MAX/ARG*/K*), windows, and
-// UNION/UNIONARG are bit-identical to the unfused loops — the same
-// kernel evaluations in the same order, only selection in between.
-// SUM/PROD accumulate into a register before folding into Val[qi],
+// UNION/UNIONARG see the same kernel evaluations in the same order as
+// the interpreter's per-pair loop, only selection in between, so on
+// inputs whose d² is exact in every summation order they match it bit
+// for bit, ties included. SUM/PROD accumulate into a register before
+// folding into Val[qi],
 // which reassociates the float reduction: ((val+v0)+v1)+… becomes
 // val+((v0+v1)+…) per tile. Magnitudes are unchanged, so the
 // divergence is bounded by ~len·ε·Σ|v| and asserted small by the
@@ -76,8 +77,8 @@ const fusedTileR = 256
 type fusedKind int
 
 const (
-	// fuseNone: no fused loop (non-distance kernels, ForceInterp,
-	// NoFuse); base cases run the legacy specialized or generic path.
+	// fuseNone: no fused loop (non-distance kernels, ForceInterp); base
+	// cases run the generic path or the interpreter.
 	fuseNone fusedKind = iota
 	// fuseIdent: the kernel value IS the squared distance.
 	fuseIdent
@@ -101,7 +102,7 @@ const (
 // after compileDecide so the window threshold fields are populated.
 func (ex *Executable) classifyFused() {
 	ex.fuseKind = fuseNone
-	if ex.Opts.ForceInterp || ex.Opts.NoFuse {
+	if ex.Opts.ForceInterp {
 		return
 	}
 	k := ex.Plan.DistKernel
@@ -149,12 +150,9 @@ func (ex *Executable) classifyFused() {
 }
 
 // selectFused picks the fused loop for the bound tree pair, or nil
-// when the combination has none (the caller falls back to the legacy
-// paths). Called once per Bind; the closure is shared by all forks.
+// when the combination has none (sweep falls back to genericBaseCase).
+// Called once per Bind; the closure is shared by all forks.
 func (ex *Executable) selectFused(qd, rd *storage.Storage) fusedFn {
-	if qd.Dim() != rd.Dim() {
-		return nil
-	}
 	op := ex.Plan.InnerOp
 	switch ex.fuseKind {
 	case fuseNone:
@@ -423,9 +421,8 @@ func selectOp[K d2Kernel](op lang.Op, qd, rd *storage.Storage, k K) fusedFn {
 }
 
 // selectWindow is selectOp for the dedicated indicator-window loops
-// (SUM counting and UNIONARG collection). Unlike the legacy
-// windowSumRowMajor/windowUnionRowMajor pair, every layout gets a
-// specialization — including column-major d ≤ 4.
+// (SUM counting and UNIONARG collection); every layout gets a
+// specialization, column-major d ≤ 4 included.
 func selectWindow(op lang.Op, qd, rd *storage.Storage, lo2, hi2 float64) fusedFn {
 	d := qd.Dim()
 	ql, rl := qd.Layout(), rd.Layout()

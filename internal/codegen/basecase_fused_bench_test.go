@@ -17,11 +17,9 @@ import (
 	"portal/internal/tree"
 )
 
-// Leaf-pair micro-benchmarks: one 256×256 base case, fused vs legacy,
-// for the hand-monomorphized hot shapes (basecase_fused_hot.go). These
-// isolate the per-pair loop cost from traversal scheduling; the
-// end-to-end ratios live in internal/bench (BenchmarkBaseCase and the
-// portalbench basecase experiment).
+// Leaf-pair micro-benchmarks: one 256×256 base case through the
+// hand-monomorphized hot shapes (basecase_fused_hot.go). These isolate
+// the per-pair loop cost from traversal scheduling.
 
 // benchLeafRun compiles a single-layer problem whose trees are one
 // 256-point leaf each, so BaseCase is the entire traversal.
@@ -51,24 +49,14 @@ func benchLeafRun(b *testing.B, d int, l storage.Layout, op lang.Op, k int, kern
 }
 
 func benchLeafPair(b *testing.B, d int, l storage.Layout, op lang.Op, k int, mk func() *expr.Kernel) {
-	for _, v := range []struct {
-		name string
-		opts Options
-	}{
-		{"fused", Options{NoStats: true}},
-		{"legacy", Options{NoStats: true, NoFuse: true}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			run := benchLeafRun(b, d, l, op, k, mk(), v.opts)
-			qn, rn := run.Q.Node(0), run.R.Node(0)
-			if v.name == "fused" && run.fused == nil {
-				b.Fatal("combination did not select a fused loop")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run.BaseCase(qn, rn)
-			}
-		})
+	run := benchLeafRun(b, d, l, op, k, mk(), Options{NoStats: true})
+	qn, rn := run.Q.Node(0), run.R.Node(0)
+	if run.fused == nil {
+		b.Fatal("combination did not select a fused loop")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run.BaseCase(qn, rn)
 	}
 }
 

@@ -32,8 +32,10 @@ func storageWithLayout(rows [][]float64, l storage.Layout) *storage.Storage {
 // skips the ones the frontend rejects).
 func tryRun(spec *lang.PortalExpr, opts Options) (*Output, error) {
 	// A tiny tau keeps tau-requiring approximation problems (KDE
-	// shapes) compilable while contributing negligible error.
-	plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: 1e-9})
+	// shapes) compilable while contributing negligible error: the τ
+	// point gate sits above the fused loops only, so what it approximates
+	// (< n·τ) is a difference from the ungated interpreter.
+	plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: 1e-30})
 	if err != nil {
 		return nil, err
 	}
@@ -103,17 +105,23 @@ func compareOutputs(t *testing.T, ctx string, got, want *Output, sumTol float64)
 	}
 }
 
-// TestFusedMatchesOracleMatrix differentially tests every fused loop:
-// all inner operators × Euclidean-family kernels × layout pairs ×
-// d ∈ {1..6}, each compared against the legacy loops (NoFuse) and the
-// IR interpreter (ForceInterp). Combinations the frontend rejects are
-// skipped; for the ones that compile, the fused path must have
-// handled every base case (FusedBaseCases == BaseCases).
+// TestFusedMatchesOracleMatrix differentially tests every fused loop
+// against the IR interpreter (ForceInterp): all inner operators ×
+// Euclidean-family kernels × layout pairs × d ∈ {1..6}, on three input
+// families. Combinations the frontend rejects are skipped; for the ones
+// that compile, the fused path must have handled every base case
+// (FusedBaseCases == BaseCases).
 //
-// Comparison policy (DESIGN §9): comparative operators, windows, and
-// index lists are exact; SUM/PROD values carry a small relative
-// tolerance because the fused loops accumulate per tile into a
-// register before folding into Val[qi] (float reassociation).
+// Comparison policy (DESIGN §9): the interpreter sums d² left to right
+// while the loops use Hypot2's four lanes, so on float inputs the two
+// may disagree in the last bit of a distance and only the value surface
+// is compared, to 1e-9. On the integer lattice and the dyadic grid with
+// repeated points every summation order gives the same d², equal
+// distances are everywhere, and the whole output — values, args, arg
+// lists, value lists, hence every tie break and list order — must match
+// exactly; SUM/PROD values keep a 1e-12 relative tolerance because the
+// fused loops accumulate per tile into a register before folding into
+// Val[qi] (float reassociation).
 func TestFusedMatchesOracleMatrix(t *testing.T) {
 	kernels := []struct {
 		name string
@@ -145,72 +153,70 @@ func TestFusedMatchesOracleMatrix(t *testing.T) {
 		{"col-row", storage.ColMajor, storage.RowMajor},
 	}
 	rng := rand.New(rand.NewSource(17))
-	compiled, fusedRuns := 0, 0
-	for d := 1; d <= 6; d++ {
-		qRows := randRows(rng, 30, d)
-		rRows := randRows(rng, 40, d)
-		for _, lay := range layouts {
-			q := storageWithLayout(qRows, lay.ql)
-			r := storageWithLayout(rRows, lay.rl)
-			for _, kc := range kernels {
-				for _, oc := range ops {
-					ctx := fmt.Sprintf("d=%d %s %s %v", d, lay.name, kc.name, oc.op)
-					mkSpec := func() *lang.PortalExpr {
-						e := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil)
-						if oc.k > 0 {
-							return e.AddLayerK(oc.op, oc.k, r, kc.mk())
+	for _, kind := range []string{"float", "lattice", "dyadic"} {
+		compiled, fusedRuns := 0, 0
+		for d := 1; d <= 6; d++ {
+			qRows := gateRows(rng, kind, 30, d)
+			rRows := gateRows(rng, kind, 40, d)
+			for _, lay := range layouts {
+				q := storageWithLayout(qRows, lay.ql)
+				r := storageWithLayout(rRows, lay.rl)
+				for _, kc := range kernels {
+					for _, oc := range ops {
+						ctx := fmt.Sprintf("%s d=%d %s %s %v", kind, d, lay.name, kc.name, oc.op)
+						mkSpec := func() *lang.PortalExpr {
+							e := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil)
+							if oc.k > 0 {
+								return e.AddLayerK(oc.op, oc.k, r, kc.mk())
+							}
+							return e.AddLayer(oc.op, r, kc.mk())
 						}
-						return e.AddLayer(oc.op, r, kc.mk())
-					}
-					opts := Options{ExactMath: true}
-					fused, err := tryRun(mkSpec(), opts)
-					if err != nil {
-						continue // frontend rejects this combination
-					}
-					compiled++
-					opts.NoFuse = true
-					legacy, err := tryRun(mkSpec(), opts)
-					if err != nil {
-						t.Fatalf("%s: NoFuse failed after fused compiled: %v", ctx, err)
-					}
-					tol := 0.0
-					if oc.op == lang.SUM || oc.op == lang.PROD {
-						tol = 1e-12
-					}
-					compareOutputs(t, ctx+" vs legacy", fused, legacy, tol)
-					interp, err := tryRun(mkSpec(), Options{ExactMath: true, ForceInterp: true})
-					if err != nil {
-						t.Fatalf("%s: ForceInterp failed after fused compiled: %v", ctx, err)
-					}
-					// The interpreter may break value ties differently, so
-					// only the value surfaces are compared against it.
-					closeVals(t, ctx+" vs interp values", fused.Values, interp.Values, 1e-9)
-					if fused.Stats.BaseCases > 0 && fused.Stats.FusedBaseCases != fused.Stats.BaseCases {
-						t.Fatalf("%s: %d of %d base cases fused", ctx,
-							fused.Stats.FusedBaseCases, fused.Stats.BaseCases)
-					}
-					if legacy.Stats.FusedBaseCases != 0 {
-						t.Fatalf("%s: NoFuse run reported fused base cases", ctx)
-					}
-					if fused.Stats.FusedBaseCases > 0 {
-						fusedRuns++
+						fused, err := tryRun(mkSpec(), Options{ExactMath: true})
+						if err != nil {
+							continue // frontend rejects this combination
+						}
+						compiled++
+						interp, err := tryRun(mkSpec(), Options{ExactMath: true, ForceInterp: true})
+						if err != nil {
+							t.Fatalf("%s: ForceInterp failed after fused compiled: %v", ctx, err)
+						}
+						if kind == "float" {
+							closeVals(t, ctx+" vs interp values", fused.Values, interp.Values, 1e-9)
+						} else {
+							tol := 0.0
+							if oc.op == lang.SUM || oc.op == lang.PROD {
+								tol = 1e-12
+							}
+							compareOutputs(t, ctx+" vs interp", fused, interp, tol)
+						}
+						if fused.Stats.BaseCases > 0 && fused.Stats.FusedBaseCases != fused.Stats.BaseCases {
+							t.Fatalf("%s: %d of %d base cases fused", ctx,
+								fused.Stats.FusedBaseCases, fused.Stats.BaseCases)
+						}
+						if interp.Stats.FusedBaseCases != 0 {
+							t.Fatalf("%s: ForceInterp run reported fused base cases", ctx)
+						}
+						if fused.Stats.FusedBaseCases > 0 {
+							fusedRuns++
+						}
 					}
 				}
 			}
 		}
-	}
-	if compiled < 100 {
-		t.Fatalf("matrix degenerated: only %d combinations compiled", compiled)
-	}
-	if fusedRuns == 0 {
-		t.Fatal("no combination took a fused base case")
+		t.Logf("%s: %d cells compiled, %d took fused base cases", kind, compiled, fusedRuns)
+		if compiled < 100 {
+			t.Fatalf("%s matrix degenerated: only %d combinations compiled", kind, compiled)
+		}
+		if fusedRuns == 0 {
+			t.Fatalf("%s: no combination took a fused base case", kind)
+		}
 	}
 }
 
 // TestFusedFastMathAgreesWithinTolerance reruns a KDE-style slice of
 // the matrix with fast math on: the fused Gaussian/Plummer bodies
-// (GaussD2/PlummerD2) must match the legacy closures to the fastmath
-// error bounds.
+// (GaussD2/PlummerD2) must match the interpreter's exact library calls
+// to the fastmath error bounds.
 func TestFusedFastMathAgreesWithinTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, mk := range []func() *expr.Kernel{
@@ -225,15 +231,14 @@ func TestFusedFastMathAgreesWithinTolerance(t *testing.T) {
 				AddLayer(lang.SUM, r, mk())
 		}
 		fused := fullRun(t, mkSpec(), 1e-9, Options{})
-		legacy := fullRun(t, mkSpec(), 1e-9, Options{NoFuse: true})
-		closeVals(t, "fastmath fused vs legacy", fused.Values, legacy.Values, 1e-4)
+		exact := fullRun(t, mkSpec(), 1e-9, Options{ExactMath: true, ForceInterp: true})
+		closeVals(t, "fastmath fused vs exact interp", fused.Values, exact.Values, 1e-4)
 	}
 }
 
 // TestFusedWindowBoundary pins the strict-window semantics on points
 // whose distance lands exactly on a threshold: d == lo and d == hi
-// must be excluded by the fused loops, the legacy loops, and the
-// interpreter alike.
+// must be excluded by the fused loops and the interpreter alike.
 func TestFusedWindowBoundary(t *testing.T) {
 	qRows := [][]float64{{0}, {10}}
 	rRows := [][]float64{{1}, {1.5}, {2}, {3}, {11}, {11.5}}
@@ -251,7 +256,6 @@ func TestFusedWindowBoundary(t *testing.T) {
 			}
 			for name, opts := range map[string]Options{
 				"fused":  {},
-				"nofuse": {NoFuse: true},
 				"interp": {ForceInterp: true},
 			} {
 				out := fullRun(t, mkSpec(), 0, opts)
@@ -270,8 +274,8 @@ func TestFusedWindowBoundary(t *testing.T) {
 
 // TestWindowOpenAtZero pins the lower boundary at lo = 0: the window
 // (0, hi) is open, so on a self-join no point is its own neighbour and
-// exact duplicates do not list each other — on the fused loops, their
-// NoFuse twins and the interpreter alike, for every layout. (The
+// exact duplicates do not list each other — on the fused loops and the
+// interpreter alike, for every layout. (The
 // compiled threshold used to be −1 for lo = 0, admitting d² = 0.) The
 // one-sided 2-point-correlation window, lo = −∞, still counts them.
 func TestWindowOpenAtZero(t *testing.T) {
@@ -279,7 +283,7 @@ func TestWindowOpenAtZero(t *testing.T) {
 	variants := []struct {
 		name string
 		opts Options
-	}{{"fused", Options{}}, {"nofuse", Options{NoFuse: true}}, {"interp", Options{ForceInterp: true}}}
+	}{{"fused", Options{}}, {"interp", Options{ForceInterp: true}}}
 	for d := 1; d <= 4; d++ {
 		rows := gateRows(rng, "dups", 60, d)
 		for _, lay := range []storage.Layout{storage.RowMajor, storage.ColMajor} {
@@ -325,8 +329,8 @@ func TestWindowOpenAtZero(t *testing.T) {
 
 // TestFusedDispatchSelection asserts the fused loop is only installed
 // when it should be: never for non-Euclidean metrics, Mahalanobis
-// kernels, NoFuse, or ForceInterp — and always for the bread-and-
-// butter KDE/KNN shapes.
+// kernels, or ForceInterp — and always for the bread-and-butter
+// KDE/KNN shapes.
 func TestFusedDispatchSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	q := storage.MustFromRows(randRows(rng, 20, 3))
@@ -351,9 +355,6 @@ func TestFusedDispatchSelection(t *testing.T) {
 	if run := bind(expr.NewDistanceKernel(geom.Euclidean), lang.ARGMIN, Options{}); run.fused == nil {
 		t.Error("NN shape should select a fused loop")
 	}
-	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{NoFuse: true}); run.fused != nil {
-		t.Error("NoFuse must disable the fused loop")
-	}
 	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{ForceInterp: true}); run.fused != nil {
 		t.Error("ForceInterp must disable the fused loop")
 	}
@@ -366,8 +367,8 @@ func TestFusedDispatchSelection(t *testing.T) {
 }
 
 // TestColMajorHighDimBaseCase regression-tests the explicit
-// column-major d > 4 path: the legacy dispatch used to route it into
-// the d ≤ 4 specialized loops, silently dropping dimensions.
+// column-major d > 4 path: a dispatch on layout alone would route it
+// into the d ≤ 4 specialized loops, silently dropping dimensions.
 func TestColMajorHighDimBaseCase(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := 5
@@ -375,7 +376,7 @@ func TestColMajorHighDimBaseCase(t *testing.T) {
 	rRows := randRows(rng, 40, d)
 	q := storageWithLayout(qRows, storage.ColMajor)
 	r := storageWithLayout(rRows, storage.ColMajor)
-	for name, opts := range map[string]Options{"fused": {}, "nofuse": {NoFuse: true}} {
+	for name, opts := range map[string]Options{"fused": {}, "interp": {ForceInterp: true}} {
 		spec := (&lang.PortalExpr{}).
 			AddLayer(lang.FORALL, q, nil).
 			AddLayer(lang.MIN, r, expr.NewDistanceKernel(geom.SqEuclidean))
@@ -398,7 +399,7 @@ func TestColMajorHighDimBaseCase(t *testing.T) {
 
 // TestMixedLayoutBaseCase regression-tests the mixed-layout fast path
 // (row view on one side, scratch copies on the other) against direct
-// evaluation, with and without fusion.
+// evaluation.
 func TestMixedLayoutBaseCase(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	d := 3
@@ -414,32 +415,28 @@ func TestMixedLayoutBaseCase(t *testing.T) {
 	for _, c := range cases {
 		q := storageWithLayout(qRows, c.ql)
 		r := storageWithLayout(rRows, c.rl)
-		for name, opts := range map[string]Options{"fused": {}, "nofuse": {NoFuse: true}} {
-			spec := (&lang.PortalExpr{}).
-				AddLayer(lang.FORALL, q, nil).
-				AddLayer(lang.SUM, r, expr.NewGaussianKernel(1.1))
-			out := fullRun(t, spec, 1e-9, Options{NoFuse: opts.NoFuse})
-			_ = name
-			qb, rb := make([]float64, d), make([]float64, d)
-			for i := 0; i < len(qRows); i += 9 {
-				var want float64
-				for j := 0; j < len(rRows); j++ {
-					want += math.Exp(-geom.SqDist(q.Point(i, qb), r.Point(j, rb)) / (2 * 1.1 * 1.1))
-				}
-				if math.Abs(out.Values[i]-want) > 1e-6*want+1e-9 {
-					t.Fatalf("%s/%s query %d: %v vs %v", c.name, name, i, out.Values[i], want)
-				}
+		spec := (&lang.PortalExpr{}).
+			AddLayer(lang.FORALL, q, nil).
+			AddLayer(lang.SUM, r, expr.NewGaussianKernel(1.1))
+		out := fullRun(t, spec, 1e-9, Options{})
+		qb, rb := make([]float64, d), make([]float64, d)
+		for i := 0; i < len(qRows); i += 9 {
+			var want float64
+			for j := 0; j < len(rRows); j++ {
+				want += math.Exp(-geom.SqDist(q.Point(i, qb), r.Point(j, rb)) / (2 * 1.1 * 1.1))
+			}
+			if math.Abs(out.Values[i]-want) > 1e-6*want+1e-9 {
+				t.Fatalf("%s query %d: %v vs %v", c.name, i, out.Values[i], want)
 			}
 		}
 	}
 }
 
 // TestFusedStatsAccounting: fusion must not change what the stats
-// layer sees — KernelEvals and BaseCases identical across fused and
-// legacy (for the bound rule too: the point gate sits in the
-// dispatcher, above both), the ungated interpreter evaluating every
-// base-case pair, and FusedBaseCases reflecting exactly who ran the
-// leaves.
+// layer sees — the same walk (BaseCases, BaseCasePairs) fused and
+// interpreted, the gated fused run evaluating no more pairs than the
+// ungated interpreter, which evaluates every base-case pair, and
+// FusedBaseCases reflecting exactly who ran the leaves.
 func TestFusedStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	q := storage.MustFromRows(randRows(rng, 60, 3))
@@ -452,10 +449,9 @@ func TestFusedStatsAccounting(t *testing.T) {
 	} {
 		mkSpec := func() *lang.PortalExpr { return inner((&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil)) }
 		fused := fullRun(t, mkSpec(), 1e-9, Options{})
-		legacy := fullRun(t, mkSpec(), 1e-9, Options{NoFuse: true})
 		interp := fullRun(t, mkSpec(), 1e-9, Options{ForceInterp: true})
-		if fused.Stats.KernelEvals != legacy.Stats.KernelEvals {
-			t.Errorf("%s kernel evals: fused %d vs legacy %d", name, fused.Stats.KernelEvals, legacy.Stats.KernelEvals)
+		if fused.Stats.KernelEvals > interp.Stats.KernelEvals {
+			t.Errorf("%s kernel evals: fused %d vs interp %d", name, fused.Stats.KernelEvals, interp.Stats.KernelEvals)
 		}
 		if name == "knn" && fused.Stats.KernelEvals >= fused.Stats.BaseCasePairs {
 			t.Errorf("knn: point gate skipped nothing (%d evals of %d pairs)", fused.Stats.KernelEvals, fused.Stats.BaseCasePairs)
@@ -463,16 +459,15 @@ func TestFusedStatsAccounting(t *testing.T) {
 		if want := interp.Stats.BaseCasePairs + interp.Stats.Approxes; interp.Stats.KernelEvals != want {
 			t.Errorf("%s interp: %d kernel evals, want every base-case pair (+approxes) = %d", name, interp.Stats.KernelEvals, want)
 		}
-		if fused.Stats.BaseCases != legacy.Stats.BaseCases || fused.Stats.BaseCasePairs != interp.Stats.BaseCasePairs {
-			t.Errorf("%s base cases: fused %d vs legacy %d; pairs fused %d vs interp %d", name,
-				fused.Stats.BaseCases, legacy.Stats.BaseCases, fused.Stats.BaseCasePairs, interp.Stats.BaseCasePairs)
+		if fused.Stats.BaseCases != interp.Stats.BaseCases || fused.Stats.BaseCasePairs != interp.Stats.BaseCasePairs {
+			t.Errorf("%s base cases: fused %d vs interp %d; pairs fused %d vs interp %d", name,
+				fused.Stats.BaseCases, interp.Stats.BaseCases, fused.Stats.BaseCasePairs, interp.Stats.BaseCasePairs)
 		}
 		if fused.Stats.BaseCases == 0 || fused.Stats.FusedBaseCases != fused.Stats.BaseCases {
 			t.Errorf("%s fused run: %d fused of %d base cases", name, fused.Stats.FusedBaseCases, fused.Stats.BaseCases)
 		}
-		if legacy.Stats.FusedBaseCases != 0 || interp.Stats.FusedBaseCases != 0 {
-			t.Errorf("%s legacy/interp runs must report zero fused base cases (%d, %d)", name,
-				legacy.Stats.FusedBaseCases, interp.Stats.FusedBaseCases)
+		if interp.Stats.FusedBaseCases != 0 {
+			t.Errorf("%s interp run must report zero fused base cases (%d)", name, interp.Stats.FusedBaseCases)
 		}
 	}
 }

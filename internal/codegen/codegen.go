@@ -51,11 +51,6 @@ type Options struct {
 	// NoStats disables traversal statistics collection, removing one
 	// atomic add per node pair from the hot path (benchmark runs).
 	NoStats bool
-	// NoFuse disables the fused operator-specialized base cases
-	// (basecase_fused.go) so leaf pairs run the legacy per-pair update
-	// switch — the fusion ablation knob and the baseline side of the
-	// basecase benchmark.
-	NoFuse bool
 }
 
 // DefaultOptions is the production configuration.

@@ -66,11 +66,13 @@ func gateQueryCount(leaf int) int {
 	return n
 }
 
-// gateRows draws the three input families of the gate suite: Gaussian
-// floats (every comparison lands where rounding decides it), a small
-// integer lattice (squared distances are exact small integers, so
-// gap² == worst ties are everywhere), and Gaussian floats with every
-// point repeated (exact zero distances and duplicated k-th values).
+// gateRows draws the input families of the gate and oracle suites:
+// Gaussian floats (every comparison lands where rounding decides it), a
+// small integer lattice (squared distances are exact small integers, so
+// gap² == worst ties are everywhere), Gaussian floats with every point
+// repeated (exact zero distances and duplicated k-th values), and a
+// dyadic grid with every point repeated (like the lattice, d² is exact
+// in every summation order, so the interpreter is a bit-exact oracle).
 func gateRows(rng *rand.Rand, kind string, n, d int) [][]float64 {
 	rows := make([][]float64, n)
 	for i := range rows {
@@ -79,11 +81,13 @@ func gateRows(rng *rand.Rand, kind string, n, d int) [][]float64 {
 			switch kind {
 			case "lattice":
 				rows[i][j] = float64(rng.Intn(5))
+			case "dyadic":
+				rows[i][j] = float64(rng.Intn(513)-256) / 64
 			default:
 				rows[i][j] = rng.NormFloat64() * 3
 			}
 		}
-		if kind == "dups" && i%3 != 0 {
+		if (kind == "dups" || kind == "dyadic") && i%3 != 0 {
 			copy(rows[i], rows[i-1])
 		}
 	}

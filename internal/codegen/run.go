@@ -95,9 +95,6 @@ type Run struct {
 	qbuf, rbuf []float64
 	evalD2     func(float64) float64
 	mahal      *linalg.Mahalanobis
-	// identity marks an identity evalD2 (the kernel value IS the
-	// squared distance), letting the hot loops skip the closure call.
-	identity bool
 	// op caches the inner operator for the per-pair update switch.
 	op lang.Op
 	// fused is the operator-specialized fused base-case loop selected
@@ -192,12 +189,11 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 		run.pendingRanges = make([][][2]int, q.NodeCount)
 	}
 	run.evalD2 = ex.compileEvalD2()
-	run.identity = ex.Plan.DistKernel != nil &&
-		ex.Plan.DistKernel.Metric == geom.SqEuclidean && ex.bodyFn == nil
 	switch op := ex.Plan.InnerOp; {
 	case ex.Opts.ForceInterp:
 	case run.PointBound != nil:
-		if run.identity {
+		// The kernel value is the squared distance itself.
+		if ex.Plan.DistKernel != nil && ex.Plan.DistKernel.Metric == geom.SqEuclidean && ex.bodyFn == nil {
 			run.gate = gateBound
 		}
 	case ex.tauC < 0 && op == lang.SUM:

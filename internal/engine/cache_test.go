@@ -78,11 +78,11 @@ func TestCacheKeyDistinguishesShapes(t *testing.T) {
 
 	// Codegen knobs select different compiled variants.
 	cfg := base
-	cfg.Codegen.NoFuse = true
+	cfg.Codegen.ExactMath = true
 	if _, hit, err := c.Compile("nn", nn, cfg); err != nil {
 		t.Fatal(err)
 	} else if hit {
-		t.Fatal("NoFuse variant hit the fused entry")
+		t.Fatal("ExactMath variant hit the fast-math entry")
 	}
 
 	// The same operator over external query points is not a self-join:

@@ -127,9 +127,6 @@ func TestStatsSequentialEqualsParallelPruningExact(t *testing.T) {
 		if s.KernelEvals <= 0 || s.KernelEvals >= ceiling {
 			t.Errorf("%s: kernel evals %d, want in (0, %d): the point gate settled nothing", tc.name, s.KernelEvals, ceiling)
 		}
-		if nf := run(Config{Codegen: codegen.Options{NoFuse: true}}); nf.KernelEvals != s.KernelEvals {
-			t.Errorf("%s: NoFuse evaluated %d pairs, fused %d (one gate, above both)", tc.name, nf.KernelEvals, s.KernelEvals)
-		}
 		interp := run(Config{Codegen: codegen.Options{ForceInterp: true}})
 		if interp.KernelEvals != ceiling || interp.BaseCasePairs != s.BaseCasePairs || interp.Approxes != s.Approxes {
 			t.Errorf("%s: interpreter evals/pairs/approxes %d/%d/%d; want %d/%d/%d (ungated, same walk)", tc.name,
@@ -153,8 +150,8 @@ func TestStatsSequentialEqualsParallelPruningExact(t *testing.T) {
 // count of evaluations actually performed, so base_case_pairs −
 // kernel_evals is the point-pruned work. The walk is deterministic per
 // query subtree, so the count is the same sequentially and under the
-// steal scheduler, and on the fused and NoFuse paths (one gate, in the dispatcher); the
-// interpreter oracle is ungated and evaluates every pair.
+// steal scheduler; the interpreter oracle is ungated and evaluates every
+// pair.
 func TestKernelEvalsBoundRuleContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	rows := make([][]float64, 3000)
@@ -177,15 +174,10 @@ func TestKernelEvalsBoundRuleContract(t *testing.T) {
 	if seq.KernelEvals <= 0 || seq.KernelEvals >= seq.BaseCasePairs {
 		t.Fatalf("gated k-NN: kernel evals %d, want in (0, base-case pairs %d)", seq.KernelEvals, seq.BaseCasePairs)
 	}
-	for name, cfg := range map[string]Config{
-		"steal":  {Parallel: true, Workers: 4},
-		"nofuse": {Codegen: codegen.Options{NoFuse: true}},
-	} {
-		got := run(cfg)
-		if got.KernelEvals != seq.KernelEvals || got.BaseCasePairs != seq.BaseCasePairs || got.Prunes != seq.Prunes {
-			t.Errorf("%s: evals/pairs/prunes %d/%d/%d, sequential fused %d/%d/%d", name,
-				got.KernelEvals, got.BaseCasePairs, got.Prunes, seq.KernelEvals, seq.BaseCasePairs, seq.Prunes)
-		}
+	steal := run(Config{Parallel: true, Workers: 4})
+	if steal.KernelEvals != seq.KernelEvals || steal.BaseCasePairs != seq.BaseCasePairs || steal.Prunes != seq.Prunes {
+		t.Errorf("steal: evals/pairs/prunes %d/%d/%d, sequential %d/%d/%d",
+			steal.KernelEvals, steal.BaseCasePairs, steal.Prunes, seq.KernelEvals, seq.BaseCasePairs, seq.Prunes)
 	}
 	interp := run(Config{Codegen: codegen.Options{ForceInterp: true}})
 	if interp.KernelEvals != interp.BaseCasePairs || interp.BaseCasePairs != seq.BaseCasePairs {

@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -121,4 +123,39 @@ func TestValidateAccepts(t *testing.T) {
 	if e.Types["h"] != "histogram" {
 		t.Fatalf("Types[h] = %q", e.Types["h"])
 	}
+}
+
+// FuzzValidate holds the exposition validator to what its callers (the
+// smoke gates, which hand it bytes read off a socket) rely on: it never
+// panics, an error comes with no exposition, and every series an
+// accepted exposition returns is text the validator itself reads back
+// as that series with that value.
+func FuzzValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		e, err := Validate(b)
+		if err != nil {
+			if e != nil {
+				t.Fatalf("Validate returned both an exposition and %v", err)
+			}
+			return
+		}
+		if len(e.Samples) == 0 {
+			t.Fatal("Validate accepted an exposition with no samples")
+		}
+		for name := range e.Types {
+			e.Sum(name)
+		}
+		for series, v := range e.Samples {
+			name, _ := splitSeries(series)
+			one := "# TYPE " + name + " untyped\n" + series + " " + strconv.FormatFloat(v, 'g', -1, 64) + "\n"
+			again, err := Validate([]byte(one))
+			if err != nil {
+				t.Fatalf("series %q of an accepted exposition does not re-parse: %v", series, err)
+			}
+			got, ok := again.Value(series)
+			if len(again.Samples) != 1 || !ok || math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("series %q = %v re-parsed as %v", series, v, again.Samples)
+			}
+		}
+	})
 }

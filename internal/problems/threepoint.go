@@ -3,6 +3,7 @@ package problems
 import (
 	"time"
 
+	"portal/internal/geom"
 	"portal/internal/prune"
 	"portal/internal/stats"
 	"portal/internal/storage"
@@ -29,7 +30,7 @@ func ThreePointCorrelation(data *storage.Storage, radius float64, cfg Config) (f
 	start := time.Now()
 	t := tree.BuildKD(data, &tree.Options{LeafSize: cfg.LeafSize, Parallel: cfg.Parallel, Workers: cfg.Workers})
 	buildDur := time.Since(start)
-	rule := &threePointRule{t: t, r2: radius * radius}
+	rule := newThreePointRule(t, radius*radius)
 	var st *stats.TraversalStats
 	if cfg.CollectStats || cfg.StatsSink != nil {
 		st = &stats.TraversalStats{}
@@ -59,22 +60,14 @@ func ThreePointBrute(data *storage.Storage, radius float64) float64 {
 	n := data.Len()
 	r2 := radius * radius
 	pts := data.Rows()
-	d2 := func(a, b []float64) float64 {
-		var s float64
-		for m := range a {
-			diff := a[m] - b[m]
-			s += diff * diff
-		}
-		return s
-	}
 	var count int64
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if d2(pts[i], pts[j]) >= r2 {
+			if geom.SqDist(pts[i], pts[j]) >= r2 {
 				continue
 			}
 			for k := 0; k < n; k++ {
-				if d2(pts[i], pts[k]) < r2 && d2(pts[j], pts[k]) < r2 {
+				if geom.SqDist(pts[i], pts[k]) < r2 && geom.SqDist(pts[j], pts[k]) < r2 {
 					count++
 				}
 			}
@@ -87,14 +80,30 @@ type threePointRule struct {
 	t     *tree.Tree
 	r2    float64
 	count int64
+	// buf holds one scratch point per tuple slot for column-major data;
+	// every fork owns its own.
+	buf [3][]float64
 }
 
-// Fork returns a task-private accumulator sharing the read-only tree
-// and threshold; Join folds a completed fork's count back (serialized
-// by the traversal). Counting is order-independent, so parallel totals
-// are bit-exact against the sequential walk.
+func newThreePointRule(t *tree.Tree, r2 float64) *threePointRule {
+	r := &threePointRule{t: t, r2: r2}
+	// One block per rule with a cache line to spare: the base case
+	// rewrites these on every point, and the forks' blocks are allocated
+	// back to back.
+	d := t.Dim()
+	block := make([]float64, 3*d+8)
+	for i := range r.buf {
+		r.buf[i] = block[i*d : (i+1)*d]
+	}
+	return r
+}
+
+// Fork returns a worker-private accumulator sharing the read-only tree
+// and threshold; Join folds a fork's count back (once, after the
+// traversal). Counting is order-independent, so parallel totals are
+// bit-exact against the sequential walk.
 func (r *threePointRule) Fork() traverse.MultiRule {
-	return &threePointRule{t: r.t, r2: r.r2}
+	return newThreePointRule(r.t, r.r2)
 }
 
 func (r *threePointRule) Join(child traverse.MultiRule) {
@@ -125,38 +134,29 @@ func (r *threePointRule) ComputeApprox(nodes []*tree.Node) {
 	r.count += int64(nodes[0].Count()) * int64(nodes[1].Count()) * int64(nodes[2].Count())
 }
 
+// pt is point i: a zero-copy row view, or for column-major data a copy
+// in the scratch of tuple slot slot.
+func (r *threePointRule) pt(i, slot int) []float64 {
+	data := r.t.Data
+	if data.Layout() == storage.RowMajor {
+		return data.Row(i)
+	}
+	return data.Point(i, r.buf[slot])
+}
+
 // BaseCase counts triples directly over three leaves.
 func (r *threePointRule) BaseCase(nodes []*tree.Node) {
 	a, b, c := nodes[0], nodes[1], nodes[2]
-	data := r.t.Data
-	rowMajor := data.Layout() == storage.RowMajor
-	pt := func(i int, buf []float64) []float64 {
-		if rowMajor {
-			return data.Row(i)
-		}
-		return data.Point(i, buf)
-	}
-	bufA := make([]float64, r.t.Dim())
-	bufB := make([]float64, r.t.Dim())
-	bufC := make([]float64, r.t.Dim())
-	d2 := func(x, y []float64) float64 {
-		var s float64
-		for m := range x {
-			diff := x[m] - y[m]
-			s += diff * diff
-		}
-		return s
-	}
 	for i := a.Begin; i < a.End; i++ {
-		pi := pt(i, bufA)
+		pi := r.pt(i, 0)
 		for j := b.Begin; j < b.End; j++ {
-			pj := pt(j, bufB)
-			if d2(pi, pj) >= r.r2 {
+			pj := r.pt(j, 1)
+			if geom.SqDist(pi, pj) >= r.r2 {
 				continue
 			}
 			for k := c.Begin; k < c.End; k++ {
-				pk := pt(k, bufC)
-				if d2(pi, pk) < r.r2 && d2(pj, pk) < r.r2 {
+				pk := r.pt(k, 2)
+				if geom.SqDist(pi, pk) < r.r2 && geom.SqDist(pj, pk) < r.r2 {
 					r.count++
 				}
 			}

@@ -1,11 +1,14 @@
 package problems
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"portal/internal/stats"
 	"portal/internal/storage"
+	"portal/internal/tree"
 )
 
 func TestThreePointMatchesBrute(t *testing.T) {
@@ -78,13 +81,79 @@ func TestThreePointClusterConsistency(t *testing.T) {
 	}
 }
 
+// The parallel walk (Config.Parallel, W ∈ {2, 4}) must count exactly
+// what brute force counts and decide exactly what the sequential walk
+// decides, on uniform data and on two well-separated clusters (one
+// first-tree subtree holds all the work of the other's tuples: the
+// skew a fixed partition handles worst).
+func TestThreePointParallelMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	uniform := randRows(rng, 300, 3, 1)
+	clusters := randRows(rng, 300, 3, 0.5)
+	for _, row := range clusters[:100] {
+		row[0] += 50
+	}
+	for name, rows := range map[string][][]float64{"uniform": uniform, "two-cluster": clusters} {
+		s := storage.MustFromRows(rows)
+		const r = 0.9
+		want := ThreePointBrute(s, r)
+		var seq stats.Report
+		if got, err := ThreePointCorrelation(s, r, Config{LeafSize: 8, StatsSink: &seq}); err != nil || got != want {
+			t.Fatalf("%s W=1: 3PC %v (err %v) vs brute %v", name, got, err, want)
+		}
+		for _, w := range []int{2, 4} {
+			var par stats.Report
+			got, err := ThreePointCorrelation(s, r, Config{LeafSize: 8, Parallel: true, Workers: w, StatsSink: &par})
+			if err != nil || got != want {
+				t.Fatalf("%s W=%d: 3PC %v (err %v) vs brute %v", name, w, got, err, want)
+			}
+			a, b := seq.Traversal, par.Traversal
+			if a.Visits != b.Visits || a.Prunes != b.Prunes || a.Approxes != b.Approxes ||
+				a.BaseCases != b.BaseCases || a.BaseCasePairs != b.BaseCasePairs {
+				t.Fatalf("%s W=%d: walk %+v differs from sequential %+v", name, w, b, a)
+			}
+			if b.TasksExecuted < 1 || b.TasksSpawned == 0 {
+				t.Fatalf("%s W=%d: %d tasks executed, %d spawned", name, w, b.TasksExecuted, b.TasksSpawned)
+			}
+		}
+	}
+}
+
+// One leaf-triple base case allocates nothing: the scratch points live
+// on the rule (d = 3 is column-major, so they are in use).
+func TestThreePointBaseCaseZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	s := storage.MustFromRows(randRows(rng, 24, 3, 1))
+	tr := tree.BuildKD(s, &tree.Options{LeafSize: 8})
+	var leaves []*tree.Node
+	for i := 0; i < tr.NodeCount; i++ {
+		if n := tr.Node(i); n.IsLeaf() {
+			leaves = append(leaves, n)
+		}
+	}
+	rule := newThreePointRule(tr, 4)
+	triple := []*tree.Node{leaves[0], leaves[1], leaves[len(leaves)-1]}
+	if allocs := testing.AllocsPerRun(20, func() { rule.BaseCase(triple) }); allocs != 0 || rule.count == 0 {
+		t.Fatalf("base case allocates %.1f per leaf triple (count %d), want 0 and a non-zero count", allocs, rule.count)
+	}
+}
+
+// BenchmarkThreePointTree is the m-way walk end to end, sequential and
+// on two workers: n = 6 000 uniform in the unit cube, r = 0.1, leaf 32.
 func BenchmarkThreePointTree(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	s := storage.MustFromRows(randRows(rng, 2000, 3, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ThreePointCorrelation(s, 0.5, Config{LeafSize: 32}); err != nil {
-			b.Fatal(err)
-		}
+	rows := make([][]float64, 6000)
+	for i := range rows {
+		rows[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	s := storage.MustFromRows(rows)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ThreePointCorrelation(s, 0.1, Config{LeafSize: 32, Parallel: w > 1, Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

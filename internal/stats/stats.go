@@ -82,7 +82,7 @@ type TraversalStats struct {
 	// update path or the IR interpreter. The loop is selected once per
 	// run, so this is BaseCases when the run's (kernel, operator,
 	// layout) combination has one and 0 otherwise — in particular under
-	// ForceInterp or NoFuse.
+	// ForceInterp.
 	FusedBaseCases int64 `json:"fused_base_cases"`
 	// BaseCasePairs totals the point pairs enumerated by base cases —
 	// the work the prune/approximate conditions could not eliminate.
@@ -96,8 +96,8 @@ type TraversalStats struct {
 	// approximation).
 	KernelEvals int64 `json:"kernel_evals"`
 	// TasksSpawned counts tasks forked by the parallel traversal: deque
-	// pushes under the work-stealing scheduler, goroutine spawns in the
-	// m-way traversal.
+	// pushes under the work-stealing scheduler, in the dual and the
+	// m-way walk alike.
 	TasksSpawned int64 `json:"tasks_spawned"`
 	// TasksExecuted counts top-level task executions — the dispatches
 	// that open a trace span: each round's root walk plus every task
@@ -111,9 +111,8 @@ type TraversalStats struct {
 	// helping inside a join wait).
 	TasksStolen int64 `json:"tasks_stolen"`
 	// InlineFallbacks counts spawn points that found the worker's deque
-	// full (the m-way traversal: the workers saturated) and ran the
-	// child inline instead — the paper's switch from task creation to
-	// straight-line execution.
+	// full and ran the child inline instead — the paper's switch from
+	// task creation to straight-line execution.
 	InlineFallbacks int64 `json:"inline_fallbacks"`
 	// DequeHighWater is the peak occupancy observed on any single
 	// worker's task deque (work-stealing scheduler only; merged by

@@ -30,6 +30,10 @@ type task struct {
 	// join resolves the spawn site's barrier: the executing worker
 	// decrements it after the task completes.
 	join *join
+	// rest is the m-way walk's form of rn: the spawning tuple's other
+	// nodes, unsplit like rn; execution runs the first-tree child qn
+	// against the product of their splits.
+	rest []*tree.Node
 }
 
 // join counts a spawn site's outstanding child tasks. The parent

@@ -24,6 +24,10 @@
 // query-side splits, and a parent resolves its join before its caller
 // can start a sibling pair over the same query subtree, so two live
 // tasks never share query state.
+//
+// The m-way walk (multi.go) runs on the same workers, deques and joins:
+// its step is worker.tuple where the dual walk's is worker.pair, and its
+// first tree plays the query tree's part.
 package traverse
 
 import (
@@ -36,22 +40,24 @@ import (
 )
 
 // stealCutoffFloor scales the minimum task granularity: a task must
-// cover at least this many leaf-pair units (floor = 16 ·
-// avg-query-leaf · avg-reference-leaf point pairs), so a task is never
-// smaller than a handful of base cases regardless of worker count.
+// cover at least this many leaf-tuple units (floor = 16 · the product
+// of the trees' average leaf sizes), so a task is never smaller than a
+// handful of base cases regardless of worker count.
 const stealCutoffFloor = 16
 
-// stealCutoff derives the adaptive inline cutoff: query splits stop
-// creating tasks once the node pair covers fewer point pairs than
-// total/(workers·64) — targeting enough tasks for dynamic balance
-// without drowning the deques — clamped below by a multiple of the
-// average leaf-pair size so tasks stay coarser than single base cases
-// even at high worker counts.
-func stealCutoff(q, r *tree.Tree, workers int) int64 {
-	total := int64(q.Len()) * int64(r.Len())
-	qLeaf := int64(q.Len() / max(q.LeafCount, 1))
-	rLeaf := int64(r.Len() / max(r.LeafCount, 1))
-	floor := stealCutoffFloor * max(qLeaf, 1) * max(rLeaf, 1)
+// stealCutoff derives the adaptive inline cutoff over the traversal's
+// trees (two for the dual walk): splits stop creating tasks once the
+// node tuple covers fewer point tuples than total/(workers·64) —
+// targeting enough tasks for dynamic balance without drowning the
+// deques — clamped below by a multiple of the average leaf-tuple size
+// so tasks stay coarser than single base cases even at high worker
+// counts.
+func stealCutoff(workers int, ts ...*tree.Tree) int64 {
+	total, floor := int64(1), int64(stealCutoffFloor)
+	for _, t := range ts {
+		total *= int64(t.Len())
+		floor *= int64(max(t.Len()/max(t.LeafCount, 1), 1))
+	}
 	return max(total/int64(workers*64), floor)
 }
 
@@ -79,37 +85,34 @@ type workerStats struct {
 	_ [64]byte
 }
 
-// runSteal executes the traversal on workers >= 2 under the
-// work-stealing scheduler. The calling goroutine is worker 0 and walks
-// the root pair; workers 1..W-1 start with empty deques and live by
-// stealing.
-func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options) {
-	sc := &stealCtx{
-		cutoff: stealCutoff(q, r, workers),
-		root:   opts.Stats,
-		rec:    opts.Trace,
-		done:   make(chan struct{}),
-		ws:     make([]*worker, workers),
-	}
+// newStealCtx builds the scheduler and its workers; the caller gives
+// each worker its rule (the root rule for worker 0, a fork for the
+// others) before run.
+func newStealCtx(cutoff int64, workers int, st *stats.TraversalStats, rec trace.Recorder) *stealCtx {
+	sc := &stealCtx{cutoff: cutoff, root: st, rec: rec, done: make(chan struct{}), ws: make([]*worker, workers)}
 	for i := range sc.ws {
-		wr := rule
-		if i > 0 {
-			wr = rule.Fork()
-		}
-		w := &worker{id: i, sc: sc, dq: new(deque), rule: wr, scorer: scorerOf(wr)}
-		if sc.root != nil {
+		w := &worker{id: i, sc: sc, dq: new(deque)}
+		if st != nil {
 			w.st = &new(workerStats).TraversalStats
 		}
 		sc.ws[i] = w
 	}
+	return sc
+}
+
+// run executes one traversal: the calling goroutine is worker 0 and
+// runs root, the walk of the root pair or tuple; workers 1..W-1 start
+// with empty deques and live by stealing. It returns once every worker
+// has stopped and folded its observers into the run.
+func (sc *stealCtx) run(root func(w0 *worker)) {
 	var wg sync.WaitGroup
-	for i := 1; i < workers; i++ {
+	for _, w := range sc.ws[1:] {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
 			w.stealLoop()
 			w.finish()
-		}(sc.ws[i])
+		}(w)
 	}
 	w0 := sc.ws[0]
 	if sc.rec != nil {
@@ -118,7 +121,7 @@ func runSteal(q, r *tree.Tree, rule Rule, workers int, opts Options) {
 	if w0.st != nil {
 		w0.st.TasksExecuted++
 	}
-	w0.rootPair(q, r)
+	root(w0)
 	close(sc.done)
 	wg.Wait()
 	w0.finish()
@@ -186,48 +189,62 @@ func (w *worker) trySteal() (task, bool) {
 	return task{}, false
 }
 
-// exec runs one task — the query child against every reference child
-// of the task's parent reference node — and only then resolves the
-// join: the decrement orders every write the task made before the
-// PostChildren of any enclosing query node.
+// runTask is a task's work, without its join: the dual walk's query
+// child against every reference child of the task's parent reference
+// node, or the m-way walk's first-tree child against the product of the
+// other nodes' splits.
+func (w *worker) runTask(t task) {
+	if w.mrule != nil {
+		w.subTuples(t)
+	} else {
+		w.refChildren(t.qn, t.rn, t.depth)
+	}
+}
+
+// exec runs one task and only then resolves the join: the decrement
+// orders every write the task made before the PostChildren of any
+// enclosing query node.
 func (w *worker) exec(t task) {
-	w.refChildren(t.qn, t.rn, t.depth)
+	w.runTask(t)
 	t.join.add(-1)
 }
 
-// spawnChildren is pair's query split above the cutoff: all but the
-// last query child become tasks (run inline when the deque is full),
-// the last runs here, and the worker helps until every task has
-// finished — only then may the caller run PostChildren. The join is
-// incremented before each push so a thief's early completion can never
-// drop pending below the true outstanding count.
-func (w *worker) spawnChildren(qsplit []*tree.Node, rn *tree.Node, depth int) {
-	jn := &join{}
-	last := len(qsplit) - 1
-	for _, qc := range qsplit[:last] {
-		jn.add(1)
-		if w.dq.push(task{qn: qc, rn: rn, depth: depth, join: jn}) {
+// spawnChildren is a query (first-tree) split above the cutoff; t is
+// the child task less its node. All but the last child become tasks
+// (run inline when the deque is full), the last runs here, and the
+// worker helps until every task has finished — only then may the
+// caller run PostChildren, or start a sibling over the same subtree.
+// The join is incremented before each push so a thief's early
+// completion can never drop pending below the true outstanding count.
+func (w *worker) spawnChildren(children []*tree.Node, t task) {
+	t.join = &join{}
+	last := len(children) - 1
+	for _, c := range children[:last] {
+		t.qn = c
+		t.join.add(1)
+		if w.dq.push(t) {
 			if w.st != nil {
 				w.st.TasksSpawned++
 			}
 		} else {
-			jn.add(-1)
+			t.join.add(-1)
 			if w.st != nil {
 				w.st.InlineFallbacks++
 			}
-			w.refChildren(qc, rn, depth)
+			w.runTask(t)
 		}
 	}
-	w.refChildren(qsplit[last], rn, depth)
-	w.helpUntil(jn)
+	t.qn = children[last]
+	w.runTask(t)
+	w.helpUntil(t.join)
 }
 
 // helpUntil blocks until the join resolves, executing other tasks
 // while waiting: own deque LIFO first (most likely this join's own
 // children, hottest in cache), then steals. Helped tasks fold into the
 // enclosing top-level span and do not count as executed tasks.
-// Deadlock-free: joins wait only on strict query-descendants, and a
-// deepest outstanding task never waits on anything.
+// Deadlock-free: joins wait only on strict query (first-tree)
+// descendants, and a deepest outstanding task never waits on anything.
 func (w *worker) helpUntil(jn *join) {
 	for !jn.done() {
 		if t, ok := w.dq.pop(); ok {
@@ -250,5 +267,6 @@ func (w *worker) finish() {
 	}
 	w.st.DequeHighWater = int64(w.dq.highWater())
 	flushRule(w.rule, w.st)
+	flushRule(w.mrule, w.st)
 	w.st.MergeAtomic(w.sc.root)
 }

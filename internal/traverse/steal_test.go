@@ -2,6 +2,7 @@ package traverse
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,16 +98,27 @@ func TestStealPeakConcurrencyAtMostWorkers(t *testing.T) {
 
 // multiParRule exercises RunMultiParallel's contracts under -race:
 // perFirst is written with *plain* stores (the disjoint first-tree
-// ownership guarantee makes them single-writer), and tuples is a
-// fork-local accumulator folded by Join.
+// ownership guarantee makes them single-writer), tuples is a fork-local
+// accumulator folded by Join, and joins is a plain counter on the root
+// rule only — Join runs on the caller's goroutine, after every worker
+// has stopped, so it must never find a base case in flight.
 type multiParRule struct {
 	perFirst []int64
 	tuples   int64
+	inBase   *atomic.Int32 // shared by all forks
+	joins    int
+	overlap  bool
+}
+
+func newMultiParRule(n int) *multiParRule {
+	return &multiParRule{perFirst: make([]int64, n), inBase: new(atomic.Int32)}
 }
 
 func (m *multiParRule) PruneApprox(nodes []*tree.Node) prune.Decision { return prune.Visit }
 func (m *multiParRule) ComputeApprox(nodes []*tree.Node)              {}
 func (m *multiParRule) BaseCase(nodes []*tree.Node) {
+	m.inBase.Add(1)
+	defer m.inBase.Add(-1)
 	prod := int64(1)
 	for _, n := range nodes[1:] {
 		prod *= int64(n.Count())
@@ -116,14 +128,19 @@ func (m *multiParRule) BaseCase(nodes []*tree.Node) {
 	}
 	m.tuples += prod * int64(nodes[0].Count())
 }
-func (m *multiParRule) Fork() MultiRule { return &multiParRule{perFirst: m.perFirst} }
+func (m *multiParRule) Fork() MultiRule {
+	return &multiParRule{perFirst: m.perFirst, inBase: m.inBase}
+}
 func (m *multiParRule) Join(child MultiRule) {
+	m.joins++
+	m.overlap = m.overlap || m.inBase.Load() != 0
 	m.tuples += child.(*multiParRule).tuples
 }
 
 // The parallel m-way traversal (m=3) must match the sequential one on
-// coverage, fork-joined accumulators, and every decision counter —
-// and Workers=1 must be byte-identical to RunMultiStats.
+// coverage, fork-joined accumulators, and every decision counter, fork
+// once per extra worker and join each fork once, after the walk — and
+// Workers=1 must be byte-identical to RunMultiStats.
 func TestRunMultiParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	a := buildTree(rng, 120, 2, 8)
@@ -131,7 +148,7 @@ func TestRunMultiParallelMatchesSequential(t *testing.T) {
 	c := buildTree(rng, 60, 2, 8)
 	ts := []*tree.Tree{a, b, c}
 
-	seqRule := &multiParRule{perFirst: make([]int64, a.Len())}
+	seqRule := newMultiParRule(a.Len())
 	var seq stats.TraversalStats
 	RunMultiStats(ts, seqRule, &seq)
 	wantPer := int64(b.Len()) * int64(c.Len())
@@ -141,8 +158,8 @@ func TestRunMultiParallelMatchesSequential(t *testing.T) {
 		}
 	}
 
-	for _, w := range []int{2, 4} {
-		parRule := &multiParRule{perFirst: make([]int64, a.Len())}
+	for _, w := range []int{2, 4, 8} {
+		parRule := newMultiParRule(a.Len())
 		var par stats.TraversalStats
 		RunMultiParallel(ts, parRule, MultiOptions{Workers: w, Stats: &par})
 		for i, n := range parRule.perFirst {
@@ -154,23 +171,26 @@ func TestRunMultiParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("Workers=%d: joined tuples %d != sequential %d (Join lost a fork?)",
 				w, parRule.tuples, seqRule.tuples)
 		}
+		if parRule.joins != w-1 || parRule.overlap {
+			t.Fatalf("Workers=%d: %d joins (want %d), overlapping a base case: %v", w, parRule.joins, w-1, parRule.overlap)
+		}
 		if seq.Visits != par.Visits || seq.Prunes != par.Prunes || seq.Approxes != par.Approxes ||
 			seq.BaseCases != par.BaseCases || seq.BaseCasePairs != par.BaseCasePairs ||
 			seq.MaxDepth != par.MaxDepth {
 			t.Fatalf("Workers=%d: seq %+v != par %+v", w, seq, par)
 		}
-		if par.TasksSpawned == 0 {
-			t.Fatalf("Workers=%d: parallel m-way traversal spawned no tasks", w)
+		if par.TasksSpawned == 0 || par.TasksExecuted < 1 {
+			t.Fatalf("Workers=%d: parallel m-way traversal spawned %d tasks, executed %d", w, par.TasksSpawned, par.TasksExecuted)
 		}
 	}
 
-	oneRule := &multiParRule{perFirst: make([]int64, a.Len())}
+	oneRule := newMultiParRule(a.Len())
 	var one stats.TraversalStats
 	RunMultiParallel(ts, oneRule, MultiOptions{Workers: 1, Stats: &one})
 	if one != seq {
 		t.Fatalf("Workers=1 stats %+v differ from sequential %+v", one, seq)
 	}
-	if oneRule.tuples != seqRule.tuples {
-		t.Fatalf("Workers=1 tuples %d != sequential %d", oneRule.tuples, seqRule.tuples)
+	if oneRule.tuples != seqRule.tuples || oneRule.joins != 0 {
+		t.Fatalf("Workers=1 tuples %d != sequential %d (joins %d)", oneRule.tuples, seqRule.tuples, oneRule.joins)
 	}
 }

@@ -95,12 +95,12 @@ func scorerOf(rule Rule) ScoredRule {
 	return nil
 }
 
-// StatsReporter is an optional Rule capability: when the traversal
-// collects statistics, FlushStats is called once per completed task
-// (on the task's forked rule) and once for the root rule at the end,
-// so rule-level per-task counters — e.g. the backend's kernel
-// evaluation count — fold into the task's TraversalStats before it is
-// merged into the run's accumulator.
+// StatsReporter is an optional Rule and MultiRule capability: when the
+// traversal collects statistics, FlushStats is called once per worker
+// (on the worker's forked rule, the root rule for the first), when it
+// stops, so rule-level counters — e.g. the backend's kernel evaluation
+// count — fold into the worker's TraversalStats before it is merged
+// into the run's accumulator.
 type StatsReporter interface {
 	FlushStats(st *stats.TraversalStats)
 }
@@ -135,7 +135,7 @@ func runSeq(q, r *tree.Tree, rule Rule, st *stats.TraversalStats, rec trace.Reco
 	}
 }
 
-func flushRule(rule Rule, st *stats.TraversalStats) {
+func flushRule(rule any, st *stats.TraversalStats) {
 	if sr, ok := rule.(StatsReporter); ok {
 		sr.FlushStats(st)
 	}
@@ -219,6 +219,13 @@ type worker struct {
 	sc *stealCtx
 	id int
 	dq *deque
+
+	// mrule replaces rule when the worker runs the m-way walk (tuple in
+	// multi.go, not pair); tuples[i] is then the child-tuple buffer of
+	// the i-th subTuples call live on this worker's stack, level of them.
+	mrule  MultiRule
+	tuples [][]*tree.Node
+	level  int
 }
 
 // rootPair walks the root pair.
@@ -269,7 +276,7 @@ func (w *worker) pair(qn, rn *tree.Node, score float64, depth int) {
 	}
 	qsplit := split(qn)
 	if w.sc != nil && len(qsplit) >= 2 && pairCount(qn, rn) > w.sc.cutoff {
-		w.spawnChildren(qsplit, rn, depth+1)
+		w.spawnChildren(qsplit, task{rn: rn, depth: depth + 1})
 	} else {
 		for _, qc := range qsplit {
 			w.refChildren(qc, rn, depth+1)
@@ -358,5 +365,13 @@ func RunParallel(q, r *tree.Tree, rule Rule, opts Options) {
 		runSeq(q, r, rule, opts.Stats, opts.Trace)
 		return
 	}
-	runSteal(q, r, rule, workers, opts)
+	sc := newStealCtx(stealCutoff(workers, q, r), workers, opts.Stats, opts.Trace)
+	for i, w := range sc.ws {
+		w.rule = rule
+		if i > 0 {
+			w.rule = rule.Fork()
+		}
+		w.scorer = scorerOf(w.rule)
+	}
+	sc.run(func(w0 *worker) { w0.rootPair(q, r) })
 }
