@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke shard-smoke
+.PHONY: check build vet cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke
 
 # Tier-1 gate: everything must pass before a change lands.
-check: build vet cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke shard-smoke
+check: build vet cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMinMaxCol -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzValidate -fuzztime 5s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/persist
 
 # The traversal, engine, tree build, trace recorder, serving path,
 # snapshot persistence, and metrics core are where parallelism (and
@@ -97,14 +98,3 @@ metrics-smoke:
 	$(GO) build -o /tmp/portal-metrics-smoke/portald ./cmd/portald
 	$(GO) run ./internal/serve/metricsmoke \
 		-portald /tmp/portal-metrics-smoke/portald -csv /tmp/portal-metrics-smoke/data.csv
-
-# End-to-end sharded-execution smoke test: in-process differential
-# (unsharded vs 4-shard LET exchange on clustered data, knn bit-exact
-# and kde within the tau budget), then the same differential against a
-# real portald -shards 4, asserting the per-shard /metrics families.
-shard-smoke:
-	@mkdir -p /tmp/portal-shard-smoke
-	$(GO) run ./cmd/portalgen -dataset Clustered -n 10000 -clusters 8 -seed 1 -o /tmp/portal-shard-smoke/data.csv
-	$(GO) build -o /tmp/portal-shard-smoke/portald ./cmd/portald
-	$(GO) run ./internal/shard/shardsmoke \
-		-portald /tmp/portal-shard-smoke/portald -csv /tmp/portal-shard-smoke/data.csv

@@ -42,7 +42,6 @@ func main() {
 	traceSample := flag.Int("trace-sample", 128, "trace every Nth query and capture its Chrome trace at GET /debug/queries (0 disables, 1 traces everything)")
 	queryLog := flag.Int("query-log", 64, "entries retained per capture ring (slow and sampled)")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/")
-	shards := flag.Int("shards", 0, "spatial shard count: datasets publish with pre-built sharded partitions and queries run through the locally-essential-tree exchange tier (0/1 = unsharded)")
 	flag.Parse()
 
 	if *dataDir != "" {
@@ -57,7 +56,6 @@ func main() {
 		SlowQuery:    *slowQuery,
 		TraceSampleN: *traceSample,
 		QueryLogSize: *queryLog,
-		Shards:       *shards,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

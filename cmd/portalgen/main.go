@@ -13,7 +13,7 @@
 // auxiliary "Clustered" dataset generates an unbalanced Gaussian
 // mixture (-dim dimensions, -clusters components), the
 // shard-imbalance stress shape used by the sharded execution tier's
-// benchmarks and smoke tests.
+// tests.
 package main
 
 import (

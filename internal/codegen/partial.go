@@ -1,15 +1,12 @@
 package codegen
 
-import (
-	"math"
-
-	"portal/internal/fastmath"
-)
+import "math"
 
 // This file is the backend's sharded-execution surface: the hooks the
 // internal/shard tier uses to run one Executable as K shard-local
-// runs plus a boundary exchange, and to merge the per-shard partial
-// results through the operators' commutative finalize paths.
+// runs plus an import run over the peers' shipped points, and to merge
+// the per-shard partial results through the operators' commutative
+// finalize paths.
 //
 // The contract mirrors Finalize exactly, minus the outer reduction:
 // FinalizePartial returns per-query state in the run's own original
@@ -42,9 +39,8 @@ type Partial struct {
 // FinalizePartial runs the push-down passes and assembles the
 // per-query state without the outer reduction — the shard-local half
 // of Finalize. Like Finalize it consumes the run: call exactly once (a
-// second call panics), after the traversal (and after any
-// ApplyRemoteApprox / AddRemoteCount calls, whose root deltas the
-// push-down distributes) and after any SeedBounds that reads this run.
+// second call panics), after the traversal and after any SeedBounds
+// that reads this run.
 func (r *Run) FinalizePartial() *Partial {
 	r.consume("FinalizePartial")
 	return r.perQuery()
@@ -88,36 +84,6 @@ func (r *Run) SeedBounds(local *Run) {
 	for i := range r.KLists {
 		copy(r.KLists[i].Vals, local.KLists[i].Vals)
 	}
-}
-
-// ApplyRemoteApprox folds a peer shard's exported node aggregate
-// (centroid, mass) into this run as an approximation at the query
-// root — the out-of-traversal mirror of ComputeApprox for TauRule
-// problems. Valid because the exporter decided Approx against this
-// shard's whole query box, so the τ variation guarantee holds at the
-// root. Call between the traversal and FinalizePartial; the root
-// delta reaches every query point through the push-down pass.
-// Traversal decision counters are deliberately untouched (trace depth
-// profiles must keep reconciling with TraversalStats).
-func (r *Run) ApplyRemoteApprox(centroid []float64, mass float64) {
-	qn := r.Q.Root
-	var k float64
-	switch {
-	case r.evalD2 != nil:
-		k = r.evalD2(fastmath.Hypot2(qn.Centroid, centroid))
-	case r.mahal != nil:
-		k = r.Ex.bodyFnOrIdentity()(r.mahal.PairDist2(qn.Centroid, centroid))
-	default:
-		k = r.Ex.Plan.Kernel.Eval(qn.Centroid, centroid)
-	}
-	r.NodeDelta[qn.ID] += k * mass
-}
-
-// AddRemoteCount folds a peer shard's bulk definitely-inside-window
-// point count into this run at the query root — the out-of-traversal
-// mirror of ComputeApprox for WindowRule SUM problems.
-func (r *Run) AddRemoteCount(n float64) {
-	r.NodeDelta[r.Q.Root.ID] += n
 }
 
 // MaxSide reports whether the compiled reduction chases maxima — the

@@ -21,7 +21,6 @@ import (
 	"portal/internal/lower"
 	"portal/internal/passes"
 	"portal/internal/prune"
-	"portal/internal/shard"
 	"portal/internal/stats"
 	"portal/internal/trace"
 	"portal/internal/traverse"
@@ -55,16 +54,14 @@ type Config struct {
 	Codegen codegen.Options
 	// Weights optionally assigns reference point masses (Barnes-Hut).
 	Weights []float64
-	// Shards, when > 1, runs spatially sharded execution: the domain
-	// splits into Shards equal-count pieces with independent trees,
-	// each executed shard-locally, stitched together through the
-	// locally-essential-tree boundary exchange, and merged through the
-	// operators' commutative finalize paths (see internal/shard). 0 or
-	// 1 is the unsharded path. Incompatible with Weights for now.
+	// Shards, when > 1, runs the reference implementation of the
+	// partial-merge contract: the domain splits into Shards equal-count
+	// pieces with independent trees, each executed shard-locally plus
+	// one import run over the peers' unpruned points, and merged through
+	// the operators' commutative finalize paths (see internal/shard).
+	// Slower than the unsharded path by construction. 0 or 1 is the
+	// unsharded path. Incompatible with Weights.
 	Shards int
-	// ShardMode selects the domain splitter (shard.ModeAuto: Morton
-	// order with ORB fallback).
-	ShardMode shard.Mode
 	// CollectStats attaches a full observability Report (traversal
 	// counters plus phase timings) to the Output. Counter collection on
 	// Output.Stats happens whenever Codegen.NoStats is unset; this knob
@@ -192,8 +189,13 @@ func (p *Problem) BuildTrees(cfg Config) (qt, rt *tree.Tree) {
 
 // Execute builds trees and runs the traversal, returning the output
 // in original dataset order. A Config.Shards > 1 routes through the
-// spatially sharded execution tier instead.
+// sharded execution tier instead. An octree over more than
+// tree.MaxOctDim dimensions is an error on both paths, returned before
+// any tree is built.
 func (p *Problem) Execute(cfg Config) (*codegen.Output, error) {
+	if d := p.Plan.Spec.Inner().Data.Dim(); cfg.Tree == Octree && d > tree.MaxOctDim {
+		return nil, fmt.Errorf("engine: an octree cannot split %d dimensions (at most %d); use the kd-tree", d, tree.MaxOctDim)
+	}
 	if cfg.Shards > 1 {
 		return p.executeSharded(cfg)
 	}

@@ -96,6 +96,22 @@ func TestNearestNeighborMatchesBrute(t *testing.T) {
 	}
 }
 
+// An octree over more than tree.MaxOctDim dimensions is an error, not a
+// panic, sharded or not: the sharded path builds its trees on
+// goroutines no recover can reach, so a panic there would end the
+// process — and this test with it.
+func TestOctreeBeyondMaxDimIsAnError(t *testing.T) {
+	data := randStorage(rand.New(rand.NewSource(7)), 200, 7)
+	spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, data, nil).
+		AddLayerK(lang.KARGMIN, 5, data, expr.NewDistanceKernel(geom.Euclidean))
+	for _, shards := range []int{0, 4} {
+		out, err := Run("knn", spec, Config{Tree: Octree, Shards: shards, Parallel: true, Workers: 2})
+		if err == nil || out != nil {
+			t.Fatalf("shards=%d: d=7 octree gave (%v, %v), want an error", shards, out, err)
+		}
+	}
+}
+
 func TestNearestNeighborParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	spec := nnSpec(rng, 2000, 2000, 4)

@@ -9,63 +9,35 @@ import (
 	"portal/internal/stats"
 )
 
-// shardOptions maps the config onto the shard partitioner's options.
-func (c Config) shardOptions() shard.Options {
-	return shard.Options{
-		K:        c.Shards,
-		Mode:     c.ShardMode,
-		LeafSize: c.LeafSize,
-		Oct:      c.Tree == Octree,
-		Parallel: c.Parallel,
-		Workers:  c.Workers,
-		Trace:    c.Trace,
-	}
-}
-
-// shardExecConfig maps the config onto the shard executor's options.
-func (c Config) shardExecConfig() shard.ExecConfig {
-	return shard.ExecConfig{
-		Parallel: c.Parallel,
-		Workers:  c.Workers,
-		LeafSize: c.LeafSize,
-		Oct:      c.Tree == Octree,
-		Trace:    c.Trace,
-	}
-}
-
-// BuildPartitions splits the problem's reference storage into
-// Config.Shards spatial shards (building the per-shard trees) and
-// routes the query storage onto the same domain split. For self-joins
-// the one partition serves both sides. The serving layer uses this to
-// pre-build partitions it then reuses across queries through
-// ExecuteShardedOn.
-func (p *Problem) BuildPartitions(cfg Config) (qp, rp *shard.Partition, err error) {
-	if cfg.Weights != nil {
-		return nil, nil, fmt.Errorf("engine: sharded execution does not support reference weights")
+// executeSharded splits the problem's reference storage into
+// Config.Shards spatial shards (building the per-shard trees), routes
+// the query storage onto the same domain split — for self-joins the one
+// partition serves both sides — and runs the sharded execution.
+func (p *Problem) executeSharded(cfg Config) (*codegen.Output, error) {
+	start := time.Now()
+	o := shard.Options{
+		K:        cfg.Shards,
+		LeafSize: cfg.LeafSize,
+		Oct:      cfg.Tree == Octree,
+		Parallel: cfg.Parallel,
+		Workers:  cfg.Workers,
 	}
 	qData := p.Plan.Spec.Outer().Data
 	rData := p.Plan.Spec.Inner().Data
-	rp = shard.Split(rData, cfg.shardOptions())
-	if qData == rData {
-		return rp, rp, nil
-	}
-	return rp.RouteQueries(qData, cfg.shardOptions()), rp, nil
-}
-
-func (p *Problem) executeSharded(cfg Config) (*codegen.Output, error) {
-	start := time.Now()
-	qp, rp, err := p.BuildPartitions(cfg)
-	if err != nil {
-		return nil, err
+	rp := shard.Split(rData, o)
+	qp := rp
+	if qData != rData {
+		qp = rp.RouteQueries(qData, o)
 	}
 	return p.execSharded(qp, rp, cfg, time.Since(start), true)
 }
 
 // ExecuteShardedOn runs the sharded execution over pre-built
-// partitions (the serving path; the partition analogue of ExecuteOn).
-// The same concurrency contract holds: partitions are immutable after
-// BuildPartitions, and every per-run mutable state is allocated inside
-// the call, so concurrent calls over shared partitions are safe.
+// partitions (the partition analogue of ExecuteOn). The same
+// concurrency contract holds: partitions are immutable after
+// shard.Split / RouteQueries, and every per-run mutable state is
+// allocated inside the call, so concurrent calls over shared
+// partitions are safe.
 func (p *Problem) ExecuteShardedOn(qp, rp *shard.Partition, cfg Config) (*codegen.Output, error) {
 	return p.execSharded(qp, rp, cfg, 0, false)
 }
@@ -75,7 +47,13 @@ func (p *Problem) execSharded(qp, rp *shard.Partition, cfg Config, buildDur time
 		return nil, fmt.Errorf("engine: sharded execution does not support reference weights")
 	}
 	start := time.Now()
-	out, sh, err := shard.Execute(p.Ex, qp, rp, cfg.shardExecConfig())
+	out, sh, err := shard.Execute(p.Ex, qp, rp, shard.ExecConfig{
+		Parallel: cfg.Parallel,
+		Workers:  cfg.Workers,
+		LeafSize: cfg.LeafSize,
+		Oct:      cfg.Tree == Octree,
+		Trace:    cfg.Trace,
+	})
 	if err != nil {
 		return nil, err
 	}

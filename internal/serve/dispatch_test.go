@@ -35,59 +35,57 @@ func assertIdle(t *testing.T, s *Server) {
 }
 
 // The budget invariant under load: with 4·W concurrent clients mixing
-// single-leaf, multi-leaf and self-join queries (on an unsharded and a
-// sharded server), never more than W queries hold workers, every query
-// traverses with between 1 and W workers — exactly 1 when it is too
-// small to use a second — and all tokens come back. Each query's
-// workers are tokens it holds on the W-slot semaphore, so the workers
-// across in-flight queries cannot exceed W.
+// single-leaf, multi-leaf and self-join queries, never more than W
+// queries hold workers, every query traverses with between 1 and W
+// workers — exactly 1 when it is too small to use a second — and all
+// tokens come back. Each query's workers are tokens it holds on the
+// W-slot semaphore, so the workers across in-flight queries cannot
+// exceed W. The subtest name records that the server is unsharded.
 func TestDispatchWorkerBudget(t *testing.T) {
 	const workers = 3
-	for _, shards := range []int{0, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(21))
-			s := newTestServer(t, Config{LeafSize: 8, Workers: workers, Shards: shards})
-			mustPut(t, s, "pts", storage.MustFromRows(randRows(rng, 600, 3)))
-			single := randRows(rng, 1, 3)
-			multi := randRows(rng, 300, 3)
+	t.Run("shards=0", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		s := newTestServer(t, Config{LeafSize: 8, Workers: workers})
+		mustPut(t, s, "pts", storage.MustFromRows(randRows(rng, 600, 3)))
+		single := randRows(rng, 1, 3)
+		multi := randRows(rng, 300, 3)
 
-			var wg sync.WaitGroup
-			for c := 0; c < 4*workers; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; i < 6; i++ {
-						req := &QueryRequest{Dataset: "pts", Problem: "knn", K: 2, Stats: true}
-						switch (c + i) % 3 {
-						case 0:
-							req.Points = single
-						case 1:
-							req.Points = multi
-						} // case 2: self-join
-						resp, err := s.Query(req)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if resp.BatchSize < 1 || resp.BatchSize > workers {
-							t.Errorf("%d queries in flight at admission, budget is %d", resp.BatchSize, workers)
-						}
-						if w := resp.Report.Workers; w < 1 || w > workers {
-							t.Errorf("query traversed with %d workers, budget is %d", w, workers)
-						}
-						if len(req.Points) == 1 && resp.Report.Workers != 1 {
-							t.Errorf("one-point query took %d workers, want 1", resp.Report.Workers)
-						}
-						if n := s.inflight.Load(); n > workers {
-							t.Errorf("%d queries hold workers, budget is %d", n, workers)
-						}
+		var wg sync.WaitGroup
+		for c := 0; c < 4*workers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < 6; i++ {
+					req := &QueryRequest{Dataset: "pts", Problem: "knn", K: 2, Stats: true}
+					switch (c + i) % 3 {
+					case 0:
+						req.Points = single
+					case 1:
+						req.Points = multi
+					} // case 2: self-join
+					resp, err := s.Query(req)
+					if err != nil {
+						t.Error(err)
+						return
 					}
-				}(c)
-			}
-			wg.Wait()
-			assertIdle(t, s)
-		})
-	}
+					if resp.BatchSize < 1 || resp.BatchSize > workers {
+						t.Errorf("%d queries in flight at admission, budget is %d", resp.BatchSize, workers)
+					}
+					if w := resp.Report.Workers; w < 1 || w > workers {
+						t.Errorf("query traversed with %d workers, budget is %d", w, workers)
+					}
+					if len(req.Points) == 1 && resp.Report.Workers != 1 {
+						t.Errorf("one-point query took %d workers, want 1", resp.Report.Workers)
+					}
+					if n := s.inflight.Load(); n > workers {
+						t.Errorf("%d queries hold workers, budget is %d", n, workers)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		assertIdle(t, s)
+	})
 }
 
 // A lone query on an idle server starts at once and, when it is large
@@ -306,7 +304,8 @@ func TestCanceledWhileWaitingForWorker(t *testing.T) {
 // (and ids the same set as) a run over a LeafSize-leaf query tree,
 // range-search id sets are equal, and KDE stays within n·τ of the
 // exact sum — for requests from one point to more points than the
-// dataset holds, sharded and unsharded.
+// dataset holds. The subtest names record that the server is
+// unsharded.
 func TestDensityMatchedQueryLeavesKeepAnswers(t *testing.T) {
 	const (
 		leaf = 16
@@ -320,75 +319,73 @@ func TestDensityMatchedQueryLeavesKeepAnswers(t *testing.T) {
 	refTree := tree.BuildKD(ref, &tree.Options{LeafSize: leaf})
 	sigma := problems.SilvermanBandwidth(ref)
 
-	for _, shards := range []int{0, 4} {
-		s := newTestServer(t, Config{LeafSize: leaf, Workers: 2, Shards: shards})
-		mustPut(t, s, "ref", storage.MustFromRows(refRows))
-		for _, nq := range []int{1, 16, 256, 5000} {
-			t.Run(fmt.Sprintf("shards=%d/nq=%d", shards, nq), func(t *testing.T) {
-				qRows := randRows(rng, nq, 3)
-				qd := storage.MustFromRows(qRows)
-				qt := tree.BuildKD(qd, &tree.Options{LeafSize: leaf})
-				if m := tree.QueryLeafSize(leaf, nq, nr); nq < nr && m >= leaf {
-					t.Fatalf("QueryLeafSize(%d, %d, %d) = %d, want below the reference leaf", leaf, nq, nr, m)
-				}
+	s := newTestServer(t, Config{LeafSize: leaf, Workers: 2})
+	mustPut(t, s, "ref", storage.MustFromRows(refRows))
+	for _, nq := range []int{1, 16, 256, 5000} {
+		t.Run(fmt.Sprintf("shards=0/nq=%d", nq), func(t *testing.T) {
+			qRows := randRows(rng, nq, 3)
+			qd := storage.MustFromRows(qRows)
+			qt := tree.BuildKD(qd, &tree.Options{LeafSize: leaf})
+			if m := tree.QueryLeafSize(leaf, nq, nr); nq < nr && m >= leaf {
+				t.Fatalf("QueryLeafSize(%d, %d, %d) = %d, want below the reference leaf", leaf, nq, nr, m)
+			}
 
-				// k-NN.
-				knn, err := engine.Compile("knn", problems.KNNSpec(qd, ref, 3), engine.Config{LeafSize: leaf})
-				if err != nil {
-					t.Fatal(err)
+			// k-NN.
+			knn, err := engine.Compile("knn", problems.KNNSpec(qd, ref, 3), engine.Config{LeafSize: leaf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := knn.ExecuteOn(qt, refTree, engine.Config{LeafSize: leaf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Query(&QueryRequest{Dataset: "ref", Problem: "knn", K: 3, Points: qRows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.ValueLists {
+				if !slices.Equal(got.ValueLists[i], want.ValueLists[i]) {
+					t.Fatalf("knn point %d: distances %v, want bit-equal %v", i, got.ValueLists[i], want.ValueLists[i])
 				}
-				want, err := knn.ExecuteOn(qt, refTree, engine.Config{LeafSize: leaf})
-				if err != nil {
-					t.Fatal(err)
+				if !sameSet(got.ArgLists[i], want.ArgLists[i]) {
+					t.Fatalf("knn point %d: ids %v, want %v", i, got.ArgLists[i], want.ArgLists[i])
 				}
-				got, err := s.Query(&QueryRequest{Dataset: "ref", Problem: "knn", K: 3, Points: qRows})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want.ValueLists {
-					if !slices.Equal(got.ValueLists[i], want.ValueLists[i]) {
-						t.Fatalf("knn point %d: distances %v, want bit-equal %v", i, got.ValueLists[i], want.ValueLists[i])
-					}
-					if !sameSet(got.ArgLists[i], want.ArgLists[i]) {
-						t.Fatalf("knn point %d: ids %v, want %v", i, got.ArgLists[i], want.ArgLists[i])
-					}
-				}
+			}
 
-				// Range search.
-				rs, err := engine.Compile("rangesearch", problems.RangeSearchSpec(qd, ref, 0, hi), engine.Config{LeafSize: leaf})
-				if err != nil {
-					t.Fatal(err)
+			// Range search.
+			rs, err := engine.Compile("rangesearch", problems.RangeSearchSpec(qd, ref, 0, hi), engine.Config{LeafSize: leaf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err = rs.ExecuteOn(qt, refTree, engine.Config{LeafSize: leaf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = s.Query(&QueryRequest{Dataset: "ref", Problem: "rangesearch", Hi: hi, Points: qRows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.ArgLists {
+				if !sameSet(got.ArgLists[i], want.ArgLists[i]) {
+					t.Fatalf("rangesearch point %d: %d ids, want the %d of the reference run", i, len(got.ArgLists[i]), len(want.ArgLists[i]))
 				}
-				want, err = rs.ExecuteOn(qt, refTree, engine.Config{LeafSize: leaf})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err = s.Query(&QueryRequest{Dataset: "ref", Problem: "rangesearch", Hi: hi, Points: qRows})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want.ArgLists {
-					if !sameSet(got.ArgLists[i], want.ArgLists[i]) {
-						t.Fatalf("rangesearch point %d: %d ids, want the %d of the reference run", i, len(got.ArgLists[i]), len(want.ArgLists[i]))
-					}
-				}
+			}
 
-				// KDE against the exact sums.
-				exact, err := engine.BruteForce(problems.KDESpec(qd, ref, sigma))
-				if err != nil {
-					t.Fatal(err)
+			// KDE against the exact sums.
+			exact, err := engine.BruteForce(problems.KDESpec(qd, ref, sigma))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = s.Query(&QueryRequest{Dataset: "ref", Problem: "kde", Sigma: sigma, Tau: tau, Points: qRows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got.Values {
+				if diff := math.Abs(v - exact.Values[i]); diff > nr*tau {
+					t.Fatalf("kde point %d: %v is %v from the exact %v, budget n·τ = %v", i, v, diff, exact.Values[i], nr*tau)
 				}
-				got, err = s.Query(&QueryRequest{Dataset: "ref", Problem: "kde", Sigma: sigma, Tau: tau, Points: qRows})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range got.Values {
-					if diff := math.Abs(v - exact.Values[i]); diff > nr*tau {
-						t.Fatalf("kde point %d: %v is %v from the exact %v, budget n·τ = %v", i, v, diff, exact.Values[i], nr*tau)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

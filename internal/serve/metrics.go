@@ -2,11 +2,9 @@ package serve
 
 import (
 	"runtime"
-	"strconv"
 	"time"
 
 	"portal/internal/metrics"
-	"portal/internal/shard"
 	"portal/internal/stats"
 )
 
@@ -55,15 +53,6 @@ type serverMetrics struct {
 	// Slow-query log and trace sampler.
 	slowQueries    *metrics.Counter
 	sampledQueries *metrics.Counter
-
-	// Sharded execution. The shard label is bounded by the server's
-	// static Shards config (never by request data), so dataset remains
-	// the only unbounded label and the family cap still applies.
-	shardPoints        *metrics.GaugeVec
-	shardQueries       *metrics.Counter
-	shardExchangeBytes *metrics.CounterVec
-	shardImportedPts   *metrics.Counter
-	shardImportedAggs  *metrics.Counter
 }
 
 // newServerMetrics registers the server's metric families. The
@@ -109,18 +98,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Queries at or over the slow-query threshold."),
 		sampledQueries: r.Counter("portal_sampled_queries_total",
 			"Queries picked by the 1-in-N trace sampler."),
-		shardPoints: r.GaugeVec("portal_shard_points",
-			"Points owned by each shard of a sharded dataset head.",
-			"dataset", "shard"),
-		shardQueries: r.Counter("portal_sharded_queries_total",
-			"Queries served through the sharded execution tier."),
-		shardExchangeBytes: r.CounterVec("portal_shard_exchange_bytes_total",
-			"Locally-essential-tree boundary-exchange volume, by dataset.",
-			"dataset"),
-		shardImportedPts: r.Counter("portal_shard_imported_points_total",
-			"Boundary points shipped between shards by the exchange."),
-		shardImportedAggs: r.Counter("portal_shard_imported_aggregates_total",
-			"Pruned-summary aggregate entries shipped between shards."),
 	}
 
 	// Scrape-time reads of state that already has its own counters —
@@ -193,24 +170,4 @@ func (m *serverMetrics) observeQuery(problem, dataset, outcome string, latencyNS
 	m.dequeHW.Max(t.DequeHighWater)
 	m.basePairs.Add(t.BaseCasePairs)
 	m.prunedPairs.Add(t.EliminatedPairs())
-	if sh := rep.Sharding; sh != nil {
-		m.shardQueries.Inc()
-		m.shardExchangeBytes.With1(dataset).Add(sh.ExchangeSummaryBytes)
-		for i := range sh.PerShard {
-			m.shardImportedPts.Add(sh.PerShard[i].ImportedPoints)
-			m.shardImportedAggs.Add(sh.PerShard[i].ImportedAggregates)
-		}
-	}
-}
-
-// observePartition publishes the per-shard ownership gauges for a
-// newly published (or restored) sharded dataset head. No-op for
-// unsharded heads.
-func (m *serverMetrics) observePartition(dataset string, p *shard.Partition) {
-	if p == nil {
-		return
-	}
-	for i := range p.Pieces {
-		m.shardPoints.With2(dataset, strconv.Itoa(i)).Set(int64(len(p.Pieces[i].Orig)))
-	}
 }

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"portal/internal/shard"
 	"portal/internal/storage"
 	"portal/internal/tree"
 )
@@ -48,12 +47,6 @@ type Snapshot struct {
 	// Tree is the snapshot's built tree, shared read-only by every
 	// query (self-joins bind it on both sides).
 	Tree *tree.Tree
-	// Partition is the pre-built sharded partition when the server runs
-	// with Shards > 1 (nil otherwise). Like Tree it is immutable after
-	// publish and shared read-only by every query; sharded executions
-	// bind per-shard runs against it under the same concurrency
-	// contract.
-	Partition *shard.Partition
 	// BuildNS is the tree-build wall time recorded at publish.
 	BuildNS int64
 
@@ -140,21 +133,12 @@ func (r *Registry) Put(name string, data *storage.Storage, t *tree.Tree, buildNS
 // refcount drains to zero, so the mapping is released only when no
 // query can still be reading through it.
 func (r *Registry) PutBacked(name string, data *storage.Storage, t *tree.Tree, buildNS int64, onReclaim func()) *Snapshot {
-	return r.PutPartitioned(name, data, t, nil, buildNS, onReclaim)
-}
-
-// PutPartitioned is PutBacked for shard-aware heads: the snapshot
-// additionally carries a pre-built sharded partition, so serving a
-// sharded query is partition reuse, never a per-query split or
-// per-shard tree build.
-func (r *Registry) PutPartitioned(name string, data *storage.Storage, t *tree.Tree, part *shard.Partition, buildNS int64, onReclaim func()) *Snapshot {
 	s := &Snapshot{
-		Name:      name,
-		Version:   r.version.Add(1),
-		Data:      data,
-		Tree:      t,
-		Partition: part,
-		BuildNS:   buildNS,
+		Name:    name,
+		Version: r.version.Add(1),
+		Data:    data,
+		Tree:    t,
+		BuildNS: buildNS,
 		reclaim: func(*Snapshot) {
 			r.reclaimed.Add(1)
 			if onReclaim != nil {

@@ -21,7 +21,6 @@ import (
 	"portal/internal/metrics"
 	"portal/internal/persist"
 	"portal/internal/problems"
-	"portal/internal/shard"
 	"portal/internal/stats"
 	"portal/internal/storage"
 	"portal/internal/trace"
@@ -58,12 +57,6 @@ type Config struct {
 	// QueryLogSize caps each capture ring (slow and sampled); default
 	// 64 entries.
 	QueryLogSize int
-	// Shards, when > 1, publishes every dataset with a pre-built
-	// sharded partition and serves its queries through the spatially
-	// sharded execution tier (engine.Config.Shards semantics). The
-	// persisted snapshot format is unchanged: partitions are rebuilt at
-	// load time.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -148,15 +141,11 @@ type Stats struct {
 }
 
 // pending is one prepared query: the compiled problem bound to its
-// trees (or partitions), and — once dispatched — its result.
+// trees, and — once dispatched — its result.
 type pending struct {
 	prob   *engine.Problem
 	qt, rt *tree.Tree
 	cfg    engine.Config
-	// qp/rp are the query- and reference-side partitions of a sharded
-	// query (nil on the unsharded path), run through
-	// engine.ExecuteShardedOn instead of the tree pair.
-	qp, rp *shard.Partition
 
 	snap  *Snapshot
 	hit   bool
@@ -185,7 +174,6 @@ const pointsPerWorker = 128
 // wantWorkers is the number of traversal workers the query can use out
 // of budget: one per pointsPerWorker query points, rounded up.
 func (p *pending) wantWorkers(budget int) int {
-	// qt holds every query point, sharded or not.
 	return min(budget, (p.qt.Len()+pointsPerWorker-1)/pointsPerWorker)
 }
 
@@ -284,7 +272,6 @@ func (s *Server) PutDataset(name string, data *storage.Storage) (*Snapshot, erro
 		Parallel: s.cfg.Workers > 1,
 		Workers:  s.cfg.Workers,
 	})
-	part := s.buildPartition(data)
 	if s.cfg.DataDir != "" {
 		path := s.snapshotPath(name)
 		saveStart := time.Now()
@@ -296,27 +283,7 @@ func (s *Server) PutDataset(name string, data *storage.Storage) (*Snapshot, erro
 			s.m.snapSaveBytes.Add(fi.Size())
 		}
 	}
-	snap := s.reg.PutPartitioned(name, data, t, part, time.Since(start).Nanoseconds(), nil)
-	s.m.observePartition(name, part)
-	return snap, nil
-}
-
-// buildPartition pre-builds the sharded partition for a dataset being
-// published (nil when the server is unsharded).
-func (s *Server) buildPartition(data *storage.Storage) *shard.Partition {
-	if s.cfg.Shards <= 1 {
-		return nil
-	}
-	return shard.Split(data, s.shardOptions())
-}
-
-func (s *Server) shardOptions() shard.Options {
-	return shard.Options{
-		K:        s.cfg.Shards,
-		LeafSize: s.cfg.LeafSize,
-		Parallel: s.cfg.Workers > 1,
-		Workers:  s.cfg.Workers,
-	}
+	return s.reg.Put(name, data, t, time.Since(start).Nanoseconds()), nil
 }
 
 // DropDataset removes name's head, and its snapshot file under
@@ -382,11 +349,7 @@ func (s *Server) LoadDataDir() (int, error) {
 		// set; it serves as the dataset storage directly. Queries are
 		// unaffected: results are reported in original indices via the
 		// tree's index map, and self-joins bind the tree on both sides.
-		// The snapshot artifact stays shard-agnostic; a sharded server
-		// rebuilds its partition from the restored points at load time.
-		part := s.buildPartition(l.Tree.Data)
-		s.reg.PutPartitioned(name, l.Tree.Data, l.Tree, part, 0, func() { l.Release() })
-		s.m.observePartition(name, part)
+		s.reg.PutBacked(name, l.Tree.Data, l.Tree, 0, func() { l.Release() })
 		loaded++
 	}
 	return loaded, errors.Join(errs...)
@@ -520,9 +483,6 @@ func (s *Server) execute(p *pending, workers int) (out *codegen.Output, err erro
 	cfg := p.cfg
 	cfg.Parallel = workers > 1
 	cfg.Workers = workers
-	if p.rp != nil {
-		return p.prob.ExecuteShardedOn(p.qp, p.rp, cfg)
-	}
 	return p.prob.ExecuteOnChecked(p.qt, p.rt, cfg)
 }
 
@@ -671,7 +631,7 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pending{
+	return &pending{
 		prob:    prob,
 		qt:      qt,
 		rt:      snap.Tree,
@@ -679,21 +639,7 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		hit:     hit,
 		sampled: sampled,
 		rec:     rec,
-	}
-	if snap.Partition != nil {
-		// Sharded head: reuse the published partition on the reference
-		// side; self-joins reuse it on both sides, point queries route
-		// onto the same domain split (building only the per-shard query
-		// trees).
-		p.rp = snap.Partition
-		if selfJoin {
-			p.qp = snap.Partition
-		} else {
-			p.qp = snap.Partition.RouteQueries(qd, shard.Options{LeafSize: s.cfg.LeafSize})
-		}
-		p.cfg.Shards = s.cfg.Shards
-	}
-	return p, nil
+	}, nil
 }
 
 // respond assembles the wire response from a completed query.

@@ -3,95 +3,38 @@ package shard
 import (
 	"portal/internal/codegen"
 	"portal/internal/geom"
-	"portal/internal/lang"
 	"portal/internal/prune"
 	"portal/internal/tree"
 )
 
 // The boundary exchange. For an importing shard i, every peer shard j
 // walks its own reference tree top-down, evaluating the compiled
-// problem's prune/approximate rule against shard i's whole query
-// bounding box B_i (and, for bound rules, the root bound shard i
-// proved during its local run). Distance intervals only shrink when
-// the query box shrinks, so:
-//
-//   - Prune against B_i  ⇒ Prune against every query sub-box: the
-//     subtree is provably useless to every query in shard i and is
-//     dropped from the summary entirely;
-//   - Approx against B_i ⇒ Approx against every sub-box: the subtree
-//     collapses to the same summary the traversal would have used —
-//     a centroid+mass aggregate (τ rules), a bulk in-window count
-//     (window SUM), or the subtree's reference indices (window
-//     UNION/UNIONARG, value exactly 1);
-//   - Visit recurses; leaves still Visit-able ship their points
-//     verbatim (the locally-essential boundary region).
-//
-// Every reference point of shard j is covered exactly once (dropped,
-// aggregated, or shipped), which is what makes the per-shard partial
-// results merge exactly.
+// problem's rule against shard i's whole query bounding box B_i (and,
+// for bound rules, the root bound shard i proved during its local
+// run). Distance intervals only shrink when the query box shrinks, so
+// Prune against B_i implies Prune against every query sub-box: the
+// subtree is provably useless to every query in shard i and is
+// dropped. Every other leaf ships its points verbatim, including the
+// leaves of subtrees the rule would approximate: the import run
+// approximates or bulk-includes them itself, under the same rule and
+// τ budget. Every reference point of shard j is dropped or shipped,
+// never both, which is what makes the per-shard partial results merge
+// exactly.
 
-// remoteAgg is one exported τ-approximable node: centroid + mass.
-type remoteAgg struct {
-	centroid []float64
-	mass     float64
-}
-
-// export is one (importer, exporter) pair's summary. Point entries
-// are positions into the exporter's tree-reordered data (gathered
-// into the import storage later); bulk entries are already global
-// reference indices.
-type export struct {
-	pts   []int
-	aggs  []remoteAgg
-	count float64
-	bulk  []int
-	bytes int64
-}
-
-func (e *export) entries() int64 {
-	n := int64(len(e.pts)) + int64(len(e.aggs)) + int64(len(e.bulk))
-	if e.count > 0 {
-		n++
-	}
-	return n
-}
-
-// exportFor walks src's tree and collects the summary shard i (whose
-// whole-query box is qBox and proven root bound qBound) needs from
-// it. Exported point positions are piece-local tree positions; the
-// importer maps them back to global reference indices through
-// src.Orig when building its import tree.
-func exportFor(ex *codegen.Executable, src *Piece, qBox geom.Rect, qBound float64) export {
-	rule := ex.Rule
-	t := src.Tree
-	d := t.Dim()
-	var out export
+// exportFor walks src's tree and returns the points shard i (whose
+// whole-query box is qBox and proven root bound qBound) needs from it,
+// as positions into src's tree-reordered data; the importer maps them
+// back to global reference indices through src.Orig.
+func exportFor(ex *codegen.Executable, src *Piece, qBox geom.Rect, qBound float64) []int {
+	var pts []int
 	var walk func(n *tree.Node)
 	walk = func(n *tree.Node) {
-		switch rule.Decide(qBox, n.BBox, qBound) {
-		case prune.Prune:
-			return
-		case prune.Approx:
-			switch rule.Kind {
-			case prune.TauRule:
-				c := make([]float64, d)
-				copy(c, n.Centroid)
-				out.aggs = append(out.aggs, remoteAgg{centroid: c, mass: n.Mass})
-			case prune.WindowRule:
-				switch ex.Plan.InnerOp {
-				case lang.SUM:
-					out.count += float64(n.Count())
-				case lang.UNION, lang.UNIONARG:
-					for pos := n.Begin; pos < n.End; pos++ {
-						out.bulk = append(out.bulk, src.Orig[t.Index[pos]])
-					}
-				}
-			}
+		if ex.Rule.Decide(qBox, n.BBox, qBound) == prune.Prune {
 			return
 		}
 		if n.IsLeaf() {
 			for pos := n.Begin; pos < n.End; pos++ {
-				out.pts = append(out.pts, pos)
+				pts = append(pts, pos)
 			}
 			return
 		}
@@ -99,15 +42,6 @@ func exportFor(ex *codegen.Executable, src *Piece, qBox geom.Rect, qBound float6
 			walk(c)
 		}
 	}
-	walk(t.Root)
-	// Communication accounting, as if serialized: points ship d
-	// coordinates plus a global id, aggregates d coordinates plus a
-	// mass, bulk inclusions one id each, a count one scalar.
-	out.bytes = int64(len(out.pts))*int64(d+1)*8 +
-		int64(len(out.aggs))*int64(d+1)*8 +
-		int64(len(out.bulk))*8
-	if out.count > 0 {
-		out.bytes += 8
-	}
-	return out
+	walk(src.Tree.Root)
+	return pts
 }

@@ -21,13 +21,12 @@ import (
 type ExecConfig struct {
 	Parallel bool
 	Workers  int
-	// LeafSize and Oct shape the locally-essential import trees (they
-	// should match the partition's shard trees).
+	// LeafSize and Oct shape the import trees (they should match the
+	// partition's shard trees).
 	LeafSize int
 	Oct      bool
-	// Trace, when non-nil, records shard-exec wrapper spans, exchange
-	// spans, and import-tree shard-build spans on top of the
-	// traversals' own task spans.
+	// Trace, when non-nil, receives the task spans of every local and
+	// import traversal.
 	Trace trace.Recorder
 }
 
@@ -39,16 +38,6 @@ func (c ExecConfig) traverseOptions(st *stats.TraversalStats) traverse.Options {
 	return opts
 }
 
-// importSet accumulates everything one shard imports from its peers.
-type importSet struct {
-	srcs   []srcExport
-	numPts int
-	aggs   []remoteAgg
-	count  float64
-	bulk   []int
-	bytes  int64
-}
-
 // srcExport is one exporter's shipped boundary points (positions into
 // the exporter's tree-reordered data).
 type srcExport struct {
@@ -57,12 +46,12 @@ type srcExport struct {
 }
 
 // Execute runs the compiled problem over a sharded domain: K
-// shard-local traversals, the boundary exchange, the
-// locally-essential import traversals, and the commutative merge. qp
-// and rp are the query- and reference-side partitions (the same
-// *Partition for self-joins). The returned ShardingStats carries the
-// per-shard counters and the exchange volume; Output.Stats sums the
-// traversal counters of every run.
+// shard-local traversals, the boundary exchange, the import
+// traversals, and the commutative merge. qp and rp are the query- and
+// reference-side partitions (the same *Partition for self-joins). The
+// returned ShardingStats carries the per-shard counters and the
+// exchange volume; Output.Stats sums the traversal counters of every
+// run.
 func Execute(ex *codegen.Executable, qp, rp *Partition, cfg ExecConfig) (*codegen.Output, *stats.ShardingStats, error) {
 	k := rp.K()
 	if qp.K() != k {
@@ -92,86 +81,51 @@ func Execute(ex *codegen.Executable, qp, rp *Partition, cfg ExecConfig) (*codege
 		rt := rp.Pieces[i].Tree
 		run := ex.Bind(qt, rt)
 		t0 := time.Now()
-		var tt *trace.Task
-		if cfg.Trace != nil {
-			tt = cfg.Trace.TaskBegin(trace.PhaseShardExec, 0)
-			tt.SetItems(int64(qt.Len()))
-		}
 		traverse.RunParallel(qt, rt, run, cfg.traverseOptions(run.TraversalStats()))
-		if tt != nil {
-			cfg.Trace.TaskEnd(tt)
-		}
 		sh.PerShard[i].TraverseNS += time.Since(t0).Nanoseconds()
 		runsLocal[i] = run
 	}
 
-	// Phase 2: boundary exchange. Each importing shard collects the
-	// pruned summaries of every peer's reference tree, evaluated
-	// against its whole query box and (for bound rules) the bound its
-	// local run proved.
-	imports := make([]importSet, k)
+	// Phases 2 and 3, per importing shard: collect every peer's
+	// unpruned points, evaluated against the shard's whole query box and
+	// (for bound rules) the bound its local run proved, then traverse a
+	// tree over them, starting from the local run's bounds.
+	d := rp.Source.Dim()
+	runsImp := make([]*codegen.Run, k)
+	impOrig := make([][]int, k)
 	for i := 0; i < k && k > 1; i++ {
 		if runsLocal[i] == nil {
 			continue
 		}
-		var tt *trace.Task
-		if cfg.Trace != nil {
-			tt = cfg.Trace.TaskBegin(trace.PhaseExchange, 0)
-		}
-		qBox := qp.Pieces[i].Tree.Root.BBox
+		qt := qp.Pieces[i].Tree
 		qBound := runsLocal[i].RootBound()
-		im := &imports[i]
+		var srcs []srcExport
+		numPts := 0
 		for j := 0; j < k; j++ {
 			if j == i {
 				continue
 			}
-			e := exportFor(ex, &rp.Pieces[j], qBox, qBound)
-			if len(e.pts) > 0 {
-				im.srcs = append(im.srcs, srcExport{piece: j, pts: e.pts})
-				im.numPts += len(e.pts)
+			if pts := exportFor(ex, &rp.Pieces[j], qt.Root.BBox, qBound); len(pts) > 0 {
+				srcs = append(srcs, srcExport{piece: j, pts: pts})
+				numPts += len(pts)
 			}
-			im.aggs = append(im.aggs, e.aggs...)
-			im.count += e.count
-			im.bulk = append(im.bulk, e.bulk...)
-			im.bytes += e.bytes
 		}
-		if tt != nil {
-			tt.SetItems(int64(im.numPts+len(im.aggs)+len(im.bulk)) + int64(boolToInt(im.count > 0)))
-			cfg.Trace.TaskEnd(tt)
-		}
+		// Communication accounting, as if serialized: each point ships d
+		// coordinates plus a global id.
+		bytes := int64(numPts) * int64(d+1) * 8
 		ps := &sh.PerShard[i]
-		ps.ExchangeSummaryBytes = im.bytes
-		ps.ImportedPoints = int64(im.numPts)
-		ps.ImportedAggregates = int64(len(im.aggs)+len(im.bulk)) + int64(boolToInt(im.count > 0))
-		sh.ExchangeSummaryBytes += im.bytes
-	}
+		ps.ExchangeSummaryBytes = bytes
+		ps.ImportedPoints = int64(numPts)
+		sh.ExchangeSummaryBytes += bytes
+		if numPts == 0 {
+			continue
+		}
 
-	// Phase 3: locally-essential import runs. Shipped points form an
-	// import tree traversed like any reference tree; aggregates and
-	// counts apply at the query root (their push-down happens in
-	// FinalizePartial).
-	runsImp := make([]*codegen.Run, k)
-	impOrig := make([][]int, k)
-	for i := 0; i < k; i++ {
-		if runsLocal[i] == nil {
-			continue
-		}
-		im := &imports[i]
-		for _, a := range im.aggs {
-			runsLocal[i].ApplyRemoteApprox(a.centroid, a.mass)
-		}
-		if im.count > 0 {
-			runsLocal[i].AddRemoteCount(im.count)
-		}
-		if im.numPts == 0 {
-			continue
-		}
-		d := rp.Source.Dim()
-		ist := storage.NewWithLayout(im.numPts, d, rp.Source.Layout())
-		orig := make([]int, im.numPts)
+		ist := storage.NewWithLayout(numPts, d, rp.Source.Layout())
+		orig := make([]int, numPts)
 		buf := make([]float64, d)
 		w := 0
-		for _, se := range im.srcs {
+		for _, se := range srcs {
 			t := rp.Pieces[se.piece].Tree
 			for _, pos := range se.pts {
 				ist.SetPoint(w, t.Data.Point(pos, buf))
@@ -179,33 +133,11 @@ func Execute(ex *codegen.Executable, qp, rp *Partition, cfg ExecConfig) (*codege
 				w++
 			}
 		}
-		var bt *trace.Task
-		if cfg.Trace != nil {
-			bt = cfg.Trace.TaskBegin(trace.PhaseShardBuild, 0)
-			bt.SetItems(int64(im.numPts))
-		}
-		topts := &tree.Options{LeafSize: cfg.LeafSize}
-		var it *tree.Tree
-		if cfg.Oct {
-			it = tree.BuildOct(ist, topts)
-		} else {
-			it = tree.BuildKD(ist, topts)
-		}
-		if bt != nil {
-			cfg.Trace.TaskEnd(bt)
-		}
-		run := ex.Bind(qp.Pieces[i].Tree, it)
+		it := buildTree(ist, &tree.Options{LeafSize: cfg.LeafSize}, cfg.Oct)
+		run := ex.Bind(qt, it)
 		run.SeedBounds(runsLocal[i])
 		t0 := time.Now()
-		var tt *trace.Task
-		if cfg.Trace != nil {
-			tt = cfg.Trace.TaskBegin(trace.PhaseShardExec, 0)
-			tt.SetItems(int64(qp.Pieces[i].Tree.Len()))
-		}
-		traverse.RunParallel(qp.Pieces[i].Tree, it, run, cfg.traverseOptions(run.TraversalStats()))
-		if tt != nil {
-			cfg.Trace.TaskEnd(tt)
-		}
+		traverse.RunParallel(qt, it, run, cfg.traverseOptions(run.TraversalStats()))
 		sh.PerShard[i].TraverseNS += time.Since(t0).Nanoseconds()
 		runsImp[i] = run
 		impOrig[i] = orig
@@ -213,18 +145,11 @@ func Execute(ex *codegen.Executable, qp, rp *Partition, cfg ExecConfig) (*codege
 
 	// Phase 4: merge the per-shard partials through the operators'
 	// commutative finalize paths and run the outer reduction once.
-	out, err := merge(ex, qp, rp, runsLocal, runsImp, impOrig, imports)
+	out, err := merge(ex, qp, rp, runsLocal, runsImp, impOrig)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, sh, nil
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // merge combines the finalized per-shard partials into the global
@@ -234,7 +159,7 @@ func boolToInt(b bool) int {
 // operator lists come out canonically sorted by reference index —
 // order inside a ∪ result carries no meaning, and sorting makes the
 // merged output independent of the shard count.
-func merge(ex *codegen.Executable, qp, rp *Partition, runsLocal, runsImp []*codegen.Run, impOrig [][]int, imports []importSet) (*codegen.Output, error) {
+func merge(ex *codegen.Executable, qp, rp *Partition, runsLocal, runsImp []*codegen.Run, impOrig [][]int) (*codegen.Output, error) {
 	plan := ex.Plan
 	nQ := qp.Source.Len()
 	maxSide := ex.MaxSide()
@@ -277,10 +202,6 @@ func merge(ex *codegen.Executable, qp, rp *Partition, runsLocal, runsImp []*code
 		qOrig := qp.Pieces[i].Orig
 		rOrig := rp.Pieces[i].Orig
 		iOrig := impOrig[i]
-		// Bulk entries are whole-subtree window inclusions decided
-		// against the shard's entire query box, so they apply to every
-		// query in the shard (with value exactly 1 for UNION).
-		bulk := imports[i].bulk
 		for pos, g := range qOrig {
 			switch {
 			case innerOp == lang.ARGMIN || innerOp == lang.ARGMAX:
@@ -329,12 +250,6 @@ func merge(ex *codegen.Executable, qp, rp *Partition, runsLocal, runsImp []*code
 					}
 					if innerOp == lang.UNION {
 						vals = append(vals, imp.ValueLists[pos]...)
-					}
-				}
-				for _, b := range bulk {
-					args = append(args, b)
-					if innerOp == lang.UNION {
-						vals = append(vals, 1)
 					}
 				}
 				sortUnion(args, vals)

@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"portal/internal/codegen"
+	"portal/internal/dataset"
 	"portal/internal/engine"
 	"portal/internal/lang"
 	"portal/internal/problems"
+	"portal/internal/shard"
 	"portal/internal/stats"
 	"portal/internal/storage"
 )
@@ -258,9 +260,11 @@ func TestShardedK1ByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qp, rp, err := p.BuildPartitions(cfg)
-		if err != nil {
-			t.Fatal(err)
+		o := shard.Options{K: cfg.Shards, LeafSize: cfg.LeafSize, Parallel: true, Workers: cfg.Workers}
+		rp := shard.Split(data, o)
+		qp := rp
+		if !c.selfJoin {
+			qp = rp.RouteQueries(q, o)
 		}
 		sh, err := p.ExecuteShardedOn(qp, rp, cfg)
 		if err != nil {
@@ -408,10 +412,11 @@ func TestShardedDegenerate(t *testing.T) {
 	})
 }
 
-// TestShardedRealisticTau runs KDE at a realistic τ and checks both
-// the τ error contract (per aggregated reference the absolute error is
-// below τ, so per query below n·τ) and that the exchange actually
-// shipped aggregate summaries.
+// TestShardedRealisticTau runs KDE at a realistic τ and checks the τ
+// error contract (per approximated reference the absolute error is
+// below τ, so per query below n·τ) and the shape of the exchange: a τ
+// rule never prunes, so KDE imports exactly the other shards' points,
+// while k-NN on the same clumps prunes and imports strictly fewer.
 func TestShardedRealisticTau(t *testing.T) {
 	const tau = 1e-3
 	ref := genPoints(240, 3, storage.ChooseLayout(3), 31)
@@ -437,11 +442,94 @@ func TestShardedRealisticTau(t *testing.T) {
 	if sink.Sharding.ExchangeSummaryBytes == 0 {
 		t.Fatal("no exchange volume recorded at realistic τ")
 	}
-	var aggs int64
 	for _, ps := range sink.Sharding.PerShard {
-		aggs += ps.ImportedAggregates
+		want := int64(ref.Len()) - ps.Points
+		if ps.QueryPoints == 0 {
+			want = 0 // no queries routed here: nothing to import for
+		}
+		if ps.ImportedPoints != want {
+			t.Fatalf("kde shard %d imported %d points, want every other shard's %d", ps.Shard, ps.ImportedPoints, want)
+		}
 	}
-	if aggs == 0 {
-		t.Fatal("no aggregates imported at realistic τ; LET exchange should collapse far subtrees")
+
+	sink = &stats.Report{}
+	if _, err := engine.Run("knn", problems.KNNSpec(ref, ref, 5),
+		engine.Config{LeafSize: 16, Parallel: true, Workers: 4, Shards: 4, StatsSink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	var imported, others int64
+	for _, ps := range sink.Sharding.PerShard {
+		imported += ps.ImportedPoints
+		others += int64(ref.Len()) - ps.Points
+	}
+	if imported >= others {
+		t.Fatalf("knn imported %d points, want strictly fewer than the %d of the other shards", imported, others)
+	}
+}
+
+// TestExchangeShipsBoundary pins the suite against a vacuous pass: at
+// realistic shard counts a bound-rule problem must actually import
+// boundary points — if the exchange shipped nothing, kNN across shard
+// boundaries would be wrong and the differential suite meaningless.
+func TestExchangeShipsBoundary(t *testing.T) {
+	s := genPoints(400, 3, storage.ChooseLayout(3), 47)
+	sink := &stats.Report{}
+	_, err := engine.Run("knn", problems.KNNSpec(s, s, 5),
+		engine.Config{LeafSize: 16, Parallel: true, Workers: 4, Shards: 4, StatsSink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts, bytes int64
+	for _, ps := range sink.Sharding.PerShard {
+		pts += ps.ImportedPoints
+		bytes += ps.ExchangeSummaryBytes
+	}
+	if pts == 0 {
+		t.Fatal("kNN exchange imported no boundary points")
+	}
+	if bytes == 0 || sink.Sharding.ExchangeSummaryBytes != bytes {
+		t.Fatalf("exchange bytes inconsistent: total %d, per-shard sum %d",
+			sink.Sharding.ExchangeSummaryBytes, bytes)
+	}
+}
+
+// TestShardedClustered is the differential at benchmark-like scale on
+// the shard-imbalance stress shape (an unbalanced Gaussian mixture):
+// 4-shard k-NN must be bit-exact against the unsharded solve, and
+// 4-shard KDE within 2·n·τ of it, since each side may err by n·τ.
+func TestShardedClustered(t *testing.T) {
+	n := 10000
+	if testing.Short() {
+		n = 2000
+	}
+	const k, tau = 5, 1e-6
+	data := dataset.GenerateClustered(n, 3, 8, 1)
+	cfg := engine.Config{LeafSize: 32, Parallel: true, Workers: 4, Tau: tau}
+	shardCfg := cfg
+	shardCfg.Shards = 4
+
+	knn := problems.KNNSpec(data, data, k)
+	un, err := engine.Run("knn", knn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := engine.Run("knn", knn, shardCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLists(t, "clustered knn", un, sh, false, 0)
+
+	kde := problems.KDESpec(data, data, problems.SilvermanBandwidth(data))
+	if un, err = engine.Run("kde", kde, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if sh, err = engine.Run("kde", kde, shardCfg); err != nil {
+		t.Fatal(err)
+	}
+	budget := 2 * float64(n) * tau
+	for i := range un.Values {
+		if d := math.Abs(sh.Values[i] - un.Values[i]); d > budget {
+			t.Fatalf("kde query %d: |sharded - unsharded| = %g exceeds 2nτ = %g", i, d, budget)
+		}
 	}
 }

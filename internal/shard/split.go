@@ -16,7 +16,7 @@ import (
 // dimensions to interleave — and recursively splits the widest
 // dimension at the proportional-count point, so it balances any
 // input, including fully degenerate ones.
-func splitIndices(s *storage.Storage, k int, mode Mode) (groups [][]int, rt *router, splitter string) {
+func splitIndices(s *storage.Storage, k int) (groups [][]int, rt *router, splitter string) {
 	if k <= 1 {
 		idx := make([]int, s.Len())
 		for i := range idx {
@@ -24,10 +24,8 @@ func splitIndices(s *storage.Storage, k int, mode Mode) (groups [][]int, rt *rou
 		}
 		return [][]int{idx}, &router{kind: routeSingle}, "morton"
 	}
-	if mode != ModeORB {
-		if groups, rt, ok := splitMorton(s, k, mode == ModeMorton); ok {
-			return groups, rt, "morton"
-		}
+	if groups, rt, ok := splitMorton(s, k); ok {
+		return groups, rt, "morton"
 	}
 	groups, rt = splitORB(s, k)
 	return groups, rt, "orb"
@@ -129,10 +127,10 @@ func mortonCode(p []float64, box geom.Rect, bits uint) uint64 {
 }
 
 // splitMorton sorts indices by Morton code and cuts K equal-count
-// runs. Reports !ok (unless forced) when the data defeats the code
-// space — fewer distinct codes than shards — so ModeAuto can fall
-// back to ORB; a forced Morton split still returns its best cut.
-func splitMorton(s *storage.Storage, k int, force bool) ([][]int, *router, bool) {
+// runs. Reports !ok when the data defeats the code space — too many
+// dimensions to interleave, or fewer distinct codes than shards — so
+// splitIndices falls back to ORB.
+func splitMorton(s *storage.Storage, k int) ([][]int, *router, bool) {
 	n, d := s.Len(), s.Dim()
 	bits := mortonBits(d)
 	if bits == 0 {
@@ -157,16 +155,14 @@ func splitMorton(s *storage.Storage, k int, force bool) ([][]int, *router, bool)
 		}
 		return idx[a] < idx[b] // deterministic within equal codes
 	})
-	if !force {
-		distinct := 1
-		for i := 1; i < n && distinct < k; i++ {
-			if codes[idx[i]] != codes[idx[i-1]] {
-				distinct++
-			}
+	distinct := 1
+	for i := 1; i < n && distinct < k; i++ {
+		if codes[idx[i]] != codes[idx[i-1]] {
+			distinct++
 		}
-		if distinct < k {
-			return nil, nil, false
-		}
+	}
+	if distinct < k {
+		return nil, nil, false
 	}
 	groups := make([][]int, k)
 	cuts := make([]uint64, k-1)

@@ -60,7 +60,11 @@ import (
 // described them (list_build_spans, list_exec_spans, batch_sizes) and
 // the list-build / list-exec span names; the span invariant is traverse
 // spans == tasks_executed.
-const ReportSchemaVersion = 5
+//
+// Version 6: the boundary exchange ships every point it does not prune
+// and no longer summarises subtrees, so "sharding.per_shard" loses
+// imported_aggregates.
+const ReportSchemaVersion = 6
 
 // TraversalStats counts traversal events. Within one task the fields
 // are plain (single-writer); cross-task aggregation goes through
@@ -225,31 +229,28 @@ type ShardStats struct {
 	// BuildNS is the shard tree's construction wall time.
 	BuildNS int64 `json:"build_ns"`
 	// TraverseNS is the shard's traversal wall time (local run plus
-	// the locally-essential import run).
+	// the import run).
 	TraverseNS int64 `json:"traverse_ns"`
-	// ImportedPoints and ImportedAggregates count the boundary
-	// summary entries the shard imported from its peers: real points
-	// that joined the locally-essential tree, and pruned node
-	// aggregates (centroid+mass or bulk counts/ranges) applied
-	// without traversal.
-	ImportedPoints     int64 `json:"imported_points"`
-	ImportedAggregates int64 `json:"imported_aggregates"`
-	// ExchangeSummaryBytes is the summary volume the shard imported —
-	// this shard's share of the total communication metric.
+	// ImportedPoints counts the peers' points the boundary exchange
+	// shipped to the shard: every point of a subtree the export walk
+	// could not prune.
+	ImportedPoints int64 `json:"imported_points"`
+	// ExchangeSummaryBytes is the volume the shard imported — this
+	// shard's share of the total communication metric.
 	ExchangeSummaryBytes int64 `json:"exchange_summary_bytes"`
 }
 
 // ShardingStats describes one sharded execution: the domain split and
-// the boundary-exchange volume (the communication metric the
-// locally-essential-tree design exists to minimize).
+// the boundary-exchange volume (what a multi-process port would send
+// over the wire).
 type ShardingStats struct {
 	// Shards is the shard count K.
 	Shards int `json:"shards"`
 	// Splitter names the domain splitter that produced the partition
 	// ("morton" or "orb").
 	Splitter string `json:"splitter"`
-	// ExchangeSummaryBytes totals the boundary summaries exchanged
-	// across all shard pairs.
+	// ExchangeSummaryBytes totals the points shipped across all shard
+	// pairs, priced as (d+1)·8 bytes each.
 	ExchangeSummaryBytes int64 `json:"exchange_summary_bytes"`
 	// PerShard holds the per-shard breakdown, indexed by shard.
 	PerShard []ShardStats `json:"per_shard,omitempty"`
@@ -421,13 +422,12 @@ func (r *Report) String() string {
 		s += fmt.Sprintf("\n  compile cache: hits=%d misses=%d", c.Hits, c.Misses)
 	}
 	if sh := r.Sharding; sh != nil {
-		var imp, agg int64
+		var imp int64
 		for _, ps := range sh.PerShard {
 			imp += ps.ImportedPoints
-			agg += ps.ImportedAggregates
 		}
-		s += fmt.Sprintf("\n  sharding: K=%d splitter=%s exchange=%dB (imported points=%d aggregates=%d)",
-			sh.Shards, sh.Splitter, sh.ExchangeSummaryBytes, imp, agg)
+		s += fmt.Sprintf("\n  sharding: K=%d splitter=%s exchange=%dB (imported points=%d)",
+			sh.Shards, sh.Splitter, sh.ExchangeSummaryBytes, imp)
 	}
 	if r.Trace != nil {
 		s += "\n  " + strings.ReplaceAll(strings.TrimRight(r.Trace.String(), "\n"), "\n", "\n  ")

@@ -47,26 +47,10 @@ const (
 	// PhaseFinalize is the result-assembly phase (push-downs, output
 	// reordering).
 	PhaseFinalize
-	// PhaseShardBuild is a per-shard tree construction under the
-	// sharded execution tier: one span per shard tree (plus one per
-	// locally-essential import tree). Items is the shard's point
-	// count. Like PhaseBuild, these spans sit outside the
-	// spans-vs-tasks invariant.
-	PhaseShardBuild
-	// PhaseExchange is one shard's boundary-exchange import: the
-	// export walks over every peer shard's tree that collect the
-	// pruned summaries (points, aggregates, bulk ranges) the shard
-	// needs. Items is the number of imported summary entries.
-	PhaseExchange
-	// PhaseShardExec wraps one shard's traversal (local or import
-	// run) under the sharded execution tier. The traversal's own
-	// PhaseTraverse task spans nest inside it; the wrapper itself is
-	// outside the spans-vs-tasks invariant.
-	PhaseShardExec
 )
 
 // String returns the span name used in exports ("traverse", "build",
-// "finalize", "shard-build", "exchange", "shard-exec").
+// "finalize").
 func (p Phase) String() string {
 	switch p {
 	case PhaseTraverse:
@@ -75,12 +59,6 @@ func (p Phase) String() string {
 		return "build"
 	case PhaseFinalize:
 		return "finalize"
-	case PhaseShardBuild:
-		return "shard-build"
-	case PhaseExchange:
-		return "exchange"
-	case PhaseShardExec:
-		return "shard-exec"
 	}
 	return "unknown"
 }

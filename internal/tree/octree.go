@@ -4,16 +4,19 @@ import (
 	"portal/internal/storage"
 )
 
+// MaxOctDim is the highest dimensionality BuildOct accepts.
+const MaxOctDim = 6
+
 // BuildOct constructs an octree (2^d-way spatial subdivision at box
 // centers) over low-dimensional data — the tree the paper uses for the
 // Barnes-Hut validation (Section V-C, "octree for Barnes-Hut"). It
-// panics for d > 6 where 2^d fan-out stops making sense; kd-trees are
-// the right structure there. Construction shares the kd-tree's
-// parallel arena pipeline: subtree tasks through the workers-1
-// semaphore, fused octant-code/bbox scans, parallel gather and
-// aggregation.
+// panics for d > MaxOctDim where 2^d fan-out stops making sense;
+// kd-trees are the right structure there. Construction shares the
+// kd-tree's parallel arena pipeline: subtree tasks through the
+// workers-1 semaphore, fused octant-code/bbox scans, parallel gather
+// and aggregation.
 func BuildOct(s *storage.Storage, opts *Options) *Tree {
-	if s.Dim() > 6 {
+	if s.Dim() > MaxOctDim {
 		panic("tree: octree fan-out impractical beyond 6 dimensions; use BuildKD")
 	}
 	b := newBuilder(s, opts)
