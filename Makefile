@@ -32,6 +32,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzValidate -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/persist
+	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzQueryResponse -fuzztime 5s ./internal/serve/client
 
 # The traversal, engine, tree build, trace recorder, serving path,
 # snapshot persistence, and metrics core are where parallelism (and
@@ -53,7 +55,7 @@ bench-selftest:
 # set-up assertion stops holding: run each once (the 1e6-point tree
 # builds included: the whole target is a few seconds).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/fastmath ./internal/traverse ./internal/tree ./internal/persist ./internal/problems
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/fastmath ./internal/traverse ./internal/tree ./internal/persist ./internal/problems ./internal/serve ./internal/serve/client
 
 bench:
 	$(GO) test -bench=. -benchmem .

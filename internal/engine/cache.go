@@ -27,9 +27,11 @@ const DefaultCacheSize = 256
 // reduction length, the kernel (whose printed name embeds its
 // parameters, e.g. GAUSSIAN(sigma=…)), the storage layouts and
 // dimensionality the passes specialize for, the approximation
-// threshold, and the codegen options. Lowering itself always runs — it
-// is cheap, validates the spec, and produces the program the key
-// hashes.
+// threshold, and the codegen options. Compile always lowers the spec —
+// it validates the spec and produces the program the key hashes.
+// CompileShape skips even that for a shape it has seen: a caller that
+// builds its specs from a few fields names them, and a second index
+// maps those names to the same entries.
 //
 // A cached Problem is dataset-independent at execution time: ExecuteOn
 // reads point data only through the bound trees, and Plan.Spec's
@@ -40,7 +42,9 @@ const DefaultCacheSize = 256
 // Capacity is bounded: when full, inserting a new shape evicts the
 // least-recently-hit entry (LRU), so a churn of one-off shapes cannot
 // grow the cache past its cap. Evicted Problems stay valid for callers
-// already holding them — eviction only drops the cache's reference.
+// already holding them — eviction only drops the cache's reference. The
+// shape index holds at most maxShapesPerEntry names per entry and loses
+// an entry's names with it, so it is bounded by the same cap.
 //
 // All methods are safe for concurrent use. A compile race (two misses
 // on the same key) runs the compile twice and keeps the first entry —
@@ -48,16 +52,24 @@ const DefaultCacheSize = 256
 type Cache struct {
 	mu        sync.Mutex
 	m         map[string]*list.Element
-	order     *list.List // front = most recently used
+	shapes    map[string]*list.Element // CompileShape's names → entries of m
+	order     *list.List               // front = most recently used
 	cap       int
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 }
 
+// maxShapesPerEntry bounds the shape names one compiled problem
+// answers to. Distinct shapes that compile to one key are rare (a
+// parameter the kernel ignores); past the bound the oldest name is
+// forgotten and costs one lowering when it comes back.
+const maxShapesPerEntry = 4
+
 type cacheEntry struct {
-	key string
-	p   *Problem
+	key    string
+	p      *Problem
+	shapes []string
 }
 
 // NewCache returns an empty compiled-problem cache with the default
@@ -70,13 +82,43 @@ func NewCacheSize(size int) *Cache {
 	if size <= 0 {
 		size = DefaultCacheSize
 	}
-	return &Cache{m: make(map[string]*list.Element), order: list.New(), cap: size}
+	return &Cache{
+		m:      make(map[string]*list.Element),
+		shapes: make(map[string]*list.Element),
+		order:  list.New(),
+		cap:    size,
+	}
 }
 
 // Compile is the caching equivalent of engine.Compile: it returns the
 // compiled Problem for spec under cfg and whether it was served from
 // the cache.
 func (c *Cache) Compile(name string, spec *lang.PortalExpr, cfg Config) (*Problem, bool, error) {
+	return c.compile("", name, spec, cfg)
+}
+
+// CompileShape is Compile for a caller that names its spec: shape must
+// determine spec's compile key — equal shapes, equal specs and configs
+// up to the storages' contents — and spec builds the spec when the
+// shape is new. A shape seen before is a cache hit without lowering or
+// fingerprinting; it counts as one, and refreshes its entry in the LRU,
+// like any other hit.
+func (c *Cache) CompileShape(shape []byte, name string, spec func() *lang.PortalExpr, cfg Config) (*Problem, bool, error) {
+	c.mu.Lock()
+	if el := c.shapes[string(shape)]; el != nil {
+		c.order.MoveToFront(el)
+		p := el.Value.(*cacheEntry).p
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return p, true, nil
+	}
+	c.mu.Unlock()
+	return c.compile(string(shape), name, spec(), cfg)
+}
+
+// compile looks spec up by its compile key, compiling it on a miss, and
+// files shape (if any) under the entry it lands on.
+func (c *Cache) compile(shape, name string, spec *lang.PortalExpr, cfg Config) (*Problem, bool, error) {
 	plan, prog, err := lower.Lower(name, spec, lower.Options{Tau: cfg.Tau})
 	if err != nil {
 		return nil, false, err
@@ -85,6 +127,7 @@ func (c *Cache) Compile(name string, spec *lang.PortalExpr, cfg Config) (*Proble
 	c.mu.Lock()
 	if el := c.m[key]; el != nil {
 		c.order.MoveToFront(el)
+		c.addShape(el, shape)
 		p := el.Value.(*cacheEntry).p
 		c.mu.Unlock()
 		c.hits.Add(1)
@@ -97,20 +140,42 @@ func (c *Cache) Compile(name string, spec *lang.PortalExpr, cfg Config) (*Proble
 		return nil, false, err
 	}
 	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
+	el, ok := c.m[key]
+	if ok {
 		c.order.MoveToFront(el)
 		p = el.Value.(*cacheEntry).p
 	} else {
-		c.m[key] = c.order.PushFront(&cacheEntry{key: key, p: p})
+		el = c.order.PushFront(&cacheEntry{key: key, p: p})
+		c.m[key] = el
 		for c.order.Len() > c.cap {
 			oldest := c.order.Back()
 			c.order.Remove(oldest)
-			delete(c.m, oldest.Value.(*cacheEntry).key)
+			e := oldest.Value.(*cacheEntry)
+			delete(c.m, e.key)
+			for _, sh := range e.shapes {
+				delete(c.shapes, sh)
+			}
 			c.evictions.Add(1)
 		}
 	}
+	c.addShape(el, shape)
 	c.mu.Unlock()
 	return p, false, nil
+}
+
+// addShape files shape under el, forgetting el's oldest name past
+// maxShapesPerEntry. Callers hold c.mu.
+func (c *Cache) addShape(el *list.Element, shape string) {
+	if shape == "" || c.shapes[shape] != nil {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if len(e.shapes) == maxShapesPerEntry {
+		delete(c.shapes, e.shapes[0])
+		e.shapes = append(e.shapes[:0], e.shapes[1:]...)
+	}
+	e.shapes = append(e.shapes, shape)
+	c.shapes[shape] = el
 }
 
 // cacheKey serializes every input the post-lowering pipeline depends

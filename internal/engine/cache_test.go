@@ -184,3 +184,82 @@ func TestCacheSurvivesDatasetReplacement(t *testing.T) {
 	}
 	checkArgsEquivalent(t, specB, got, want)
 }
+
+// TestCacheCompileShape pins the shape memo: a new shape builds and
+// lowers its spec once; the same shape again is a hit that builds
+// nothing, counted like any hit and refreshing the same LRU entry; a
+// shape compiling to a key already cached (here through Compile) files
+// under that entry; and eviction drops the entry's shapes with it.
+func TestCacheCompileShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	data := randStorage(rng, 150, 3)
+	c := NewCacheSize(2)
+	cfg := Config{LeafSize: 16, Tau: 1e-3}
+	built := 0
+	compile := func(shape string, sigma float64) (*Problem, bool) {
+		t.Helper()
+		p, hit, err := c.CompileShape([]byte(shape), "kde", func() *lang.PortalExpr {
+			built++
+			return (&lang.PortalExpr{}).
+				AddLayer(lang.FORALL, data, nil).
+				AddLayer(lang.SUM, data, expr.NewGaussianKernel(sigma))
+		}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, hit
+	}
+
+	p1, hit := compile("a", 0.5)
+	if hit || built != 1 {
+		t.Fatalf("new shape: hit %v, %d specs built", hit, built)
+	}
+	p2, hit := compile("a", 0.5)
+	if !hit || built != 1 || p2 != p1 {
+		t.Fatalf("repeat shape: hit %v, %d specs built, same problem %v", hit, built, p2 == p1)
+	}
+	// Another name for the same compile key lowers once, then memo-hits.
+	if p, hit := compile("a2", 0.5); !hit || built != 2 || p != p1 {
+		t.Fatalf("second name: hit %v, %d specs built", hit, built)
+	}
+	if _, hit := compile("a2", 0.5); !hit || built != 2 {
+		t.Fatalf("second name again: hit %v, %d specs built", hit, built)
+	}
+	if got := c.Counters(); got.Hits != 3 || got.Misses != 1 {
+		t.Fatalf("counters = %+v, want hits=3 misses=1", got)
+	}
+
+	compile("b", 1.0) // cache: [b, a]
+	compile("a", 0.5) // a refreshed through its memo: [a, b]
+	compile("c", 2.0) // evicts b, the least recently used
+	if _, hit := compile("a", 0.5); !hit {
+		t.Fatal("memo hit did not refresh its entry in the LRU")
+	}
+	before := built
+	if _, hit := compile("b", 1.0); hit || built != before+1 {
+		t.Fatalf("evicted shape: hit %v, %d specs built, want a miss that builds", hit, built-before)
+	}
+	if n := len(c.shapes); n > maxShapesPerEntry*c.Cap() {
+		t.Fatalf("%d shape names for %d entries", n, c.Cap())
+	}
+}
+
+// A compiled problem answers to at most maxShapesPerEntry shape names:
+// more names for one key forget the oldest, so the memo stays bounded
+// by the cache's cap however many names arrive.
+func TestCacheShapeNamesBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	spec := selfJoinSpec(rng, 100, 3)
+	c := NewCacheSize(1)
+	for i := 0; i < 10*maxShapesPerEntry; i++ {
+		if _, _, err := c.CompileShape([]byte{byte(i)}, "nn", func() *lang.PortalExpr { return spec }, Config{LeafSize: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(c.shapes); n != maxShapesPerEntry {
+		t.Fatalf("%d shape names on one entry, want %d", n, maxShapesPerEntry)
+	}
+	if got := c.Counters(); got.Misses != 1 || got.Hits != 10*maxShapesPerEntry-1 {
+		t.Fatalf("counters = %+v", got)
+	}
+}

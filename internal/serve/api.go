@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"portal/internal/metrics"
+	"portal/internal/serve/wire"
 	"portal/internal/storage"
 )
 
@@ -149,8 +150,18 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	if err := buf.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody)); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: query body over %d bytes", maxQueryBody))
+			return
+		}
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad query: %w", err))
+		return
+	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeQueryRequest(buf.B, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad query: %w", err))
 		return
 	}
@@ -166,7 +177,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// As writeJSON: the status goes out first, and a response
+	// encoding/json would refuse leaves the body empty.
+	buf.B, err = appendQueryResponse(buf.B[:0], resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		w.Write(buf.B)
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

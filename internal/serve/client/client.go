@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"portal/internal/serve"
+	"portal/internal/serve/wire"
 )
 
 // DefaultTimeout is the per-call deadline applied when the caller's
@@ -55,48 +56,64 @@ func (c *Client) withDeadline(ctx context.Context) (context.Context, context.Can
 	return context.WithTimeout(ctx, c.timeout)
 }
 
-// doRaw performs one request and returns the raw response body of a
-// 2xx response (the /metrics scrape path, where the body is not JSON).
-func (c *Client) doRaw(ctx context.Context, method, path, contentType string, body io.Reader) ([]byte, error) {
+// roundTrip performs one request and hands the body of a 2xx response
+// to read (nil: discard it). The body is a pooled buffer that read must
+// not keep.
+func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, body io.Reader, read func(raw []byte) error) error {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if b, ok := body.(*wire.Buffer); ok {
+		req.ContentLength = int64(len(b.B))
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	if err := buf.ReadAll(resp.Body); err != nil {
+		return err
 	}
 	if resp.StatusCode/100 != 2 {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("%s %s: %s", method, path, e.Error)
+		if json.Unmarshal(buf.B, &e) == nil && e.Error != "" {
+			return fmt.Errorf("%s %s: %s", method, path, e.Error)
 		}
-		return nil, fmt.Errorf("%s %s: status %d", method, path, resp.StatusCode)
+		return fmt.Errorf("%s %s: status %d", method, path, resp.StatusCode)
 	}
-	return raw, nil
+	if read == nil {
+		return nil
+	}
+	return read(buf.B)
+}
+
+// doRaw performs one request and returns the raw response body of a
+// 2xx response (the /metrics scrape path, where the body is not JSON).
+func (c *Client) doRaw(ctx context.Context, method, path, contentType string, body io.Reader) ([]byte, error) {
+	var out []byte
+	err := c.roundTrip(ctx, method, path, contentType, body, func(raw []byte) error {
+		out = bytes.Clone(raw)
+		return nil
+	})
+	return out, err
 }
 
 func (c *Client) do(ctx context.Context, method, path, contentType string, body io.Reader, out any) error {
-	raw, err := c.doRaw(ctx, method, path, contentType, body)
-	if err != nil {
-		return err
+	var read func([]byte) error
+	if out != nil {
+		read = func(raw []byte) error { return json.Unmarshal(raw, out) }
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
+	return c.roundTrip(ctx, method, path, contentType, body, read)
 }
 
 // PutDatasetCSV uploads a dataset as CSV.
@@ -131,12 +148,18 @@ func (c *Client) Datasets(ctx context.Context) ([]serve.DatasetInfo, error) {
 
 // Query runs one query.
 func (c *Client) Query(ctx context.Context, req *serve.QueryRequest) (*serve.QueryResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
+	body := wire.GetBuffer()
+	var err error
+	if body.B, err = appendQueryRequest(body.B, req); err != nil {
+		body.Release()
 		return nil, err
 	}
+	// From here the transport owns body and releases it by closing it.
 	var resp serve.QueryResponse
-	if err := c.do(ctx, http.MethodPost, "/query", "application/json", bytes.NewReader(body), &resp); err != nil {
+	err = c.roundTrip(ctx, http.MethodPost, "/query", "application/json", body, func(raw []byte) error {
+		return decodeQueryResponse(raw, &resp)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &resp, nil

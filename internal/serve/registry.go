@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"portal/internal/problems"
 	"portal/internal/storage"
 	"portal/internal/tree"
 )
@@ -50,12 +51,24 @@ type Snapshot struct {
 	// BuildNS is the tree-build wall time recorded at publish.
 	BuildNS int64
 
+	// sigma is Silverman's bandwidth for Data, the KDE default,
+	// computed on first use.
+	sigmaOnce sync.Once
+	sigma     float64
+
 	// refs starts at 1 — the registry's head reference — and is
 	// CAS-incremented by Acquire only while still positive, so a
 	// handle can never resurrect a snapshot already being reclaimed.
 	refs     atomic.Int64
 	reclaim  func(*Snapshot)
 	released atomic.Bool
+}
+
+// silverman returns problems.SilvermanBandwidth(s.Data), computed once
+// per snapshot.
+func (s *Snapshot) silverman() float64 {
+	s.sigmaOnce.Do(func() { s.sigma = problems.SilvermanBandwidth(s.Data) })
+	return s.sigma
 }
 
 // Refs reports the current reference count (the registry head counts

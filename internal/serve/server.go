@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -591,30 +593,27 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		cfg.Trace = rec
 	}
 
-	var spec *lang.PortalExpr
-	name := req.Problem
+	sh := shape{problem: req.Problem, selfJoin: selfJoin,
+		qDim: qd.Dim(), qLayout: qd.Layout(), rDim: snap.Data.Dim(), rLayout: snap.Data.Layout()}
 	switch req.Problem {
 	case "knn":
-		k := req.K
-		if k <= 0 {
-			k = 1
-		}
-		spec = problems.KNNSpec(qd, snap.Data, k)
+		// A k-list over n references never holds more than n, so k past
+		// n changes nothing but the size of the lists allocated.
+		sh.k = max(min(req.K, snap.Data.Len()), 1)
 	case "kde":
-		sigma := req.Sigma
-		if sigma <= 0 {
-			sigma = problems.SilvermanBandwidth(snap.Data)
+		sh.sigma = req.Sigma
+		if sh.sigma <= 0 {
+			sh.sigma = snap.silverman()
 		}
-		cfg.Tau = req.Tau
-		if cfg.Tau <= 0 {
-			cfg.Tau = 1e-3
+		sh.tau = req.Tau
+		if sh.tau <= 0 {
+			sh.tau = 1e-3
 		}
-		spec = problems.KDESpec(qd, snap.Data, sigma)
 	case "rangesearch":
 		if req.Hi <= req.Lo {
 			return nil, fmt.Errorf("serve: rangesearch needs lo < hi (got %g, %g)", req.Lo, req.Hi)
 		}
-		spec = problems.RangeSearchSpec(qd, snap.Data, req.Lo, req.Hi)
+		sh.lo, sh.hi = req.Lo, req.Hi
 	case "2pc":
 		if !selfJoin {
 			return nil, fmt.Errorf("serve: 2pc is a self-join; it takes no query points")
@@ -622,12 +621,15 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		if req.Radius <= 0 {
 			return nil, fmt.Errorf("serve: 2pc needs radius > 0")
 		}
-		spec = problems.TwoPointSpec(snap.Data, req.Radius)
+		sh.radius = req.Radius
 	default:
 		return nil, fmt.Errorf("serve: unknown problem %q (want knn, kde, rangesearch, or 2pc)", req.Problem)
 	}
+	cfg.Tau = sh.tau
 
-	prob, hit, err := s.cache.Compile(name, spec, cfg)
+	var key [shapeKeyLen]byte
+	prob, hit, err := s.cache.CompileShape(sh.appendKey(key[:0]), req.Problem,
+		func() *lang.PortalExpr { return sh.spec(qd, snap.Data) }, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -642,6 +644,56 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 	}, nil
 }
 
+// shape is everything prepare builds a query's spec and compile config
+// from, with the defaults resolved; the fields a problem does not use
+// stay zero. Its key is exact for the compile cache by construction:
+// spec is a function of the shape and of the two storages, and what
+// the compiled code reads of those (dimension, layout, whether they
+// are one storage) is in the shape too.
+type shape struct {
+	problem                    string
+	k                          int
+	sigma, tau, lo, hi, radius float64
+	selfJoin                   bool
+	qDim, rDim                 int
+	qLayout, rLayout           storage.Layout
+}
+
+// shapeKeyLen holds any shape key of a known problem on the stack.
+const shapeKeyLen = 96
+
+// appendKey appends the shape's memo key for engine.Cache.CompileShape.
+func (sh *shape) appendKey(b []byte) []byte {
+	b = append(b, sh.problem...)
+	b = append(b, 0)
+	for _, v := range [...]uint64{
+		uint64(sh.k),
+		math.Float64bits(sh.sigma), math.Float64bits(sh.tau),
+		math.Float64bits(sh.lo), math.Float64bits(sh.hi), math.Float64bits(sh.radius),
+		uint64(sh.qDim), uint64(sh.qLayout), uint64(sh.rDim), uint64(sh.rLayout),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	if sh.selfJoin {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// spec builds the shape's spec over query points q and references r.
+func (sh *shape) spec(q, r *storage.Storage) *lang.PortalExpr {
+	switch sh.problem {
+	case "knn":
+		return problems.KNNSpec(q, r, sh.k)
+	case "kde":
+		return problems.KDESpec(q, r, sh.sigma)
+	case "rangesearch":
+		return problems.RangeSearchSpec(q, r, sh.lo, sh.hi)
+	default: // "2pc"
+		return problems.TwoPointSpec(r, sh.radius)
+	}
+}
+
 // respond assembles the wire response from a completed query.
 func (s *Server) respond(req *QueryRequest, p *pending) *QueryResponse {
 	out := p.out
@@ -653,9 +705,14 @@ func (s *Server) respond(req *QueryRequest, p *pending) *QueryResponse {
 	}
 	switch req.Problem {
 	case "knn":
-		if req.K <= 1 {
+		switch {
+		case req.K <= 1:
 			resp.Args, resp.Values = out.Args, out.Values
-		} else {
+		case out.ArgLists == nil:
+			// k clamped to a one-point dataset ran as a 1-NN; the
+			// response keeps the shape the request asked for.
+			resp.ArgLists, resp.ValueLists = oneEntryLists(out.Args, out.Values)
+		default:
 			resp.ArgLists, resp.ValueLists = out.ArgLists, out.ValueLists
 		}
 	case "kde":
@@ -672,4 +729,19 @@ func (s *Server) respond(req *QueryRequest, p *pending) *QueryResponse {
 		resp.Report = out.Report
 	}
 	return resp
+}
+
+// oneEntryLists turns a 1-NN result into the k-lists a k-NN run over a
+// single reference returns: one entry per query, none where nothing
+// was found (arg -1).
+func oneEntryLists(args []int, vals []float64) ([][]int, [][]float64) {
+	argLists, valLists := make([][]int, len(args)), make([][]float64, len(args))
+	for i, a := range args {
+		m := 0
+		if a >= 0 {
+			m = 1
+		}
+		argLists[i], valLists[i] = args[i:i+m:i+m], vals[i:i+m:i+m]
+	}
+	return argLists, valLists
 }

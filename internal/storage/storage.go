@@ -80,6 +80,9 @@ func FromRows(rows [][]float64) (*Storage, error) {
 		return nil, errors.New("storage: no rows")
 	}
 	d := len(rows[0])
+	if d == 0 {
+		return nil, errors.New("storage: rows have no coordinates")
+	}
 	s := New(len(rows), d)
 	for i, r := range rows {
 		if len(r) != d {

@@ -45,6 +45,9 @@ func TestFromRowsErrors(t *testing.T) {
 	if _, err := FromRows([][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("ragged rows should error")
 	}
+	if _, err := FromRows([][]float64{{}, {}}); err == nil {
+		t.Error("zero-dimensional rows should error")
+	}
 }
 
 func TestMustFromRowsPanics(t *testing.T) {
