@@ -230,7 +230,8 @@ func (r *Run) update(qi, ri int, v float64) {
 			r.Arg[qi] = ri
 		}
 	case lang.KMIN, lang.KMAX, lang.KARGMIN, lang.KARGMAX:
-		r.KLists[qi].Insert(v, ri)
+		kl := r.kl(qi)
+		kl.Insert(v, ri)
 	case lang.UNION:
 		r.IdxLists[qi] = append(r.IdxLists[qi], ri)
 		r.ValLists[qi] = append(r.ValLists[qi], v)

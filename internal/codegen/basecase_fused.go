@@ -29,7 +29,7 @@ import (
 //     register across the reference loop (SUM adds into a local and
 //     writes Val[qi] once per row tile; MIN/ARGMIN track a local best
 //     with a single write-back; k-lists keep the admission threshold
-//     in a register and only call Insert on admission).
+//     in a register and only shift the list on admission).
 //
 // The reference loop is additionally tiled into fusedTileR-point
 // blocks (loop order: tile → query → reference) so the reference-side
@@ -61,7 +61,7 @@ import (
 // differential tests (see DESIGN §9 for the tolerance policy).
 
 // fusedFn executes one leaf pair through a fused loop. Implementations
-// read all per-fork state (Val, Arg, KLists, scratch buffers) from the
+// read all per-fork state (Val, Arg, the k-list slabs, scratch buffers) from the
 // *Run argument so the same fusedFn value is safe to share across
 // Fork clones.
 type fusedFn func(r *Run, qb, qe int, rn *tree.Node)
@@ -657,7 +657,6 @@ func fusedArgMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tre
 }
 
 func fusedKMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
-	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
@@ -665,12 +664,11 @@ func fusedKMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.
 		}
 		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
-			kl := kls[qi]
+			kl := r.kl(qi)
 			worst := kl.Worst()
 			for ri := rb; ri < re; ri++ {
 				if v := k.eval(p.d2(ri)); v < worst {
-					kl.Insert(v, ri)
-					worst = kl.Worst()
+					worst = kl.push(v, ri)
 				}
 			}
 		}
@@ -678,7 +676,6 @@ func fusedKMin[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.
 }
 
 func fusedKMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.Node) {
-	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := rb + fusedTileR
 		if re > rn.End {
@@ -686,12 +683,11 @@ func fusedKMax[P pairSrc[P], K d2Kernel](r *Run, p P, k K, qb, qe int, rn *tree.
 		}
 		for qi := qb; qi < qe; qi++ {
 			p = p.setQ(qi)
-			kl := kls[qi]
+			kl := r.kl(qi)
 			worst := kl.Worst()
 			for ri := rb; ri < re; ri++ {
 				if v := k.eval(p.d2(ri)); v > worst {
-					kl.Insert(v, ri)
-					worst = kl.Worst()
+					worst = kl.push(v, ri)
 				}
 			}
 		}

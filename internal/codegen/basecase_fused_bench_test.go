@@ -228,7 +228,8 @@ func BenchmarkPointGateLeaf(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if survivor >= 0 { // an unfilled k-list again: the sweep admits its five every time
-							run.KLists[survivor].Reset()
+							kl := run.kl(survivor)
+							kl.Reset()
 							run.PointBound[survivor] = math.Inf(1)
 						}
 						run.BaseCase(qn, rn)

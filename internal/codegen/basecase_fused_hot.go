@@ -362,25 +362,25 @@ func hotSumIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 // ---- KNN: KMIN/KARGMIN over the raw squared distance ----
 //
 // The admission threshold (the k-th best value so far) stays in a
-// register; KList.Insert — the only call left in the loop — runs only
-// on admission, which is rare once the list warms up.
+// register, the list is a view of the run's slabs on the stack, and the
+// tail shift (KList.push, no Admissible re-check: the compare before it
+// is that check) runs only on admission, which is rare once the list
+// warms up.
 
 func hotKMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
-	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
 		for qi := qb; qi < qe; qi++ {
 			a0 := q0[qi]
-			kl := kls[qi]
+			kl := r.kl(qi)
 			worst := kl.Worst()
 			for j, v0 := range r0 {
 				d0 := a0 - v0
 				if v := d0 * d0; v < worst {
-					kl.Insert(v, rb+j)
-					worst = kl.Worst()
+					worst = kl.push(v, rb+j)
 				}
 			}
 		}
@@ -391,20 +391,18 @@ func hotKMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
-	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
 		for qi := qb; qi < qe; qi++ {
 			a0, a1 := q0[qi], q1[qi]
-			kl := kls[qi]
+			kl := r.kl(qi)
 			worst := kl.Worst()
 			for j, v0 := range r0 {
 				d0 := a0 - v0
 				d1 := a1 - r1[j]
 				if v := d0*d0 + d1*d1; v < worst {
-					kl.Insert(v, rb+j)
-					worst = kl.Worst()
+					worst = kl.push(v, rb+j)
 				}
 			}
 		}
@@ -415,21 +413,19 @@ func hotKMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
-	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
 		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
-			kl := kls[qi]
+			kl := r.kl(qi)
 			worst := kl.Worst()
 			for j, v0 := range r0 {
 				d0 := a0 - v0
 				d1 := a1 - r1[j]
 				d2 := a2 - r2[j]
 				if v := d0*d0 + d1*d1 + d2*d2; v < worst {
-					kl.Insert(v, rb+j)
-					worst = kl.Worst()
+					worst = kl.push(v, rb+j)
 				}
 			}
 		}
@@ -440,13 +436,12 @@ func hotKMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
-	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
 		for qi := qb; qi < qe; qi++ {
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
-			kl := kls[qi]
+			kl := r.kl(qi)
 			worst := kl.Worst()
 			for j, v0 := range r0 {
 				d0 := a0 - v0
@@ -454,8 +449,7 @@ func hotKMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 				d2 := a2 - r2[j]
 				d3 := a3 - r3[j]
 				if v := (d0*d0 + d1*d1) + (d2*d2 + d3*d3); v < worst {
-					kl.Insert(v, rb+j)
-					worst = kl.Worst()
+					worst = kl.push(v, rb+j)
 				}
 			}
 		}
@@ -464,17 +458,15 @@ func hotKMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 
 func hotKMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
-	kls := r.KLists
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
-			kl := kls[qi]
+			kl := r.kl(qi)
 			worst := kl.Worst()
 			for ri := rb; ri < re; ri++ {
 				if v := fastmath.Hypot2(q, rd.Row(ri)); v < worst {
-					kl.Insert(v, ri)
-					worst = kl.Worst()
+					worst = kl.push(v, ri)
 				}
 			}
 		}

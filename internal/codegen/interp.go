@@ -90,8 +90,8 @@ func (e *interpEnv) execStmt(s ir.Stmt) {
 	case ir.Return:
 		// BaseCase IR has no early returns in this dialect.
 	case ir.KInsert:
-		q := e.ints["q"]
-		e.run.KLists[q].Insert(e.eval(n.Value), int(e.eval(n.Index)))
+		kl := e.run.kl(e.ints["q"])
+		kl.Insert(e.eval(n.Value), int(e.eval(n.Index)))
 	case ir.Append:
 		q := e.ints["q"]
 		ri := int(e.eval(n.Index))
@@ -156,11 +156,9 @@ func (e *interpEnv) eval(x ir.Expr) float64 {
 	case ir.Prop:
 		return e.prop(string(n))
 	case ir.Index:
-		if n.Arr == "storage1" && e.run.KLists != nil {
+		if n.Arr == "storage1" && e.run.kVals != nil {
 			// storage1[k-1]: the k-list admission threshold.
-			kl := e.run.KLists[e.ints["q"]]
-			idx := int(e.eval(n.Idx))
-			return kl.Vals[idx]
+			return e.run.kl(e.ints["q"]).Vals[int(e.eval(n.Idx))]
 		}
 		panic(fmt.Sprintf("codegen: interpreter cannot read array %q", n.Arr))
 	case ir.Load2:

@@ -12,6 +12,10 @@ import "math"
 // For min-side filters the list is ascending and Worst() is the k-th
 // smallest value seen; for max-side filters it is descending and
 // Worst() is the k-th largest.
+//
+// A Run keeps no KList per query point: its lists live in two
+// query-major slabs (Run.kVals, Run.kArgs) and r.kl(i) builds point i's
+// list as a stack value over them. NewKList makes a standalone one.
 type KList struct {
 	// Vals holds the current best k values, sorted best-first.
 	Vals []float64
@@ -23,19 +27,10 @@ type KList struct {
 
 // NewKList returns a list of capacity k primed with the operator's
 // identity values (+Inf for min-side, -Inf for max-side).
-func NewKList(k int, maxSide bool) *KList { return &newKLists(1, k, maxSide)[0] }
-
-// newKLists returns n primed lists carved out of one value slab and
-// one argument slab (capacity-limited sub-slices): three allocations
-// for a whole query set instead of three per query point.
-func newKLists(n, k int, maxSide bool) []KList {
-	vals, args := make([]float64, n*k), make([]int, n*k)
-	lists := make([]KList, n)
-	for i := range lists {
-		lists[i] = KList{Vals: vals[i*k : (i+1)*k : (i+1)*k], Args: args[i*k : (i+1)*k : (i+1)*k], maxSide: maxSide}
-		lists[i].Reset()
-	}
-	return lists
+func NewKList(k int, maxSide bool) *KList {
+	l := &KList{Vals: make([]float64, k), Args: make([]int, k), maxSide: maxSide}
+	l.Reset()
+	return l
 }
 
 // K returns the list capacity.
@@ -55,38 +50,37 @@ func (l *KList) Admissible(v float64) bool {
 
 // Insert adds (v, arg) if admissible, keeping the list sorted. It
 // returns true when the list changed.
-//
-// The slot is found by binary search (upper bound: the first index
-// whose value v beats), then the tail shifts with two copy calls —
-// O(log k) comparisons instead of the old linear scan's O(k), which
-// matters once k reaches the tens (see BenchmarkKListInsert). Ties
-// resolve identically to the linear scan: v lands after equal values,
-// so earlier arguments keep priority.
 func (l *KList) Insert(v float64, arg int) bool {
 	if !l.Admissible(v) {
 		return false
 	}
-	lo, hi := 0, len(l.Vals)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if l.better(v, l.Vals[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	copy(l.Vals[lo+1:], l.Vals[lo:])
-	copy(l.Args[lo+1:], l.Args[lo:])
-	l.Vals[lo] = v
-	l.Args[lo] = arg
+	l.push(v, arg)
 	return true
 }
 
-func (l *KList) better(a, b float64) bool {
+// push inserts (v, arg), which the caller has checked is admissible,
+// and returns the new Worst. It is the one shift of the list: from the
+// tail, one slot at a time while v beats the value before it. An
+// admission moves a few elements on average, which this loop does with
+// no call and no unpredictable search branch; the side is tested once,
+// outside it, so at k = 64 it still keeps pace with a binary search
+// plus two copy calls (BenchmarkKListInsert). The strict compare lands
+// v after equal values, so earlier arguments keep priority — the
+// upper-bound slot.
+func (l *KList) push(v float64, arg int) float64 {
+	vals, args := l.Vals, l.Args[:len(l.Vals)]
+	i := len(vals) - 1
 	if l.maxSide {
-		return a > b
+		for ; i > 0 && v > vals[i-1]; i-- {
+			vals[i], args[i] = vals[i-1], args[i-1]
+		}
+	} else {
+		for ; i > 0 && v < vals[i-1]; i-- {
+			vals[i], args[i] = vals[i-1], args[i-1]
+		}
 	}
-	return a < b
+	vals[i], args[i] = v, arg
+	return vals[len(vals)-1]
 }
 
 // Reset restores the identity state without reallocating.
@@ -101,26 +95,36 @@ func (l *KList) Reset() {
 	}
 }
 
+// kl is query position i's k-list: a view of its k slots in the run's
+// slabs. The slices are capacity-limited, so nothing written through
+// the view reaches a neighbour's slots.
+func (r *Run) kl(i int) KList {
+	b, e := i*r.k, (i+1)*r.k
+	return KList{Vals: r.kVals[b:e:e], Args: r.kArgs[b:e:e], maxSide: r.Ex.maxSide}
+}
+
 // finalizeKLists turns the run's own k-list slabs into the per-query
 // outputs, in original query order: each list is compacted in place
 // over its unfilled slots (Arg -1: never filled, or seeded by
 // SeedBounds; the write index never passes the read index) with
 // reference positions mapped back to original indices, and handed out
 // as a capacity-limited sub-slice, so appending to one query's list
-// cannot reach its neighbour's.
+// cannot reach its neighbour's. It slices the slabs itself rather than
+// through kl(pos): a KList is seven words, too large for the compiler
+// to keep in registers, and a view per query doubled this loop's time.
 func (r *Run) finalizeKLists() ([][]int, [][]float64) {
-	n, rIdx := len(r.KLists), r.R.Index
+	n, k, rIdx := r.Q.Len(), r.k, r.R.Index
 	argLists, valLists := make([][]int, n), make([][]float64, n)
-	for pos := range r.KLists {
-		kl, m := &r.KLists[pos], 0
-		for j, a := range kl.Args {
+	for pos, orig := range r.Q.Index[:n] {
+		b, e := pos*k, (pos+1)*k
+		args, vals, m := r.kArgs[b:e:e], r.kVals[b:e:e], 0
+		for j, a := range args {
 			if a >= 0 {
-				kl.Args[m], kl.Vals[m] = rIdx[a], kl.Vals[j]
+				args[m], vals[m] = rIdx[a], vals[j]
 				m++
 			}
 		}
-		orig := r.Q.Index[pos]
-		argLists[orig], valLists[orig] = kl.Args[:m:m], kl.Vals[:m:m]
+		argLists[orig], valLists[orig] = args[:m:m], vals[:m:m]
 	}
 	return argLists, valLists
 }

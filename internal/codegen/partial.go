@@ -81,9 +81,7 @@ func (r *Run) SeedBounds(local *Run) {
 	copy(r.NodeBound, local.NodeBound)
 	copy(r.PointBound, local.PointBound)
 	copy(r.Val, local.Val)
-	for i := range r.KLists {
-		copy(r.KLists[i].Vals, local.KLists[i].Vals)
-	}
+	copy(r.kVals, local.kVals)
 }
 
 // MaxSide reports whether the compiled reduction chases maxima — the

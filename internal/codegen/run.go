@@ -61,14 +61,19 @@ type Run struct {
 	// Per-query state, indexed by reordered query position.
 	Val      []float64
 	Arg      []int
-	KLists   []KList
 	IdxLists [][]int
 	ValLists [][]float64
+	// The k-lists (K* operators): position i's k values and reference
+	// positions are kVals / kArgs[i*k : (i+1)*k], read and written
+	// through the view kl(i).
+	kVals []float64
+	kArgs []int
+	k     int
 
 	// PointBound holds every query position's admission threshold (the
 	// current best for single reductions, the k-th best for k-lists) for
 	// bound-rule problems, nil otherwise: the flat array the point gate
-	// and updateLeafBound read instead of chasing KLists[i].Vals[k-1].
+	// and updateLeafBound read instead of kVals[i*k+k-1].
 	// BaseCase refreshes a slot whenever that point was swept.
 	PointBound []float64
 	// gate is the rule family BaseCase re-applies at each query point
@@ -164,7 +169,11 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 			}
 		}
 	case lang.KMIN, lang.KMAX, lang.KARGMIN, lang.KARGMAX:
-		run.KLists = newKLists(n, ex.Plan.K, ex.maxSide)
+		run.k = ex.Plan.K
+		run.kVals, run.kArgs = make([]float64, n*run.k), make([]int, n*run.k)
+		// One Reset over the whole slabs primes every query's list.
+		all := KList{Vals: run.kVals, Args: run.kArgs, maxSide: ex.maxSide}
+		all.Reset()
 	case lang.UNION, lang.UNIONARG:
 		run.IdxLists = make([][]int, n)
 		if ex.Plan.InnerOp == lang.UNION {
@@ -450,8 +459,8 @@ func (r *Run) updateLeafBound(qn *tree.Node) {
 // pointBound reads position i's admission threshold from the operator
 // state (PointBound caches it).
 func (r *Run) pointBound(i int) float64 {
-	if r.KLists != nil {
-		return r.KLists[i].Worst()
+	if r.kVals != nil {
+		return r.kVals[i*r.k+r.k-1]
 	}
 	return r.Val[i]
 }
@@ -535,7 +544,7 @@ func (r *Run) perQuery() *Partial {
 				p.Args[orig] = -1
 			}
 		}
-	case r.KLists != nil:
+	case r.kVals != nil:
 		p.ArgLists, p.ValueLists = r.finalizeKLists()
 	case r.IdxLists != nil:
 		// Most queries of a range search match nothing (rs-build: 458 ids

@@ -99,25 +99,45 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxDatasetBody caps a PUT /datasets/{name} body, CSV or JSON rows. A
+// declared Content-Length past it is refused with 413 before any of the
+// body is read; any other body is read through http.MaxBytesReader and
+// refused with 413 once it passes the cap. 1 GiB is tens of millions of
+// low-dimensional points, more than one tree build should hold a worker.
+const maxDatasetBody = 1 << 30
+
 func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: empty dataset name"))
 		return
 	}
+	tooBig := fmt.Errorf("serve: dataset body over %d bytes", maxDatasetBody)
+	if r.ContentLength > maxDatasetBody {
+		writeError(w, http.StatusRequestEntityTooLarge, tooBig)
+		return
+	}
+	body := http.MaxBytesReader(w, r.Body, maxDatasetBody)
 	var data *storage.Storage
 	var err error
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var rows [][]float64
-		if err := json.NewDecoder(r.Body).Decode(&rows); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad JSON rows: %w", err))
-			return
+		if err = json.NewDecoder(body).Decode(&rows); err != nil {
+			err = fmt.Errorf("serve: bad JSON rows: %w", err)
+		} else {
+			data, err = storage.FromRows(rows)
 		}
-		data, err = storage.FromRows(rows)
 	} else {
-		data, err = storage.ReadCSV(r.Body)
+		data, err = storage.ReadCSV(body)
 	}
 	if err != nil {
+		// A parser may fail on the line the cap cut short before it sees
+		// the read error; the reader keeps that error for the next Read.
+		var over *http.MaxBytesError
+		if _, rerr := body.Read(nil); errors.As(rerr, &over) {
+			writeError(w, http.StatusRequestEntityTooLarge, tooBig)
+			return
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

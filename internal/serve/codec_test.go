@@ -193,6 +193,51 @@ func TestQueryBodyCap(t *testing.T) {
 	}
 }
 
+// A dataset upload that declares a Content-Length past maxDatasetBody is
+// refused with 413 without a byte of it read; an ordinary upload, CSV or
+// JSON rows, still lands.
+func TestDatasetBodyCap(t *testing.T) {
+	s := newTestServer(t, Config{LeafSize: 8, Workers: 1})
+	h := s.Handler()
+
+	body := &countingReader{r: strings.NewReader("1,2,3\n4,5,6\n")}
+	req := httptest.NewRequest("PUT", "/datasets/big", body)
+	req.ContentLength = maxDatasetBody + 1
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "dataset body over") || body.n != 0 {
+		t.Fatalf("declared cap+1: %d %s after reading %d bytes, want 413 before any", rec.Code, rec.Body.String(), body.n)
+	}
+	if ds := s.Stats(true).Datasets; len(ds) != 0 {
+		t.Fatalf("a refused upload published %v", ds)
+	}
+
+	for _, c := range []struct{ name, ctype, body string }{
+		{"csv", "text/csv", "1,2,3\n4,5,6\n7,8,9\n"},
+		{"rows", "application/json", "[[1,2,3],[4,5,6],[7,8,9]]"},
+	} {
+		req := httptest.NewRequest("PUT", "/datasets/"+c.name, strings.NewReader(c.body))
+		req.Header.Set("Content-Type", c.ctype)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"n":3`) {
+			t.Fatalf("%s upload: %d %s, want 200 with 3 points", c.name, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += k
+	return k, err
+}
+
 // repeatReader yields s n times.
 type repeatReader struct {
 	s   string
