@@ -3,22 +3,94 @@ package codegen
 import (
 	"math/bits"
 
+	"portal/internal/expr"
 	"portal/internal/fastmath"
+	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/storage"
 	"portal/internal/tree"
 )
 
 // This file holds the base case's entry: the point gate, and the
-// dispatcher that hands the points it leaves to one of three loops —
-// the fused operator-specialized loops of basecase_fused.go (every
-// Euclidean-family kernel: the Go analogue of the paper's
-// auto-vectorized BaseCase, Section IV-F), genericBaseCase below (any
-// other metric, Mahalanobis), or the IR interpreter of interp.go, which
-// is the differential-testing oracle for the other two.
+// dispatcher that hands the points it leaves to one of three loops — a
+// hot loop of basecase_fused_hot.go (the paper's KNN/NN/KDE/2PC/RS
+// shapes over either default layout: the Go analogue of its specialized,
+// auto-vectorized BaseCase, Section IV-F), the per-pair loop
+// pairBaseCase below (every other kernel × operator × layout), or, under
+// ForceInterp, the IR interpreter of interp.go, which is the
+// differential-testing oracle for the other two.
 
 // gateChunk is how many query positions one survivor mask covers.
 const gateChunk = 64
+
+// fusedFn executes one leaf pair through a hot loop. Implementations
+// read all per-fork state (Val, Arg, the k-list slabs, IdxLists) from
+// the *Run argument so the same fusedFn value is safe to share across
+// Fork clones.
+type fusedFn func(r *Run, qb, qe int, rn *tree.Node)
+
+// fusedTileR is the hot loops' reference tile: 256 points is 2 KiB per
+// column (so all four columns of a d=4 leaf fit comfortably in L1
+// alongside the query row) and one-to-four cache-resident rows' worth
+// of row-major data per query sweep. Every query point of the leaf
+// sweeps a tile before the next one loads, with its accumulator in a
+// register and one Val/Arg/list write-back per (query, tile).
+const fusedTileR = 256
+
+// fusedKind classifies the compiled kernel body for the hot loops;
+// assigned once at Compile time by classifyFused.
+type fusedKind int
+
+const (
+	// fuseNone: no hot loop for any operator or layout (ForceInterp,
+	// ExactMath bodies, non-Gaussian bodies, non-Euclidean metrics,
+	// Mahalanobis); base cases run the per-pair loop or the interpreter.
+	fuseNone fusedKind = iota
+	// fuseIdent: the kernel value IS the squared distance.
+	fuseIdent
+	// fuseGauss: exp(c·d²) via ExpFast, c in Executable.fuseC.
+	fuseGauss
+	// fuseWindow: strict indicator window compared against the
+	// compiled squared thresholds winLo2/winHi2.
+	fuseWindow
+)
+
+// classifyFused assigns the fusion class of the compiled kernel. Runs
+// after compileDecide so the window threshold fields are populated.
+func (ex *Executable) classifyFused() {
+	ex.fuseKind = fuseNone
+	k := ex.Plan.DistKernel
+	switch {
+	case ex.Opts.ForceInterp || k == nil:
+	case ex.hasWindow:
+		ex.fuseKind = fuseWindow
+	case k.Metric != geom.SqEuclidean:
+	case k.Body == nil:
+		ex.fuseKind = fuseIdent
+	case !ex.Opts.ExactMath:
+		if e, ok := k.Body.(expr.Exp); ok {
+			if c, ok := gaussianCoeff(e.E); ok {
+				ex.fuseKind, ex.fuseC = fuseGauss, c
+			}
+		}
+	}
+}
+
+// selectFused picks the hot loop for the bound tree pair, or nil when
+// the combination has none and sweep runs the per-pair loop. Called
+// once per Bind; the closure is shared by all forks.
+func (ex *Executable) selectFused(qd, rd *storage.Storage) fusedFn {
+	op := ex.Plan.InnerOp
+	switch ex.fuseKind {
+	case fuseIdent:
+		return selectIdentHot(op, qd, rd)
+	case fuseGauss:
+		return selectGaussHot(op, qd, rd, ex.fuseC)
+	case fuseWindow:
+		return selectWindowHot(op, qd, rd, ex.winLo2, ex.winHi2)
+	}
+	return nil
+}
 
 // BaseCase performs the direct point-to-point computation for a leaf
 // pair (Algorithm 1, line 4) behind the point gate (DESIGN §9.1): the
@@ -173,22 +245,33 @@ func (r *Run) sweep(qb, qe int, rn *tree.Node) {
 	case r.fused != nil:
 		r.fused(r, qb, qe, rn)
 	default:
-		r.genericBaseCase(qb, qe, rn)
+		r.pairBaseCase(qb, qe, rn)
 	}
 }
 
-// genericBaseCase handles non-Euclidean metrics and Mahalanobis
-// kernels through the point-pair evaluators.
-func (r *Run) genericBaseCase(qb, qe int, rn *tree.Node) {
-	qd := r.Q.Data
-	rd := r.R.Data
+// pairBaseCase is the per-pair loop: one kernel value per point pair,
+// handed to update. Euclidean-family kernels evaluate evalD2 over
+// Hypot2 of the two points' copies — whose lanes give the d² bits the
+// hot loops' written-out sums give for d ≤ 4 — so comparative, window
+// and list answers match a hot loop's bit for bit, ties included; other
+// metrics and Mahalanobis kernels evaluate the distance their own way.
+func (r *Run) pairBaseCase(qb, qe int, rn *tree.Node) {
+	qd, rd := r.Q.Data, r.R.Data
+	if f := r.evalD2; f != nil {
+		for qi := qb; qi < qe; qi++ {
+			q := qd.Point(qi, r.qbuf)
+			for ri := rn.Begin; ri < rn.End; ri++ {
+				r.update(qi, ri, f(fastmath.Hypot2(q, rd.Point(ri, r.rbuf))))
+			}
+		}
+		return
+	}
 	body := r.Ex.bodyFnOrIdentity()
 	if r.mahal != nil {
 		for qi := qb; qi < qe; qi++ {
 			q := qd.Point(qi, r.qbuf)
 			for ri := rn.Begin; ri < rn.End; ri++ {
-				p := rd.Point(ri, r.rbuf)
-				r.update(qi, ri, body(r.mahal.PairDist2(q, p)))
+				r.update(qi, ri, body(r.mahal.PairDist2(q, rd.Point(ri, r.rbuf))))
 			}
 		}
 		return
@@ -197,8 +280,7 @@ func (r *Run) genericBaseCase(qb, qe int, rn *tree.Node) {
 	for qi := qb; qi < qe; qi++ {
 		q := qd.Point(qi, r.qbuf)
 		for ri := rn.Begin; ri < rn.End; ri++ {
-			p := rd.Point(ri, r.rbuf)
-			r.update(qi, ri, body(metric.Dist(q, p)))
+			r.update(qi, ri, body(metric.Dist(q, rd.Point(ri, r.rbuf))))
 		}
 	}
 }

@@ -17,9 +17,8 @@ import (
 	"portal/internal/tree"
 )
 
-// Leaf-pair micro-benchmarks: one 256×256 base case through the
-// hand-monomorphized hot shapes (basecase_fused_hot.go). These isolate
-// the per-pair loop cost from traversal scheduling.
+// Leaf-pair micro-benchmarks: one base case at a time, isolated from
+// traversal scheduling.
 
 // benchLeafRun compiles a single-layer problem whose trees are one
 // 256-point leaf each, so BaseCase is the entire traversal.
@@ -48,46 +47,59 @@ func benchLeafRun(b *testing.B, d int, l storage.Layout, op lang.Op, k int, kern
 	return ex.Bind(qt, rt)
 }
 
-func benchLeafPair(b *testing.B, d int, l storage.Layout, op lang.Op, k int, mk func() *expr.Kernel) {
-	run := benchLeafRun(b, d, l, op, k, mk(), Options{NoStats: true})
-	qn, rn := run.Q.Node(0), run.R.Node(0)
-	if run.fused == nil {
-		b.Fatal("combination did not select a fused loop")
+// BenchmarkBaseCaseLeaf is the hot loops' kill-rule table (DESIGN §9):
+// one 256 × 256 leaf pair through each of the 35 hot loops and through
+// the per-pair loop on the same run, as <shape>/<layout>/d=<d>/{hot,pair},
+// in ns per point pair. A hot loop stays only while it beats pair beyond
+// the spread between runs. Both sides sweep every pair with no gate; the
+// k-lists and minima stay warm across iterations, as they are for most
+// of a walk, and range-search lists are emptied before every sweep.
+func BenchmarkBaseCaseLeaf(b *testing.B) {
+	euclid := func() *expr.Kernel { return expr.NewDistanceKernel(geom.Euclidean) }
+	sq := func() *expr.Kernel { return expr.NewDistanceKernel(geom.SqEuclidean) }
+	shapes := []struct {
+		name string
+		op   lang.Op
+		k    int
+		mk   func() *expr.Kernel
+	}{
+		{"kmin", lang.KARGMIN, 5, euclid},
+		{"argmin", lang.ARGMIN, 0, euclid},
+		{"min", lang.MIN, 0, sq},
+		{"sum", lang.SUM, 0, sq},
+		{"gauss", lang.SUM, 0, func() *expr.Kernel { return expr.NewGaussianKernel(1) }},
+		{"window-sum", lang.SUM, 0, func() *expr.Kernel { return expr.NewThresholdKernel(2) }},
+		{"window-union", lang.UNIONARG, 0, func() *expr.Kernel { return expr.NewRangeKernel(0.5, 2) }},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run.BaseCase(qn, rn)
+	layouts := []struct {
+		l storage.Layout
+		d int
+	}{{storage.ColMajor, 1}, {storage.ColMajor, 2}, {storage.ColMajor, 3}, {storage.ColMajor, 4}, {storage.RowMajor, 9}}
+	for _, s := range shapes {
+		for _, lay := range layouts {
+			for _, side := range []string{"hot", "pair"} {
+				b.Run(fmt.Sprintf("%s/%v/d=%d/%s", s.name, lay.l, lay.d, side), func(b *testing.B) {
+					run := benchLeafRun(b, lay.d, lay.l, s.op, s.k, s.mk(), Options{NoStats: true})
+					sweep := run.fused
+					if sweep == nil {
+						b.Fatal("the shape selected no hot loop")
+					}
+					if side == "pair" {
+						sweep = (*Run).pairBaseCase
+					}
+					n, rn := run.Q.Len(), run.R.Node(0)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for j := range run.IdxLists {
+							run.IdxLists[j] = run.IdxLists[j][:0]
+						}
+						sweep(run, 0, n, rn)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/pair")
+				})
+			}
+		}
 	}
-}
-
-func BenchmarkBaseCaseLeafKNN3Col(b *testing.B) {
-	benchLeafPair(b, 3, storage.ColMajor, lang.KARGMIN, 5, func() *expr.Kernel {
-		return expr.NewDistanceKernel(geom.Euclidean)
-	})
-}
-
-func BenchmarkBaseCaseLeafKDE3Col(b *testing.B) {
-	benchLeafPair(b, 3, storage.ColMajor, lang.SUM, 0, func() *expr.Kernel {
-		return expr.NewGaussianKernel(1)
-	})
-}
-
-func BenchmarkBaseCaseLeafMin3Col(b *testing.B) {
-	benchLeafPair(b, 3, storage.ColMajor, lang.MIN, 0, func() *expr.Kernel {
-		return expr.NewDistanceKernel(geom.SqEuclidean)
-	})
-}
-
-func BenchmarkBaseCaseLeafKDE8Row(b *testing.B) {
-	benchLeafPair(b, 8, storage.RowMajor, lang.SUM, 0, func() *expr.Kernel {
-		return expr.NewGaussianKernel(1)
-	})
-}
-
-func BenchmarkBaseCaseLeaf2PC3Col(b *testing.B) {
-	benchLeafPair(b, 3, storage.ColMajor, lang.SUM, 0, func() *expr.Kernel {
-		return expr.NewThresholdKernel(2)
-	})
 }
 
 // BenchmarkGaussRowBaseCase is one leaf pair of the benchmark's

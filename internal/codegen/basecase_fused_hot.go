@@ -12,16 +12,13 @@ import (
 // two-point counting, range search, nearest neighbor) over both
 // storage layouts.
 //
-// The generic instantiations in basecase_fused.go are compiled by Go
-// under gcshape stenciling: every pair source and kernel struct of a
-// given shape shares one instantiation whose method calls go through a
-// runtime dictionary — an indirect call per point pair, which is
-// exactly the overhead fusion exists to remove (`-gcflags=-m=2` shows
-// the `.dict` calls). The loops here are plain functions written out
-// per dimension, so the pair body compiles to straight-line
-// arithmetic. The generic path stays as the correctness-equivalent
-// long tail for every other combination; selectFused consults this
-// table first.
+// selectFused (basecase.go) consults only this table; every other
+// combination runs the per-pair loop pairBaseCase, which pays a closure
+// call for the kernel and the per-pair update switch on every point
+// pair. The loops here are plain functions written out per dimension,
+// so the pair body compiles to straight-line arithmetic. Each stays
+// only while it beats the per-pair loop on its own shape
+// (BenchmarkBaseCaseLeaf; the kill rule of DESIGN §9).
 //
 // Two idioms matter for the column-major bodies:
 //
@@ -34,8 +31,12 @@ import (
 //     cnt / best / the k-list admission threshold), with one
 //     Val/Arg/list write-back per (query, tile) — never per pair.
 //
-// Results are bit-identical to the generic fused loops: same
-// evaluation order, same math.
+// Comparative, window and list results are bit-identical to the
+// per-pair loop's: the same d² bits (Hypot2's lanes reduce to the sums
+// written out here for d ≤ 4), the same kernel arithmetic, the same
+// reference order per query. SUM folds one register total per (query,
+// tile) into Val instead of one value per pair: DESIGN §9's numerics
+// policy, not bit for bit.
 
 // selectGaussHot returns the hand-specialized KDE loop (SUM over
 // exp(c·d²) via ExpFast), or nil when the combination has none.

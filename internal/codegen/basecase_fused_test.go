@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"portal/internal/expr"
+	"portal/internal/fastmath"
 	"portal/internal/geom"
 	"portal/internal/lang"
 	"portal/internal/lower"
@@ -27,13 +28,12 @@ func storageWithLayout(rows [][]float64, l storage.Layout) *storage.Storage {
 	return s
 }
 
-// tryRun is fullRun for spec shapes that may not lower or compile
-// (the matrix test probes every operator × kernel combination and
-// skips the ones the frontend rejects).
+// tryRun is fullRun returning the lowering or compile error instead of
+// failing the test.
 func tryRun(spec *lang.PortalExpr, opts Options) (*Output, error) {
 	// A tiny tau keeps tau-requiring approximation problems (KDE
 	// shapes) compilable while contributing negligible error: the τ
-	// point gate sits above the fused loops only, so what it approximates
+	// point gate sits above both loops only, so what it approximates
 	// (< n·τ) is a difference from the ungated interpreter.
 	plan, prog, err := lower.Lower("t", spec, lower.Options{Tau: 1e-30})
 	if err != nil {
@@ -51,7 +51,7 @@ func tryRun(spec *lang.PortalExpr, opts Options) (*Output, error) {
 }
 
 // closeVals asserts element equality: exact when tol is 0, relative
-// otherwise (SUM/PROD reassociate in the fused loops).
+// otherwise (the hot SUM loops reassociate).
 func closeVals(t *testing.T, ctx string, got, want []float64, tol float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -105,22 +105,45 @@ func compareOutputs(t *testing.T, ctx string, got, want *Output, sumTol float64)
 	}
 }
 
-// TestFusedMatchesOracleMatrix differentially tests every fused loop
-// against the IR interpreter (ForceInterp): all inner operators ×
+// hotShape is the dispatch table TestFusedMatchesOracleMatrix holds
+// selectFused to under ExactMath: whether a cell's base cases run a hot
+// loop. Hot loops pair like layouts, column-major up to d = 4; the
+// Euclidean kernel's comparative operators are identity kernels after
+// the squared-space rewrite; the exact-math Gaussian and the Plummer
+// body have none.
+func hotShape(kernel string, op lang.Op, ql, rl storage.Layout, d int) bool {
+	if ql != rl || (ql == storage.ColMajor && d > storage.ColMajorMaxDim) {
+		return false
+	}
+	switch kernel {
+	case "sqeuclid":
+		return op == lang.SUM || op == lang.MIN || op == lang.ARGMIN || op == lang.KMIN || op == lang.KARGMIN
+	case "euclid":
+		return op == lang.MIN || op == lang.ARGMIN || op == lang.KMIN || op == lang.KARGMIN
+	case "range", "threshold":
+		return op == lang.SUM || op == lang.UNIONARG
+	}
+	return false
+}
+
+// TestFusedMatchesOracleMatrix differentially tests both base-case
+// loops against the IR interpreter (ForceInterp): all inner operators ×
 // Euclidean-family kernels × layout pairs × d ∈ {1..6}, on three input
-// families. Combinations the frontend rejects are skipped; for the ones
-// that compile, the fused path must have handled every base case
-// (FusedBaseCases == BaseCases).
+// families. Every cell must compile and must have run the loop the
+// dispatch table gives it: a hot loop for every base case
+// (FusedBaseCases == BaseCases) where hotShape says so, the per-pair
+// loop (0) everywhere else.
 //
 // Comparison policy (DESIGN §9): the interpreter sums d² left to right
-// while the loops use Hypot2's four lanes, so on float inputs the two
-// may disagree in the last bit of a distance and only the value surface
-// is compared, to 1e-9. On the integer lattice and the dyadic grid with
-// repeated points every summation order gives the same d², equal
-// distances are everywhere, and the whole output — values, args, arg
-// lists, value lists, hence every tie break and list order — must match
-// exactly; SUM/PROD values keep a 1e-12 relative tolerance because the
-// fused loops accumulate per tile into a register before folding into
+// while both loops use Hypot2's four lanes (the hot loops' written-out
+// sums are the same bits), so on float inputs the two may disagree in
+// the last bit of a distance and only the value surface is compared, to
+// 1e-9. On the integer lattice and the dyadic grid with repeated points
+// every summation order gives the same d², equal distances are
+// everywhere, and the whole output — values, args, arg lists, value
+// lists, hence every tie break and list order — must match exactly;
+// SUM/PROD values keep a 1e-12 relative tolerance because the hot SUM
+// loops accumulate per tile into a register before folding into
 // Val[qi] (float reassociation).
 func TestFusedMatchesOracleMatrix(t *testing.T) {
 	kernels := []struct {
@@ -154,7 +177,7 @@ func TestFusedMatchesOracleMatrix(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for _, kind := range []string{"float", "lattice", "dyadic"} {
-		compiled, fusedRuns := 0, 0
+		compiled, hot := 0, 0
 		for d := 1; d <= 6; d++ {
 			qRows := gateRows(rng, kind, 30, d)
 			rRows := gateRows(rng, kind, 40, d)
@@ -171,52 +194,51 @@ func TestFusedMatchesOracleMatrix(t *testing.T) {
 							}
 							return e.AddLayer(oc.op, r, kc.mk())
 						}
-						fused, err := tryRun(mkSpec(), Options{ExactMath: true})
+						got, err := tryRun(mkSpec(), Options{ExactMath: true})
 						if err != nil {
-							continue // frontend rejects this combination
+							t.Fatalf("%s: %v", ctx, err)
 						}
-						compiled++
 						interp, err := tryRun(mkSpec(), Options{ExactMath: true, ForceInterp: true})
 						if err != nil {
-							t.Fatalf("%s: ForceInterp failed after fused compiled: %v", ctx, err)
+							t.Fatalf("%s: ForceInterp: %v", ctx, err)
 						}
+						compiled++
 						if kind == "float" {
-							closeVals(t, ctx+" vs interp values", fused.Values, interp.Values, 1e-9)
+							closeVals(t, ctx+" vs interp values", got.Values, interp.Values, 1e-9)
 						} else {
 							tol := 0.0
 							if oc.op == lang.SUM || oc.op == lang.PROD {
 								tol = 1e-12
 							}
-							compareOutputs(t, ctx+" vs interp", fused, interp, tol)
+							compareOutputs(t, ctx+" vs interp", got, interp, tol)
 						}
-						if fused.Stats.BaseCases > 0 && fused.Stats.FusedBaseCases != fused.Stats.BaseCases {
-							t.Fatalf("%s: %d of %d base cases fused", ctx,
-								fused.Stats.FusedBaseCases, fused.Stats.BaseCases)
+						var want int64
+						if hotShape(kc.name, oc.op, lay.ql, lay.rl, d) {
+							want = got.Stats.BaseCases
+							hot++
+						}
+						if got.Stats.FusedBaseCases != want {
+							t.Fatalf("%s: %d of %d base cases ran a hot loop, want %d", ctx,
+								got.Stats.FusedBaseCases, got.Stats.BaseCases, want)
 						}
 						if interp.Stats.FusedBaseCases != 0 {
-							t.Fatalf("%s: ForceInterp run reported fused base cases", ctx)
-						}
-						if fused.Stats.FusedBaseCases > 0 {
-							fusedRuns++
+							t.Fatalf("%s: ForceInterp run reported hot-loop base cases", ctx)
 						}
 					}
 				}
 			}
 		}
-		t.Logf("%s: %d cells compiled, %d took fused base cases", kind, compiled, fusedRuns)
-		if compiled < 100 {
-			t.Fatalf("%s matrix degenerated: only %d combinations compiled", kind, compiled)
-		}
-		if fusedRuns == 0 {
-			t.Fatalf("%s: no combination took a fused base case", kind)
+		t.Logf("%s: %d cells compiled, %d of them on hot loops", kind, compiled, hot)
+		if hot == 0 || hot == compiled {
+			t.Fatalf("%s: %d of %d cells on hot loops; the matrix must reach both loops", kind, hot, compiled)
 		}
 	}
 }
 
 // TestFusedFastMathAgreesWithinTolerance reruns a KDE-style slice of
-// the matrix with fast math on: the fused Gaussian/Plummer bodies
-// (GaussD2/PlummerD2) must match the interpreter's exact library calls
-// to the fastmath error bounds.
+// the matrix with fast math on: the hot Gaussian loop's ExpFast and the
+// per-pair loop's InvSqrt³ Plummer body must match the interpreter's
+// exact library calls to the fastmath error bounds.
 func TestFusedFastMathAgreesWithinTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, mk := range []func() *expr.Kernel{
@@ -327,10 +349,10 @@ func TestWindowOpenAtZero(t *testing.T) {
 	}
 }
 
-// TestFusedDispatchSelection asserts the fused loop is only installed
-// when it should be: never for non-Euclidean metrics, Mahalanobis
-// kernels, or ForceInterp — and always for the bread-and-butter
-// KDE/KNN shapes.
+// TestFusedDispatchSelection asserts a hot loop is installed only where
+// one exists: never for non-Euclidean metrics, Mahalanobis kernels, the
+// exact-math Gaussian, the Plummer body, or under ForceInterp — and
+// always for the bread-and-butter KDE/NN shapes.
 func TestFusedDispatchSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	q := storage.MustFromRows(randRows(rng, 20, 3))
@@ -350,13 +372,19 @@ func TestFusedDispatchSelection(t *testing.T) {
 		return ex.Bind(tree.BuildKD(q, nil), tree.BuildKD(r, nil))
 	}
 	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{}); run.fused == nil {
-		t.Error("KDE shape should select a fused loop")
+		t.Error("KDE shape should select a hot loop")
 	}
 	if run := bind(expr.NewDistanceKernel(geom.Euclidean), lang.ARGMIN, Options{}); run.fused == nil {
-		t.Error("NN shape should select a fused loop")
+		t.Error("NN shape should select a hot loop")
 	}
 	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{ForceInterp: true}); run.fused != nil {
-		t.Error("ForceInterp must disable the fused loop")
+		t.Error("ForceInterp must disable the hot loops")
+	}
+	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{ExactMath: true}); run.fused != nil {
+		t.Error("the exact-math Gaussian has no hot loop")
+	}
+	if run := bind(expr.NewPlummerKernel(0.1), lang.SUM, Options{}); run.fused != nil {
+		t.Error("the Plummer body has no hot loop")
 	}
 	if run := bind(expr.NewDistanceKernel(geom.Manhattan), lang.MIN, Options{}); run.fused != nil {
 		t.Error("Manhattan metric must not fuse")
@@ -397,8 +425,8 @@ func TestColMajorHighDimBaseCase(t *testing.T) {
 	}
 }
 
-// TestMixedLayoutBaseCase regression-tests the mixed-layout fast path
-// (row view on one side, scratch copies on the other) against direct
+// TestMixedLayoutBaseCase regression-tests mixed layouts (one side
+// row-major, the other column-major: the per-pair loop) against direct
 // evaluation.
 func TestMixedLayoutBaseCase(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
@@ -472,13 +500,14 @@ func TestFusedStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestHotGaussRowMatchesGenericTier: the row-major KDE loop hands whole
+// TestHotGaussRowMatchesScalarLoop: the row-major KDE loop hands whole
 // reference tiles to fastmath.SumGaussRows; it must stay bit-identical
-// to the generic tier's per-pair Hypot2 + ExpFast — the cross-path
-// check on the vector body one level up — across the tile boundary
-// (leaves of 297..300 points: every remainder of a four-row group after
-// a 256-row tile) and the 4-lane remainder dimensions.
-func TestHotGaussRowMatchesGenericTier(t *testing.T) {
+// to the scalar loop it stands for — per tile and query, a register sum
+// of ExpFast(c·Hypot2) folded into Val once — the cross-path check on
+// the vector body one level up, across the tile boundary (leaves of
+// 297..300 points: every remainder of a four-row group after a 256-row
+// tile) and the 4-lane remainder dimensions.
+func TestHotGaussRowMatchesScalarLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, n := range []int{297, 298, 299, 300} {
 		for _, d := range []int{1, 3, 4, 5, 9, 16, 17, 28} {
@@ -496,12 +525,19 @@ func TestHotGaussRowMatchesGenericTier(t *testing.T) {
 			}
 			qt := tree.BuildKD(q, &tree.Options{LeafSize: n})
 			rt := tree.BuildKD(r, &tree.Options{LeafSize: n})
-			hot, generic := ex.Bind(qt, rt), ex.Bind(qt, rt)
+			hot := ex.Bind(qt, rt)
 			hotSumGaussRow(hot, ex.fuseC, 0, n, rt.Root)
-			fuseOp[pairsRow](lang.SUM, gaussK{gc: ex.fuseC})(generic, 0, n, rt.Root)
-			for i := range hot.Val {
-				if math.Float64bits(hot.Val[i]) != math.Float64bits(generic.Val[i]) || hot.Val[i] == 0 {
-					t.Fatalf("n=%d d=%d query %d: hot %v generic %v", n, d, i, hot.Val[i], generic.Val[i])
+			for qi, got := range hot.Val {
+				var want float64
+				for rb := 0; rb < n; rb += fusedTileR {
+					var acc float64
+					for ri := rb; ri < min(rb+fusedTileR, n); ri++ {
+						acc += fastmath.ExpFast(ex.fuseC * fastmath.Hypot2(qt.Data.Row(qi), rt.Data.Row(ri)))
+					}
+					want += acc
+				}
+				if math.Float64bits(got) != math.Float64bits(want) || got == 0 {
+					t.Fatalf("n=%d d=%d query %d: hot %v scalar %v", n, d, qi, got, want)
 				}
 			}
 		}
@@ -509,13 +545,13 @@ func TestHotGaussRowMatchesGenericTier(t *testing.T) {
 }
 
 // TestFusedLoopsZeroAlloc pins the zero-allocation guarantee of the
-// non-append fused loops: bind + setQ traffic must stay on the stack
-// (value pair sources; no gcshape boxing). The loops run through
-// BaseCase, so the cases also pin the point gate at zero allocations:
-// the bound rule's PointBound refresh, and — on query clouds shifted
-// half out of the reference box, so that the gate settles some points
-// and sweeps the rest — the τ rule's point approximation and the window
-// rule's skip.
+// loops that append nothing, hot and per-pair alike: the points and the
+// k-list views stay in the run's scratch and on the stack. The loops run
+// through BaseCase, so the cases also pin the point gate at zero
+// allocations: the bound rule's PointBound refresh, and — on query
+// clouds shifted half out of the reference box, so that the gate
+// settles some points and sweeps the rest — the τ rule's point
+// approximation and the window rule's skip.
 func TestFusedLoopsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	n := 64
@@ -543,7 +579,7 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Leaf size n: each tree is a single leaf, so the roots form one
-		// base-case pair exercising the full fused loop.
+		// base-case pair exercising the whole loop.
 		qt := tree.BuildKD(q, &tree.Options{LeafSize: n})
 		rt := tree.BuildKD(r, &tree.Options{LeafSize: n})
 		return ex.Bind(qt, rt)
@@ -551,22 +587,25 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name string
 		run  *Run
+		hot  bool
 		gate gateKind // when set: the gate must settle some points, not all
 	}{
-		{"sum-gauss-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(1), 0), gateNone},
-		{"sum-plummer-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewPlummerKernel(0.2), 0), gateNone},
-		{"argmin-ident-col2", mk(2, storage.ColMajor, lang.ARGMIN, 0, expr.NewDistanceKernel(geom.SqEuclidean), 0), gateNone},
-		{"kmin-euclid-row5", mk(5, storage.RowMajor, lang.KMIN, 8, expr.NewDistanceKernel(geom.Euclidean), 0), gateNone},
-		{"windowsum-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewThresholdKernel(2), 0), gateNone},
-		{"min-mixed", mk(4, storage.RowMajor, lang.MIN, 0, expr.NewDistanceKernel(geom.SqEuclidean), 0), gateNone},
-		{"taugate-row9", mk(9, storage.RowMajor, lang.SUM, 0, expr.NewGaussianKernel(0.5), 6), gateTau},
-		{"taugate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(0.5), 8), gateTau},
-		{"windowgate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewRangeKernel(1, 2), 8), gateWindow},
-		{"windowgate-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewThresholdKernel(2), 6), gateWindow},
+		{"sum-gauss-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(1), 0), true, gateNone},
+		{"sum-plummer-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewPlummerKernel(0.2), 0), false, gateNone},
+		{"argmin-ident-col2", mk(2, storage.ColMajor, lang.ARGMIN, 0, expr.NewDistanceKernel(geom.SqEuclidean), 0), true, gateNone},
+		{"argmax-ident-col3", mk(3, storage.ColMajor, lang.ARGMAX, 0, expr.NewDistanceKernel(geom.SqEuclidean), 0), false, gateNone},
+		{"kmin-euclid-row5", mk(5, storage.RowMajor, lang.KMIN, 8, expr.NewDistanceKernel(geom.Euclidean), 0), true, gateNone},
+		{"kmax-euclid-col2", mk(2, storage.ColMajor, lang.KMAX, 8, expr.NewDistanceKernel(geom.Euclidean), 0), false, gateNone},
+		{"windowsum-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewThresholdKernel(2), 0), true, gateNone},
+		{"min-row4", mk(4, storage.RowMajor, lang.MIN, 0, expr.NewDistanceKernel(geom.SqEuclidean), 0), true, gateNone},
+		{"taugate-row9", mk(9, storage.RowMajor, lang.SUM, 0, expr.NewGaussianKernel(0.5), 6), true, gateTau},
+		{"taugate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(0.5), 8), true, gateTau},
+		{"windowgate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewRangeKernel(1, 2), 8), true, gateWindow},
+		{"windowgate-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewThresholdKernel(2), 6), true, gateWindow},
 	}
 	for _, c := range cases {
-		if c.run.fused == nil {
-			t.Errorf("%s: no fused loop selected", c.name)
+		if hot := c.run.fused != nil; hot != c.hot {
+			t.Errorf("%s: hot loop selected %v, want %v", c.name, hot, c.hot)
 			continue
 		}
 		qn := c.run.Q.Node(0)
@@ -583,7 +622,7 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(20, func() { c.run.BaseCase(qn, rn) })
 		if allocs != 0 {
-			t.Errorf("%s: fused loop allocates %.1f per base case, want 0", c.name, allocs)
+			t.Errorf("%s: base case allocates %.1f per call, want 0", c.name, allocs)
 		}
 	}
 }

@@ -2,12 +2,13 @@
 // (Section IV-F) lowers Portal IR to LLVM IR and emits x86 machine
 // code; Go has no runtime code generator, so this backend compiles the
 // optimized Portal IR into executable Go closures instead (see
-// DESIGN.md, "Substitutions"): the base case is pattern-specialized
-// per (operator, metric, layout) into hand-unrolled loops — the moral
-// equivalent of the auto-vectorized loops the paper's compiler emits —
-// with a generic IR interpreter as the fallback and differential-
-// testing oracle, and the prune/approximate functions are compiled
-// from the generated rule of internal/prune.
+// DESIGN.md, "Substitutions"): the base cases the paper evaluates are
+// pattern-specialized per (operator, kernel, layout) into hand-unrolled
+// loops — the moral equivalent of the auto-vectorized loops the paper's
+// compiler emits — every other base case runs one per-pair loop, an IR
+// interpreter is the differential-testing oracle, and the
+// prune/approximate functions are compiled from the generated rule of
+// internal/prune.
 //
 // # Panics
 //
@@ -92,9 +93,9 @@ type Executable struct {
 	// for bound rules (decide.go).
 	decide    decideFn
 	boundForm boundForm
-	// fuseKind classifies the kernel body for the fused base cases
-	// (basecase_fused.go); fuseC carries the pre-folded coefficient
-	// (Gaussian exponent scale or Plummer softening).
+	// fuseKind classifies the kernel body for the hot loops
+	// (basecase.go); fuseC is the Gaussian's pre-folded exponent scale c
+	// of exp(c·d²).
 	fuseKind fusedKind
 	fuseC    float64
 }

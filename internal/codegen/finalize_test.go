@@ -16,8 +16,8 @@ import (
 
 // k-list outputs are sub-slices of the run's own slabs: they must not
 // overlap, must be capacity-limited so an append reallocates instead of
-// running into the neighbour, and an unfilled slot (k above the
-// reference count) must be compacted away, not reported.
+// running into the neighbour, and a k above the reference count (clamped
+// to it at the plan) must report exactly the references there are.
 func TestKListOutputsAreDisjointSlabs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	q := storage.MustFromRows(randRows(rng, 90, 3))

@@ -14,9 +14,9 @@ import (
 // conventions the specialized loops implement — storage0/storage1 name
 // the persistent per-query state owned by the Run, so their allocs are
 // binding declarations rather than fresh memory, and loop bounds come
-// from the node pair being evaluated. The interpreter is the fallback
-// for operator/kernel combinations without a specialized loop and the
-// oracle the specialized loops are differential-tested against.
+// from the node pair being evaluated. It runs under ForceInterp only,
+// as the oracle the hot loops and the per-pair loop are
+// differential-tested against.
 
 // interpBaseCase executes the BaseCase IR for a leaf pair.
 func (r *Run) interpBaseCase(qb, qe int, rn *tree.Node) {

@@ -102,10 +102,10 @@ type Run struct {
 	mahal      *linalg.Mahalanobis
 	// op caches the inner operator for the per-pair update switch.
 	op lang.Op
-	// fused is the operator-specialized fused base-case loop selected
-	// at Bind for this (kernel, operator, layout) combination; nil when
-	// the combination has no fused loop. fusedBaseCases counts the leaf
-	// pairs it executed, folded into TraversalStats like kernelEvals.
+	// fused is the hot loop selected at Bind for this (kernel, operator,
+	// layout) combination; nil when the combination has none and base
+	// cases run the per-pair loop. fusedBaseCases counts the leaf pairs
+	// it executed, folded into TraversalStats like kernelEvals.
 	fused          fusedFn
 	fusedBaseCases int64
 
@@ -224,7 +224,7 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 
 // compileEvalD2 returns the kernel evaluator over the squared
 // Euclidean distance, or nil when the metric is not Euclidean-family
-// (the generic path evaluates the metric directly).
+// (the per-pair loop evaluates the metric directly).
 func (ex *Executable) compileEvalD2() func(float64) float64 {
 	if ex.Plan.DistKernel == nil {
 		return nil

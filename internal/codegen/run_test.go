@@ -112,7 +112,7 @@ func TestGenericBaseCaseManhattan(t *testing.T) {
 	}
 }
 
-// Mahalanobis base case through the generic path.
+// Mahalanobis base case through the per-pair loop.
 func TestMahalBaseCase(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := 3

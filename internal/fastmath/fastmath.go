@@ -227,22 +227,6 @@ func GaussianKernel(d2, sigma float64) float64 {
 	return ExpFast(-d2 / (2 * sigma * sigma))
 }
 
-// GaussD2 is the fused Gaussian base-case body: exp(c·d²) with the
-// coefficient pre-folded at compile time (c = -1/(2σ²) for KDE), so
-// the fused loops evaluate kernel-from-squared-distance in one direct
-// call with no closure indirection.
-func GaussD2(c, d2 float64) float64 {
-	return ExpFast(c * d2)
-}
-
-// PlummerD2 is the fused Plummer base-case body over the softened
-// squared distance x = d² + ε²: x^{-3/2} computed as InvSqrt(x)³ —
-// the strength-reduced gravitational magnitude kernel.
-func PlummerD2(x float64) float64 {
-	inv := InvSqrt(x)
-	return inv * inv * inv
-}
-
 // Hypot2 accumulates a squared Euclidean distance with a 4-way
 // unrolled loop. The unroll exposes independent accumulator chains the
 // way the vectorized base case in the paper does; it is the scalar Go

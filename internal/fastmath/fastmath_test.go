@@ -207,30 +207,34 @@ func TestGaussianKernel(t *testing.T) {
 	}
 }
 
-func TestGaussD2MatchesGaussianKernel(t *testing.T) {
-	// The pre-folded form computes c*d2 where GaussianKernel divides;
-	// the one-ulp argument difference is amplified by exp's condition
-	// number |arg| (≤ 40 here), so assert a correspondingly tight
-	// relative bound rather than bit equality.
+func TestExpFastFoldedMatchesGaussianKernel(t *testing.T) {
+	// The Gaussian base cases compute ExpFast(c·d²) with c = -1/(2σ²)
+	// folded at compile time, where GaussianKernel divides; the one-ulp
+	// argument difference is amplified by exp's condition number |arg|
+	// (≤ 40 here), so assert a correspondingly tight relative bound
+	// rather than bit equality.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		sigma := 0.5 + r.Float64()*3
 		d2 := r.Float64() * 20
 		c := -1 / (2 * sigma * sigma)
-		return relErr(GaussD2(c, d2), GaussianKernel(d2, sigma)) < 1e-13
+		return relErr(ExpFast(c*d2), GaussianKernel(d2, sigma)) < 1e-13
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestPlummerD2Accuracy(t *testing.T) {
-	// x^{-3/2} against the exact library form, within InvSqrt's bound.
+func TestInvSqrtCubedAccuracy(t *testing.T) {
+	// x^{-3/2} as InvSqrt(x)³ — the fast-math Plummer body over the
+	// softened squared distance — against the exact library form,
+	// within InvSqrt's bound.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		x := 1e-3 + r.Float64()*50
 		want := 1 / (math.Sqrt(x) * x)
-		return relErr(PlummerD2(x), want) < 2e-5
+		inv := InvSqrt(x)
+		return relErr(inv*inv*inv, want) < 2e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

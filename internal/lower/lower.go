@@ -65,7 +65,7 @@ func Lower(name string, e *lang.PortalExpr, opts Options) (*Plan, *ir.Program, e
 		Class:   e.Classify(),
 		OuterOp: e.Outer().Op,
 		InnerOp: inner.Op,
-		K:       inner.K,
+		K:       clampK(inner),
 		Tau:     opts.Tau,
 	}
 	switch k := any(inner.Kernel).(type) {
@@ -84,6 +84,19 @@ func Lower(name string, e *lang.PortalExpr, opts Options) (*Plan, *ir.Program, e
 	return plan, prog, nil
 }
 
+// clampK is the layer's k bounded by its reference set: a k-list over
+// n references never holds more than n, while a run allocates k slots
+// per query point, so a larger k only allocates (k = 2⁴⁰ ran the
+// process out of memory). Clamped here, once per plan, every run of the
+// plan — unsharded, or a sharded run's shard-local and import runs,
+// whose k-list slabs SeedBounds copies whole — agrees on k.
+func clampK(l lang.Layer) int {
+	if l.Data != nil && l.K > l.Data.Len() {
+		return max(l.Data.Len(), 1)
+	}
+	return l.K
+}
+
 // LowerMahal is Lower for problems whose kernel is a Mahalanobis
 // kernel (the paper's Fig. 3 path). The lang layer keeps *expr.Kernel
 // in its Layer struct, so Mahalanobis problems pass the kernel here
@@ -99,7 +112,7 @@ func LowerMahal(name string, e *lang.PortalExpr, k *expr.MahalKernel, opts Optio
 		Spec:        e,
 		OuterOp:     e.Outer().Op,
 		InnerOp:     inner.Op,
-		K:           inner.K,
+		K:           clampK(inner),
 		Tau:         opts.Tau,
 		Kernel:      k,
 		MahalKernel: k,

@@ -96,8 +96,8 @@ func TestLowerMultiReduction(t *testing.T) {
 	spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil)
 	spec.AddLayerK(lang.KARGMIN, 5, r, expr.NewDistanceKernel(geom.Euclidean))
 	plan, prog := lowerSpec(t, spec, Options{})
-	if plan.K != 5 {
-		t.Fatalf("K = %d", plan.K)
+	if plan.K != 3 {
+		t.Fatalf("K = %d, want k = 5 clamped to the 3 reference points", plan.K)
 	}
 	out := prog.String()
 	if !strings.Contains(out, "alloc storage1[k]") {

@@ -20,6 +20,7 @@
 package problems
 
 import (
+	"fmt"
 	"math"
 
 	"portal/internal/engine"
@@ -123,8 +124,11 @@ func KDESpec(query, ref *storage.Storage, sigma float64) *lang.PortalExpr {
 
 // KDE evaluates the (unnormalized) Gaussian kernel density at every
 // query point; cfg.Tau controls the time/accuracy trade-off the paper
-// exposes as a tuning knob.
+// exposes as a tuning knob. The bandwidth must be finite and positive.
 func KDE(query, ref *storage.Storage, sigma float64, cfg Config) ([]float64, error) {
+	if !(sigma > 0) || math.IsInf(sigma, 1) {
+		return nil, fmt.Errorf("problems: KDE bandwidth σ = %g; want a finite σ > 0", sigma)
+	}
 	out, err := engine.Run("kernel density estimation", KDESpec(query, ref, sigma), cfg)
 	if err != nil {
 		return nil, err

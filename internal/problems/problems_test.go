@@ -1,14 +1,66 @@
 package problems
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
+	"portal/internal/codegen"
 	"portal/internal/engine"
 	"portal/internal/storage"
 )
+
+// A k past the reference count is clamped once, at the plan: k = 2⁴⁰
+// over three points returns each query's three neighbours, nearest
+// first, unsharded and sharded, through the loops and the interpreter,
+// and allocates like k = 3 — not the n·k list slots that ran the
+// process out of memory.
+func TestKNNClampsKAtThePlan(t *testing.T) {
+	pts := storage.MustFromRows([][]float64{{0, 0}, {1, 0}, {0, 3}})
+	want := [][]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}
+	for _, cfg := range []Config{
+		{},
+		{Shards: 4},
+		{Codegen: codegen.Options{ForceInterp: true}},
+		{Shards: 4, Codegen: codegen.Options{ForceInterp: true}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		idx, dist, err := KNN(pts, pts, 1<<40, cfg)
+		runtime.ReadMemStats(&after)
+		ctx := fmt.Sprintf("shards=%d interp=%v", cfg.Shards, cfg.Codegen.ForceInterp)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 4 {
+			t.Fatalf("%s: allocated %.1f MB for three points", ctx, mb)
+		}
+		for i := range want {
+			if !slices.Equal(idx[i], want[i]) || len(dist[i]) != 3 {
+				t.Fatalf("%s, query %d: %v %v, want neighbours %v", ctx, i, idx[i], dist[i], want[i])
+			}
+		}
+	}
+}
+
+// KDE refuses a bandwidth that is not a finite σ > 0: σ = 0 or NaN used
+// to return all-NaN densities with a nil error, and σ < 0 ran as |σ|.
+func TestKDERejectsBadBandwidth(t *testing.T) {
+	pts := storage.MustFromRows([][]float64{{0}, {1}, {2}})
+	for _, sigma := range []float64{0, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if dens, err := KDE(pts, pts, sigma, Config{Tau: 1e-9}); err == nil {
+			t.Errorf("σ = %v: densities %v, want an error", sigma, dens)
+		}
+	}
+	dens, err := KDE(pts, pts, 0.5, Config{Tau: 1e-9})
+	if err != nil || len(dens) != 3 || !(dens[1] > dens[0]) {
+		t.Fatalf("σ = 0.5: densities %v, error %v", dens, err)
+	}
+}
 
 func randRows(rng *rand.Rand, n, d int, spread float64) [][]float64 {
 	rows := make([][]float64, n)

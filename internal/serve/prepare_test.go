@@ -14,8 +14,8 @@ import (
 
 // The request-shape memo hits exactly when every field prepare builds
 // the spec from is equal: problem, k, resolved σ, τ, lo/hi, self-join,
-// and the dimension and layout of both sides. A republished dataset of
-// the same shape keeps hitting.
+// and the dataset's dimension and layout (request points are built in
+// it). A republished dataset of the same shape keeps hitting.
 func TestShapeMemoKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	s := newTestServer(t, Config{LeafSize: 8, Workers: 1})
@@ -81,7 +81,7 @@ func TestShapeMemoKeys(t *testing.T) {
 }
 
 // A k past the reference count is clamped to it in prepare: k = n,
-// n + 1 and 2^40 return the lists an unclamped k = n + 1 run returns,
+// n + 1 and 2^40 return the lists an engine run with k = n + 1 returns,
 // and the huge k allocates no more than k = n. A k > 1 request against
 // a one-point dataset still gets lists.
 func TestKNNClampsKToReferences(t *testing.T) {

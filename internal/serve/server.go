@@ -572,6 +572,11 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 			return nil, fmt.Errorf("serve: query points are %d-dimensional, dataset %q is %d-dimensional",
 				qd.Dim(), snap.Name, snap.Data.Dim())
 		}
+		// The hot loops pair like layouts: build the request's points in
+		// the dataset's, or a row-major d ≤ 4 dataset published through
+		// the Go API would meet column-major queries and run the per-pair
+		// loop.
+		qd = qd.Convert(snap.Data.Layout())
 		qt = tree.BuildKD(qd, &tree.Options{LeafSize: tree.QueryLeafSize(s.cfg.LeafSize, qd.Len(), snap.Data.Len())})
 	}
 
@@ -593,8 +598,7 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		cfg.Trace = rec
 	}
 
-	sh := shape{problem: req.Problem, selfJoin: selfJoin,
-		qDim: qd.Dim(), qLayout: qd.Layout(), rDim: snap.Data.Dim(), rLayout: snap.Data.Layout()}
+	sh := shape{problem: req.Problem, selfJoin: selfJoin, dim: snap.Data.Dim(), layout: snap.Data.Layout()}
 	switch req.Problem {
 	case "knn":
 		// A k-list over n references never holds more than n, so k past
@@ -655,8 +659,10 @@ type shape struct {
 	k                          int
 	sigma, tau, lo, hi, radius float64
 	selfJoin                   bool
-	qDim, rDim                 int
-	qLayout, rLayout           storage.Layout
+	// dim and layout are the dataset's: request points must match its
+	// dimension and are built in its layout.
+	dim    int
+	layout storage.Layout
 }
 
 // shapeKeyLen holds any shape key of a known problem on the stack.
@@ -670,7 +676,7 @@ func (sh *shape) appendKey(b []byte) []byte {
 		uint64(sh.k),
 		math.Float64bits(sh.sigma), math.Float64bits(sh.tau),
 		math.Float64bits(sh.lo), math.Float64bits(sh.hi), math.Float64bits(sh.radius),
-		uint64(sh.qDim), uint64(sh.qLayout), uint64(sh.rDim), uint64(sh.rLayout),
+		uint64(sh.dim), uint64(sh.layout),
 	} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}

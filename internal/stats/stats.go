@@ -80,13 +80,12 @@ type TraversalStats struct {
 	Approxes int64 `json:"approxes"`
 	// BaseCases counts leaf-pair direct computations.
 	BaseCases int64 `json:"base_cases"`
-	// FusedBaseCases counts the subset of BaseCases executed by the
-	// backend's fused operator-specialized loops (see
-	// internal/codegen/basecase_fused.go) rather than the per-pair
-	// update path or the IR interpreter. The loop is selected once per
-	// run, so this is BaseCases when the run's (kernel, operator,
-	// layout) combination has one and 0 otherwise — in particular under
-	// ForceInterp.
+	// FusedBaseCases counts the subset of BaseCases executed by one of
+	// the backend's hot loops (internal/codegen/basecase_fused_hot.go)
+	// rather than the per-pair loop or the IR interpreter. The loop is
+	// selected once per run, so this is BaseCases when the run's
+	// (kernel, operator, layout) combination has one and 0 otherwise —
+	// in particular under ForceInterp.
 	FusedBaseCases int64 `json:"fused_base_cases"`
 	// BaseCasePairs totals the point pairs enumerated by base cases —
 	// the work the prune/approximate conditions could not eliminate.
