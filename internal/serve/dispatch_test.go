@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"portal/internal/dataset"
 	"portal/internal/engine"
+	"portal/internal/lang"
 	"portal/internal/problems"
 	"portal/internal/storage"
 	"portal/internal/tree"
@@ -299,13 +301,15 @@ func TestCanceledWhileWaitingForWorker(t *testing.T) {
 	assertIdle(t, s)
 }
 
-// Served answers must not depend on the query tree's leaf size: with
-// the density-matched query leaves, k-NN distances are bit-equal to
-// (and ids the same set as) a run over a LeafSize-leaf query tree,
-// range-search id sets are equal, and KDE stays within n·τ of the
-// exact sum — for requests from one point to more points than the
-// dataset holds. The subtest names record that the server is
-// unsharded.
+// Served answers must not depend on the query tree's shape. Each
+// problem is answered three ways — served (queryTree picks one level
+// for k-NN's bound rule, the density-matched kd-tree for range
+// search's window rule and KDE's τ rule), and walked on both of those
+// shapes directly — for requests from one point to more points than
+// the dataset holds. Against a walk over a LeafSize-leaf kd query tree,
+// k-NN distances are bit-equal and ids the same set, range-search id
+// sets are equal, and KDE stays within n·τ of the exact sum. The
+// subtest names record that the server is unsharded.
 func TestDensityMatchedQueryLeavesKeepAnswers(t *testing.T) {
 	const (
 		leaf = 16
@@ -318,56 +322,80 @@ func TestDensityMatchedQueryLeavesKeepAnswers(t *testing.T) {
 	ref := storage.MustFromRows(refRows)
 	refTree := tree.BuildKD(ref, &tree.Options{LeafSize: leaf})
 	sigma := problems.SilvermanBandwidth(ref)
+	cfg := engine.Config{LeafSize: leaf, Tau: tau}
 
 	s := newTestServer(t, Config{LeafSize: leaf, Workers: 2})
 	mustPut(t, s, "ref", storage.MustFromRows(refRows))
-	for _, nq := range []int{1, 16, 256, 5000} {
+	for _, nq := range []int{1, 2, 16, 256, 5000} {
 		t.Run(fmt.Sprintf("shards=0/nq=%d", nq), func(t *testing.T) {
 			qRows := randRows(rng, nq, 3)
 			qd := storage.MustFromRows(qRows)
-			qt := tree.BuildKD(qd, &tree.Options{LeafSize: leaf})
-			if m := tree.QueryLeafSize(leaf, nq, nr); nq < nr && m >= leaf {
-				t.Fatalf("QueryLeafSize(%d, %d, %d) = %d, want below the reference leaf", leaf, nq, nr, m)
+			shapes := map[string]*tree.Tree{
+				"one-level": tree.BuildQuery(qd),
+				"kd":        tree.BuildKD(qd, &tree.Options{LeafSize: tree.QueryLeafSize(leaf, nq, nr)}),
 			}
+			// answers runs the request through the server and p over both
+			// shapes, after checking which shape the server picks for p
+			// (up to two points the kd-tree at one point per leaf is one
+			// level too).
+			answers := func(p *engine.Problem, req *QueryRequest, oneLevel bool) map[string]*QueryResponse {
+				t.Helper()
+				served := queryTree(p.Rule().Kind, qd, leaf, nr)
+				if got := served.LeafCount == nq && served.MaxDepth <= 1; nq > 2 && got != oneLevel {
+					t.Fatalf("%s: served query tree is one level: %v, want %v", req.Problem, got, oneLevel)
+				}
+				resp, err := s.Query(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := map[string]*QueryResponse{"served": resp}
+				for name, qt := range shapes {
+					o, err := p.ExecuteOn(qt, refTree, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[name] = &QueryResponse{Values: o.Values, ArgLists: o.ArgLists, ValueLists: o.ValueLists}
+				}
+				return out
+			}
+			compile := func(name string, spec *lang.PortalExpr) *engine.Problem {
+				t.Helper()
+				p, err := engine.Compile(name, spec, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			lockStep := tree.BuildKD(qd, &tree.Options{LeafSize: leaf})
 
 			// k-NN.
-			knn, err := engine.Compile("knn", problems.KNNSpec(qd, ref, 3), engine.Config{LeafSize: leaf})
+			knn := compile("knn", problems.KNNSpec(qd, ref, 3))
+			want, err := knn.ExecuteOn(lockStep, refTree, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := knn.ExecuteOn(qt, refTree, engine.Config{LeafSize: leaf})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Query(&QueryRequest{Dataset: "ref", Problem: "knn", K: 3, Points: qRows})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.ValueLists {
-				if !slices.Equal(got.ValueLists[i], want.ValueLists[i]) {
-					t.Fatalf("knn point %d: distances %v, want bit-equal %v", i, got.ValueLists[i], want.ValueLists[i])
-				}
-				if !sameSet(got.ArgLists[i], want.ArgLists[i]) {
-					t.Fatalf("knn point %d: ids %v, want %v", i, got.ArgLists[i], want.ArgLists[i])
+			for how, got := range answers(knn, &QueryRequest{Dataset: "ref", Problem: "knn", K: 3, Points: qRows}, true) {
+				for i := range want.ValueLists {
+					if !slices.Equal(got.ValueLists[i], want.ValueLists[i]) {
+						t.Fatalf("knn %s point %d: distances %v, want bit-equal %v", how, i, got.ValueLists[i], want.ValueLists[i])
+					}
+					if !sameSet(got.ArgLists[i], want.ArgLists[i]) {
+						t.Fatalf("knn %s point %d: ids %v, want %v", how, i, got.ArgLists[i], want.ArgLists[i])
+					}
 				}
 			}
 
 			// Range search.
-			rs, err := engine.Compile("rangesearch", problems.RangeSearchSpec(qd, ref, 0, hi), engine.Config{LeafSize: leaf})
+			rs := compile("rangesearch", problems.RangeSearchSpec(qd, ref, 0, hi))
+			want, err = rs.ExecuteOn(lockStep, refTree, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err = rs.ExecuteOn(qt, refTree, engine.Config{LeafSize: leaf})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = s.Query(&QueryRequest{Dataset: "ref", Problem: "rangesearch", Hi: hi, Points: qRows})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.ArgLists {
-				if !sameSet(got.ArgLists[i], want.ArgLists[i]) {
-					t.Fatalf("rangesearch point %d: %d ids, want the %d of the reference run", i, len(got.ArgLists[i]), len(want.ArgLists[i]))
+			for how, got := range answers(rs, &QueryRequest{Dataset: "ref", Problem: "rangesearch", Hi: hi, Points: qRows}, false) {
+				for i := range want.ArgLists {
+					if !sameSet(got.ArgLists[i], want.ArgLists[i]) {
+						t.Fatalf("rangesearch %s point %d: %d ids, want the %d of the reference run", how, i, len(got.ArgLists[i]), len(want.ArgLists[i]))
+					}
 				}
 			}
 
@@ -376,16 +404,57 @@ func TestDensityMatchedQueryLeavesKeepAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err = s.Query(&QueryRequest{Dataset: "ref", Problem: "kde", Sigma: sigma, Tau: tau, Points: qRows})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range got.Values {
-				if diff := math.Abs(v - exact.Values[i]); diff > nr*tau {
-					t.Fatalf("kde point %d: %v is %v from the exact %v, budget n·τ = %v", i, v, diff, exact.Values[i], nr*tau)
+			kde := compile("kde", problems.KDESpec(qd, ref, sigma))
+			for how, got := range answers(kde, &QueryRequest{Dataset: "ref", Problem: "kde", Sigma: sigma, Tau: tau, Points: qRows}, false) {
+				for i, v := range got.Values {
+					if diff := math.Abs(v - exact.Values[i]); diff > nr*tau {
+						t.Fatalf("kde %s point %d: %v is %v from the exact %v, budget n·τ = %v", how, i, v, diff, exact.Values[i], nr*tau)
+					}
 				}
 			}
 		})
+	}
+}
+
+// On the serve-knn benchmark's shape — 16 Plummer points, k = 5,
+// 100 000 Plummer references at the default leaf size — a served
+// request walks its one-level tree nearest reference child first and
+// evaluates at most 0.6× the kernels of the lock-step walk over a kd
+// query tree at one point per leaf (the density-matched size of such a
+// request). A return to lock-step descent fails here.
+func TestOneLevelQueryTreeCutsKernelEvals(t *testing.T) {
+	const (
+		nr, nq, k, requests = 100_000, 16, 5, 20
+	)
+	data := dataset.GeneratePlummer(nr, 1)
+	pool := dataset.GeneratePlummer(requests*nq, 2)
+	s := newTestServer(t, Config{Workers: 1})
+	snap := mustPut(t, s, "ref", data)
+	p, err := engine.Compile("knn", problems.KNNSpec(pool, data, k), engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served, kd int64
+	for r := 0; r < requests; r++ {
+		rows := make([][]float64, nq)
+		for i := range rows {
+			rows[i] = pool.Point(r*nq+i, nil)
+		}
+		resp, err := s.Query(&QueryRequest{Dataset: "ref", Problem: "knn", K: k, Points: rows, Stats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served += resp.Report.Traversal.KernelEvals
+		qt := tree.BuildKD(storage.MustFromRows(rows), &tree.Options{LeafSize: 1})
+		out, err := p.ExecuteOnChecked(qt, snap.Tree, engine.Config{CollectStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kd += out.Stats.KernelEvals
+	}
+	t.Logf("%d requests: %d kernel evaluations served, %d on kd query trees (%.2f×)", requests, served, kd, float64(served)/float64(kd))
+	if float64(served) > 0.6*float64(kd) {
+		t.Fatalf("served walk evaluated %d kernels, the kd walk %d: want at most 0.6×", served, kd)
 	}
 }
 

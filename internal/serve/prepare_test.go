@@ -98,7 +98,7 @@ func TestKNNClampsKToReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.ExecuteOn(tree.BuildKD(qd, &tree.Options{LeafSize: tree.QueryLeafSize(8, 16, n)}),
+	want, err := p.ExecuteOn(tree.BuildQuery(qd),
 		tree.BuildKD(ref, &tree.Options{LeafSize: 8}), engine.Config{LeafSize: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"portal/internal/metrics"
 	"portal/internal/persist"
 	"portal/internal/problems"
+	"portal/internal/prune"
 	"portal/internal/stats"
 	"portal/internal/storage"
 	"portal/internal/trace"
@@ -32,8 +33,7 @@ import (
 // Config tunes the server.
 type Config struct {
 	// LeafSize is the leaf capacity of dataset trees (default 32). A
-	// request's query-point tree is built at the density-matched
-	// tree.QueryLeafSize instead.
+	// request's query-point tree is shaped by queryTree instead.
 	LeafSize int
 	// Workers is the traversal worker budget shared by all in-flight
 	// queries (and by tree builds at publish); 0 means GOMAXPROCS.
@@ -167,10 +167,12 @@ type pending struct {
 // pointsPerWorker is how many query points a query brings for each
 // traversal worker it asks for. Handing work to a second worker costs a
 // thread wake-up and a join, which a short traversal does not earn
-// back: against 100 k Plummer references (k-NN, k=5, 2 vCPUs) a
-// 16-point request takes 163 µs on one worker and 320 µs on two,
-// 64 points 0.84 vs 1.0 ms, 128 points 1.87 vs 1.69 ms, 512 points
-// 8.4 vs 5.5 ms.
+// back: against 100 k Plummer references (k-NN, k=5, one-level query
+// trees, 2 vCPUs; query-tree build through finalize, medians of five) a
+// 16-point request takes 83 µs on one worker and 142 µs on two,
+// 64 points 300 vs 310 µs, 128 points 600 vs 492 µs, 256 points
+// 1.19 vs 0.83 ms, 512 points 2.11 vs 1.45 ms. The crossover lies
+// between 64 and 128 points.
 const pointsPerWorker = 128
 
 // wantWorkers is the number of traversal workers the query can use out
@@ -558,10 +560,9 @@ func (s *Server) finishQuery(req *QueryRequest, p *pending) {
 // the front half of a query, done before it asks for a worker.
 func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 	var qd *storage.Storage
-	var qt *tree.Tree
 	selfJoin := len(req.Points) == 0
 	if selfJoin {
-		qd, qt = snap.Data, snap.Tree
+		qd = snap.Data
 	} else {
 		var err error
 		qd, err = storage.FromRows(req.Points)
@@ -577,7 +578,6 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		// the Go API would meet column-major queries and run the per-pair
 		// loop.
 		qd = qd.Convert(snap.Data.Layout())
-		qt = tree.BuildKD(qd, &tree.Options{LeafSize: tree.QueryLeafSize(s.cfg.LeafSize, qd.Len(), snap.Data.Len())})
 	}
 
 	// Stats are always collected on the serving path: report assembly
@@ -637,6 +637,10 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 	if err != nil {
 		return nil, err
 	}
+	qt := snap.Tree
+	if !selfJoin {
+		qt = queryTree(prob.Rule().Kind, qd, s.cfg.LeafSize, snap.Data.Len())
+	}
 	return &pending{
 		prob:    prob,
 		qt:      qt,
@@ -646,6 +650,26 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		sampled: sampled,
 		rec:     rec,
 	}, nil
+}
+
+// queryTree builds the tree over a request's points q for a walk
+// under a rule of kind kind against an nr-point dataset tree of leaf
+// capacity leaf. A bound rule (k-NN) walks a one-level tree: each
+// point tightens its own bound and sweeps its nearest reference leaf
+// first, where a kd query node carries the loosest bound of its points
+// and orders its children from boxes of many points. Window and τ
+// rules walk the density-matched kd-tree, whose query nodes share what
+// the one-level tree would repeat per point: a window prune or a τ
+// approximation decided once for every point of the node. Against
+// 100 000 Plummer references (BenchmarkQueryTree) one level makes
+// k-NN 2.5–4× faster from 16 to 16 384 points; KDE gains nothing up to
+// 256 points and loses 4–50 % from 2 048; range search gains 12–15 %
+// up to 256 points and takes twice as long at 16 384.
+func queryTree(kind prune.Kind, q *storage.Storage, leaf, nr int) *tree.Tree {
+	if kind == prune.BoundRule {
+		return tree.BuildQuery(q)
+	}
+	return tree.BuildKD(q, &tree.Options{LeafSize: tree.QueryLeafSize(leaf, q.Len(), nr)})
 }
 
 // shape is everything prepare builds a query's spec and compile config

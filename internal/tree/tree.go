@@ -37,6 +37,31 @@
 // separate full rescan per node, and the bottom-up Mass/Centroid
 // aggregation runs chunked across the same worker cap. Spawn behaviour
 // is recorded in Tree.Build.
+//
+// # Query trees
+//
+// Two shapes serve external query points. BuildQuery builds one level,
+// a single-point leaf per query point, so each point walks the
+// reference tree on its own; QueryLeafSize gives the leaf capacity of
+// a kd-tree (or octree) whose leaves match the reference leaves'
+// density, the shape Algorithm 1 splits in lock-step with the
+// reference tree. The caller picks by what the walk shares across
+// query points (serve.queryTree).
+//
+// # Panics
+//
+// The builders panic only on arguments that break their contract, each
+// message starting "tree: ":
+//
+//   - empty storage, in every builder (BuildKD and BuildOct through
+//     newBuilder, BuildQuery itself). BuildQuery sits behind request
+//     input, but no request reaches it empty: a served query without
+//     points is a self-join on the dataset's own tree;
+//   - Options.Weights whose length is not the point count (newBuilder);
+//   - BuildOct above MaxOctDim dimensions.
+//
+// FromFlat, which reads untrusted snapshots, never panics: every
+// violated invariant is an error.
 package tree
 
 import (
