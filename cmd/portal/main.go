@@ -22,7 +22,9 @@
 // leaf pair's base case executing where the walk finds it; -seq runs
 // both on the calling goroutine. -shards K runs the reference
 // implementation of the partial-merge contract over K spatial shards,
-// slower than the unsharded solve by construction.
+// slower than the unsharded solve by construction. Sharding runs
+// self-joins only: with a separate -ref it exits with the engine's
+// error.
 //
 // Profiling: -trace FILE records an execution trace (build, traversal,
 // and finalize spans plus per-depth decision profiles) and writes it
@@ -132,7 +134,7 @@ func main() {
 	leaf := flag.Int("leaf", 32, "tree leaf size q")
 	seq := flag.Bool("seq", false, "disable parallel execution")
 	workers := flag.Int("workers", 0, "cap worker goroutines for tree build and traversal (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "spatial shard count for the reference implementation of the partial-merge contract: shard-local runs, a prune-or-ship point exchange and a commutative merge; slower than unsharded by construction (0/1 = unsharded)")
+	shards := flag.Int("shards", 0, "spatial shard count for the reference implementation of the partial-merge contract: shard-local runs, a prune-or-ship point exchange and a commutative merge; self-joins only (no -ref); slower than unsharded by construction (0/1 = unsharded)")
 	statsFlag := flag.Bool("stats", false, "print traversal statistics to stderr after the run")
 	statsJSON := flag.String("stats-json", "", "write traversal statistics as JSON to this file ('-' for stderr)")
 	traceOut := flag.String("trace", "", "write an execution trace (Chrome trace-event JSON) to this file")

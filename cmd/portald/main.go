@@ -36,7 +36,7 @@ const (
 func main() {
 	addr := flag.String("addr", ":7070", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "traversal worker budget shared by all in-flight queries (0 = GOMAXPROCS)")
-	leaf := flag.Int("leaf", 32, "dataset tree leaf capacity (query-point trees are density-matched to it)")
+	leaf := flag.Int("leaf", 32, "dataset tree leaf capacity (and the leaf size of a request's kd query tree)")
 	dataDir := flag.String("data-dir", "", "dataset snapshot directory: published datasets persist here and are mmap-restored on restart without rebuilding trees")
 	slowQuery := flag.Duration("slow-query", time.Second, "slow-query log threshold; queries at or over it are captured with their full stats report at GET /debug/queries (0 disables)")
 	traceSample := flag.Int("trace-sample", 128, "trace every Nth query and capture its Chrome trace at GET /debug/queries (0 disables, 1 traces everything)")

@@ -129,24 +129,35 @@ func TestPointGateMatchesInterpreter(t *testing.T) {
 				cfg := Config{LeafSize: leaf, Tree: cb.tree, Codegen: codegen.Options{ExactMath: true}}
 				interpCfg := cfg
 				interpCfg.Codegen.ForceInterp = true
-				runOracle := func(cfg Config) *codegen.Output {
-					if oc.oracle == nil {
-						out, err := Run(ctx, oc.build(q, r), cfg)
-						if err != nil {
-							t.Fatal(err)
+				// run builds cfg.Tree trees at cfg.LeafSize on both sides,
+				// whatever QueryTree would pick for q: the gate's mask edges
+				// sit in the query leaves, so their sizes are the test's to
+				// set. A sharded config runs the self-join over q, since
+				// sharding takes no external query points.
+				run := func(spec func(q, r *storage.Storage) *lang.PortalExpr, cfg Config) *codegen.Output {
+					var out *codegen.Output
+					var err error
+					if cfg.Shards > 0 {
+						out, err = Run(ctx, spec(q, q), cfg)
+					} else {
+						var p *Problem
+						if p, err = Compile(ctx, spec(q, r), cfg); err == nil {
+							out, err = p.ExecuteOn(cfg.buildTree(q, nil), cfg.buildTree(r, nil), cfg)
 						}
-						return out
 					}
-					out, err := Run(ctx, oc.oracle(q, r), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
+					return out
+				}
+				runOracle := func(cfg Config) *codegen.Output {
+					if oc.oracle == nil {
+						return run(oc.build, cfg)
+					}
+					out := run(oc.oracle, cfg)
 					return &codegen.Output{Scalar: slices.Max(out.Values), HasScalar: true, Stats: out.Stats}
 				}
-				gated, err := Run(ctx, oc.build(q, r), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				gated := run(oc.build, cfg)
 				interp := runOracle(interpCfg)
 				outputsIdentical(t, ctx+" gated vs interp", gated, interp)
 				// (The Hausdorff oracle walks in distance space, where the
@@ -156,10 +167,7 @@ func TestPointGateMatchesInterpreter(t *testing.T) {
 					t.Fatalf("%s: gated %+v vs interp %+v: want the same walk and no more evaluations", ctx, gated.Stats, interp.Stats)
 				}
 				cfg.Parallel, cfg.Workers = true, 4
-				steal, err := Run(ctx, oc.build(q, r), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				steal := run(oc.build, cfg)
 				outputsIdentical(t, ctx+" steal vs seq", steal, gated)
 				if steal.Stats.KernelEvals != gated.Stats.KernelEvals {
 					t.Fatalf("%s: steal evaluated %d pairs, sequential %d", ctx, steal.Stats.KernelEvals, gated.Stats.KernelEvals)
@@ -169,12 +177,7 @@ func TestPointGateMatchesInterpreter(t *testing.T) {
 				}
 				for _, k := range []int{1, 4} {
 					cfg.Shards, interpCfg.Shards = k, k
-					sharded, err := Run(ctx, oc.build(q, r), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					shardedInterp := runOracle(interpCfg)
-					outputsIdentical(t, fmt.Sprintf("%s shards=%d gated vs interp", ctx, k), sharded, shardedInterp)
+					outputsIdentical(t, fmt.Sprintf("%s shards=%d gated vs interp", ctx, k), run(oc.build, cfg), runOracle(interpCfg))
 				}
 			}
 		}

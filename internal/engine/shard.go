@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,45 +10,48 @@ import (
 	"portal/internal/stats"
 )
 
-// executeSharded splits the problem's reference storage into
-// Config.Shards spatial shards (building the per-shard trees), routes
-// the query storage onto the same domain split — for self-joins the one
-// partition serves both sides — and runs the sharded execution.
+// errShardedExternal refuses a sharded run over query points that are
+// not the reference points: sharding runs self-joins only.
+var errShardedExternal = errors.New("engine: sharded execution runs self-joins only; the query points must be the reference points")
+
+// executeSharded splits the problem's storage into Config.Shards
+// spatial shards (building the per-shard trees) and runs the sharded
+// execution over that one partition.
 func (p *Problem) executeSharded(cfg Config) (*codegen.Output, error) {
+	data := p.Plan.Spec.Inner().Data
+	if p.Plan.Spec.Outer().Data != data {
+		return nil, errShardedExternal
+	}
 	start := time.Now()
-	o := shard.Options{
+	part := shard.Split(data, shard.Options{
 		K:        cfg.Shards,
 		LeafSize: cfg.LeafSize,
 		Oct:      cfg.Tree == Octree,
 		Parallel: cfg.Parallel,
 		Workers:  cfg.Workers,
-	}
-	qData := p.Plan.Spec.Outer().Data
-	rData := p.Plan.Spec.Inner().Data
-	rp := shard.Split(rData, o)
-	qp := rp
-	if qData != rData {
-		qp = rp.RouteQueries(qData, o)
-	}
-	return p.execSharded(qp, rp, cfg, time.Since(start), true)
+	})
+	return p.execSharded(part, cfg, time.Since(start), true)
 }
 
-// ExecuteShardedOn runs the sharded execution over pre-built
-// partitions (the partition analogue of ExecuteOn). The same
-// concurrency contract holds: partitions are immutable after
-// shard.Split / RouteQueries, and every per-run mutable state is
-// allocated inside the call, so concurrent calls over shared
-// partitions are safe.
+// ExecuteShardedOn runs the sharded execution over a pre-built
+// partition (the partition analogue of ExecuteOn). qp and rp must be
+// the same partition: sharding runs self-joins only. The same
+// concurrency contract holds: a partition is immutable after
+// shard.Split, and every per-run mutable state is allocated inside the
+// call, so concurrent calls over a shared partition are safe.
 func (p *Problem) ExecuteShardedOn(qp, rp *shard.Partition, cfg Config) (*codegen.Output, error) {
-	return p.execSharded(qp, rp, cfg, 0, false)
+	if qp != rp {
+		return nil, errShardedExternal
+	}
+	return p.execSharded(rp, cfg, 0, false)
 }
 
-func (p *Problem) execSharded(qp, rp *shard.Partition, cfg Config, buildDur time.Duration, builtHere bool) (*codegen.Output, error) {
+func (p *Problem) execSharded(part *shard.Partition, cfg Config, buildDur time.Duration, builtHere bool) (*codegen.Output, error) {
 	if cfg.Weights != nil {
 		return nil, fmt.Errorf("engine: sharded execution does not support reference weights")
 	}
 	start := time.Now()
-	out, sh, err := shard.Execute(p.Ex, qp, rp, shard.ExecConfig{
+	out, sh, err := shard.Execute(p.Ex, part, shard.ExecConfig{
 		Parallel: cfg.Parallel,
 		Workers:  cfg.Workers,
 		LeafSize: cfg.LeafSize,
@@ -61,15 +65,16 @@ func (p *Problem) execSharded(qp, rp *shard.Partition, cfg Config, buildDur time
 	// sharded run lands in the traversal phase; Finalize stays zero.
 	traverseDur := time.Since(start)
 	if cfg.collectStats() {
+		n := int64(part.Source.Len())
 		rep := &stats.Report{
 			SchemaVersion: stats.ReportSchemaVersion,
 			Problem:       p.Plan.Name,
 			Parallel:      cfg.Parallel,
 			Workers:       cfg.resolvedWorkers(),
-			QueryN:        int64(qp.Source.Len()),
-			RefN:          int64(rp.Source.Len()),
+			QueryN:        n,
+			RefN:          n,
 			Rounds:        1,
-			TotalPairs:    int64(qp.Source.Len()) * int64(rp.Source.Len()),
+			TotalPairs:    n * n,
 			Traversal:     out.Stats,
 			Sharding:      sh,
 			Phases: stats.Phases{
@@ -78,17 +83,8 @@ func (p *Problem) execSharded(qp, rp *shard.Partition, cfg Config, buildDur time
 			},
 		}
 		if builtHere {
-			for i := range rp.Pieces {
-				if rp.Pieces[i].Tree != nil {
-					rep.Build.Add(rp.Pieces[i].Tree.Build)
-				}
-			}
-			if qp != rp {
-				for i := range qp.Pieces {
-					if qp.Pieces[i].Tree != nil {
-						rep.Build.Add(qp.Pieces[i].Tree.Build)
-					}
-				}
+			for i := range part.Pieces {
+				rep.Build.Add(part.Pieces[i].Tree.Build)
 			}
 		}
 		if cfg.Trace != nil {

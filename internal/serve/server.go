@@ -23,7 +23,6 @@ import (
 	"portal/internal/metrics"
 	"portal/internal/persist"
 	"portal/internal/problems"
-	"portal/internal/prune"
 	"portal/internal/stats"
 	"portal/internal/storage"
 	"portal/internal/trace"
@@ -33,7 +32,8 @@ import (
 // Config tunes the server.
 type Config struct {
 	// LeafSize is the leaf capacity of dataset trees (default 32). A
-	// request's query-point tree is shaped by queryTree instead.
+	// request's points get the tree engine.Problem.QueryTree picks:
+	// one level, or a kd-tree at this leaf size.
 	LeafSize int
 	// Workers is the traversal worker budget shared by all in-flight
 	// queries (and by tree builds at publish); 0 means GOMAXPROCS.
@@ -639,7 +639,7 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 	}
 	qt := snap.Tree
 	if !selfJoin {
-		qt = queryTree(prob.Rule().Kind, qd, s.cfg.LeafSize, snap.Data.Len())
+		qt = prob.QueryTree(qd, snap.Data.Len(), cfg)
 	}
 	return &pending{
 		prob:    prob,
@@ -650,26 +650,6 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		sampled: sampled,
 		rec:     rec,
 	}, nil
-}
-
-// queryTree builds the tree over a request's points q for a walk
-// under a rule of kind kind against an nr-point dataset tree of leaf
-// capacity leaf. A bound rule (k-NN) walks a one-level tree: each
-// point tightens its own bound and sweeps its nearest reference leaf
-// first, where a kd query node carries the loosest bound of its points
-// and orders its children from boxes of many points. Window and τ
-// rules walk the density-matched kd-tree, whose query nodes share what
-// the one-level tree would repeat per point: a window prune or a τ
-// approximation decided once for every point of the node. Against
-// 100 000 Plummer references (BenchmarkQueryTree) one level makes
-// k-NN 2.5–4× faster from 16 to 16 384 points; KDE gains nothing up to
-// 256 points and loses 4–50 % from 2 048; range search gains 12–15 %
-// up to 256 points and takes twice as long at 16 384.
-func queryTree(kind prune.Kind, q *storage.Storage, leaf, nr int) *tree.Tree {
-	if kind == prune.BoundRule {
-		return tree.BuildQuery(q)
-	}
-	return tree.BuildKD(q, &tree.Options{LeafSize: tree.QueryLeafSize(leaf, q.Len(), nr)})
 }
 
 // shape is everything prepare builds a query's spec and compile config

@@ -3,17 +3,20 @@ package shard_test
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 
 	"portal/internal/codegen"
 	"portal/internal/dataset"
 	"portal/internal/engine"
+	"portal/internal/expr"
 	"portal/internal/lang"
 	"portal/internal/problems"
 	"portal/internal/shard"
 	"portal/internal/stats"
 	"portal/internal/storage"
+	"portal/internal/trace"
 )
 
 // genPoints generates two Gaussian clumps (offsets 0 and 6) so the
@@ -68,40 +71,15 @@ func checkArgs(t *testing.T, label string, want, got []int) {
 	}
 }
 
-// checkLists compares per-query (args, values) lists exactly; when
-// sortWant is set the wanted lists are canonically sorted by arg first
-// (the sharded merge emits set-operator lists sorted, the unsharded
-// path in traversal order).
-func checkLists(t *testing.T, label string, want, got *codegen.Output, sortWant bool, tol float64) {
+// checkLists compares per-query (args, values) lists exactly. Both
+// paths emit set-operator lists in canonical order, so they compare
+// entry by entry like k-lists.
+func checkLists(t *testing.T, label string, want, got *codegen.Output, tol float64) {
 	t.Helper()
 	if len(want.ArgLists) != len(got.ArgLists) {
 		t.Fatalf("%s: got %d arg lists, want %d", label, len(got.ArgLists), len(want.ArgLists))
 	}
-	for q := range want.ArgLists {
-		wa := append([]int(nil), want.ArgLists[q]...)
-		var wv []float64
-		if want.ValueLists != nil {
-			wv = append([]float64(nil), want.ValueLists[q]...)
-		}
-		if sortWant {
-			perm := make([]int, len(wa))
-			for i := range perm {
-				perm[i] = i
-			}
-			sort.Slice(perm, func(a, b int) bool { return wa[perm[a]] < wa[perm[b]] })
-			sa := make([]int, len(wa))
-			for i, p := range perm {
-				sa[i] = wa[p]
-			}
-			if wv != nil {
-				sv := make([]float64, len(wv))
-				for i, p := range perm {
-					sv[i] = wv[p]
-				}
-				wv = sv
-			}
-			wa = sa
-		}
+	for q, wa := range want.ArgLists {
 		ga := got.ArgLists[q]
 		if len(wa) != len(ga) {
 			t.Fatalf("%s: query %d: got %d entries, want %d", label, q, len(ga), len(wa))
@@ -111,8 +89,8 @@ func checkLists(t *testing.T, label string, want, got *codegen.Output, sortWant 
 				t.Fatalf("%s: query %d entry %d: arg %d, want %d", label, q, i, ga[i], wa[i])
 			}
 		}
-		if wv != nil {
-			gv := got.ValueLists[q]
+		if want.ValueLists != nil {
+			wv, gv := want.ValueLists[q], got.ValueLists[q]
 			for i := range wv {
 				if relDiff(wv[i], gv[i]) > tol {
 					t.Fatalf("%s: query %d entry %d: value %v, want %v", label, q, i, gv[i], wv[i])
@@ -122,24 +100,38 @@ func checkLists(t *testing.T, label string, want, got *codegen.Output, sortWant 
 	}
 }
 
+// diffCase is one self-join the sharded path must answer like the
+// unsharded one: sharding runs self-joins only.
 type diffCase struct {
-	name     string
-	selfJoin bool
-	tau      float64
-	spec     func(q, r *storage.Storage) *lang.PortalExpr
-	check    func(t *testing.T, label string, un, sh *codegen.Output)
+	name  string
+	tau   float64
+	spec  func(q, r *storage.Storage) *lang.PortalExpr
+	check func(t *testing.T, label string, un, sh *codegen.Output)
+}
+
+// checkScalar holds a scalar-outer answer bit-equal and, when nonZero,
+// away from zero, where a reduction that lost every candidate would
+// agree with one that kept them.
+func checkScalar(t *testing.T, label string, un, sh *codegen.Output, nonZero bool) {
+	t.Helper()
+	if !sh.HasScalar || un.Scalar != sh.Scalar {
+		t.Fatalf("%s: scalar %v (has=%v), want %v", label, sh.Scalar, sh.HasScalar, un.Scalar)
+	}
+	if nonZero && un.Scalar == 0 {
+		t.Fatalf("%s: scalar is 0; the case wants a non-zero answer", label)
+	}
 }
 
 var diffCases = []diffCase{
 	{
-		name: "knn", selfJoin: true,
+		name: "knn",
 		spec: func(q, r *storage.Storage) *lang.PortalExpr { return problems.KNNSpec(q, r, 5) },
 		check: func(t *testing.T, label string, un, sh *codegen.Output) {
-			checkLists(t, label, un, sh, false, 0)
+			checkLists(t, label, un, sh, 0)
 		},
 	},
 	{
-		name: "nn", selfJoin: true,
+		name: "nn",
 		spec: func(q, r *storage.Storage) *lang.PortalExpr { return problems.KNNSpec(q, r, 1) },
 		check: func(t *testing.T, label string, un, sh *codegen.Output) {
 			checkArgs(t, label, un.Args, sh.Args)
@@ -150,16 +142,22 @@ var diffCases = []diffCase{
 		name: "rangesearch",
 		spec: func(q, r *storage.Storage) *lang.PortalExpr { return problems.RangeSearchSpec(q, r, 0, 1.5) },
 		check: func(t *testing.T, label string, un, sh *codegen.Output) {
-			checkLists(t, label, un, sh, true, 0)
+			checkLists(t, label, un, sh, 0)
 		},
 	},
 	{
-		name: "hausdorff",
-		spec: func(q, r *storage.Storage) *lang.PortalExpr { return problems.HausdorffSpec(q, r) },
+		// Hausdorff's shape, a MIN inner under a MAX outer reduction,
+		// over a decreasing kernel: a Hausdorff self-join is all zeros,
+		// this one is the largest Gaussian of a point's farthest
+		// neighbour.
+		name: "maxmin",
+		spec: func(q, r *storage.Storage) *lang.PortalExpr {
+			return (&lang.PortalExpr{}).
+				AddLayer(lang.MAX, q, nil).
+				AddLayer(lang.MIN, r, expr.NewGaussianKernel(2))
+		},
 		check: func(t *testing.T, label string, un, sh *codegen.Output) {
-			if !sh.HasScalar || un.Scalar != sh.Scalar {
-				t.Fatalf("%s: scalar %v (has=%v), want %v", label, sh.Scalar, sh.HasScalar, un.Scalar)
-			}
+			checkScalar(t, label, un, sh, true)
 		},
 	},
 	{
@@ -173,25 +171,19 @@ var diffCases = []diffCase{
 		},
 	},
 	{
-		name: "twopoint", selfJoin: true,
+		name: "twopoint",
 		spec: func(q, r *storage.Storage) *lang.PortalExpr { return problems.TwoPointSpec(q, 1.2) },
 		check: func(t *testing.T, label string, un, sh *codegen.Output) {
-			if !sh.HasScalar || un.Scalar != sh.Scalar {
-				t.Fatalf("%s: scalar %v (has=%v), want %v", label, sh.Scalar, sh.HasScalar, un.Scalar)
-			}
+			checkScalar(t, label, un, sh, true)
 		},
 	},
 }
 
 func runDiffCase(t *testing.T, c diffCase, d, shards int, kind engine.TreeKind, layout storage.Layout, label string) {
 	t.Helper()
-	ref := genPoints(240, d, layout, 11*int64(d)+1)
-	q := ref
-	if !c.selfJoin {
-		q = genPoints(160, d, layout, 17*int64(d)+2)
-	}
+	data := genPoints(240, d, layout, 11*int64(d)+1)
 	base := engine.Config{LeafSize: 16, Tree: kind, Tau: c.tau, Parallel: true, Workers: 4}
-	un, err := engine.Run(c.name, c.spec(q, ref), base)
+	un, err := engine.Run(c.name, c.spec(data, data), base)
 	if err != nil {
 		t.Fatalf("%s: unsharded: %v", label, err)
 	}
@@ -199,7 +191,7 @@ func runDiffCase(t *testing.T, c diffCase, d, shards int, kind engine.TreeKind, 
 	scfg.Shards = shards
 	sink := &stats.Report{}
 	scfg.StatsSink = sink
-	sh, err := engine.Run(c.name, c.spec(q, ref), scfg)
+	sh, err := engine.Run(c.name, c.spec(data, data), scfg)
 	if err != nil {
 		t.Fatalf("%s: sharded: %v", label, err)
 	}
@@ -214,8 +206,8 @@ func runDiffCase(t *testing.T, c diffCase, d, shards int, kind engine.TreeKind, 
 	for _, ps := range sink.Sharding.PerShard {
 		pts += ps.Points
 	}
-	if pts != int64(ref.Len()) {
-		t.Fatalf("%s: per-shard points sum to %d, want %d", label, pts, ref.Len())
+	if pts != int64(data.Len()) {
+		t.Fatalf("%s: per-shard points sum to %d, want %d", label, pts, data.Len())
 	}
 }
 
@@ -241,18 +233,14 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedK1ByteIdentical proves a 1-shard partition through the
-// full shard executor reproduces the unsharded output bit for bit: the
-// identity split preserves point order, so the single "shard" run is
-// the unsharded run.
+// full shard executor reproduces the unsharded self-join bit for bit:
+// the identity split preserves point order, so the single "shard" run
+// is the unsharded run.
 func TestShardedK1ByteIdentical(t *testing.T) {
 	data := genPoints(200, 3, storage.ChooseLayout(3), 5)
 	for _, c := range []diffCase{diffCases[0], diffCases[4]} { // knn, kde
 		cfg := engine.Config{LeafSize: 16, Tau: c.tau, Parallel: true, Workers: 4, Shards: 1}
-		q := data
-		if !c.selfJoin {
-			q = genPoints(100, 3, storage.ChooseLayout(3), 6)
-		}
-		p, err := engine.Compile(c.name, c.spec(q, data), cfg)
+		p, err := engine.Compile(c.name, c.spec(data, data), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,29 +248,45 @@ func TestShardedK1ByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := shard.Options{K: cfg.Shards, LeafSize: cfg.LeafSize, Parallel: true, Workers: cfg.Workers}
-		rp := shard.Split(data, o)
-		qp := rp
-		if !c.selfJoin {
-			qp = rp.RouteQueries(q, o)
-		}
-		sh, err := p.ExecuteShardedOn(qp, rp, cfg)
+		part := shard.Split(data, shard.Options{K: cfg.Shards, LeafSize: cfg.LeafSize, Parallel: true, Workers: cfg.Workers})
+		sh, err := p.ExecuteShardedOn(part, part, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range un.Values {
-			if un.Values[i] != sh.Values[i] {
-				t.Fatalf("%s: value[%d] differs: %v vs %v", c.name, i, sh.Values[i], un.Values[i])
-			}
+		if !slices.Equal(un.Values, sh.Values) {
+			t.Fatalf("%s: values differ", c.name)
 		}
 		for q := range un.ArgLists {
-			for j := range un.ArgLists[q] {
-				if un.ArgLists[q][j] != sh.ArgLists[q][j] ||
-					un.ValueLists[q][j] != sh.ValueLists[q][j] {
-					t.Fatalf("%s: query %d entry %d differs", c.name, q, j)
-				}
+			if !slices.Equal(un.ArgLists[q], sh.ArgLists[q]) || !slices.Equal(un.ValueLists[q], sh.ValueLists[q]) {
+				t.Fatalf("%s: query %d's lists differ", c.name, q)
 			}
 		}
+	}
+}
+
+// Sharding runs self-joins only: external query points through
+// Execute, and two different partitions through ExecuteShardedOn, are
+// refused with the same error, Execute's before it builds a tree.
+func TestShardedRefusesExternalQueries(t *testing.T) {
+	ref := genPoints(200, 3, storage.ChooseLayout(3), 7)
+	q := genPoints(20, 3, storage.ChooseLayout(3), 8)
+	rec := trace.New()
+	cfg := engine.Config{LeafSize: 16, Parallel: true, Workers: 2, Shards: 4, Trace: rec}
+	p, err := engine.Compile("knn", problems.KNNSpec(q, ref, 5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, execErr := p.Execute(cfg)
+	if execErr == nil || !strings.Contains(execErr.Error(), "self-joins only") {
+		t.Fatalf("sharded external queries: error %v, want the self-joins-only refusal", execErr)
+	}
+	if n := rec.Profile().BuildSpans; n != 0 {
+		t.Fatalf("the refused run built %d tree spans, want none", n)
+	}
+	o := shard.Options{K: 4, LeafSize: 16}
+	_, onErr := p.ExecuteShardedOn(shard.Split(q, o), shard.Split(ref, o), cfg)
+	if onErr == nil || onErr.Error() != execErr.Error() {
+		t.Fatalf("ExecuteShardedOn over two partitions: error %v, want %v", onErr, execErr)
 	}
 }
 
@@ -393,7 +397,7 @@ func TestShardedDegenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkLists(t, "small-shards", un, sh, false, 0)
+		checkLists(t, "small-shards", un, sh, 0)
 	})
 
 	t.Run("one-dimensional", func(t *testing.T) {
@@ -408,7 +412,7 @@ func TestShardedDegenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkLists(t, "d1", un, sh, true, 0)
+		checkLists(t, "d1", un, sh, 0)
 	})
 }
 
@@ -420,14 +424,13 @@ func TestShardedDegenerate(t *testing.T) {
 func TestShardedRealisticTau(t *testing.T) {
 	const tau = 1e-3
 	ref := genPoints(240, 3, storage.ChooseLayout(3), 31)
-	q := genPoints(160, 3, storage.ChooseLayout(3), 32)
-	exact, err := engine.Run("kde", problems.KDESpec(q, ref, 0.8),
+	exact, err := engine.Run("kde", problems.KDESpec(ref, ref, 0.8),
 		engine.Config{LeafSize: 16, Tau: 1e-300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &stats.Report{}
-	sh, err := engine.Run("kde", problems.KDESpec(q, ref, 0.8),
+	sh, err := engine.Run("kde", problems.KDESpec(ref, ref, 0.8),
 		engine.Config{LeafSize: 16, Tau: tau, Parallel: true, Workers: 4, Shards: 4, StatsSink: sink})
 	if err != nil {
 		t.Fatal(err)
@@ -443,11 +446,7 @@ func TestShardedRealisticTau(t *testing.T) {
 		t.Fatal("no exchange volume recorded at realistic τ")
 	}
 	for _, ps := range sink.Sharding.PerShard {
-		want := int64(ref.Len()) - ps.Points
-		if ps.QueryPoints == 0 {
-			want = 0 // no queries routed here: nothing to import for
-		}
-		if ps.ImportedPoints != want {
+		if want := int64(ref.Len()) - ps.Points; ps.ImportedPoints != want {
 			t.Fatalf("kde shard %d imported %d points, want every other shard's %d", ps.Shard, ps.ImportedPoints, want)
 		}
 	}
@@ -517,7 +516,7 @@ func TestShardedClustered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkLists(t, "clustered knn", un, sh, false, 0)
+	checkLists(t, "clustered knn", un, sh, 0)
 
 	kde := problems.KDESpec(data, data, problems.SilvermanBandwidth(data))
 	if un, err = engine.Run("kde", kde, cfg); err != nil {

@@ -7,78 +7,26 @@ import (
 	"portal/internal/storage"
 )
 
-// splitIndices produces K equal-count groups of source indices plus
-// the router that assigns arbitrary points to groups. Morton order is
-// the default: sort by interleaved-bit code over the global bounding
-// box and cut into K runs. ORB (orthogonal recursive bisection) is
-// the fallback for data Morton cannot separate — fewer distinct codes
-// than shards (all points identical, extreme duplication) or too many
-// dimensions to interleave — and recursively splits the widest
-// dimension at the proportional-count point, so it balances any
-// input, including fully degenerate ones.
-func splitIndices(s *storage.Storage, k int) (groups [][]int, rt *router, splitter string) {
+// splitIndices produces K equal-count groups of source indices. Morton
+// order is the default: sort by interleaved-bit code over the global
+// bounding box and cut into K runs. ORB (orthogonal recursive
+// bisection) is the fallback for data Morton cannot separate — fewer
+// distinct codes than shards (all points identical, extreme
+// duplication) or too many dimensions to interleave — and recursively
+// splits the widest dimension at the proportional-count point, so it
+// balances any input, including fully degenerate ones.
+func splitIndices(s *storage.Storage, k int) (groups [][]int, splitter string) {
 	if k <= 1 {
 		idx := make([]int, s.Len())
 		for i := range idx {
 			idx[i] = i
 		}
-		return [][]int{idx}, &router{kind: routeSingle}, "morton"
+		return [][]int{idx}, "morton"
 	}
-	if groups, rt, ok := splitMorton(s, k); ok {
-		return groups, rt, "morton"
+	if groups, ok := splitMorton(s, k); ok {
+		return groups, "morton"
 	}
-	groups, rt = splitORB(s, k)
-	return groups, rt, "orb"
-}
-
-const (
-	routeSingle = iota
-	routeMorton
-	routeORB
-)
-
-// router assigns a point to its owning shard — the query-side routing
-// of RouteQueries. Assignments only affect exchange volume, never
-// correctness, so duplicate-code and threshold ties resolve
-// arbitrarily.
-type router struct {
-	kind int
-	// Morton state.
-	box  geom.Rect
-	bits uint
-	cuts []uint64 // cuts[i] = first code of shard i+1
-	// ORB state: a binary split tree over nodes.
-	orb []orbNode
-}
-
-type orbNode struct {
-	dim         int
-	thr         float64
-	left, right int32 // node indices; -1 marks a leaf
-	piece       int32 // shard id at a leaf
-}
-
-func (r *router) assign(p []float64) int {
-	switch r.kind {
-	case routeMorton:
-		code := mortonCode(p, r.box, r.bits)
-		return sort.Search(len(r.cuts), func(i int) bool { return r.cuts[i] > code })
-	case routeORB:
-		ni := int32(0)
-		for {
-			n := &r.orb[ni]
-			if n.left < 0 {
-				return int(n.piece)
-			}
-			if p[n.dim] <= n.thr {
-				ni = n.left
-			} else {
-				ni = n.right
-			}
-		}
-	default:
-		return 0
-	}
+	return splitORB(s, k), "orb"
 }
 
 // mortonBits returns the per-dimension bit budget for interleaving
@@ -130,11 +78,11 @@ func mortonCode(p []float64, box geom.Rect, bits uint) uint64 {
 // runs. Reports !ok when the data defeats the code space — too many
 // dimensions to interleave, or fewer distinct codes than shards — so
 // splitIndices falls back to ORB.
-func splitMorton(s *storage.Storage, k int) ([][]int, *router, bool) {
+func splitMorton(s *storage.Storage, k int) ([][]int, bool) {
 	n, d := s.Len(), s.Dim()
 	bits := mortonBits(d)
 	if bits == 0 {
-		return nil, nil, false
+		return nil, false
 	}
 	box := geom.EmptyRect(d)
 	buf := make([]float64, d)
@@ -162,18 +110,14 @@ func splitMorton(s *storage.Storage, k int) ([][]int, *router, bool) {
 		}
 	}
 	if distinct < k {
-		return nil, nil, false
+		return nil, false
 	}
 	groups := make([][]int, k)
-	cuts := make([]uint64, k-1)
 	for sh := 0; sh < k; sh++ {
 		lo, hi := sh*n/k, (sh+1)*n/k
 		groups[sh] = idx[lo:hi:hi]
-		if sh > 0 {
-			cuts[sh-1] = codes[idx[lo]]
-		}
 	}
-	return groups, &router{kind: routeMorton, box: box, bits: bits, cuts: cuts}, true
+	return groups, true
 }
 
 // splitORB recursively bisects the widest dimension at the
@@ -181,24 +125,20 @@ func splitMorton(s *storage.Storage, k int) ([][]int, *router, bool) {
 // Counts stay exactly balanced (each split hands ⌊len·kl/k⌋ points to
 // the left kl shards), so K ≤ n guarantees every shard at least one
 // point even when all points coincide.
-func splitORB(s *storage.Storage, k int) ([][]int, *router) {
+func splitORB(s *storage.Storage, k int) [][]int {
 	n, d := s.Len(), s.Dim()
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	groups := make([][]int, k)
-	rt := &router{kind: routeORB}
 	buf := make([]float64, d)
-	var rec func(idx []int, shLo, shN int) int32
-	rec = func(idx []int, shLo, shN int) int32 {
-		ni := int32(len(rt.orb))
+	var rec func(idx []int, shLo, shN int)
+	rec = func(idx []int, shLo, shN int) {
 		if shN == 1 {
 			groups[shLo] = idx
-			rt.orb = append(rt.orb, orbNode{left: -1, right: -1, piece: int32(shLo)})
-			return ni
+			return
 		}
-		rt.orb = append(rt.orb, orbNode{})
 		box := geom.EmptyRect(d)
 		for _, i := range idx {
 			box.Expand(s.Point(i, buf))
@@ -213,12 +153,9 @@ func splitORB(s *storage.Storage, k int) ([][]int, *router) {
 			}
 			return idx[a] < idx[b]
 		})
-		thr := 0.5 * (s.At(idx[nth-1], dim) + s.At(idx[nth], dim))
-		left := rec(idx[:nth:nth], shLo, kl)
-		right := rec(idx[nth:], shLo+kl, shN-kl)
-		rt.orb[ni] = orbNode{dim: dim, thr: thr, left: left, right: right}
-		return ni
+		rec(idx[:nth:nth], shLo, kl)
+		rec(idx[nth:], shLo+kl, shN-kl)
 	}
 	rec(idx, 0, k)
-	return groups, rt
+	return groups
 }

@@ -27,68 +27,57 @@ func clumps(n, d int, layout storage.Layout, seed int64) *storage.Storage {
 }
 
 // TestSplitBalanceAndRouting holds the automatic choice and each
-// splitter on its own to equal-count pieces and to a router that sends
-// every point back to the piece that owns it.
+// splitter on its own to equal-count pieces that route every point to
+// exactly one piece.
 func TestSplitBalanceAndRouting(t *testing.T) {
 	splitters := []struct {
 		name  string
-		split func(t *testing.T, s *storage.Storage, k int) ([][]int, *router)
+		split func(t *testing.T, s *storage.Storage, k int) [][]int
 	}{
-		{"auto", func(t *testing.T, s *storage.Storage, k int) ([][]int, *router) {
-			groups, rt, _ := splitIndices(s, k)
-			return groups, rt
+		{"auto", func(t *testing.T, s *storage.Storage, k int) [][]int {
+			groups, _ := splitIndices(s, k)
+			return groups
 		}},
-		{"morton", func(t *testing.T, s *storage.Storage, k int) ([][]int, *router) {
-			groups, rt, ok := splitMorton(s, k)
+		{"morton", func(t *testing.T, s *storage.Storage, k int) [][]int {
+			groups, ok := splitMorton(s, k)
 			if !ok {
 				t.Fatalf("morton K=%d: distinct points defeated the code space", k)
 			}
-			return groups, rt
+			return groups
 		}},
-		{"orb", func(t *testing.T, s *storage.Storage, k int) ([][]int, *router) {
+		{"orb", func(t *testing.T, s *storage.Storage, k int) [][]int {
 			return splitORB(s, k)
 		}},
 	}
 	for _, sp := range splitters {
 		for _, k := range []int{2, 3, 8} {
 			s := clumps(500, 3, storage.ChooseLayout(3), 41)
-			groups, rt := sp.split(t, s, k)
-			p := &Partition{Pieces: buildPieces(s, groups, nil, Options{LeafSize: 16}), Source: s, rt: rt}
+			p := &Partition{Pieces: buildPieces(s, sp.split(t, s, k), Options{LeafSize: 16}), Source: s}
 			if p.K() != k {
 				t.Fatalf("%s K=%d: got %d pieces", sp.name, k, p.K())
 			}
-			total, lo, hi := 0, s.Len(), 0
-			for _, pc := range p.Pieces {
+			lo, hi := s.Len(), 0
+			owner := make([]int, s.Len())
+			for i, pc := range p.Pieces {
 				n := len(pc.Orig)
-				total += n
 				lo, hi = min(lo, n), max(hi, n)
 				if pc.Tree == nil || pc.Tree.Len() != n || pc.Store.Len() != n {
 					t.Fatalf("%s K=%d: piece tree/store inconsistent", sp.name, k)
 				}
+				for _, g := range pc.Orig {
+					if owner[g] != 0 {
+						t.Fatalf("%s K=%d: point %d in pieces %d and %d", sp.name, k, g, owner[g]-1, i)
+					}
+					owner[g] = i + 1
+				}
 			}
-			if total != s.Len() {
-				t.Fatalf("%s K=%d: pieces cover %d points, want %d", sp.name, k, total, s.Len())
+			for g, o := range owner {
+				if o == 0 {
+					t.Fatalf("%s K=%d: point %d in no piece", sp.name, k, g)
+				}
 			}
 			if hi-lo > 1 {
 				t.Fatalf("%s K=%d: imbalance %d..%d, want equal counts", sp.name, k, lo, hi)
-			}
-			// The router must send every point back to the piece that
-			// owns it (distinct coordinates: no boundary ties).
-			rq := p.RouteQueries(s, Options{K: k, LeafSize: 16})
-			for i, pc := range p.Pieces {
-				own := make(map[int]bool, len(pc.Orig))
-				for _, g := range pc.Orig {
-					own[g] = true
-				}
-				for _, g := range rq.Pieces[i].Orig {
-					if !own[g] {
-						t.Fatalf("%s K=%d: point %d routed to shard %d but owned elsewhere", sp.name, k, g, i)
-					}
-				}
-				if len(rq.Pieces[i].Orig) != len(pc.Orig) {
-					t.Fatalf("%s K=%d: shard %d routed %d points, owns %d",
-						sp.name, k, i, len(rq.Pieces[i].Orig), len(pc.Orig))
-				}
 			}
 		}
 	}

@@ -39,9 +39,9 @@ func goldenReport() *Report {
 		Sharding: &ShardingStats{
 			Shards: 2, Splitter: "morton", ExchangeSummaryBytes: 65536,
 			PerShard: []ShardStats{
-				{Shard: 0, Points: 5000, QueryPoints: 5000, BuildNS: 4000000, TraverseNS: 30000000,
+				{Shard: 0, Points: 5000, BuildNS: 4000000, TraverseNS: 30000000,
 					ImportedPoints: 700, ExchangeSummaryBytes: 32768},
-				{Shard: 1, Points: 5000, QueryPoints: 5000, BuildNS: 4100000, TraverseNS: 31000000,
+				{Shard: 1, Points: 5000, BuildNS: 4100000, TraverseNS: 31000000,
 					ImportedPoints: 650, ExchangeSummaryBytes: 32768},
 			},
 		},
@@ -65,7 +65,7 @@ func goldenReport() *Report {
 	}
 }
 
-// TestReportGoldenJSON pins the schema_version=6 JSON wire format.
+// TestReportGoldenJSON pins the schema_version=7 JSON wire format.
 func TestReportGoldenJSON(t *testing.T) {
 	b, err := goldenReport().JSON()
 	if err != nil {
@@ -73,7 +73,7 @@ func TestReportGoldenJSON(t *testing.T) {
 	}
 	b = append(b, '\n')
 
-	golden := filepath.Join("testdata", "report_v6.golden.json")
+	golden := filepath.Join("testdata", "report_v7.golden.json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -64,7 +64,10 @@ import (
 // Version 6: the boundary exchange ships every point it does not prune
 // and no longer summarises subtrees, so "sharding.per_shard" loses
 // imported_aggregates.
-const ReportSchemaVersion = 6
+//
+// Version 7: sharding runs self-joins only, so a shard's query points
+// are its points and "sharding.per_shard" loses query_points.
+const ReportSchemaVersion = 7
 
 // TraversalStats counts traversal events. Within one task the fields
 // are plain (single-writer); cross-task aggregation goes through
@@ -220,11 +223,9 @@ func (s *TreeBuildStats) Add(o TreeBuildStats) {
 type ShardStats struct {
 	// Shard is the shard index (0-based).
 	Shard int `json:"shard"`
-	// Points is the shard's reference point count; QueryPoints is the
-	// number of query points routed to the shard (equal for
-	// self-joins).
-	Points      int64 `json:"points"`
-	QueryPoints int64 `json:"query_points"`
+	// Points is the shard's point count, on the query and the
+	// reference side alike.
+	Points int64 `json:"points"`
 	// BuildNS is the shard tree's construction wall time.
 	BuildNS int64 `json:"build_ns"`
 	// TraverseNS is the shard's traversal wall time (local run plus

@@ -59,7 +59,7 @@ func TestKDESmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Report.JSON: %v", err)
 	}
-	if !bytes.Contains(b, []byte(`"schema_version": 6`)) {
+	if !bytes.Contains(b, []byte(`"schema_version": 7`)) {
 		t.Error("report JSON missing schema_version")
 	}
 	if sink.SchemaVersion != stats.ReportSchemaVersion {

@@ -42,11 +42,12 @@
 //
 // Two shapes serve external query points. BuildQuery builds one level,
 // a single-point leaf per query point, so each point walks the
-// reference tree on its own; QueryLeafSize gives the leaf capacity of
-// a kd-tree (or octree) whose leaves match the reference leaves'
-// density, the shape Algorithm 1 splits in lock-step with the
-// reference tree. The caller picks by what the walk shares across
-// query points (serve.queryTree).
+// reference tree on its own; BuildKD (or BuildOct) at the reference
+// tree's leaf size builds the tree Algorithm 1 splits in lock-step
+// with the reference tree, whose nodes share a prune or an
+// approximation among their points. engine.Problem.QueryTree picks
+// one by the rule kind and, for window rules, by how sparse the
+// points are against the references.
 //
 // # Panics
 //
@@ -227,23 +228,6 @@ func (o *Options) workers() int {
 
 // DefaultLeafSize is the leaf capacity used when Options.LeafSize is 0.
 const DefaultLeafSize = 32
-
-// QueryLeafSize is the leaf capacity for a tree over nq external query
-// points that will be traversed against an nr-point reference tree of
-// leaf capacity leaf (0 means DefaultLeafSize): leaf·nq/nr clamped to
-// [1, leaf], so a query leaf covers about one reference leaf's worth
-// of reference points. A small request built at the reference leaf
-// size is a single leaf whose box spans the data set — nothing prunes
-// against it; at the density-matched size its leaves are as tight as
-// the reference leaves they meet (the paper's leaf-size tuning,
-// Section V-B, applied to the query side).
-func QueryLeafSize(leaf, nq, nr int) int {
-	if leaf <= 0 {
-		leaf = DefaultLeafSize
-	}
-	matched := int64(leaf) * int64(nq) / int64(max(nr, 1))
-	return int(max(1, min(int64(leaf), matched)))
-}
 
 // minSpawnCount is the subtree size below which parallel construction
 // stops forking tasks: small ranges are cheaper to build inline than

@@ -473,26 +473,9 @@ func BenchmarkTreeBuild(b *testing.B) {
 	}
 }
 
-func TestQueryLeafSize(t *testing.T) {
-	for _, c := range []struct{ leaf, nq, nr, want int }{
-		{32, 16, 100_000, 1},   // a small request: one point per leaf
-		{32, 5000, 100_000, 1}, // 1.6 reference leaves' worth rounds down
-		{32, 25_000, 100_000, 8},
-		{32, 100_000, 100_000, 32},
-		{32, 1_000_000, 100_000, 32}, // never above the reference leaf
-		{16, 256, 3000, 1},
-		{0, 50_000, 100_000, DefaultLeafSize / 2}, // 0 means the default
-		{32, 1, 0, 32},                            // degenerate reference side
-	} {
-		if got := QueryLeafSize(c.leaf, c.nq, c.nr); got != c.want {
-			t.Errorf("QueryLeafSize(%d, %d, %d) = %d, want %d", c.leaf, c.nq, c.nr, got, c.want)
-		}
-	}
-}
-
 // A small build must not pay for full-size chunk pools: a 16-point
-// tree at one point per leaf (a served request's query tree) stays
-// within a few KB, where full chunks alone are ~90 KB.
+// tree at one point per leaf stays within a few KB, where full chunks
+// alone are ~90 KB.
 func TestSmallBuildAllocatesSmallPools(t *testing.T) {
 	s := randStorage(rand.New(rand.NewSource(5)), 16, 3)
 	const builds = 200
