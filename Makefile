@@ -11,7 +11,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The vector bodies (internal/fastmath/sumgauss_amd64.s, nearmask_amd64.s,
+# The vector bodies (internal/fastmath/sumgauss_amd64.s, nearmask_amd64.s
+# with both near masks, NearMaskCols' and NearMaskRows', and
 # minmax_amd64.s) are what an amd64 host builds and tests; every other
 # GOARCH runs the Go bodies, and nothing above compiles that
 # configuration. arm64 stands in for them.
@@ -28,6 +29,7 @@ test:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSumGaussRows -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzNearMaskCols -fuzztime 5s ./internal/fastmath
+	$(GO) test -run '^$$' -fuzz FuzzNearMaskRows -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzMinMaxCol -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzValidate -fuzztime 5s ./internal/metrics

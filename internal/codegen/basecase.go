@@ -162,22 +162,27 @@ func (r *Run) settle(qb, qe int, qn, rn *tree.Node) uint64 {
 		}
 		return m
 	case gateTau:
-		// Approximate rn for q when kmax(q, rn) < τ, tested in log space;
-		// kmin >= 0 makes that the rule's kmax − kmin < τ, and the estimator
-		// is ComputeApprox's: the kernel at rn's centroid times its mass,
-		// within τ of every reference point it replaces. Nothing else in
-		// this base case touches a settled point's Val, so the estimates
-		// all land here, in position order, before the first sweep.
-		lo, hi := rn.BBox.Min, rn.BBox.Max
-		var m uint64
-		for qi := qb; qi < qe; qi++ {
-			near := fastmath.Hypot2Box(r.qFlat[qi*r.qStep:], r.qStride, lo, hi, false)
-			m |= bit(!(ex.tauC*near < ex.lnTau)) << ((qi - qb) & 63)
-		}
+		// Approximate rn for q when kmax(q, rn) < τ; kmin >= 0 makes that
+		// the rule's kmax − kmin < τ. Compiled, that is near >= w* for
+		// rn's near value (tauThreshold): the window's upper test, against
+		// its own slab. The estimator is ComputeApprox's: the kernel at
+		// rn's centroid times its mass, within τ of every reference point
+		// it replaces. Nothing else in this base case touches a settled
+		// point's Val, so the estimates all land here, in position order,
+		// before the first sweep.
+		m := r.nearMask(qb, nil, rn, ex.tauGate[:qe-qb])
+		qd := r.Q.Data
+		rows := qd.Layout() == storage.RowMajor
 		for rest := all &^ m; rest != 0; rest &= rest - 1 {
 			qi := qb + bits.TrailingZeros64(rest)
+			var q []float64
+			if rows {
+				q = qd.Row(qi)
+			} else {
+				q = qd.Point(qi, r.qbuf)
+			}
 			r.kernelEvals++
-			r.Val[qi] += r.evalD2(fastmath.Hypot2(r.Q.Data.Point(qi, r.qbuf), rn.Centroid)) * rn.Mass
+			r.Val[qi] += r.evalD2(fastmath.Hypot2(q, rn.Centroid)) * rn.Mass
 		}
 		return m
 	}
@@ -189,15 +194,19 @@ func (r *Run) settle(qb, qe int, qn, rn *tree.Node) uint64 {
 // w[i]. qn, when not nil, is the query leaf: the value of its own box is
 // a floor under every point's, and one compare against it settles most
 // points without computing their own. Unit-stride columns of at most
-// four dimensions are the mask kernel's, floor included.
+// four dimensions are the column mask kernel's, floor included; rows are
+// the row mask kernel's when there is no floor.
 func (r *Run) nearMask(qb int, qn, rn *tree.Node, w []float64) uint64 {
 	lo, hi := rn.BBox.Min, rn.BBox.Max
 	var qlo, qhi []float64
 	if qn != nil {
 		qlo, qhi = qn.BBox.Min, qn.BBox.Max
 	}
-	if r.qStep == 1 && len(lo) <= storage.ColMajorMaxDim {
+	switch d := len(lo); {
+	case r.qStep == 1 && d <= storage.ColMajorMaxDim:
 		return fastmath.NearMaskCols(r.qFlat[qb:], r.qStride, qlo, qhi, lo, hi, w)
+	case r.qStride == 1 && qn == nil:
+		return fastmath.NearMaskRows(r.qFlat[qb*d:(qb+len(w))*d], lo, hi, w)
 	}
 	in := ^uint64(0) >> (gateChunk - len(w))
 	if qn != nil {

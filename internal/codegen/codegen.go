@@ -85,9 +85,12 @@ type Executable struct {
 	// window's constant thresholds in the per-point form the gate's mask
 	// producers take. Read-only after Compile.
 	winGate *struct{ lo, hi [gateChunk]float64 }
-	// tauC < 0 marks a compiled τ rule over the Gaussian exp(tauC·d²);
-	// lnTau is ln τ, the threshold of the rule's log-space point form.
-	tauC, lnTau float64
+	// tauGate is the τ rule's point form as a squared-distance threshold
+	// (tauThreshold) repeated gateChunk times, in the same per-point form.
+	// Read-only after Compile.
+	tauGate *[gateChunk]float64
+	// tauC < 0 marks a compiled τ rule over the Gaussian exp(tauC·d²).
+	tauC float64
 	// decide is the compiled window or τ condition, nil when only the
 	// generic interval fallback applies; boundForm is its counterpart
 	// for bound rules (decide.go).

@@ -108,8 +108,9 @@ func (ex *Executable) compileDecide() decideFn {
 			ex.winGate.lo[i], ex.winGate.hi[i] = lo2, hi2
 		}
 		return func(qn, rn *tree.Node) prune.Decision {
-			dlo := qn.BBox.MinDist2(rn.BBox)
-			dhi := qn.BBox.MaxDist2(rn.BBox)
+			q, b := &qn.BBox, &rn.BBox
+			dlo := fastmath.BoxMinDist2(q.Min, q.Max, b.Min, b.Max)
+			dhi := fastmath.BoxMaxDist2(q.Min, q.Max, b.Min, b.Max)
 			if dhi <= lo2 || dlo >= hi2 {
 				return prune.Prune
 			}
@@ -130,10 +131,16 @@ func (ex *Executable) compileDecide() decideFn {
 			return nil
 		}
 		tau := ex.Plan.Tau
-		ex.tauC, ex.lnTau = c, math.Log(tau)
+		ex.tauC = c
+		ex.tauGate = new([gateChunk]float64)
+		w := tauThreshold(c, math.Log(tau))
+		for i := range ex.tauGate {
+			ex.tauGate[i] = w
+		}
 		return func(qn, rn *tree.Node) prune.Decision {
-			kmax := fastmath.ExpFast(c * qn.BBox.MinDist2(rn.BBox))
-			kmin := fastmath.ExpFast(c * qn.BBox.MaxDist2(rn.BBox))
+			q, b := &qn.BBox, &rn.BBox
+			kmax := fastmath.ExpFast(c * fastmath.BoxMinDist2(q.Min, q.Max, b.Min, b.Max))
+			kmin := fastmath.ExpFast(c * fastmath.BoxMaxDist2(q.Min, q.Max, b.Min, b.Max))
 			if kmax-kmin < tau {
 				return prune.Approx
 			}
@@ -141,6 +148,35 @@ func (ex *Executable) compileDecide() decideFn {
 		}
 	}
 	return nil
+}
+
+// tauThreshold is w*, the least x >= 0 with c·x < lnTau, for c < 0: the
+// τ rule's log-space point form "c·near < ln τ" as a threshold on the
+// squared distance itself. fl(c·x) is non-increasing in x — the exact
+// product is, and rounding is monotone — so the x that pass are exactly
+// those >= w*, and for every near in [+0, +Inf] the form holds iff near
+// >= w*; a NaN near passes neither. NaN when no x passes (ln τ is -Inf or
+// NaN), 0 when x = 0 already does (τ > 1), +Inf when only +Inf does.
+// Non-negative floats order as their bit patterns, so w* is a bisection
+// over those.
+func tauThreshold(c, lnTau float64) float64 {
+	pass := func(b uint64) bool { return c*math.Float64frombits(b) < lnTau }
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1))
+	switch {
+	case pass(lo):
+		return 0
+	case !pass(hi):
+		return math.NaN()
+	}
+	for hi-lo > 1 { // !pass(lo), pass(hi)
+		mid := lo + (hi-lo)/2
+		if pass(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
 }
 
 func bodyExprOf(k *expr.Kernel) expr.Expr {

@@ -233,13 +233,14 @@ func TestPointGateLastLeafEndsStorage(t *testing.T) {
 // on the same Hypot2Box value, ahead of the Run's own BaseCase.
 type tauCounter struct {
 	*Run
+	lnTau        float64
 	approximated []float64
 }
 
 func (c *tauCounter) BaseCase(qn, rn *tree.Node) {
 	for qi := qn.Begin; qi < qn.End; qi++ {
 		near := fastmath.Hypot2Box(c.qFlat[qi*c.qStep:], c.qStride, rn.BBox.Min, rn.BBox.Max, false)
-		if c.Ex.tauC*near < c.Ex.lnTau {
+		if c.Ex.tauC*near < c.lnTau {
 			c.approximated[qi] += float64(rn.Count())
 		}
 	}
@@ -276,7 +277,7 @@ func TestTauGateWithinBudget(t *testing.T) {
 		}
 		qt := tree.BuildKD(q, &tree.Options{LeafSize: leaf})
 		rt := tree.BuildKD(r, &tree.Options{LeafSize: leaf})
-		counter := &tauCounter{Run: ex.Bind(qt, rt), approximated: make([]float64, q.Len())}
+		counter := &tauCounter{Run: ex.Bind(qt, rt), lnTau: math.Log(tau), approximated: make([]float64, q.Len())}
 		if counter.gate != gateTau {
 			t.Fatalf("d=%d: Gaussian SUM under the τ rule selected gate %d", d, counter.gate)
 		}

@@ -13,31 +13,33 @@
 // panic. Hypot2, Hypot2Box, BoxMinDist2, BoxMaxDist2 and NearFloorMask
 // index their other slices by the length of the first, so a shorter one
 // is an index-out-of-range panic — a caller's bug, not an input.
-// NearMaskCols checks its preconditions in Go before any vector load:
-// len(lo) outside 1..4 or len(w) > 64 panics by name, and len(cols) <
-// (d−1)·stride + len(w) or cap(hi) < len(lo) is an index panic there,
-// never a wild read in the assembly.
+// NearMaskCols and NearMaskRows check their preconditions in Go before
+// any vector load: len(lo) outside 1..4 (NearMaskRows: below 1) or
+// len(w) > 64 panics by name, and too short a cols or rows, or cap(hi) <
+// len(lo), is an index panic there, never a wild read in the assembly.
 // SumGaussRows has no precondition: it never panics, and it ignores a
 // trailing partial row.
 //
 // # Vector bodies
 //
-// Two functions have a second body that returns the same bits:
+// Three functions have a second body that returns the same bits:
 //
 //	                      amd64, CPU and OS with AVX2             everything else
 //	SumGaussRows          sumgauss_amd64.s, four rows per step    sumGaussRowsGo
 //	NearMaskCols          nearmask_amd64.s, four points per step  nearMaskColsGo
+//	NearMaskRows          nearmask_amd64.s, four rows per step    nearMaskRowsGo
 //
 // SumGaussRows is the fused Gaussian base case for one query point,
 // NearMaskCols the point gate's near test for one leaf of column-major
-// points. The choice is one unexported variable each, set at init from
+// points and NearMaskRows the same test for rows (MinMaxCol, below, is
+// a fourth). The choice is one unexported variable each, set at init from
 // one CPUID probe; there is no flag, environment variable or build tag to
 // select with. The Go bodies are also the vector bodies' finishers — a
 // group of rows with a term outside ExpFast's inlined range, the last
 // len(w) mod 4 points of a leaf, a box with a side that is not finite —
 // and the oracles of their tests; TestVectorPathLive and the avx2
-// variants of BenchmarkSumGaussRows and BenchmarkNearMaskCols say which
-// bodies a machine runs.
+// variants of BenchmarkSumGaussRows, BenchmarkNearMaskCols and
+// BenchmarkNearMaskRows say which bodies a machine runs.
 //
 // What is promised is path independence within one binary: both bodies
 // perform the same IEEE operations in the same order, none of them
@@ -47,7 +49,8 @@
 // than on amd64.
 //
 // Assembly cannot be preempted asynchronously, so one call into it
-// covers at most 256 rows, or 64 points (a microsecond or two).
+// covers at most 256 rows, or 64 points (a microsecond or two; 64 rows
+// of a near mask take d/30 µs or so).
 package fastmath
 
 import (
@@ -379,20 +382,10 @@ func NearMaskCols(cols []float64, stride int, qlo, qhi, lo, hi, w []float64) uin
 	hi = hi[:d]
 	_ = cols[(d-1)*stride+n-1] // the vector body checks nothing: a short cols panics here
 	all := ^uint64(0) >> (64 - uint(n))
-	if nearMaskColsVec != nil && n >= vecLanes {
-		// The vector body's min keeps a NaN offset only when x-lo and hi-x
-		// are NaN together, which a finite box guarantees. A sum with a
-		// term that is not finite is itself not finite: such a box is the
-		// Go body's.
-		var span float64
-		for j, l := range lo {
-			span += hi[j] - l
-		}
-		if span-span == 0 {
-			head := all >> (uint(n) % vecLanes) // the points in whole groups
-			m := nearMaskColsVec(&cols[0], stride, &lo[0], &hi[0], d, &w[0], n/vecLanes)
-			return m&head | nearMaskColsGo(all&^head, cols, stride, lo, hi, w)
-		}
+	if nearMaskColsVec != nil && n >= vecLanes && finiteBox(lo, hi) {
+		head := all >> (uint(n) % vecLanes) // the points in whole groups
+		m := nearMaskColsVec(&cols[0], stride, &lo[0], &hi[0], d, &w[0], n/vecLanes)
+		return m&head | nearMaskColsGo(all&^head, cols, stride, lo, hi, w)
 	}
 	in := all
 	if qlo != nil && n >= 4 {
@@ -406,10 +399,53 @@ func NearMaskCols(cols []float64, stride int, qlo, qhi, lo, hi, w []float64) uin
 	return nearMaskColsGo(in, cols, stride, lo, hi, w)
 }
 
-// vecLanes is how many points the vector body of NearMaskCols decides at
-// once (one per float64 lane of a YMM register). It only ever loads whole
-// groups: the columns and w may end their mapping, so the last len(w) mod
-// vecLanes points are the Go body's.
+// NearMaskRows is NearMaskCols for up to 64 points stored as rows —
+// dimension j of point i is rows[i*d+j], d = len(lo) >= 1 — without the
+// floor: bit i of the result is set iff
+//
+//	!(Hypot2Box(rows[i*d:], 1, lo, hi, false) >= w[i])
+//
+// for i < len(w) <= 64. The vector body gives each point of a group of
+// four a register whose lanes are Hypot2Box's four partial sums (a
+// dimension's lane is its index mod 4, the last d mod 4 all in lane 0),
+// summed (s0+s1)+(s2+s3) at the end: the per-point calls' mask bit for
+// bit, NaN coordinates and thresholds (never settled) included.
+func NearMaskRows(rows, lo, hi, w []float64) uint64 {
+	d, n := len(lo), len(w)
+	if d < 1 || n > 64 {
+		panic("fastmath: NearMaskRows wants at least 1 dimension and at most 64 points")
+	}
+	if n == 0 {
+		return 0
+	}
+	hi = hi[:d]
+	_ = rows[n*d-1] // the vector body checks nothing: a short rows panics here
+	all := ^uint64(0) >> (64 - uint(n))
+	if nearMaskRowsVec != nil && n >= vecLanes && finiteBox(lo, hi) {
+		head := all >> (uint(n) % vecLanes) // the points in whole groups
+		m := nearMaskRowsVec(&rows[0], &lo[0], &hi[0], d, &w[0], n/vecLanes)
+		return m&head | nearMaskRowsGo(all&^head, rows, lo, hi, w)
+	}
+	return nearMaskRowsGo(all, rows, lo, hi, w)
+}
+
+// finiteBox reports whether every side of [lo, hi] is finite, which the
+// vector bodies of the near masks need: their min keeps a NaN offset only
+// when x-lo and hi-x are NaN together, which a finite box guarantees. A
+// sum with a term that is not finite is itself not finite.
+func finiteBox(lo, hi []float64) bool {
+	var span float64
+	for j, l := range lo {
+		span += hi[j] - l
+	}
+	return span-span == 0
+}
+
+// vecLanes is how many points the vector bodies of NearMaskCols and
+// NearMaskRows decide at once (NearMaskCols: one per float64 lane of a
+// YMM register; NearMaskRows: one register each). They only ever load
+// whole groups: the points and w may end their mapping, so the last
+// len(w) mod vecLanes points are the Go body's.
 const vecLanes = 4
 
 // nearMaskColsVec is this platform's vector body of NearMaskCols, set
@@ -417,6 +453,12 @@ const vecLanes = 4
 // else: bit i of its result is bit i of nearMaskColsGo(all ones, …) for
 // the 4·groups first points, given a finite box.
 var nearMaskColsVec func(cols *float64, stride int, lo, hi *float64, d int, w *float64, groups int) uint64
+
+// nearMaskRowsVec is this platform's vector body of NearMaskRows, set
+// once at init where there is one (amd64 with AVX2) and nil everywhere
+// else: bit i of its result is bit i of nearMaskRowsGo(all ones, …) for
+// the 4·groups first points, given a finite box.
+var nearMaskRowsVec func(rows, lo, hi *float64, d int, w *float64, groups int) uint64
 
 // MinMaxCol returns the smallest and the largest value of a non-empty
 // column as the loop "mn, mx := c[0], c[0]; if v < mn { mn = v }; if
@@ -549,6 +591,19 @@ func nearMaskColsGo(in uint64, cols []float64, stride int, lo, hi, w []float64) 
 			}
 		}
 		m &^= Bit(s >= w[i]) << (i & 63)
+	}
+	return m
+}
+
+// nearMaskRowsGo is NearMaskRows for the set bits of in alone: the whole
+// implementation where there is no vector body, the finisher of the last
+// len(w) mod 4 points and of boxes with a side that is not finite where
+// there is one, and the oracle the tests hold it to.
+func nearMaskRowsGo(in uint64, rows, lo, hi, w []float64) uint64 {
+	d, m := len(lo), in
+	for rest := in; rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(rest)
+		m &^= Bit(Hypot2Box(rows[i*d:], 1, lo, hi, false) >= w[i]) << (i & 63)
 	}
 	return m
 }

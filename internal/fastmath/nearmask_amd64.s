@@ -10,6 +10,10 @@
 // NaN included. A zero of either sign squares to +0.
 #define SQOFFSET(mem, lo, hi, sq) \
 	VMOVUPD mem, Y0      \
+	SQOFFSETY0(lo, hi, sq)
+
+// SQOFFSET for the four lanes already in Y0.
+#define SQOFFSETY0(lo, hi, sq) \
 	VSUBPD  lo, Y0, Y1   \
 	VSUBPD  Y0, hi, Y2   \
 	VMINPD  Y2, Y1, Y1   \
@@ -92,5 +96,122 @@ compare:
 	JNZ       group
 
 	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func nearMaskRowsAsm(rows, lo, hi *float64, d int, w *float64, groups int) uint64
+//
+// Bit 4g+l of the result is !(s >= w[4g+l]) for the near value s of row
+// 4g+l, g < groups, 1 <= groups <= 16, rows of d >= 1 dimensions stored
+// one after the other. Each row of a group has a register of its own
+// whose lanes are Hypot2Box's partial sums s0..s3: dimensions j..j+3 of
+// a chunk go to lanes 0..3, the d mod 4 last ones to lane 0 one at a
+// time, then (s0+s1)+(s2+s3) — sumGaussRowsAsm's layout, SQOFFSET's
+// operations. Every lane of every instruction is the IEEE operation,
+// operand order included, that Hypot2Box performs for one row; there is
+// no fused multiply-add in this file and there must never be one. It
+// reads the 4·groups·d floats at rows, the 4·groups at w and the d at
+// lo and at hi, never a byte beyond: no 32-byte load starts at or past
+// dimension d &^ 3.
+//
+//	R8..R11 the group's four rows   R14 row stride in bytes
+//	SI lo   DI hi   R13 d   R12 d &^ 3   CX the dimension
+//	DX the group's w   BX groups left   AX the mask, built from the top
+//	Y8, Y9 lo and hi of the chunk   Y10..Y13 the rows' sums   Y7 zero
+TEXT ·nearMaskRowsAsm(SB), NOSPLIT, $0-56
+	MOVQ rows+0(FP), R8
+	MOVQ lo+8(FP), SI
+	MOVQ hi+16(FP), DI
+	MOVQ d+24(FP), R13
+	MOVQ w+32(FP), DX
+	MOVQ groups+40(FP), BX
+	MOVQ R13, R14
+	SHLQ $3, R14
+	MOVQ R13, R12
+	ANDQ $-4, R12
+	XORQ AX, AX
+	VXORPD Y7, Y7, Y7
+
+rgroup:
+	LEAQ   (R8)(R14*1), R9
+	LEAQ   (R9)(R14*1), R10
+	LEAQ   (R10)(R14*1), R11
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	XORQ   CX, CX
+	TESTQ  R12, R12
+	JEQ    rtail
+
+rchunk:
+	VMOVUPD (SI)(CX*8), Y8
+	VMOVUPD (DI)(CX*8), Y9
+	SQOFFSET((R8)(CX*8), Y8, Y9, Y3)
+	VADDPD  Y3, Y10, Y10
+	SQOFFSET((R9)(CX*8), Y8, Y9, Y3)
+	VADDPD  Y3, Y11, Y11
+	SQOFFSET((R10)(CX*8), Y8, Y9, Y3)
+	VADDPD  Y3, Y12, Y12
+	SQOFFSET((R11)(CX*8), Y8, Y9, Y3)
+	VADDPD  Y3, Y13, Y13
+	ADDQ    $4, CX
+	CMPQ    CX, R12
+	JLT     rchunk
+
+rtail:
+	// The 8-byte VMOVSD loads zero lanes 1..3 of x, lo and hi alike,
+	// whose offsets are then +0 and add +0 to sums that are >= +0 or NaN:
+	// unchanged.
+	CMPQ CX, R13
+	JGE  rsum
+
+rtaildim:
+	VMOVSD (SI)(CX*8), X8
+	VMOVSD (DI)(CX*8), X9
+	VMOVSD (R8)(CX*8), X0
+	SQOFFSETY0(Y8, Y9, Y3)
+	VADDPD Y3, Y10, Y10
+	VMOVSD (R9)(CX*8), X0
+	SQOFFSETY0(Y8, Y9, Y3)
+	VADDPD Y3, Y11, Y11
+	VMOVSD (R10)(CX*8), X0
+	SQOFFSETY0(Y8, Y9, Y3)
+	VADDPD Y3, Y12, Y12
+	VMOVSD (R11)(CX*8), X0
+	SQOFFSETY0(Y8, Y9, Y3)
+	VADDPD Y3, Y13, Y13
+	INCQ   CX
+	CMPQ   CX, R13
+	JLT    rtaildim
+
+rsum:
+	// (s0+s1)+(s2+s3) of the four rows a, b, c, d at once.
+	VHADDPD    Y11, Y10, Y4          // a0+a1 b0+b1 a2+a3 b2+b3
+	VHADDPD    Y13, Y12, Y5          // c0+c1 d0+d1 c2+c3 d2+d3
+	VPERM2F128 $0x20, Y5, Y4, Y6     // a01 b01 c01 d01
+	VPERM2F128 $0x31, Y5, Y4, Y3     // a23 b23 c23 d23
+	VADDPD     Y3, Y6, Y6
+
+	// NGE_UQ as in nearMaskColsAsm. The group's four bits enter the mask
+	// at the top and move down four places with every later group.
+	VMOVUPD   (DX), Y3
+	VCMPPD    $0x19, Y3, Y6, Y0
+	VMOVMSKPD Y0, CX
+	SHLQ      $60, CX
+	SHRQ      $4, AX
+	ORQ       CX, AX
+	ADDQ      $32, DX
+	LEAQ      (R11)(R14*1), R8
+	DECQ      BX
+	JNZ       rgroup
+
+	// Down to bit 0: 64 - 4·groups places, 0 for a full mask.
+	MOVQ groups+40(FP), CX
+	SHLQ $2, CX
+	NEGQ CX
+	ADDQ $64, CX
+	SHRQ CX, AX
+	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET

@@ -35,6 +35,7 @@ func init() {
 	if hasAVX2() {
 		sumGaussRowsVec = sumGaussRowsAVX2
 		nearMaskColsVec = nearMaskColsAsm
+		nearMaskRowsVec = nearMaskRowsAsm
 		minMaxColVec = minMaxColAsm
 	}
 }
@@ -93,6 +94,11 @@ func sumGaussRowsAsm(c float64, q *float64, d int, rows *float64, n int, acc flo
 //
 //go:noescape
 func nearMaskColsAsm(cols *float64, stride int, lo, hi *float64, d int, w *float64, groups int) uint64
+
+// nearMaskRowsAsm is the vector body of NearMaskRows (nearmask_amd64.s).
+//
+//go:noescape
+func nearMaskRowsAsm(rows, lo, hi *float64, d int, w *float64, groups int) uint64
 
 // minMaxColAsm is the vector body of MinMaxCol (minmax_amd64.s).
 //

@@ -83,6 +83,41 @@ func TestNearMaskColsNoOverRead(t *testing.T) {
 	}
 }
 
+// Rows end the flat buffer of a row-major store, and thresholds the
+// slab. Put the last row's last dimension, and separately the last
+// threshold and each box side, flush against the guard page, at every
+// dimension up to two chunks and a tail and every group tail: a chunk
+// load widened to a partial chunk, or a group to a partial group, faults.
+func TestNearMaskRowsNoOverRead(t *testing.T) {
+	beforeGuard := guardPage(t)
+	rng := rand.New(rand.NewSource(37))
+	for d := 1; d <= 11; d++ {
+		for n := 1; n <= 9; n++ {
+			_, rows := randPoints(rng, d, n)
+			lo, hi, w := make([]float64, d), make([]float64, d), make([]float64, n)
+			for j := range lo {
+				lo[j], hi[j] = 0.5, 1
+			}
+			for i := range w {
+				w[i] = Hypot2Box(rows[i*d:], 1, lo, hi, false) * 2 * rng.Float64()
+			}
+			want := nearRowsOracle(^uint64(0), rows, lo, hi, w)
+			if got := NearMaskRows(beforeGuard(rows), lo, hi, w); got != want {
+				t.Errorf("d=%d n=%d rows before the guard page: %#x, want %#x", d, n, got, want)
+			}
+			if got := NearMaskRows(rows, lo, hi, beforeGuard(w)); got != want {
+				t.Errorf("d=%d n=%d thresholds before the guard page: %#x, want %#x", d, n, got, want)
+			}
+			if got := NearMaskRows(rows, beforeGuard(lo), hi, w); got != want {
+				t.Errorf("d=%d n=%d box minimum before the guard page: %#x, want %#x", d, n, got, want)
+			}
+			if got := NearMaskRows(rows, lo, beforeGuard(hi), w); got != want {
+				t.Errorf("d=%d n=%d box maximum before the guard page: %#x, want %#x", d, n, got, want)
+			}
+		}
+	}
+}
+
 // A column-major store's last column ends the flat buffer — the mapping,
 // for a snapshot's — and the ragged end is one load that must start
 // eight keys before the column's end, not run past it: put columns of

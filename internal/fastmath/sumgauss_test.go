@@ -111,7 +111,8 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 // the benchmark would quietly lose the vector ones: where the hardware
 // has AVX2, the package must have selected both.
 func TestVectorPathLive(t *testing.T) {
-	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body, MinMaxCol the %s body", vectorPath(), nearMaskPath(), minMaxPath())
+	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body, NearMaskRows the %s body, MinMaxCol the %s body",
+		vectorPath(), nearMaskPath(), nearRowsPath(), minMaxPath())
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("GOARCH=%s has no vector bodies: %s", runtime.GOARCH, paths)
 	}
@@ -122,7 +123,7 @@ func TestVectorPathLive(t *testing.T) {
 	if !strings.Contains(string(info), " avx2") {
 		t.Skipf("no avx2 in /proc/cpuinfo: %s", paths)
 	}
-	if sumGaussRowsVec == nil || nearMaskColsVec == nil || minMaxColVec == nil {
+	if sumGaussRowsVec == nil || nearMaskColsVec == nil || nearMaskRowsVec == nil || minMaxColVec == nil {
 		t.Fatalf("/proc/cpuinfo lists avx2 but %s", paths)
 	}
 	t.Log(paths)
