@@ -8,6 +8,18 @@
 // node-to-point and node-to-node distances during evaluation without
 // accessing the actual points in each node, which is critical for
 // performance". Everything in this package exists to serve that claim.
+//
+// # Panics
+//
+// The package panics only on arguments no caller should build, each
+// message starting "geom: ":
+//
+//   - Metric.Dist and Metric.Bounds on a Metric that is none of the
+//     four constants (dist.go);
+//   - FromPoints with no points.
+//
+// Points and rectangles of different dimensions are Go's own index
+// panic.
 package geom
 
 import (

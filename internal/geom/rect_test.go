@@ -1,8 +1,10 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -260,5 +262,32 @@ func TestMetricDistKnownValues(t *testing.T) {
 	}
 	if got := Chebyshev.Dist(p, q); math.Abs(got-4) > 1e-12 {
 		t.Errorf("chebyshev = %v", got)
+	}
+}
+
+// TestPanics calls each panic site the package doc lists, one case a
+// site, and wants a panic whose message starts "geom: ".
+func TestPanics(t *testing.T) {
+	a := Rect{Min: []float64{0, 0}, Max: []float64{1, 1}}
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Dist unknown metric", func() { Metric(99).Dist([]float64{0}, []float64{1}) }},
+		{"Bounds unknown metric", func() { Metric(99).Bounds(a, a) }},
+		{"FromPoints with no points", func() { FromPoints(2, nil) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				if v == nil {
+					t.Fatal("returned, want a panic")
+				}
+				if msg := fmt.Sprint(v); !strings.HasPrefix(msg, "geom: ") {
+					t.Errorf("panic %q, want a message starting \"geom: \"", msg)
+				}
+			}()
+			c.call()
+		})
 	}
 }

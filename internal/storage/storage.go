@@ -5,6 +5,20 @@
 // d <= 4 (so the vectorizable middle loop of a base case walks
 // unit-stride across points), row-major otherwise (so the inner
 // dimension loop is unit-stride). See paper Section IV-F.
+//
+// # Panics
+//
+// The package panics only on arguments that break a constructor's or a
+// view's contract, never on input: FromRows and ReadCSV return errors.
+// Each message starts "storage: ":
+//
+//   - NewWithLayout (and New through it) with n < 0 or d <= 0;
+//   - FromFlat with n < 0, d <= 0 or a buffer that does not hold
+//     exactly n·d values;
+//   - MustFromRows on any error of FromRows (for tests and examples);
+//   - Row on column-major storage, and Col on row-major storage.
+//
+// A point or dimension index out of range is Go's own index panic.
 package storage
 
 import (

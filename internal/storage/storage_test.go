@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -369,4 +370,33 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPanics calls each panic site the package doc lists, one case a
+// site, and wants a panic whose message starts "storage: ".
+func TestPanics(t *testing.T) {
+	rm, cm := NewWithLayout(3, 2, RowMajor), NewWithLayout(3, 2, ColMajor)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"NewWithLayout shape", func() { NewWithLayout(-1, 2, RowMajor) }},
+		{"FromFlat length", func() { FromFlat(3, 2, RowMajor, make([]float64, 5)) }},
+		{"MustFromRows error", func() { MustFromRows([][]float64{{1, 2}, {3}}) }},
+		{"Row on column-major", func() { cm.Row(0) }},
+		{"Col on row-major", func() { rm.Col(0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				if v == nil {
+					t.Fatal("returned, want a panic")
+				}
+				if msg := fmt.Sprint(v); !strings.HasPrefix(msg, "storage: ") {
+					t.Errorf("panic %q, want a message starting \"storage: \"", msg)
+				}
+			}()
+			c.call()
+		})
+	}
 }
