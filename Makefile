@@ -66,9 +66,10 @@ bench:
 stats:
 	$(GO) run ./cmd/portalbench -stats -scale 10000
 
-# End-to-end tracing smoke test: run a 10k-point KDE with the tracer
-# attached, then validate the Chrome trace JSON against the stats
-# report (span count == tasks_executed, depth profiles reconcile).
+# End-to-end tracing smoke test: run a 10k-point KDE, then a 2k-point
+# 3-point correlation (the m-way walk), with the tracer attached, and
+# validate each Chrome trace JSON against its stats report (span count
+# == tasks_executed, depth profiles reconcile).
 trace-smoke:
 	@mkdir -p /tmp/portal-trace-smoke
 	$(GO) run ./cmd/portalgen -dataset IHEPC -n 10000 -seed 1 -o /tmp/portal-trace-smoke/ihepc.csv
@@ -76,6 +77,11 @@ trace-smoke:
 		-trace /tmp/portal-trace-smoke/trace.json -stats-json /tmp/portal-trace-smoke/stats.json
 	$(GO) run ./internal/trace/tracecheck \
 		-trace /tmp/portal-trace-smoke/trace.json -stats /tmp/portal-trace-smoke/stats.json
+	$(GO) run ./cmd/portalgen -dataset IHEPC -n 2000 -seed 1 -o /tmp/portal-trace-smoke/ihepc2k.csv
+	$(GO) run ./cmd/portal -problem 3pc -radius 0.05 -query /tmp/portal-trace-smoke/ihepc2k.csv -workers 2 \
+		-trace /tmp/portal-trace-smoke/trace3pc.json -stats-json /tmp/portal-trace-smoke/stats3pc.json
+	$(GO) run ./internal/trace/tracecheck \
+		-trace /tmp/portal-trace-smoke/trace3pc.json -stats /tmp/portal-trace-smoke/stats3pc.json
 
 # End-to-end serving smoke test: start a real portald with a data
 # directory, upload a 10k-point CSV, run kde+knn twice asserting the

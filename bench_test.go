@@ -37,10 +37,7 @@ func benchData(name string) *storage.Storage {
 	return dataset.MustGenerate(name, benchN, 1)
 }
 
-var benchCfg = problems.Config{
-	LeafSize: 32,
-	Codegen:  codegen.Options{NoStats: true},
-}
+var benchCfg = problems.Config{LeafSize: 32}
 
 var benchExpert = expert.Options{LeafSize: 32}
 
@@ -285,7 +282,7 @@ func layoutBench(b *testing.B, layout storage.Layout) {
 	src := dataset.GenerateElliptical(benchN, 1)
 	data := src.Convert(layout)
 	spec := nnBenchSpec(data)
-	cfg := engine.Config{LeafSize: 32, Codegen: codegen.Options{NoStats: true}}
+	cfg := engine.Config{LeafSize: 32}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Run("nn", spec, cfg); err != nil {
@@ -321,7 +318,7 @@ func BenchmarkAblationSingleTreeKNN(b *testing.B) {
 func BenchmarkAblationSpecializedBaseCase(b *testing.B) {
 	data := dataset.MustGenerate("IHEPC", 1500, 1)
 	spec := nnBenchSpec(data)
-	cfg := engine.Config{LeafSize: 32, Codegen: codegen.Options{NoStats: true}}
+	cfg := engine.Config{LeafSize: 32}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Run("nn", spec, cfg); err != nil {
@@ -333,7 +330,7 @@ func BenchmarkAblationSpecializedBaseCase(b *testing.B) {
 func BenchmarkAblationInterpretedBaseCase(b *testing.B) {
 	data := dataset.MustGenerate("IHEPC", 1500, 1)
 	spec := nnBenchSpec(data)
-	cfg := engine.Config{LeafSize: 32, Codegen: codegen.Options{NoStats: true, ForceInterp: true}}
+	cfg := engine.Config{LeafSize: 32, Codegen: codegen.Options{ForceInterp: true}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Run("nn", spec, cfg); err != nil {

@@ -159,10 +159,8 @@ func main() {
 		sink = &stats.Report{}
 		cfg.StatsSink = sink
 	}
-	var rec *trace.Collector
 	if *traceOut != "" {
-		rec = trace.New()
-		cfg.Trace = rec
+		cfg.Trace = trace.New()
 	}
 	if *pprofDir != "" {
 		fatal(os.MkdirAll(*pprofDir, 0o755))
@@ -259,10 +257,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if rec != nil {
+	if cfg.Trace != nil {
 		f, err := os.Create(*traceOut)
 		fatal(err)
-		fatal(rec.WriteChromeTrace(f))
+		fatal(cfg.Trace.WriteChromeTrace(f))
 		fatal(f.Close())
 	}
 	if sink != nil {

@@ -64,10 +64,8 @@ func main() {
 		LeafSize: *leaf,
 		Reps:     *reps,
 	}
-	var rec *trace.Collector
 	if *traceOut != "" {
-		rec = trace.New()
-		o.Trace = rec
+		o.Trace = trace.New()
 	}
 	// finish flushes the profiles; every path runs it once, after the
 	// measured region.
@@ -88,12 +86,12 @@ func main() {
 		}
 	}
 	writeTrace := func() {
-		if rec == nil {
+		if o.Trace == nil {
 			return
 		}
 		f, err := os.Create(*traceOut)
 		fail(err)
-		fail(rec.WriteChromeTrace(f))
+		fail(o.Trace.WriteChromeTrace(f))
 		fail(f.Close())
 	}
 

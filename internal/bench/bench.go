@@ -27,7 +27,6 @@ import (
 	"portal/internal/baselines/expert"
 	"portal/internal/baselines/extlib"
 	"portal/internal/baselines/fdpslike"
-	"portal/internal/codegen"
 	"portal/internal/dataset"
 	"portal/internal/problems"
 	"portal/internal/storage"
@@ -51,7 +50,7 @@ type Options struct {
 	Reps int
 	// Trace, when non-nil, records execution traces of the Portal-side
 	// runs (threaded into each experiment's engine config).
-	Trace trace.Recorder
+	Trace *trace.Collector
 }
 
 func (o Options) fill() Options {
@@ -134,8 +133,7 @@ func pickRadius(s *storage.Storage, seed int64) float64 {
 func Table4(o Options, w io.Writer) []Row {
 	o = o.fill()
 	var rows []Row
-	cfg := problems.Config{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers,
-		Codegen: codegen.Options{NoStats: true}, Trace: o.Trace}
+	cfg := problems.Config{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers, Trace: o.Trace}
 	opts := expert.Options{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers}
 
 	for _, ds := range dataset.MLNames() {
@@ -269,8 +267,7 @@ func Table4LOC() string {
 func Table5(o Options, w io.Writer) []Row {
 	o = o.fill()
 	var rows []Row
-	cfg := problems.Config{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers,
-		Codegen: codegen.Options{NoStats: true}, Trace: o.Trace}
+	cfg := problems.Config{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers, Trace: o.Trace}
 
 	// 2-point correlation: Portal vs scikit-learn-style.
 	for _, ds := range dataset.MLNames() {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 
-	"portal/internal/codegen"
 	"portal/internal/dataset"
 	"portal/internal/engine"
 	"portal/internal/problems"
@@ -23,8 +22,7 @@ import (
 func Crossover(o Options, w io.Writer) []Row {
 	o = o.fill()
 	var rows []Row
-	cfg := problems.Config{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers,
-		Codegen: codegen.Options{NoStats: true}}
+	cfg := problems.Config{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers}
 	for n := 250; n <= o.Scale; n *= 2 {
 		data := dataset.MustGenerate("IHEPC", n, o.Seed)
 		spec := problems.KNNSpec(data, data, 5)
@@ -55,8 +53,7 @@ func LeafSweep(o Options, w io.Writer) []Row {
 	var rows []Row
 	data := dataset.MustGenerate("IHEPC", o.Scale, o.Seed)
 	for _, leaf := range []int{4, 8, 16, 32, 64, 128, 256} {
-		cfg := problems.Config{LeafSize: leaf, Parallel: o.Parallel, Workers: o.Workers,
-			Codegen: codegen.Options{NoStats: true}}
+		cfg := problems.Config{LeafSize: leaf, Parallel: o.Parallel, Workers: o.Workers}
 		pt := timeIt(o.Reps, func() {
 			if _, _, err := problems.KNN(data, data, 5, cfg); err != nil {
 				panic(err)
@@ -82,8 +79,7 @@ func WorkerSweep(o Options, w io.Writer) []Row {
 		maxW = 4
 	}
 	for workers := 1; workers <= maxW; workers *= 2 {
-		cfg := problems.Config{LeafSize: o.LeafSize, Parallel: workers > 1, Workers: workers,
-			Codegen: codegen.Options{NoStats: true}}
+		cfg := problems.Config{LeafSize: o.LeafSize, Parallel: workers > 1, Workers: workers}
 		pt := timeIt(o.Reps, func() {
 			if _, _, err := problems.KNN(data, data, 5, cfg); err != nil {
 				panic(err)
@@ -106,8 +102,7 @@ func TauSweep(o Options, w io.Writer) []Row {
 	sigma := problems.SilvermanBandwidth(data)
 	var exact []float64
 	for _, tau := range []float64{1e-9, 1e-6, 1e-4, 1e-2, 1e-1} {
-		cfg := problems.Config{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers, Tau: tau,
-			Codegen: codegen.Options{NoStats: true}}
+		cfg := problems.Config{LeafSize: o.LeafSize, Parallel: o.Parallel, Workers: o.Workers, Tau: tau}
 		var vals []float64
 		pt := timeIt(o.Reps, func() {
 			v, err := problems.KDE(data, data, sigma, cfg)

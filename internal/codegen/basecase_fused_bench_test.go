@@ -79,7 +79,7 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 		for _, lay := range layouts {
 			for _, side := range []string{"hot", "pair"} {
 				b.Run(fmt.Sprintf("%s/%v/d=%d/%s", s.name, lay.l, lay.d, side), func(b *testing.B) {
-					run := benchLeafRun(b, lay.d, lay.l, s.op, s.k, s.mk(), Options{NoStats: true})
+					run := benchLeafRun(b, lay.d, lay.l, s.op, s.k, s.mk(), Options{})
 					sweep := run.fused
 					if sweep == nil {
 						b.Fatal("the shape selected no hot loop")
@@ -124,7 +124,7 @@ func BenchmarkGaussRowBaseCase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ex, err := Compile(plan, prog, Options{NoStats: true})
+		ex, err := Compile(plan, prog, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func BenchmarkPointGateLeaf(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					ex, err := Compile(plan, prog, Options{NoStats: true})
+					ex, err := Compile(plan, prog, Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -269,7 +269,7 @@ func BenchmarkKNNTraversal3Col(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := Compile(plan, prog, Options{NoStats: true})
+	ex, err := Compile(plan, prog, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,6 +277,6 @@ func BenchmarkKNNTraversal3Col(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := ex.Bind(t, t)
-		traverse.Run(t, t, run)
+		traverse.RunParallel(t, t, run, traverse.Options{Workers: 1})
 	}
 }

@@ -46,7 +46,7 @@ func tryRun(spec *lang.PortalExpr, opts Options) (*Output, error) {
 	qt := tree.BuildKD(spec.Outer().Data, &tree.Options{LeafSize: 8})
 	rt := tree.BuildKD(spec.Inner().Data, &tree.Options{LeafSize: 8})
 	run := ex.Bind(qt, rt)
-	traverse.RunStats(qt, rt, run, run.TraversalStats())
+	traverse.RunParallel(qt, rt, run, traverse.Options{Workers: 1, Stats: run.TraversalStats()})
 	return run.Finalize(), nil
 }
 
@@ -574,7 +574,7 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := Compile(plan, prog, Options{NoStats: true})
+		ex, err := Compile(plan, prog, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,9 +49,6 @@ type Options struct {
 	// case runs through the IR interpreter (differential testing and
 	// the specialization ablation).
 	ForceInterp bool
-	// NoStats disables traversal statistics collection, removing one
-	// atomic add per node pair from the hot path (benchmark runs).
-	NoStats bool
 }
 
 // DefaultOptions is the production configuration.

@@ -44,7 +44,7 @@ func runGate(t *testing.T, spec *lang.PortalExpr, tau float64, oct bool, leaf in
 	if !gate {
 		run.gate = gateNone
 	}
-	traverse.RunStats(qt, rt, run, run.TraversalStats())
+	traverse.RunParallel(qt, rt, run, traverse.Options{Workers: 1, Stats: run.TraversalStats()})
 	return run.Finalize()
 }
 
@@ -281,7 +281,7 @@ func TestTauGateWithinBudget(t *testing.T) {
 		if counter.gate != gateTau {
 			t.Fatalf("d=%d: Gaussian SUM under the τ rule selected gate %d", d, counter.gate)
 		}
-		traverse.RunStats(qt, rt, counter, counter.TraversalStats())
+		traverse.RunParallel(qt, rt, counter, traverse.Options{Workers: 1, Stats: counter.TraversalStats()})
 		gated := counter.Finalize()
 		ungated := runGate(t, spec, tau, false, leaf, gateTau, false)
 		if gated.Stats.BaseCasePairs != ungated.Stats.BaseCasePairs || gated.Stats.Approxes != ungated.Stats.Approxes ||
@@ -342,7 +342,7 @@ func TestPointGateOnlyCoversIdentityBody(t *testing.T) {
 		if run.PointBound == nil || run.gate != gateNone {
 			t.Fatalf("%s: PointBound set %v, gate %v; want bounds without a gate", c.name, run.PointBound != nil, run.gate)
 		}
-		traverse.RunStats(qt, rt, run, run.TraversalStats())
+		traverse.RunParallel(qt, rt, run, traverse.Options{Workers: 1, Stats: run.TraversalStats()})
 		if out := run.Finalize(); out.Stats.Prunes == 0 || out.Stats.KernelEvals != out.Stats.BaseCasePairs {
 			t.Fatalf("%s: %d prunes, %d evals of %d pairs; want pruning and every pair evaluated",
 				c.name, out.Stats.Prunes, out.Stats.KernelEvals, out.Stats.BaseCasePairs)
@@ -388,7 +388,7 @@ func TestPointGateLeavesOtherShapesUngated(t *testing.T) {
 		if run.gate != gateNone {
 			t.Fatalf("%s: Bind selected point gate %d, want none", c.name, run.gate)
 		}
-		traverse.RunStats(qt, rt, run, run.TraversalStats())
+		traverse.RunParallel(qt, rt, run, traverse.Options{Workers: 1, Stats: run.TraversalStats()})
 		st := run.Finalize().Stats
 		want := st.BaseCasePairs
 		if ex.Rule.Kind == prune.TauRule {

@@ -54,7 +54,7 @@ func BenchmarkFinalizeKLists(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := Compile(plan, prog, Options{NoStats: true})
+	ex, err := Compile(plan, prog, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func BenchmarkFinalizeKLists(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		run := ex.Bind(t, t)
-		traverse.Run(t, t, run)
+		traverse.RunParallel(t, t, run, traverse.Options{Workers: 1})
 		b.StartTimer()
 		if out := run.Finalize(); len(out.ArgLists) != data.Len() {
 			b.Fatalf("%d arg lists for %d points", len(out.ArgLists), data.Len())

@@ -44,7 +44,7 @@ type Output struct {
 	HasScalar bool
 	// Stats reports the traversal behaviour, as collected by the
 	// traversal into TraversalStats() (zero when the caller did not
-	// collect or Opts.NoStats is set).
+	// pass it as the traversal's Options.Stats).
 	Stats Stats
 	// Report, when the engine is asked to collect statistics, carries
 	// the full observability record including phase timings.
@@ -94,7 +94,7 @@ type Run struct {
 	stats *Stats
 	// kernelEvals counts kernel evaluations with plain increments —
 	// each fork owns its own counter (zeroed in Fork) and folds it into
-	// the owning task's TraversalStats via FlushStats.
+	// the run's TraversalStats via FlushStats after the walk.
 	kernelEvals int64
 
 	// Per-worker scratch (Fork clones these).
@@ -323,18 +323,12 @@ func (r *Run) Fork() traverse.Rule {
 }
 
 // TraversalStats returns the accumulator the traversal should collect
-// into — pass it to traverse.RunStats or traverse.Options.Stats, and
-// Finalize will surface it on Output.Stats. Returns nil (collection
-// off) when Opts.NoStats is set.
-func (r *Run) TraversalStats() *Stats {
-	if r.Ex.Opts.NoStats {
-		return nil
-	}
-	return r.stats
-}
+// into — pass it as traverse.Options.Stats, and Finalize will surface
+// it on Output.Stats.
+func (r *Run) TraversalStats() *Stats { return r.stats }
 
 // FlushStats implements traverse.StatsReporter: fold this fork's
-// kernel-evaluation count into the owning task's statistics.
+// kernel-evaluation count into the run's statistics.
 func (r *Run) FlushStats(st *stats.TraversalStats) {
 	st.KernelEvals += r.kernelEvals
 	r.kernelEvals = 0

@@ -42,7 +42,7 @@ func traversedRun(t *testing.T, spec *lang.PortalExpr, tau float64, opts Options
 	qt := tree.BuildKD(spec.Outer().Data, &tree.Options{LeafSize: 8})
 	rt := tree.BuildKD(spec.Inner().Data, &tree.Options{LeafSize: 8})
 	run := ex.Bind(qt, rt)
-	traverse.RunStats(qt, rt, run, run.TraversalStats())
+	traverse.RunParallel(qt, rt, run, traverse.Options{Workers: 1, Stats: run.TraversalStats()})
 	return run
 }
 
@@ -53,7 +53,7 @@ func fullRun(t *testing.T, spec *lang.PortalExpr, tau float64, opts Options) *Ou
 }
 
 // The full matrix of execution paths must agree pairwise: specialized
-// loops, the IR interpreter, with and without stats.
+// loops and the IR interpreter.
 func TestExecutionPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	q := storage.MustFromRows(randRows(rng, 60, 3))
@@ -65,8 +65,7 @@ func TestExecutionPathsAgree(t *testing.T) {
 	}
 	base := fullRun(t, mkSpec(), 0, Options{ExactMath: true})
 	variants := map[string]Options{
-		"interp":  {ExactMath: true, ForceInterp: true},
-		"nostats": {ExactMath: true, NoStats: true},
+		"interp": {ExactMath: true, ForceInterp: true},
 	}
 	for name, opts := range variants {
 		got := fullRun(t, mkSpec(), 0, opts)
@@ -75,11 +74,6 @@ func TestExecutionPathsAgree(t *testing.T) {
 				t.Fatalf("%s: value %d differs: %v vs %v", name, i, got.Values[i], base.Values[i])
 			}
 		}
-	}
-	// NoStats must actually suppress counting.
-	ns := fullRun(t, mkSpec(), 0, Options{ExactMath: true, NoStats: true})
-	if ns.Stats.BaseCases != 0 || ns.Stats.Prunes != 0 {
-		t.Fatal("NoStats run should not count")
 	}
 	if base.Stats.BaseCases == 0 {
 		t.Fatal("default run should count base cases")
@@ -139,7 +133,7 @@ func TestMahalBaseCase(t *testing.T) {
 	qt := tree.BuildKD(q, &tree.Options{LeafSize: 8})
 	rt := tree.BuildKD(r, &tree.Options{LeafSize: 8})
 	run := ex.Bind(qt, rt)
-	traverse.RunStats(qt, rt, run, run.TraversalStats())
+	traverse.RunParallel(qt, rt, run, traverse.Options{Workers: 1, Stats: run.TraversalStats()})
 	out := run.Finalize()
 	// Identity covariance ⇒ equals Euclidean Gaussian exp(-d²/2).
 	qb := make([]float64, d)

@@ -217,7 +217,7 @@ func TestScoredWalkKeepsVisitSequence(t *testing.T) {
 					tr := build(data, &tree.Options{LeafSize: 8})
 
 					scored := &recordingRun{Run: ex.Bind(tr, tr)}
-					traverse.Run(tr, tr, scored)
+					traverse.RunParallel(tr, tr, scored, traverse.Options{Workers: 1})
 					ref := &referenceWalk{run: ex.Bind(tr, tr), plain: form == boundPlain}
 					ref.dual(tr.Root, tr.Root)
 

@@ -64,9 +64,9 @@ type Config struct {
 	// unsharded path. Self-joins only; incompatible with Weights.
 	Shards int
 	// CollectStats attaches a full observability Report (traversal
-	// counters plus phase timings) to the Output. Counter collection on
-	// Output.Stats happens whenever Codegen.NoStats is unset; this knob
-	// additionally builds the Report.
+	// counters plus phase timings) to the Output. The counters on
+	// Output.Stats are always collected; this knob additionally builds
+	// the Report.
 	CollectStats bool
 	// StatsSink, when non-nil, receives (via Merge) the Report of every
 	// execution run under this config — the way iterative problems
@@ -76,17 +76,17 @@ type Config struct {
 	StatsSink *stats.Report
 	// Trace, when non-nil, records an execution trace: one span per
 	// build/traversal/finalize task plus per-depth decision profiles
-	// (see internal/trace). The recorder is threaded into the tree
+	// (see internal/trace). The collector is threaded into the tree
 	// build and traversal; its summarized Profile is attached to the
 	// Report as Trace. Nil disables tracing at zero cost.
-	Trace trace.Recorder
+	Trace *trace.Collector
 }
 
 func (c Config) collectStats() bool { return c.CollectStats || c.StatsSink != nil }
 
-// resolvedWorkers reports the worker count the traversal will actually
+// ResolvedWorkers reports the worker count the traversal will actually
 // use under this config.
-func (c Config) resolvedWorkers() int {
+func (c Config) ResolvedWorkers() int {
 	if !c.Parallel {
 		return 1
 	}
@@ -275,34 +275,30 @@ func (p *Problem) Execute(cfg Config) (*codegen.Output, error) {
 // (accumulators, k-lists, node bounds, scratch buffers) fresh for each
 // call — so any number of ExecuteOn calls may run concurrently over
 // the same Problem and the same (even shared qt == rt) trees. This is
-// the invariant the serving registry depends on. Two exceptions the
-// caller owns: Config.StatsSink is merged without synchronization, so
-// concurrent calls must not share one sink (give each call its own
-// Report, or none); and Config.Trace must be a concurrency-safe
-// recorder (trace.New's collector is; nil is). The qt == rt sharing
+// the invariant the serving registry depends on (a shared Config.Trace
+// collector is safe too). One exception the caller owns:
+// Config.StatsSink is merged without synchronization, so concurrent
+// calls must not share one sink (give each call its own Report, or
+// none). The qt == rt sharing
 // from BuildTrees is likewise safe: the traversal reads node geometry
 // only, and all writes land in per-run state keyed by query index.
 func (p *Problem) ExecuteOn(qt, rt *tree.Tree, cfg Config) (*codegen.Output, error) {
 	return p.executeOn(qt, rt, cfg, 0, false)
 }
 
-// traverseOptions maps the config (and a per-run stats accumulator)
-// onto the traversal runtime's options. A non-parallel config pins
-// Workers to 1 — the sequential path inside RunParallel — while still
+// TraverseOptions maps the config (and a per-run stats accumulator)
+// onto the traversal runtime's options, dual or m-way. A non-parallel
+// config pins Workers to 1 — the sequential walk — while still
 // recording the walk as one root span when tracing is on.
-func (c Config) traverseOptions(st *stats.TraversalStats) traverse.Options {
-	opts := traverse.Options{Workers: c.Workers, Stats: st, Trace: c.Trace}
-	if !c.Parallel {
-		opts.Workers = 1
-	}
-	return opts
+func (c Config) TraverseOptions(st *stats.TraversalStats) traverse.Options {
+	return traverse.Options{Workers: c.ResolvedWorkers(), Stats: st, Trace: c.Trace}
 }
 
 func (p *Problem) executeOn(qt, rt *tree.Tree, cfg Config, buildDur time.Duration, builtHere bool) (*codegen.Output, error) {
 	run := p.Ex.Bind(qt, rt)
 	st := run.TraversalStats()
 	start := time.Now()
-	traverse.RunParallel(qt, rt, run, cfg.traverseOptions(st))
+	traverse.RunParallel(qt, rt, run, cfg.TraverseOptions(st))
 	traverseDur := time.Since(start)
 
 	start = time.Now()
@@ -319,7 +315,7 @@ func (p *Problem) executeOn(qt, rt *tree.Tree, cfg Config, buildDur time.Duratio
 			SchemaVersion: stats.ReportSchemaVersion,
 			Problem:       p.Plan.Name,
 			Parallel:      cfg.Parallel,
-			Workers:       cfg.resolvedWorkers(),
+			Workers:       cfg.ResolvedWorkers(),
 			QueryN:        int64(qt.Len()),
 			RefN:          int64(rt.Len()),
 			Rounds:        1,
@@ -330,9 +326,7 @@ func (p *Problem) executeOn(qt, rt *tree.Tree, cfg Config, buildDur time.Duratio
 				Finalize:  time.Since(start),
 			},
 		}
-		if st := run.TraversalStats(); st != nil {
-			rep.Traversal = *st
-		}
+		rep.Traversal = *st
 		if builtHere {
 			rep.Build.Add(qt.Build)
 			if rt != qt {
@@ -342,7 +336,7 @@ func (p *Problem) executeOn(qt, rt *tree.Tree, cfg Config, buildDur time.Duratio
 			}
 		}
 		if cfg.Trace != nil {
-			// A cumulative snapshot of the recorder, not a per-round
+			// A cumulative snapshot of the collector, not a per-round
 			// delta — Report.Merge keeps the latest one.
 			rep.Trace = cfg.Trace.Profile()
 		}

@@ -70,7 +70,7 @@ func (p *Problem) execSharded(part *shard.Partition, cfg Config, buildDur time.D
 			SchemaVersion: stats.ReportSchemaVersion,
 			Problem:       p.Plan.Name,
 			Parallel:      cfg.Parallel,
-			Workers:       cfg.resolvedWorkers(),
+			Workers:       cfg.ResolvedWorkers(),
 			QueryN:        n,
 			RefN:          n,
 			Rounds:        1,

@@ -9,7 +9,7 @@ import (
 	"portal/internal/trace"
 )
 
-// Config.Trace threads the recorder through build, traversal, and
+// Config.Trace threads the collector through build, traversal, and
 // finalize; the Report carries the profile and the schema version.
 func TestEngineTraceEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -66,7 +66,7 @@ func TestEngineTraceEndToEnd(t *testing.T) {
 		t.Errorf("depth totals %+v do not reconcile with %+v", sum, ts)
 	}
 
-	// The Chrome export of the same recorder is valid and counts match
+	// The Chrome export of the same collector is valid and counts match
 	// the profile.
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {

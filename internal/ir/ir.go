@@ -4,6 +4,13 @@
 // calls to math intrinsics awaiting strength reduction. The three key
 // functions of the multi-tree traversal — BaseCase, Prune/Approximate,
 // and ComputeApprox — are each represented as an ir.Func.
+//
+// # Panics
+//
+// Cloning (Program.Clone, CloneExpr) panics on a Stmt or Expr that is
+// none of the package's node types, the message starting "ir: unknown
+// stmt" or "ir: unknown expr". The interfaces' unexported methods keep
+// other packages from defining one.
 package ir
 
 import (

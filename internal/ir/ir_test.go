@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -135,5 +136,41 @@ func TestProgramWithNilComputeApprox(t *testing.T) {
 	c := p.Clone()
 	if c.ComputeApprox != nil {
 		t.Fatal("nil func should clone to nil")
+	}
+}
+
+// bogusStmt and bogusExpr are nodes of no type the package defines.
+type bogusStmt struct{}
+
+func (bogusStmt) isStmt() {}
+
+type bogusExpr struct{}
+
+func (bogusExpr) isExpr() {}
+
+// TestPanics calls each panic site the package doc lists, one case a
+// site, and wants a panic whose message starts with the doc's prefix.
+func TestPanics(t *testing.T) {
+	for _, c := range []struct {
+		name, prefix string
+		call         func()
+	}{
+		{"Clone unknown stmt", "ir: unknown stmt", func() {
+			(&Program{BaseCase: &Func{Body: []Stmt{bogusStmt{}}}}).Clone()
+		}},
+		{"CloneExpr unknown expr", "ir: unknown expr", func() { CloneExpr(bogusExpr{}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				if v == nil {
+					t.Fatal("returned, want a panic")
+				}
+				if msg := fmt.Sprint(v); !strings.HasPrefix(msg, c.prefix) {
+					t.Errorf("panic %q, want a message starting %q", msg, c.prefix)
+				}
+			}()
+			c.call()
+		})
 	}
 }

@@ -5,6 +5,18 @@
 // identity values, and emitting the Prune/Approximate and
 // ComputeApprox functions produced by the prune generator in Portal IR
 // so later passes can optimize all three together.
+//
+// # Panics
+//
+// The package panics on three node or operator kinds it has no
+// lowering for, each message starting "lower: ":
+//
+//   - ExprToIR on a kernel body node that is none of the expr
+//     package's node types;
+//   - an inner operator with no update rule (lowerUpdate): FORALL, which
+//     lang's Validate rejects as an inner operator;
+//   - an outer operator other than FORALL, SUM, PROD, MAX and MIN
+//     (lowerOuterUpdate), reached through Lower and LowerMahal.
 package lower
 
 import (

@@ -1,6 +1,7 @@
 package lower
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -231,5 +232,38 @@ func TestExprToIRCoverage(t *testing.T) {
 		if got != c.want {
 			t.Errorf("ExprToIR(%v) = %q, want %q", c.e, got, c.want)
 		}
+	}
+}
+
+// bogusNode is a kernel body node ExprToIR has no case for.
+type bogusNode struct{}
+
+func (bogusNode) Eval(float64) float64                       { return 0 }
+func (bogusNode) Interval(lo, hi float64) (float64, float64) { return 0, 0 }
+func (bogusNode) String() string                             { return "bogus" }
+
+// TestPanics calls each panic site the package doc lists, one case a
+// site, and wants a panic whose message starts "lower: ".
+func TestPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"ExprToIR unknown node", func() { ExprToIR(bogusNode{}, ir.Ref("t")) }},
+		{"inner FORALL", func() { lowerUpdate(&Plan{InnerOp: lang.FORALL}) }},
+		{"outer ARGMIN", func() { lowerOuterUpdate(&Plan{OuterOp: lang.ARGMIN, InnerOp: lang.SUM}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				if v == nil {
+					t.Fatal("returned, want a panic")
+				}
+				if msg := fmt.Sprint(v); !strings.HasPrefix(msg, "lower: ") {
+					t.Errorf("panic %q, want a message starting \"lower: \"", msg)
+				}
+			}()
+			c.call()
+		})
 	}
 }

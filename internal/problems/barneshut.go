@@ -44,7 +44,7 @@ type BHConfig struct {
 	Stats *stats.Report
 	// Trace, when non-nil, records the execution trace (build and
 	// traversal spans, depth profiles), as engine.Config.Trace does.
-	Trace trace.Recorder
+	Trace *trace.Collector
 }
 
 // BarnesHut computes the acceleration on every particle. pos must be

@@ -2,7 +2,6 @@ package problems
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
@@ -64,33 +63,18 @@ func MST(data *storage.Storage, cfg Config) ([]MSTEdge, float64, error) {
 			r.bnd[i] = math.Inf(1)
 		}
 		r.annotateComponents(t.Root)
-		var st *stats.TraversalStats
-		if cfg.CollectStats || cfg.StatsSink != nil {
-			st = &stats.TraversalStats{}
-		}
+		var st stats.TraversalStats
 		roundStart := time.Now()
-		roundWorkers := cfg.Workers
-		if !cfg.Parallel {
-			// Workers:1 runs sequentially inside RunParallel, recording
-			// the round as one root span when tracing is on.
-			roundWorkers = 1
-		}
-		traverse.RunParallel(t, t, r, traverse.Options{Workers: roundWorkers, Stats: st, Trace: cfg.Trace})
+		traverse.RunParallel(t, t, r, cfg.TraverseOptions(&st))
 		if cfg.StatsSink != nil {
-			workers := 1
-			if cfg.Parallel {
-				if workers = cfg.Workers; workers <= 0 {
-					workers = runtime.GOMAXPROCS(0)
-				}
-			}
 			// One Report per Borůvka round: each round re-traverses the
 			// full pair space, so TotalPairs accumulates n² per round.
 			rep := &stats.Report{
 				SchemaVersion: stats.ReportSchemaVersion,
-				Problem:       "euclidean MST", Parallel: cfg.Parallel, Workers: workers,
+				Problem:       "euclidean MST", Parallel: cfg.Parallel, Workers: cfg.ResolvedWorkers(),
 				QueryN: int64(n), RefN: int64(n), Rounds: 1,
 				TotalPairs: int64(n) * int64(n),
-				Traversal:  *st,
+				Traversal:  st,
 				Phases:     stats.Phases{TreeBuild: buildDur, Traversal: time.Since(roundStart)},
 			}
 			if cfg.Trace != nil {

@@ -28,29 +28,28 @@ import (
 // the ordered-pair convention of TwoPointCorrelation).
 func ThreePointCorrelation(data *storage.Storage, radius float64, cfg Config) (float64, error) {
 	start := time.Now()
-	t := tree.BuildKD(data, &tree.Options{LeafSize: cfg.LeafSize, Parallel: cfg.Parallel, Workers: cfg.Workers})
+	t := tree.BuildKD(data, &tree.Options{LeafSize: cfg.LeafSize, Parallel: cfg.Parallel, Workers: cfg.Workers, Trace: cfg.Trace})
 	buildDur := time.Since(start)
 	rule := newThreePointRule(t, radius*radius)
-	var st *stats.TraversalStats
-	if cfg.CollectStats || cfg.StatsSink != nil {
-		st = &stats.TraversalStats{}
-	}
+	var st stats.TraversalStats
 	start = time.Now()
-	if cfg.Parallel {
-		traverse.RunMultiParallel([]*tree.Tree{t, t, t}, rule,
-			traverse.MultiOptions{Workers: cfg.Workers, Stats: st})
-	} else {
-		traverse.RunMultiStats([]*tree.Tree{t, t, t}, rule, st)
-	}
+	traverse.RunMultiParallel([]*tree.Tree{t, t, t}, rule, cfg.TraverseOptions(&st))
 	if cfg.StatsSink != nil {
 		n := int64(data.Len())
-		cfg.StatsSink.Merge(&stats.Report{
-			Problem: "3pc", QueryN: n, RefN: n, Rounds: 1,
+		rep := &stats.Report{
+			SchemaVersion: stats.ReportSchemaVersion,
+			Problem:       "3pc", Parallel: cfg.Parallel, Workers: cfg.ResolvedWorkers(),
+			QueryN: n, RefN: n, Rounds: 1,
 			// The m=3 traversal's brute-force equivalent is N³ tuples.
 			TotalPairs: n * n * n,
-			Traversal:  *st,
+			Build:      t.Build,
+			Traversal:  st,
 			Phases:     stats.Phases{TreeBuild: buildDur, Traversal: time.Since(start)},
-		})
+		}
+		if cfg.Trace != nil {
+			rep.Trace = cfg.Trace.Profile()
+		}
+		cfg.StatsSink.Merge(rep)
 	}
 	return float64(rule.count), nil
 }

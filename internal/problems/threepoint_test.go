@@ -8,6 +8,7 @@ import (
 
 	"portal/internal/stats"
 	"portal/internal/storage"
+	"portal/internal/trace"
 	"portal/internal/tree"
 )
 
@@ -116,6 +117,46 @@ func TestThreePointParallelMatchesBrute(t *testing.T) {
 				t.Fatalf("%s W=%d: %d tasks executed, %d spawned", name, w, b.TasksExecuted, b.TasksSpawned)
 			}
 		}
+	}
+}
+
+// A traced parallel run reports what it ran — the schema version,
+// parallel, the worker count — and its trace reconciles with its
+// counters as tracecheck demands: traverse spans == tasks_executed and
+// the depth profile sums to the walk's TraversalStats.
+func TestThreePointTracedReport(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	s := storage.MustFromRows(randRows(rng, 400, 3, 1))
+	var rep stats.Report
+	rec := trace.New()
+	if _, err := ThreePointCorrelation(s, 0.9, Config{LeafSize: 8, Parallel: true, Workers: 2, StatsSink: &rep, Trace: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if rep.SchemaVersion != stats.ReportSchemaVersion || !rep.Parallel || rep.Workers != 2 || rep.Trace == nil {
+		t.Fatalf("schema %d, parallel %v, workers %d, trace %v; want %d, true, 2, a profile",
+			rep.SchemaVersion, rep.Parallel, rep.Workers, rep.Trace != nil, stats.ReportSchemaVersion)
+	}
+	st, p := rep.Traversal, rep.Trace
+	if p.TraverseSpans != int(st.TasksExecuted) || st.TasksSpawned == 0 {
+		t.Fatalf("%d traverse spans, %d tasks executed (%d spawned)", p.TraverseSpans, st.TasksExecuted, st.TasksSpawned)
+	}
+	if p.BuildSpans == 0 {
+		t.Fatal("the tree build recorded no span")
+	}
+	var sum trace.DepthCounters
+	for _, d := range p.Depths {
+		sum.Visits += d.Visits
+		sum.Prunes += d.Prunes
+		sum.Approxes += d.Approxes
+		sum.BaseCases += d.BaseCases
+		sum.PrunedPairs += d.PrunedPairs
+		sum.ApproxPairs += d.ApproxPairs
+		sum.BaseCasePairs += d.BaseCasePairs
+	}
+	want := trace.DepthCounters{Visits: st.Visits, Prunes: st.Prunes, Approxes: st.Approxes, BaseCases: st.BaseCases,
+		PrunedPairs: st.PrunedPairs, ApproxPairs: st.ApproxPairs, BaseCasePairs: st.BaseCasePairs}
+	if sum != want || int64(len(p.Depths)-1) != st.MaxDepth {
+		t.Fatalf("depth profile sums to %+v over %d levels, stats %+v (max depth %d)", sum, len(p.Depths), want, st.MaxDepth)
 	}
 }
 

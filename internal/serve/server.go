@@ -52,7 +52,7 @@ type Config struct {
 	// 0 disables the slow log.
 	SlowQuery time.Duration
 	// TraceSampleN turns on always-on execution-trace sampling: every
-	// N-th query runs with a trace recorder attached and is captured
+	// N-th query runs with a trace collector attached and is captured
 	// (report + Chrome trace JSON) into the sampled ring. 0 disables
 	// sampling; 1 traces every query.
 	TraceSampleN int
@@ -152,10 +152,9 @@ type pending struct {
 	snap  *Snapshot
 	hit   bool
 	start time.Time
-	// sampled marks a query picked by the 1-in-N trace sampler; rec
-	// is its (or a Trace-requesting caller's) trace collector.
+	// sampled marks a query picked by the 1-in-N trace sampler; it, or
+	// a Trace-requesting caller, gets a trace collector in cfg.Trace.
 	sampled bool
-	rec     *trace.Collector
 
 	// batch is the number of queries in flight at admission, this one
 	// included; out/err are the execution's result.
@@ -540,9 +539,9 @@ func (s *Server) finishQuery(req *QueryRequest, p *pending) {
 	if p.err != nil {
 		e.Error = p.err.Error()
 	}
-	if p.rec != nil {
+	if p.cfg.Trace != nil {
 		var buf bytes.Buffer
-		if err := p.rec.WriteChromeTrace(&buf); err == nil {
+		if err := p.cfg.Trace.WriteChromeTrace(&buf); err == nil {
 			e.TraceJSON = json.RawMessage(buf.Bytes())
 		}
 	}
@@ -592,10 +591,8 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 	// after startup) and handles N == 1 (trace everything).
 	n := s.cfg.TraceSampleN
 	sampled := n > 0 && s.seq.Add(1)%uint64(n) == 1%uint64(n)
-	var rec *trace.Collector
 	if req.Trace || sampled {
-		rec = trace.New()
-		cfg.Trace = rec
+		cfg.Trace = trace.New()
 	}
 
 	sh := shape{problem: req.Problem, selfJoin: selfJoin, dim: snap.Data.Dim(), layout: snap.Data.Layout()}
@@ -648,7 +645,6 @@ func (s *Server) prepare(req *QueryRequest, snap *Snapshot) (*pending, error) {
 		cfg:     cfg,
 		hit:     hit,
 		sampled: sampled,
-		rec:     rec,
 	}, nil
 }
 

@@ -26,7 +26,7 @@ type ExecConfig struct {
 	Oct      bool
 	// Trace, when non-nil, receives the task spans of every local and
 	// import traversal.
-	Trace trace.Recorder
+	Trace *trace.Collector
 }
 
 func (c ExecConfig) traverseOptions(st *stats.TraversalStats) traverse.Options {

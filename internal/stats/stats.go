@@ -11,18 +11,17 @@
 // traversal / finalize.
 //
 // Concurrency model: counters are accumulated lock-free. Each traversal
-// task owns a private TraversalStats (mirroring the Rule.Fork()
+// worker owns a private TraversalStats (mirroring the Rule.Fork()
 // per-task ownership of query subtrees) and increments it with plain
-// stores; when the task completes, its counters are folded into the
-// run's shared accumulator with MergeAtomic — one atomic add per field
-// per task, never per node pair.
+// stores; once every worker has stopped, the caller folds each one into
+// the run's accumulator with Add — once per worker, never per node
+// pair.
 package stats
 
 import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"portal/internal/trace"
@@ -69,9 +68,8 @@ import (
 // are its points and "sharding.per_shard" loses query_points.
 const ReportSchemaVersion = 7
 
-// TraversalStats counts traversal events. Within one task the fields
-// are plain (single-writer); cross-task aggregation goes through
-// MergeAtomic.
+// TraversalStats counts traversal events. Its fields are plain
+// (single-writer); aggregation goes through Add.
 type TraversalStats struct {
 	// Visits counts node pairs (tuples for multi-way traversals) whose
 	// prune/approximate decision was Visit — the recursion continued or
@@ -108,7 +106,7 @@ type TraversalStats struct {
 	// TasksExecuted counts top-level task executions — the dispatches
 	// that open a trace span: each round's root walk plus every task
 	// picked up by an idle worker's main loop. Traverse
-	// spans == TasksExecuted is the recorder invariant checked by
+	// spans == TasksExecuted is the trace invariant checked by
 	// tracecheck. Tasks a worker runs while helping inside a join wait
 	// fold into the enclosing execution and are not counted here.
 	TasksExecuted int64 `json:"tasks_executed"`
@@ -148,36 +146,6 @@ func (s *TraversalStats) Add(o *TraversalStats) {
 	}
 	if o.MaxDepth > s.MaxDepth {
 		s.MaxDepth = o.MaxDepth
-	}
-}
-
-// MergeAtomic folds s into dst with one atomic add per field, safe to
-// call from concurrently completing tasks.
-func (s *TraversalStats) MergeAtomic(dst *TraversalStats) {
-	atomic.AddInt64(&dst.Visits, s.Visits)
-	atomic.AddInt64(&dst.Prunes, s.Prunes)
-	atomic.AddInt64(&dst.Approxes, s.Approxes)
-	atomic.AddInt64(&dst.BaseCases, s.BaseCases)
-	atomic.AddInt64(&dst.FusedBaseCases, s.FusedBaseCases)
-	atomic.AddInt64(&dst.BaseCasePairs, s.BaseCasePairs)
-	atomic.AddInt64(&dst.PrunedPairs, s.PrunedPairs)
-	atomic.AddInt64(&dst.ApproxPairs, s.ApproxPairs)
-	atomic.AddInt64(&dst.KernelEvals, s.KernelEvals)
-	atomic.AddInt64(&dst.TasksSpawned, s.TasksSpawned)
-	atomic.AddInt64(&dst.TasksExecuted, s.TasksExecuted)
-	atomic.AddInt64(&dst.TasksStolen, s.TasksStolen)
-	atomic.AddInt64(&dst.InlineFallbacks, s.InlineFallbacks)
-	atomicMaxInt64(&dst.DequeHighWater, s.DequeHighWater)
-	atomicMaxInt64(&dst.MaxDepth, s.MaxDepth)
-}
-
-// atomicMaxInt64 raises *dst to v if v is larger (CAS loop).
-func atomicMaxInt64(dst *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(dst)
-		if v <= cur || atomic.CompareAndSwapInt64(dst, cur, v) {
-			return
-		}
 	}
 }
 
@@ -322,7 +290,7 @@ type Report struct {
 	// Trace is the execution-trace summary (depth profiles, task
 	// durations, worker utilization) when tracing was enabled; nil
 	// otherwise. The profile is a cumulative snapshot of the whole
-	// recorder, so iterative problems carry the latest one rather than
+	// collector, so iterative problems carry the latest one rather than
 	// summing per round.
 	Trace *trace.Profile `json:"trace,omitempty"`
 	// CompileCache holds the compiled-problem cache counters when the

@@ -3,7 +3,6 @@ package stats
 import (
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -25,31 +24,6 @@ func TestAddAndDecisions(t *testing.T) {
 	}
 	if a.EliminatedPairs() != 110 {
 		t.Fatalf("eliminated %d", a.EliminatedPairs())
-	}
-}
-
-// MergeAtomic must be safe under concurrent task completions and must
-// total exactly.
-func TestMergeAtomicConcurrent(t *testing.T) {
-	var dst TraversalStats
-	const tasks = 64
-	var wg sync.WaitGroup
-	for i := 0; i < tasks; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			local := &TraversalStats{Visits: 10, Prunes: 2, BaseCasePairs: 100,
-				KernelEvals: 7, MaxDepth: int64(i)}
-			local.MergeAtomic(&dst)
-		}(i)
-	}
-	wg.Wait()
-	if dst.Visits != tasks*10 || dst.Prunes != tasks*2 ||
-		dst.BaseCasePairs != tasks*100 || dst.KernelEvals != tasks*7 {
-		t.Fatalf("lost updates: %+v", dst)
-	}
-	if dst.MaxDepth != tasks-1 {
-		t.Fatalf("MaxDepth %d, want %d", dst.MaxDepth, tasks-1)
 	}
 }
 

@@ -15,8 +15,8 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	c.TaskEnd(bt)
 	for i := 0; i < 2; i++ {
 		tt := c.TaskBegin(PhaseTraverse, i)
-		tt.Visit(0)
-		tt.BaseCase(1, 42)
+		tt.At(0).Visits++
+		*tt.At(1) = DepthCounters{BaseCases: 1, BaseCasePairs: 42}
 		c.TaskEnd(tt)
 	}
 	ft := c.TaskBegin(PhaseFinalize, 0)

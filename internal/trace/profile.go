@@ -108,7 +108,8 @@ type Profile struct {
 	Depths []DepthCounters `json:"depths,omitempty"`
 }
 
-// Profile implements Recorder: it snapshots the collector.
+// Profile snapshots the recorded depth profiles, task-duration
+// histogram, and worker-utilization summary.
 func (c *Collector) Profile() *Profile {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -14,13 +14,12 @@
 // traversal task, each spawned tree-build subtree) owns a private
 // *Task buffer for its whole lifetime and records into it with plain
 // stores — no locks, no atomics, no sharing on the hot path. The
-// Recorder is touched exactly twice per task: TaskBegin assigns a
+// Collector is touched exactly twice per task: TaskBegin assigns a
 // worker lane and a start timestamp (one short critical section), and
-// TaskEnd folds the task's span and depth counters into the shared
-// collector (a second short critical section). A nil Recorder
-// disables tracing entirely; the instrumented call sites guard every
-// record behind a nil check, so the disabled path costs a predicted
-// branch and zero allocations.
+// TaskEnd folds the task's span and depth counters into it (a second
+// short critical section). A nil *Collector disables tracing; the
+// instrumented call sites guard every span behind a nil check, so the
+// disabled path costs a predicted branch and zero allocations.
 //
 // Worker lanes are allocated lowest-free-first, so the lane high-water
 // mark equals the peak task concurrency — with the traversal's and
@@ -131,9 +130,10 @@ type Task struct {
 	depths     []DepthCounters
 }
 
-// at returns the task's counter block for the given recursion depth,
-// growing the profile as the recursion deepens.
-func (t *Task) at(depth int) *DepthCounters {
+// At returns the task's counter block for the given recursion depth,
+// growing the profile as the recursion deepens. The traversal records
+// each decision into it.
+func (t *Task) At(depth int) *DepthCounters {
 	for len(t.depths) <= depth {
 		if cap(t.depths) > len(t.depths) {
 			t.depths = t.depths[:len(t.depths)+1]
@@ -144,31 +144,6 @@ func (t *Task) at(depth int) *DepthCounters {
 	return &t.depths[depth]
 }
 
-// Visit records a Visit decision at the given depth.
-func (t *Task) Visit(depth int) { t.at(depth).Visits++ }
-
-// Prune records a Prune decision covering pairs point pairs.
-func (t *Task) Prune(depth int, pairs int64) {
-	d := t.at(depth)
-	d.Prunes++
-	d.PrunedPairs += pairs
-}
-
-// Approx records an Approximate decision covering pairs point pairs.
-func (t *Task) Approx(depth int, pairs int64) {
-	d := t.at(depth)
-	d.Approxes++
-	d.ApproxPairs += pairs
-}
-
-// BaseCase records a base-case execution covering pairs point pairs.
-// The enclosing Visit is recorded separately, as in TraversalStats.
-func (t *Task) BaseCase(depth int, pairs int64) {
-	d := t.at(depth)
-	d.BaseCases++
-	d.BaseCasePairs += pairs
-}
-
 // SetItems sets the task's payload for phases that know it up front
 // (build tasks record their subtree's point count).
 func (t *Task) SetItems(n int64) { t.items = n }
@@ -177,28 +152,11 @@ func (t *Task) SetItems(n int64) { t.items = n }
 // scheduler marks top-level tasks taken from a victim's deque).
 func (t *Task) MarkStolen() { t.stolen = true }
 
-// Recorder receives execution events. TaskBegin/TaskEnd bracket one
-// task's lifetime; the returned *Task is the task's private buffer
-// (see the package comment for the ownership model). Profile returns
-// a snapshot of everything recorded so far (nil if the implementation
-// does not summarize). A nil Recorder everywhere means tracing is
-// off.
-type Recorder interface {
-	// TaskBegin opens a task span at the given spawn depth, assigning
-	// it a worker lane. The returned Task must be used by a single
-	// goroutine and closed with TaskEnd exactly once.
-	TaskBegin(phase Phase, spawnDepth int) *Task
-	// TaskEnd closes the task: timestamps the span and merges the
-	// task's private counters into the recorder.
-	TaskEnd(t *Task)
-	// Profile snapshots the recorded depth profiles, task-duration
-	// histogram, and worker-utilization summary.
-	Profile() *Profile
-}
-
-// Collector is the standard Recorder: an append-only span log plus
-// merged depth profiles, guarded by one mutex that is only taken at
-// task begin/end (never per node pair).
+// Collector receives execution events: TaskBegin/TaskEnd bracket one
+// task's lifetime, and the returned *Task is the task's private buffer
+// (see the package comment for the ownership model). It keeps an
+// append-only span log plus merged depth profiles, guarded by one mutex
+// that is only taken at task begin/end (never per node pair).
 type Collector struct {
 	epoch time.Time
 
@@ -210,12 +168,12 @@ type Collector struct {
 	busy   []int64 // accumulated span duration per lane, ns
 }
 
-var _ Recorder = (*Collector)(nil)
-
 // New returns an empty Collector whose timeline starts now.
 func New() *Collector { return &Collector{epoch: time.Now()} }
 
-// TaskBegin implements Recorder: assigns the lowest free worker lane.
+// TaskBegin opens a task span at the given spawn depth on the lowest
+// free worker lane. The returned Task must be used by a single
+// goroutine and closed with TaskEnd exactly once.
 func (c *Collector) TaskBegin(phase Phase, spawnDepth int) *Task {
 	start := time.Now()
 	c.mu.Lock()
@@ -238,8 +196,8 @@ func (c *Collector) TaskBegin(phase Phase, spawnDepth int) *Task {
 	return &Task{phase: phase, worker: lane, spawnDepth: spawnDepth, start: start}
 }
 
-// TaskEnd implements Recorder: folds the task into the collector and
-// frees its lane.
+// TaskEnd closes the task: timestamps the span, merges the task's
+// private counters into the collector and frees its lane.
 func (c *Collector) TaskEnd(t *Task) {
 	end := time.Now()
 	var decisions, pairs int64

@@ -53,11 +53,9 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < tasksPerG; i++ {
 				tt := c.TaskBegin(PhaseTraverse, g)
-				tt.Visit(0)
-				tt.Visit(1)
-				tt.Prune(1, 10)
-				tt.Approx(2, 3)
-				tt.BaseCase(2, 7)
+				tt.At(0).Visits++
+				*tt.At(1) = DepthCounters{Visits: 1, Prunes: 1, PrunedPairs: 10}
+				*tt.At(2) = DepthCounters{Approxes: 1, ApproxPairs: 3, BaseCases: 1, BaseCasePairs: 7}
 				c.TaskEnd(tt)
 			}
 		}(g)
@@ -115,7 +113,7 @@ func TestProfileSummary(t *testing.T) {
 	c := New()
 	for i := 0; i < 3; i++ {
 		tt := c.TaskBegin(PhaseTraverse, i)
-		tt.Visit(0)
+		tt.At(0).Visits++
 		c.TaskEnd(tt)
 	}
 	bt := c.TaskBegin(PhaseBuild, 0)

@@ -1,17 +1,14 @@
 package traverse
 
 import (
-	"runtime"
-
 	"portal/internal/prune"
-	"portal/internal/stats"
 	"portal/internal/tree"
 )
 
 // This file generalizes the traversal to m trees — Algorithm 1 as
 // written, with its PowerSet-Tuples: at each level every non-leaf node
 // in the tuple splits into its children and the recursion visits the
-// cartesian product of the splits. The two-tree Run is the m=2
+// cartesian product of the splits. The two-tree RunParallel is the m=2
 // specialization; m ≥ 3 serves higher-order problems such as n-point
 // correlation, which the paper's general formulation (Section II,
 // equation 2) covers.
@@ -26,26 +23,6 @@ type MultiRule interface {
 	ComputeApprox(nodes []*tree.Node)
 	// BaseCase performs the direct computation for an all-leaf tuple.
 	BaseCase(nodes []*tree.Node)
-}
-
-// RunMulti performs the m-way multi-tree traversal over the roots of
-// the given trees.
-func RunMulti(ts []*tree.Tree, rule MultiRule) { RunMultiStats(ts, rule, nil) }
-
-// RunMultiStats is RunMulti with statistics collection into st (nil
-// disables collection). Tuple "pair" counters record the cartesian
-// product of the tuple's point counts — the m-way work a prune
-// eliminates or a base case enumerates. A rule that is a StatsReporter
-// is flushed into st at the end.
-func RunMultiStats(ts []*tree.Tree, rule MultiRule, st *stats.TraversalStats) {
-	w := worker{mrule: rule, st: st}
-	if st != nil {
-		st.TasksExecuted++
-	}
-	w.tuple(roots(ts), 0)
-	if st != nil {
-		flushRule(rule, st)
-	}
 }
 
 func roots(ts []*tree.Tree) []*tree.Node {
@@ -72,36 +49,27 @@ type MultiForker interface {
 	Join(child MultiRule)
 }
 
-// MultiOptions configure the parallel m-way traversal.
-type MultiOptions struct {
-	// Workers caps concurrency with the same caller-counts semantics
-	// as Options.Workers; 0 means GOMAXPROCS.
-	Workers int
-	// Stats, when non-nil, receives the traversal's statistics.
-	Stats *stats.TraversalStats
-}
-
-// RunMultiParallel performs the m-way traversal on the work-stealing
-// runtime of steal.go, with tasks created at first-tree child splits:
-// tasks own disjoint first-tree subtrees (the same disjointness
-// discipline as RunParallel's query side), and a frame resolves its join
-// before its caller can start a sibling tuple over the same first-tree
-// subtree, so two tuples sharing a first-tree node never execute
-// concurrently. Falls back to the sequential traversal when workers is
-// 1, the rule is not a MultiForker, or the first tree is a single leaf
-// (nothing to hand a second worker); Workers == 1 output is
-// byte-identical to RunMultiStats.
-func RunMultiParallel(ts []*tree.Tree, rule MultiRule, opts MultiOptions) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// RunMultiParallel performs the m-way traversal over the roots of the
+// given trees, on the work-stealing runtime of steal.go, with tasks
+// created at first-tree child splits: tasks own disjoint first-tree
+// subtrees (the same disjointness discipline as RunParallel's query
+// side), and a frame resolves its join before its caller can start a
+// sibling tuple over the same first-tree subtree, so two tuples sharing
+// a first-tree node never execute concurrently. It walks sequentially
+// on the calling goroutine when Workers is 1, the rule is not a
+// MultiForker, or the first tree is a single leaf (nothing to hand a
+// second worker). Tuple "pair" counters record the cartesian product of
+// the tuple's point counts — the m-way work a prune eliminates or a
+// base case enumerates.
+func RunMultiParallel(ts []*tree.Tree, rule MultiRule, opts Options) {
+	workers := opts.workers()
 	mf, ok := rule.(MultiForker)
 	if workers == 1 || !ok || ts[0].Root.IsLeaf() {
-		RunMultiStats(ts, rule, opts.Stats)
+		w := worker{mrule: rule}
+		w.runSeq(opts, func() { w.tuple(roots(ts), 0) })
 		return
 	}
-	sc := newStealCtx(stealCutoff(workers, ts...), workers, opts.Stats, nil)
+	sc := newStealCtx(stealCutoff(workers, ts...), workers, opts)
 	for i, w := range sc.ws {
 		w.mrule = rule
 		if i > 0 {
@@ -132,43 +100,25 @@ func tupleCount(nodes []*tree.Node) int64 {
 // tuple still covers more point tuples than the cutoff hands those
 // shares out as tasks, exactly as pair does at a query split.
 func (w *worker) tuple(nodes []*tree.Node, depth int) {
-	st := w.st
-	if st != nil && int64(depth) > st.MaxDepth {
-		st.MaxDepth = int64(depth)
+	d := w.mrule.PruneApprox(nodes)
+	leaf, tc := true, tupleCount(nodes)
+	for _, n := range nodes {
+		leaf = leaf && n.IsLeaf()
 	}
-	switch w.mrule.PruneApprox(nodes) {
-	case prune.Prune:
-		if st != nil {
-			st.Prunes++
-			st.PrunedPairs += tupleCount(nodes)
-		}
+	w.record(d, leaf, depth, tc)
+	switch {
+	case d == prune.Prune:
 		return
-	case prune.Approx:
-		if st != nil {
-			st.Approxes++
-			st.ApproxPairs += tupleCount(nodes)
-		}
+	case d == prune.Approx:
 		w.mrule.ComputeApprox(nodes)
 		return
-	}
-	if st != nil {
-		st.Visits++
-	}
-	allLeaves := true
-	for _, n := range nodes {
-		allLeaves = allLeaves && n.IsLeaf()
-	}
-	if allLeaves {
-		if st != nil {
-			st.BaseCases++
-			st.BaseCasePairs += tupleCount(nodes)
-		}
+	case leaf:
 		w.mrule.BaseCase(nodes)
 		return
 	}
 	first := split(nodes[0])
 	t := task{depth: depth + 1, rest: nodes[1:]}
-	if w.sc != nil && len(first) >= 2 && tupleCount(nodes) > w.sc.cutoff {
+	if w.sc != nil && len(first) >= 2 && tc > w.sc.cutoff {
 		w.spawnChildren(first, t)
 		return
 	}

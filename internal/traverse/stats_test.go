@@ -70,7 +70,7 @@ func TestStatsCountsSequential(t *testing.T) {
 
 	c := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
 	var st stats.TraversalStats
-	RunStats(q, r, c, &st)
+	RunParallel(q, r, c, Options{Workers: 1, Stats: &st})
 	if st.BaseCasePairs != total {
 		t.Fatalf("BaseCasePairs %d, want %d", st.BaseCasePairs, total)
 	}
@@ -82,7 +82,7 @@ func TestStatsCountsSequential(t *testing.T) {
 	}
 
 	var pst stats.TraversalStats
-	RunStats(q, r, &pruneAllRule{}, &pst)
+	RunParallel(q, r, &pruneAllRule{}, Options{Workers: 1, Stats: &pst})
 	if pst.Prunes != 1 || pst.PrunedPairs != total || pst.Visits != 0 {
 		t.Fatalf("prune-all stats: %+v", pst)
 	}
@@ -99,7 +99,7 @@ func TestStatsSequentialParallelEquivalence(t *testing.T) {
 
 	c1 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
 	var seq stats.TraversalStats
-	RunStats(q, r, c1, &seq)
+	RunParallel(q, r, c1, Options{Workers: 1, Stats: &seq})
 	if seq.TasksSpawned != 0 || seq.InlineFallbacks != 0 || seq.TasksStolen != 0 {
 		t.Fatalf("sequential traversal must not account tasks: %+v", seq)
 	}
@@ -128,26 +128,23 @@ func TestStatsSequentialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// Workers=1 must be a pure sequential run: zero task accounting,
-// identical decision counters, exactly one executed "task" (the root
-// walk).
+// Workers=1 must be a pure sequential run: zero task accounting, no
+// deque, exactly one executed "task" (the root walk), and every point
+// pair accounted for.
 func TestWorkersOneIsPureSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	q := buildTree(rng, 300, 3, 8)
 	r := buildTree(rng, 280, 3, 8)
 
-	c1 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
-	var seq stats.TraversalStats
-	RunStats(q, r, c1, &seq)
-
-	c2 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
+	c := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
 	var one stats.TraversalStats
-	RunParallel(q, r, c2, Options{Workers: 1, Stats: &one})
-	if one != seq {
-		t.Fatalf("Workers=1 stats %+v differ from sequential %+v", one, seq)
-	}
-	if one.TasksSpawned != 0 || one.TasksStolen != 0 || one.InlineFallbacks != 0 {
+	RunParallel(q, r, c, Options{Workers: 1, Stats: &one})
+	if one.TasksExecuted != 1 || one.TasksSpawned != 0 || one.TasksStolen != 0 ||
+		one.InlineFallbacks != 0 || one.DequeHighWater != 0 {
 		t.Fatalf("Workers=1 accounted tasks: %+v", one)
+	}
+	if want := int64(q.Len()) * int64(r.Len()); one.BaseCasePairs != want {
+		t.Fatalf("Workers=1 BaseCasePairs %d, want %d", one.BaseCasePairs, want)
 	}
 }
 
@@ -226,7 +223,7 @@ func TestStatsReporterFlushedPerTask(t *testing.T) {
 	total := int64(q.Len()) * int64(r.Len())
 
 	var seq stats.TraversalStats
-	RunStats(q, r, &flushTestRule{}, &seq)
+	RunParallel(q, r, &flushTestRule{}, Options{Workers: 1, Stats: &seq})
 	if seq.KernelEvals != total {
 		t.Fatalf("sequential KernelEvals %d, want %d", seq.KernelEvals, total)
 	}
@@ -238,7 +235,7 @@ func TestStatsReporterFlushedPerTask(t *testing.T) {
 	}
 }
 
-// RunMultiStats must account the full m-way tuple product.
+// The m-way walk must account the full m-way tuple product.
 func TestStatsMultiTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a := buildTree(rng, 60, 2, 8)
@@ -246,7 +243,7 @@ func TestStatsMultiTree(t *testing.T) {
 	c := buildTree(rng, 30, 2, 16)
 	m := &multiCountRule{trees: []*tree.Tree{a, b, c}, perFirst: make([]int64, a.Len())}
 	var st stats.TraversalStats
-	RunMultiStats([]*tree.Tree{a, b, c}, m, &st)
+	RunMultiParallel([]*tree.Tree{a, b, c}, m, Options{Workers: 1, Stats: &st})
 	want := int64(a.Len()) * int64(b.Len()) * int64(c.Len())
 	if st.BaseCasePairs != want {
 		t.Fatalf("BaseCasePairs %d, want %d", st.BaseCasePairs, want)

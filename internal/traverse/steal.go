@@ -65,7 +65,7 @@ func stealCutoff(workers int, ts ...*tree.Tree) int64 {
 type stealCtx struct {
 	cutoff int64
 	root   *stats.TraversalStats
-	rec    trace.Recorder
+	rec    *trace.Collector
 	// done closes after worker 0's root walk returns. The root walk
 	// cannot return until every join it transitively created resolved,
 	// and a join resolves only after each of its tasks was removed
@@ -75,27 +75,27 @@ type stealCtx struct {
 	ws   []*worker
 }
 
-// workerStats is one worker's private counters, padded by a cache
-// line. The walk reads and writes them on every node pair, and two
-// workers' structs allocated back to back would otherwise put the last
-// field of one (MaxDepth) on the same line as the first fields of the
-// next (Visits, Prunes): false sharing on the hottest loads of the step.
+// workerStats is one worker's private counters, which the walk reads
+// and writes on every node pair. A cache line of padding on either side
+// keeps them off the lines of data other goroutines read or write — the
+// worker's deque pointer, which thieves scan, and whatever is allocated
+// next to the worker — which would otherwise be false sharing on the
+// hottest loads of the step. untraced stands in for the open span's
+// depth slot when tracing is off; nothing reads it.
 type workerStats struct {
-	stats.TraversalStats
 	_ [64]byte
+	stats.TraversalStats
+	untraced trace.DepthCounters
+	_        [64]byte
 }
 
 // newStealCtx builds the scheduler and its workers; the caller gives
 // each worker its rule (the root rule for worker 0, a fork for the
 // others) before run.
-func newStealCtx(cutoff int64, workers int, st *stats.TraversalStats, rec trace.Recorder) *stealCtx {
-	sc := &stealCtx{cutoff: cutoff, root: st, rec: rec, done: make(chan struct{}), ws: make([]*worker, workers)}
+func newStealCtx(cutoff int64, workers int, opts Options) *stealCtx {
+	sc := &stealCtx{cutoff: cutoff, root: opts.Stats, rec: opts.Trace, done: make(chan struct{}), ws: make([]*worker, workers)}
 	for i := range sc.ws {
-		w := &worker{id: i, sc: sc, dq: new(deque)}
-		if st != nil {
-			w.st = &new(workerStats).TraversalStats
-		}
-		sc.ws[i] = w
+		sc.ws[i] = &worker{id: i, sc: sc, dq: new(deque)}
 	}
 	return sc
 }
@@ -103,7 +103,7 @@ func newStealCtx(cutoff int64, workers int, st *stats.TraversalStats, rec trace.
 // run executes one traversal: the calling goroutine is worker 0 and
 // runs root, the walk of the root pair or tuple; workers 1..W-1 start
 // with empty deques and live by stealing. It returns once every worker
-// has stopped and folded its observers into the run.
+// has stopped and its counters were added into the run's.
 func (sc *stealCtx) run(root func(w0 *worker)) {
 	var wg sync.WaitGroup
 	for _, w := range sc.ws[1:] {
@@ -111,24 +111,19 @@ func (sc *stealCtx) run(root func(w0 *worker)) {
 		go func(w *worker) {
 			defer wg.Done()
 			w.stealLoop()
-			w.finish()
 		}(w)
 	}
 	w0 := sc.ws[0]
-	if sc.rec != nil {
-		w0.tt = sc.rec.TaskBegin(trace.PhaseTraverse, 0)
-	}
-	if w0.st != nil {
-		w0.st.TasksExecuted++
-	}
+	w0.begin(sc.rec, 0)
 	root(w0)
 	close(sc.done)
 	wg.Wait()
-	w0.finish()
-	if w0.tt != nil {
-		// Root span closes after every worker has: its extent is the
-		// traversal's wall time.
-		sc.rec.TaskEnd(w0.tt)
+	// Root span closes after every worker has: its extent is the
+	// traversal's wall time.
+	w0.end(sc.rec)
+	for _, w := range sc.ws {
+		w.st.DequeHighWater = int64(w.dq.highWater())
+		w.merge(sc.root)
 	}
 }
 
@@ -154,24 +149,15 @@ func (w *worker) stealLoop() {
 	}
 }
 
-// runTop executes a top-level task: it counts toward TasksExecuted and
-// opens its own trace span (the spans == TasksExecuted invariant).
-// Tasks run while helping inside a join do not come through here.
+// runTop executes a top-level task under its own span. Tasks run while
+// helping inside a join do not come through here.
 func (w *worker) runTop(t task, stolen bool) {
-	if w.st != nil {
-		w.st.TasksExecuted++
-	}
-	if w.sc.rec != nil {
-		w.tt = w.sc.rec.TaskBegin(trace.PhaseTraverse, t.depth)
-		if stolen {
-			w.tt.MarkStolen()
-		}
+	w.begin(w.sc.rec, t.depth)
+	if stolen && w.tt != nil {
+		w.tt.MarkStolen()
 	}
 	w.exec(t)
-	if w.tt != nil {
-		w.sc.rec.TaskEnd(w.tt)
-		w.tt = nil
-	}
+	w.end(w.sc.rec)
 }
 
 // trySteal scans the other workers starting after w's own slot and
@@ -180,9 +166,7 @@ func (w *worker) trySteal() (task, bool) {
 	ws := w.sc.ws
 	for i := 1; i < len(ws); i++ {
 		if t, ok := ws[(w.id+i)%len(ws)].dq.steal(); ok {
-			if w.st != nil {
-				w.st.TasksStolen++
-			}
+			w.st.TasksStolen++
 			return t, true
 		}
 	}
@@ -223,14 +207,10 @@ func (w *worker) spawnChildren(children []*tree.Node, t task) {
 		t.qn = c
 		t.join.add(1)
 		if w.dq.push(t) {
-			if w.st != nil {
-				w.st.TasksSpawned++
-			}
+			w.st.TasksSpawned++
 		} else {
 			t.join.add(-1)
-			if w.st != nil {
-				w.st.InlineFallbacks++
-			}
+			w.st.InlineFallbacks++
 			w.runTask(t)
 		}
 	}
@@ -257,16 +237,4 @@ func (w *worker) helpUntil(jn *join) {
 		}
 		runtime.Gosched()
 	}
-}
-
-// finish folds the worker's private observers into the run: deque
-// high-water, rule-level counters, then one atomic merge.
-func (w *worker) finish() {
-	if w.st == nil {
-		return
-	}
-	w.st.DequeHighWater = int64(w.dq.highWater())
-	flushRule(w.rule, w.st)
-	flushRule(w.mrule, w.st)
-	w.st.MergeAtomic(w.sc.root)
 }

@@ -37,7 +37,7 @@ func TestStealSchedulerCoversAndSteals(t *testing.T) {
 		return &workCountRule{countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
 	}
 	seq := newRule()
-	Run(q, r, seq)
+	RunParallel(q, r, seq, Options{Workers: 1})
 	for _, workers := range []int{1, 4} {
 		c := newRule()
 		var st stats.TraversalStats
@@ -140,7 +140,7 @@ func (m *multiParRule) Join(child MultiRule) {
 // The parallel m-way traversal (m=3) must match the sequential one on
 // coverage, fork-joined accumulators, and every decision counter, fork
 // once per extra worker and join each fork once, after the walk — and
-// Workers=1 must be byte-identical to RunMultiStats.
+// Workers=1 must neither fork nor join.
 func TestRunMultiParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	a := buildTree(rng, 120, 2, 8)
@@ -150,7 +150,10 @@ func TestRunMultiParallelMatchesSequential(t *testing.T) {
 
 	seqRule := newMultiParRule(a.Len())
 	var seq stats.TraversalStats
-	RunMultiStats(ts, seqRule, &seq)
+	RunMultiParallel(ts, seqRule, Options{Workers: 1, Stats: &seq})
+	if seqRule.joins != 0 || seq.TasksSpawned != 0 {
+		t.Fatalf("Workers=1: %d joins, %d tasks spawned", seqRule.joins, seq.TasksSpawned)
+	}
 	wantPer := int64(b.Len()) * int64(c.Len())
 	for i, n := range seqRule.perFirst {
 		if n != wantPer {
@@ -161,7 +164,7 @@ func TestRunMultiParallelMatchesSequential(t *testing.T) {
 	for _, w := range []int{2, 4, 8} {
 		parRule := newMultiParRule(a.Len())
 		var par stats.TraversalStats
-		RunMultiParallel(ts, parRule, MultiOptions{Workers: w, Stats: &par})
+		RunMultiParallel(ts, parRule, Options{Workers: w, Stats: &par})
 		for i, n := range parRule.perFirst {
 			if n != wantPer {
 				t.Fatalf("Workers=%d: point %d in %d tuples, want %d", w, i, n, wantPer)
@@ -182,15 +185,5 @@ func TestRunMultiParallelMatchesSequential(t *testing.T) {
 		if par.TasksSpawned == 0 || par.TasksExecuted < 1 {
 			t.Fatalf("Workers=%d: parallel m-way traversal spawned %d tasks, executed %d", w, par.TasksSpawned, par.TasksExecuted)
 		}
-	}
-
-	oneRule := newMultiParRule(a.Len())
-	var one stats.TraversalStats
-	RunMultiParallel(ts, oneRule, MultiOptions{Workers: 1, Stats: &one})
-	if one != seq {
-		t.Fatalf("Workers=1 stats %+v differ from sequential %+v", one, seq)
-	}
-	if oneRule.tuples != seqRule.tuples || oneRule.joins != 0 {
-		t.Fatalf("Workers=1 tuples %d != sequential %d (joins %d)", oneRule.tuples, seqRule.tuples, oneRule.joins)
 	}
 }

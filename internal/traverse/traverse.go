@@ -22,13 +22,14 @@
 // finds it.
 //
 // Observability: the traversal is also where the prune/approximate
-// decisions are *counted*. Pass a stats.TraversalStats to RunStats (or
-// via Options.Stats for the parallel form) and the traversal records
-// every decision, the point pairs each fate covered, task-spawn
-// behaviour, and recursion depth. Each parallel task accumulates into
-// a private struct — the same per-task ownership discipline as
-// Rule.Fork — and merges it into the shared accumulator once, on task
-// completion, so the hot path stays free of atomics.
+// decisions are *counted*. Every worker counts every decision, the
+// point pairs each fate covered, task-spawn behaviour and recursion
+// depth into private counters, at one recording site (worker.record)
+// that both walks share and that also fills the open trace span's
+// depth profile. Options.Stats, when set, receives the workers' counts,
+// added once each after the walk, so the hot path is plain stores on
+// memory one goroutine owns — the same ownership discipline as
+// Rule.Fork.
 package traverse
 
 import (
@@ -95,44 +96,13 @@ func scorerOf(rule Rule) ScoredRule {
 	return nil
 }
 
-// StatsReporter is an optional Rule and MultiRule capability: when the
-// traversal collects statistics, FlushStats is called once per worker
-// (on the worker's forked rule, the root rule for the first), when it
-// stops, so rule-level counters — e.g. the backend's kernel evaluation
-// count — fold into the worker's TraversalStats before it is merged
-// into the run's accumulator.
+// StatsReporter is an optional Rule and MultiRule capability: when
+// Options.Stats is set, FlushStats is called on it once per worker
+// rule (the root rule and every fork), after the walk, so rule-level
+// counters — e.g. the backend's kernel evaluation count — fold into
+// Options.Stats.
 type StatsReporter interface {
 	FlushStats(st *stats.TraversalStats)
-}
-
-// Run performs the sequential multi-tree traversal.
-func Run(q, r *tree.Tree, rule Rule) { RunStats(q, r, rule, nil) }
-
-// RunStats is Run with statistics collection into st (nil disables
-// collection entirely, leaving the hot path counter-free).
-func RunStats(q, r *tree.Tree, rule Rule, st *stats.TraversalStats) {
-	runSeq(q, r, rule, st, nil)
-}
-
-// runSeq is the sequential traversal with optional statistics and
-// tracing: one worker with no scheduler. The whole walk is recorded as
-// one root span, so a traced sequential run always emits exactly one
-// span (TasksExecuted = 1, TasksSpawned = 0).
-func runSeq(q, r *tree.Tree, rule Rule, st *stats.TraversalStats, rec trace.Recorder) {
-	w := worker{rule: rule, scorer: scorerOf(rule), st: st}
-	if rec != nil {
-		w.tt = rec.TaskBegin(trace.PhaseTraverse, 0)
-	}
-	if st != nil {
-		st.TasksExecuted++
-	}
-	w.rootPair(q, r)
-	if st != nil {
-		flushRule(rule, st)
-	}
-	if w.tt != nil {
-		rec.TaskEnd(w.tt)
-	}
 }
 
 func flushRule(rule any, st *stats.TraversalStats) {
@@ -148,65 +118,17 @@ func pairCount(qn, rn *tree.Node) int64 {
 	return int64(qn.Count()) * int64(rn.Count())
 }
 
-// recPrune records a Prune decision into whichever observers are
-// active. Both st and tt are owned by the current task, so recording
-// is plain stores; when both are nil (the common disabled case) this
-// is a pair of predicted branches and nothing else.
-func recPrune(st *stats.TraversalStats, tt *trace.Task, depth int, qn, rn *tree.Node) {
-	if st == nil && tt == nil {
-		return
-	}
-	pc := pairCount(qn, rn)
-	if st != nil {
-		st.Prunes++
-		st.PrunedPairs += pc
-	}
-	if tt != nil {
-		tt.Prune(depth, pc)
-	}
-}
-
-// recApprox records an Approximate decision (see recPrune).
-func recApprox(st *stats.TraversalStats, tt *trace.Task, depth int, qn, rn *tree.Node) {
-	if st == nil && tt == nil {
-		return
-	}
-	pc := pairCount(qn, rn)
-	if st != nil {
-		st.Approxes++
-		st.ApproxPairs += pc
-	}
-	if tt != nil {
-		tt.Approx(depth, pc)
-	}
-}
-
-// recBase records a base-case execution (see recPrune).
-func recBase(st *stats.TraversalStats, tt *trace.Task, depth int, qn, rn *tree.Node) {
-	if st == nil && tt == nil {
-		return
-	}
-	pc := pairCount(qn, rn)
-	if st != nil {
-		st.BaseCases++
-		st.BaseCasePairs += pc
-	}
-	if tt != nil {
-		tt.BaseCase(depth, pc)
-	}
-}
-
 // worker is one goroutine's traversal state: its rule (worker 0 and the
-// sequential walk keep the root rule, the others a fork), its
-// stats/trace buffers, and under the work-stealing runtime its
+// sequential walk keep the root rule, the others a fork), its counters
+// and open trace span, and under the work-stealing runtime its
 // scheduler and deque.
 type worker struct {
 	rule Rule
 	// scorer is rule's scored form; nil runs it unscored.
 	scorer ScoredRule
-	// st is single-writer for the worker's lifetime; nil disables
-	// collection.
-	st *stats.TraversalStats
+	// st is the worker's counters, written by it alone and added into
+	// Options.Stats after the walk.
+	st workerStats
 	// tt is the currently open trace span (nil when tracing is off):
 	// the root walk for worker 0, the current top-level task for
 	// thieves. Tasks executed while helping inside a join fold into
@@ -228,6 +150,81 @@ type worker struct {
 	level  int
 }
 
+// record is the walk's one recording site, called by both steps (pair
+// and tuple) once per decision: d on a node pair or tuple at depth
+// covering pairs point pairs (point tuples in the m-way walk), leaf
+// when it is a visited all-leaf one whose base case runs. It counts
+// into the worker's stats and the open span's slot for depth.
+func (w *worker) record(d prune.Decision, leaf bool, depth int, pairs int64) {
+	st := &w.st
+	st.MaxDepth = max(st.MaxDepth, int64(depth))
+	dc := &st.untraced
+	if w.tt != nil {
+		dc = w.tt.At(depth)
+	}
+	switch {
+	case d == prune.Prune:
+		st.Prunes++
+		st.PrunedPairs += pairs
+		dc.Prunes++
+		dc.PrunedPairs += pairs
+	case d == prune.Approx:
+		st.Approxes++
+		st.ApproxPairs += pairs
+		dc.Approxes++
+		dc.ApproxPairs += pairs
+	case leaf:
+		st.BaseCases++
+		st.BaseCasePairs += pairs
+		dc.BaseCases++
+		dc.BaseCasePairs += pairs
+		fallthrough
+	default:
+		st.Visits++
+		dc.Visits++
+	}
+}
+
+// runSeq runs walk — the root pair's or tuple's — on w alone, with no
+// scheduler. The whole walk is one root span, so a traced sequential
+// run always emits exactly one span (TasksExecuted = 1, TasksSpawned =
+// 0).
+func (w *worker) runSeq(opts Options, walk func()) {
+	w.begin(opts.Trace, 0)
+	walk()
+	w.end(opts.Trace)
+	w.merge(opts.Stats)
+}
+
+// begin starts a top-level task on w: it counts toward TasksExecuted
+// and, when tracing, opens the task's span (the spans == TasksExecuted
+// invariant). Tasks run while helping inside a join do not begin.
+func (w *worker) begin(rec *trace.Collector, depth int) {
+	w.st.TasksExecuted++
+	if rec != nil {
+		w.tt = rec.TaskBegin(trace.PhaseTraverse, depth)
+	}
+}
+
+// end closes the span begin opened, if any.
+func (w *worker) end(rec *trace.Collector) {
+	if w.tt != nil {
+		rec.TaskEnd(w.tt)
+		w.tt = nil
+	}
+}
+
+// merge adds the worker's counts, then its rule's, into st, once the
+// worker has stopped; a nil st drops them.
+func (w *worker) merge(st *stats.TraversalStats) {
+	if st == nil {
+		return
+	}
+	st.Add(&w.st.TraversalStats)
+	flushRule(w.rule, st)
+	flushRule(w.mrule, st)
+}
+
 // rootPair walks the root pair.
 func (w *worker) rootPair(q, r *tree.Tree) {
 	var score float64
@@ -244,38 +241,26 @@ func (w *worker) rootPair(q, r *tree.Tree) {
 // its children out as tasks. score is Score(qn, rn) for a scored rule
 // and unused otherwise.
 func (w *worker) pair(qn, rn *tree.Node, score float64, depth int) {
-	st, tt := w.st, w.tt
-	if st != nil && int64(depth) > st.MaxDepth {
-		st.MaxDepth = int64(depth)
-	}
 	var d prune.Decision
 	if w.scorer != nil {
 		d = w.scorer.PruneScored(qn, rn, score)
 	} else {
 		d = w.rule.PruneApprox(qn, rn)
 	}
-	switch d {
-	case prune.Prune:
-		recPrune(st, tt, depth, qn, rn)
+	leaf, pc := qn.IsLeaf() && rn.IsLeaf(), pairCount(qn, rn)
+	w.record(d, leaf, depth, pc)
+	switch {
+	case d == prune.Prune:
 		return
-	case prune.Approx:
-		recApprox(st, tt, depth, qn, rn)
+	case d == prune.Approx:
 		w.rule.ComputeApprox(qn, rn)
 		return
-	}
-	if st != nil {
-		st.Visits++
-	}
-	if tt != nil {
-		tt.Visit(depth)
-	}
-	if qn.IsLeaf() && rn.IsLeaf() {
-		recBase(st, tt, depth, qn, rn)
+	case leaf:
 		w.rule.BaseCase(qn, rn)
 		return
 	}
 	qsplit := split(qn)
-	if w.sc != nil && len(qsplit) >= 2 && pairCount(qn, rn) > w.sc.cutoff {
+	if w.sc != nil && len(qsplit) >= 2 && pc > w.sc.cutoff {
 		w.spawnChildren(qsplit, task{rn: rn, depth: depth + 1})
 	} else {
 		for _, qc := range qsplit {
@@ -322,7 +307,7 @@ func split(n *tree.Node) []*tree.Node {
 	return n.Children
 }
 
-// Options configure the parallel traversal.
+// Options configure a traversal, dual or m-way.
 type Options struct {
 	// Workers caps concurrency; 0 means GOMAXPROCS. The calling
 	// goroutine counts against the cap: at most Workers goroutines
@@ -331,15 +316,24 @@ type Options struct {
 	// so one -workers setting governs the build and traversal phases
 	// uniformly.
 	Workers int
-	// Stats, when non-nil, receives the traversal's statistics. Each
-	// task accumulates privately and merges on completion.
+	// Stats, when non-nil, receives the traversal's statistics: every
+	// worker counts privately, and its counts are added here once,
+	// after the walk.
 	Stats *stats.TraversalStats
 	// Trace, when non-nil, records one span per traversal task (the
 	// caller's root walk plus every top-level task a thief runs) and
 	// per-depth decision profiles, under the same per-task ownership
-	// model as Stats: a task's trace.Task buffer is private until
-	// TaskEnd.
-	Trace trace.Recorder
+	// model as the counters: a task's trace.Task buffer is private
+	// until TaskEnd.
+	Trace *trace.Collector
+}
+
+// workers resolves Workers.
+func (o Options) workers() int {
+	if o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Workers
 }
 
 // RunParallel performs the traversal with query-side task parallelism.
@@ -347,25 +341,20 @@ type Options struct {
 // subtrees: all per-query and per-query-node state is then written by
 // exactly one task, while the reference tree is shared read-only.
 //
-// Workers == 1, or a single-leaf query tree at any worker count, takes
-// the sequential path, byte-identical to RunStats; otherwise the
-// work-stealing runtime of steal.go runs it.
+// Workers == 1, or a single-leaf query tree at any worker count, walks
+// sequentially on the calling goroutine; otherwise the work-stealing
+// runtime of steal.go runs it.
 func RunParallel(q, r *tree.Tree, rule Rule, opts Options) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if q.Root.IsLeaf() {
-		// Tasks are created only at query-side splits: a single-leaf
-		// query tree has nothing to hand a second worker, which would
-		// only spin in its steal loop for the whole traversal.
-		workers = 1
-	}
-	if workers == 1 {
-		runSeq(q, r, rule, opts.Stats, opts.Trace)
+	// Tasks are created only at query-side splits: a single-leaf query
+	// tree has nothing to hand a second worker, which would only spin
+	// in its steal loop for the whole traversal.
+	workers := opts.workers()
+	if workers == 1 || q.Root.IsLeaf() {
+		w := worker{rule: rule, scorer: scorerOf(rule)}
+		w.runSeq(opts, func() { w.rootPair(q, r) })
 		return
 	}
-	sc := newStealCtx(stealCutoff(workers, q, r), workers, opts.Stats, opts.Trace)
+	sc := newStealCtx(stealCutoff(workers, q, r), workers, opts)
 	for i, w := range sc.ws {
 		w.rule = rule
 		if i > 0 {

@@ -56,7 +56,7 @@ func TestFullTraversalCoversAllPairsOnce(t *testing.T) {
 	q := buildTree(rng, 137, 3, 8)
 	r := buildTree(rng, 211, 3, 16)
 	c := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
-	Run(q, r, c)
+	RunParallel(q, r, c, Options{Workers: 1})
 	for i, n := range c.perQuery {
 		if n != int64(r.Len()) {
 			t.Fatalf("query %d saw %d reference points, want %d", i, n, r.Len())
@@ -94,7 +94,7 @@ func TestPruneAllRunsNothing(t *testing.T) {
 	q := buildTree(rng, 100, 2, 8)
 	r := buildTree(rng, 100, 2, 8)
 	p := &pruneAllRule{}
-	Run(q, r, p)
+	RunParallel(q, r, p, Options{Workers: 1})
 	if p.baseCases != 0 {
 		t.Fatal("pruned traversal must run no base cases")
 	}
@@ -118,7 +118,7 @@ func TestApproxShortCircuits(t *testing.T) {
 	q := buildTree(rng, 100, 2, 8)
 	r := buildTree(rng, 100, 2, 8)
 	a := &approxAllRule{}
-	Run(q, r, a)
+	RunParallel(q, r, a, Options{Workers: 1})
 	if a.approxes != 1 {
 		t.Fatalf("root pair should approximate exactly once, got %d", a.approxes)
 	}
@@ -132,7 +132,7 @@ func TestPostChildrenOrdering(t *testing.T) {
 	r := buildTree(rng, 64, 2, 64) // single-leaf reference tree
 	var order []int
 	rule := &orderRule{order: &order}
-	Run(q, r, rule)
+	RunParallel(q, r, rule, Options{Workers: 1})
 	// With a single reference leaf, dual visits each query node once;
 	// children must appear before parents (postorder property).
 	pos := map[int]int{}
@@ -201,7 +201,7 @@ func TestScoredRuleScoresOncePerPair(t *testing.T) {
 	r := buildTree(rng, 300, 3, 8)
 	s := &scoredCountRule{t: t, countRule: countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}}
 	var st stats.TraversalStats
-	RunStats(q, r, s, &st)
+	RunParallel(q, r, s, Options{Workers: 1, Stats: &st})
 	if s.scores != s.decides || s.decides != st.Visits {
 		t.Fatalf("%d scores, %d decisions, %d visits: want one of each per pair", s.scores, s.decides, st.Visits)
 	}
@@ -242,7 +242,7 @@ func TestWorkerCapOne(t *testing.T) {
 	}
 }
 
-// multiCountRule counts per-tuple leaf interactions for RunMulti.
+// multiCountRule counts per-tuple leaf interactions for RunMultiParallel.
 type multiCountRule struct {
 	trees    []*tree.Tree
 	perFirst []int64
@@ -260,15 +260,15 @@ func (m *multiCountRule) BaseCase(nodes []*tree.Node) {
 	}
 }
 
-// RunMulti with m trees must cover the full m-way cartesian product of
-// points exactly once.
+// The m-way walk must cover the full cartesian product of points
+// exactly once.
 func TestRunMultiCoversAllTuplesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := buildTree(rng, 60, 2, 8)
 	b := buildTree(rng, 40, 2, 8)
 	c := buildTree(rng, 30, 2, 16)
 	m := &multiCountRule{trees: []*tree.Tree{a, b, c}, perFirst: make([]int64, a.Len())}
-	RunMulti([]*tree.Tree{a, b, c}, m)
+	RunMultiParallel([]*tree.Tree{a, b, c}, m, Options{Workers: 1})
 	want := int64(b.Len()) * int64(c.Len())
 	for i, n := range m.perFirst {
 		if n != want {
@@ -277,17 +277,17 @@ func TestRunMultiCoversAllTuplesOnce(t *testing.T) {
 	}
 }
 
-// RunMulti with m=2 must agree with the dedicated two-tree Run.
+// The m-way walk with m=2 must agree with the dual walk.
 func TestRunMultiMatchesPairRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	q := buildTree(rng, 80, 2, 8)
 	r := buildTree(rng, 90, 2, 8)
 
 	c2 := &countRule{q: q, r: r, perQuery: make([]int64, q.Len()), postSeen: map[int]int{}}
-	Run(q, r, c2)
+	RunParallel(q, r, c2, Options{Workers: 1})
 
 	m := &multiCountRule{trees: []*tree.Tree{q, r}, perFirst: make([]int64, q.Len())}
-	RunMulti([]*tree.Tree{q, r}, m)
+	RunMultiParallel([]*tree.Tree{q, r}, m, Options{Workers: 1})
 	for i := range m.perFirst {
 		if m.perFirst[i] != c2.perQuery[i] {
 			t.Fatalf("point %d: multi %d vs pair %d", i, m.perFirst[i], c2.perQuery[i])

@@ -206,7 +206,7 @@ type Options struct {
 	// task plus one root span covering the whole build (so build spans
 	// == Build.TasksSpawned + 1). Each span's Items is the subtree's
 	// point count.
-	Trace trace.Recorder
+	Trace *trace.Collector
 }
 
 func (o *Options) leafSize() int {
@@ -383,7 +383,7 @@ type builder struct {
 	workers int
 	sem     chan struct{}
 	wg      sync.WaitGroup
-	rec     trace.Recorder
+	rec     *trace.Collector
 
 	spawned int64 // atomic
 	inline  int64 // atomic
