@@ -40,7 +40,7 @@ func main() {
 	for _, st := range p.Stages {
 		fmt.Printf("===== %s =====\n%s\n", st.Name, st.Dump)
 	}
-	fmt.Printf("problem class: %s, prune rule: %s\n", p.Plan.Class, p.Rule().Kind)
+	fmt.Printf("problem class: %s, prune rule: %s\n", p.Plan.Spec.Classify(), p.Rule().Kind)
 }
 
 func compile(problem string) (*engine.Problem, error) {

@@ -21,8 +21,8 @@
 //     so a second call would double-count or re-map;
 //   - IR the lowering emitted but the backend has no case for: a
 //     statement, expression, property or intrinsic unknown to the
-//     interpreters (interp.go, interp_prune.go), an unknown metric
-//     (metricDistFn) or outer operator (Finalize).
+//     interpreters (interp.go, interp_prune.go), or an unknown metric
+//     (metricDistFn).
 package codegen
 
 import (
@@ -121,15 +121,11 @@ func Compile(plan *lower.Plan, prog *ir.Program, opts Options) (*Executable, err
 		plan = &p2
 		sqrtOut = true
 	}
-	rule, err := prune.Generate(plan.Class, plan.InnerOp, plan.Kernel, plan.Tau)
+	rule, err := prune.Generate(plan.InnerOp, plan.Kernel, plan.Tau)
 	if err != nil {
 		return nil, err
 	}
-	ex := &Executable{Plan: plan, Prog: prog, Rule: rule, Opts: opts, sqrtOut: sqrtOut}
-	switch plan.InnerOp {
-	case lang.MAX, lang.ARGMAX, lang.KMAX, lang.KARGMAX:
-		ex.maxSide = true
-	}
+	ex := &Executable{Plan: plan, Prog: prog, Rule: rule, Opts: opts, sqrtOut: sqrtOut, maxSide: plan.InnerOp.MaxSide()}
 	if plan.DistKernel != nil {
 		ex.bodyFn = CompileBody(plan.DistKernel.Body, !opts.ExactMath)
 	} else if plan.MahalKernel != nil {

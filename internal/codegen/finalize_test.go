@@ -69,8 +69,8 @@ func TestKListOutputsAreDisjointSlabs(t *testing.T) {
 // and a list that holds something is the run's own slice, mapped to
 // original indices in ascending order (the canonical order of a set
 // operator's list) and capacity-limited so an append to it reallocates
-// instead of running into memory another list owns. UNION, whose lists
-// also hold the zero-valued pairs, keeps each value beside its index.
+// instead of running into memory another list owns. UNION lists every
+// reference, zero-valued pairs included, each value beside its index.
 func TestRangeListsAreSparseAndDisjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	qRows, rRows := randRows(rng, 400, 3), randRows(rng, 40, 3)
@@ -107,9 +107,9 @@ func TestRangeListsAreSparseAndDisjoint(t *testing.T) {
 				t.Fatalf("%v: query %d's empty list encodes as %s", op, i, enc)
 			}
 			hits := args
-			if op == lang.UNION { // every pair the walk did not prune, its indicator beside it
-				if len(out.ValueLists[i]) != len(args) {
-					t.Fatalf("%v: query %d has %d values for %d indices", op, i, len(out.ValueLists[i]), len(args))
+			if op == lang.UNION { // every reference, its indicator beside it
+				if len(args) != len(rRows) || len(out.ValueLists[i]) != len(args) {
+					t.Fatalf("%v: query %d has %d indices and %d values, want %d each", op, i, len(args), len(out.ValueLists[i]), len(rRows))
 				}
 				hits = nil
 				for j, v := range out.ValueLists[i] {

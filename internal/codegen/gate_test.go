@@ -354,7 +354,8 @@ func TestPointGateOnlyCoversIdentityBody(t *testing.T) {
 // leaves: UNION records the zero-valued pairs a window skip would drop,
 // a τ rule over any body but the compiled Gaussian has no kmax to test
 // in log space, PROD has no additive estimator, and the interpreter is
-// the ungated oracle of all three gates.
+// the ungated oracle of all three gates. UNION and PROD have no rule at
+// all, so their walks neither prune nor approximate.
 func TestPointGateLeavesOtherShapesUngated(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	q := storage.MustFromRows(gateRows(rng, "gauss", 60, 3))
@@ -394,9 +395,9 @@ func TestPointGateLeavesOtherShapesUngated(t *testing.T) {
 		if ex.Rule.Kind == prune.TauRule {
 			want += st.Approxes // one centroid evaluation each
 		}
-		if st.Prunes+st.Approxes == 0 || st.KernelEvals != want {
-			t.Fatalf("%s: %d prunes, %d approxes, %d evals; want a pruning walk and every base-case pair evaluated (%d)",
-				c.name, st.Prunes, st.Approxes, st.KernelEvals, want)
+		if (st.Prunes+st.Approxes == 0) != (ex.Rule.Kind == prune.NoRule) || st.KernelEvals != want {
+			t.Fatalf("%s: %d prunes, %d approxes, %d evals; want a pruning walk unless the rule is %v, and every base-case pair evaluated (%d)",
+				c.name, st.Prunes, st.Approxes, st.KernelEvals, ex.Rule.Kind, want)
 		}
 	}
 }

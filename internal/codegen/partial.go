@@ -83,8 +83,3 @@ func (r *Run) SeedBounds(local *Run) {
 	copy(r.Val, local.Val)
 	copy(r.kVals, local.kVals)
 }
-
-// MaxSide reports whether the compiled reduction chases maxima — the
-// shard tier needs it to replay comparative merges (k-list ordering,
-// MIN/MAX identities) with the same orientation.
-func (ex *Executable) MaxSide() bool { return ex.maxSide }

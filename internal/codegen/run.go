@@ -126,12 +126,11 @@ const (
 	gateNone gateKind = iota
 	// gateBound: a bound rule over the raw squared Euclidean distance.
 	gateBound
-	// gateTau: the τ rule over a decreasing Gaussian of the squared
-	// Euclidean distance, under SUM.
+	// gateTau: the τ rule (SUM) over a decreasing Gaussian of the
+	// squared Euclidean distance.
 	gateTau
-	// gateWindow: a strict Euclidean indicator window under SUM or
-	// UNIONARG. UNION records the zero-valued pairs too, so a skipped
-	// sweep would be missed.
+	// gateWindow: the window rule (SUM or UNIONARG) over a strict
+	// Euclidean indicator window.
 	gateWindow
 )
 
@@ -146,69 +145,57 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 		rbuf:  make([]float64, r.Dim()),
 	}
 	n := q.Len()
-	switch ex.Plan.InnerOp {
-	case lang.SUM:
-		run.Val = make([]float64, n)
-	case lang.PROD:
-		run.Val = make([]float64, n)
-		for i := range run.Val {
-			run.Val[i] = 1
-		}
-	case lang.MIN, lang.ARGMIN, lang.MAX, lang.ARGMAX:
-		run.Val = make([]float64, n)
-		init := math.Inf(1)
-		if ex.maxSide {
-			init = math.Inf(-1)
-		}
-		for i := range run.Val {
-			run.Val[i] = init
-		}
-		if ex.Plan.InnerOp == lang.ARGMIN || ex.Plan.InnerOp == lang.ARGMAX {
-			run.Arg = make([]int, n)
-			for i := range run.Arg {
-				run.Arg[i] = -1
-			}
-		}
-	case lang.KMIN, lang.KMAX, lang.KARGMIN, lang.KARGMAX:
+	switch op := ex.Plan.InnerOp; {
+	case op.NeedsK():
 		run.k = ex.Plan.K
 		run.kVals, run.kArgs = make([]float64, n*run.k), make([]int, n*run.k)
 		// One Reset over the whole slabs primes every query's list.
 		all := KList{Vals: run.kVals, Args: run.kArgs, maxSide: ex.maxSide}
 		all.Reset()
-	case lang.UNION, lang.UNIONARG:
+	case op == lang.UNION || op == lang.UNIONARG:
 		run.IdxLists = make([][]int, n)
-		if ex.Plan.InnerOp == lang.UNION {
+		if op == lang.UNION {
 			run.ValLists = make([][]float64, n)
+		}
+	default:
+		run.Val = make([]float64, n)
+		if id := op.Identity(); id != 0 {
+			for i := range run.Val {
+				run.Val[i] = id
+			}
+		}
+		if op.ReturnsIndices() {
+			run.Arg = make([]int, n)
+			for i := range run.Arg {
+				run.Arg[i] = -1
+			}
 		}
 	}
 	if ex.Rule.Kind == prune.BoundRule {
 		bounds := make([]float64, q.NodeCount+n)
-		init := math.Inf(1)
-		if ex.maxSide {
-			init = math.Inf(-1)
-		}
+		init := ex.Plan.InnerOp.Identity()
 		for i := range bounds {
 			bounds[i] = init
 		}
 		run.NodeBound, run.PointBound = bounds[:q.NodeCount:q.NodeCount], bounds[q.NodeCount:]
 	}
-	if ex.Rule.Kind == prune.TauRule || (ex.Rule.Kind == prune.WindowRule && ex.Plan.InnerOp == lang.SUM) {
+	switch ex.Rule.Approx {
+	case prune.Centroid, prune.BulkCount:
 		run.NodeDelta = make([]float64, q.NodeCount)
-	}
-	if ex.Rule.Kind == prune.WindowRule && (ex.Plan.InnerOp == lang.UNIONARG || ex.Plan.InnerOp == lang.UNION) {
+	case prune.BulkRange:
 		run.pendingRanges = make([][][2]int, q.NodeCount)
 	}
 	run.evalD2 = ex.compileEvalD2()
-	switch op := ex.Plan.InnerOp; {
+	switch {
 	case ex.Opts.ForceInterp:
 	case run.PointBound != nil:
 		// The kernel value is the squared distance itself.
 		if ex.Plan.DistKernel != nil && ex.Plan.DistKernel.Metric == geom.SqEuclidean && ex.bodyFn == nil {
 			run.gate = gateBound
 		}
-	case ex.tauC < 0 && op == lang.SUM:
+	case ex.tauC < 0:
 		run.gate = gateTau
-	case ex.hasWindow && (op == lang.SUM || op == lang.UNIONARG):
+	case ex.hasWindow:
 		run.gate = gateWindow
 	}
 	run.qFlat, run.qStep, run.qStride = q.Data.Flat(), q.Dim(), 1
@@ -382,8 +369,8 @@ func (r *Run) PruneScored(qn, rn *tree.Node, score float64) prune.Decision {
 // ComputeApprox applies the approximation for the pair (Algorithm 1,
 // line 2).
 func (r *Run) ComputeApprox(qn, rn *tree.Node) {
-	switch r.Ex.Rule.Kind {
-	case prune.TauRule:
+	switch r.Ex.Rule.Approx {
+	case prune.Centroid:
 		// Section II-C: replace the computation with the center
 		// contribution of the node multiplied by its density. We use
 		// the mass-weighted centroid as the center.
@@ -397,14 +384,11 @@ func (r *Run) ComputeApprox(qn, rn *tree.Node) {
 			k = r.Ex.Plan.Kernel.Eval(qn.Centroid, rn.Centroid)
 		}
 		r.NodeDelta[qn.ID] += k * rn.Mass
-	case prune.WindowRule:
-		switch r.Ex.Plan.InnerOp {
-		case lang.SUM:
-			// Every pair is definitely inside the window: bulk count.
-			r.NodeDelta[qn.ID] += float64(rn.Count())
-		case lang.UNIONARG, lang.UNION:
-			r.pendingRanges[qn.ID] = append(r.pendingRanges[qn.ID], [2]int{rn.Begin, rn.End})
-		}
+	case prune.BulkCount:
+		// Every pair is definitely inside the window: bulk count.
+		r.NodeDelta[qn.ID] += float64(rn.Count())
+	case prune.BulkRange:
+		r.pendingRanges[qn.ID] = append(r.pendingRanges[qn.ID], [2]int{rn.Begin, rn.End})
 	}
 }
 
@@ -466,37 +450,14 @@ func (r *Run) pointBound(i int) float64 {
 // a second Finalize or FinalizePartial panics.
 func (r *Run) Finalize() *Output {
 	r.consume("Finalize")
-	if r.Ex.Plan.OuterOp == lang.FORALL {
+	op := r.Ex.Plan.OuterOp
+	if op == lang.FORALL {
 		p := r.perQuery()
 		return &Output{Values: p.Values, Args: p.Args, ArgLists: p.ArgLists, ValueLists: p.ValueLists, Stats: p.Stats}
 	}
-	var s float64
-	switch r.Ex.Plan.OuterOp {
-	case lang.SUM:
-		for _, v := range r.Val {
-			s += v
-		}
-	case lang.MAX:
-		s = math.Inf(-1)
-		for _, v := range r.Val {
-			if v > s {
-				s = v
-			}
-		}
-	case lang.MIN:
-		s = math.Inf(1)
-		for _, v := range r.Val {
-			if v < s {
-				s = v
-			}
-		}
-	case lang.PROD:
-		s = 1
-		for _, v := range r.Val {
-			s *= v
-		}
-	default:
-		panic(fmt.Sprintf("codegen: unsupported outer op %v", r.Ex.Plan.OuterOp))
+	s := op.Identity()
+	for _, v := range r.Val {
+		s = op.Fold(s, v)
 	}
 	if r.Ex.sqrtOut {
 		s = math.Sqrt(s)
@@ -673,9 +634,6 @@ func (r *Run) pushDownRanges() {
 			for _, rg := range cum[i] {
 				for p := rg[0]; p < rg[1]; p++ {
 					r.IdxLists[k] = append(r.IdxLists[k], p)
-					if r.ValLists != nil {
-						r.ValLists[k] = append(r.ValLists[k], 1)
-					}
 				}
 			}
 		}

@@ -6,6 +6,12 @@
 // cluster structure, discreteness, and tail weight — at a configurable
 // point count (see DESIGN.md "Substitutions"). The paper's original N
 // is kept as metadata so harness output can report the scale factor.
+//
+// # Panics
+//
+// The package panics at one site: MustGenerate on a name Generate does
+// not know, with Generate's error, whose message starts "dataset: ".
+// Generate itself returns the error.
 package dataset
 
 import (

@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -80,9 +82,18 @@ func TestGenerateUnknown(t *testing.T) {
 	if _, err := Generate("nope", 10, 1); err == nil {
 		t.Fatal("unknown dataset should error")
 	}
+}
+
+// TestPanics calls the package's one panic site and wants a panic whose
+// message starts "dataset: ".
+func TestPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("MustGenerate should panic")
+		v := recover()
+		if v == nil {
+			t.Fatal("MustGenerate returned, want a panic")
+		}
+		if msg := fmt.Sprint(v); !strings.HasPrefix(msg, "dataset: ") {
+			t.Errorf("panic %q, want a message starting \"dataset: \"", msg)
 		}
 	}()
 	MustGenerate("nope", 10, 1)

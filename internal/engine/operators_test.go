@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"portal/internal/expr"
 	"portal/internal/geom"
 	"portal/internal/lang"
+	"portal/internal/prune"
 	"portal/internal/storage"
 )
 
@@ -111,24 +115,37 @@ func TestUnionMatchesBrute(t *testing.T) {
 	}
 }
 
-// PROD inner: product of Gaussian kernel values (an approximation-class
-// problem that the generator treats as unprunable → exact).
+// PROD inner: product of Gaussian kernel values. PROD's row in the
+// operator table has no rule — a τ estimator is a sum, not a product —
+// so at a τ where SUM over the same kernel approximates, PROD still
+// computes every pair.
 func TestProdMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	q := storage.MustFromRows(randRows(rng, 30, 2, 1))
 	r := storage.MustFromRows(randRows(rng, 40, 2, 1))
-	spec := (&lang.PortalExpr{}).
-		AddLayer(lang.FORALL, q, nil).
-		AddLayer(lang.PROD, r, expr.NewGaussianKernel(3))
-	got, err := Run("prod", spec, Config{LeafSize: 8, Tau: 1e-9, Codegen: codegen.Options{ExactMath: true}})
+	cfg := Config{LeafSize: 8, Tau: 0.3, Codegen: codegen.Options{ExactMath: true}}
+	spec := func(inner lang.Op) *lang.PortalExpr {
+		return (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).AddLayer(inner, r, expr.NewGaussianKernel(3))
+	}
+	sum, err := Run("sum", spec(lang.SUM), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BruteForce(spec)
+	if sum.Stats.Approxes == 0 {
+		t.Fatalf("SUM over the same kernel approximates nothing at this τ: %+v", sum.Stats)
+	}
+	got, err := Run("prod", spec(lang.PROD), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	valuesEqual(t, got.Values, want.Values, 1e-6, "prod values")
+	if got.Stats.Prunes+got.Stats.Approxes != 0 {
+		t.Fatalf("PROD pruned %d and approximated %d pairs", got.Stats.Prunes, got.Stats.Approxes)
+	}
+	want, err := BruteForce(spec(lang.PROD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	valuesEqual(t, got.Values, want.Values, 1e-12, "prod values")
 }
 
 // SUM outer over MIN inner: sum of nearest-neighbor distances.
@@ -241,4 +258,167 @@ func TestInterpreterCoversOperatorFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	valuesEqual(t, b.Values, a.Values, 1e-9, "interp KDE")
+}
+
+// TestOperatorTableMatchesBrute runs every Table I inner operator over
+// smooth and window kernels, under every outer operator with a value to
+// fold, and holds each answer to the brute-force oracle by the answer
+// contract under ExactMath: comparative, window and set-operator
+// answers exactly, SUM and PROD within 1e-12 relative, τ answers within
+// the τ budget. Half the references sit 100 away on x, so every rule
+// has whole node pairs to prune, approximate or bulk-include. SUM over
+// a smooth kernel is the one combination that approximates: at τ = 0
+// it must fail with prune.ErrNeedsTau, and nothing else may fail.
+func TestOperatorTableMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	q := storage.MustFromRows(randRows(rng, 60, 2, 0.3))
+	rRows := randRows(rng, 80, 2, 0.3)
+	for i := 0; i < len(rRows); i += 2 {
+		rRows[i][0] += 100
+	}
+	r := storage.MustFromRows(rRows)
+	kernels := []struct {
+		name   string
+		k      *expr.Kernel
+		smooth bool
+	}{
+		{"euclidean", expr.NewDistanceKernel(geom.Euclidean), true},
+		{"manhattan", expr.NewDistanceKernel(geom.Manhattan), true},
+		{"gaussian", expr.NewGaussianKernel(1), true},
+		{"range", expr.NewRangeKernel(0, 3), false},
+		{"threshold", expr.NewThresholdKernel(3), false},
+	}
+	spec := func(outer, inner lang.Op, k *expr.Kernel) *lang.PortalExpr {
+		e := (&lang.PortalExpr{}).AddLayer(outer, q, nil)
+		return e.AddLayerK(inner, 3, r, k)
+	}
+	inners := []lang.Op{lang.SUM, lang.PROD, lang.ARGMIN, lang.ARGMAX, lang.MIN, lang.MAX,
+		lang.UNION, lang.UNIONARG, lang.KARGMIN, lang.KARGMAX, lang.KMIN, lang.KMAX}
+	for _, inner := range inners {
+		for _, kc := range kernels {
+			perQuery, err := BruteForce(spec(lang.FORALL, inner, kc.k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			approximates := inner == lang.SUM && kc.smooth
+			for _, outer := range []lang.Op{lang.FORALL, lang.SUM, lang.MIN, lang.MAX, lang.PROD} {
+				if outer != lang.FORALL && inner.Category() == lang.Multi {
+					continue // a list has no value for a scalar outer to fold
+				}
+				e := spec(outer, inner, kc.k)
+				want, err := BruteForce(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tau := range []float64{0, 1e-3} {
+					for _, w := range []int{1, 2} {
+						name := fmt.Sprintf("%v.%v/%s/tau=%g/W=%d", outer, inner, kc.name, tau, w)
+						got, err := Run(name, e, Config{LeafSize: 4, Tau: tau, Parallel: true, Workers: w,
+							Codegen: codegen.Options{ExactMath: true}})
+						if approximates && tau == 0 {
+							if !errors.Is(err, prune.ErrNeedsTau) {
+								t.Errorf("%s: error %v, want prune.ErrNeedsTau", name, err)
+							}
+							continue
+						}
+						if err != nil {
+							t.Errorf("%s: %v", name, err)
+							continue
+						}
+						budget := 0.0
+						if approximates {
+							budget = float64(r.Len()) * tau
+						}
+						if msg := contractBreak(e, got, want, perQuery.Values, budget); msg != "" {
+							t.Errorf("%s: %s", name, msg)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// contractBreak describes the first place got breaks the answer
+// contract against want, the oracle's answer to e, or returns "".
+// budget is the τ error allowed per query value; perQuery holds the
+// oracle's per-query values, from which a scalar outer's budget
+// follows. The oracle breaks a tie by the lower reference index, the
+// walk by visit order, so an arg or a k-list entry holds when the
+// reference it names has the value the oracle lists in its place.
+func contractBreak(e *lang.PortalExpr, got, want *codegen.Output, perQuery []float64, budget float64) string {
+	outer, inner := e.Outer().Op, e.Inner().Op
+	arithmetic := inner == lang.SUM || inner == lang.PROD
+	near := func(g, w, budget float64) bool {
+		if !arithmetic && budget == 0 {
+			return g == w
+		}
+		return g == w || math.Abs(g-w) <= budget+1e-12*math.Abs(w)
+	}
+	if got.HasScalar != want.HasScalar {
+		return fmt.Sprintf("scalar %v, want %v", got.HasScalar, want.HasScalar)
+	}
+	if want.HasScalar {
+		switch outer {
+		case lang.SUM:
+			budget *= float64(len(perQuery))
+		case lang.PROD:
+			lo, hi := 1.0, 1.0
+			for _, v := range perQuery {
+				lo *= math.Abs(v)
+				hi *= math.Abs(v) + budget
+			}
+			budget = hi - lo
+		}
+		if outer == lang.SUM || outer == lang.PROD {
+			arithmetic = true
+		}
+		if !near(got.Scalar, want.Scalar, budget) {
+			return fmt.Sprintf("scalar %v, want %v", got.Scalar, want.Scalar)
+		}
+		return ""
+	}
+	if len(got.Values) != len(want.Values) {
+		return fmt.Sprintf("%d values, want %d", len(got.Values), len(want.Values))
+	}
+	for i := range want.Values {
+		if !near(got.Values[i], want.Values[i], budget) {
+			return fmt.Sprintf("query %d: value %v, want %v", i, got.Values[i], want.Values[i])
+		}
+	}
+	if len(got.Args) != len(want.Args) || len(got.ArgLists) != len(want.ArgLists) || len(got.ValueLists) != len(want.ValueLists) {
+		return fmt.Sprintf("%d args, %d/%d lists, want %d, %d/%d", len(got.Args), len(got.ArgLists), len(got.ValueLists),
+			len(want.Args), len(want.ArgLists), len(want.ValueLists))
+	}
+	kernel := func(qi, ri int) float64 {
+		return e.Kernel().Eval(e.Outer().Data.Point(qi, nil), e.Inner().Data.Point(ri, nil))
+	}
+	for i, a := range got.Args {
+		if a < 0 || kernel(i, a) != want.Values[i] {
+			return fmt.Sprintf("query %d: arg %d, want one valued %v (the oracle's %d)", i, a, want.Values[i], want.Args[i])
+		}
+	}
+	for i := range want.ValueLists {
+		if !slices.Equal(got.ValueLists[i], want.ValueLists[i]) {
+			return fmt.Sprintf("query %d: values %v, want %v", i, got.ValueLists[i], want.ValueLists[i])
+		}
+	}
+	for i := range want.ArgLists {
+		g, w := got.ArgLists[i], want.ArgLists[i]
+		if len(g) != len(w) {
+			return fmt.Sprintf("query %d: %d ids %v, want %d %v", i, len(g), g, len(w), w)
+		}
+		if want.ValueLists == nil || inner == lang.UNION {
+			if !slices.Equal(g, w) {
+				return fmt.Sprintf("query %d: ids %v, want %v", i, g, w)
+			}
+			continue
+		}
+		for j, a := range g {
+			if kernel(i, a) != want.ValueLists[i][j] || slices.Index(g, a) != j {
+				return fmt.Sprintf("query %d: ids %v, want ones valued %v (the oracle's %v)", i, g, want.ValueLists[i], w)
+			}
+		}
+	}
+	return ""
 }

@@ -51,16 +51,13 @@ func (p *Problem) execSharded(part *shard.Partition, cfg Config, buildDur time.D
 		return nil, fmt.Errorf("engine: sharded execution does not support reference weights")
 	}
 	start := time.Now()
-	out, sh, err := shard.Execute(p.Ex, part, shard.ExecConfig{
+	out, sh := shard.Execute(p.Ex, part, shard.ExecConfig{
 		Parallel: cfg.Parallel,
 		Workers:  cfg.Workers,
 		LeafSize: cfg.LeafSize,
 		Oct:      cfg.Tree == Octree,
 		Trace:    cfg.Trace,
 	})
-	if err != nil {
-		return nil, err
-	}
 	// Exchange and merge happen inside the executor, so the whole
 	// sharded run lands in the traversal phase; Finalize stays zero.
 	traverseDur := time.Since(start)

@@ -4,11 +4,18 @@
 // the problem classification of Section II-B (pruning vs approximation
 // problems) and the validity checks of Section II (operator
 // decomposability, kernel monotonicity).
+//
+// # Panics
+//
+// Op.Identity and Op.Fold panic on the operators that reduce to a list
+// rather than a value (FORALL, UNION, UNIONARG), with a message
+// starting "lang: ": they have no identity value and no fold.
 package lang
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"portal/internal/expr"
 	"portal/internal/storage"
@@ -105,10 +112,49 @@ func (op Op) Comparative() bool {
 	}
 }
 
-// Arithmetic reports whether the operator accumulates contributions
-// from every point (Σ or Π), which makes the problem an approximation
-// problem when the kernel is non-comparative.
-func (op Op) Arithmetic() bool { return op == SUM || op == PROD }
+// MaxSide reports whether the operator chases maxima (MAX, ARGMAX and
+// their k-variants) rather than minima.
+func (op Op) MaxSide() bool {
+	return op == MAX || op == ARGMAX || op == KMAX || op == KARGMAX
+}
+
+// Identity is the value of the operator over no points: 0 for SUM, 1
+// for PROD, +Inf for the min side and -Inf for the max side.
+func (op Op) Identity() float64 {
+	switch {
+	case op == SUM:
+		return 0
+	case op == PROD:
+		return 1
+	case op.MaxSide():
+		return math.Inf(-1)
+	case op.Comparative():
+		return math.Inf(1)
+	}
+	panic("lang: " + op.String() + " has no identity value")
+}
+
+// Fold reduces one more value v into acc: acc + v, acc · v, or the
+// lesser (greater on the max side) of the two, acc on a tie.
+func (op Op) Fold(acc, v float64) float64 {
+	switch {
+	case op == SUM:
+		return acc + v
+	case op == PROD:
+		return acc * v
+	case op.MaxSide():
+		if v > acc {
+			return v
+		}
+		return acc
+	case op.Comparative():
+		if v < acc {
+			return v
+		}
+		return acc
+	}
+	panic("lang: " + op.String() + " has no fold")
+}
 
 // Decomposable reports whether the operator satisfies the
 // decomposability property over datasets (Section II): the reduction

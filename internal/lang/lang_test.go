@@ -2,6 +2,8 @@ package lang
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -54,9 +56,6 @@ func TestOperatorPredicates(t *testing.T) {
 		if op.Comparative() {
 			t.Errorf("%s should not be comparative", op)
 		}
-	}
-	if !SUM.Arithmetic() || !PROD.Arithmetic() || MIN.Arithmetic() {
-		t.Error("Arithmetic predicate wrong")
 	}
 	for op := FORALL; op <= KMAX; op++ {
 		if !op.Decomposable() {
@@ -265,4 +264,67 @@ func kernelBody(k *expr.Kernel) expr.Expr {
 		return expr.D{}
 	}
 	return k.Body
+}
+
+// Every operator with a value folds from its identity: Fold(Identity, v)
+// is v, and Fold keeps the better of two values on the operator's side.
+func TestOpIdentityAndFold(t *testing.T) {
+	for _, c := range []struct {
+		op       Op
+		id       float64
+		fold     float64 // Fold(2, 3)
+		maxSide  bool
+		category Category
+	}{
+		{SUM, 0, 5, false, Single},
+		{PROD, 1, 6, false, Single},
+		{MIN, math.Inf(1), 2, false, Single},
+		{ARGMIN, math.Inf(1), 2, false, Single},
+		{KMIN, math.Inf(1), 2, false, Multi},
+		{KARGMIN, math.Inf(1), 2, false, Multi},
+		{MAX, math.Inf(-1), 3, true, Single},
+		{ARGMAX, math.Inf(-1), 3, true, Single},
+		{KMAX, math.Inf(-1), 3, true, Multi},
+		{KARGMAX, math.Inf(-1), 3, true, Multi},
+	} {
+		if got := c.op.Identity(); got != c.id {
+			t.Errorf("%v: identity %v, want %v", c.op, got, c.id)
+		}
+		for _, v := range []float64{-2.5, 0, 7} {
+			if got := c.op.Fold(c.op.Identity(), v); got != v {
+				t.Errorf("%v: Fold(identity, %v) = %v", c.op, v, got)
+			}
+		}
+		if got := c.op.Fold(2, 3); got != c.fold {
+			t.Errorf("%v: Fold(2, 3) = %v, want %v", c.op, got, c.fold)
+		}
+		if c.op.MaxSide() != c.maxSide || c.op.Category() != c.category {
+			t.Errorf("%v: max side %v, category %v", c.op, c.op.MaxSide(), c.op.Category())
+		}
+	}
+}
+
+// TestPanics calls each panic site the package doc lists, one case a
+// site, and wants a panic whose message starts "lang: ".
+func TestPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Identity of UNION", func() { UNION.Identity() }},
+		{"Fold of FORALL", func() { FORALL.Fold(0, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				if v == nil {
+					t.Fatal("returned, want a panic")
+				}
+				if msg := fmt.Sprint(v); !strings.HasPrefix(msg, "lang: ") {
+					t.Errorf("panic %q, want a message starting \"lang: \"", msg)
+				}
+			}()
+			c.call()
+		})
+	}
 }

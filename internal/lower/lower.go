@@ -26,6 +26,7 @@ import (
 	"portal/internal/geom"
 	"portal/internal/ir"
 	"portal/internal/lang"
+	"portal/internal/prune"
 )
 
 // Plan is the compiler's problem descriptor: everything the backend
@@ -35,8 +36,10 @@ type Plan struct {
 	Name string
 	// Spec is the originating language object.
 	Spec *lang.PortalExpr
-	// Class is the Section II-B classification.
-	Class lang.Class
+	// Row is the operator table's entry for the inner operator over
+	// the kernel: the rule the Prune/Approximate and ComputeApprox
+	// functions are emitted for.
+	Row prune.Row
 	// OuterOp and InnerOp are the two layer operators.
 	OuterOp, InnerOp lang.Op
 	// K is the inner reduction length for Multi operators.
@@ -71,24 +74,28 @@ func Lower(name string, e *lang.PortalExpr, opts Options) (*Plan, *ir.Program, e
 		return nil, nil, fmt.Errorf("lower: only two-layer problems are lowered directly (got %d layers)", len(e.Layers()))
 	}
 	inner := e.Inner()
-	plan := &Plan{
-		Name:    name,
-		Spec:    e,
-		Class:   e.Classify(),
-		OuterOp: e.Outer().Op,
-		InnerOp: inner.Op,
-		K:       clampK(inner),
-		Tau:     opts.Tau,
+	return lowerPlan(&Plan{
+		Name:       name,
+		Spec:       e,
+		OuterOp:    e.Outer().Op,
+		InnerOp:    inner.Op,
+		K:          clampK(inner),
+		Tau:        opts.Tau,
+		Kernel:     inner.Kernel,
+		DistKernel: inner.Kernel,
+	})
+}
+
+// lowerPlan looks the plan's operator table row up and emits the three
+// IR functions.
+func lowerPlan(plan *Plan) (*Plan, *ir.Program, error) {
+	row, err := prune.Lookup(plan.InnerOp, plan.Kernel)
+	if err != nil {
+		return nil, nil, err
 	}
-	switch k := any(inner.Kernel).(type) {
-	case *expr.Kernel:
-		plan.Kernel = k
-		plan.DistKernel = k
-	default:
-		return nil, nil, fmt.Errorf("lower: unsupported kernel type %T", inner.Kernel)
-	}
+	plan.Row = row
 	prog := &ir.Program{
-		Problem:       name,
+		Problem:       plan.Name,
 		BaseCase:      lowerBaseCase(plan),
 		PruneApprox:   lowerPruneApprox(plan),
 		ComputeApprox: lowerComputeApprox(plan),
@@ -119,7 +126,7 @@ func LowerMahal(name string, e *lang.PortalExpr, k *expr.MahalKernel, opts Optio
 		return nil, nil, fmt.Errorf("lower: only two-layer problems supported")
 	}
 	inner := e.Inner()
-	plan := &Plan{
+	return lowerPlan(&Plan{
 		Name:        name,
 		Spec:        e,
 		OuterOp:     e.Outer().Op,
@@ -128,24 +135,7 @@ func LowerMahal(name string, e *lang.PortalExpr, k *expr.MahalKernel, opts Optio
 		Tau:         opts.Tau,
 		Kernel:      k,
 		MahalKernel: k,
-	}
-	// Classification per Section II-B using the Mahalanobis kernel.
-	plan.Class = lang.ApproxClass
-	for _, l := range e.Layers() {
-		if l.Op.Comparative() {
-			plan.Class = lang.PruneClass
-		}
-	}
-	if k.IsComparative() {
-		plan.Class = lang.PruneClass
-	}
-	prog := &ir.Program{
-		Problem:       name,
-		BaseCase:      lowerBaseCase(plan),
-		PruneApprox:   lowerPruneApprox(plan),
-		ComputeApprox: lowerComputeApprox(plan),
-	}
-	return plan, prog, nil
+	})
 }
 
 // ---- BaseCase lowering ----

@@ -10,6 +10,7 @@ import (
 	"portal/internal/ir"
 	"portal/internal/lang"
 	"portal/internal/linalg"
+	"portal/internal/prune"
 	"portal/internal/storage"
 )
 
@@ -42,7 +43,7 @@ func TestLowerNNStructure(t *testing.T) {
 		AddLayer(lang.FORALL, q, nil).
 		AddLayer(lang.ARGMIN, r, expr.NewDistanceKernel(geom.Euclidean))
 	plan, prog := lowerSpec(t, spec, Options{})
-	if plan.Class != lang.PruneClass || plan.OuterOp != lang.FORALL || plan.InnerOp != lang.ARGMIN {
+	if plan.Row.Kind != prune.BoundRule || plan.OuterOp != lang.FORALL || plan.InnerOp != lang.ARGMIN {
 		t.Fatalf("plan wrong: %+v", plan)
 	}
 	if plan.DistKernel == nil || plan.MahalKernel != nil {
@@ -180,7 +181,7 @@ func TestLowerMahal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.MahalKernel == nil || plan.Class != lang.ApproxClass {
+	if plan.MahalKernel == nil || plan.Row.Kind != prune.TauRule {
 		t.Fatalf("mahal plan wrong: %+v", plan)
 	}
 	out := prog.String()

@@ -4,7 +4,7 @@ import (
 	"portal/internal/expr"
 	"portal/internal/geom"
 	"portal/internal/ir"
-	"portal/internal/lang"
+	"portal/internal/prune"
 )
 
 // This file emits the Prune/Approximate and ComputeApprox functions in
@@ -21,8 +21,8 @@ func lowerPruneApprox(p *Plan) *ir.Func {
 		Text: "Prune/Approximate condition for the two tree nodes N1 (from query) and N2 (from reference)",
 	})
 
-	switch {
-	case p.Class == lang.PruneClass && p.InnerOp.Comparative():
+	switch p.Row.Kind {
+	case prune.BoundRule:
 		// Bound rule: compare the pair's minimum distance against the
 		// query node's best-so-far bound.
 		body = append(body, lowerNodeDistMin(p)...)
@@ -31,13 +31,13 @@ func lowerPruneApprox(p *Plan) *ir.Func {
 			Then: []ir.Stmt{ir.Return{E: ir.Prop("PRUNE")}},
 		})
 		body = append(body, ir.Return{E: ir.Prop("VISIT")})
-	case p.Class == lang.PruneClass && p.Kernel.IsComparative():
+	case prune.WindowRule:
 		// Window rule: definite-0 prunes, definite-1 bulk-includes.
 		body = append(body, lowerNodeDistMin(p)...)
 		body = append(body, ir.Assign{LHS: ir.Ref("dmin"), RHS: ir.Ref("t")})
 		body = append(body, lowerNodeDistMax(p)...)
 		body = append(body, ir.Assign{LHS: ir.Ref("dmax"), RHS: ir.Ref("t")})
-		if lo, hi, ok := windowOf(bodyOfPlan(p)); ok {
+		if lo, hi, ok := windowOf(bodyOf(p)); ok {
 			// Two-sided windows are not monotone in the distance, so
 			// the condition is emitted over the explicit thresholds:
 			// outside when the whole interval misses the window,
@@ -65,8 +65,8 @@ func lowerPruneApprox(p *Plan) *ir.Func {
 		// One-sided comparative kernels are monotone in the distance:
 		// evaluating the body at the interval's endpoints brackets it.
 		body = append(body,
-			ir.Assign{LHS: ir.Ref("kmax"), RHS: kernelBodyIR(p, ir.Ref("dmin"))},
-			ir.Assign{LHS: ir.Ref("kmin"), RHS: kernelBodyIR(p, ir.Ref("dmax"))},
+			ir.Assign{LHS: ir.Ref("kmax"), RHS: ExprToIR(bodyOf(p), ir.Ref("dmin"))},
+			ir.Assign{LHS: ir.Ref("kmin"), RHS: ExprToIR(bodyOf(p), ir.Ref("dmax"))},
 			ir.If{
 				Cond: ir.Bin{Op: "<=", A: ir.Ref("kmax"), B: ir.FloatLit(0)},
 				Then: []ir.Stmt{ir.Return{E: ir.Prop("PRUNE")}},
@@ -77,15 +77,15 @@ func lowerPruneApprox(p *Plan) *ir.Func {
 			},
 			ir.Return{E: ir.Prop("VISIT")},
 		)
-	case p.Class == lang.ApproxClass:
+	case prune.TauRule:
 		// Tau rule: approximate when min and max contributions are
 		// within the user threshold (Section II-C: "we check if the
 		// minimum and maximum contribution of that node are very
 		// close").
 		body = append(body, lowerNodeDistMin(p)...)
-		body = append(body, ir.Assign{LHS: ir.Ref("kmax"), RHS: kernelBodyIR(p, ir.Ref("t"))})
+		body = append(body, ir.Assign{LHS: ir.Ref("kmax"), RHS: ExprToIR(bodyOf(p), ir.Ref("t"))})
 		body = append(body, lowerNodeDistMax(p)...)
-		body = append(body, ir.Assign{LHS: ir.Ref("kmin"), RHS: kernelBodyIR(p, ir.Ref("t"))})
+		body = append(body, ir.Assign{LHS: ir.Ref("kmin"), RHS: ExprToIR(bodyOf(p), ir.Ref("t"))})
 		body = append(body, ir.If{
 			Cond: ir.Bin{Op: "<", A: ir.Bin{Op: "-", A: ir.Ref("kmax"), B: ir.Ref("kmin")}, B: ir.Prop("tau")},
 			Then: []ir.Stmt{ir.Return{E: ir.Prop("APPROX")}},
@@ -160,14 +160,6 @@ func lowerNodeMetricLoop(p *Plan, gap ir.Expr) []ir.Stmt {
 	return stmts
 }
 
-// bodyOfPlan returns the effective kernel body expression of the plan.
-func bodyOfPlan(p *Plan) expr.Expr {
-	if p.MahalKernel != nil {
-		return p.MahalKernel.Body
-	}
-	return p.DistKernel.Body
-}
-
 // windowOf recognizes the two-sided window body
 // I(D > lo)·I(D < hi) (in either factor order) and returns its
 // thresholds. One-sided indicators return ok=false.
@@ -204,52 +196,40 @@ func windowOf(body expr.Expr) (lo, hi float64, ok bool) {
 	return tb, ta, true
 }
 
-// kernelBodyIR renders the kernel body over a distance expression.
-func kernelBodyIR(p *Plan, dRef ir.Expr) ir.Expr {
-	var b expr.Expr
-	if p.MahalKernel != nil {
-		b = p.MahalKernel.Body
-	} else {
-		b = p.DistKernel.Body
-	}
-	if b == nil {
-		return ir.CloneExpr(dRef)
-	}
-	return ExprToIR(b, dRef)
-}
-
-// lowerComputeApprox emits the approximation: for pruning problems it
-// returns zero (Fig. 2: "Nearest Neighbor is a pruning problem, hence
-// there is no approximation"); for approximation problems it replaces
-// the pair's computation with the center contribution times the node
-// density (Section II-C); for window-rule problems it bulk-includes
-// the reference node exactly.
+// lowerComputeApprox emits the row's approximation: for rows that
+// never approximate it returns zero (Fig. 2: "Nearest Neighbor is a
+// pruning problem, hence there is no approximation"); the τ row
+// replaces the pair's computation with the center contribution times
+// the node density (Section II-C); the window rows bulk-include the
+// reference node exactly.
 func lowerComputeApprox(p *Plan) *ir.Func {
 	var body []ir.Stmt
-	switch {
-	case p.Class == lang.ApproxClass:
+	switch p.Row.Approx {
+	case prune.Centroid:
 		body = append(body, ir.Comment{Text: "Replace the pair computation with the center contribution times node density"})
 		body = append(body, ir.Alloc{Name: "t", Init: ir.Call{Name: "dist", Args: []ir.Expr{
 			ir.Meta{Node: "N1", Field: "center"}, ir.Meta{Node: "N2", Field: "center"},
 		}}})
-		body = append(body, ir.Assign{LHS: ir.Ref("t"), RHS: kernelBodyIR(p, ir.Ref("t"))})
+		body = append(body, ir.Assign{LHS: ir.Ref("t"), RHS: ExprToIR(bodyOf(p), ir.Ref("t"))})
 		body = append(body, ir.For{
 			Var: "q", Lo: ir.Meta{Node: "N1", Field: "start"}, Hi: ir.Meta{Node: "N1", Field: "end"},
 			Body: []ir.Stmt{ir.Accum{Op: "+", LHS: ir.Index{Arr: "storage0", Idx: ir.Ref("q")}, RHS: ir.Bin{Op: "*", A: ir.Ref("t"), B: ir.Meta{Node: "N2", Field: "size"}}}},
 		})
-	case p.Class == lang.PruneClass && p.Kernel.IsComparative():
+	case prune.BulkRange:
 		body = append(body, ir.Comment{Text: "Bulk inclusion: every pair in the window contributes exactly 1"})
-		switch p.InnerOp {
-		case lang.UNIONARG, lang.UNION:
-			body = append(body, ir.For{
-				Var: "q", Lo: ir.Meta{Node: "N1", Field: "start"}, Hi: ir.Meta{Node: "N1", Field: "end"},
-				Body: []ir.Stmt{ir.Append{List: "storage0[q]", Value: ir.FloatLit(1), Index: ir.Prop("N2.points")}},
-			})
-		default: // SUM/SUM counting problems (2-point correlation)
-			body = append(body, ir.Accum{Op: "+", LHS: ir.Ref("storage0"), RHS: ir.Bin{Op: "*", A: ir.Meta{Node: "N1", Field: "size"}, B: ir.Meta{Node: "N2", Field: "size"}}})
+		body = append(body, ir.For{
+			Var: "q", Lo: ir.Meta{Node: "N1", Field: "start"}, Hi: ir.Meta{Node: "N1", Field: "end"},
+			Body: []ir.Stmt{ir.Append{List: "storage0[q]", Value: ir.FloatLit(1), Index: ir.Prop("N2.points")}},
+		})
+	case prune.BulkCount:
+		body = append(body, ir.Comment{Text: "Bulk inclusion: every pair in the window contributes exactly 1"})
+		body = append(body, ir.Accum{Op: "+", LHS: ir.Ref("storage0"), RHS: ir.Bin{Op: "*", A: ir.Meta{Node: "N1", Field: "size"}, B: ir.Meta{Node: "N2", Field: "size"}}})
+	case prune.NoApprox:
+		why := " is a pruning problem"
+		if p.Row.Kind == prune.NoRule {
+			why = " computes every pair exactly"
 		}
-	default:
-		body = append(body, ir.Comment{Text: p.Name + " is a pruning problem, hence there is no approximation"})
+		body = append(body, ir.Comment{Text: p.Name + why + ", hence there is no approximation"})
 		body = append(body, ir.Return{E: ir.IntLit(0)})
 	}
 	return &ir.Func{Name: "ComputeApprox", Body: body}

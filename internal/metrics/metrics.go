@@ -33,6 +33,18 @@
 // log buckets give constant relative error (~2×) with ~28 buckets
 // where linear buckets would need millions, and bucket selection is a
 // single bits.Len64 — no search, no float math, no allocation.
+//
+// # Panics
+//
+// The package panics only on a family registered against its contract
+// — a programming error, never input. Each message starts "metrics: ",
+// and every site is in Registry.register (registry.go), which every
+// family constructor of a Registry goes through:
+//
+//   - a metric name that is not [a-zA-Z_:][a-zA-Z0-9_:]*;
+//   - a label name that is not, or is "le";
+//   - more than three label names;
+//   - a metric name the registry already holds.
 package metrics
 
 import (

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -215,20 +216,29 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestRegistrationPanics(t *testing.T) {
-	for name, fn := range map[string]func(r *Registry){
-		"bad name":        func(r *Registry) { r.Counter("1bad", "x") },
-		"duplicate":       func(r *Registry) { r.Counter("dup_total", "x"); r.Gauge("dup_total", "y") },
-		"le label":        func(r *Registry) { r.CounterVec("v_total", "x", "le") },
-		"too many labels": func(r *Registry) { r.CounterVec("w_total", "x", "a", "b", "c", "d") },
+// TestPanics calls each panic site the package doc lists, one case a
+// site, and wants a panic whose message starts "metrics: ".
+func TestPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		call func(r *Registry)
+	}{
+		{"invalid metric name", func(r *Registry) { r.Counter("1bad", "x") }},
+		{"invalid label name", func(r *Registry) { r.CounterVec("v_total", "x", "le") }},
+		{"too many labels", func(r *Registry) { r.CounterVec("w_total", "x", "a", "b", "c", "d") }},
+		{"duplicate metric name", func(r *Registry) { r.Counter("dup_total", "x"); r.Gauge("dup_total", "y") }},
 	} {
-		func() {
+		t.Run(c.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: registration did not panic", name)
+				v := recover()
+				if v == nil {
+					t.Fatal("returned, want a panic")
+				}
+				if msg := fmt.Sprint(v); !strings.HasPrefix(msg, "metrics: ") {
+					t.Errorf("panic %q, want a message starting \"metrics: \"", msg)
 				}
 			}()
-			fn(NewRegistry())
-		}()
+			c.call(NewRegistry())
+		})
 	}
 }

@@ -1,23 +1,19 @@
 // Package prune implements the prune/approximate condition generator
 // Portal adapts from the PASCAL framework (paper Sections II-B, II-C,
-// IV). Given the problem classification — derived from the operator
-// set and the kernel — it produces the runtime decision rule the
-// multi-tree traversal evaluates for every node pair:
-//
-//   - comparative reduction operators (min/argmin/k-variants) generate
-//     a best-so-far bound rule: prune a node pair whose minimum kernel
-//     distance already exceeds the query node's current bound;
-//   - comparative kernels (indicator windows) generate an interval
-//     rule: prune when the indicator is definitely 0 over the pair,
-//     and bulk-include (an *exact* "approximation") when definitely 1;
-//   - arithmetic operators over smooth kernels generate the
-//     approximation rule: approximate when the kernel's variation over
-//     the pair is below the user threshold τ, replacing the pair's
-//     computation with the center contribution times the node density
-//     (ComputeApprox, Section II-C).
+// IV). One operator table, keyed by the inner operator and the kernel's
+// class (a window, i.e. an indicator, or smooth), names for every
+// Table I operator the rule the multi-tree traversal evaluates for each
+// node pair and what an Approx decision does for the operator: a
+// best-so-far bound rule for the comparative operators, an interval
+// rule for SUM and UNIONARG over a window (prune where K ≡ 0,
+// bulk-include where K ≡ 1), the τ rule for SUM over a smooth kernel
+// (replace the pair by its centroid contribution, Section II-C), and no
+// rule where no pair may be skipped. lower and codegen read the table
+// through Lookup and Generate; nothing else decides a prune rule.
 package prune
 
 import (
+	"errors"
 	"fmt"
 
 	"portal/internal/expr"
@@ -68,8 +64,8 @@ const (
 	// TauRule approximates when the kernel variation over the pair is
 	// below τ (KDE and other approximation problems).
 	TauRule
-	// NoRule never prunes (∪ over non-comparative kernels: the
-	// traversal degenerates to exact base cases).
+	// NoRule never prunes: the traversal degenerates to exact base
+	// cases (UNION, PROD, UNIONARG over a smooth kernel).
 	NoRule
 )
 
@@ -89,10 +85,75 @@ func (k Kind) String() string {
 	}
 }
 
+// Approximation is what an Approx decision does to the query node's
+// state.
+type Approximation int
+
+// Approximations.
+const (
+	// NoApprox: the row never decides Approx.
+	NoApprox Approximation = iota
+	// BulkCount: K ≡ 1 over the pair, so each query point of the node
+	// adds the reference node's point count (SUM over a window).
+	BulkCount
+	// BulkRange: K ≡ 1 over the pair, so each query point of the node
+	// records the reference node's index range (UNIONARG over a
+	// window).
+	BulkRange
+	// Centroid: K varies by less than τ over the pair, so each query
+	// point of the node adds K(query centroid, reference centroid)
+	// times the reference mass (SUM over a smooth kernel).
+	Centroid
+)
+
+// Row is one entry of the operator table.
+type Row struct {
+	// Kind is the rule family the traversal evaluates.
+	Kind Kind
+	// Approx is what the rule's Approx decision does.
+	Approx Approximation
+}
+
+var bound, exact = Row{Kind: BoundRule}, Row{Kind: NoRule}
+
+// table is the operator table, keyed by inner operator: the smooth
+// kernel's row first, the window kernel's second. FORALL is no inner
+// operator and has none.
+var table = map[lang.Op][2]Row{
+	lang.MIN: {bound, bound}, lang.MAX: {bound, bound},
+	lang.ARGMIN: {bound, bound}, lang.ARGMAX: {bound, bound},
+	lang.KMIN: {bound, bound}, lang.KMAX: {bound, bound},
+	lang.KARGMIN: {bound, bound}, lang.KARGMAX: {bound, bound},
+	lang.SUM:      {{TauRule, Centroid}, {WindowRule, BulkCount}},
+	lang.UNIONARG: {exact, {WindowRule, BulkRange}},
+	// UNION answers one (index, value) entry per pair, zeros included,
+	// so no pair can be skipped.
+	lang.UNION: {exact, exact},
+	// A window's zero factor zeroes the product, and the τ estimator is
+	// a sum: PROD is computed exactly.
+	lang.PROD: {exact, exact},
+}
+
+// ErrNeedsTau is Generate's error for a row that approximates by τ
+// under τ <= 0.
+var ErrNeedsTau = errors.New("prune: approximation problem requires tau > 0")
+
+// Lookup returns the table row of innerOp over kernel.
+func Lookup(innerOp lang.Op, kernel expr.PairKernel) (Row, error) {
+	rows, ok := table[innerOp]
+	if !ok {
+		return Row{}, fmt.Errorf("prune: %v is not an inner operator", innerOp)
+	}
+	if kernel.IsComparative() {
+		return rows[1], nil
+	}
+	return rows[0], nil
+}
+
 // Rule is a generated prune/approximate condition.
 type Rule struct {
-	// Kind is the selected rule family.
-	Kind Kind
+	// Row is the operator table's entry for the problem.
+	Row
 	// Kernel is the problem kernel the rule interrogates.
 	Kernel expr.PairKernel
 	// Tau is the approximation threshold for TauRule.
@@ -102,32 +163,18 @@ type Rule struct {
 	MaxSide bool
 }
 
-// Generate derives the rule from the problem classification, inner
-// operator, and kernel — the Portal adaptation of PASCAL's generator
-// (Section IV: "we modify it to get the Portal operators and kernel
-// function as input").
-func Generate(class lang.Class, innerOp lang.Op, kernel expr.PairKernel, tau float64) (*Rule, error) {
-	switch class {
-	case lang.ApproxClass:
-		if tau <= 0 {
-			return nil, fmt.Errorf("prune: approximation problem requires tau > 0")
-		}
-		return &Rule{Kind: TauRule, Kernel: kernel, Tau: tau}, nil
-	case lang.PruneClass:
-		if innerOp.Comparative() {
-			return &Rule{
-				Kind:    BoundRule,
-				Kernel:  kernel,
-				MaxSide: innerOp == lang.MAX || innerOp == lang.ARGMAX || innerOp == lang.KMAX || innerOp == lang.KARGMAX,
-			}, nil
-		}
-		if kernel.IsComparative() {
-			return &Rule{Kind: WindowRule, Kernel: kernel}, nil
-		}
-		return &Rule{Kind: NoRule, Kernel: kernel}, nil
-	default:
-		return nil, fmt.Errorf("prune: unknown class %v", class)
+// Generate looks the rule up in the operator table — the Portal
+// adaptation of PASCAL's generator (Section IV: "we modify it to get
+// the Portal operators and kernel function as input").
+func Generate(innerOp lang.Op, kernel expr.PairKernel, tau float64) (*Rule, error) {
+	row, err := Lookup(innerOp, kernel)
+	if err != nil {
+		return nil, err
 	}
+	if row.Kind == TauRule && tau <= 0 {
+		return nil, ErrNeedsTau
+	}
+	return &Rule{Row: row, Kernel: kernel, Tau: tau, MaxSide: innerOp.MaxSide()}, nil
 }
 
 // Decide evaluates the condition for a node pair.

@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,30 +19,36 @@ func TestGenerateRuleSelection(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		class   lang.Class
 		inner   lang.Op
 		kernel  expr.PairKernel
 		tau     float64
 		want    Kind
+		approx  Approximation
 		maxSide bool
 	}{
-		{"nn", lang.PruneClass, lang.ARGMIN, euclid, 0, BoundRule, false},
-		{"knn", lang.PruneClass, lang.KARGMIN, euclid, 0, BoundRule, false},
-		{"hausdorff-inner", lang.PruneClass, lang.MIN, euclid, 0, BoundRule, false},
-		{"argmax", lang.PruneClass, lang.ARGMAX, euclid, 0, BoundRule, true},
-		{"kmax", lang.PruneClass, lang.KMAX, euclid, 0, BoundRule, true},
-		{"range-search", lang.PruneClass, lang.UNIONARG, window, 0, WindowRule, false},
-		{"2pc", lang.PruneClass, lang.SUM, window, 0, WindowRule, false},
-		{"kde", lang.ApproxClass, lang.SUM, gauss, 1e-3, TauRule, false},
-		{"union-plain", lang.PruneClass, lang.UNION, euclid, 0, NoRule, false},
+		{"nn", lang.ARGMIN, euclid, 0, BoundRule, NoApprox, false},
+		{"knn", lang.KARGMIN, euclid, 0, BoundRule, NoApprox, false},
+		{"hausdorff-inner", lang.MIN, euclid, 0, BoundRule, NoApprox, false},
+		{"argmax", lang.ARGMAX, euclid, 0, BoundRule, NoApprox, true},
+		{"kmax", lang.KMAX, euclid, 0, BoundRule, NoApprox, true},
+		{"min-window", lang.MIN, window, 0, BoundRule, NoApprox, false},
+		{"range-search", lang.UNIONARG, window, 0, WindowRule, BulkRange, false},
+		{"unionarg-plain", lang.UNIONARG, euclid, 0, NoRule, NoApprox, false},
+		{"2pc", lang.SUM, window, 0, WindowRule, BulkCount, false},
+		{"kde", lang.SUM, gauss, 1e-3, TauRule, Centroid, false},
+		{"union-plain", lang.UNION, euclid, 0, NoRule, NoApprox, false},
+		{"union-window", lang.UNION, window, 0, NoRule, NoApprox, false},
+		{"prod-window", lang.PROD, window, 0, NoRule, NoApprox, false},
+		{"prod-gauss", lang.PROD, gauss, 0, NoRule, NoApprox, false},
+		{"prod-gauss-tau", lang.PROD, gauss, 1e-3, NoRule, NoApprox, false},
 	}
 	for _, c := range cases {
-		r, err := Generate(c.class, c.inner, c.kernel, c.tau)
+		r, err := Generate(c.inner, c.kernel, c.tau)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if r.Kind != c.want {
-			t.Errorf("%s: kind %v, want %v", c.name, r.Kind, c.want)
+		if r.Kind != c.want || r.Approx != c.approx {
+			t.Errorf("%s: kind %v approx %v, want %v %v", c.name, r.Kind, r.Approx, c.want, c.approx)
 		}
 		if r.MaxSide != c.maxSide {
 			t.Errorf("%s: maxSide %v, want %v", c.name, r.MaxSide, c.maxSide)
@@ -50,8 +57,11 @@ func TestGenerateRuleSelection(t *testing.T) {
 }
 
 func TestGenerateApproxNeedsTau(t *testing.T) {
-	if _, err := Generate(lang.ApproxClass, lang.SUM, expr.NewGaussianKernel(1), 0); err == nil {
-		t.Fatal("approximation problem without tau should fail")
+	if _, err := Generate(lang.SUM, expr.NewGaussianKernel(1), 0); !errors.Is(err, ErrNeedsTau) {
+		t.Fatalf("approximation problem without tau: error %v, want ErrNeedsTau", err)
+	}
+	if _, err := Generate(lang.FORALL, expr.NewGaussianKernel(1), 1e-3); err == nil || errors.Is(err, ErrNeedsTau) {
+		t.Fatalf("FORALL as the inner operator: error %v, want a missing row", err)
 	}
 }
 
@@ -78,7 +88,7 @@ func rectPair(rng *rand.Rand, d int) (geom.Rect, geom.Rect, [][]float64, [][]flo
 // than B.
 func TestBoundRuleSoundness(t *testing.T) {
 	kernel := expr.NewDistanceKernel(geom.Euclidean)
-	rule, err := Generate(lang.PruneClass, lang.ARGMIN, kernel, 0)
+	rule, err := Generate(lang.ARGMIN, kernel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +119,7 @@ func TestBoundRuleSoundness(t *testing.T) {
 func TestWindowRuleSoundness(t *testing.T) {
 	lo, hi := 2.0, 6.0
 	kernel := expr.NewRangeKernel(lo, hi)
-	rule, err := Generate(lang.PruneClass, lang.UNIONARG, kernel, 0)
+	rule, err := Generate(lang.UNIONARG, kernel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +157,7 @@ func TestWindowRuleSoundness(t *testing.T) {
 func TestTauRuleSoundness(t *testing.T) {
 	kernel := expr.NewGaussianKernel(1.5)
 	tau := 0.05
-	rule, err := Generate(lang.ApproxClass, lang.SUM, kernel, tau)
+	rule, err := Generate(lang.SUM, kernel, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +185,7 @@ func TestTauRuleSoundness(t *testing.T) {
 
 func TestMaxSideDecide(t *testing.T) {
 	kernel := expr.NewDistanceKernel(geom.Euclidean)
-	rule, err := Generate(lang.PruneClass, lang.ARGMAX, kernel, 0)
+	rule, err := Generate(lang.ARGMAX, kernel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +203,7 @@ func TestMaxSideDecide(t *testing.T) {
 
 func TestNoRuleAlwaysVisits(t *testing.T) {
 	kernel := expr.NewDistanceKernel(geom.Euclidean)
-	rule, err := Generate(lang.PruneClass, lang.UNION, kernel, 0)
+	rule, err := Generate(lang.UNION, kernel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

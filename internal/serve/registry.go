@@ -16,6 +16,15 @@
 // refcount drains to zero) only after every in-flight query over it
 // finishes, so readers never block on writers and never observe a torn
 // tree.
+//
+// # Panics
+//
+// The package panics at one site: Snapshot.Release on a snapshot
+// released more times than it was acquired, with a message starting
+// "serve: " (a negative refcount could unmap a snapshot a query still
+// reads). A panic inside a query's execution is recovered by execute
+// and answered as an error; that recover is the package's only
+// containment layer.
 package serve
 
 import (

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -238,4 +240,20 @@ func TestSnapshotSwapUnderConcurrentLoad(t *testing.T) {
 	if c := cache.Counters(); c.Misses > int64(3*versions) {
 		t.Fatalf("cache misses = %d — dataset replacement should not recompile", c.Misses)
 	}
+}
+
+// TestPanics calls the package's one panic site and wants a panic whose
+// message starts "serve: ".
+func TestPanics(t *testing.T) {
+	s := &Snapshot{Name: "d"} // never published: no reference to release
+	defer func() {
+		v := recover()
+		if v == nil {
+			t.Fatal("Release returned, want a panic")
+		}
+		if msg := fmt.Sprint(v); !strings.HasPrefix(msg, "serve: ") {
+			t.Errorf("panic %q, want a message starting \"serve: \"", msg)
+		}
+	}()
+	s.Release()
 }

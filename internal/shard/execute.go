@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"fmt"
-	"math"
 	"time"
 
 	"portal/internal/codegen"
@@ -50,7 +48,7 @@ type srcExport struct {
 // reference side. The returned ShardingStats carries the per-shard
 // counters and the exchange volume; Output.Stats sums the traversal
 // counters of every run.
-func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Output, *stats.ShardingStats, error) {
+func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Output, *stats.ShardingStats) {
 	k := p.K()
 	sh := &stats.ShardingStats{Shards: k, Splitter: p.Splitter, PerShard: make([]stats.ShardStats, k)}
 	for i := range sh.PerShard {
@@ -127,11 +125,7 @@ func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Out
 
 	// Phase 4: merge the per-shard partials through the operators'
 	// commutative finalize paths and run the outer reduction once.
-	out, err := merge(ex, p, runsLocal, runsImp, impOrig)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, sh, nil
+	return merge(ex, p, runsLocal, runsImp, impOrig), sh
 }
 
 // merge combines the finalized per-shard partials into the global
@@ -140,10 +134,9 @@ func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Out
 // indices through the import origin table. Set operator lists come out
 // in canonical order (codegen.SortUnion), so the merged output does
 // not depend on the shard count.
-func merge(ex *codegen.Executable, p *Partition, runsLocal, runsImp []*codegen.Run, impOrig [][]int) (*codegen.Output, error) {
+func merge(ex *codegen.Executable, p *Partition, runsLocal, runsImp []*codegen.Run, impOrig [][]int) *codegen.Output {
 	plan := ex.Plan
 	nQ := p.Source.Len()
-	maxSide := ex.MaxSide()
 	out := &codegen.Output{}
 
 	innerOp := plan.InnerOp
@@ -192,7 +185,7 @@ func merge(ex *codegen.Executable, p *Partition, runsLocal, runsImp []*codegen.R
 				}
 				values[g], out.Args[g] = v, a
 			case innerOp.NeedsK():
-				kl := codegen.NewKList(plan.K, maxSide)
+				kl := codegen.NewKList(plan.K, innerOp.MaxSide())
 				for j, a := range local.ArgLists[pos] {
 					kl.Insert(local.ValueLists[pos][j], orig[a])
 				}
@@ -237,21 +230,7 @@ func merge(ex *codegen.Executable, p *Partition, runsLocal, runsImp []*codegen.R
 			default: // SUM, PROD, MIN, MAX
 				v := local.Values[pos]
 				if imp != nil {
-					iv := imp.Values[pos]
-					switch innerOp {
-					case lang.SUM:
-						v += iv
-					case lang.PROD:
-						v *= iv
-					case lang.MIN:
-						if iv < v {
-							v = iv
-						}
-					case lang.MAX:
-						if iv > v {
-							v = iv
-						}
-					}
+					v = innerOp.Fold(v, imp.Values[pos])
 				}
 				values[g] = v
 			}
@@ -259,43 +238,16 @@ func merge(ex *codegen.Executable, p *Partition, runsLocal, runsImp []*codegen.R
 	}
 
 	// Outer reduction over the merged per-query state.
-	switch plan.OuterOp {
-	case lang.FORALL:
-		if needValues {
-			out.Values = values
-		}
-	case lang.SUM:
-		var s float64
+	if op := plan.OuterOp; op != lang.FORALL {
+		s := op.Identity()
 		for _, v := range values {
-			s += v
+			s = op.Fold(s, v)
 		}
 		out.Scalar, out.HasScalar = s, true
-	case lang.MAX:
-		s := math.Inf(-1)
-		for _, v := range values {
-			if v > s {
-				s = v
-			}
-		}
-		out.Scalar, out.HasScalar = s, true
-	case lang.MIN:
-		s := math.Inf(1)
-		for _, v := range values {
-			if v < s {
-				s = v
-			}
-		}
-		out.Scalar, out.HasScalar = s, true
-	case lang.PROD:
-		s := 1.0
-		for _, v := range values {
-			s *= v
-		}
-		out.Scalar, out.HasScalar = s, true
-	default:
-		return nil, fmt.Errorf("shard: unsupported outer op %v", plan.OuterOp)
+	} else if needValues {
+		out.Values = values
 	}
-	return out, nil
+	return out
 }
 
 // mapArg maps a piece-local reference arg to a global one, keeping
