@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke
+.PHONY: check build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke
 
 # Tier-1 gate: everything must pass before a change lands.
-check: build vet cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke
+check: build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,15 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The vector bodies must perform the Go bodies' IEEE operations one
+# rounding at a time (DESIGN §9.2): no fused multiply-add in any of them.
+asm-lint:
+	@if grep -n VFMADD internal/fastmath/*.s; then echo "asm-lint: fused multiply-add in a vector body" >&2; exit 1; fi
+
 # The vector bodies (internal/fastmath/sumgauss_amd64.s, nearmask_amd64.s
-# with both near masks, NearMaskCols' and NearMaskRows', and
-# minmax_amd64.s) are what an amd64 host builds and tests; every other
-# GOARCH runs the Go bodies, and nothing above compiles that
+# with both near masks, NearMaskCols' and NearMaskRows', minmax_amd64.s
+# and windowmask_amd64.s) are what an amd64 host builds and tests; every
+# other GOARCH runs the Go bodies, and nothing above compiles that
 # configuration. arm64 stands in for them.
 cross:
 	GOARCH=arm64 $(GO) build ./...
@@ -31,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNearMaskCols -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzNearMaskRows -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzMinMaxCol -fuzztime 5s ./internal/fastmath
+	$(GO) test -run '^$$' -fuzz FuzzWindowMaskCols -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzValidate -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/persist

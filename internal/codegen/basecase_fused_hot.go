@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"math/bits"
+
 	"portal/internal/fastmath"
 	"portal/internal/lang"
 	"portal/internal/storage"
@@ -16,11 +18,13 @@ import (
 // combination runs the per-pair loop pairBaseCase, which pays a closure
 // call for the kernel and the per-pair update switch on every point
 // pair. The loops here are plain functions written out per dimension,
-// so the pair body compiles to straight-line arithmetic. Each stays
-// only while it beats the per-pair loop on its own shape
+// so the pair body compiles to straight-line arithmetic — except the
+// window over column-major leaves, which hands blocks of 64 × 64 pairs
+// to the vector body fastmath.WindowMaskCols and reads its masks. Each
+// stays only while it beats the per-pair loop on its own shape
 // (BenchmarkBaseCaseLeaf; the kill rule of DESIGN §9).
 //
-// Two idioms matter for the column-major bodies:
+// Two idioms matter for the other column-major bodies:
 //
 //   - the reference columns are re-sliced to the current tile
 //     (c[rb:re]) and the inner loop ranges over the first of them —
@@ -101,50 +105,25 @@ func selectIdentHot(op lang.Op, qd, rd *storage.Storage) fusedFn {
 	return nil
 }
 
-// selectWindowHot returns the hand-specialized indicator-window loops
-// (two-point counting and range-search collection against the
-// compiled squared thresholds).
+// selectWindowHot returns the indicator-window loops (two-point
+// counting and range-search collection against the compiled squared
+// thresholds): the vector window sweep over column-major leaves, the
+// per-pair Hypot2 loop over rows.
 func selectWindowHot(op lang.Op, qd, rd *storage.Storage, lo2, hi2 float64) fusedFn {
-	mk := func(f func(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node)) fusedFn {
-		return func(r *Run, qb, qe int, rn *tree.Node) { f(r, lo2, hi2, qb, qe, rn) }
+	var f func(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node)
+	switch col, row := bothColMajor(qd, rd), bothRowMajor(qd, rd); {
+	case op == lang.SUM && col:
+		f = hotWindowSumCols
+	case op == lang.SUM && row:
+		f = hotWindowSumRow
+	case op == lang.UNIONARG && col:
+		f = hotWindowUnionCols
+	case op == lang.UNIONARG && row:
+		f = hotWindowUnionRow
+	default:
+		return nil
 	}
-	col := bothColMajor(qd, rd)
-	row := bothRowMajor(qd, rd)
-	switch op {
-	case lang.SUM:
-		switch {
-		case col:
-			switch qd.Dim() {
-			case 1:
-				return mk(hotWindowSumCol1)
-			case 2:
-				return mk(hotWindowSumCol2)
-			case 3:
-				return mk(hotWindowSumCol3)
-			default:
-				return mk(hotWindowSumCol4)
-			}
-		case row:
-			return mk(hotWindowSumRow)
-		}
-	case lang.UNIONARG:
-		switch {
-		case col:
-			switch qd.Dim() {
-			case 1:
-				return mk(hotWindowUnionCol1)
-			case 2:
-				return mk(hotWindowUnionCol2)
-			case 3:
-				return mk(hotWindowUnionCol3)
-			default:
-				return mk(hotWindowUnionCol4)
-			}
-		case row:
-			return mk(hotWindowUnionRow)
-		}
-	}
-	return nil
+	return func(r *Run, qb, qe int, rn *tree.Node) { f(r, lo2, hi2, qb, qe, rn) }
 }
 
 func bothColMajor(qd, rd *storage.Storage) bool {
@@ -715,97 +694,42 @@ func hotArgMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-// ---- 2PC: strict-window counting ----
+// ---- 2PC and RS: the strict window ----
 
-func hotWindowSumCol1(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
-	q0 := r.Q.Data.Col(0)
-	c0 := r.R.Data.Col(0)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0 := c0[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0 := q0[qi]
-			cnt := 0
-			for _, v0 := range r0 {
-				d0 := a0 - v0
-				if s := d0 * d0; s > lo2 && s < hi2 {
-					cnt++
-				}
-			}
-			val[qi] += float64(cnt)
-		}
+// windowBlock is the side of one fastmath.WindowMaskCols call: at most
+// 64 query positions, one mask word each, against at most 64 reference
+// positions, one bit each.
+const windowBlock = 64
+
+// windowMasks is the window test of query positions [qb, qe) against
+// reference positions [rb, re), at most windowBlock of each, over
+// column-major leaves: bit j of word i is set iff lo2 < d² < hi2 for
+// the pair (qb+i, rb+j), d² in Hypot2's lane order — the bits the
+// per-pair loop's test gives. The words are the run's own scratch,
+// overwritten by the next call.
+func (r *Run) windowMasks(lo2, hi2 float64, qb, qe, rb, re int) []uint64 {
+	if r.winMasks == nil {
+		r.winMasks = new([windowBlock]uint64)
 	}
+	m := r.winMasks[:qe-qb]
+	rd := r.R.Data
+	fastmath.WindowMaskCols(m, rd.Dim(), r.qFlat[qb:], r.qStride, rd.Flat()[rb:], rd.Len(), re-rb, lo2, hi2)
+	return m
 }
 
-func hotWindowSumCol2(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1 := qd.Col(0), qd.Col(1)
-	c0, c1 := rd.Col(0), rd.Col(1)
+// hotWindowSumCols counts the window's pairs a block at a time: the
+// counts are exact integers, so folding one per block into Val gives
+// the bits one per pair would.
+func hotWindowSumCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1 := q0[qi], q1[qi]
-			cnt := 0
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				if s := d0*d0 + d1*d1; s > lo2 && s < hi2 {
-					cnt++
+	for cb := qb; cb < qe; cb += windowBlock {
+		ce := min(cb+windowBlock, qe)
+		for rb := rn.Begin; rb < rn.End; rb += windowBlock {
+			for i, w := range r.windowMasks(lo2, hi2, cb, ce, rb, min(rb+windowBlock, rn.End)) {
+				if w != 0 {
+					val[cb+i] += float64(bits.OnesCount64(w))
 				}
 			}
-			val[qi] += float64(cnt)
-		}
-	}
-}
-
-func hotWindowSumCol3(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
-	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
-			cnt := 0
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				d2 := a2 - r2[j]
-				if s := d0*d0 + d1*d1 + d2*d2; s > lo2 && s < hi2 {
-					cnt++
-				}
-			}
-			val[qi] += float64(cnt)
-		}
-	}
-}
-
-func hotWindowSumCol4(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
-	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
-			cnt := 0
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				d2 := a2 - r2[j]
-				d3 := a3 - r3[j]
-				if s := (d0*d0 + d1*d1) + (d2*d2 + d3*d3); s > lo2 && s < hi2 {
-					cnt++
-				}
-			}
-			val[qi] += float64(cnt)
 		}
 	}
 }
@@ -828,93 +752,23 @@ func hotWindowSumRow(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	}
 }
 
-// ---- RS: strict-window collection ----
-
-func hotWindowUnionCol1(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
-	q0 := r.Q.Data.Col(0)
-	c0 := r.R.Data.Col(0)
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0 := c0[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0 := q0[qi]
-			idx := r.IdxLists[qi]
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				if s := d0 * d0; s > lo2 && s < hi2 {
-					idx = append(idx, rb+j)
+// hotWindowUnionCols collects the window's pairs a block at a time,
+// each query's set bits in ascending reference order: the lists the
+// per-pair loop appends.
+func hotWindowUnionCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
+	for cb := qb; cb < qe; cb += windowBlock {
+		ce := min(cb+windowBlock, qe)
+		for rb := rn.Begin; rb < rn.End; rb += windowBlock {
+			for i, w := range r.windowMasks(lo2, hi2, cb, ce, rb, min(rb+windowBlock, rn.End)) {
+				if w == 0 {
+					continue
 				}
-			}
-			r.IdxLists[qi] = idx
-		}
-	}
-}
-
-func hotWindowUnionCol2(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1 := qd.Col(0), qd.Col(1)
-	c0, c1 := rd.Col(0), rd.Col(1)
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1 := q0[qi], q1[qi]
-			idx := r.IdxLists[qi]
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				if s := d0*d0 + d1*d1; s > lo2 && s < hi2 {
-					idx = append(idx, rb+j)
+				idx := r.IdxLists[cb+i]
+				for ; w != 0; w &= w - 1 {
+					idx = append(idx, rb+bits.TrailingZeros64(w))
 				}
+				r.IdxLists[cb+i] = idx
 			}
-			r.IdxLists[qi] = idx
-		}
-	}
-}
-
-func hotWindowUnionCol3(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
-	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
-			idx := r.IdxLists[qi]
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				d2 := a2 - r2[j]
-				if s := d0*d0 + d1*d1 + d2*d2; s > lo2 && s < hi2 {
-					idx = append(idx, rb+j)
-				}
-			}
-			r.IdxLists[qi] = idx
-		}
-	}
-}
-
-func hotWindowUnionCol4(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
-	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
-			idx := r.IdxLists[qi]
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				d2 := a2 - r2[j]
-				d3 := a3 - r3[j]
-				if s := (d0*d0 + d1*d1) + (d2*d2 + d3*d3); s > lo2 && s < hi2 {
-					idx = append(idx, rb+j)
-				}
-			}
-			r.IdxLists[qi] = idx
 		}
 	}
 }

@@ -349,6 +349,91 @@ func TestWindowOpenAtZero(t *testing.T) {
 	}
 }
 
+// TestWindowSweepBlocks holds the column-major window loops, which hand
+// fastmath.WindowMaskCols at most 64 query and 64 reference positions a
+// call, to the interpreter where one base case spans more than one
+// block on either side: a reference leaf of more than 64 duplicate
+// points (a width-0 node stays a leaf whatever its count), and an
+// ungated sweep of a query leaf of more than 64 points. The lattice
+// makes every d² exact and puts pairs on both radii, so values and
+// lists must match exactly.
+func TestWindowSweepBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	run := func(spec *lang.PortalExpr, opts Options, qLeaf, rLeaf int, gate bool) (*Output, *tree.Tree, *tree.Tree) {
+		t.Helper()
+		plan, prog, err := lower.Lower("t", spec, lower.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := Compile(plan, prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qt := tree.BuildKD(spec.Outer().Data, &tree.Options{LeafSize: qLeaf})
+		rt := tree.BuildKD(spec.Inner().Data, &tree.Options{LeafSize: rLeaf})
+		r := ex.Bind(qt, rt)
+		if !gate {
+			r.gate = gateNone
+		}
+		traverse.RunParallel(qt, rt, r, traverse.Options{Workers: 1, Stats: r.TraversalStats()})
+		return r.Finalize(), qt, rt
+	}
+	largestLeaf := func(tr *tree.Tree) int {
+		n := 0
+		for i := range tr.Nodes {
+			if nd := &tr.Nodes[i]; nd.IsLeaf() {
+				n = max(n, nd.Count())
+			}
+		}
+		return n
+	}
+	for d := 1; d <= 4; d++ {
+		// 150 copies of (5, …, 5), just off the lattice: whichever way a
+		// median split cuts them, one side is a width-0 leaf of more than
+		// 64, and the lattice points near (4, …, 4) see it inside the
+		// window.
+		dupRef := gateRows(rng, "lattice", 190, d)
+		for _, p := range dupRef[40:] {
+			for j := range p {
+				p[j] = 5
+			}
+		}
+		for _, c := range []struct {
+			name         string
+			q, r         [][]float64
+			qLeaf, rLeaf int
+			gate         bool
+		}{
+			{"reference leaf of duplicates", gateRows(rng, "lattice", 50, d), dupRef, 8, 8, true},
+			{"ungated query leaf of 100", gateRows(rng, "lattice", 200, d), gateRows(rng, "lattice", 150, d), 100, 8, false},
+		} {
+			q, r := storageWithLayout(c.q, storage.ColMajor), storageWithLayout(c.r, storage.ColMajor)
+			for _, op := range []lang.Op{lang.SUM, lang.UNIONARG} {
+				spec := func() *lang.PortalExpr {
+					return (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).AddLayer(op, r, expr.NewRangeKernel(1, 3))
+				}
+				ctx := fmt.Sprintf("d=%d %s %v", d, c.name, op)
+				got, qt, rt := run(spec(), Options{ExactMath: true}, c.qLeaf, c.rLeaf, c.gate)
+				want, _, _ := run(spec(), Options{ExactMath: true, ForceInterp: true}, c.qLeaf, c.rLeaf, false)
+				if largestLeaf(qt) <= windowBlock && largestLeaf(rt) <= windowBlock {
+					t.Fatalf("%s: leaves of %d and %d points: no base case spans two blocks", ctx, largestLeaf(qt), largestLeaf(rt))
+				}
+				if got.Stats.FusedBaseCases != got.Stats.BaseCases {
+					t.Fatalf("%s: %d of %d base cases ran the window loop", ctx, got.Stats.FusedBaseCases, got.Stats.BaseCases)
+				}
+				compareOutputs(t, ctx+" vs interp", got, want, 0)
+				listed := 0
+				for _, l := range got.ArgLists {
+					listed += len(l)
+				}
+				if op == lang.UNIONARG && listed == 0 {
+					t.Fatalf("%s: no pair inside the window", ctx)
+				}
+			}
+		}
+	}
+}
+
 // TestFusedDispatchSelection asserts a hot loop is installed only where
 // one exists: never for non-Euclidean metrics, Mahalanobis kernels, the
 // exact-math Gaussian, the Plummer body, or under ForceInterp — and
@@ -545,8 +630,9 @@ func TestHotGaussRowMatchesScalarLoop(t *testing.T) {
 }
 
 // TestFusedLoopsZeroAlloc pins the zero-allocation guarantee of the
-// loops that append nothing, hot and per-pair alike: the points and the
-// k-list views stay in the run's scratch and on the stack. The loops run
+// loops that append nothing, hot and per-pair alike: the points, the
+// window sweep's masks and the k-list views stay in the run's scratch
+// and on the stack. The loops run
 // through BaseCase, so the cases also pin the point gate at zero
 // allocations: the bound rule's PointBound refresh, and — on query
 // clouds shifted half out of the reference box, so that the gate
@@ -602,6 +688,9 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 		{"taugate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(0.5), 8), true, gateTau},
 		{"windowgate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewRangeKernel(1, 2), 8), true, gateWindow},
 		{"windowgate-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewThresholdKernel(2), 6), true, gateWindow},
+		// A shell too thin to hold a pair: the range-search loop runs and
+		// appends nothing.
+		{"windowunion-col3", mk(3, storage.ColMajor, lang.UNIONARG, 0, expr.NewRangeKernel(1, 1+1e-9), 8), true, gateWindow},
 	}
 	for _, c := range cases {
 		if hot := c.run.fused != nil; hot != c.hot {

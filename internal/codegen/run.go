@@ -109,6 +109,10 @@ type Run struct {
 	// it executed, folded into TraversalStats like kernelEvals.
 	fused          fusedFn
 	fusedBaseCases int64
+	// winMasks is the window sweep's scratch over column-major leaves,
+	// one fastmath.WindowMaskCols block's words: allocated by the run's
+	// (or the fork's) first such sweep, nil for every other loop.
+	winMasks *[windowBlock]uint64
 
 	// finalized is set by the first Finalize or FinalizePartial, which
 	// consumes the run.
@@ -303,6 +307,7 @@ func (r *Run) Fork() traverse.Rule {
 	c.rbuf = make([]float64, r.R.Dim())
 	c.kernelEvals = 0 // each task counts only its own evaluations
 	c.fusedBaseCases = 0
+	c.winMasks = nil
 	if r.mahal != nil {
 		c.mahal = r.mahal.Clone()
 	}
@@ -503,13 +508,13 @@ func (r *Run) perQuery() *Partial {
 	case r.kVals != nil:
 		p.ArgLists, p.ValueLists = r.finalizeKLists()
 	case r.IdxLists != nil:
-		// Most queries of a range search match nothing (rs-build: 458 ids
-		// over 1e6 queries): every list starts as one shared empty slice,
-		// written in order — non-nil, so it encodes as [] — and only the
-		// lists that hold something are scattered to their query's slot.
-		// Those are the run's own appended slices, mapped in place,
-		// sorted into canonical order and capacity-limited so an append
-		// to one cannot reach another.
+		// Most queries of a range search match nothing (rs-build: 426–510
+		// ids over 1e6 queries on seeds 1–10): every list starts as one
+		// shared empty slice, written in order — non-nil, so it encodes
+		// as [] — and only the lists that hold something are scattered to
+		// their query's slot. Those are the run's own appended slices, mapped
+		// in place, sorted into canonical order and capacity-limited so
+		// an append to one cannot reach another.
 		p.ArgLists = make([][]int, n)
 		empty := []int{}
 		for i := range p.ArgLists {

@@ -339,6 +339,28 @@ func TestOperatorTableMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestListUnderScalarRefused: a single-value outer reduction over a
+// list-valued inner operator has no value per query to fold, and the
+// engine and the oracle used to disagree about what to answer (SUM·KMIN
+// 0 against +Inf, MIN·UNIONARG +Inf against 0). Both refuse it now, with
+// lang's typed error, before anything is built.
+func TestListUnderScalarRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	q := storage.MustFromRows(randRows(rng, 20, 2, 0.3))
+	r := storage.MustFromRows(randRows(rng, 30, 2, 0.3))
+	for _, outer := range []lang.Op{lang.SUM, lang.MIN, lang.MAX, lang.PROD} {
+		for _, inner := range []lang.Op{lang.KMIN, lang.KMAX, lang.KARGMIN, lang.KARGMAX, lang.UNION, lang.UNIONARG} {
+			e := (&lang.PortalExpr{}).AddLayer(outer, q, nil).AddLayerK(inner, 3, r, expr.NewRangeKernel(0, 1))
+			if _, err := Run("t", e, Config{LeafSize: 4}); !errors.Is(err, lang.ErrListUnderScalar) {
+				t.Errorf("%v over %v: Run error %v, want lang.ErrListUnderScalar", outer, inner, err)
+			}
+			if _, err := BruteForce(e); !errors.Is(err, lang.ErrListUnderScalar) {
+				t.Errorf("%v over %v: BruteForce error %v, want lang.ErrListUnderScalar", outer, inner, err)
+			}
+		}
+	}
+}
+
 // contractBreak describes the first place got breaks the answer
 // contract against want, the oracle's answer to e, or returns "".
 // budget is the τ error allowed per query value; perQuery holds the

@@ -17,29 +17,33 @@
 // any vector load: len(lo) outside 1..4 (NearMaskRows: below 1) or
 // len(w) > 64 panics by name, and too short a cols or rows, or cap(hi) <
 // len(lo), is an index panic there, never a wild read in the assembly.
-// SumGaussRows has no precondition: it never panics, and it ignores a
-// trailing partial row.
+// WindowMaskCols likewise: d outside 1..4, more than 64 points on either
+// side or a negative stride panics by name, and too short a q or r is an
+// index panic. SumGaussRows has no precondition: it never panics, and it
+// ignores a trailing partial row.
 //
 // # Vector bodies
 //
-// Three functions have a second body that returns the same bits:
+// Five functions have a second body that returns the same bits:
 //
-//	                      amd64, CPU and OS with AVX2             everything else
-//	SumGaussRows          sumgauss_amd64.s, four rows per step    sumGaussRowsGo
-//	NearMaskCols          nearmask_amd64.s, four points per step  nearMaskColsGo
-//	NearMaskRows          nearmask_amd64.s, four rows per step    nearMaskRowsGo
+//	                   amd64, CPU and OS with AVX2                everything else
+//	SumGaussRows       sumgauss_amd64.s, four rows per step       sumGaussRowsGo
+//	NearMaskCols       nearmask_amd64.s, four points per step     nearMaskColsGo
+//	NearMaskRows       nearmask_amd64.s, four rows per step       nearMaskRowsGo
+//	MinMaxCol          minmax_amd64.s, eight keys per step        minMaxColGo
+//	WindowMaskCols     windowmask_amd64.s, four queries per step  windowMaskColsGo
 //
 // SumGaussRows is the fused Gaussian base case for one query point,
 // NearMaskCols the point gate's near test for one leaf of column-major
-// points and NearMaskRows the same test for rows (MinMaxCol, below, is
-// a fourth). The choice is one unexported variable each, set at init from
-// one CPUID probe; there is no flag, environment variable or build tag to
-// select with. The Go bodies are also the vector bodies' finishers — a
-// group of rows with a term outside ExpFast's inlined range, the last
-// len(w) mod 4 points of a leaf, a box with a side that is not finite —
-// and the oracles of their tests; TestVectorPathLive and the avx2
-// variants of BenchmarkSumGaussRows, BenchmarkNearMaskCols and
-// BenchmarkNearMaskRows say which bodies a machine runs.
+// points, NearMaskRows the same test for rows, MinMaxCol the kd build's
+// bounding-box scan and WindowMaskCols the window base case over
+// column-major leaves. The choice is one unexported variable each, set
+// at init from one CPUID probe; there is no flag, environment variable
+// or build tag to select with. The Go bodies are also the vector bodies'
+// finishers — a group of rows with a term outside ExpFast's inlined
+// range, the last len(w) mod 4 points of a leaf, a box with a side that
+// is not finite — and the oracles of their tests; TestVectorPathLive and
+// the avx2 variants of the benchmarks say which bodies a machine runs.
 //
 // What is promised is path independence within one binary: both bodies
 // perform the same IEEE operations in the same order, none of them
@@ -459,6 +463,76 @@ var nearMaskColsVec func(cols *float64, stride int, lo, hi *float64, d int, w *f
 // else: bit i of its result is bit i of nearMaskRowsGo(all ones, …) for
 // the 4·groups first points, given a finite box.
 var nearMaskRowsVec func(rows, lo, hi *float64, d int, w *float64, groups int) uint64
+
+// WindowMaskCols is the strict window test of up to 64 query points
+// against up to 64 reference points, both stored as unit-stride columns
+// — dimension j of query i is q[j*qstride+i], of reference k
+// r[j*rstride+k], d in 1..4: bit k of m[i] is set iff
+//
+//	lo2 < s && s < hi2
+//
+// for i < len(m) <= 64, k < nr <= 64 and s the squared distance between
+// the two, with d = q - r per dimension, in Hypot2's order:
+// ((d0²)+d1²)+d2² for d <= 3, (d0²+d1²)+(d2²+d3²) at d = 4: s is
+// Hypot2 of the two points' copies bit for bit. A NaN distance is never
+// inside, and a bound equal to s excludes it. Bits k >= nr are clear.
+func WindowMaskCols(m []uint64, d int, q []float64, qstride int, r []float64, rstride, nr int, lo2, hi2 float64) {
+	nq := len(m)
+	if d < 1 || d > 4 || nq > 64 || nr < 0 || nr > 64 || qstride < 0 || rstride < 0 {
+		panic("fastmath: WindowMaskCols wants 1 to 4 dimensions, at most 64 points a side and non-negative strides")
+	}
+	if nq == 0 {
+		return
+	}
+	if nr == 0 {
+		clear(m)
+		return
+	}
+	// The vector body checks nothing: a short q or r panics here.
+	_, _ = q[(d-1)*qstride+nq-1], r[(d-1)*rstride+nr-1]
+	if windowMaskColsVec != nil {
+		windowMaskColsVec(&m[0], nq, d, &q[0], qstride, &r[0], rstride, nr, lo2, hi2)
+		return
+	}
+	windowMaskColsGo(m, d, q, qstride, r, rstride, nr, lo2, hi2)
+}
+
+// windowMaskColsVec is this platform's vector body of WindowMaskCols,
+// set once at init where there is one (amd64 with AVX2) and nil
+// everywhere else: it writes windowMaskColsGo's words, nq, nr >= 1.
+var windowMaskColsVec func(m *uint64, nq, d int, q *float64, qstride int, r *float64, rstride, nr int, lo2, hi2 float64)
+
+// windowMaskColsGo is WindowMaskCols where there is no vector body, and
+// the oracle the tests hold the vector body to. The branches on d go the
+// same way every iteration.
+func windowMaskColsGo(m []uint64, d int, q []float64, qstride int, r []float64, rstride, nr int, lo2, hi2 float64) {
+	for i := range m {
+		var w uint64
+		for k := 0; k < nr; k++ {
+			t := q[i] - r[k]
+			s := t * t
+			if d == 4 {
+				t1 := q[qstride+i] - r[rstride+k]
+				t2 := q[2*qstride+i] - r[2*rstride+k]
+				t3 := q[3*qstride+i] - r[3*rstride+k]
+				// Hypot2's four lanes each hold one rounded square; the
+				// conversions keep an FMA target from fusing them away.
+				s = (s + float64(t1*t1)) + (float64(t2*t2) + float64(t3*t3))
+			} else {
+				if d >= 2 {
+					t = q[qstride+i] - r[rstride+k]
+					s += t * t
+				}
+				if d == 3 {
+					t = q[2*qstride+i] - r[2*rstride+k]
+					s += t * t
+				}
+			}
+			w |= Bit(lo2 < s && s < hi2) << (k & 63)
+		}
+		m[i] = w
+	}
+}
 
 // MinMaxCol returns the smallest and the largest value of a non-empty
 // column as the loop "mn, mx := c[0], c[0]; if v < mn { mn = v }; if

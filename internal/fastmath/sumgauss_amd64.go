@@ -37,6 +37,7 @@ func init() {
 		nearMaskColsVec = nearMaskColsAsm
 		nearMaskRowsVec = nearMaskRowsAsm
 		minMaxColVec = minMaxColAsm
+		windowMaskColsVec = windowMaskColsAsm
 	}
 }
 
@@ -104,6 +105,12 @@ func nearMaskRowsAsm(rows, lo, hi *float64, d int, w *float64, groups int) uint6
 //
 //go:noescape
 func minMaxColAsm(c *float64, n int) (mn, mx float64, nan bool)
+
+// windowMaskColsAsm is the vector body of WindowMaskCols
+// (windowmask_amd64.s).
+//
+//go:noescape
+func windowMaskColsAsm(m *uint64, nq, d int, q *float64, qstride int, r *float64, rstride, nr int, lo2, hi2 float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

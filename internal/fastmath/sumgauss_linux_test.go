@@ -136,3 +136,49 @@ func TestMinMaxColNoOverRead(t *testing.T) {
 		checkMinMaxCol(t, beforeGuard(c), "column before the guard page")
 	}
 }
+
+// The window base case's query and reference columns end the flat
+// buffer of a column-major store — a mapping, for a snapshot's — and
+// its masks may end theirs. Put the last query column's last point, the
+// last reference column's last point, and separately the last mask word,
+// flush against the guard page at every tail group: a tail group loaded
+// or stored whole faults.
+func TestWindowMaskColsNoOverRead(t *testing.T) {
+	beforeGuard := guardPage(t)
+	page := syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	rng := rand.New(rand.NewSource(43))
+	for d := 1; d <= 4; d++ {
+		for nq := 1; nq <= 9; nq++ {
+			for _, nr := range []int{1, 3, 8} {
+				_, q := randPoints(rng, 1, d*nq)
+				_, r := randPoints(rng, 1, d*nr)
+				lo2, hi2 := 0.25, 2.0
+				want := windowMaskOracle(nq, d, q, nq, r, nr, nr, lo2, hi2)
+				m := make([]uint64, nq)
+				check := func(what string) {
+					t.Helper()
+					for i := range want {
+						if m[i] != want[i] {
+							t.Errorf("d=%d nq=%d nr=%d %s before the guard page: word %d is %#x, want %#x", d, nq, nr, what, i, m[i], want[i])
+						}
+					}
+				}
+				WindowMaskCols(m, d, beforeGuard(q), nq, r, nr, nr, lo2, hi2)
+				check("queries")
+				WindowMaskCols(m, d, q, nq, beforeGuard(r), nr, nr, lo2, hi2)
+				check("references")
+				m = unsafe.Slice((*uint64)(unsafe.Pointer(&mem[page-8*nq])), nq)
+				WindowMaskCols(m, d, q, nq, r, nr, nr, lo2, hi2)
+				check("masks")
+			}
+		}
+	}
+}

@@ -109,10 +109,10 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 
 // A broken CPUID stub would turn every suite green on the Go bodies and
 // the benchmark would quietly lose the vector ones: where the hardware
-// has AVX2, the package must have selected both.
+// has AVX2, the package must have selected every one.
 func TestVectorPathLive(t *testing.T) {
-	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body, NearMaskRows the %s body, MinMaxCol the %s body",
-		vectorPath(), nearMaskPath(), nearRowsPath(), minMaxPath())
+	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body, NearMaskRows the %s body, MinMaxCol the %s body, WindowMaskCols the %s body",
+		vectorPath(), nearMaskPath(), nearRowsPath(), minMaxPath(), windowMaskPath())
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("GOARCH=%s has no vector bodies: %s", runtime.GOARCH, paths)
 	}
@@ -123,7 +123,8 @@ func TestVectorPathLive(t *testing.T) {
 	if !strings.Contains(string(info), " avx2") {
 		t.Skipf("no avx2 in /proc/cpuinfo: %s", paths)
 	}
-	if sumGaussRowsVec == nil || nearMaskColsVec == nil || nearMaskRowsVec == nil || minMaxColVec == nil {
+	if sumGaussRowsVec == nil || nearMaskColsVec == nil || nearMaskRowsVec == nil || minMaxColVec == nil ||
+		windowMaskColsVec == nil {
 		t.Fatalf("/proc/cpuinfo lists avx2 but %s", paths)
 	}
 	t.Log(paths)

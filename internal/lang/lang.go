@@ -267,6 +267,7 @@ var (
 	ErrDimMismatch     = errors.New("lang: layer datasets have different dimensionality")
 	ErrNotDecomposable = errors.New("lang: operator violates the decomposability property")
 	ErrInnerForall     = errors.New("lang: FORALL cannot be the innermost reduction")
+	ErrListUnderScalar = errors.New("lang: a single-value outer reduction needs a value per query, and the inner operator returns a list")
 )
 
 // Validate checks the specification against the structural rules of
@@ -295,6 +296,9 @@ func (e *PortalExpr) Validate() error {
 	if len(e.layers) == 2 {
 		if e.Inner().Op == FORALL {
 			return ErrInnerForall
+		}
+		if outer, inner := e.layers[0].Op, e.Inner().Op; outer.Category() == Single && inner.Category() == Multi {
+			return fmt.Errorf("%w: %s over %s", ErrListUnderScalar, outer, inner)
 		}
 		if e.layers[0].Data.Dim() != e.layers[1].Data.Dim() {
 			return fmt.Errorf("%w: %d vs %d", ErrDimMismatch,

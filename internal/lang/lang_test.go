@@ -235,6 +235,30 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// A single-value outer reduction folds one value per query; a list
+// (K*, UNION, UNIONARG) has none, so each of the 24 shapes is refused
+// with its own error rather than answering the fold of whatever the
+// list's accumulator held — and FORALL over the same lists, or a single
+// outer over a single inner, still validates.
+func TestValidateListUnderScalar(t *testing.T) {
+	q, r := twoD()
+	k := expr.NewDistanceKernel(geom.Euclidean)
+	for _, outer := range []Op{SUM, MIN, MAX, PROD} {
+		for _, inner := range []Op{KMIN, KMAX, KARGMIN, KARGMAX, UNION, UNIONARG} {
+			e := (&PortalExpr{}).AddLayer(outer, q, nil).AddLayerK(inner, 2, r, k)
+			if err := e.Validate(); !errors.Is(err, ErrListUnderScalar) {
+				t.Errorf("%v over %v: got %v, want %v", outer, inner, err, ErrListUnderScalar)
+			}
+			if err := (&PortalExpr{}).AddLayer(FORALL, q, nil).AddLayerK(inner, 2, r, k).Validate(); err != nil {
+				t.Errorf("FORALL over %v: %v", inner, err)
+			}
+		}
+		if err := (&PortalExpr{}).AddLayer(outer, q, nil).AddLayer(MIN, r, k).Validate(); err != nil {
+			t.Errorf("%v over MIN: %v", outer, err)
+		}
+	}
+}
+
 // Kernel monotonicity validation (Section II property 2): the
 // pre-defined kernels Portal ships are either monotone in distance or
 // comparative.
