@@ -17,10 +17,10 @@ asm-lint:
 	@if grep -n VFMADD internal/fastmath/*.s; then echo "asm-lint: fused multiply-add in a vector body" >&2; exit 1; fi
 
 # The vector bodies (internal/fastmath/sumgauss_amd64.s, nearmask_amd64.s
-# with both near masks, NearMaskCols' and NearMaskRows', minmax_amd64.s
-# and windowmask_amd64.s) are what an amd64 host builds and tests; every
-# other GOARCH runs the Go bodies, and nothing above compiles that
-# configuration. arm64 stands in for them.
+# with both near masks, NearMaskCols' and NearMaskRows', minmax_amd64.s,
+# windowmask_amd64.s and stoppers_amd64.s) are what an amd64 host builds
+# and tests; every other GOARCH runs the Go bodies, and nothing above
+# compiles that configuration. arm64 stands in for them.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/fastmath ./internal/codegen
@@ -37,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNearMaskRows -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzMinMaxCol -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzWindowMaskCols -fuzztime 5s ./internal/fastmath
+	$(GO) test -run '^$$' -fuzz FuzzStoppers -fuzztime 5s ./internal/fastmath
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzValidate -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/persist

@@ -19,12 +19,13 @@
 // len(lo), is an index panic there, never a wild read in the assembly.
 // WindowMaskCols likewise: d outside 1..4, more than 64 points on either
 // side or a negative stride panics by name, and too short a q or r is an
-// index panic. SumGaussRows has no precondition: it never panics, and it
+// index panic. LeftStoppers and RightStoppers panic by name on more than
+// 64 keys. SumGaussRows has no precondition: it never panics, and it
 // ignores a trailing partial row.
 //
 // # Vector bodies
 //
-// Five functions have a second body that returns the same bits:
+// Six functions have a second body that returns the same bits:
 //
 //	                   amd64, CPU and OS with AVX2                everything else
 //	SumGaussRows       sumgauss_amd64.s, four rows per step       sumGaussRowsGo
@@ -32,18 +33,21 @@
 //	NearMaskRows       nearmask_amd64.s, four rows per step       nearMaskRowsGo
 //	MinMaxCol          minmax_amd64.s, eight keys per step        minMaxColGo
 //	WindowMaskCols     windowmask_amd64.s, four queries per step  windowMaskColsGo
+//	Left/RightStoppers stoppers_amd64.s, four keys per step       left/rightStoppersGo
 //
 // SumGaussRows is the fused Gaussian base case for one query point,
 // NearMaskCols the point gate's near test for one leaf of column-major
 // points, NearMaskRows the same test for rows, MinMaxCol the kd build's
-// bounding-box scan and WindowMaskCols the window base case over
-// column-major leaves. The choice is one unexported variable each, set
-// at init from one CPUID probe; there is no flag, environment variable
-// or build tag to select with. The Go bodies are also the vector bodies'
-// finishers — a group of rows with a term outside ExpFast's inlined
-// range, the last len(w) mod 4 points of a leaf, a box with a side that
-// is not finite — and the oracles of their tests; TestVectorPathLive and
-// the avx2 variants of the benchmarks say which bodies a machine runs.
+// bounding-box scan, WindowMaskCols the window base case over
+// column-major leaves and LeftStoppers / RightStoppers one block of the
+// kd build's partition (one body for both). The choice is one unexported
+// variable each, set at init from one CPUID probe; there is no flag,
+// environment variable or build tag to select with. The Go bodies are
+// also the vector bodies' finishers — a group of rows with a term
+// outside ExpFast's inlined range, the last len(w) mod 4 points of a
+// leaf, a box with a side that is not finite — and the oracles of their
+// tests; TestVectorPathLive and the avx2 variants of the benchmarks say
+// which bodies a machine runs.
 //
 // What is promised is path independence within one binary: both bodies
 // perform the same IEEE operations in the same order, none of them
@@ -617,6 +621,79 @@ func minMaxColGo(c []float64) (mn, mx float64) {
 		}
 	}
 	return mn, mx
+}
+
+// LeftStoppers is one block of the kd build's Hoare partition, seen
+// from the left scan: bit k is set iff keys[k] stops that scan,
+// !(keys[k] < pivot) — a NaN key stops it — for k < len(keys) <= 64;
+// the other bits are clear.
+func LeftStoppers(keys []float64, pivot float64) uint64 {
+	if len(keys) > 64 {
+		panic("fastmath: LeftStoppers wants at most 64 keys")
+	}
+	return stoppers(keys, pivot, false)
+}
+
+// RightStoppers is the same block seen from the right scan, which runs
+// the other way: bit k is set iff keys[len(keys)-1-k] stops it,
+// !(key > pivot), for k < len(keys) <= 64; the other bits are clear.
+func RightStoppers(keys []float64, pivot float64) uint64 {
+	if len(keys) > 64 {
+		panic("fastmath: RightStoppers wants at most 64 keys")
+	}
+	return stoppers(keys, pivot, true)
+}
+
+// stoppers is this platform's body of LeftStoppers and RightStoppers:
+// stoppersGo, or the vector body where init finds one (amd64 with
+// AVX2). The choice is a func value rather than a nil check, so that
+// the two wrappers inline into the partition and a block costs one call.
+var stoppers = stoppersGo
+
+// stoppersGo is the Go body: leftStoppersGo, or rightStoppersGo when
+// right is set.
+func stoppersGo(keys []float64, pivot float64, right bool) uint64 {
+	if right {
+		return rightStoppersGo(keys, pivot)
+	}
+	return leftStoppersGo(keys, pivot)
+}
+
+// leftStoppersGo is LeftStoppers where there is no vector body, and the
+// oracle the tests hold the vector body to. The mask is built over the
+// keys the scan passes, from the last key down — one at a time to a
+// multiple of four, then four to a step; Bit is a flag-setting
+// instruction, so the loop body has no jump — and complemented once.
+func leftStoppersGo(keys []float64, pivot float64) uint64 {
+	var m uint64
+	k := len(keys)
+	for ; k&3 != 0; k-- {
+		m = m<<1 + Bit(keys[k-1] < pivot)
+	}
+	for ; k > 0; k -= 4 {
+		g := (*[4]float64)(keys[k-4 : k])
+		m = m<<4 +
+			Bit(g[3] < pivot)<<3 + Bit(g[2] < pivot)<<2 +
+			Bit(g[1] < pivot)<<1 + Bit(g[0] < pivot)
+	}
+	return ^m & (^uint64(0) >> (64 - uint(len(keys))))
+}
+
+// rightStoppersGo is RightStoppers where there is no vector body, and
+// its oracle: leftStoppersGo's loop from the first key up.
+func rightStoppersGo(keys []float64, pivot float64) uint64 {
+	var m uint64
+	k := 0
+	for ; k < len(keys)&3; k++ {
+		m = m<<1 + Bit(keys[k] > pivot)
+	}
+	for ; k < len(keys); k += 4 {
+		g := (*[4]float64)(keys[k : k+4])
+		m = m<<4 +
+			Bit(g[0] > pivot)<<3 + Bit(g[1] > pivot)<<2 +
+			Bit(g[2] > pivot)<<1 + Bit(g[3] > pivot)
+	}
+	return ^m & (^uint64(0) >> (64 - uint(len(keys))))
 }
 
 // NearFloorMask is the near test of a whole box of points at once: bit i

@@ -38,6 +38,7 @@ func init() {
 		nearMaskRowsVec = nearMaskRowsAsm
 		minMaxColVec = minMaxColAsm
 		windowMaskColsVec = windowMaskColsAsm
+		stoppers = stoppersAsm
 	}
 }
 
@@ -111,6 +112,12 @@ func minMaxColAsm(c *float64, n int) (mn, mx float64, nan bool)
 //
 //go:noescape
 func windowMaskColsAsm(m *uint64, nq, d int, q *float64, qstride int, r *float64, rstride, nr int, lo2, hi2 float64)
+
+// stoppersAsm is the vector body of LeftStoppers and RightStoppers
+// (stoppers_amd64.s): stoppersGo's mask for len(keys) <= 64.
+//
+//go:noescape
+func stoppersAsm(keys []float64, pivot float64, right bool) uint64
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -182,3 +182,33 @@ func TestWindowMaskColsNoOverRead(t *testing.T) {
 		}
 	}
 }
+
+// A partition block can end a column-major store's flat buffer — a
+// mapping, for a snapshot's tree — and start one. Put every block
+// length's last key flush against the guard page, and separately its
+// first key flush behind the start of a mapping's readable bytes: a
+// partial group loaded whole faults either way.
+func TestStoppersNoOverRead(t *testing.T) {
+	beforeGuard := guardPage(t)
+	page := syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[:page], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	afterGuard := func(src []float64) []float64 {
+		dst := unsafe.Slice((*float64)(unsafe.Pointer(&mem[page])), len(src))
+		copy(dst, src)
+		return dst
+	}
+	rng := rand.New(rand.NewSource(53))
+	for n := 1; n <= 64; n++ {
+		_, c := randPoints(rng, 1, n)
+		pivot := c[rng.Intn(n)]
+		checkStoppers(t, beforeGuard(c), pivot, "block before the guard page")
+		checkStoppers(t, afterGuard(c), pivot, "block after the guard page")
+	}
+}

@@ -111,8 +111,8 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 // the benchmark would quietly lose the vector ones: where the hardware
 // has AVX2, the package must have selected every one.
 func TestVectorPathLive(t *testing.T) {
-	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body, NearMaskRows the %s body, MinMaxCol the %s body, WindowMaskCols the %s body",
-		vectorPath(), nearMaskPath(), nearRowsPath(), minMaxPath(), windowMaskPath())
+	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body, NearMaskRows the %s body, MinMaxCol the %s body, WindowMaskCols the %s body, LeftStoppers and RightStoppers the %s body",
+		vectorPath(), nearMaskPath(), nearRowsPath(), minMaxPath(), windowMaskPath(), stoppersPath())
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("GOARCH=%s has no vector bodies: %s", runtime.GOARCH, paths)
 	}
@@ -124,7 +124,7 @@ func TestVectorPathLive(t *testing.T) {
 		t.Skipf("no avx2 in /proc/cpuinfo: %s", paths)
 	}
 	if sumGaussRowsVec == nil || nearMaskColsVec == nil || nearMaskRowsVec == nil || minMaxColVec == nil ||
-		windowMaskColsVec == nil {
+		windowMaskColsVec == nil || stoppersPath() != "avx2" {
 		t.Fatalf("/proc/cpuinfo lists avx2 but %s", paths)
 	}
 	t.Log(paths)

@@ -1,16 +1,18 @@
 #include "textflag.h"
 
-// The lanes of a group of n <= 4 queries: the 32 bytes at
-// tailMask<>+8·(4-n) are n all-ones quadwords, then zeros.
-DATA  tailMask<>+0(SB)/8, $-1
-DATA  tailMask<>+8(SB)/8, $-1
-DATA  tailMask<>+16(SB)/8, $-1
-DATA  tailMask<>+24(SB)/8, $-1
-DATA  tailMask<>+32(SB)/8, $0
-DATA  tailMask<>+40(SB)/8, $0
-DATA  tailMask<>+48(SB)/8, $0
-DATA  tailMask<>+56(SB)/8, $0
-GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+// The lanes of a group of n <= 4 float64s: the 32 bytes at
+// ·tailMask+8·(4-n) are n all-ones quadwords, then zeros. The one
+// table of the package: stoppers_amd64.s loads its partial groups
+// through it too.
+DATA  ·tailMask+0(SB)/8, $-1
+DATA  ·tailMask+8(SB)/8, $-1
+DATA  ·tailMask+16(SB)/8, $-1
+DATA  ·tailMask+24(SB)/8, $-1
+DATA  ·tailMask+32(SB)/8, $0
+DATA  ·tailMask+40(SB)/8, $0
+DATA  ·tailMask+48(SB)/8, $0
+DATA  ·tailMask+56(SB)/8, $0
+GLOBL ·tailMask(SB), RODATA|NOPTR, $64
 
 // A reference sweep's start: bit 0 in every lane of Y14, no bits in the
 // masks Y15, AX at the first reference, CX references to go.
@@ -84,7 +86,7 @@ TEXT ·windowMaskColsAsm(SB), NOSPLIT, $0-80
 wgroup:
 	CMPQ    BX, $4
 	JGE     wload
-	LEAQ    tailMask<>(SB), AX
+	LEAQ    ·tailMask(SB), AX
 	MOVQ    $4, CX
 	SUBQ    BX, CX
 	VMOVDQU (AX)(CX*8), Y7

@@ -184,54 +184,76 @@ func classicHoare(key []float64, id []int, pivot float64) (int, int) {
 
 // partition against the classic pass on every range length across the
 // one-, two- and four-block edges, with pivots that make one side all
-// stoppers (minimum, maximum), ties (a duplicated value) and infinite
-// keys. Every mirror layout rides along: the index array, one to five
-// columns (three in partition's locals, the rest in swapWide) and rows.
+// stoppers (minimum, maximum), ties (a duplicated value, selectNth's
+// median of three) and infinite keys. Every mirror layout rides along:
+// the index array, one to five columns (three in partition's locals,
+// the rest in swapWide) and rows. Besides the whole slice, the range is
+// an inner one, as selectNth runs it after its first pass: [i, j] at
+// offsets 1, 63 and 64 (a block that starts mid-group, just before and
+// on a block edge), lengths 1..300, every key outside it a NaN — a
+// stopper for both scans and both masks — on a tagged point, so a block
+// or a scan that reads past either end pairs it off and the swap shows.
 func TestPartitionMatchesClassicHoare(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for n := 1; n <= 600; n++ {
-		base := make([]float64, n)
-		for i := range base {
-			base[i] = float64(rng.Intn(n/3 + 2)) // about three copies of each value
+	for _, off := range []int{0, 1, 63, 64} {
+		maxN, pad := 600, 0
+		if off > 0 {
+			maxN, pad = 300, block+1
 		}
-		lo, hi := slices.Min(base), slices.Max(base)
-		if n > 4 {
-			base[rng.Intn(n)], base[rng.Intn(n)] = math.Inf(1), math.Inf(-1)
-		}
-		for _, pivot := range []float64{lo, hi, base[n/2], math.Inf(1), math.Inf(-1)} {
-			if !slices.Contains(base, pivot) {
-				continue // the scans rely on the pivot being a key of the range
+		for n := 1; n <= maxN; n++ {
+			base := make([]float64, n)
+			for i := range base {
+				base[i] = float64(rng.Intn(n/3 + 2)) // about three copies of each value
 			}
-			for ncols := 0; ncols <= 5; ncols++ {
-				const d = 3
-				wantKey, wantID := slices.Clone(base), identity(n)
-				wi, wj := classicHoare(wantKey, wantID, pivot)
+			lo, hi := slices.Min(base), slices.Max(base)
+			if n > 4 {
+				base[rng.Intn(n)], base[rng.Intn(n)] = math.Inf(1), math.Inf(-1)
+			}
+			pivots := []float64{lo, hi, base[n/2], median3(base[0], base[n/2], base[n-1]), math.Inf(1), math.Inf(-1)}
+			for _, pivot := range pivots {
+				if !slices.Contains(base, pivot) {
+					continue // the scans rely on the pivot being a key of the range
+				}
+				for ncols := 0; ncols <= 5; ncols++ {
+					const d = 3
+					wantKey, wantID := slices.Clone(base), identity(n)
+					wi, wj := classicHoare(wantKey, wantID, pivot)
 
-				key, m := slices.Clone(base), mirror{id: identity(n)}
-				for c := 0; c < ncols; c++ {
-					m.cols = append(m.cols, tagged(n, c, 1))
-				}
-				if ncols == 0 {
-					m.rows, m.d = tagged(n, 0, d), d
-				}
-				gi, gj := partition(key, 0, n-1, pivot, &m)
-
-				if gi != wi || gj != wj {
-					t.Fatalf("n=%d pivot=%v cols=%d: scans crossed at (%d, %d), classic (%d, %d)", n, pivot, ncols, gi, gj, wi, wj)
-				}
-				for p := range key {
-					if math.Float64bits(key[p]) != math.Float64bits(wantKey[p]) || m.id[p] != wantID[p] {
-						t.Fatalf("n=%d pivot=%v cols=%d: position %d holds key %v of point %d, classic %v of %d",
-							n, pivot, ncols, p, key[p], m.id[p], wantKey[p], wantID[p])
+					total := off + n + pad
+					key := make([]float64, total)
+					for p := range key {
+						key[p] = math.NaN()
 					}
-					for c, col := range m.cols {
-						if col[p] != float64(wantID[p]*8+c) {
-							t.Fatalf("n=%d pivot=%v: column %d of %d did not follow the index array at %d", n, pivot, c, ncols, p)
+					copy(key[off:], base)
+					m := mirror{id: identity(total)}
+					for c := 0; c < ncols; c++ {
+						m.cols = append(m.cols, tagged(total, c, 1))
+					}
+					if ncols == 0 {
+						m.rows, m.d = tagged(total, 0, d), d
+					}
+					gi, gj := partition(key, off, off+n-1, pivot, &m)
+
+					if gi-off != wi || gj-off != wj {
+						t.Fatalf("off=%d n=%d pivot=%v cols=%d: scans crossed at (%d, %d), classic (%d, %d)", off, n, pivot, ncols, gi-off, gj-off, wi, wj)
+					}
+					for p := range key {
+						in, want := p >= off && p < off+n, p // outside the range nothing moves
+						if in {
+							want = wantID[p-off] + off
 						}
-					}
-					for k := 0; k < m.d; k++ {
-						if m.rows[p*d+k] != float64(wantID[p]*8+k) {
-							t.Fatalf("n=%d pivot=%v: rows did not follow the index array at %d", n, pivot, p)
+						if m.id[p] != want || in && math.Float64bits(key[p]) != math.Float64bits(wantKey[p-off]) || !in && !math.IsNaN(key[p]) {
+							t.Fatalf("off=%d n=%d pivot=%v cols=%d: position %d holds key %v of point %d, want point %d", off, n, pivot, ncols, p, key[p], m.id[p], want)
+						}
+						for c, col := range m.cols {
+							if col[p] != float64(want*8+c) {
+								t.Fatalf("off=%d n=%d pivot=%v: column %d of %d did not follow the index array at %d", off, n, pivot, c, ncols, p)
+							}
+						}
+						for k := 0; k < m.d; k++ {
+							if m.rows[p*d+k] != float64(want*8+k) {
+								t.Fatalf("off=%d n=%d pivot=%v: rows did not follow the index array at %d", off, n, pivot, p)
+							}
 						}
 					}
 				}

@@ -211,7 +211,7 @@ type Options struct {
 
 func (o *Options) leafSize() int {
 	if o == nil || o.LeafSize <= 0 {
-		return 32
+		return DefaultLeafSize
 	}
 	return o.LeafSize
 }
@@ -649,7 +649,7 @@ func (m *mirror) swapWide(a, b int) {
 	}
 }
 
-// block is the partition's block length: one bit of a stopper mask per
+// block is the partition's longest block: one bit of a stopper mask per
 // position.
 const block = 64
 
@@ -657,14 +657,17 @@ const block = 64
 // the crossed scan positions (j < i). A left stopper is a key the
 // classic left scan halts on, !(key < pivot), a right stopper one the
 // right scan halts on, !(key > pivot); the classic pass swaps the k-th
-// left stopper with the k-th right stopper until the scans cross. While
-// two whole blocks fit between the scans the stoppers of the outermost
-// block on each side are found without a jump per key, as masks, and
-// paired off in that same order; a mask that runs empty is refilled
-// from the next block inwards. The blocks are disjoint and a swapped
-// position is never looked at again, so those swaps are a prefix of the
-// classic pass's own sequence, and the classic loop picks the rest up
-// at the first stopper of each side not yet paired (DESIGN 7.1).
+// left stopper with the k-th right stopper until the scans cross. Here
+// the stoppers of a block of up to 64 keys at each scan's front are
+// found without a jump per key, as masks, and paired off in that same
+// order; a mask that runs empty is refilled from the positions neither
+// block holds, the room between them: up to 64 keys of it, or half of
+// it when both masks ran empty. The blocks are disjoint, the left one
+// left of the right one, and a swapped position is never looked at
+// again, so those swaps are a prefix of the classic pass's own
+// sequence. Once the room is gone, the classic loop picks the rest up
+// at the first stopper of each side not yet paired — inside the one
+// block that still holds some — and crosses (DESIGN 7.1).
 func partition(key []float64, i, j int, pivot float64, m *mirror) (int, int) {
 	// The default layouts' mirror — the index array and at most three
 	// columns — lives in locals; the swap is then straight-line code.
@@ -690,12 +693,23 @@ func partition(key []float64, i, j int, pivot float64, m *mirror) (int, int) {
 	}
 
 	var ml, mr uint64 // unpaired stoppers; bit k is position i+k, position j-k
-	for j-i+1 >= 2*block {
-		if ml == 0 {
-			ml = leftStoppers((*[block]float64)(key[i:]), pivot)
+	var nl, nr int    // the blocks: key[i:i+nl] and key[j+1-nr:j+1]
+	for {
+		room := j + 1 - i - nl - nr
+		if room == 0 {
+			break // one mask at least is empty and cannot be refilled
 		}
-		if mr == 0 {
-			mr = rightStoppers((*[block]float64)(key[j-block+1:]), pivot)
+		if ml == 0 {
+			nl = min(block, room)
+			if mr == 0 {
+				nl = min(block, room-room/2)
+			}
+			ml = fastmath.LeftStoppers(key[i:i+nl], pivot)
+			room -= nl
+		}
+		if mr == 0 && room > 0 {
+			nr = min(block, room)
+			mr = fastmath.RightStoppers(key[j+1-nr:j+1], pivot)
 		}
 		for ml != 0 && mr != 0 {
 			swap(i+bits.TrailingZeros64(ml), j-bits.TrailingZeros64(mr))
@@ -703,10 +717,10 @@ func partition(key []float64, i, j int, pivot float64, m *mirror) (int, int) {
 			mr &= mr - 1
 		}
 		if ml == 0 {
-			i += block
+			i, nl = i+nl, 0
 		}
 		if mr == 0 {
-			j -= block
+			j, nr = j-nr, 0
 		}
 	}
 	if ml != 0 {
@@ -729,31 +743,6 @@ func partition(key []float64, i, j int, pivot float64, m *mirror) (int, int) {
 		}
 	}
 	return i, j
-}
-
-// leftStoppers has bit k set when blk[k] stops a left scan. The mask is
-// built over the keys the scan passes, four to a step — Bit is a
-// flag-setting instruction, so the loop body has no jump — and
-// complemented once.
-func leftStoppers(blk *[block]float64, pivot float64) uint64 {
-	var m uint64
-	for k := block - 4; k >= 0; k -= 4 {
-		m = m<<4 +
-			fastmath.Bit(blk[k+3] < pivot)<<3 + fastmath.Bit(blk[k+2] < pivot)<<2 +
-			fastmath.Bit(blk[k+1] < pivot)<<1 + fastmath.Bit(blk[k] < pivot)
-	}
-	return ^m
-}
-
-// rightStoppers has bit k set when blk[block-1-k] stops a right scan.
-func rightStoppers(blk *[block]float64, pivot float64) uint64 {
-	var m uint64
-	for k := 0; k < block; k += 4 {
-		m = m<<4 +
-			fastmath.Bit(blk[k] > pivot)<<3 + fastmath.Bit(blk[k+1] > pivot)<<2 +
-			fastmath.Bit(blk[k+2] > pivot)<<1 + fastmath.Bit(blk[k+3] > pivot)
-	}
-	return ^m
 }
 
 // finish flattens the build hierarchy into the preorder arena,

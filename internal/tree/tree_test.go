@@ -473,6 +473,51 @@ func BenchmarkTreeBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkPartition is one partition pass — the layer under
+// selectNth — over rs-build's Elliptical keys (the first column of
+// 10⁵ points, the other two and the index array riding along as a 3-d
+// column-major build's mirror) with selectNth's median-of-three pivot,
+// at range lengths from a leaf's parent to a mid-tree node: across the
+// old two-block threshold (127, 129) and off every group size. Each
+// iteration partitions the next fresh segment of the column; the reset
+// after the last one is outside the timer.
+func BenchmarkPartition(b *testing.B) {
+	src := dataset.GenerateElliptical(100000, 1)
+	cols := [3][]float64{src.Col(0), src.Col(1), src.Col(2)}
+	for _, n := range []int{8, 33, 100, 127, 129, 1000, 100000} {
+		segs := len(cols[0]) / n
+		var work [3][]float64
+		for c := range work {
+			work[c] = make([]float64, segs*n)
+		}
+		id := make([]int, segs*n)
+		reset := func() {
+			for c := range work {
+				copy(work[c], cols[c])
+			}
+			for p := range id {
+				id[p] = p
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			reset()
+			for i := 0; i < b.N; i++ {
+				seg := i % segs
+				if seg == 0 && i > 0 {
+					b.StopTimer()
+					reset()
+					b.StartTimer()
+				}
+				lo, hi := seg*n, (seg+1)*n
+				key := work[0][lo:hi]
+				m := mirror{id: id[lo:hi], cols: [][]float64{work[1][lo:hi], work[2][lo:hi]}}
+				partition(key, 0, n-1, median3(key[0], key[n/2], key[n-1]), &m)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
+		})
+	}
+}
+
 // A small build must not pay for full-size chunk pools: a 16-point
 // tree at one point per leaf stays within a few KB, where full chunks
 // alone are ~90 KB.
