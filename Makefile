@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke
+.PHONY: check build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke cover-audit
 
 # Tier-1 gate: everything must pass before a change lands.
 check: build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke
@@ -116,3 +116,12 @@ metrics-smoke:
 	$(GO) build -o /tmp/portal-metrics-smoke/portald ./cmd/portald
 	$(GO) run ./internal/serve/metricsmoke \
 		-portald /tmp/portal-metrics-smoke/portald -csv /tmp/portal-metrics-smoke/data.csv
+
+# Coverage audit: build coverage-instrumented binaries of the benchmark,
+# every command, the six examples and the smoke drivers, run them all
+# into one GOCOVERDIR (under AUDIT_DIR, default /tmp/portal-cover-audit;
+# nothing under benchmark/) and check every function no driver reaches
+# against internal/coveraudit/reasons.txt. A few minutes of wall time,
+# so not a leg of check.
+cover-audit:
+	GO=$(GO) sh internal/coveraudit/audit.sh

@@ -48,7 +48,7 @@ func benchLeafRun(b *testing.B, d int, l storage.Layout, op lang.Op, k int, kern
 }
 
 // BenchmarkBaseCaseLeaf is the hot loops' kill-rule table (DESIGN §9):
-// one 256 × 256 leaf pair through each of the 29 hot loops and through
+// one 256 × 256 leaf pair through each of the 24 hot loops and through
 // the per-pair loop on the same run, as <shape>/<layout>/d=<d>/{hot,pair},
 // in ns per point pair. A hot loop stays only while it beats pair beyond
 // the spread between runs. Both sides sweep every pair with no gate; the
@@ -66,7 +66,6 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 		{"kmin", lang.KARGMIN, 5, euclid},
 		{"argmin", lang.ARGMIN, 0, euclid},
 		{"min", lang.MIN, 0, sq},
-		{"sum", lang.SUM, 0, sq},
 		{"gauss", lang.SUM, 0, func() *expr.Kernel { return expr.NewGaussianKernel(1) }},
 		{"window-sum", lang.SUM, 0, func() *expr.Kernel { return expr.NewThresholdKernel(2) }},
 		{"window-union", lang.UNIONARG, 0, func() *expr.Kernel { return expr.NewRangeKernel(0.5, 2) }},

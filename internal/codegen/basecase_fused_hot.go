@@ -67,8 +67,9 @@ func selectGaussHot(op lang.Op, qd, rd *storage.Storage, gc float64) fusedFn {
 }
 
 // selectIdentHot returns the hand-specialized identity-kernel loops:
-// k-nearest admission (KMIN/KARGMIN), nearest neighbor (ARGMIN), and
-// plain SUM over the raw squared distance.
+// k-nearest admission (KMIN/KARGMIN), nearest neighbor (ARGMIN) and
+// MIN over the raw squared distance. SUM over it has no loop: no
+// problem builds it, and the per-pair loop runs it.
 func selectIdentHot(op lang.Op, qd, rd *storage.Storage) fusedFn {
 	col := bothColMajor(qd, rd)
 	row := bothRowMajor(qd, rd)
@@ -93,13 +94,6 @@ func selectIdentHot(op lang.Op, qd, rd *storage.Storage) fusedFn {
 			return [4]fusedFn{hotMinIdentCol1, hotMinIdentCol2, hotMinIdentCol3, hotMinIdentCol4}[qd.Dim()-1]
 		case row:
 			return hotMinIdentRow
-		}
-	case lang.SUM:
-		switch {
-		case col:
-			return [4]fusedFn{hotSumIdentCol1, hotSumIdentCol2, hotSumIdentCol3, hotSumIdentCol4}[qd.Dim()-1]
-		case row:
-			return hotSumIdentRow
 		}
 	}
 	return nil
@@ -232,109 +226,6 @@ func hotSumGaussRow(r *Run, gc float64, qb, qe int, rn *tree.Node) {
 		tile := refs[rb*d : min(rb+fusedTileR, rn.End)*d]
 		for qi := qb; qi < qe; qi++ {
 			val[qi] += fastmath.SumGaussRows(gc, qd.Row(qi), tile)
-		}
-	}
-}
-
-// ---- SUM over the raw squared distance ----
-
-func hotSumIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
-	q0 := r.Q.Data.Col(0)
-	c0 := r.R.Data.Col(0)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0 := c0[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0 := q0[qi]
-			var acc float64
-			for _, v0 := range r0 {
-				d0 := a0 - v0
-				acc += d0 * d0
-			}
-			val[qi] += acc
-		}
-	}
-}
-
-func hotSumIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1 := qd.Col(0), qd.Col(1)
-	c0, c1 := rd.Col(0), rd.Col(1)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1 := q0[qi], q1[qi]
-			var acc float64
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				acc += d0*d0 + d1*d1
-			}
-			val[qi] += acc
-		}
-	}
-}
-
-func hotSumIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
-	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
-			var acc float64
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				d2 := a2 - r2[j]
-				acc += d0*d0 + d1*d1 + d2*d2
-			}
-			val[qi] += acc
-		}
-	}
-}
-
-func hotSumIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
-	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
-			var acc float64
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				d2 := a2 - r2[j]
-				d3 := a3 - r3[j]
-				acc += (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
-			}
-			val[qi] += acc
-		}
-	}
-}
-
-func hotSumIdentRow(r *Run, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		for qi := qb; qi < qe; qi++ {
-			q := qd.Row(qi)
-			var acc float64
-			for ri := rb; ri < re; ri++ {
-				acc += fastmath.Hypot2(q, rd.Row(ri))
-			}
-			val[qi] += acc
 		}
 	}
 }

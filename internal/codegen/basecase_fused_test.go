@@ -116,9 +116,7 @@ func hotShape(kernel string, op lang.Op, ql, rl storage.Layout, d int) bool {
 		return false
 	}
 	switch kernel {
-	case "sqeuclid":
-		return op == lang.SUM || op == lang.MIN || op == lang.ARGMIN || op == lang.KMIN || op == lang.KARGMIN
-	case "euclid":
+	case "sqeuclid", "euclid":
 		return op == lang.MIN || op == lang.ARGMIN || op == lang.KMIN || op == lang.KARGMIN
 	case "range", "threshold":
 		return op == lang.SUM || op == lang.UNIONARG

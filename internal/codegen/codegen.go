@@ -21,12 +21,10 @@
 //     so a second call would double-count or re-map;
 //   - IR the lowering emitted but the backend has no case for: a
 //     statement, expression, property or intrinsic unknown to the
-//     interpreters (interp.go, interp_prune.go), or an unknown metric
-//     (metricDistFn).
+//     interpreters (interp.go, interp_prune.go).
 package codegen
 
 import (
-	"fmt"
 	"math"
 
 	"portal/internal/expr"
@@ -50,9 +48,6 @@ type Options struct {
 	// the specialization ablation).
 	ForceInterp bool
 }
-
-// DefaultOptions is the production configuration.
-func DefaultOptions() Options { return Options{} }
 
 // Executable is a compiled N-body problem, ready to bind to a tree
 // pair.
@@ -293,28 +288,4 @@ func plummerShape(n expr.Div) (float64, bool) {
 		return 0, false
 	}
 	return float64(c1), true
-}
-
-// metricDistFn returns the point-pair metric evaluator honoring the
-// fast-math option for Euclidean square roots.
-func (ex *Executable) metricDistFn() func(q, r []float64) float64 {
-	if ex.Plan.MahalKernel != nil {
-		mk := ex.Plan.MahalKernel
-		return func(q, r []float64) float64 { return mk.M.PairDist2(q, r) }
-	}
-	switch ex.Plan.DistKernel.Metric {
-	case geom.SqEuclidean:
-		return fastmath.Hypot2
-	case geom.Euclidean:
-		if !ex.Opts.ExactMath {
-			return func(q, r []float64) float64 { return fastmath.SqrtViaInv(fastmath.Hypot2(q, r)) }
-		}
-		return func(q, r []float64) float64 { return math.Sqrt(fastmath.Hypot2(q, r)) }
-	case geom.Manhattan:
-		return geom.Manhattan.Dist
-	case geom.Chebyshev:
-		return geom.Chebyshev.Dist
-	default:
-		panic(fmt.Sprintf("codegen: unknown metric %v", ex.Plan.DistKernel.Metric))
-	}
 }

@@ -371,42 +371,6 @@ func TestBindAndFinalizeShapes(t *testing.T) {
 	}
 }
 
-// metricDistFn covers all metrics.
-func TestMetricDistFn(t *testing.T) {
-	for _, m := range []geom.Metric{geom.Euclidean, geom.SqEuclidean, geom.Manhattan, geom.Chebyshev} {
-		q := storage.MustFromRows([][]float64{{0, 0}})
-		r := storage.MustFromRows([][]float64{{3, 4}})
-		spec := (&lang.PortalExpr{}).
-			AddLayer(lang.FORALL, q, nil).
-			AddLayer(lang.SUM, r, &expr.Kernel{Metric: m, Body: expr.Add{A: expr.D{}, B: expr.Const(0)}})
-		// Body non-nil prevents the squared rewrite so the metric is
-		// preserved.
-		plan, prog, err := lower.Lower("m", spec, lower.Options{Tau: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := Compile(plan, prog, Options{ExactMath: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := ex.metricDistFn()
-		got := f([]float64{0, 0}, []float64{3, 4})
-		want := m.Dist([]float64{0, 0}, []float64{3, 4})
-		if m == geom.Euclidean || m == geom.SqEuclidean {
-			want = m.Dist([]float64{0, 0}, []float64{3, 4})
-			if m == geom.Euclidean {
-				// metricDistFn returns the metric distance itself.
-				want = 5
-			} else {
-				want = 25
-			}
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("metric %v distFn = %v, want %v", m, got, want)
-		}
-	}
-}
-
 // Identity fast path and closure path agree.
 func TestIdentityFastPathConsistency(t *testing.T) {
 	_ = fastmath.Hypot2

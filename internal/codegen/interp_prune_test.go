@@ -153,7 +153,7 @@ func TestPruneIRSoundness(t *testing.T) {
 		}
 		for _, a := range qpts {
 			for _, b := range rpts {
-				if geom.Dist(a, b) <= bound {
+				if math.Sqrt(geom.SqDist(a, b)) <= bound {
 					return false
 				}
 			}

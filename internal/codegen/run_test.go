@@ -165,7 +165,7 @@ func TestWindowBaseCaseSpecializations(t *testing.T) {
 		for i := 0; i < 50; i += 17 {
 			var want []int
 			for j := 0; j < 60; j++ {
-				dist := geom.Dist(q.Point(i, qb), r.Point(j, rb))
+				dist := math.Sqrt(geom.SqDist(q.Point(i, qb), r.Point(j, rb)))
 				if dist > 0.5 && dist < 3 {
 					want = append(want, j)
 				}
@@ -197,7 +197,7 @@ func TestWindowSumBaseCase(t *testing.T) {
 	b := make([]float64, 6)
 	for i := 0; i < 80; i++ {
 		for j := 0; j < 80; j++ {
-			if geom.Dist(data.Point(i, a), data.Point(j, b)) < 2 {
+			if math.Sqrt(geom.SqDist(data.Point(i, a), data.Point(j, b))) < 2 {
 				want++
 			}
 		}

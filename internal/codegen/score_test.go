@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"portal/internal/dataset"
@@ -23,7 +24,7 @@ import (
 // as a leaf of duplicated points has).
 func scoreBoxes(rng *rand.Rand, d int) [][2]geom.Rect {
 	box := func(lo, w float64) geom.Rect {
-		r := geom.NewRect(d)
+		r := geom.Rect{Min: make([]float64, d), Max: make([]float64, d)}
 		for j := 0; j < d; j++ {
 			r.Min[j] = lo + rng.NormFloat64()
 			r.Max[j] = r.Min[j] + w*rng.Float64()
@@ -31,13 +32,14 @@ func scoreBoxes(rng *rand.Rand, d int) [][2]geom.Rect {
 		return r
 	}
 	a := box(0, 2)
-	touching := a.Clone()
+	clone := func(r geom.Rect) geom.Rect { return geom.Rect{Min: slices.Clone(r.Min), Max: slices.Clone(r.Max)} }
+	touching := clone(a)
 	for j := 0; j < d; j++ {
 		if j%2 == 0 {
 			touching.Min[j], touching.Max[j] = a.Max[j], a.Max[j]+rng.Float64()
 		}
 	}
-	nested := a.Clone()
+	nested := clone(a)
 	for j := 0; j < d; j++ {
 		w := a.Max[j] - a.Min[j]
 		nested.Min[j], nested.Max[j] = a.Min[j]+w/4, a.Max[j]-w/4
@@ -315,7 +317,7 @@ func BenchmarkBoxScore(b *testing.B) {
 		rng := rand.New(rand.NewSource(5))
 		nodes := make([]tree.Node, 4096)
 		for i := range nodes {
-			r := geom.NewRect(d)
+			r := geom.Rect{Min: make([]float64, d), Max: make([]float64, d)}
 			for j := 0; j < d; j++ {
 				r.Min[j] = rng.NormFloat64()
 				r.Max[j] = r.Min[j] + rng.Float64()

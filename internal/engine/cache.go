@@ -33,11 +33,11 @@ const DefaultCacheSize = 256
 // builds its specs from a few fields names them, and a second index
 // maps those names to the same entries.
 //
-// A cached Problem is dataset-independent at execution time: ExecuteOn
-// reads point data only through the bound trees, and Plan.Spec's
-// storage references are consulted only by BuildTrees. Serving callers
-// therefore reuse one Problem across dataset replacements, binding
-// whatever snapshot's trees are current.
+// A cached Problem is dataset-independent at execution time:
+// ExecuteOnChecked reads point data only through the bound trees, and
+// Plan.Spec's storage references are consulted only by BuildTrees.
+// Serving callers therefore reuse one Problem across dataset
+// replacements, binding whatever snapshot's trees are current.
 //
 // Capacity is bounded: when full, inserting a new shape evicts the
 // least-recently-hit entry (LRU), so a churn of one-off shapes cannot
@@ -209,13 +209,3 @@ func (c *Cache) Counters() stats.CacheCounters {
 		Evictions: c.evictions.Load(),
 	}
 }
-
-// Len reports the number of cached compiled problems.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Cap reports the cache's capacity.
-func (c *Cache) Cap() int { return c.cap }

@@ -43,8 +43,8 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 	if got := c.Counters(); got.Hits != 1 || got.Misses != 1 {
 		t.Fatalf("counters = %+v, want hits=1 misses=1", got)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", c.Len())
+	if c.entries() != 1 {
+		t.Fatalf("cache holds %d entries, want 1", c.entries())
 	}
 }
 
@@ -96,8 +96,8 @@ func TestCacheKeyDistinguishesShapes(t *testing.T) {
 		t.Fatal("external-point nn hit the self-join entry")
 	}
 
-	if c.Len() != 5 {
-		t.Fatalf("cache holds %d entries, want 5 distinct shapes", c.Len())
+	if c.entries() != 5 {
+		t.Fatalf("cache holds %d entries, want 5 distinct shapes", c.entries())
 	}
 }
 
@@ -133,8 +133,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if got := c.Counters(); got.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", got.Evictions)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want its cap of 2", c.Len())
+	if c.entries() != 2 {
+		t.Fatalf("cache holds %d entries, want its cap of 2", c.entries())
 	}
 	if !compile(0.5) {
 		t.Fatal("recently-hit entry was evicted instead of the LRU one")
@@ -174,7 +174,7 @@ func TestCacheSurvivesDatasetReplacement(t *testing.T) {
 	// The cached Problem (compiled against specA) must answer specB's
 	// query exactly when bound to specB's trees.
 	qt := tree.BuildKD(specB.Outer().Data, &tree.Options{LeafSize: cfg.LeafSize})
-	got, err := pB.ExecuteOn(qt, qt, cfg)
+	got, err := pB.ExecuteOnChecked(qt, qt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +239,8 @@ func TestCacheCompileShape(t *testing.T) {
 	if _, hit := compile("b", 1.0); hit || built != before+1 {
 		t.Fatalf("evicted shape: hit %v, %d specs built, want a miss that builds", hit, built-before)
 	}
-	if n := len(c.shapes); n > maxShapesPerEntry*c.Cap() {
-		t.Fatalf("%d shape names for %d entries", n, c.Cap())
+	if n := len(c.shapes); n > maxShapesPerEntry*c.cap {
+		t.Fatalf("%d shape names for %d entries", n, c.cap)
 	}
 }
 
@@ -262,4 +262,11 @@ func TestCacheShapeNamesBounded(t *testing.T) {
 	if got := c.Counters(); got.Misses != 1 || got.Hits != 10*maxShapesPerEntry-1 {
 		t.Fatalf("counters = %+v", got)
 	}
+}
+
+// entries reports the number of cached compiled problems.
+func (c *Cache) entries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }

@@ -41,11 +41,25 @@ func (p *Problem) validate(qt, rt *tree.Tree) error {
 	return nil
 }
 
-// ExecuteOnChecked is ExecuteOn for a tree pair that was not built
-// from the Problem's own spec — the serving path, which binds a cached
-// Problem to a snapshot's tree and a per-request query tree. The pair
-// is validated first, so an incompatible binding is an error and never
-// reaches Bind. The ExecuteOn concurrency contract holds unchanged.
+// ExecuteOnChecked runs the traversal over pre-built trees — the
+// serving path, which binds a cached Problem to a snapshot's tree and a
+// per-request query tree. The pair is validated first, so an
+// incompatible binding is an error and never reaches Bind. The
+// tree-build phase (and build task counters) of any attached Report
+// are zero.
+//
+// Concurrency contract: a Problem and the trees are immutable after
+// Compile/BuildTrees, and Bind allocates all per-run mutable state
+// (accumulators, k-lists, node bounds, scratch buffers) fresh for each
+// call — so any number of ExecuteOnChecked calls may run concurrently
+// over the same Problem and the same (even shared qt == rt) trees. This
+// is the invariant the serving registry depends on (a shared
+// Config.Trace collector is safe too). One exception the caller owns:
+// Config.StatsSink is merged without synchronization, so concurrent
+// calls must not share one sink (give each call its own Report, or
+// none). The qt == rt sharing from BuildTrees is likewise safe: the
+// traversal reads node geometry only, and all writes land in per-run
+// state keyed by query index.
 func (p *Problem) ExecuteOnChecked(qt, rt *tree.Tree, cfg Config) (*codegen.Output, error) {
 	if err := p.validate(qt, rt); err != nil {
 		return nil, err

@@ -12,8 +12,7 @@ import (
 // ExecuteOnChecked pins the serving-path bugfix: a tree pair bound
 // incompatibly with the compiled problem is an error (it used to run
 // anyway — out-of-bounds reads or silent garbage), and a compatible
-// pair answers exactly as ExecuteOn does, before and after the
-// refusals.
+// pair answers the same before and after the refusals.
 func TestExecuteOnCheckedRefusesIncompatibleTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	cfg := Config{LeafSize: 16}
@@ -32,7 +31,7 @@ func TestExecuteOnCheckedRefusesIncompatibleTrees(t *testing.T) {
 	}
 	flippedQt3 := tree.BuildKD(spec3.Outer().Data.Convert(otherLayout), &tree.Options{LeafSize: cfg.LeafSize})
 
-	want, err := p3.ExecuteOn(qt3, qt3, cfg)
+	want, err := p3.ExecuteOnChecked(qt3, qt3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func TestExecuteOnCheckedRefusesIncompatibleTrees(t *testing.T) {
 			t.Fatalf("compatible pair refused: %v", err)
 		}
 		if !slices.Equal(got.Args, want.Args) {
-			t.Fatal("ExecuteOnChecked answers differ from ExecuteOn")
+			t.Fatal("ExecuteOnChecked answers changed after a refusal")
 		}
 	}
 

@@ -51,7 +51,8 @@ type Config struct {
 	Parallel bool
 	// Workers caps traversal parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Codegen tunes the backend; zero value means DefaultOptions.
+	// Codegen tunes the backend; the zero value is the production
+	// configuration.
 	Codegen codegen.Options
 	// Weights optionally assigns reference point masses (Barnes-Hut).
 	Weights []float64
@@ -263,27 +264,6 @@ func (p *Problem) Execute(cfg Config) (*codegen.Output, error) {
 	start := time.Now()
 	qt, rt := p.BuildTrees(cfg)
 	return p.executeOn(qt, rt, cfg, time.Since(start), true)
-}
-
-// ExecuteOn runs the traversal over pre-built trees (iterative
-// problems such as MST and EM rebuild state, not trees, each round).
-// The tree-build phase (and build task counters) of any attached
-// Report are zero.
-//
-// Concurrency contract: a Problem and the trees are immutable after
-// Compile/BuildTrees, and Bind allocates all per-run mutable state
-// (accumulators, k-lists, node bounds, scratch buffers) fresh for each
-// call — so any number of ExecuteOn calls may run concurrently over
-// the same Problem and the same (even shared qt == rt) trees. This is
-// the invariant the serving registry depends on (a shared Config.Trace
-// collector is safe too). One exception the caller owns:
-// Config.StatsSink is merged without synchronization, so concurrent
-// calls must not share one sink (give each call its own Report, or
-// none). The qt == rt sharing
-// from BuildTrees is likewise safe: the traversal reads node geometry
-// only, and all writes land in per-run state keyed by query index.
-func (p *Problem) ExecuteOn(qt, rt *tree.Tree, cfg Config) (*codegen.Output, error) {
-	return p.executeOn(qt, rt, cfg, 0, false)
 }
 
 // TraverseOptions maps the config (and a per-run stats accumulator)

@@ -142,7 +142,7 @@ func TestPointGateMatchesInterpreter(t *testing.T) {
 					} else {
 						var p *Problem
 						if p, err = Compile(ctx, spec(q, r), cfg); err == nil {
-							out, err = p.ExecuteOn(cfg.buildTree(q, nil), cfg.buildTree(r, nil), cfg)
+							out, err = p.ExecuteOnChecked(cfg.buildTree(q, nil), cfg.buildTree(r, nil), cfg)
 						}
 					}
 					if err != nil {

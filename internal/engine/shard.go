@@ -34,8 +34,8 @@ func (p *Problem) executeSharded(cfg Config) (*codegen.Output, error) {
 }
 
 // ExecuteShardedOn runs the sharded execution over a pre-built
-// partition (the partition analogue of ExecuteOn). qp and rp must be
-// the same partition: sharding runs self-joins only. The same
+// partition (the partition analogue of ExecuteOnChecked). qp and rp
+// must be the same partition: sharding runs self-joins only. The same
 // concurrency contract holds: a partition is immutable after
 // shard.Split, and every per-run mutable state is allocated inside the
 // call, so concurrent calls over a shared partition are safe.

@@ -92,7 +92,7 @@ func TestBuildTreesKeepsDistinctCases(t *testing.T) {
 }
 
 // TestConcurrentExecuteOnSharedTrees exercises the documented
-// concurrent-ExecuteOn contract under -race: many goroutines across
+// concurrent-ExecuteOnChecked contract under -race: many goroutines across
 // operator families run over one Problem pair and one shared self-join
 // tree, each with its own config, and every result must match the
 // single-threaded answer bit-for-bit (outputs are deterministic per
@@ -125,11 +125,11 @@ func TestConcurrentExecuteOnSharedTrees(t *testing.T) {
 		t.Fatal("expected a shared self-join tree")
 	}
 
-	wantNN, err := pnn.ExecuteOn(qt, rt, cfg)
+	wantNN, err := pnn.ExecuteOnChecked(qt, rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKDE, err := pkde.ExecuteOn(qt, rt, kcfg)
+	wantKDE, err := pkde.ExecuteOnChecked(qt, rt, kcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +147,12 @@ func TestConcurrentExecuteOnSharedTrees(t *testing.T) {
 			if g%2 == 0 {
 				c := cfg
 				c.CollectStats = true // per-call report, no shared sink
-				out, err = pnn.ExecuteOn(qt, rt, c)
+				out, err = pnn.ExecuteOnChecked(qt, rt, c)
 			} else {
 				c := kcfg
 				c.Parallel = g%4 == 1 // mix sequential and parallel runs
 				c.Workers = 2
-				out, err = pkde.ExecuteOn(qt, rt, c)
+				out, err = pkde.ExecuteOnChecked(qt, rt, c)
 			}
 			if err != nil {
 				errs <- err

@@ -502,20 +502,12 @@ func (k *Kernel) Eval(q, r []float64) float64 {
 	return k.body().Eval(k.Metric.Dist(q, r))
 }
 
-// EvalDist computes the kernel value from a precomputed metric distance.
-func (k *Kernel) EvalDist(d float64) float64 { return k.body().Eval(d) }
-
 // Bounds returns sound bounds on the kernel value over a pair of
 // bounding rectangles, by interval-evaluating the body over the metric
 // distance bounds. This is the engine of Prune/Approximate.
 func (k *Kernel) Bounds(a, b geom.Rect) (lo, hi float64) {
 	dlo, dhi := k.Metric.Bounds(a, b)
 	return k.body().Interval(dlo, dhi)
-}
-
-// DistBounds returns the raw metric distance bounds for a node pair.
-func (k *Kernel) DistBounds(a, b geom.Rect) (lo, hi float64) {
-	return k.Metric.Bounds(a, b)
 }
 
 // IsComparative reports whether the kernel contains an indicator —

@@ -197,14 +197,14 @@ func TestGaussianKernelShape(t *testing.T) {
 
 func TestRangeAndThresholdKernels(t *testing.T) {
 	k := NewRangeKernel(1, 3)
-	if k.EvalDist(2) != 1 || k.EvalDist(0.5) != 0 || k.EvalDist(4) != 0 {
+	if k.body().Eval(2) != 1 || k.body().Eval(0.5) != 0 || k.body().Eval(4) != 0 {
 		t.Error("range kernel window wrong")
 	}
 	if !k.IsComparative() {
 		t.Error("range kernel should be comparative")
 	}
 	th := NewThresholdKernel(2)
-	if th.EvalDist(1) != 1 || th.EvalDist(3) != 0 {
+	if th.body().Eval(1) != 1 || th.body().Eval(3) != 0 {
 		t.Error("threshold kernel wrong")
 	}
 }
@@ -214,7 +214,7 @@ func TestPlummerKernelMonotone(t *testing.T) {
 	// Should decrease with squared distance.
 	prev := math.Inf(1)
 	for d2 := 0.0; d2 < 10; d2 += 0.5 {
-		v := k.EvalDist(d2)
+		v := k.body().Eval(d2)
 		if v > prev {
 			t.Fatalf("Plummer kernel not decreasing at d2=%v", d2)
 		}
@@ -343,18 +343,5 @@ func TestVExprStrings(t *testing.T) {
 	}
 	if MaxAbsV(SubV(q, r)).vstring() != "maxabs((q - r))" {
 		t.Error("maxabs vstring wrong")
-	}
-}
-
-func TestExternalKernel(t *testing.T) {
-	e := External{Name: "dot", F: func(q, r []float64) float64 {
-		var s float64
-		for i := range q {
-			s += q[i] * r[i]
-		}
-		return s
-	}}
-	if got := e.EvalPoints([]float64{1, 2}, []float64{3, 4}); got != 11 {
-		t.Fatalf("external = %v, want 11", got)
 	}
 }

@@ -121,12 +121,12 @@ func TestMahalKernelClone(t *testing.T) {
 func TestPairKernelInterface(t *testing.T) {
 	var _ PairKernel = NewDistanceKernel(geom.Euclidean)
 	var _ PairKernel = NewGaussianMahalKernel(identityMahal(t, 2))
-	// DistBounds returns raw metric bounds.
+	// An identity kernel's bounds are the raw metric bounds.
 	k := NewDistanceKernel(geom.SqEuclidean)
 	a := geom.FromPoints(1, [][]float64{{0}, {1}})
 	b := geom.FromPoints(1, [][]float64{{3}, {4}})
-	lo, hi := k.DistBounds(a, b)
+	lo, hi := k.Bounds(a, b)
 	if lo != 4 || hi != 16 {
-		t.Fatalf("DistBounds = [%v,%v], want [4,16]", lo, hi)
+		t.Fatalf("Bounds = [%v,%v], want [4,16]", lo, hi)
 	}
 }

@@ -101,9 +101,9 @@ func ExpV(e VExpr) VExpr { return VExpE{E: e} }
 
 // Normalize lowers a vector expression into a distance-based Kernel.
 // It returns an error when the expression does not have a recognizable
-// distance shape (in which case the user should fall back to an
-// external kernel function, as the paper allows for external C++
-// functions).
+// distance shape (in which case the user falls back to a custom
+// traversal rule, as package problems does for NBC and Barnes-Hut —
+// the paper's external C++ functions).
 func Normalize(v VExpr) (*Kernel, error) {
 	metric, body, err := normalize(v)
 	if err != nil {
@@ -167,16 +167,3 @@ func normalize(v VExpr) (geom.Metric, Expr, error) {
 }
 
 func isD(e Expr) bool { _, ok := e.(D); return ok }
-
-// External wraps a user-supplied Go function as a kernel, mirroring
-// the paper's escape hatch for external C++ kernel functions. External
-// kernels cannot be analyzed, so Bounds falls back to evaluating the
-// function at representative corner points — the paper likewise states
-// external functions "will not be optimized in the same way".
-type External struct {
-	Name string
-	F    func(q, r []float64) float64
-}
-
-// EvalPoints invokes the external function.
-func (e External) EvalPoints(q, r []float64) float64 { return e.F(q, r) }

@@ -5,9 +5,9 @@
 //
 // The paper cites LLVM's fast inverse square root, "up to 4x faster
 // ... with an error of 0.17%". We reproduce the classic bit-trick
-// seeded Newton iteration; with two refinement steps the relative
-// error stays below 5e-6, and with one step below 0.18% — both bounds
-// are enforced by property tests.
+// seeded Newton iteration with two refinement steps, whose relative
+// error stays below 5e-6 (a property test enforces it); one step would
+// give the paper's 0.18%-class figure.
 //
 // Panics: the functions of a float64 accept every value and never
 // panic. Hypot2, Hypot2Box, BoxMinDist2, BoxMaxDist2 and NearFloorMask
@@ -100,33 +100,12 @@ func InvSqrt(x float64) float64 {
 	return y
 }
 
-// InvSqrtOneStep is the single-Newton-step variant whose relative error
-// bound (<0.18%) matches the figure quoted in the paper. It is the
-// cheapest knob exposed to approximation problems.
-func InvSqrtOneStep(x float64) float64 {
-	if r, ok := invSqrtEdge(x); ok {
-		return r
-	}
-	i := math.Float64bits(x)
-	i = 0x5FE6EB50C7B537A9 - (i >> 1)
-	y := math.Float64frombits(i)
-	y = y * (1.5 - 0.5*x*y*y)
-	return y
-}
-
 // SqrtViaInv computes sqrt(x) as 1/(1/sqrt(x)). The paper (Section
 // IV-E) prefers this form over x*InvSqrt(x) because it returns 0 for
 // x = 0 instead of NaN, which matters when a point's distance to
 // itself flows through the kernel.
 func SqrtViaInv(x float64) float64 {
 	return 1.0 / InvSqrt(x)
-}
-
-// SqrtViaMul computes sqrt(x) as x * (1/sqrt(x)) — the faster form,
-// which returns NaN at x = 0. Exposed so the x=0 hazard described in
-// the paper can be demonstrated and tested.
-func SqrtViaMul(x float64) float64 {
-	return x * InvSqrt(x)
 }
 
 // PowInt computes x^n for small non-negative integer exponents using
@@ -230,12 +209,6 @@ func expPoly(r float64) float64 {
 // pow2 is 2^k for integral -1022 <= k <= 1023.
 func pow2(k float64) float64 {
 	return math.Float64frombits(uint64(int64(k)+expBias) << 52)
-}
-
-// GaussianKernel evaluates exp(-d2 / (2*sigma^2)) — the Gaussian kernel
-// of Table III — using ExpFast.
-func GaussianKernel(d2, sigma float64) float64 {
-	return ExpFast(-d2 / (2 * sigma * sigma))
 }
 
 // Hypot2 accumulates a squared Euclidean distance with a 4-way

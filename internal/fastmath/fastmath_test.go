@@ -31,28 +31,11 @@ func TestInvSqrtAccuracy(t *testing.T) {
 	}
 }
 
-// Property: one-step InvSqrt satisfies the paper's 0.17%-class error
-// bound (we assert < 0.18%).
-func TestInvSqrtOneStepPaperBound(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		x := math.Exp(r.Float64()*70 - 35)
-		got := InvSqrtOneStep(x)
-		want := 1 / math.Sqrt(x)
-		return relErr(got, want) < 0.0018
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Both variants must match 1/math.Sqrt exactly on the full IEEE edge
-// set: zero, negatives, ±Inf, NaN — the bit-trick seed mangles the
+// InvSqrt must match 1/math.Sqrt exactly on the full IEEE edge set:
+// zero, negatives, ±Inf, NaN — the bit-trick seed mangles the
 // non-finite exponents, so these go through the guarded path.
 func TestInvSqrtEdgeCases(t *testing.T) {
-	for name, f := range map[string]func(float64) float64{
-		"InvSqrt": InvSqrt, "InvSqrtOneStep": InvSqrtOneStep,
-	} {
+	for name, f := range map[string]func(float64) float64{"InvSqrt": InvSqrt} {
 		if !math.IsInf(f(0), 1) {
 			t.Errorf("%s(0) should be +Inf", name)
 		}
@@ -88,9 +71,6 @@ func TestInvSqrtExtremeMagnitudes(t *testing.T) {
 		if e := relErr(InvSqrt(x), want); e > 5e-6 {
 			t.Errorf("InvSqrt(%g) rel err %v", x, e)
 		}
-		if e := relErr(InvSqrtOneStep(x), want); e > 0.0018 {
-			t.Errorf("InvSqrtOneStep(%g) rel err %v", x, e)
-		}
 	}
 }
 
@@ -117,8 +97,8 @@ func TestSqrtFormsAtZero(t *testing.T) {
 	if got := SqrtViaInv(0); got != 0 {
 		t.Errorf("SqrtViaInv(0) = %v, want 0", got)
 	}
-	if got := SqrtViaMul(0); !math.IsNaN(got) {
-		t.Errorf("SqrtViaMul(0) = %v, want NaN (demonstrates the hazard)", got)
+	if got := 0 * InvSqrt(0); !math.IsNaN(got) {
+		t.Errorf("0 * InvSqrt(0) = %v, want NaN (demonstrates the hazard)", got)
 	}
 }
 
@@ -196,20 +176,23 @@ func TestExpFastEdges(t *testing.T) {
 	}
 }
 
+// The Table III Gaussian exp(-d²/(2σ²)) through ExpFast, the form the
+// compiled KDE base cases evaluate: 1 at d² = 0, 1/e at d² = 2σ².
 func TestGaussianKernel(t *testing.T) {
-	// At d2=0 the kernel is 1; at d2=2*sigma^2 it is 1/e.
-	if got := GaussianKernel(0, 1.5); got != 1 {
-		t.Errorf("GaussianKernel(0) = %v, want 1", got)
+	gauss := func(d2, sigma float64) float64 { return ExpFast(-d2 / (2 * sigma * sigma)) }
+	if got := gauss(0, 1.5); got != 1 {
+		t.Errorf("Gaussian at 0 = %v, want 1", got)
 	}
 	sigma := 2.0
-	if got := GaussianKernel(2*sigma*sigma, sigma); relErr(got, 1/math.E) > 5e-9 {
-		t.Errorf("GaussianKernel at 2σ² = %v, want 1/e", got)
+	if got := gauss(2*sigma*sigma, sigma); relErr(got, 1/math.E) > 5e-9 {
+		t.Errorf("Gaussian at 2σ² = %v, want 1/e", got)
 	}
 }
 
 func TestExpFastFoldedMatchesGaussianKernel(t *testing.T) {
 	// The Gaussian base cases compute ExpFast(c·d²) with c = -1/(2σ²)
-	// folded at compile time, where GaussianKernel divides; the one-ulp
+	// folded at compile time, where the Table III kernel
+	// exp(-d²/(2σ²)) divides; the one-ulp
 	// argument difference is amplified by exp's condition number |arg|
 	// (≤ 40 here), so assert a correspondingly tight relative bound
 	// rather than bit equality.
@@ -218,7 +201,7 @@ func TestExpFastFoldedMatchesGaussianKernel(t *testing.T) {
 		sigma := 0.5 + r.Float64()*3
 		d2 := r.Float64() * 20
 		c := -1 / (2 * sigma * sigma)
-		return relErr(ExpFast(c*d2), GaussianKernel(d2, sigma)) < 1e-13
+		return relErr(ExpFast(c*d2), ExpFast(-d2/(2*sigma*sigma))) < 1e-13
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

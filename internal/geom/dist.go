@@ -89,6 +89,3 @@ func SqDist(p, q []float64) float64 {
 	}
 	return s
 }
-
-// Dist returns the Euclidean distance between p and q.
-func Dist(p, q []float64) float64 { return math.Sqrt(SqDist(p, q)) }

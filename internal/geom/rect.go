@@ -23,9 +23,7 @@
 package geom
 
 import (
-	"fmt"
 	"math"
-	"strings"
 )
 
 // Rect is an axis-aligned hyper-rectangle in d dimensions. Min and Max
@@ -33,12 +31,6 @@ import (
 type Rect struct {
 	Min []float64
 	Max []float64
-}
-
-// NewRect returns a degenerate rectangle of dimension d positioned at
-// the origin. Use Expand or FromPoints to grow it.
-func NewRect(d int) Rect {
-	return Rect{Min: make([]float64, d), Max: make([]float64, d)}
 }
 
 // EmptyRect returns a rectangle primed for accumulation: Min at +Inf
@@ -52,23 +44,6 @@ func EmptyRect(d int) Rect {
 	return r
 }
 
-// Dim returns the dimensionality of the rectangle.
-func (r Rect) Dim() int { return len(r.Min) }
-
-// IsEmpty reports whether the rectangle has accumulated no points yet
-// (i.e. it is still in the EmptyRect state).
-func (r Rect) IsEmpty() bool {
-	return len(r.Min) == 0 || r.Min[0] > r.Max[0]
-}
-
-// Clone returns a deep copy of r.
-func (r Rect) Clone() Rect {
-	c := Rect{Min: make([]float64, len(r.Min)), Max: make([]float64, len(r.Max))}
-	copy(c.Min, r.Min)
-	copy(c.Max, r.Max)
-	return c
-}
-
 // Expand grows r in place to include the point p.
 func (r *Rect) Expand(p []float64) {
 	for i, v := range p {
@@ -77,18 +52,6 @@ func (r *Rect) Expand(p []float64) {
 		}
 		if v > r.Max[i] {
 			r.Max[i] = v
-		}
-	}
-}
-
-// ExpandRect grows r in place to include the rectangle o.
-func (r *Rect) ExpandRect(o Rect) {
-	for i := range r.Min {
-		if o.Min[i] < r.Min[i] {
-			r.Min[i] = o.Min[i]
-		}
-		if o.Max[i] > r.Max[i] {
-			r.Max[i] = o.Max[i]
 		}
 	}
 }
@@ -130,7 +93,7 @@ func (r Rect) ContainsRect(o Rect) bool {
 // is nil a new slice is allocated.
 func (r Rect) Center(dst []float64) []float64 {
 	if dst == nil {
-		dst = make([]float64, r.Dim())
+		dst = make([]float64, len(r.Min))
 	}
 	for i := range r.Min {
 		dst[i] = 0.5 * (r.Min[i] + r.Max[i])
@@ -158,17 +121,6 @@ func (r Rect) Diameter() float64 {
 	return w
 }
 
-// Diagonal2 returns the squared length of the rectangle's main
-// diagonal (the maximum squared distance between two of its points).
-func (r Rect) Diagonal2() float64 {
-	var s float64
-	for i := range r.Min {
-		w := r.Max[i] - r.Min[i]
-		s += w * w
-	}
-	return s
-}
-
 // MinDist2Point returns the minimum squared Euclidean distance from
 // point p to any point of r. Zero if p is inside r.
 func (r Rect) MinDist2Point(p []float64) float64 {
@@ -181,19 +133,6 @@ func (r Rect) MinDist2Point(p []float64) float64 {
 			d := v - r.Max[i]
 			s += d * d
 		}
-	}
-	return s
-}
-
-// MaxDist2Point returns the maximum squared Euclidean distance from
-// point p to any point of r (attained at a corner).
-func (r Rect) MaxDist2Point(p []float64) float64 {
-	var s float64
-	for i, v := range p {
-		lo := v - r.Min[i]
-		hi := r.Max[i] - v
-		d := math.Max(math.Abs(lo), math.Abs(hi))
-		s += d * d
 	}
 	return s
 }
@@ -280,37 +219,4 @@ func (r Rect) MaxDistInf(o Rect) float64 {
 		}
 	}
 	return m
-}
-
-// Split returns the two halves of r cut at value v along dimension dim.
-// The left half keeps points with coordinate <= v.
-func (r Rect) Split(dim int, v float64) (left, right Rect) {
-	left = r.Clone()
-	right = r.Clone()
-	left.Max[dim] = v
-	right.Min[dim] = v
-	return left, right
-}
-
-// Intersects reports whether r and o share at least one point.
-func (r Rect) Intersects(o Rect) bool {
-	for i := range r.Min {
-		if o.Max[i] < r.Min[i] || o.Min[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the rectangle as [min0,max0]x[min1,max1]x... for
-// debugging and traversal traces.
-func (r Rect) String() string {
-	var b strings.Builder
-	for i := range r.Min {
-		if i > 0 {
-			b.WriteByte('x')
-		}
-		fmt.Fprintf(&b, "[%.4g,%.4g]", r.Min[i], r.Max[i])
-	}
-	return b.String()
 }

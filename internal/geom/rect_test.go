@@ -11,13 +11,12 @@ import (
 
 func TestEmptyRect(t *testing.T) {
 	r := EmptyRect(3)
-	if !r.IsEmpty() {
-		t.Fatal("EmptyRect should report empty")
+	for i := range r.Min {
+		if !math.IsInf(r.Min[i], 1) || !math.IsInf(r.Max[i], -1) {
+			t.Fatalf("dim %d: EmptyRect is [%v,%v], want [+Inf,-Inf]", i, r.Min[i], r.Max[i])
+		}
 	}
 	r.Expand([]float64{1, 2, 3})
-	if r.IsEmpty() {
-		t.Fatal("rect with a point should not be empty")
-	}
 	for i, want := range []float64{1, 2, 3} {
 		if r.Min[i] != want || r.Max[i] != want {
 			t.Fatalf("dim %d: got [%v,%v], want degenerate at %v", i, r.Min[i], r.Max[i], want)
@@ -75,33 +74,19 @@ func TestCenter(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	r := Rect{Min: []float64{0, 0}, Max: []float64{4, 4}}
-	l, rt := r.Split(0, 1.5)
-	if l.Max[0] != 1.5 || rt.Min[0] != 1.5 {
-		t.Fatalf("split bounds wrong: %v | %v", l, rt)
-	}
-	if l.Min[1] != 0 || rt.Max[1] != 4 {
-		t.Fatal("split should not touch other dims")
-	}
-}
-
 func TestMinMaxDistPoint(t *testing.T) {
 	r := Rect{Min: []float64{0, 0}, Max: []float64{1, 1}}
 	cases := []struct {
-		p        []float64
-		min, max float64
+		p   []float64
+		min float64
 	}{
-		{[]float64{0.5, 0.5}, 0, 0.5}, // inside: min 0, max to corner
-		{[]float64{2, 0.5}, 1, 4.25},  // right of box
-		{[]float64{-1, -1}, 2, 8},     // diagonal corner
+		{[]float64{0.5, 0.5}, 0}, // inside
+		{[]float64{2, 0.5}, 1},   // right of box
+		{[]float64{-1, -1}, 2},   // diagonal corner
 	}
 	for _, c := range cases {
 		if got := r.MinDist2Point(c.p); math.Abs(got-c.min) > 1e-12 {
 			t.Errorf("MinDist2Point(%v) = %v, want %v", c.p, got, c.min)
-		}
-		if got := r.MaxDist2Point(c.p); math.Abs(got-c.max) > 1e-12 {
-			t.Errorf("MaxDist2Point(%v) = %v, want %v", c.p, got, c.max)
 		}
 	}
 }
@@ -132,16 +117,15 @@ func TestRectRectDist(t *testing.T) {
 	if a.MinDist2(c) != 0 || a.MinDist1(c) != 0 || a.MinDistInf(c) != 0 {
 		t.Error("overlapping rects should have 0 min distance")
 	}
-	if !a.Intersects(c) || a.Intersects(b) {
-		t.Error("Intersects wrong")
-	}
 }
 
+// Growing a box by another box is Expand by the other's two corners.
 func TestExpandRectContainsRect(t *testing.T) {
 	a := FromPoints(2, [][]float64{{0, 0}, {1, 1}})
 	b := FromPoints(2, [][]float64{{2, 2}, {3, 3}})
-	u := a.Clone()
-	u.ExpandRect(b)
+	u := FromPoints(2, [][]float64{a.Min, a.Max})
+	u.Expand(b.Min)
+	u.Expand(b.Max)
 	if !u.ContainsRect(a) || !u.ContainsRect(b) {
 		t.Fatal("union should contain both inputs")
 	}
@@ -150,10 +134,12 @@ func TestExpandRectContainsRect(t *testing.T) {
 	}
 }
 
+// A box's squared main diagonal is its largest squared distance to
+// itself.
 func TestDiagonal2(t *testing.T) {
 	r := Rect{Min: []float64{0, 0, 0}, Max: []float64{1, 2, 2}}
-	if got := r.Diagonal2(); math.Abs(got-9) > 1e-12 {
-		t.Fatalf("Diagonal2 = %v, want 9", got)
+	if got := r.MaxDist2(r); math.Abs(got-9) > 1e-12 {
+		t.Fatalf("MaxDist2(r, r) = %v, want 9", got)
 	}
 }
 
@@ -203,8 +189,8 @@ func TestBoundsBracketPairwiseDistances(t *testing.T) {
 	}
 }
 
-// Property: MinDist2Point/MaxDist2Point bracket distances to all points
-// inside the rectangle.
+// Property: MinDist2Point, and MaxDist2 against the point's degenerate
+// box, bracket distances to all points inside the rectangle.
 func TestPointBoundsBracket(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -212,7 +198,7 @@ func TestPointBoundsBracket(t *testing.T) {
 		pts := randPoints(r, 2+r.Intn(10), d)
 		rect := FromPoints(d, pts)
 		q := randPoints(r, 1, d)[0]
-		lo, hi := rect.MinDist2Point(q), rect.MaxDist2Point(q)
+		lo, hi := rect.MinDist2Point(q), rect.MaxDist2(Rect{Min: q, Max: q})
 		for _, p := range pts {
 			d2 := SqDist(p, q)
 			if d2 < lo-1e-9 || d2 > hi+1e-9 {
@@ -238,13 +224,6 @@ func TestMetricString(t *testing.T) {
 	}
 	if Metric(99).String() != "UNKNOWN" {
 		t.Error("unknown metric should stringify to UNKNOWN")
-	}
-}
-
-func TestRectString(t *testing.T) {
-	r := Rect{Min: []float64{0, 1}, Max: []float64{2, 3}}
-	if got := r.String(); got != "[0,2]x[1,3]" {
-		t.Fatalf("String = %q", got)
 	}
 }
 

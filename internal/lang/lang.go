@@ -73,20 +73,6 @@ const (
 	Multi
 )
 
-// String returns the Table I category name.
-func (c Category) String() string {
-	switch c {
-	case All:
-		return "All"
-	case Single:
-		return "Single"
-	case Multi:
-		return "Multi"
-	default:
-		return "?"
-	}
-}
-
 // Category returns the Table I category of the operator.
 func (op Op) Category() Category {
 	switch op {
@@ -329,22 +315,4 @@ func (e *PortalExpr) Classify() Class {
 		return PruneClass
 	}
 	return ApproxClass
-}
-
-// String renders the specification like the paper's code listings.
-func (e *PortalExpr) String() string {
-	s := "PortalExpr{"
-	for i, l := range e.layers {
-		if i > 0 {
-			s += "; "
-		}
-		s += l.Op.String()
-		if l.Op.NeedsK() {
-			s += fmt.Sprintf("(k=%d)", l.K)
-		}
-		if l.Kernel != nil {
-			s += ", " + l.Kernel.String()
-		}
-	}
-	return s + "}"
 }

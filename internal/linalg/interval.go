@@ -12,7 +12,6 @@ import "math"
 // ival is a closed interval [lo, hi].
 type ival struct{ lo, hi float64 }
 
-func (a ival) add(b ival) ival { return ival{a.lo + b.lo, a.hi + b.hi} }
 func (a ival) sub(b ival) ival { return ival{a.lo - b.hi, a.hi - b.lo} }
 
 func (a ival) mulScalar(c float64) ival {

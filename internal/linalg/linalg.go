@@ -90,22 +90,6 @@ func ForwardSolve(l *Matrix, b []float64, dst []float64) []float64 {
 	return dst
 }
 
-// BackSolve solves Lᵀ·x = b for lower-triangular L.
-func BackSolve(l *Matrix, b []float64, dst []float64) []float64 {
-	n := l.N
-	if dst == nil {
-		dst = make([]float64, n)
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * dst[k]
-		}
-		dst[i] = s / l.At(i, i)
-	}
-	return dst
-}
-
 // Inverse computes A⁻¹ via Gauss-Jordan elimination with partial
 // pivoting. This is the O(m³) path that the numerical optimization
 // removes; it is kept for the naive Mahalanobis baseline and for
@@ -313,9 +297,4 @@ func (m *Mahalanobis) LogGaussian(x []float64) float64 {
 	d2 := m.Dist2(x)
 	k := float64(len(m.Mean))
 	return -0.5 * (k*math.Log(2*math.Pi) + m.LogDet + d2)
-}
-
-// Gaussian returns the density N(x | μ, Σ).
-func (m *Mahalanobis) Gaussian(x []float64) float64 {
-	return math.Exp(m.LogGaussian(x))
 }

@@ -19,16 +19,16 @@ func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("portal_test_queries_total", "Total queries served.").Add(42)
 	g := r.Gauge("portal_test_datasets", "Live dataset heads.")
-	g.Set(3)
+	g.Max(3)
 	h := r.Histogram("portal_test_latency_seconds",
 		"Query latency.", HistogramOpts{Base: 1000, Buckets: 4})
 	for _, ns := range []int64{500, 1500, 1500, 3000, 1 << 30} {
 		h.Observe(ns)
 	}
 	v := r.CounterVec("portal_test_outcomes_total", "Outcomes by operator.", "op", "outcome")
-	v.With2("knn", "ok").Add(7)
-	v.With2("kde", "ok").Add(5)
-	v.With2("kde", "error").Inc()
+	v.With3("knn", "ok", "").Add(7)
+	v.With3("kde", "ok", "").Add(5)
+	v.With3("kde", "error", "").Inc()
 	r.GaugeFunc("portal_test_goroutines", "Scrape-time gauge.", func() float64 { return 11 })
 	bs := r.Histogram("portal_test_batch_size", "Batch sizes.", HistogramOpts{Base: 1, Buckets: 3, Div: 1})
 	bs.Observe(1)

@@ -7,16 +7,16 @@
 // Design constraints, in priority order:
 //
 //  1. Zero allocations on the hot path. Every per-query operation —
-//     Counter.Add, Gauge.Set/Max, Histogram.Observe, and Vec lookups
+//     Counter.Add, Gauge.Max, Histogram.Observe, and Vec lookups
 //     for label sets that already exist — performs no heap allocation,
 //     proven by AllocsPerRun guards. Lookup keys are fixed-size string
 //     arrays built on the caller's stack; series creation (the only
 //     allocating step) happens at most once per label set.
 //
-//  2. Bounded cardinality. A Vec refuses to grow past its MaxSeries
-//     cap: once full, new label sets collapse into a single overflow
-//     series (every label value "_overflow") instead of growing the
-//     map without bound — a misbehaving client sending unique dataset
+//  2. Bounded cardinality. A Vec refuses to grow past DefaultMaxSeries
+//     label sets: once full, new label sets collapse into a single
+//     overflow series (every label value "_overflow") instead of growing
+//     the map without bound — a misbehaving client sending unique dataset
 //     names cannot OOM the server through its own telemetry. Each
 //     collapse increments the registry's series-overflow counter so
 //     the cap itself is observable.
@@ -75,12 +75,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Max raises the gauge to v if v is larger — the high-water-mark
 // update (CAS loop, no allocation).
@@ -183,9 +177,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum reads the exact sum of observations (raw units).
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// NumBuckets reports the number of finite buckets.
-func (h *Histogram) NumBuckets() int { return h.nb }
-
 // UpperBound reports the inclusive upper bound of finite bucket i in
 // raw units (Base<<i).
 func (h *Histogram) UpperBound(i int) int64 { return h.base << uint(i) }
@@ -203,7 +194,7 @@ func (h *Histogram) BucketOf(v int64) int {
 // QuantileBucket reports the index of the bucket containing the q-th
 // quantile (0..1) of the recorded distribution, by cumulative walk
 // (nearest-rank). Returns -1 when empty. The overflow bucket reports
-// index NumBuckets().
+// the index one past the last finite bucket.
 func (h *Histogram) QuantileBucket(q float64) int {
 	total := h.count.Load()
 	if total <= 0 {

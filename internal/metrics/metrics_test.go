@@ -17,8 +17,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	g := r.Gauge("g", "g")
-	g.Set(7)
-	g.Add(-3)
+	g.Max(4)
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
 	}
@@ -87,26 +86,28 @@ func TestHistogramQuantileBucket(t *testing.T) {
 	}
 }
 
-// The cardinality cap: once MaxSeries distinct label sets exist, new
-// sets collapse into the overflow series and the registry counts the
-// collapse; existing series stay live and unpolluted.
+// The cardinality cap: once DefaultMaxSeries distinct label sets
+// exist, new sets collapse into the overflow series and the registry
+// counts the collapse; existing series stay live and unpolluted.
 func TestVecCardinalityCap(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("capped_total", "capped", "dataset")
-	v.SetMaxSeries(2)
-	v.With1("a").Inc()
-	v.With1("b").Add(2)
-	v.With1("c").Inc() // over cap: collapses
-	v.With1("d").Inc() // collapses into the same overflow series
-	v.With1("a").Inc() // existing series unaffected by the cap
+	v.With3("a", "", "").Inc()
+	v.With3("b", "", "").Add(2)
+	for i := 2; i < DefaultMaxSeries; i++ {
+		v.With3(fmt.Sprintf("fill-%d", i), "", "") // zero-valued, fills the cap
+	}
+	v.With3("c", "", "").Inc() // over cap: collapses
+	v.With3("d", "", "").Inc() // collapses into the same overflow series
+	v.With3("a", "", "").Inc() // existing series unaffected by the cap
 
-	if got := v.With1("a").Value(); got != 2 {
+	if got := v.With3("a", "", "").Value(); got != 2 {
 		t.Fatalf("series a = %d, want 2", got)
 	}
-	if got := v.With1("b").Value(); got != 2 {
+	if got := v.With3("b", "", "").Value(); got != 2 {
 		t.Fatalf("series b = %d, want 2", got)
 	}
-	ovf := v.With1("zzz") // also collapsed
+	ovf := v.With3("zzz", "", "") // also collapsed
 	if got := ovf.Value(); got != 2 {
 		t.Fatalf("overflow series = %d, want 2", got)
 	}
@@ -152,8 +153,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 				c.Inc()
 				g.Max(int64(w*iters + i))
 				h.Observe(int64(i) * 100)
-				v.With2(ops[i%len(ops)], "ok").Inc()
-				hv.With1(ops[(i+w)%len(ops)]).Observe(int64(i))
+				v.With3(ops[i%len(ops)], "ok", "").Inc()
+				hv.With3(ops[(i+w)%len(ops)], "", "").Observe(int64(i))
 			}
 		}(w)
 	}
@@ -183,7 +184,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	}
 	var total int64
 	for _, op := range ops {
-		total += v.With2(op, "ok").Value()
+		total += v.With3(op, "ok", "").Value()
 	}
 	if total != workers*iters {
 		t.Fatalf("labeled counters total %d, want %d", total, workers*iters)

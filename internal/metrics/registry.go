@@ -63,11 +63,10 @@ type family struct {
 	labelNames []string
 	histOpts   HistogramOpts
 
-	mu        sync.RWMutex
-	series    map[labelKey]*series
-	order     []labelKey // insertion order; exposition sorts
-	maxSeries int
-	overflow  *series // lazily created cap-collapse target
+	mu       sync.RWMutex
+	series   map[labelKey]*series
+	order    []labelKey // insertion order; exposition sorts
+	overflow *series    // lazily created cap-collapse target
 
 	onOverflow func() // registry's series-overflow counter
 }
@@ -100,7 +99,7 @@ func (f *family) get(key labelKey) *series {
 	if s = f.series[key]; s != nil {
 		return s
 	}
-	if len(f.series) >= f.maxSeries {
+	if len(f.series) >= DefaultMaxSeries {
 		if f.overflow == nil {
 			var ok labelKey
 			for i := range f.labelNames {
@@ -122,46 +121,17 @@ func (f *family) get(key labelKey) *series {
 // CounterVec is a labeled counter family.
 type CounterVec struct{ f *family }
 
-// With1, With2, With3 resolve the counter for the given label values.
-// The arity must match the declared label names; fixed-arity methods
-// (rather than variadic) guarantee the lookup key never escapes to
-// the heap.
-func (v *CounterVec) With1(a string) *Counter       { return v.f.get(labelKey{a}).c }
-func (v *CounterVec) With2(a, b string) *Counter    { return v.f.get(labelKey{a, b}).c }
+// With3 resolves the counter for the given label values, padded with
+// "" past the declared label names. A fixed arity (rather than
+// variadic) guarantees the lookup key never escapes to the heap.
 func (v *CounterVec) With3(a, b, c string) *Counter { return v.f.get(labelKey{a, b, c}).c }
-
-// SetMaxSeries overrides the family's cardinality cap (call before
-// observing; existing series are kept).
-func (v *CounterVec) SetMaxSeries(n int) { setMaxSeries(v.f, n) }
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-func (v *GaugeVec) With1(a string) *Gauge       { return v.f.get(labelKey{a}).g }
-func (v *GaugeVec) With2(a, b string) *Gauge    { return v.f.get(labelKey{a, b}).g }
-func (v *GaugeVec) With3(a, b, c string) *Gauge { return v.f.get(labelKey{a, b, c}).g }
-
-// SetMaxSeries overrides the family's cardinality cap.
-func (v *GaugeVec) SetMaxSeries(n int) { setMaxSeries(v.f, n) }
 
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
 
-func (v *HistogramVec) With1(a string) *Histogram       { return v.f.get(labelKey{a}).h }
-func (v *HistogramVec) With2(a, b string) *Histogram    { return v.f.get(labelKey{a, b}).h }
+// With3 resolves the histogram for the given label values, as
+// CounterVec.With3.
 func (v *HistogramVec) With3(a, b, c string) *Histogram { return v.f.get(labelKey{a, b, c}).h }
-
-// SetMaxSeries overrides the family's cardinality cap.
-func (v *HistogramVec) SetMaxSeries(n int) { setMaxSeries(v.f, n) }
-
-func setMaxSeries(f *family, n int) {
-	if n <= 0 {
-		return
-	}
-	f.mu.Lock()
-	f.maxSeries = n
-	f.mu.Unlock()
-}
 
 // Registry holds a set of metric families and renders them as one
 // exposition. Registration is not hot-path: families are created once
@@ -225,9 +195,6 @@ func (r *Registry) register(f *family) *family {
 	if f.series == nil {
 		f.series = make(map[labelKey]*series)
 	}
-	if f.maxSeries == 0 {
-		f.maxSeries = DefaultMaxSeries
-	}
 	f.onOverflow = r.seriesOverflow.Inc
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -282,11 +249,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // CounterVec registers a labeled counter family (1..3 labels).
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(&family{name: name, help: help, kind: kindCounter, labelNames: labels})}
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{name: name, help: help, kind: kindGauge, labelNames: labels})}
 }
 
 // HistogramVec registers a labeled histogram family.

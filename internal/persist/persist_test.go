@@ -186,7 +186,7 @@ func TestDifferentialQueries(t *testing.T) {
 				if selfJoin {
 					q = rt
 				}
-				out, err := p.ExecuteOn(q, rt, c)
+				out, err := p.ExecuteOnChecked(q, rt, c)
 				if err != nil {
 					t.Fatal(err)
 				}

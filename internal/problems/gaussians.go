@@ -37,14 +37,6 @@ func (g *GaussianClass) logDensity(x []float64) float64 {
 	return math.Log(g.Prior) + g.M.LogGaussian(x)
 }
 
-// logDensityInterval bounds log π_k + log N(x) for all x in the box.
-func (g *GaussianClass) logDensityInterval(bmin, bmax []float64) (lo, hi float64) {
-	d2lo, d2hi := g.M.Dist2Interval(bmin, bmax)
-	k := float64(g.M.Dim())
-	base := math.Log(g.Prior) - 0.5*(k*math.Log(2*math.Pi)+g.M.LogDet)
-	return base - 0.5*d2hi, base - 0.5*d2lo
-}
-
 // FitGaussianClasses estimates one Gaussian per label value from
 // labeled training data. reg is the diagonal ridge keeping the
 // covariance positive definite.
@@ -436,40 +428,6 @@ func (m *EMModel) Responsibilities(data *storage.Storage) [][]float64 {
 		}
 	}
 	return resp
-}
-
-// LogLikelihood computes Σ_n log Σ_k π_k N(x_n | μ_k, Σ_k).
-func (m *EMModel) LogLikelihood(data *storage.Storage) float64 {
-	n := data.Len()
-	buf := make([]float64, data.Dim())
-	var ll float64
-	for i := 0; i < n; i++ {
-		x := data.Point(i, buf)
-		maxLog := math.Inf(-1)
-		logs := make([]float64, len(m.Classes))
-		for k, c := range m.Classes {
-			logs[k] = c.logDensity(x)
-			if logs[k] > maxLog {
-				maxLog = logs[k]
-			}
-		}
-		var sum float64
-		for k := range logs {
-			sum += math.Exp(logs[k] - maxLog)
-		}
-		ll += maxLog + math.Log(sum)
-	}
-	return ll
-}
-
-// ActiveClasses exposes per-node class pruning for diagnostics: the
-// classes that survive interval pruning over n's bounding box.
-func ActiveClasses(m *NBCModel, n *tree.Node) []int {
-	active := make([]int, len(m.Classes))
-	for i := range active {
-		active[i] = i
-	}
-	return m.pruneClasses(n, active, m.cloneEvals())
 }
 
 // kmeansppSeeds picks k initial mean indices with k-means++-style

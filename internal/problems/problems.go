@@ -99,22 +99,6 @@ func Hausdorff(a, b *storage.Storage, cfg Config) (float64, error) {
 	return out.Scalar, nil
 }
 
-// HausdorffSymmetric computes max(h(A,B), h(B,A)).
-func HausdorffSymmetric(a, b *storage.Storage, cfg Config) (float64, error) {
-	ab, err := Hausdorff(a, b, cfg)
-	if err != nil {
-		return 0, err
-	}
-	ba, err := Hausdorff(b, a, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if ba > ab {
-		return ba, nil
-	}
-	return ab, nil
-}
-
 // KDESpec builds the Gaussian kernel density estimation specification.
 func KDESpec(query, ref *storage.Storage, sigma float64) *lang.PortalExpr {
 	return (&lang.PortalExpr{}).

@@ -158,12 +158,8 @@ func TestHausdorffIsMetricLike(t *testing.T) {
 	if aa != 0 {
 		t.Fatalf("h(A,A) = %v, want 0", aa)
 	}
-	sym, err := HausdorffSymmetric(a, b, Config{LeafSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sym < ab {
-		t.Fatal("symmetric Hausdorff must dominate the directed one")
+	if ab <= 0 {
+		t.Fatalf("h(A,B) = %v for two distinct random sets, want > 0", ab)
 	}
 }
 

@@ -35,20 +35,6 @@ const (
 	Approx
 )
 
-// String names the decision.
-func (d Decision) String() string {
-	switch d {
-	case Visit:
-		return "VISIT"
-	case Prune:
-		return "PRUNE"
-	case Approx:
-		return "APPROX"
-	default:
-		return "?"
-	}
-}
-
 // Kind identifies which rule family the generator selected.
 type Kind int
 

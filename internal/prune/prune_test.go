@@ -215,12 +215,6 @@ func TestNoRuleAlwaysVisits(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	if Visit.String() != "VISIT" || Prune.String() != "PRUNE" || Approx.String() != "APPROX" {
-		t.Error("decision strings wrong")
-	}
-	if Decision(9).String() != "?" {
-		t.Error("unknown decision")
-	}
 	for k, s := range map[Kind]string{BoundRule: "bound", WindowRule: "window", TauRule: "tau", NoRule: "none", Kind(9): "?"} {
 		if k.String() != s {
 			t.Errorf("kind %d string %q want %q", k, k.String(), s)

@@ -19,6 +19,7 @@ import (
 	"portal/internal/dataset"
 	"portal/internal/engine"
 	"portal/internal/lang"
+	"portal/internal/metrics"
 	"portal/internal/problems"
 	"portal/internal/storage"
 	"portal/internal/tree"
@@ -286,7 +287,15 @@ func TestCanceledWhileWaitingForWorker(t *testing.T) {
 	if got := s.m.queries.With3("knn", "pts", outcomeRejected).Value(); got != 2 {
 		t.Fatalf("rejected counter = %d, want 2", got)
 	}
-	if s.queries.Load() != 0 || s.m.tickWait.Count() != 0 || s.m.basePairs.Value() != 0 {
+	var prom bytes.Buffer
+	if err := s.m.reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := metrics.Validate(prom.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs, _ := exp.Value("portal_traverse_base_case_pairs_total"); s.queries.Load() != 0 || s.m.tickWait.Count() != 0 || pairs != 0 {
 		t.Fatal("a cancelled query was admitted or executed")
 	}
 	if n := len(s.workers); n != workers {
@@ -350,7 +359,7 @@ func TestQueryTreePolicyKeepsAnswers(t *testing.T) {
 				}
 				out := map[string]*QueryResponse{"served": resp}
 				for name, qt := range shapes {
-					o, err := p.ExecuteOn(qt, refTree, cfg)
+					o, err := p.ExecuteOnChecked(qt, refTree, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -369,7 +378,7 @@ func TestQueryTreePolicyKeepsAnswers(t *testing.T) {
 
 			// k-NN.
 			knn := compile("knn", problems.KNNSpec(qd, ref, 3))
-			want, err := knn.ExecuteOn(kdLeaf, refTree, cfg)
+			want, err := knn.ExecuteOnChecked(kdLeaf, refTree, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,7 +395,7 @@ func TestQueryTreePolicyKeepsAnswers(t *testing.T) {
 
 			// Range search.
 			rs := compile("rangesearch", problems.RangeSearchSpec(qd, ref, 0, hi))
-			want, err = rs.ExecuteOn(kdLeaf, refTree, cfg)
+			want, err = rs.ExecuteOnChecked(kdLeaf, refTree, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

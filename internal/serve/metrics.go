@@ -2,6 +2,7 @@ package serve
 
 import (
 	"runtime"
+	"strings"
 	"time"
 
 	"portal/internal/metrics"
@@ -33,13 +34,9 @@ type serverMetrics struct {
 	batchSize *metrics.Histogram
 	tickWait  *metrics.Histogram
 
-	// Traversal runtime, sampled from each query's stats report at
-	// query end — the traversal hot path itself is untouched.
-	tasksExecuted *metrics.Counter
-	tasksStolen   *metrics.Counter
-	dequeHW       *metrics.Gauge
-	basePairs     *metrics.Counter
-	prunedPairs   *metrics.Counter
+	// traversal[i] records traversalFamilies[i]: a Counter's Add or a
+	// high-water Gauge's Max.
+	traversal [len(traversalFamilies)]func(int64)
 
 	// Registry high-water of any single snapshot's refcount.
 	refsHW *metrics.Gauge
@@ -55,50 +52,67 @@ type serverMetrics struct {
 	sampledQueries *metrics.Counter
 }
 
+// traversalFamilies are the traversal runtime's families, sampled from
+// each query's stats report at query end — the traversal hot path
+// itself is untouched. A _total family is a counter; the high-water
+// one is a gauge raised by Max.
+var traversalFamilies = [...]struct {
+	name  string
+	field func(*stats.TraversalStats) int64
+	help  string
+}{
+	{"portal_traverse_tasks_executed_total", func(t *stats.TraversalStats) int64 { return t.TasksExecuted },
+		"Traversal tasks executed (sampled from per-query stats at query end)."},
+	{"portal_traverse_tasks_stolen_total", func(t *stats.TraversalStats) int64 { return t.TasksStolen },
+		"Traversal tasks stolen from another worker's deque."},
+	{"portal_traverse_deque_high_water", func(t *stats.TraversalStats) int64 { return t.DequeHighWater },
+		"Peak occupancy observed on any worker deque since startup."},
+	{"portal_traverse_base_case_pairs_total", func(t *stats.TraversalStats) int64 { return t.BaseCasePairs },
+		"Point pairs enumerated by base cases (work not eliminated)."},
+	{"portal_traverse_eliminated_pairs_total", (*stats.TraversalStats).EliminatedPairs,
+		"Point pairs eliminated by pruning or approximation."},
+}
+
 // newServerMetrics registers the server's metric families. The
 // scrape-time funcs read the server's own structures, so the bundle
 // is built after registry and cache exist.
 func newServerMetrics(s *Server) *serverMetrics {
 	r := metrics.NewRegistry()
-	m := &serverMetrics{
-		reg: r,
-		queries: r.CounterVec("portal_queries_total",
-			"Queries served, by operator, dataset, and outcome.",
-			"problem", "dataset", "outcome"),
-		latency: r.HistogramVec("portal_query_latency_seconds",
-			"Server-side query latency (admission through finalize), log-bucketed.",
-			metrics.HistogramOpts{}, "problem", "dataset", "outcome"),
-		batchSize: r.Histogram("portal_batch_size",
-			"Queries in flight (holding workers) when a query is admitted, itself included.",
-			metrics.HistogramOpts{Base: 1, Buckets: 12, Div: 1}),
-		tickWait: r.Histogram("portal_batch_tick_wait_seconds",
-			"Per-query wait for a free traversal worker (zero unless the whole budget is busy).",
-			metrics.HistogramOpts{}),
-		tasksExecuted: r.Counter("portal_traverse_tasks_executed_total",
-			"Traversal tasks executed (sampled from per-query stats at query end)."),
-		tasksStolen: r.Counter("portal_traverse_tasks_stolen_total",
-			"Traversal tasks stolen from another worker's deque."),
-		dequeHW: r.Gauge("portal_traverse_deque_high_water",
-			"Peak occupancy observed on any worker deque since startup."),
-		basePairs: r.Counter("portal_traverse_base_case_pairs_total",
-			"Point pairs enumerated by base cases (work not eliminated)."),
-		prunedPairs: r.Counter("portal_traverse_eliminated_pairs_total",
-			"Point pairs eliminated by pruning or approximation."),
-		refsHW: r.Gauge("portal_registry_refs_high_water",
-			"Highest refcount observed on any single snapshot."),
-		snapSave: r.Histogram("portal_snapshot_save_seconds",
-			"Tree snapshot persist durations.", metrics.HistogramOpts{}),
-		snapLoad: r.Histogram("portal_snapshot_load_seconds",
-			"Tree snapshot mmap-load durations.", metrics.HistogramOpts{}),
-		snapSaveBytes: r.Counter("portal_snapshot_save_bytes_total",
-			"Bytes written by snapshot saves."),
-		snapLoadBytes: r.Counter("portal_snapshot_load_bytes_total",
-			"Bytes mapped by snapshot loads."),
-		slowQueries: r.Counter("portal_slow_queries_total",
-			"Queries at or over the slow-query threshold."),
-		sampledQueries: r.Counter("portal_sampled_queries_total",
-			"Queries picked by the 1-in-N trace sampler."),
+	// Families expose in registration order: one statement each, in order.
+	m := &serverMetrics{reg: r}
+	m.queries = r.CounterVec("portal_queries_total",
+		"Queries served, by operator, dataset, and outcome.",
+		"problem", "dataset", "outcome")
+	m.latency = r.HistogramVec("portal_query_latency_seconds",
+		"Server-side query latency (admission through finalize), log-bucketed.",
+		metrics.HistogramOpts{}, "problem", "dataset", "outcome")
+	m.batchSize = r.Histogram("portal_batch_size",
+		"Queries in flight (holding workers) when a query is admitted, itself included.",
+		metrics.HistogramOpts{Base: 1, Buckets: 12, Div: 1})
+	m.tickWait = r.Histogram("portal_batch_tick_wait_seconds",
+		"Per-query wait for a free traversal worker (zero unless the whole budget is busy).",
+		metrics.HistogramOpts{})
+	for i, f := range traversalFamilies {
+		if strings.HasSuffix(f.name, "_total") {
+			m.traversal[i] = r.Counter(f.name, f.help).Add
+		} else {
+			m.traversal[i] = r.Gauge(f.name, f.help).Max
+		}
 	}
+	m.refsHW = r.Gauge("portal_registry_refs_high_water",
+		"Highest refcount observed on any single snapshot.")
+	m.snapSave = r.Histogram("portal_snapshot_save_seconds",
+		"Tree snapshot persist durations.", metrics.HistogramOpts{})
+	m.snapLoad = r.Histogram("portal_snapshot_load_seconds",
+		"Tree snapshot mmap-load durations.", metrics.HistogramOpts{})
+	m.snapSaveBytes = r.Counter("portal_snapshot_save_bytes_total",
+		"Bytes written by snapshot saves.")
+	m.snapLoadBytes = r.Counter("portal_snapshot_load_bytes_total",
+		"Bytes mapped by snapshot loads.")
+	m.slowQueries = r.Counter("portal_slow_queries_total",
+		"Queries at or over the slow-query threshold.")
+	m.sampledQueries = r.Counter("portal_sampled_queries_total",
+		"Queries picked by the 1-in-N trace sampler.")
 
 	// Scrape-time reads of state that already has its own counters —
 	// exposed without double counting or per-query writes.
@@ -164,10 +178,7 @@ func (m *serverMetrics) observeQuery(problem, dataset, outcome string, latencyNS
 	if rep == nil {
 		return
 	}
-	t := &rep.Traversal
-	m.tasksExecuted.Add(t.TasksExecuted)
-	m.tasksStolen.Add(t.TasksStolen)
-	m.dequeHW.Max(t.DequeHighWater)
-	m.basePairs.Add(t.BaseCasePairs)
-	m.prunedPairs.Add(t.EliminatedPairs())
+	for i, f := range traversalFamilies {
+		m.traversal[i](f.field(&rep.Traversal))
+	}
 }

@@ -98,7 +98,7 @@ func TestKNNClampsKToReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.ExecuteOn(tree.BuildQuery(qd),
+	want, err := p.ExecuteOnChecked(tree.BuildQuery(qd),
 		tree.BuildKD(ref, &tree.Options{LeafSize: 8}), engine.Config{LeafSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestDefaultSigmaIsPerSnapshotSilverman(t *testing.T) {
 	if _, err := b.LoadDataDir(); err != nil {
 		t.Fatal(err)
 	}
-	restored, ok := b.Registry().Acquire("pts")
+	restored, ok := b.reg.Acquire("pts")
 	if !ok {
 		t.Fatal("dataset not restored")
 	}

@@ -9,13 +9,13 @@
 // dataset resolves to an immutable Snapshot (points + built tree)
 // holding a reference count. Readers acquire a handle, run any number
 // of traversals against it — trees are immutable after build, and
-// engine.ExecuteOn's concurrency contract makes shared use safe — and
-// release it. Replacing a dataset builds the new snapshot's tree off
-// to the side, atomically swaps the head, and drops the registry's
-// reference on the old snapshot; the old version is reclaimed (its
-// refcount drains to zero) only after every in-flight query over it
-// finishes, so readers never block on writers and never observe a torn
-// tree.
+// engine.ExecuteOnChecked's concurrency contract makes shared use
+// safe — and release it. Replacing a dataset builds the new snapshot's
+// tree off to the side, atomically swaps the head, and drops the
+// registry's reference on the old snapshot; the old version is
+// reclaimed (its refcount drains to zero) only after every in-flight
+// query over it finishes, so readers never block on writers and never
+// observe a torn tree.
 //
 // # Panics
 //

@@ -81,7 +81,7 @@ type expectedOutputs struct {
 }
 
 // TestSnapshotSwapUnderConcurrentLoad is the serving contract under
-// -race: readers hammer one named dataset with ExecuteOn across
+// -race: readers hammer one named dataset with ExecuteOnChecked across
 // operator families (knn, kde, 2pc) — all self-joins binding the
 // snapshot's shared tree on both sides, all compiled through one
 // shared Cache — while a writer repeatedly swaps in replacement
@@ -101,7 +101,7 @@ func TestSnapshotSwapUnderConcurrentLoad(t *testing.T) {
 
 	run := func(p *engine.Problem, tr *tree.Tree, c engine.Config) *codegen.Output {
 		t.Helper()
-		out, err := p.ExecuteOn(tr, tr, c)
+		out, err := p.ExecuteOnChecked(tr, tr, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestSnapshotSwapUnderConcurrentLoad(t *testing.T) {
 					p, _, err := cache.Compile("knn", spec, cfg)
 					if err != nil {
 						errs <- err.Error()
-					} else if out, err := p.ExecuteOn(snap.Tree, snap.Tree, cfg); err != nil {
+					} else if out, err := p.ExecuteOnChecked(snap.Tree, snap.Tree, cfg); err != nil {
 						errs <- err.Error()
 					} else {
 						for q, a := range out.Args {
@@ -176,7 +176,7 @@ func TestSnapshotSwapUnderConcurrentLoad(t *testing.T) {
 					p, _, err := cache.Compile("kde", spec, kcfg)
 					if err != nil {
 						errs <- err.Error()
-					} else if out, err := p.ExecuteOn(snap.Tree, snap.Tree, kcfg); err != nil {
+					} else if out, err := p.ExecuteOnChecked(snap.Tree, snap.Tree, kcfg); err != nil {
 						errs <- err.Error()
 					} else {
 						for q, v := range out.Values {
@@ -191,7 +191,7 @@ func TestSnapshotSwapUnderConcurrentLoad(t *testing.T) {
 					p, _, err := cache.Compile("2pc", spec, cfg)
 					if err != nil {
 						errs <- err.Error()
-					} else if out, err := p.ExecuteOn(snap.Tree, snap.Tree, cfg); err != nil {
+					} else if out, err := p.ExecuteOnChecked(snap.Tree, snap.Tree, cfg); err != nil {
 						errs <- err.Error()
 					} else if out.Scalar != want.twoPC {
 						errs <- "torn read: 2pc count mismatch vs snapshot truth"

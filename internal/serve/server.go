@@ -20,7 +20,6 @@ import (
 	"portal/internal/codegen"
 	"portal/internal/engine"
 	"portal/internal/lang"
-	"portal/internal/metrics"
 	"portal/internal/persist"
 	"portal/internal/problems"
 	"portal/internal/stats"
@@ -238,21 +237,8 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Metrics exposes the server's metrics registry (the /metrics
-// exposition source; tests and embedding binaries may register their
-// own families on it).
-func (s *Server) Metrics() *metrics.Registry { return s.m.reg }
-
 // Ready reports whether startup restore has completed.
 func (s *Server) Ready() bool { return s.ready.Load() }
-
-// SetReady overrides the readiness state (embedding servers that
-// manage their own restore sequencing).
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// Registry exposes the snapshot registry (tests and the smoke driver
-// assert on its refcounts).
-func (s *Server) Registry() *Registry { return s.reg }
 
 // Close stops admitting queries and returns once every already-admitted
 // one has finished. Later queries are refused.
@@ -378,11 +364,6 @@ func (s *Server) Stats(withDatasets bool) Stats {
 		}
 	}
 	return st
-}
-
-// Query is QueryContext without cancellation.
-func (s *Server) Query(req *QueryRequest) (*QueryResponse, error) {
-	return s.QueryContext(context.Background(), req)
 }
 
 // QueryContext prepares the request, waits for a free traversal worker

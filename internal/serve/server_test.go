@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,11 @@ import (
 	"portal/internal/problems"
 	"portal/internal/storage"
 )
+
+// Query is QueryContext without cancellation, the tests' shorthand.
+func (s *Server) Query(req *QueryRequest) (*QueryResponse, error) {
+	return s.QueryContext(context.Background(), req)
+}
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()

@@ -27,10 +27,12 @@ func goldenReport() *Report {
 		Rounds:     1,
 		TotalPairs: 100000000,
 		Traversal: TraversalStats{
-			Visits: 5000, Prunes: 1200, Approxes: 800, BaseCases: 3000,
+			DepthCounters: trace.DepthCounters{
+				Visits: 5000, Prunes: 1200, Approxes: 800, BaseCases: 3000,
+				BaseCasePairs: 4000000, PrunedPairs: 56000000, ApproxPairs: 40000000,
+			},
 			FusedBaseCases: 3000,
-			BaseCasePairs:  4000000, PrunedPairs: 56000000, ApproxPairs: 40000000,
-			KernelEvals: 4000800, TasksSpawned: 24, TasksExecuted: 25, TasksStolen: 9,
+			KernelEvals:    4000800, TasksSpawned: 24, TasksExecuted: 25, TasksStolen: 9,
 			InlineFallbacks: 3, DequeHighWater: 5,
 			MaxDepth: 9,
 		},
@@ -65,7 +67,7 @@ func goldenReport() *Report {
 	}
 }
 
-// TestReportGoldenJSON pins the schema_version=7 JSON wire format.
+// TestReportGoldenJSON pins the schema_version=8 JSON wire format.
 func TestReportGoldenJSON(t *testing.T) {
 	b, err := goldenReport().JSON()
 	if err != nil {
@@ -73,7 +75,7 @@ func TestReportGoldenJSON(t *testing.T) {
 	}
 	b = append(b, '\n')
 
-	golden := filepath.Join("testdata", "report_v7.golden.json")
+	golden := filepath.Join("testdata", "report_v8.golden.json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -89,6 +91,39 @@ func TestReportGoldenJSON(t *testing.T) {
 	if !bytes.Equal(b, want) {
 		t.Errorf("Report JSON diverges from %s — if the schema change is intentional, bump "+
 			"ReportSchemaVersion and regenerate with -update.\ngot:\n%s\nwant:\n%s", golden, b, want)
+	}
+}
+
+// TestReportV8IsFieldOrderOnly holds version 8 to what it claims: the
+// version 7 golden, decoded into today's Report and re-encoded at
+// version 8, is the version 8 golden byte for byte, so every value the
+// old file pinned is still pinned and only the field order moved.
+func TestReportV8IsFieldOrderOnly(t *testing.T) {
+	v7, err := os.ReadFile(filepath.Join("testdata", "report_v7.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Report
+	dec := json.NewDecoder(bytes.NewReader(v7))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		t.Fatal(err)
+	}
+	if r.SchemaVersion != 7 {
+		t.Fatalf("v7 golden has schema_version %d", r.SchemaVersion)
+	}
+	r.SchemaVersion = 8
+	b, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, '\n')
+	want, err := os.ReadFile(filepath.Join("testdata", "report_v8.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, want) {
+		t.Errorf("v7 golden re-encoded at v8 diverges from the v8 golden:\ngot:\n%s\nwant:\n%s", b, want)
 	}
 }
 

@@ -66,21 +66,20 @@ import (
 //
 // Version 7: sharding runs self-joins only, so a shard's query points
 // are its points and "sharding.per_shard" loses query_points.
-const ReportSchemaVersion = 7
+//
+// Version 8: field order only. "traversal" embeds the decision block
+// the depth profile uses, so its seven decision counters come first,
+// in trace.DepthCounters order; no field is added, removed or renamed.
+const ReportSchemaVersion = 8
 
 // TraversalStats counts traversal events. Its fields are plain
-// (single-writer); aggregation goes through Add.
+// (single-writer); aggregation goes through Add. The decision counters
+// are one trace.DepthCounters block — the same block a trace's depth
+// profile holds per level — so the walk records each decision once.
 type TraversalStats struct {
-	// Visits counts node pairs (tuples for multi-way traversals) whose
-	// prune/approximate decision was Visit — the recursion continued or
-	// ran a base case.
-	Visits int64 `json:"visits"`
-	// Prunes counts node pairs discarded outright.
-	Prunes int64 `json:"prunes"`
-	// Approxes counts node pairs replaced by their approximation.
-	Approxes int64 `json:"approxes"`
-	// BaseCases counts leaf-pair direct computations.
-	BaseCases int64 `json:"base_cases"`
+	// DepthCounters holds the decisions (visits, prunes, approxes,
+	// base cases) and the point pairs each fate covered.
+	trace.DepthCounters
 	// FusedBaseCases counts the subset of BaseCases executed by one of
 	// the backend's hot loops (internal/codegen/basecase_fused_hot.go)
 	// rather than the per-pair loop or the IR interpreter. The loop is
@@ -88,13 +87,6 @@ type TraversalStats struct {
 	// (kernel, operator, layout) combination has one and 0 otherwise —
 	// in particular under ForceInterp.
 	FusedBaseCases int64 `json:"fused_base_cases"`
-	// BaseCasePairs totals the point pairs enumerated by base cases —
-	// the work the prune/approximate conditions could not eliminate.
-	BaseCasePairs int64 `json:"base_case_pairs"`
-	// PrunedPairs totals the point pairs eliminated by prunes.
-	PrunedPairs int64 `json:"pruned_pairs"`
-	// ApproxPairs totals the point pairs covered by approximations.
-	ApproxPairs int64 `json:"approx_pairs"`
 	// KernelEvals counts kernel evaluations reported by the rule (the
 	// backend's base cases plus one centroid evaluation per
 	// approximation).
@@ -128,30 +120,15 @@ type TraversalStats struct {
 
 // Add folds o into s without synchronization (single-writer contexts).
 func (s *TraversalStats) Add(o *TraversalStats) {
-	s.Visits += o.Visits
-	s.Prunes += o.Prunes
-	s.Approxes += o.Approxes
-	s.BaseCases += o.BaseCases
+	s.DepthCounters.Add(&o.DepthCounters)
 	s.FusedBaseCases += o.FusedBaseCases
-	s.BaseCasePairs += o.BaseCasePairs
-	s.PrunedPairs += o.PrunedPairs
-	s.ApproxPairs += o.ApproxPairs
 	s.KernelEvals += o.KernelEvals
 	s.TasksSpawned += o.TasksSpawned
 	s.TasksExecuted += o.TasksExecuted
 	s.TasksStolen += o.TasksStolen
 	s.InlineFallbacks += o.InlineFallbacks
-	if o.DequeHighWater > s.DequeHighWater {
-		s.DequeHighWater = o.DequeHighWater
-	}
-	if o.MaxDepth > s.MaxDepth {
-		s.MaxDepth = o.MaxDepth
-	}
-}
-
-// Decisions is the total number of prune/approximate evaluations.
-func (s *TraversalStats) Decisions() int64 {
-	return s.Visits + s.Prunes + s.Approxes
+	s.DequeHighWater = max(s.DequeHighWater, o.DequeHighWater)
+	s.MaxDepth = max(s.MaxDepth, o.MaxDepth)
 }
 
 // EliminatedPairs is the pairwise work the generated conditions removed

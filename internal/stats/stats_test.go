@@ -5,13 +5,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"portal/internal/trace"
 )
 
 func TestAddAndDecisions(t *testing.T) {
-	a := &TraversalStats{Visits: 3, Prunes: 2, Approxes: 1, BaseCases: 2,
-		BaseCasePairs: 40, PrunedPairs: 100, ApproxPairs: 10, KernelEvals: 41,
+	a := &TraversalStats{DepthCounters: trace.DepthCounters{Visits: 3, Prunes: 2, Approxes: 1, BaseCases: 2,
+		BaseCasePairs: 40, PrunedPairs: 100, ApproxPairs: 10}, KernelEvals: 41,
 		TasksSpawned: 4, InlineFallbacks: 1, MaxDepth: 5}
-	b := &TraversalStats{Visits: 1, Prunes: 1, MaxDepth: 9}
+	b := &TraversalStats{DepthCounters: trace.DepthCounters{Visits: 1, Prunes: 1}, MaxDepth: 9}
 	a.Add(b)
 	if a.Visits != 4 || a.Prunes != 3 {
 		t.Fatalf("add: %+v", a)
@@ -33,7 +35,7 @@ func TestReportMergeAndFraction(t *testing.T) {
 		sink.Merge(&Report{
 			Problem: "mst", Parallel: true, Workers: 4,
 			QueryN: 100, RefN: 100, Rounds: 1, TotalPairs: 10000,
-			Traversal: TraversalStats{BaseCasePairs: 1000, PrunedPairs: 9000, Prunes: 5},
+			Traversal: TraversalStats{DepthCounters: trace.DepthCounters{BaseCasePairs: 1000, PrunedPairs: 9000, Prunes: 5}},
 			Phases:    Phases{TreeBuild: time.Millisecond, Traversal: 2 * time.Millisecond},
 		})
 	}
@@ -52,7 +54,7 @@ func TestReportMergeAndFraction(t *testing.T) {
 // what consumers of -stats-json grep for.
 func TestReportJSONSchema(t *testing.T) {
 	r := &Report{Problem: "kde", Workers: 2, QueryN: 10, RefN: 10, Rounds: 1,
-		TotalPairs: 100, Traversal: TraversalStats{Prunes: 1, KernelEvals: 9}}
+		TotalPairs: 100, Traversal: TraversalStats{DepthCounters: trace.DepthCounters{Prunes: 1}, KernelEvals: 9}}
 	b, err := r.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +83,8 @@ func TestReportJSONSchema(t *testing.T) {
 func TestReportString(t *testing.T) {
 	r := &Report{Problem: "knn", Parallel: true, Workers: 8, QueryN: 10000,
 		RefN: 10000, Rounds: 1, TotalPairs: 100000000,
-		Traversal: TraversalStats{BaseCasePairs: 1000000, PrunedPairs: 99000000,
-			Prunes: 500, Visits: 900, KernelEvals: 1000000,
+		Traversal: TraversalStats{DepthCounters: trace.DepthCounters{BaseCasePairs: 1000000, PrunedPairs: 99000000,
+			Prunes: 500, Visits: 900}, KernelEvals: 1000000,
 			TasksSpawned: 64, TasksExecuted: 65, TasksStolen: 12}}
 	s := r.String()
 	for _, want := range []string{"knn", "parallel w=8", "99.00% eliminated",

@@ -146,15 +146,6 @@ func (s *Storage) At(i, dim int) float64 {
 	return s.data[dim*s.n+i]
 }
 
-// Set assigns coordinate dim of point i.
-func (s *Storage) Set(i, dim int, v float64) {
-	if s.layout == RowMajor {
-		s.data[i*s.d+dim] = v
-	} else {
-		s.data[dim*s.n+i] = v
-	}
-}
-
 // Point copies point i into dst (allocated when nil) and returns it.
 func (s *Storage) Point(i int, dst []float64) []float64 {
 	if dst == nil {
@@ -293,13 +284,6 @@ func (s *Storage) Convert(l Layout) *Storage {
 		s.Point(i, buf)
 		c.SetPoint(i, buf)
 	}
-	return c
-}
-
-// Clone returns a deep copy of s.
-func (s *Storage) Clone() *Storage {
-	c := &Storage{n: s.n, d: s.d, layout: s.layout, data: make([]float64, len(s.data))}
-	copy(c.data, s.data)
 	return c
 }
 

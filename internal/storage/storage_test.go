@@ -73,8 +73,8 @@ func TestAccessorsRoundTrip(t *testing.T) {
 				ref[i] = make([]float64, d)
 				for j := range ref[i] {
 					ref[i][j] = rng.NormFloat64()
-					s.Set(i, j, ref[i][j])
 				}
+				s.SetPoint(i, ref[i])
 			}
 			for i := 0; i < n; i++ {
 				p := s.Point(i, nil)
@@ -154,15 +154,6 @@ func TestConvert(t *testing.T) {
 	}
 	if s.Convert(RowMajor) != s {
 		t.Fatal("Convert to same layout should return receiver")
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := MustFromRows([][]float64{{1, 2}, {3, 4}})
-	c := s.Clone()
-	c.Set(0, 0, 42)
-	if s.At(0, 0) == 42 {
-		t.Fatal("Clone must not share data")
 	}
 }
 
@@ -302,10 +293,12 @@ func TestGatherParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, d := range []int{3, 7} { // column-major and row-major
 		s := New(500, d)
+		row := make([]float64, d)
 		for i := 0; i < s.Len(); i++ {
-			for j := 0; j < d; j++ {
-				s.Set(i, j, rng.NormFloat64())
+			for j := range row {
+				row[j] = rng.NormFloat64()
 			}
+			s.SetPoint(i, row)
 		}
 		idx := rng.Perm(s.Len())
 		idx = append(idx, idx[:100]...) // repeated indices are allowed

@@ -54,8 +54,8 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 			withArgs++
 		}
 	}
-	if metaNames != 1+c.MaxWorkers() {
-		t.Errorf("metadata events = %d, want process_name + %d thread_name", metaNames, c.MaxWorkers())
+	if metaNames != 1+c.Profile().MaxWorkers {
+		t.Errorf("metadata events = %d, want process_name + %d thread_name", metaNames, c.Profile().MaxWorkers)
 	}
 	if withArgs != 4 {
 		t.Errorf("X events = %d, want 4", withArgs)

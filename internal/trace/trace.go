@@ -67,20 +67,21 @@ func (p Phase) String() string {
 // covered at that depth. Summing a profile's levels reproduces the
 // run's stats.TraversalStats aggregates exactly.
 type DepthCounters struct {
-	Visits        int64 `json:"visits"`
-	Prunes        int64 `json:"prunes"`
-	Approxes      int64 `json:"approxes"`
-	BaseCases     int64 `json:"base_cases"`
-	PrunedPairs   int64 `json:"pruned_pairs"`
-	ApproxPairs   int64 `json:"approx_pairs"`
-	BaseCasePairs int64 `json:"base_case_pairs"`
+	Visits        int64 `json:"visits"`          // node pairs (tuples) recursed into or base-cased
+	Prunes        int64 `json:"prunes"`          // node pairs discarded outright
+	Approxes      int64 `json:"approxes"`        // node pairs replaced by their approximation
+	BaseCases     int64 `json:"base_cases"`      // leaf pairs computed directly
+	PrunedPairs   int64 `json:"pruned_pairs"`    // point pairs the prunes eliminated
+	ApproxPairs   int64 `json:"approx_pairs"`    // point pairs the approximations covered
+	BaseCasePairs int64 `json:"base_case_pairs"` // point pairs the base cases enumerated
 }
 
 // Decisions is the number of prune/approximate evaluations at this
 // level.
 func (d *DepthCounters) Decisions() int64 { return d.Visits + d.Prunes + d.Approxes }
 
-func (d *DepthCounters) add(o *DepthCounters) {
+// Add folds o into d.
+func (d *DepthCounters) Add(o *DepthCounters) {
 	d.Visits += o.Visits
 	d.Prunes += o.Prunes
 	d.Approxes += o.Approxes
@@ -144,6 +145,13 @@ func (t *Task) At(depth int) *DepthCounters {
 	return &t.depths[depth]
 }
 
+// AddTo folds the task's counters, every level of them, into d.
+func (t *Task) AddTo(d *DepthCounters) {
+	for i := range t.depths {
+		d.Add(&t.depths[i])
+	}
+}
+
 // SetItems sets the task's payload for phases that know it up front
 // (build tasks record their subtree's point count).
 func (t *Task) SetItems(n int64) { t.items = n }
@@ -200,15 +208,11 @@ func (c *Collector) TaskBegin(phase Phase, spawnDepth int) *Task {
 // private counters into the collector and frees its lane.
 func (c *Collector) TaskEnd(t *Task) {
 	end := time.Now()
-	var decisions, pairs int64
-	for i := range t.depths {
-		d := &t.depths[i]
-		decisions += d.Decisions()
-		pairs += d.PrunedPairs + d.ApproxPairs + d.BaseCasePairs
-	}
+	var sum DepthCounters
+	t.AddTo(&sum)
 	items := t.items
 	if items == 0 {
-		items = pairs
+		items = sum.PrunedPairs + sum.ApproxPairs + sum.BaseCasePairs
 	}
 	sp := Span{
 		Phase:      t.phase,
@@ -216,7 +220,7 @@ func (c *Collector) TaskEnd(t *Task) {
 		StartNS:    t.start.Sub(c.epoch).Nanoseconds(),
 		DurNS:      end.Sub(t.start).Nanoseconds(),
 		SpawnDepth: t.spawnDepth,
-		Decisions:  decisions,
+		Decisions:  sum.Decisions(),
 		Items:      items,
 		Stolen:     t.stolen,
 	}
@@ -226,7 +230,7 @@ func (c *Collector) TaskEnd(t *Task) {
 		c.depths = append(c.depths, DepthCounters{})
 	}
 	for i := range t.depths {
-		c.depths[i].add(&t.depths[i])
+		c.depths[i].Add(&t.depths[i])
 	}
 	for len(c.busy) <= t.worker {
 		c.busy = append(c.busy, 0)
@@ -241,12 +245,4 @@ func (c *Collector) Spans() []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Span(nil), c.spans...)
-}
-
-// MaxWorkers returns the lane high-water mark — the peak number of
-// concurrently open tasks observed so far.
-func (c *Collector) MaxWorkers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.laneHW
 }

@@ -29,7 +29,7 @@ func TestLaneHighWater(t *testing.T) {
 	c.TaskEnd(t2)
 	c.TaskEnd(t3)
 
-	if hw := c.MaxWorkers(); hw != 3 {
+	if hw := c.Profile().MaxWorkers; hw != 3 {
 		t.Fatalf("MaxWorkers = %d, want 3 (peak concurrency)", hw)
 	}
 	if got := len(c.Spans()); got != 4 {
@@ -66,7 +66,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if len(spans) != goroutines*tasksPerG {
 		t.Fatalf("spans = %d, want %d (dropped spans)", len(spans), goroutines*tasksPerG)
 	}
-	if hw := c.MaxWorkers(); hw > goroutines || hw < 1 {
+	if hw := c.Profile().MaxWorkers; hw > goroutines || hw < 1 {
 		t.Fatalf("MaxWorkers = %d, want 1..%d", hw, goroutines)
 	}
 

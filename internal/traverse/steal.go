@@ -80,13 +80,11 @@ type stealCtx struct {
 // keeps them off the lines of data other goroutines read or write — the
 // worker's deque pointer, which thieves scan, and whatever is allocated
 // next to the worker — which would otherwise be false sharing on the
-// hottest loads of the step. untraced stands in for the open span's
-// depth slot when tracing is off; nothing reads it.
+// hottest loads of the step.
 type workerStats struct {
 	_ [64]byte
 	stats.TraversalStats
-	untraced trace.DepthCounters
-	_        [64]byte
+	_ [64]byte
 }
 
 // newStealCtx builds the scheduler and its workers; the caller gives

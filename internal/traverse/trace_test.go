@@ -47,8 +47,8 @@ func TestTraceSequentialSingleSpan(t *testing.T) {
 	if st.TasksSpawned != 0 {
 		t.Fatalf("TasksSpawned = %d, want 0", st.TasksSpawned)
 	}
-	if rec.MaxWorkers() != 1 {
-		t.Fatalf("MaxWorkers = %d, want 1", rec.MaxWorkers())
+	if rec.Profile().MaxWorkers != 1 {
+		t.Fatalf("MaxWorkers = %d, want 1", rec.Profile().MaxWorkers)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestTraceParallelSpanCount(t *testing.T) {
 			if want := int(st.TasksExecuted); len(spans) != want {
 				t.Fatalf("%s Workers=%d: %d spans, want TasksExecuted = %d", walk.name, w, len(spans), want)
 			}
-			if hw := rec.MaxWorkers(); hw > w {
+			if hw := rec.Profile().MaxWorkers; hw > w {
 				t.Fatalf("%s Workers=%d: lane high-water %d exceeds cap", walk.name, w, hw)
 			}
 			var roots int

@@ -25,8 +25,9 @@
 // decisions are *counted*. Every worker counts every decision, the
 // point pairs each fate covered, task-spawn behaviour and recursion
 // depth into private counters, at one recording site (worker.record)
-// that both walks share and that also fills the open trace span's
-// depth profile. Options.Stats, when set, receives the workers' counts,
+// that both walks share; a decision lands once, in the open trace
+// span's depth slot (folded into the worker's counters when the span
+// ends) or, untraced, in the worker's counters. Options.Stats, when set, receives the workers' counts,
 // added once each after the walk, so the hot path is plain stores on
 // memory one goroutine owns — the same ownership discipline as
 // Rule.Fork.
@@ -154,33 +155,29 @@ type worker struct {
 // and tuple) once per decision: d on a node pair or tuple at depth
 // covering pairs point pairs (point tuples in the m-way walk), leaf
 // when it is a visited all-leaf one whose base case runs. It counts
-// into the worker's stats and the open span's slot for depth.
+// into one block: the open span's slot for depth, which end folds into
+// the worker's counters once per task, or the worker's counters
+// themselves when tracing is off (a worker-owned per-depth profile
+// would allocate on the untraced walk).
 func (w *worker) record(d prune.Decision, leaf bool, depth int, pairs int64) {
 	st := &w.st
 	st.MaxDepth = max(st.MaxDepth, int64(depth))
-	dc := &st.untraced
+	dc := &st.DepthCounters
 	if w.tt != nil {
 		dc = w.tt.At(depth)
 	}
 	switch {
 	case d == prune.Prune:
-		st.Prunes++
-		st.PrunedPairs += pairs
 		dc.Prunes++
 		dc.PrunedPairs += pairs
 	case d == prune.Approx:
-		st.Approxes++
-		st.ApproxPairs += pairs
 		dc.Approxes++
 		dc.ApproxPairs += pairs
 	case leaf:
-		st.BaseCases++
-		st.BaseCasePairs += pairs
 		dc.BaseCases++
 		dc.BaseCasePairs += pairs
 		fallthrough
 	default:
-		st.Visits++
 		dc.Visits++
 	}
 }
@@ -206,9 +203,11 @@ func (w *worker) begin(rec *trace.Collector, depth int) {
 	}
 }
 
-// end closes the span begin opened, if any.
+// end closes the span begin opened, if any, after folding its
+// decisions into the worker's counters.
 func (w *worker) end(rec *trace.Collector) {
 	if w.tt != nil {
+		w.tt.AddTo(&w.st.DepthCounters)
 		rec.TaskEnd(w.tt)
 		w.tt = nil
 	}

@@ -145,10 +145,12 @@ func TestExportGolden(t *testing.T) {
 	for _, in := range goldenInputs() {
 		for _, sh := range shapes {
 			s := storage.NewWithLayout(in.n, sh.d, sh.layout)
+			row := make([]float64, sh.d)
 			for i := 0; i < in.n; i++ {
-				for j := 0; j < sh.d; j++ {
-					s.Set(i, j, in.at(i, j))
+				for j := range row {
+					row[j] = in.at(i, j)
 				}
+				s.SetPoint(i, row)
 			}
 			name := fmt.Sprintf("%s/%s/d=%d", in.name, sh.layout, sh.d)
 			for _, w := range []int{1, 2} {

@@ -50,13 +50,13 @@ func TestOneLevelQueryTreeParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := p.ExecuteOn(qt, rt, cfg)
+			seq, err := p.ExecuteOnChecked(qt, rt, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pcfg := cfg
 			pcfg.Parallel, pcfg.Workers, pcfg.CollectStats = true, 2, true
-			par, err := p.ExecuteOn(qt, rt, pcfg)
+			par, err := p.ExecuteOnChecked(qt, rt, pcfg)
 			if err != nil {
 				t.Fatal(err)
 			}

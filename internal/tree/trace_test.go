@@ -42,7 +42,7 @@ func TestBuildTraceSpans(t *testing.T) {
 				t.Fatalf("%s workers=%d: %d spans, want Build.TasksSpawned+1 = %d",
 					bc.name, workers, len(spans), want)
 			}
-			if hw := rec.MaxWorkers(); hw > workers {
+			if hw := rec.Profile().MaxWorkers; hw > workers {
 				t.Fatalf("%s workers=%d: lane high-water %d exceeds cap", bc.name, workers, hw)
 			}
 			var roots int

@@ -56,7 +56,12 @@ func Hausdorff(a, b *Storage, cfg Config) (float64, error) {
 
 // HausdorffSymmetric computes max(h(A,B), h(B,A)).
 func HausdorffSymmetric(a, b *Storage, cfg Config) (float64, error) {
-	return problems.HausdorffSymmetric(a, b, cfg)
+	ab, err := problems.Hausdorff(a, b, cfg)
+	if err != nil {
+		return 0, err
+	}
+	ba, err := problems.Hausdorff(b, a, cfg)
+	return max(ab, ba), err
 }
 
 // KDE evaluates the (unnormalized) Gaussian kernel density of the

@@ -53,9 +53,13 @@ func TestPublicFacadeEndToEnd(t *testing.T) {
 	if h != 0 {
 		t.Fatalf("h(A,A) = %v", h)
 	}
-	hs, err := nbody.HausdorffSymmetric(data, randStorage(rng, 300, 3), cfg)
+	other := randStorage(rng, 300, 3)
+	hs, err := nbody.HausdorffSymmetric(data, other, cfg)
 	if err != nil || hs <= 0 {
 		t.Fatalf("symmetric hausdorff %v %v", hs, err)
+	}
+	if hd, err := nbody.Hausdorff(data, other, cfg); err != nil || hs < hd {
+		t.Fatalf("symmetric hausdorff %v below the directed %v (%v)", hs, hd, err)
 	}
 
 	sigma := nbody.SilvermanBandwidth(data)
