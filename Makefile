@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke cover-audit
+.PHONY: check build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke cover-audit hashes
 
 # Tier-1 gate: everything must pass before a change lands.
 check: build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke
@@ -125,3 +125,12 @@ metrics-smoke:
 # so not a leg of check.
 cover-audit:
 	GO=$(GO) sh internal/coveraudit/audit.sh
+
+# Cross-commit answer check: one sha256 per line over three fixed problem
+# matrices (internal/hashout: the 360 self-join and external lines, the
+# 232 τ and window lines, the 120 operator-table lines beside the
+# brute-force oracle's). Run it in each checkout and diff the two files;
+# it compares commits, so it is not a leg of check. About half a minute.
+hashes:
+	@test -n "$(HASHES)" || { echo "usage: make hashes HASHES=<file>" >&2; exit 2; }
+	$(GO) run ./internal/hashout > $(HASHES)

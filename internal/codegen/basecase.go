@@ -24,9 +24,9 @@ import (
 const gateChunk = 64
 
 // fusedFn executes one leaf pair through a hot loop. Implementations
-// read all per-fork state (Val, Arg, the k-list slabs, IdxLists) from
-// the *Run argument so the same fusedFn value is safe to share across
-// Fork clones.
+// read all per-fork state (Val, Arg, the k-list slabs, the query leaf's
+// id lists) from the *Run argument so the same fusedFn value is safe to
+// share across Fork clones.
 type fusedFn func(r *Run, qb, qe int, rn *tree.Node)
 
 // fusedTileR is the hot loops' reference tile: 256 points is 2 KiB per
@@ -102,6 +102,7 @@ func (ex *Executable) selectFused(qd, rd *storage.Storage) fusedFn {
 // only the maximal runs of points the rule cannot settle are swept, most
 // often none.
 func (r *Run) BaseCase(qn, rn *tree.Node) {
+	r.leaf = qn
 	if r.fused != nil {
 		r.fusedBaseCases++
 	}
@@ -156,8 +157,19 @@ func (r *Run) settle(qb, qe int, qn, rn *tree.Node) uint64 {
 		// (winLo2, winHi2) — exact, like the bound gate, and the same two
 		// tests against constant thresholds. The walk has already held
 		// qn's own box against winHi2: no floor.
+		//
+		// The lower test settles q when far² <= winLo2. At winLo2 = 0 it
+		// can do so only where rn's box has collapsed onto q, and it is
+		// skipped when some side of the box is at least 2⁻⁵⁰⁰ wide
+		// (wideBox): the exact width there exceeds 2⁻⁵⁰¹, so one of q's
+		// two offsets to that side's ends is exactly at least 2⁻⁵⁰² and,
+		// rounding being monotone and 2⁻⁵⁰² representable, so is the
+		// computed far offset — or it is NaN. Its square is a positive
+		// normal number or NaN, and so is the sum, so far² <= 0 is false
+		// for every q, NaN and ±Inf coordinates included: the test would
+		// settle nothing.
 		m := r.nearMask(qb, nil, rn, ex.winGate.hi[:qe-qb])
-		if ex.winLo2 >= 0 {
+		if ex.winLo2 > 0 || ex.winLo2 == 0 && !wideBox(rn.BBox.Min, rn.BBox.Max) {
 			m = r.boxMask(m, qb, rn, ex.winGate.lo[:qe-qb], true)
 		}
 		return m
@@ -231,6 +243,18 @@ func (r *Run) boxMask(in uint64, qb int, rn *tree.Node, w []float64, far bool) u
 		m &^= bit(skip) << (i & 63)
 	}
 	return m
+}
+
+// wideBox reports whether some side of the box [lo, hi] is at least
+// 2⁻⁵⁰⁰ wide; a NaN side is not.
+func wideBox(lo, hi []float64) bool {
+	hi = hi[:len(lo)]
+	for j := range lo {
+		if hi[j]-lo[j] >= 0x1p-500 {
+			return true
+		}
+	}
+	return false
 }
 
 // bit is 1 for true: a flag-setting instruction, not a branch, so a mask
@@ -324,11 +348,10 @@ func (r *Run) update(qi, ri int, v float64) {
 		kl := r.kl(qi)
 		kl.Insert(v, ri)
 	case lang.UNION:
-		r.IdxLists[qi] = append(r.IdxLists[qi], ri)
-		r.ValLists[qi] = append(r.ValLists[qi], v)
+		r.collect(qi, ri, v)
 	case lang.UNIONARG:
 		if v > 0 {
-			r.IdxLists[qi] = append(r.IdxLists[qi], ri)
+			r.collect(qi, ri, v)
 		}
 	}
 }

@@ -86,11 +86,16 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 					if side == "pair" {
 						sweep = (*Run).pairBaseCase
 					}
+					// The sweep runs outside BaseCase: record the query leaf
+					// the lists are kept for, as BaseCase would.
 					n, rn := run.Q.Len(), run.R.Node(0)
+					run.leaf = run.Q.Node(0)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						for j := range run.IdxLists {
-							run.IdxLists[j] = run.IdxLists[j][:0]
+						for _, ids := range run.idLists {
+							for j := range ids {
+								ids[j] = ids[j][:0]
+							}
 						}
 						sweep(run, 0, n, rn)
 					}

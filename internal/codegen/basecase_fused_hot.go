@@ -645,8 +645,12 @@ func hotWindowSumRow(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 
 // hotWindowUnionCols collects the window's pairs a block at a time,
 // each query's set bits in ascending reference order: the lists the
-// per-pair loop appends.
+// per-pair loop appends. The lists are the query leaf's (Run.leafIDs),
+// fetched at the first hit, so a sweep that lists nothing allocates
+// nothing.
 func hotWindowUnionCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
+	var ids [][]int
+	base := r.leaf.Begin
 	for cb := qb; cb < qe; cb += windowBlock {
 		ce := min(cb+windowBlock, qe)
 		for rb := rn.Begin; rb < rn.End; rb += windowBlock {
@@ -654,11 +658,15 @@ func hotWindowUnionCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 				if w == 0 {
 					continue
 				}
-				idx := r.IdxLists[cb+i]
+				if ids == nil {
+					ids = r.leafIDs(r.leaf)
+				}
+				j := cb + i - base
+				idx := ids[j]
 				for ; w != 0; w &= w - 1 {
 					idx = append(idx, rb+bits.TrailingZeros64(w))
 				}
-				r.IdxLists[cb+i] = idx
+				ids[j] = idx
 			}
 		}
 	}
@@ -666,17 +674,27 @@ func hotWindowUnionCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 
 func hotWindowUnionRow(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
+	ids, base := r.idLists[r.leaf.ID], r.leaf.Begin
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		for qi := qb; qi < qe; qi++ {
 			q := qd.Row(qi)
-			idx := r.IdxLists[qi]
+			var idx []int
+			if ids != nil {
+				idx = ids[qi-base]
+			}
+			n := len(idx)
 			for ri := rb; ri < re; ri++ {
 				if s := fastmath.Hypot2(q, rd.Row(ri)); s > lo2 && s < hi2 {
 					idx = append(idx, ri)
 				}
 			}
-			r.IdxLists[qi] = idx
+			if len(idx) > n {
+				if ids == nil {
+					ids = r.leafIDs(r.leaf)
+				}
+				ids[qi-base] = idx
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -341,6 +342,107 @@ func TestWindowOpenAtZero(t *testing.T) {
 					got := append([]int(nil), outs[0].ArgLists[i]...)
 					sort.Ints(got)
 					sameInts(t, ctx, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowGateAtZero holds the window gate at lo = 0, where the lower
+// test (far² <= 0) runs only against a reference box narrower than 2⁻⁵⁰⁰
+// on every side, around a query point at the origin: a leaf of its
+// duplicates (width 0), leaves within 2⁻⁵⁹⁹ of it on every side (far²
+// underflows to 0), and ordinary leaves, which skip the test. On every
+// query leaf × reference leaf chunk, settle's mask must be the full
+// two-test mask, and on the first two clusters the lower test must
+// settle something; the answers must equal ForceInterp + ExactMath, SUM
+// and UNIONARG, column and row layouts, and the kernel evaluations the
+// counts pinned below (recorded where the lower test always ran).
+func TestWindowGateAtZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const tiny = 0x1p-600
+	pinned := map[string]int64{}
+	for _, lay := range []string{"column-major", "row-major"} {
+		for _, op := range []string{"SUM", "UNIONARG"} {
+			pinned["duplicates/"+lay+"/"+op] = 848
+			pinned["narrow/"+lay+"/"+op] = 848
+			pinned["ordinary/"+lay+"/"+op] = 405
+		}
+	}
+	var dups, narrow [][]float64
+	for i := 0; i < 24; i++ {
+		dups = append(dups, []float64{0, 0})
+	}
+	for a := -2.0; a <= 2; a++ {
+		for b := -2.0; b <= 2 && len(narrow) < 24; b++ {
+			narrow = append(narrow, []float64{a * tiny, b * tiny})
+		}
+	}
+	qRows := [][]float64{{0, 0}}
+	for i := 0; i < 15; i++ {
+		qRows = append(qRows, []float64{rng.NormFloat64() * 0.6, rng.NormFloat64() * 0.6})
+	}
+	others := make([][]float64, 40)
+	for i := range others {
+		others[i] = []float64{rng.NormFloat64() * 1.5, rng.NormFloat64() * 1.5}
+	}
+	bind := func(spec *lang.PortalExpr, opts Options) *Run {
+		t.Helper()
+		plan, prog, err := lower.Lower("t", spec, lower.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := Compile(plan, prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex.Bind(tree.BuildKD(spec.Outer().Data, &tree.Options{LeafSize: 8}), tree.BuildKD(spec.Inner().Data, &tree.Options{LeafSize: 8}))
+	}
+	for _, c := range []struct {
+		name    string
+		cluster [][]float64
+	}{{"duplicates", dups}, {"narrow", narrow}, {"ordinary", nil}} {
+		rRows := append(append([][]float64(nil), c.cluster...), others...)
+		for _, lay := range []storage.Layout{storage.ColMajor, storage.RowMajor} {
+			q, r := storageWithLayout(qRows, lay), storageWithLayout(rRows, lay)
+			for _, op := range []lang.Op{lang.SUM, lang.UNIONARG} {
+				ctx := fmt.Sprintf("%s/%v/%v", c.name, lay, op)
+				spec := func() *lang.PortalExpr {
+					return (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).AddLayer(op, r, expr.NewRangeKernel(0, 1.5))
+				}
+				run := bind(spec(), Options{})
+				if run.gate != gateWindow || run.Ex.winLo2 != 0 {
+					t.Fatalf("%s: gate %d at lo² = %v, want the window gate at 0", ctx, run.gate, run.Ex.winLo2)
+				}
+				settledByLower := 0
+				for qi := range run.Q.Nodes {
+					qn := &run.Q.Nodes[qi]
+					for ri := range run.R.Nodes {
+						rn := &run.R.Nodes[ri]
+						if !qn.IsLeaf() || !rn.IsLeaf() {
+							continue
+						}
+						for qb := qn.Begin; qb < qn.End; qb += gateChunk {
+							n := min(qn.End-qb, gateChunk)
+							near := run.nearMask(qb, nil, rn, run.Ex.winGate.hi[:n])
+							full := run.boxMask(near, qb, rn, run.Ex.winGate.lo[:n], true)
+							if m := run.settle(qb, qb+n, qn, rn); m != full {
+								t.Fatalf("%s: query leaf %d × reference leaf %d: settle %#x, the two tests %#x", ctx, qi, ri, m, full)
+							}
+							settledByLower += bits.OnesCount64(near &^ full)
+						}
+					}
+				}
+				if (c.cluster != nil) != (settledByLower > 0) {
+					t.Fatalf("%s: the lower test settles %d points", ctx, settledByLower)
+				}
+				traverse.RunParallel(run.Q, run.R, run, traverse.Options{Workers: 1, Stats: run.TraversalStats()})
+				got := run.Finalize()
+				want := fullRun(t, spec(), 0, Options{ExactMath: true, ForceInterp: true})
+				compareOutputs(t, ctx+" vs interp", got, want, 0)
+				t.Logf("%s: %d kernel evaluations, %d settled by the lower test", ctx, got.Stats.KernelEvals, settledByLower)
+				if w, ok := pinned[ctx]; !ok || got.Stats.KernelEvals != w {
+					t.Errorf("%s: %d kernel evaluations, pinned %d", ctx, got.Stats.KernelEvals, w)
 				}
 			}
 		}
@@ -686,8 +788,8 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 		{"taugate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewGaussianKernel(0.5), 8), true, gateTau},
 		{"windowgate-col3", mk(3, storage.ColMajor, lang.SUM, 0, expr.NewRangeKernel(1, 2), 8), true, gateWindow},
 		{"windowgate-row6", mk(6, storage.RowMajor, lang.SUM, 0, expr.NewThresholdKernel(2), 6), true, gateWindow},
-		// A shell too thin to hold a pair: the range-search loop runs and
-		// appends nothing.
+		// A shell too thin to hold a pair: the range-search loop runs,
+		// appends nothing and so allocates no list for its query leaf.
 		{"windowunion-col3", mk(3, storage.ColMajor, lang.UNIONARG, 0, expr.NewRangeKernel(1, 1+1e-9), 8), true, gateWindow},
 	}
 	for _, c := range cases {
@@ -710,6 +812,9 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 		allocs := testing.AllocsPerRun(20, func() { c.run.BaseCase(qn, rn) })
 		if allocs != 0 {
 			t.Errorf("%s: base case allocates %.1f per call, want 0", c.name, allocs)
+		}
+		if c.run.idLists != nil && c.run.idLists[qn.ID] != nil {
+			t.Errorf("%s: a sweep that listed nothing allocated its leaf's lists", c.name)
 		}
 	}
 }

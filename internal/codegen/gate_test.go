@@ -401,3 +401,80 @@ func TestPointGateLeavesOtherShapesUngated(t *testing.T) {
 		}
 	}
 }
+
+// TestWideBoxFarIsPositive is the argument that lets the window gate
+// skip its lower test at lo = 0: against a box with some side at least
+// 2⁻⁵⁰⁰ wide (wideBox), no point's computed far value is <= 0 — the
+// test would settle nothing — whatever the point's coordinates: at the
+// box's ends, inside and outside it, subnormal, huge, ±Inf or NaN. The
+// boxes put their wide side at every magnitude from 2⁻¹⁰⁷⁴ up, with
+// widths exactly 2⁻⁵⁰⁰ and one ulp either side of it, and their other
+// sides at width 0 or any width. A box whose every side is narrower
+// must not count as wide.
+func TestWideBoxFarIsPositive(t *testing.T) {
+	rng := rand.New(rand.NewSource(500))
+	const w0 = 0x1p-500
+	coord := func(lo, hi float64) float64 {
+		switch rng.Intn(9) {
+		case 0:
+			return lo
+		case 1:
+			return hi
+		case 2:
+			return lo + (hi-lo)*rng.Float64()
+		case 3:
+			return math.Nextafter(lo, math.Inf(-1))
+		case 4:
+			return math.NaN()
+		case 5:
+			return math.Inf(2*rng.Intn(2) - 1)
+		case 6:
+			return math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // subnormal
+		case 7:
+			return math.Ldexp(rng.NormFloat64(), rng.Intn(2046)-1023)
+		}
+		return 0
+	}
+	wide, narrow := 0, 0
+	for i := 0; i < 2_000_000; i++ {
+		d := 1 + rng.Intn(4)
+		lo, hi, p := make([]float64, d), make([]float64, d), make([]float64, d)
+		for j := range lo {
+			lo[j] = math.Ldexp(rng.NormFloat64(), rng.Intn(2100)-1074)
+			switch rng.Intn(3) {
+			case 0:
+				hi[j] = lo[j]
+			case 1:
+				hi[j] = lo[j] + math.Ldexp(rng.Float64(), rng.Intn(1100)-1074)
+			default:
+				hi[j] = lo[j] + [3]float64{math.Nextafter(w0, 0), w0, math.Nextafter(w0, 1)}[rng.Intn(3)]
+			}
+			if math.IsInf(hi[j], 0) || math.IsInf(lo[j], 0) {
+				lo[j], hi[j] = 0, w0
+			}
+		}
+		for j := range p {
+			p[j] = coord(lo[j], hi[j])
+		}
+		if !wideBox(lo, hi) {
+			for j := range lo {
+				if hi[j]-lo[j] >= w0 {
+					t.Fatalf("box %v–%v: side %d is %v wide, wideBox says no", lo, hi, j, hi[j]-lo[j])
+				}
+			}
+			narrow++
+			continue
+		}
+		wide++
+		if far := fastmath.Hypot2Box(p, 1, lo, hi, true); far <= 0 {
+			t.Fatalf("point %v, box %v–%v: far² = %v, which the lower test at 0 would settle", p, lo, hi, far)
+		}
+	}
+	if wide < 400_000 || narrow < 400_000 {
+		t.Fatalf("%d wide boxes and %d narrow ones: the generator lost a family", wide, narrow)
+	}
+	if wideBox([]float64{0, math.NaN()}, []float64{math.Nextafter(w0, 0), math.NaN()}) {
+		t.Fatal("a NaN side or one narrower than 2⁻⁵⁰⁰ counts as wide")
+	}
+	t.Logf("%d wide boxes, %d narrow", wide, narrow)
+}

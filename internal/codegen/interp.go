@@ -93,16 +93,9 @@ func (e *interpEnv) execStmt(s ir.Stmt) {
 		kl := e.run.kl(e.ints["q"])
 		kl.Insert(e.eval(n.Value), int(e.eval(n.Index)))
 	case ir.Append:
-		q := e.ints["q"]
-		ri := int(e.eval(n.Index))
-		v := e.eval(n.Value)
-		switch e.run.Ex.Plan.InnerOp.String() {
-		case "UNION":
-			e.run.IdxLists[q] = append(e.run.IdxLists[q], ri)
-			e.run.ValLists[q] = append(e.run.ValLists[q], v)
-		default: // UNIONARG (the lowered If already gated on v > 0)
-			e.run.IdxLists[q] = append(e.run.IdxLists[q], ri)
-		}
+		// UNION keeps v beside the id; UNIONARG's lowered If already
+		// gated on v > 0.
+		e.run.collect(e.ints["q"], int(e.eval(n.Index)), e.eval(n.Value))
 	default:
 		panic(fmt.Sprintf("codegen: interpreter cannot execute %T", s))
 	}

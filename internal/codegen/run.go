@@ -52,18 +52,29 @@ type Output struct {
 }
 
 // Run is an Executable bound to a (query tree, reference tree) pair:
-// the runtime state of one problem execution. *Run implements
-// traverse.ScoredRule.
+// the runtime state of one problem execution — the output storage the
+// operators need, injected at Bind: one value (and arg) per query point,
+// k-list slabs, or ∪ lists per query leaf, allocated where they are
+// first written. *Run implements traverse.ScoredRule.
 type Run struct {
 	Ex *Executable
 	Q  *tree.Tree
 	R  *tree.Tree
 
 	// Per-query state, indexed by reordered query position.
-	Val      []float64
-	Arg      []int
-	IdxLists [][]int
-	ValLists [][]float64
+	Val []float64
+	Arg []int
+	// The ∪ lists (UNION / UNIONARG) are held per query leaf: idLists[id]
+	// stays nil until leaf id's first hit, then holds one list per
+	// position of the leaf (position Begin+j at j), and valLists mirrors
+	// it for UNION. A range search matches a few hundred ids among a
+	// million queries, so it pays for the leaves that hold something
+	// rather than a list header per query. leaf is the query leaf of the
+	// base case in progress (BaseCase records it): every writer indexes
+	// the lists through it.
+	idLists  [][][]int
+	valLists [][][]float64
+	leaf     *tree.Node
 	// The k-lists (K* operators): position i's k values and reference
 	// positions are kVals / kArgs[i*k : (i+1)*k], read and written
 	// through the view kl(i).
@@ -157,9 +168,9 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 		all := KList{Vals: run.kVals, Args: run.kArgs, maxSide: ex.maxSide}
 		all.Reset()
 	case op == lang.UNION || op == lang.UNIONARG:
-		run.IdxLists = make([][]int, n)
+		run.idLists = make([][][]int, q.NodeCount)
 		if op == lang.UNION {
-			run.ValLists = make([][]float64, n)
+			run.valLists = make([][][]float64, q.NodeCount)
 		}
 	default:
 		run.Val = make([]float64, n)
@@ -488,7 +499,9 @@ func (r *Run) consume(entry string) {
 // perQuery assembles the per-query state in original query order, with
 // reference positions mapped back to original indices and the
 // squared-space optimization undone (one exact square root per output
-// value).
+// value). Of the ∪ lists it reads only the query leaves that hold
+// something; every other query's ArgLists entry is the one shared empty
+// list.
 func (r *Run) perQuery() *Partial {
 	p := &Partial{Stats: *r.stats}
 	n, qIdx, rIdx := r.Q.Len(), r.Q.Index, r.R.Index
@@ -507,37 +520,41 @@ func (r *Run) perQuery() *Partial {
 		}
 	case r.kVals != nil:
 		p.ArgLists, p.ValueLists = r.finalizeKLists()
-	case r.IdxLists != nil:
+	case r.idLists != nil:
 		// Most queries of a range search match nothing (rs-build: 426–510
 		// ids over 1e6 queries on seeds 1–10): every list starts as one
 		// shared empty slice, written in order — non-nil, so it encodes
-		// as [] — and only the lists that hold something are scattered to
-		// their query's slot. Those are the run's own appended slices, mapped
-		// in place, sorted into canonical order and capacity-limited so
-		// an append to one cannot reach another.
+		// as [] — and only the leaves that hold something are visited.
+		// Their lists are the run's own appended slices, mapped in place,
+		// sorted into canonical order and capacity-limited so an append
+		// to one cannot reach another.
 		p.ArgLists = make([][]int, n)
 		empty := []int{}
 		for i := range p.ArgLists {
 			p.ArgLists[i] = empty
 		}
-		for pos, lst := range r.IdxLists {
-			if len(lst) == 0 {
-				continue
-			}
-			for j, ri := range lst {
-				lst[j] = rIdx[ri]
-			}
-			var vals []float64
-			if r.ValLists != nil {
-				vals = r.ValLists[pos]
-			}
-			SortUnion(lst, vals)
-			p.ArgLists[qIdx[pos]] = lst[:len(lst):len(lst)]
-		}
-		if r.ValLists != nil {
+		if r.valLists != nil {
 			p.ValueLists = make([][]float64, n)
-			for pos := 0; pos < n; pos++ {
-				p.ValueLists[qIdx[pos]] = r.ValLists[pos]
+		}
+		for id, ids := range r.idLists {
+			begin := r.Q.Nodes[id].Begin
+			for j, lst := range ids {
+				if len(lst) == 0 {
+					continue
+				}
+				for k, ri := range lst {
+					lst[k] = rIdx[ri]
+				}
+				var vals []float64
+				if r.valLists != nil {
+					vals = r.valLists[id][j]
+				}
+				SortUnion(lst, vals)
+				orig := qIdx[begin+j]
+				p.ArgLists[orig] = lst[:len(lst):len(lst)]
+				if vals != nil {
+					p.ValueLists[orig] = vals
+				}
 			}
 		}
 	default:
@@ -635,12 +652,41 @@ func (r *Run) pushDownRanges() {
 		if !n.IsLeaf() || len(cum[i]) == 0 {
 			continue
 		}
-		for k := n.Begin; k < n.End; k++ {
+		ids := r.leafIDs(n)
+		for j := range ids {
 			for _, rg := range cum[i] {
 				for p := rg[0]; p < rg[1]; p++ {
-					r.IdxLists[k] = append(r.IdxLists[k], p)
+					ids[j] = append(ids[j], p)
 				}
 			}
 		}
+	}
+}
+
+// leafIDs returns the id lists of query leaf n, one per position from
+// n.Begin, allocating them (and for UNION the value lists beside them)
+// at the leaf's first hit.
+func (r *Run) leafIDs(n *tree.Node) [][]int {
+	ids := r.idLists[n.ID]
+	if ids == nil {
+		ids = make([][]int, n.Count())
+		r.idLists[n.ID] = ids
+		if r.valLists != nil {
+			r.valLists[n.ID] = make([][]float64, n.Count())
+		}
+	}
+	return ids
+}
+
+// collect appends reference position ri — and for UNION its value v —
+// to the list of query position qi, which lies in the leaf BaseCase
+// recorded.
+func (r *Run) collect(qi, ri int, v float64) {
+	j := qi - r.leaf.Begin
+	ids := r.leafIDs(r.leaf)
+	ids[j] = append(ids[j], ri)
+	if r.valLists != nil {
+		vals := r.valLists[r.leaf.ID]
+		vals[j] = append(vals[j], v)
 	}
 }

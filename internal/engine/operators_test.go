@@ -444,3 +444,104 @@ func contractBreak(e *lang.PortalExpr, got, want *codegen.Output, perQuery []flo
 	}
 	return ""
 }
+
+// TestUnionListsPerLeafMatchBrute holds the ∪ lists, which a run keeps
+// per query leaf, to the oracle on every writer: the column and row
+// window loops, the per-pair loop (mixed layouts; UNION, which has no
+// rule), the interpreter, BulkRange's push-down and the one-level query
+// tree of sparse external points (one leaf per point), each at W = 1
+// and W = 2 (forks writing disjoint leaves). Lists compare in order, and
+// UNION's values beside their indices bit for bit.
+func TestUnionListsPerLeafMatchBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	rows := func(n, d int, spread float64) [][]float64 { return randRows(rng, n, d, spread) }
+	cols2 := storage.MustFromRows(rows(300, 2, 1))
+	cols2q := storage.MustFromRows(rows(120, 2, 1))
+	rows5 := storage.MustFromRows(rows(300, 5, 1))
+	rows5q := storage.MustFromRows(rows(120, 5, 1))
+	mixedQ := cols2q.Convert(storage.RowMajor)
+	// Two clusters 6 apart: every node pair across them lies inside
+	// (0.5, 50), which BulkRange includes without a base case.
+	far := rows(200, 2, 0.5)
+	for i := 0; i < len(far); i += 2 {
+		far[i][0] += 6
+	}
+	farS := storage.MustFromRows(far)
+	sparseQ := storage.MustFromRows(rows(16, 2, 1))
+	dense := storage.MustFromRows(rows(8*8*16, 2, 1))
+	exact := codegen.Options{ExactMath: true}
+	cases := []struct {
+		name   string
+		op     lang.Op
+		q, r   *storage.Storage
+		lo, hi float64
+		opts   codegen.Options
+		path   string // "hot", "pair", "bulk" or "" (the interpreter, or no check)
+		oneLvl bool
+	}{
+		{"unionarg/hot-cols", lang.UNIONARG, cols2q, cols2, 0, 0.4, exact, "hot", false},
+		{"unionarg/hot-rows", lang.UNIONARG, rows5q, rows5, 0, 1.2, exact, "hot", false},
+		{"unionarg/per-pair", lang.UNIONARG, mixedQ, cols2, 0, 0.4, exact, "pair", false},
+		{"unionarg/interp", lang.UNIONARG, cols2q, cols2, 0, 0.4, codegen.Options{ExactMath: true, ForceInterp: true}, "", false},
+		{"unionarg/bulk-range", lang.UNIONARG, farS, farS, 0.5, 50, exact, "bulk", false},
+		{"unionarg/one-level", lang.UNIONARG, sparseQ, dense, 0, 0.2, exact, "hot", true},
+		{"union/per-pair", lang.UNION, cols2q, cols2, 0, 0.4, exact, "pair", false},
+		{"union/interp", lang.UNION, cols2q, cols2, 0, 0.4, codegen.Options{ExactMath: true, ForceInterp: true}, "", false},
+	}
+	for _, c := range cases {
+		spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, c.q, nil).AddLayer(c.op, c.r, expr.NewRangeKernel(c.lo, c.hi))
+		want, err := BruteForce(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.op == lang.UNIONARG {
+			listed := 0
+			for _, l := range want.ArgLists {
+				listed += len(l)
+			}
+			if listed == 0 || listed == c.q.Len()*c.r.Len() {
+				t.Fatalf("%s: the oracle lists %d of %d pairs; want some, not all", c.name, listed, c.q.Len()*c.r.Len())
+			}
+		}
+		for _, w := range []int{1, 2} {
+			cfg := Config{LeafSize: 8, Parallel: w > 1, Workers: w, Codegen: c.opts}
+			ctx := fmt.Sprintf("%s/W=%d", c.name, w)
+			if c.oneLvl {
+				p, err := Compile(ctx, spec, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if qt := p.QueryTree(c.q, c.r.Len(), cfg); qt.NodeCount != c.q.Len()+1 {
+					t.Fatalf("%s: the query tree has %d nodes, want one level (%d)", ctx, qt.NodeCount, c.q.Len()+1)
+				}
+			}
+			got, err := Run(ctx, spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := got.Stats
+			switch {
+			case c.path == "hot" && st.FusedBaseCases != st.BaseCases,
+				c.path == "pair" && st.FusedBaseCases != 0,
+				c.path == "bulk" && st.Approxes == 0,
+				st.BaseCases == 0:
+				t.Fatalf("%s: %d base cases, %d on a hot loop, %d bulk inclusions: not the %q path", ctx, st.BaseCases, st.FusedBaseCases, st.Approxes, c.path)
+			}
+			for i := range want.ArgLists {
+				if !slices.Equal(got.ArgLists[i], want.ArgLists[i]) {
+					t.Fatalf("%s: query %d lists %v, want %v", ctx, i, got.ArgLists[i], want.ArgLists[i])
+				}
+				if got.ArgLists[i] == nil {
+					t.Fatalf("%s: query %d has a nil list", ctx, i)
+				}
+			}
+			if c.op == lang.UNION {
+				for i := range want.ValueLists {
+					if !slices.EqualFunc(got.ValueLists[i], want.ValueLists[i], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+						t.Fatalf("%s: query %d values %v, want %v", ctx, i, got.ValueLists[i], want.ValueLists[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -17,8 +17,8 @@ import (
 // RunParallel's correctness claim is that concurrent tasks own disjoint
 // query subtrees; these tests (meant to run under -race) exercise that
 // claim for each per-query state representation the backend has: Val
-// (SUM/MIN/MAX), Arg (ARG*), the k-list slabs (K*), and IdxLists/ValLists
-// (UNION*), plus scalar outer reductions.
+// (SUM/MIN/MAX), Arg (ARG*), the k-list slabs (K*), and the id and
+// value lists kept per query leaf (UNION*), plus scalar outer reductions.
 
 type seqParCase struct {
 	name  string

@@ -93,27 +93,40 @@ type Mul struct{ A, B Expr }
 // Eval evaluates the product.
 func (e Mul) Eval(d float64) float64 { return e.A.Eval(d) * e.B.Eval(d) }
 
-// Interval multiplies with the four-corner rule.
+// Interval multiplies with the four-corner rule. When one operand's
+// interval holds 0 and the other's reaches ±Inf, the product may be
+// 0·∞ = NaN, which no interval holds: the bounds are NaN, no claim (a
+// corner that is 0·∞ gives the same through corners).
 func (e Mul) Interval(lo, hi float64) (float64, float64) {
 	alo, ahi := e.A.Interval(lo, hi)
 	blo, bhi := e.B.Interval(lo, hi)
+	if holdsZero(alo, ahi) && unbounded(blo, bhi) || holdsZero(blo, bhi) && unbounded(alo, ahi) {
+		return math.NaN(), math.NaN()
+	}
 	return corners(alo, ahi, blo, bhi, func(x, y float64) float64 { return x * y })
 }
 
 func (e Mul) String() string { return fmt.Sprintf("(%s * %s)", e.A, e.B) }
 
 // Div is lhs / rhs. If the divisor interval straddles zero the bounds
-// widen to ±Inf (still sound; prune conditions then simply never fire).
+// widen to ±Inf (still sound; prune conditions then simply never fire),
+// or to NaN — no claim — when the dividend's straddles zero too.
 type Div struct{ A, B Expr }
 
 // Eval evaluates the quotient.
 func (e Div) Eval(d float64) float64 { return e.A.Eval(d) / e.B.Eval(d) }
 
-// Interval divides with the four-corner rule, widening across zero.
+// Interval divides with the four-corner rule, widening across zero: x/0
+// is ±Inf, inside [−∞, +∞], but 0/0 is NaN, which no interval holds, so
+// a quotient that may be 0/0 has NaN bounds. An Indicator over NaN
+// bounds answers [0, 1].
 func (e Div) Interval(lo, hi float64) (float64, float64) {
 	alo, ahi := e.A.Interval(lo, hi)
 	blo, bhi := e.B.Interval(lo, hi)
-	if blo <= 0 && bhi >= 0 {
+	if holdsZero(blo, bhi) {
+		if holdsZero(alo, ahi) {
+			return math.NaN(), math.NaN()
+		}
 		return math.Inf(-1), math.Inf(1)
 	}
 	return corners(alo, ahi, blo, bhi, func(x, y float64) float64 { return x / y })
@@ -308,6 +321,12 @@ func (e Indicator) Interval(lo, hi float64) (float64, float64) {
 func (e Indicator) String() string {
 	return fmt.Sprintf("I(%s %s %g)", e.E, e.Op, e.Threshold)
 }
+
+// holdsZero reports whether [lo, hi] holds 0.
+func holdsZero(lo, hi float64) bool { return lo <= 0 && hi >= 0 }
+
+// unbounded reports whether [lo, hi] reaches −Inf or +Inf.
+func unbounded(lo, hi float64) bool { return math.IsInf(lo, -1) || math.IsInf(hi, 1) }
 
 // corners applies f to the four interval corner combinations and
 // returns the min and max.

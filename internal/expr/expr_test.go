@@ -115,6 +115,55 @@ func TestIntervalSoundness(t *testing.T) {
 	}
 }
 
+// The two NaN holes TestIntervalSoundness found at random: an Indicator
+// over 0/0 (the recorded case) and over 0·∞ evaluates NaN to 0, while
+// the quotient's [−∞, +∞] and the product's corners let the enclosing
+// Indicator claim [1, 1]. Both quotient and product now answer NaN
+// bounds — no claim — and the Indicator [0, 1].
+func TestIntervalNaNHoles(t *testing.T) {
+	never := Indicator{Abs{D{}}, LessEq, -2.32} // 0 for every d
+	cases := []struct {
+		name string
+		e    Expr
+	}{
+		{"0/0", Indicator{Abs{Div{Indicator{Abs{D{}}, LessEq, 0.73}, never}}, Greater, -5.15}},
+		{"0·∞", Indicator{Abs{Mul{Sub{D{}, Const(1)}, Div{Const(1), never}}}, Greater, -5.15}},
+	}
+	rng := rand.New(rand.NewSource(70))
+	for _, c := range cases {
+		lo, hi := 0.0, 2.0
+		ilo, ihi := c.e.Interval(lo, hi)
+		if ilo != 0 || ihi != 1 {
+			t.Errorf("%s: %s over [%v, %v] claims [%v, %v], want [0, 1]", c.name, c.e, lo, hi, ilo, ihi)
+		}
+		ds := []float64{lo, 0.73, 1, 1.5, hi}
+		for i := 0; i < 1000; i++ {
+			ds = append(ds, lo+rng.Float64()*(hi-lo))
+		}
+		for _, d := range ds {
+			if v := c.e.Eval(d); v < ilo || v > ihi {
+				t.Fatalf("%s: %s at d = %v is %v, outside [%v, %v]", c.name, c.e, d, v, ilo, ihi)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		e    Expr
+	}{
+		{"0/0", Div{D{}, Sub{D{}, Const(1)}}},
+		{"0·∞", Mul{Sub{D{}, Const(1)}, Div{Const(1), never}}},
+	} {
+		if lo, hi := c.e.Interval(0, 2); !math.IsNaN(lo) || !math.IsNaN(hi) {
+			t.Errorf("%s: %s over [0, 2] is [%v, %v], want NaN bounds", c.name, c.e, lo, hi)
+		}
+	}
+	// A divisor interval holding 0 under a dividend that does not is
+	// still [−∞, +∞].
+	if lo, hi := (Div{Const(1), Sub{D{}, Const(1)}}).Interval(0, 2); !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
+		t.Errorf("1/(D - 1) over [0, 2] is [%v, %v], want [-Inf, +Inf]", lo, hi)
+	}
+}
+
 func TestIndicatorIntervalDefiniteCases(t *testing.T) {
 	in := Indicator{D{}, Less, 10}
 	if lo, hi := in.Interval(0, 5); lo != 1 || hi != 1 {

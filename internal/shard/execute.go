@@ -16,6 +16,8 @@ import (
 // slice of engine.Config (the engine maps its config here; shard
 // cannot import engine).
 type ExecConfig struct {
+	// Parallel and Workers cap every traversal and the import-tree
+	// builds.
 	Parallel bool
 	Workers  int
 	// LeafSize and Oct shape the import trees (they should match the
@@ -113,7 +115,9 @@ func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Out
 				w++
 			}
 		}
-		it := buildTree(ist, &tree.Options{LeafSize: cfg.LeafSize}, cfg.Oct)
+		// The import trees build one after another, so each may take the
+		// whole worker cap (the pieces, built concurrently, build serially).
+		it := buildTree(ist, &tree.Options{LeafSize: cfg.LeafSize, Parallel: cfg.Parallel, Workers: cfg.Workers}, cfg.Oct)
 		run := ex.Bind(qt, it)
 		run.SeedBounds(runsLocal[i])
 		t0 := time.Now()
