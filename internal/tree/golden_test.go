@@ -40,6 +40,9 @@ func exportHash(t *Tree) string {
 	for _, v := range f.Index {
 		put(uint64(int64(v)))
 	}
+	for _, v := range f.Weights { // nil, and so nothing, when unweighted
+		put(math.Float64bits(v))
+	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
@@ -133,33 +136,120 @@ var exportGolden = map[string]string{
 	"organpipe/row-major/d=9":     "9ed59ef251b89188",
 }
 
+// octGolden holds exportHash of BuildOct over every input at the
+// column-major shapes it takes (d <= MaxOctDim), recorded at f81d135,
+// the commit before the builds wrote their arenas from their own tasks.
+var octGolden = map[string]string{
+	"elliptical/column-major/d=1": "67000701647b482e",
+	"elliptical/column-major/d=2": "23f82f1f9086d8bb",
+	"elliptical/column-major/d=3": "b403baa96d44a8f4",
+	"elliptical/column-major/d=4": "73d1ad3e2a7aaa98",
+	"elliptical/column-major/d=6": "dbc3132e64808730",
+	"plummer/column-major/d=1":    "d670d7ab116c080e",
+	"plummer/column-major/d=2":    "4da07af22c0ef4fb",
+	"plummer/column-major/d=3":    "daed815e9fc0b0d2",
+	"plummer/column-major/d=4":    "6dffba810397be9b",
+	"plummer/column-major/d=6":    "a5faeaf2436098b3",
+	"lattice/column-major/d=1":    "1c234c7d04d968d6",
+	"lattice/column-major/d=2":    "174efcd99455c3fc",
+	"lattice/column-major/d=3":    "6da70d5c87f508c4",
+	"lattice/column-major/d=4":    "3841f59c26e5f578",
+	"lattice/column-major/d=6":    "1bbbf2e385a2c2f0",
+	"allequal/column-major/d=1":   "8c540184d0fc1034",
+	"allequal/column-major/d=2":   "ef72a41b19645b35",
+	"allequal/column-major/d=3":   "7635e888207a954d",
+	"allequal/column-major/d=4":   "63340d767736d24f",
+	"allequal/column-major/d=6":   "7eb5aaf0f8a3b2c6",
+	"sorted/column-major/d=1":     "8d9cf1fdb59f05b3",
+	"sorted/column-major/d=2":     "bdbec06278d84f05",
+	"sorted/column-major/d=3":     "8d4009775a1bfe57",
+	"sorted/column-major/d=4":     "5b406ba085af155e",
+	"sorted/column-major/d=6":     "e6813ffc172ed37a",
+	"organpipe/column-major/d=1":  "a99f91eee9a0e24e",
+	"organpipe/column-major/d=2":  "b65a6bded105e75a",
+	"organpipe/column-major/d=3":  "6fdb63bca309adb5",
+	"organpipe/column-major/d=4":  "c52ee68c411d7890",
+	"organpipe/column-major/d=6":  "e606ec20ac2c4713",
+}
+
+// weightedGolden holds exportHash of weighted builds (Barnes-Hut's
+// case: Mass and Centroid are weighted sums, Weights is permuted with
+// the points), recorded at f81d135.
+var weightedGolden = map[string]string{
+	"kd/plummer/column-major/d=3":  "25bff5bdfa47a924",
+	"kd/plummer/row-major/d=9":     "d4b44e96dcf99371",
+	"oct/plummer/column-major/d=3": "725500cf688f4f3e",
+	"oct/plummer/row-major/d=3":    "f757fc250e63cca4",
+}
+
+// goldenWeights are the weighted builds' masses, in (0.5, 1.5).
+func goldenWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 0.5 + mix(uint64(i)*16+15)
+	}
+	return w
+}
+
+type goldenShape struct {
+	layout storage.Layout
+	d      int
+}
+
+func (in goldenInput) storage(sh goldenShape) *storage.Storage {
+	s := storage.NewWithLayout(in.n, sh.d, sh.layout)
+	row := make([]float64, sh.d)
+	for i := 0; i < in.n; i++ {
+		for j := range row {
+			row[j] = in.at(i, j)
+		}
+		s.SetPoint(i, row)
+	}
+	return s
+}
+
+// TestExportGolden holds every build to the tree recorded for it, at
+// W = 1 and W = 2: BuildKD over every input at six shapes, BuildOct
+// over every input at the column-major shapes it takes, and weighted kd
+// and octree builds of the Plummer input.
 func TestExportGolden(t *testing.T) {
-	shapes := []struct {
-		layout storage.Layout
-		d      int
-	}{
+	shapes := []goldenShape{
 		{storage.ColMajor, 1}, {storage.ColMajor, 2}, {storage.ColMajor, 3}, {storage.ColMajor, 4},
 		{storage.ColMajor, 6}, // above ColMajorMaxDim: any number of mirror columns
 		{storage.RowMajor, 9},
 	}
-	for _, in := range goldenInputs() {
-		for _, sh := range shapes {
-			s := storage.NewWithLayout(in.n, sh.d, sh.layout)
-			row := make([]float64, sh.d)
-			for i := 0; i < in.n; i++ {
-				for j := range row {
-					row[j] = in.at(i, j)
-				}
-				s.SetPoint(i, row)
-			}
-			name := fmt.Sprintf("%s/%s/d=%d", in.name, sh.layout, sh.d)
-			for _, w := range []int{1, 2} {
-				got := exportHash(BuildKD(s, &Options{Parallel: w > 1, Workers: w}))
-				if got != exportGolden[name] {
-					t.Errorf("W=%d builds another tree than the recorded one (%s); this build's line:\n\t%q: %q,", w, exportGolden[name], name, got)
-				}
+	check := func(name, want string, build func(*storage.Storage, *Options) *Tree, s *storage.Storage, weights []float64) {
+		for _, w := range []int{1, 2} {
+			got := exportHash(build(s, &Options{Weights: weights, Parallel: w > 1, Workers: w}))
+			if got != want {
+				t.Errorf("W=%d builds another tree than the recorded one (%s); this build's line:\n\t%q: %q,", w, want, name, got)
 			}
 		}
+	}
+	for _, in := range goldenInputs() {
+		for _, sh := range shapes {
+			s := in.storage(sh)
+			name := fmt.Sprintf("%s/%s/d=%d", in.name, sh.layout, sh.d)
+			check(name, exportGolden[name], BuildKD, s, nil)
+			if sh.layout == storage.ColMajor && sh.d <= MaxOctDim {
+				check(name, octGolden[name], BuildOct, s, nil)
+			}
+		}
+	}
+	plummer := goldenInputs()[1]
+	weights := goldenWeights(plummer.n)
+	for _, c := range []struct {
+		kind  string
+		build func(*storage.Storage, *Options) *Tree
+		sh    goldenShape
+	}{
+		{"kd", BuildKD, goldenShape{storage.ColMajor, 3}},
+		{"kd", BuildKD, goldenShape{storage.RowMajor, 9}},
+		{"oct", BuildOct, goldenShape{storage.ColMajor, 3}},
+		{"oct", BuildOct, goldenShape{storage.RowMajor, 3}},
+	} {
+		name := fmt.Sprintf("%s/%s/%s/d=%d", c.kind, plummer.name, c.sh.layout, c.sh.d)
+		check(name, weightedGolden[name], c.build, plummer.storage(c.sh), weights)
 	}
 }
 
