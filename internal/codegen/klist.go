@@ -112,15 +112,22 @@ func (r *Run) kl(i int) KList {
 // cannot reach its neighbour's. It slices the slabs itself rather than
 // through kl(pos): a KList is seven words, too large for the compiler
 // to keep in registers, and a view per query doubled this loop's time.
+// Under the squared-space optimization each kept value takes its one
+// square root here, as the slab is read in position order, rather than
+// in a pass over the lists in query order, which jumps across the slab.
 func (r *Run) finalizeKLists() ([][]int, [][]float64) {
-	n, k, rIdx := r.Q.Len(), r.k, r.R.Index
+	n, k, rIdx, sqrt := r.Q.Len(), r.k, r.R.Index, r.Ex.sqrtOut
 	argLists, valLists := make([][]int, n), make([][]float64, n)
 	for pos, orig := range r.Q.Index[:n] {
 		b, e := pos*k, (pos+1)*k
 		args, vals, m := r.kArgs[b:e:e], r.kVals[b:e:e], 0
 		for j, a := range args {
 			if a >= 0 {
-				args[m], vals[m] = rIdx[a], vals[j]
+				v := vals[j]
+				if sqrt {
+					v = math.Sqrt(v)
+				}
+				args[m], vals[m] = rIdx[a], v
 				m++
 			}
 		}

@@ -567,9 +567,11 @@ func (r *Run) perQuery() *Partial {
 		for i := range p.Values {
 			p.Values[i] = math.Sqrt(p.Values[i])
 		}
-		for _, vl := range p.ValueLists {
-			for i := range vl {
-				vl[i] = math.Sqrt(vl[i])
+		if r.kVals == nil { // finalizeKLists took the k-lists' roots
+			for _, vl := range p.ValueLists {
+				for i := range vl {
+					vl[i] = math.Sqrt(vl[i])
+				}
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"portal/internal/storage"
 )
@@ -214,6 +217,45 @@ func TestParentArrayInvariants(t *testing.T) {
 					t.Fatalf("%s: Parent[%d] = %d, want %d", name, c.ID, tr.Parent[c.ID], i)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildAllocationBudget holds a build to what its tree keeps — the
+// working copy published as Data, Index, the node arena (headers,
+// Parent, coordinates) and the child references — plus a small slack,
+// so a transient node hierarchy cannot come back unnoticed: the one the
+// arena replaced was about a sixth of a 10⁵-point build's bytes. The
+// builds are a 10⁵-point 3-d kd tree at W = 1 and W = 2 and a 16-point
+// one at the default leaf size, serve's per-request τ/window query
+// tree.
+func TestBuildAllocationBudget(t *testing.T) {
+	big := randStorage(rand.New(rand.NewSource(3)), 100_000, 3)
+	small := randStorage(rand.New(rand.NewSource(4)), 16, 3)
+	for _, c := range []struct {
+		name string
+		s    *storage.Storage
+		w    int
+	}{
+		{"n=100000/W=1", big, 1},
+		{"n=100000/W=2", big, 2},
+		{"n=16/W=1", small, 1},
+	} {
+		var tr *Tree
+		got := uint64(math.MaxUint64)
+		for range 3 { // the least of three: another goroutine's allocation is not the build's
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			tr = BuildKD(c.s, &Options{Parallel: c.w > 1, Workers: c.w})
+			runtime.ReadMemStats(&m1)
+			got = min(got, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		kept := 8*len(tr.Data.Flat()) + 8*len(tr.Index) +
+			int(unsafe.Sizeof(Node{}))*len(tr.Nodes) + 4*len(tr.Parent) + 8*len(tr.coords) +
+			8*len(tr.childRefs)
+		t.Logf("%s: %d bytes allocated, %d kept by the tree", c.name, got, kept)
+		if budget := uint64(kept + kept/32 + 4<<10); got > budget {
+			t.Errorf("%s: the build allocates %d bytes, budget %d (%d kept by the tree)", c.name, got, budget, kept)
 		}
 	}
 }

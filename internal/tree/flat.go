@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 
-	"portal/internal/geom"
 	"portal/internal/storage"
 )
 
@@ -83,9 +82,9 @@ func (t *Tree) Export() *Flat {
 // FromFlat reconstructs a Tree from its flat export without copying
 // the large buffers: Coords, Points, Index, and Weights are aliased
 // directly (the persist loader points them into an mmap), and only the
-// Node header arena — Go structs that cannot live on disk — is rebuilt
-// in one linear pass. Children are recovered from Parent via the
-// preorder invariant.
+// Node header arena — Go structs that cannot live on disk — is rebuilt,
+// by the linear pass a build ends with (link). Children are recovered
+// from Parent via the preorder invariant.
 //
 // Every structural invariant is validated with errors, never panics:
 // the input may come from an untrusted or corrupt file, so no value is
@@ -117,8 +116,6 @@ func FromFlat(f *Flat) (*Tree, error) {
 	if f.Begin[0] != 0 || f.End[0] != int64(f.N) {
 		return nil, fmt.Errorf("tree: flat import: root covers [%d,%d), want [0,%d)", f.Begin[0], f.End[0], f.N)
 	}
-	childCount := make([]int32, nc)
-	maxDepth := 0
 	for i := 0; i < nc; i++ {
 		if i > 0 {
 			p := f.Parent[i]
@@ -128,78 +125,37 @@ func FromFlat(f *Flat) (*Tree, error) {
 			if f.Depth[i] != f.Depth[p]+1 {
 				return nil, fmt.Errorf("tree: flat import: node %d depth %d under parent depth %d", i, f.Depth[i], f.Depth[p])
 			}
-			childCount[p]++
 		}
 		if f.Begin[i] < 0 || f.End[i] < f.Begin[i] || f.End[i] > int64(f.N) {
 			return nil, fmt.Errorf("tree: flat import: node %d covers [%d,%d) of %d points", i, f.Begin[i], f.End[i], f.N)
 		}
-		if d := int(f.Depth[i]); d > maxDepth {
-			maxDepth = d
-		}
 	}
 
-	d := f.D
 	leafSize := f.LeafSize
 	if leafSize <= 0 {
 		leafSize = DefaultLeafSize
 	}
 	t := &Tree{
-		Nodes:     make([]Node, nc),
-		Parent:    f.Parent,
-		Data:      storage.FromFlat(f.N, f.D, f.Layout, f.Points),
-		Index:     f.Index,
-		Weights:   f.Weights,
-		LeafSize:  leafSize,
-		NodeCount: nc,
-		MaxDepth:  maxDepth,
-		coords:    f.Coords,
+		Nodes:    make([]Node, nc),
+		Parent:   f.Parent,
+		Data:     storage.FromFlat(f.N, f.D, f.Layout, f.Points),
+		Index:    f.Index,
+		Weights:  f.Weights,
+		LeafSize: leafSize,
+		coords:   f.Coords,
 	}
-	// Child slices are carved out of one shared arena exactly as the
-	// builder lays them out: each parent's run starts at the prefix sum
-	// of the child counts of all lower-ID nodes.
-	if nc > 1 {
-		t.childRefs = make([]*Node, nc-1)
-	}
-	offsets := make([]int32, nc)
-	leafCount := 0
-	var run int32
-	for i := 0; i < nc; i++ {
-		offsets[i] = run
-		run += childCount[i]
-		if childCount[i] == 0 {
-			leafCount++
-		}
-	}
-	for i := 0; i < nc; i++ {
-		co := f.Coords[4*d*i : 4*d*(i+1) : 4*d*(i+1)]
+	for i := range t.Nodes {
 		nd := &t.Nodes[i]
-		nd.ID = i
 		nd.Begin, nd.End = int(f.Begin[i]), int(f.End[i])
 		nd.Depth = int(f.Depth[i])
-		nd.BBox = geom.Rect{Min: co[:d:d], Max: co[d : 2*d : 2*d]}
-		nd.Center = co[2*d : 3*d : 3*d]
-		nd.Centroid = co[3*d:]
 		nd.Mass = f.Mass[i]
-		if c := childCount[i]; c > 0 {
-			nd.Children = t.childRefs[offsets[i] : offsets[i]+c : offsets[i]+c]
-		}
 	}
-	// Second pass: attach each node to its parent's next child slot.
-	// Preorder visits a parent's children in ascending ID order, so
-	// filling slots in ID order reproduces the build's child order.
-	next := make([]int32, nc)
-	for i := 1; i < nc; i++ {
-		p := f.Parent[i]
-		t.childRefs[offsets[p]+next[p]] = &t.Nodes[i]
-		next[p]++
+	t.link(f.D)
+	if f.LeafCount != 0 && f.LeafCount != t.LeafCount {
+		return nil, fmt.Errorf("tree: flat import: %d leaves recorded, %d reconstructed", f.LeafCount, t.LeafCount)
 	}
-	t.Root = &t.Nodes[0]
-	t.LeafCount = leafCount
-	if f.LeafCount != 0 && f.LeafCount != leafCount {
-		return nil, fmt.Errorf("tree: flat import: %d leaves recorded, %d reconstructed", f.LeafCount, leafCount)
-	}
-	if f.MaxDepth != 0 && f.MaxDepth != maxDepth {
-		return nil, fmt.Errorf("tree: flat import: max depth %d recorded, %d reconstructed", f.MaxDepth, maxDepth)
+	if f.MaxDepth != 0 && f.MaxDepth != t.MaxDepth {
+		return nil, fmt.Errorf("tree: flat import: max depth %d recorded, %d reconstructed", f.MaxDepth, t.MaxDepth)
 	}
 	return t, nil
 }

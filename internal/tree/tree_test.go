@@ -353,7 +353,7 @@ func TestSelectNthAdversarial(t *testing.T) {
 		s := storage.MustFromRows(rows)
 		b := newBuilder(s, &Options{LeafSize: 1})
 		mid := n / 2
-		b.selectNth(0, n, mid, 0, &pool{})
+		b.selectNth(0, n, mid, 0, &scratch{})
 		pivot := s.At(b.idx[mid], 0)
 		for i := 0; i < mid; i++ {
 			if s.At(b.idx[i], 0) > pivot {
@@ -464,6 +464,7 @@ func BenchmarkTreeBuild(b *testing.B) {
 			for _, w := range workers {
 				opts := &Options{Parallel: w > 1, Workers: w}
 				b.Run(fmt.Sprintf("%s/%s/workers=%d", kind, in.name, w), func(b *testing.B) {
+					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						build(in.data, opts)
 					}
@@ -518,9 +519,9 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
-// A small build must not pay for full-size chunk pools: a 16-point
-// tree at one point per leaf stays within a few KB, where full chunks
-// alone are ~90 KB.
+// A small build pays for its own nodes only: a 16-point tree at one
+// point per leaf (31 nodes) stays within a few KB, where the chunk pools
+// of a transient node hierarchy would take ~90 KB.
 func TestSmallBuildAllocatesSmallPools(t *testing.T) {
 	s := randStorage(rand.New(rand.NewSource(5)), 16, 3)
 	const builds = 200
