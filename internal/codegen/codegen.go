@@ -15,10 +15,11 @@
 // The package panics only on states a bug alone can produce, never on
 // input, and each site's message starts "codegen: ":
 //
-//   - Finalize or FinalizePartial on a Run one of them already
-//     consumed (run.go): both work in place — the push-down accumulates
-//     into NodeDelta and Val, k-list outputs are the run's own slabs —
-//     so a second call would double-count or re-map;
+//   - Finalize, FinalizePartial or MergeSeeded on a Run one of them
+//     already consumed (run.go): all three work in place — the
+//     push-down accumulates into NodeDelta and Val, k-list outputs are
+//     the run's own slabs — so a second call would double-count or
+//     re-map;
 //   - IR the lowering emitted but the backend has no case for: a
 //     statement, expression, property or intrinsic unknown to the
 //     interpreters (interp.go, interp_prune.go).

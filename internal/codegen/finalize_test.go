@@ -140,10 +140,10 @@ func TestRangeListsAreSparseAndDisjoint(t *testing.T) {
 	}
 }
 
-// Finalize and FinalizePartial consume the run: the push-down passes
-// accumulate in place and k-list and id-list outputs are mapped in
-// place, so a second call of either must panic — naming the run —
-// rather than double-count or re-map.
+// Finalize, FinalizePartial and MergeSeeded consume the run: the
+// push-down passes accumulate in place and k-list and id-list outputs
+// are mapped in place, so a second call of any must panic — naming the
+// run — rather than double-count or re-map.
 func TestFinalizeTwicePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := storage.MustFromRows(randRows(rng, 120, 3))
@@ -162,6 +162,11 @@ func TestFinalizeTwicePanics(t *testing.T) {
 	for name, second := range map[string]func(*Run){
 		"Finalize":        func(r *Run) { r.Finalize() },
 		"FinalizePartial": func(r *Run) { r.FinalizePartial() },
+		"MergeSeeded": func(r *Run) {
+			n := r.Q.Len()
+			out := &Output{Values: make([]float64, n), ArgLists: make([][]int, n), ValueLists: make([][]float64, n)}
+			MergeSeeded(out, r, nil, r.Q.Index, nil)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, spec := range []*lang.PortalExpr{kde(), knn(), rs()} {

@@ -125,8 +125,8 @@ type Run struct {
 	// (or the fork's) first such sweep, nil for every other loop.
 	winMasks *[windowBlock]uint64
 
-	// finalized is set by the first Finalize or FinalizePartial, which
-	// consumes the run.
+	// finalized is set by the first Finalize, FinalizePartial or
+	// MergeSeeded, which consumes the run.
 	finalized bool
 }
 
@@ -463,7 +463,7 @@ func (r *Run) pointBound(i int) float64 {
 // Finalize pushes down pending node contributions and assembles the
 // Output in original index order. It consumes the run — the push-down
 // accumulates in place and k-list outputs are the run's own slabs — so
-// a second Finalize or FinalizePartial panics.
+// a second Finalize, FinalizePartial or MergeSeeded panics.
 func (r *Run) Finalize() *Output {
 	r.consume("Finalize")
 	op := r.Ex.Plan.OuterOp
@@ -485,7 +485,7 @@ func (r *Run) Finalize() *Output {
 // consumed, then distribute the pending node contributions.
 func (r *Run) consume(entry string) {
 	if r.finalized {
-		panic(fmt.Sprintf("codegen: %s on run %q, which Finalize or FinalizePartial already consumed", entry, r.Ex.Plan.Name))
+		panic(fmt.Sprintf("codegen: %s on run %q, which Finalize, FinalizePartial or MergeSeeded already consumed", entry, r.Ex.Plan.Name))
 	}
 	r.finalized = true
 	if r.NodeDelta != nil {

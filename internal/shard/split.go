@@ -38,43 +38,64 @@ func mortonBits(d int) uint {
 	return uint(63 / d)
 }
 
-// mortonCode quantizes p onto a 2^bits-per-dimension grid over box
-// and interleaves the cell bits MSB-first (dimension-major within
-// each level), yielding the Z-order key.
-func mortonCode(p []float64, box geom.Rect, bits uint) uint64 {
-	d := len(p)
-	var code uint64
-	// Per-dimension cell indices.
-	var cellArr [8]uint64
-	cells := cellArr[:0]
-	if d > len(cellArr) {
-		cells = make([]uint64, 0, d)
+// mortonKey computes one split's Morton codes: each coordinate
+// quantizes to a cell on a 2^bits grid over box, and the d cells
+// interleave MSB-first, dimension-major within each level, into the
+// Z-order key — bit b of cell j lands at bit b·d + (d−1−j).
+type mortonKey struct {
+	box   geom.Rect
+	bits  uint
+	scale float64
+	// spread places bit b of a byte at bit b·d; a cell spreads one byte
+	// at a time, step = 8·d bits apart.
+	spread [256]uint64
+	step   uint
+	cells  []uint64
+}
+
+func newMortonKey(box geom.Rect, bits uint) *mortonKey {
+	d := len(box.Min)
+	m := &mortonKey{box: box, bits: bits, scale: float64(uint64(1) << bits), step: uint(8 * d), cells: make([]uint64, d)}
+	for x := range m.spread {
+		for b := 0; b < 8; b++ {
+			m.spread[x] |= uint64(x>>b&1) << uint(b*d)
+		}
 	}
-	scale := float64(uint64(1) << bits)
-	for j := 0; j < d; j++ {
-		lo, hi := box.Min[j], box.Max[j]
+	return m
+}
+
+// code quantizes p and interleaves its cells.
+func (m *mortonKey) code(p []float64) uint64 {
+	top := (uint64(1) << m.bits) - 1
+	for j, x := range p {
+		lo, hi := m.box.Min[j], m.box.Max[j]
 		var c uint64
 		if hi > lo {
-			f := (p[j] - lo) / (hi - lo)
+			f := (x - lo) / (hi - lo)
 			if f < 0 {
 				f = 0
 			}
-			c = uint64(f * scale)
-			if max := (uint64(1) << bits) - 1; c > max {
-				c = max
-			}
+			c = min(uint64(f*m.scale), top)
 		}
-		cells = append(cells, c)
+		m.cells[j] = c
 	}
-	for b := int(bits) - 1; b >= 0; b-- {
-		for j := 0; j < d; j++ {
-			code = code<<1 | (cells[j]>>uint(b))&1
+	return m.interleave(m.cells)
+}
+
+// interleave merges d cells of bits bits each into one code.
+func (m *mortonKey) interleave(cells []uint64) uint64 {
+	var code uint64
+	for _, c := range cells {
+		var s uint64
+		for sh := uint(0); c != 0; c, sh = c>>8, sh+m.step {
+			s |= m.spread[c&0xff] << sh
 		}
+		code = code<<1 | s
 	}
 	return code
 }
 
-// splitMorton sorts indices by Morton code and cuts K equal-count
+// splitMorton orders indices by Morton code and cuts K equal-count
 // runs. Reports !ok when the data defeats the code space — too many
 // dimensions to interleave, or fewer distinct codes than shards — so
 // splitIndices falls back to ORB.
@@ -89,23 +110,15 @@ func splitMorton(s *storage.Storage, k int) ([][]int, bool) {
 	for i := 0; i < n; i++ {
 		box.Expand(s.Point(i, buf))
 	}
+	m := newMortonKey(box, bits)
 	codes := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		codes[i] = mortonCode(s.Point(i, buf), box, bits)
+	for i := range codes {
+		codes[i] = m.code(s.Point(i, buf))
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if codes[idx[a]] != codes[idx[b]] {
-			return codes[idx[a]] < codes[idx[b]]
-		}
-		return idx[a] < idx[b] // deterministic within equal codes
-	})
+	codes, idx := radixSort(codes)
 	distinct := 1
 	for i := 1; i < n && distinct < k; i++ {
-		if codes[idx[i]] != codes[idx[i-1]] {
+		if codes[i] != codes[i-1] {
 			distinct++
 		}
 	}
@@ -118,6 +131,47 @@ func splitMorton(s *storage.Storage, k int) ([][]int, bool) {
 		groups[sh] = idx[lo:hi:hi]
 	}
 	return groups, true
+}
+
+// radixSort orders codes ascending by a stable LSD radix sort, one
+// byte a pass, starting from identity order, so equal codes keep
+// ascending index: the sorted codes and the index each came from. A
+// byte every code shares costs no pass. codes is reused.
+func radixSort(codes []uint64) ([]uint64, []int) {
+	n := len(codes)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	if n == 0 {
+		return codes, idx
+	}
+	var counts [8][256]int
+	for _, c := range codes {
+		for b := range counts {
+			counts[b][c>>(8*b)&0xff]++
+		}
+	}
+	tmpCodes, tmpIdx := make([]uint64, n), make([]int, n)
+	for b := range counts {
+		cnt := &counts[b]
+		if cnt[codes[0]>>(8*b)&0xff] == n {
+			continue
+		}
+		pos := 0
+		for x, c := range cnt {
+			cnt[x] = pos
+			pos += c
+		}
+		for i, c := range codes {
+			x := c >> (8 * b) & 0xff
+			tmpCodes[cnt[x]], tmpIdx[cnt[x]] = c, idx[i]
+			cnt[x]++
+		}
+		codes, tmpCodes = tmpCodes, codes
+		idx, tmpIdx = tmpIdx, idx
+	}
+	return codes, idx
 }
 
 // splitORB recursively bisects the widest dimension at the
