@@ -177,6 +177,16 @@ var diffCases = []diffCase{
 			checkScalar(t, label, un, sh, true)
 		},
 	},
+	{
+		// ARGMAX, where the import run's arg wins: a self-join's
+		// nearest neighbour is the point itself, which no import beats.
+		name: "farthest",
+		spec: func(q, r *storage.Storage) *lang.PortalExpr { return farthestSpec(q) },
+		check: func(t *testing.T, label string, un, sh *codegen.Output) {
+			checkArgs(t, label, un.Args, sh.Args)
+			checkValues(t, label, un.Values, sh.Values, 0)
+		},
+	},
 }
 
 func runDiffCase(t *testing.T, c diffCase, d, shards int, kind engine.TreeKind, layout storage.Layout, label string) {
