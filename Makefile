@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke cover-audit hashes
+.PHONY: check build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke cover-audit hashes pairs
 
 # Tier-1 gate: everything must pass before a change lands.
 check: build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke
@@ -134,3 +134,15 @@ cover-audit:
 hashes:
 	@test -n "$(HASHES)" || { echo "usage: make hashes HASHES=<file>" >&2; exit 2; }
 	$(GO) run ./internal/hashout > $(HASHES)
+
+# Paired parent/change benchmark runs (internal/pairs): both sides built
+# from their own trees (a revision exported with git archive under
+# PAIRS_DIR, default $$TMPDIR/portal-pairs; an empty CHANGE is the
+# working tree), one pair of runs a seed in alternating order, then
+# compare's verdict and the pairs the change won, with each binary's
+# reference-burst and solveOne phase mod 64. About 2 × SECONDS plus set-up
+# per workload and seed, so not a leg of check.
+pairs:
+	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [CHANGE=<rev>] [WORKLOADS=a,b] [SEEDS=1,2,3] [SECONDS=s] [PAIRS_DIR=dir]" >&2; exit 2; }
+	$(GO) run ./internal/pairs -parent '$(PARENT)' -change '$(CHANGE)' -workloads '$(or $(WORKLOADS),all)' \
+		-seeds '$(or $(SEEDS),1 2 3 4 5 6 7 8 9 10)' -seconds '$(or $(SECONDS),0)' $(if $(PAIRS_DIR),-dir '$(PAIRS_DIR)')

@@ -105,8 +105,8 @@ func (r *Run) kl(i int) KList {
 
 // finalizeKLists turns the run's own k-list slabs into the per-query
 // outputs, in original query order: each list is compacted in place
-// over its unfilled slots (Arg -1: never filled, or seeded by
-// SeedBounds; the write index never passes the read index) with
+// over its unfilled slots (Arg -1: never filled; the write index
+// never passes the read index) with
 // reference positions mapped back to original indices, and handed out
 // as a capacity-limited sub-slice, so appending to one query's list
 // cannot reach its neighbour's. It slices the slabs itself rather than

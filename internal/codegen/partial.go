@@ -1,6 +1,10 @@
 package codegen
 
-import "math"
+import (
+	"math"
+
+	"portal/internal/tree"
+)
 
 // This file is the backend's sharded-execution surface: the hooks the
 // internal/shard tier uses to run one Executable as K shard-local
@@ -10,8 +14,9 @@ import "math"
 // Both merge paths mirror Finalize minus the outer reduction, which
 // the shard layer applies itself (scalar outer operators do not
 // distribute over a per-shard merge — max-of-maxes-of-mins is not
-// max-of-merged-mins). A bound rule's import run starts from the local
-// run's state (SeedBounds), so it already holds the merged answer and
+// max-of-merged-mins). A bound rule's import run continues the local
+// run (Run.Continue: one set of bounds and values, the import run's own
+// reference positions), so it already holds the merged answer and
 // MergeSeeded only reads it out, at global positions. Every other rule
 // finalizes each run on its own (FinalizePartial) and the shard layer
 // folds the two through the operators' commutative paths.
@@ -65,24 +70,45 @@ func (r *Run) RootBound() float64 {
 	return math.Inf(1)
 }
 
+// Continue binds r's executable to r's query tree and the reference
+// tree ref as a run that continues r — the shard tier's import pass
+// picking up where the shard-local pass stopped instead of re-deriving
+// every bound from ±Inf. For a bound rule the two runs share the node
+// and point bounds and the best values (Val, or the k-list values);
+// only the reference positions are the continued run's own, all −1, so
+// a slot whose Arg is −1 still holds r's entry. The continued run thus
+// ends holding the merged answer — r's entries and the candidates that
+// beat them, in the order one run over both trees would keep them, r's
+// first on a tie — which MergeSeeded reads out, together with r's own
+// positions. Rules without bounds have nothing to continue: their
+// continued run is a fresh Bind, finalized on its own. Call after r's
+// traversal and before r is finalized: finalizing compacts r's k-lists
+// in place.
+func (r *Run) Continue(ref *tree.Tree) *Run {
+	if r.NodeBound == nil {
+		return r.Ex.Bind(r.Q, ref)
+	}
+	return r.Ex.bind(r.Q, ref, r)
+}
+
 // MergeSeeded writes the merged answer of a bound rule's shard-local
-// run and the import run SeedBounds seeded from it (nil when the shard
-// imported nothing) into out, at global positions: query position pos
-// of their shared query tree lands at orig[Q.Index[pos]], a local
-// reference position a names orig[local.R.Index[a]] and an import one
-// impOrig[imp.R.Index[a]]. out must hold the fields Finalize fills for
+// run and the import run that continued it (local.Continue; nil when
+// the shard imported nothing) into out, at global positions: query
+// position pos of their shared query tree lands at orig[Q.Index[pos]],
+// a local reference position a names orig[local.R.Index[a]] and an
+// import one impOrig[imp.R.Index[a]]. out must hold the fields Finalize fills for
 // the operator, of the global length: Values and Args for ARGMIN /
 // ARGMAX, Values for MIN / MAX, ArgLists and ValueLists for the
 // k-variants. Like Finalize it consumes both runs.
 //
-// The import run's state is the merged state: a slot whose Arg is −1
-// holds a value seeded from the local run, and its reference is the
-// local run's — for a single reduction its one arg, for a k-list its
-// next filled slot in order, since the import run only ever shifted
-// the seeded entries right. Each k-list is compacted in place in the
-// import run's slab (the local run's own when there was no import run),
-// as finalizeKLists does, and handed out as a capacity-limited
-// sub-slice. Runs of different pieces write disjoint positions of out,
+// The two runs' shared values are the merged state: a slot whose
+// import Arg is −1 holds a value the local run found, and its reference
+// is the local run's — for a single reduction its one arg, for a k-list
+// its next filled slot in order, since the import run only ever shifted
+// the local entries right. Each k-list is compacted in place in the
+// shared value slab and the import run's position slab (the local
+// run's own when there was no import run), as finalizeKLists does, and
+// handed out as a capacity-limited sub-slice. Runs of different pieces write disjoint positions of out,
 // so pieces may merge concurrently.
 func MergeSeeded(out *Output, local, imp *Run, orig, impOrig []int) {
 	local.consume("MergeSeeded")
@@ -139,25 +165,4 @@ func root(v float64, sqrt bool) float64 {
 		return math.Sqrt(v)
 	}
 	return v
-}
-
-// SeedBounds starts this run from the best-so-far state local proved
-// over the same query tree against a different reference tree — the
-// shard tier's import pass continuing where the shard-local pass
-// stopped instead of re-deriving every bound from ±Inf. Values carry
-// over without their reference positions (Arg stays -1), so this run
-// ends holding the merged answer — local's entries and the candidates
-// that beat them, in the order one run over both trees would keep them,
-// local's first on a tie — which MergeSeeded reads out; every node and
-// point bound stays in force. A
-// no-op for rules without bounds. Call before the traversal, and before
-// local is finalized: finalizing compacts local's k-lists in place.
-func (r *Run) SeedBounds(local *Run) {
-	if r.NodeBound == nil {
-		return
-	}
-	copy(r.NodeBound, local.NodeBound)
-	copy(r.PointBound, local.PointBound)
-	copy(r.Val, local.Val)
-	copy(r.kVals, local.kVals)
 }

@@ -152,7 +152,10 @@ const (
 // Bind attaches the executable to a tree pair and initializes all
 // runtime state with the operator identity values assigned during
 // lowering.
-func (ex *Executable) Bind(q, r *tree.Tree) *Run {
+func (ex *Executable) Bind(q, r *tree.Tree) *Run { return ex.bind(q, r, nil) }
+
+// bind is Bind, sharing from's bounds and values when from is set.
+func (ex *Executable) bind(q, r *tree.Tree, from *Run) *Run {
 	run := &Run{
 		Ex: ex, Q: q, R: r,
 		stats: &Stats{},
@@ -163,7 +166,13 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 	switch op := ex.Plan.InnerOp; {
 	case op.NeedsK():
 		run.k = ex.Plan.K
-		run.kVals, run.kArgs = make([]float64, n*run.k), make([]int, n*run.k)
+		run.kArgs = make([]int, n*run.k)
+		if from != nil {
+			run.kVals = from.kVals
+			fillArgs(run.kArgs)
+			break
+		}
+		run.kVals = make([]float64, n*run.k)
 		// One Reset over the whole slabs primes every query's list.
 		all := KList{Vals: run.kVals, Args: run.kArgs, maxSide: ex.maxSide}
 		all.Reset()
@@ -173,20 +182,24 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 			run.valLists = make([][][]float64, q.NodeCount)
 		}
 	default:
-		run.Val = make([]float64, n)
-		if id := op.Identity(); id != 0 {
-			for i := range run.Val {
-				run.Val[i] = id
+		if from != nil {
+			run.Val = from.Val
+		} else {
+			run.Val = make([]float64, n)
+			if id := op.Identity(); id != 0 {
+				for i := range run.Val {
+					run.Val[i] = id
+				}
 			}
 		}
 		if op.ReturnsIndices() {
 			run.Arg = make([]int, n)
-			for i := range run.Arg {
-				run.Arg[i] = -1
-			}
+			fillArgs(run.Arg)
 		}
 	}
-	if ex.Rule.Kind == prune.BoundRule {
+	if from != nil {
+		run.NodeBound, run.PointBound = from.NodeBound, from.PointBound
+	} else if ex.Rule.Kind == prune.BoundRule {
 		bounds := make([]float64, q.NodeCount+n)
 		init := ex.Plan.InnerOp.Identity()
 		for i := range bounds {
@@ -223,6 +236,13 @@ func (ex *Executable) Bind(q, r *tree.Tree) *Run {
 		run.mahal = mk.M.Clone()
 	}
 	return run
+}
+
+// fillArgs sets every reference position to −1, "none".
+func fillArgs(args []int) {
+	for i := range args {
+		args[i] = -1
+	}
 }
 
 // compileEvalD2 returns the kernel evaluator over the squared

@@ -108,7 +108,8 @@ func lowerPlan(plan *Plan) (*Plan, *ir.Program, error) {
 // per query point, so a larger k only allocates (k = 2⁴⁰ ran the
 // process out of memory). Clamped here, once per plan, every run of the
 // plan — unsharded, or a sharded run's shard-local and import runs,
-// whose k-list slabs SeedBounds copies whole — agrees on k.
+// which share one k-list value slab (codegen.Run.Continue) — agrees on
+// k.
 func clampK(l lang.Layer) int {
 	if l.Data != nil && l.K > l.Data.Len() {
 		return max(l.Data.Len(), 1)

@@ -47,11 +47,11 @@ func (c ExecConfig) traverseOptions(st *stats.TraversalStats) traverse.Options {
 	return traverse.Options{Workers: c.workers(), Stats: st, Trace: c.Trace}
 }
 
-// srcExport is one exporter's shipped boundary points (positions into
-// the exporter's tree-reordered data).
+// srcExport is one exporter's shipped boundary points: ranges of
+// positions into the exporter's tree-reordered data.
 type srcExport struct {
 	piece int
-	pts   []int
+	spans []span
 }
 
 // Execute runs the compiled problem over a sharded self-join: K
@@ -82,9 +82,9 @@ func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Out
 	}
 
 	// Phases 2 and 3, per importing shard: collect every peer's
-	// unpruned points, evaluated against the shard's whole query box and
+	// unpruned leaves, evaluated against the shard's whole query box and
 	// (for bound rules) the bound its local run proved, then traverse a
-	// tree over them, starting from the local run's bounds.
+	// tree over their points in a run that continues the local run.
 	d := p.Source.Dim()
 	runsImp := make([]*codegen.Run, k)
 	impOrig := make([][]int, k)
@@ -97,9 +97,12 @@ func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Out
 			if j == i {
 				continue
 			}
-			if pts := exportFor(ex, &p.Pieces[j], qt.Root.BBox, qBound); len(pts) > 0 {
-				srcs = append(srcs, srcExport{piece: j, pts: pts})
-				numPts += len(pts)
+			spans := exportFor(ex, &p.Pieces[j], qt.Root.BBox, qBound)
+			for _, sp := range spans {
+				numPts += sp.end - sp.begin
+			}
+			if len(spans) > 0 {
+				srcs = append(srcs, srcExport{piece: j, spans: spans})
 			}
 		}
 		// Communication accounting, as if serialized: each point ships d
@@ -113,23 +116,11 @@ func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Out
 			continue
 		}
 
-		ist := storage.NewWithLayout(numPts, d, p.Source.Layout())
-		orig := make([]int, numPts)
-		buf := make([]float64, d)
-		w := 0
-		for _, se := range srcs {
-			t := p.Pieces[se.piece].Tree
-			for _, pos := range se.pts {
-				ist.SetPoint(w, t.Data.Point(pos, buf))
-				orig[w] = p.Pieces[se.piece].Orig[t.Index[pos]]
-				w++
-			}
-		}
+		ist, orig := layOut(p, srcs, numPts)
 		// The import trees build one after another, so each may take the
 		// whole worker cap (the pieces, built concurrently, build serially).
-		it := buildTree(ist, &tree.Options{LeafSize: cfg.LeafSize, Parallel: cfg.Parallel, Workers: cfg.Workers}, cfg.Oct)
-		run := ex.Bind(qt, it)
-		run.SeedBounds(runsLocal[i])
+		it := tree.BuildInPlace(ist, &tree.Options{LeafSize: cfg.LeafSize, Parallel: cfg.Parallel, Workers: cfg.Workers}, cfg.Oct)
+		run := runsLocal[i].Continue(it)
 		t0 := time.Now()
 		traverse.RunParallel(qt, it, run, cfg.traverseOptions(run.TraversalStats()))
 		sh.PerShard[i].TraverseNS += time.Since(t0).Nanoseconds()
@@ -140,6 +131,36 @@ func Execute(ex *codegen.Executable, p *Partition, cfg ExecConfig) (*codegen.Out
 	// Phase 4: merge the per-shard results and run the outer reduction
 	// once.
 	return merge(ex, p, runsLocal, runsImp, impOrig, cfg.workers()), sh
+}
+
+// layOut copies the exporters' shipped ranges, in order, into one new
+// storage of numPts points in the source layout, one copy per column
+// and range (per range, row-major), and maps each of its points to its
+// global index.
+func layOut(p *Partition, srcs []srcExport, numPts int) (*storage.Storage, []int) {
+	d, layout := p.Source.Dim(), p.Source.Layout()
+	ist := storage.NewWithLayout(numPts, d, layout)
+	orig := make([]int, numPts)
+	w := 0
+	for _, se := range srcs {
+		pc := &p.Pieces[se.piece]
+		src := pc.Tree.Data
+		for _, sp := range se.spans {
+			c := sp.end - sp.begin
+			if layout == storage.ColMajor {
+				for j := 0; j < d; j++ {
+					copy(ist.Col(j)[w:w+c], src.Col(j)[sp.begin:sp.end])
+				}
+			} else {
+				copy(ist.Flat()[w*d:(w+c)*d], src.Flat()[sp.begin*d:sp.end*d])
+			}
+			for k, pos := range pc.Tree.Index[sp.begin:sp.end] {
+				orig[w+k] = pc.Orig[pos]
+			}
+			w += c
+		}
+	}
+	return ist, orig
 }
 
 // merge combines the per-shard runs into the global Output. Query

@@ -8,9 +8,9 @@
 //
 // A domain splitter (Morton order, with an ORB fallback for data
 // whose Morton codes collapse) partitions a self-join's one storage
-// into K equal-count shards; each shard builds its own flat-arena tree
-// through the existing tree pipeline, concurrently. A query executes
-// in three phases:
+// into K equal-count shards; each shard gathers its points and builds
+// its own flat-arena tree over them in place, concurrently. A query
+// executes in three phases:
 //
 //  1. shard-local: each shard runs the compiled problem over its own
 //     tree, as both query and reference side, under the work-stealing
@@ -18,17 +18,22 @@
 //  2. exchange: every peer walks its reference tree under the
 //     problem's own rule against the importer's whole query box (and,
 //     for bound rules, the bound the importer's local run proved),
-//     drops the subtrees it can prune, and ships every other point
-//     verbatim. The importer builds a tree over the shipped points and
-//     traverses it, starting from its local run's bounds; that run
-//     approximates or bulk-includes the shipped points itself, under
-//     the same rule and τ budget as any traversal;
-//  3. merge: a bound rule's import run, seeded with the local run's
-//     state, already holds the merged answer, which
-//     codegen.MergeSeeded reads out at global positions; the other
-//     rules fold the two runs' partial results — add/multiply for
-//     SUM/PROD, concat (canonically sorted) for the set operators.
-//     The outer reduction runs once over the merged per-query values.
+//     drops the subtrees it can prune, and ships every other leaf as a
+//     range of its tree-reordered points, adjacent ranges merged. The
+//     importer lays the ranges out, one copy per column (per range,
+//     row-major), straight into the working buffer of its import tree,
+//     which builds over them in place (tree.BuildInPlace), and
+//     traverses it in a run that continues its local run
+//     (codegen.Run.Continue: the same bounds and values, its own
+//     reference positions); that run approximates or bulk-includes the
+//     shipped points itself, under the same rule and τ budget as any
+//     traversal;
+//  3. merge: a bound rule's continued run already holds the merged
+//     answer, which codegen.MergeSeeded reads out at global positions;
+//     the other rules fold the two runs' partial results —
+//     add/multiply for SUM/PROD, concat (canonically sorted) for the
+//     set operators. The outer reduction runs once over the merged
+//     per-query values.
 //
 // The shipped volume (exchange_summary_bytes) and the imported points
 // are reported per shard and in total through stats.ShardingStats.
@@ -67,11 +72,10 @@ func (o Options) workers() int {
 	return 0 // storage/tree interpret 0 as GOMAXPROCS; cap channel uses >=1
 }
 
-// Piece is one shard's slice of a partitioned storage: the gathered
-// sub-storage (layout preserved), the map back to the source
-// storage's indices, and the shard tree.
+// Piece is one shard's slice of a partitioned storage: the map back to
+// the source storage's indices and the shard tree, built in place over
+// the gathered points (layout preserved).
 type Piece struct {
-	Store *storage.Storage
 	// Orig maps a piece-local storage index to the source storage's
 	// index.
 	Orig []int
@@ -113,16 +117,16 @@ func Split(s *storage.Storage, o Options) *Partition {
 }
 
 // buildPieces gathers each group into its own storage and builds the
-// shard trees, concurrently up to the worker cap.
+// shard trees over the gathered points in place, concurrently up to the
+// worker cap.
 func buildPieces(s *storage.Storage, groups [][]int, o Options) []Piece {
 	pieces := make([]Piece, len(groups))
 	fanOut(len(groups), o.workers(), func(i int) {
 		t0 := time.Now()
-		st := s.Gather(groups[i])
 		// The shard-level fan-out is the parallelism; each shard tree
 		// builds serially so K builds never oversubscribe the worker cap.
-		pieces[i].Store, pieces[i].Orig = st, groups[i]
-		pieces[i].Tree = buildTree(st, &tree.Options{LeafSize: o.LeafSize}, o.Oct)
+		pieces[i].Orig = groups[i]
+		pieces[i].Tree = tree.BuildInPlace(s.Gather(groups[i]), &tree.Options{LeafSize: o.LeafSize}, o.Oct)
 		pieces[i].BuildNS = time.Since(t0).Nanoseconds()
 	})
 	return pieces
@@ -145,12 +149,4 @@ func fanOut(n, limit int, fn func(i int)) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// buildTree builds one shard or import tree.
-func buildTree(s *storage.Storage, opts *tree.Options, oct bool) *tree.Tree {
-	if oct {
-		return tree.BuildOct(s, opts)
-	}
-	return tree.BuildKD(s, opts)
 }

@@ -301,10 +301,11 @@ func TestShardedRefusesExternalQueries(t *testing.T) {
 }
 
 // TestShardedKNNMatchesBrute holds sharded k-NN against brute force
-// directly. The import runs start from the shard-local runs' k-lists
-// (SeedBounds) and both kinds of run hand out their own slabs at
-// FinalizePartial, so a seeded slot reported as a neighbour, or a list
-// finalized before it seeded another run, would show here.
+// directly. The import runs continue the shard-local runs' k-lists
+// (Run.Continue: one value slab, two position slabs) and MergeSeeded
+// compacts the lists in place, so a local slot reported as an import
+// neighbour, or a list finalized before it was continued, would show
+// here.
 func TestShardedKNNMatchesBrute(t *testing.T) {
 	data := genPoints(300, 3, storage.ChooseLayout(3), 23)
 	spec := problems.KNNSpec(data, data, 5)

@@ -64,8 +64,8 @@ func TestSplitBalanceAndRouting(t *testing.T) {
 			for i, pc := range p.Pieces {
 				n := len(pc.Orig)
 				lo, hi = min(lo, n), max(hi, n)
-				if pc.Tree == nil || pc.Tree.Len() != n || pc.Store.Len() != n {
-					t.Fatalf("%s K=%d: piece tree/store inconsistent", sp.name, k)
+				if pc.Tree == nil || pc.Tree.Len() != n {
+					t.Fatalf("%s K=%d: piece tree inconsistent", sp.name, k)
 				}
 				for _, g := range pc.Orig {
 					if owner[g] != 0 {

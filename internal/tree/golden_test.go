@@ -211,18 +211,32 @@ func (in goldenInput) storage(sh goldenShape) *storage.Storage {
 // TestExportGolden holds every build to the tree recorded for it, at
 // W = 1 and W = 2: BuildKD over every input at six shapes, BuildOct
 // over every input at the column-major shapes it takes, and weighted kd
-// and octree builds of the Plummer input.
+// and octree builds of the Plummer input. Each build runs twice, the
+// copying builder and BuildInPlace over a copy of the input, which must
+// publish that copy's buffer as the tree's points.
 func TestExportGolden(t *testing.T) {
 	shapes := []goldenShape{
 		{storage.ColMajor, 1}, {storage.ColMajor, 2}, {storage.ColMajor, 3}, {storage.ColMajor, 4},
 		{storage.ColMajor, 6}, // above ColMajorMaxDim: any number of mirror columns
 		{storage.RowMajor, 9},
 	}
-	check := func(name, want string, build func(*storage.Storage, *Options) *Tree, s *storage.Storage, weights []float64) {
+	check := func(name, want string, oct bool, s *storage.Storage, weights []float64) {
+		build := BuildKD
+		if oct {
+			build = BuildOct
+		}
 		for _, w := range []int{1, 2} {
-			got := exportHash(build(s, &Options{Weights: weights, Parallel: w > 1, Workers: w}))
-			if got != want {
+			opts := &Options{Weights: weights, Parallel: w > 1, Workers: w}
+			if got := exportHash(build(s, opts)); got != want {
 				t.Errorf("W=%d builds another tree than the recorded one (%s); this build's line:\n\t%q: %q,", w, want, name, got)
+			}
+			given := storage.FromFlat(s.Len(), s.Dim(), s.Layout(), slices.Clone(s.Flat()))
+			tr := BuildInPlace(given, opts, oct)
+			if got := exportHash(tr); got != want {
+				t.Errorf("%s W=%d: the in-place build hashes %s, the copying build %s", name, w, got, want)
+			}
+			if &tr.Data.Flat()[0] != &given.Flat()[0] {
+				t.Errorf("%s W=%d: the in-place build copied the points", name, w)
 			}
 		}
 	}
@@ -230,26 +244,26 @@ func TestExportGolden(t *testing.T) {
 		for _, sh := range shapes {
 			s := in.storage(sh)
 			name := fmt.Sprintf("%s/%s/d=%d", in.name, sh.layout, sh.d)
-			check(name, exportGolden[name], BuildKD, s, nil)
+			check(name, exportGolden[name], false, s, nil)
 			if sh.layout == storage.ColMajor && sh.d <= MaxOctDim {
-				check(name, octGolden[name], BuildOct, s, nil)
+				check(name, octGolden[name], true, s, nil)
 			}
 		}
 	}
 	plummer := goldenInputs()[1]
 	weights := goldenWeights(plummer.n)
 	for _, c := range []struct {
-		kind  string
-		build func(*storage.Storage, *Options) *Tree
-		sh    goldenShape
+		kind string
+		oct  bool
+		sh   goldenShape
 	}{
-		{"kd", BuildKD, goldenShape{storage.ColMajor, 3}},
-		{"kd", BuildKD, goldenShape{storage.RowMajor, 9}},
-		{"oct", BuildOct, goldenShape{storage.ColMajor, 3}},
-		{"oct", BuildOct, goldenShape{storage.RowMajor, 3}},
+		{"kd", false, goldenShape{storage.ColMajor, 3}},
+		{"kd", false, goldenShape{storage.RowMajor, 9}},
+		{"oct", true, goldenShape{storage.ColMajor, 3}},
+		{"oct", true, goldenShape{storage.RowMajor, 3}},
 	} {
 		name := fmt.Sprintf("%s/%s/%s/d=%d", c.kind, plummer.name, c.sh.layout, c.sh.d)
-		check(name, weightedGolden[name], c.build, plummer.storage(c.sh), weights)
+		check(name, weightedGolden[name], c.oct, plummer.storage(c.sh), weights)
 	}
 }
 

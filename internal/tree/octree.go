@@ -19,10 +19,19 @@ const MaxOctDim = 6
 // its nodes as a preorder run of its own, and the join splices the runs
 // into the arena by offset.
 func BuildOct(s *storage.Storage, opts *Options) *Tree {
+	checkOctDim(s)
+	return newBuilder(s, opts, false).oct()
+}
+
+// checkOctDim panics for storage above MaxOctDim dimensions.
+func checkOctDim(s *storage.Storage) {
 	if s.Dim() > MaxOctDim {
 		panic("tree: octree fan-out impractical beyond 6 dimensions; use BuildKD")
 	}
-	b := newBuilder(s, opts)
+}
+
+// oct is the octree build over the builder's working buffer.
+func (b *builder) oct() *Tree {
 	var t *Tree
 	b.span(0, b.n, func() {
 		root := &octRun{}

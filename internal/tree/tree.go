@@ -25,7 +25,11 @@
 // The build copies the points once into a working buffer and permutes
 // it in place alongside the index array at every partition step, so
 // every construction scan is unit-stride and the finished buffer is the
-// tree's reordered storage, with no gather pass. With Options.Parallel,
+// tree's reordered storage, with no gather pass. BuildInPlace skips the
+// copy: the caller hands over a storage made for the one tree (the
+// shard tier's gathered pieces and import sets), whose buffer the build
+// permutes and publishes, and gets the tree BuildKD or BuildOct would
+// build over a copy. With Options.Parallel,
 // subtrees become tasks through a workers-1 semaphore (the calling
 // goroutine counts against the cap, as in traverse.Options.Workers).
 // Each task writes its nodes straight into the arena's columns, with no
@@ -55,12 +59,13 @@
 // The builders panic only on arguments that break their contract, each
 // message starting "tree: ":
 //
-//   - empty storage, in every builder (BuildKD and BuildOct through
-//     newBuilder, BuildQuery itself). BuildQuery sits behind request
-//     input, but no request reaches it empty: a served query without
-//     points is a self-join on the dataset's own tree;
+//   - empty storage, in every builder (BuildKD, BuildOct and
+//     BuildInPlace through newBuilder, BuildQuery itself). BuildQuery
+//     sits behind request input, but no request reaches it empty: a
+//     served query without points is a self-join on the dataset's own
+//     tree;
 //   - Options.Weights whose length is not the point count (newBuilder);
-//   - BuildOct above MaxOctDim dimensions.
+//   - an octree (BuildOct, BuildInPlace's) above MaxOctDim dimensions.
 //
 // FromFlat, which reads untrusted snapshots, never panics: every
 // violated invariant is an error.
@@ -266,7 +271,7 @@ func grow[T any](buf *[]T, n int) []T {
 
 type builder struct {
 	// work is a mutable copy of the source points in the source's
-	// physical layout. The partition steps permute it in place alongside
+	// physical layout (the source's own buffer under BuildInPlace). The partition steps permute it in place alongside
 	// idx, so every scan during construction (bounding boxes, quickselect
 	// keys, octant codes, leaf sums) runs over contiguous memory instead
 	// of gathering through the index array, and the finished copy is
@@ -310,14 +315,20 @@ func (b *builder) row(i int) []float64 {
 	return b.work[i*b.d : (i+1)*b.d : (i+1)*b.d]
 }
 
-func newBuilder(s *storage.Storage, opts *Options) *builder {
+// newBuilder prepares a build over s: over a copy of its points, or,
+// inPlace, over s's own buffer.
+func newBuilder(s *storage.Storage, opts *Options, inPlace bool) *builder {
 	if s.Len() == 0 {
 		panic("tree: cannot build over empty storage")
 	}
-	b := &builder{
+	work := s.Flat()
+	if !inPlace {
 		// Clone, not make + copy: every float is about to be overwritten
 		// and none needs clearing first.
-		work:    slices.Clone(s.Flat()),
+		work = slices.Clone(work)
+	}
+	b := &builder{
+		work:    work,
 		idx:     make([]int, s.Len()),
 		layout:  s.Layout(),
 		n:       s.Len(),
@@ -416,7 +427,25 @@ func (b *builder) span(depth, count int, fn func()) {
 // + 1 and its right child that + f(⌊c/2⌋). The build tasks write their
 // nodes straight into the tree's arena at those IDs.
 func BuildKD(s *storage.Storage, opts *Options) *Tree {
-	b := newBuilder(s, opts)
+	return newBuilder(s, opts, false).kd()
+}
+
+// BuildInPlace builds the tree BuildKD (or, with oct, BuildOct) builds
+// over s, the same to the bit, without copying the points: s's buffer
+// is the build's working buffer and becomes the tree's Data. The caller
+// gives s up — the build permutes its points into tree order — so it is
+// for storage made for this one tree, such as a gathered shard or an
+// import set, and s must not be used afterwards.
+func BuildInPlace(s *storage.Storage, opts *Options, oct bool) *Tree {
+	if oct {
+		checkOctDim(s)
+		return newBuilder(s, opts, true).oct()
+	}
+	return newBuilder(s, opts, true).kd()
+}
+
+// kd is the kd-tree build over the builder's working buffer.
+func (b *builder) kd() *Tree {
 	b.reserve()
 	t := b.newTree(int(b.res[0][0]))
 	t.Parent[0] = -1

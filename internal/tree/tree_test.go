@@ -351,7 +351,7 @@ func TestSelectNthAdversarial(t *testing.T) {
 			rows[i] = []float64{gen(i), float64(i)}
 		}
 		s := storage.MustFromRows(rows)
-		b := newBuilder(s, &Options{LeafSize: 1})
+		b := newBuilder(s, &Options{LeafSize: 1}, false)
 		mid := n / 2
 		b.selectNth(0, n, mid, 0, &scratch{})
 		pivot := s.At(b.idx[mid], 0)
