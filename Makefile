@@ -135,14 +135,15 @@ hashes:
 	@test -n "$(HASHES)" || { echo "usage: make hashes HASHES=<file>" >&2; exit 2; }
 	$(GO) run ./internal/hashout > $(HASHES)
 
-# Paired parent/change benchmark runs (internal/pairs): both sides built
-# from their own trees (a revision exported with git archive under
-# PAIRS_DIR, default $$TMPDIR/portal-pairs; an empty CHANGE is the
-# working tree), one pair of runs a seed in alternating order, then
-# compare's verdict and the pairs the change won, with each binary's
-# reference-burst and solveOne phase mod 64. About 2 × SECONDS plus set-up
-# per workload and seed, so not a leg of check.
+# Paired parent/change benchmark runs (internal/pairs): the parent
+# exported with git archive under PAIRS_DIR (default
+# $$TMPDIR/portal-pairs), the change is the working tree; one pair of
+# runs a seed in alternating order, each run BENCHMARK.json's
+# run_seconds long, then compare's verdict and the pairs the change
+# won, with each binary's reference-burst and solveOne phase mod 64.
+# SEEDS is required so every claim names its seeds. About 2 × run_seconds
+# plus set-up per workload and seed, so not a leg of check.
 pairs:
-	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [CHANGE=<rev>] [WORKLOADS=a,b] [SEEDS=1,2,3] [SECONDS=s] [PAIRS_DIR=dir]" >&2; exit 2; }
-	$(GO) run ./internal/pairs -parent '$(PARENT)' -change '$(CHANGE)' -workloads '$(or $(WORKLOADS),all)' \
-		-seeds '$(or $(SEEDS),1 2 3 4 5 6 7 8 9 10)' -seconds '$(or $(SECONDS),0)' $(if $(PAIRS_DIR),-dir '$(PAIRS_DIR)')
+	@test -n "$(PARENT)" && test -n "$(SEEDS)" || { echo "usage: make pairs PARENT=<rev> SEEDS=<s1,s2,...> [WORKLOADS=a,b] [PAIRS_DIR=dir]" >&2; exit 2; }
+	$(GO) run ./internal/pairs -parent '$(PARENT)' -seeds '$(SEEDS)' $(if $(WORKLOADS),-workloads '$(WORKLOADS)') \
+		$(if $(PAIRS_DIR),-dir '$(PAIRS_DIR)')

@@ -1,13 +1,15 @@
-// Command pairs measures a change against its parent with the
-// repository benchmark, as alternating pairs of runs:
+// Command pairs measures the working tree against a parent revision
+// with the repository benchmark, as alternating pairs of runs:
 //
-//	make pairs PARENT=<rev> [CHANGE=<rev>] [WORKLOADS=a,b] [SEEDS=1,2,3] [SECONDS=14]
-//	go run ./internal/pairs -parent <rev> [-change <rev>] [-workloads a,b] [-seeds 1,2,3] [-seconds 14] [-dir DIR]
+//	make pairs PARENT=<rev> SEEDS=<s1,s2,...> [WORKLOADS=a,b]
+//	go run ./internal/pairs -parent <rev> -seeds <s1,s2,...> [-workloads a,b] [-dir DIR]
 //
-// Run it from the repository root. Each side is a source tree: a
-// revision is exported with `git archive` into DIR (default
-// $TMPDIR/portal-pairs), so nothing is registered in the repository's
-// .git, and an empty -change is the working tree itself. It then:
+// Run it from the repository root. The parent revision is exported with
+// `git archive` into DIR (default $TMPDIR/portal-pairs), so nothing is
+// registered in the repository's .git; the change is the working tree.
+// Every run lasts BENCHMARK.json's run_seconds. Name seeds the change was
+// not developed on: a claim read off familiar seeds proves little. It
+// then:
 //
 //   - builds each side's benchmark binary from that side's tree;
 //   - prints each binary's address of the reference burst
@@ -20,8 +22,9 @@
 //     change first on the next, each run writing its stamped -out file
 //     into a fresh DIR/run-<time> directory;
 //   - runs the change binary's `compare` over the two sets of files, and
-//     prints per workload and end-to-end metric how many pairs the
-//     change won.
+//     prints per workload and end-to-end metric, in the result files'
+//     workload order and BENCHMARK.json's metric order, how many pairs
+//     the change won.
 //
 // It leaves nothing inside the repository. The exit code is compare's
 // (1 when a row regressed or is unresolved), or 1 when a run failed the
@@ -50,28 +53,26 @@ var phaseSymbols = []string{"main.(*reference).burst.func1", "main.solveOne"}
 // side is one source tree under measurement.
 type side struct {
 	name string // "parent" or "change"
-	rev  string // the revision, "" for the working tree
+	rev  string // the parent's revision, "" for the working tree
 	root string // the tree's root, where its binary runs
 	bin  string
 	out  []string // result files, one per (seed, workload)
 }
 
 func main() {
-	parent := flag.String("parent", "", "the revision the change is measured against (required)")
-	change := flag.String("change", "", "the change's revision; empty for the working tree")
+	parent := flag.String("parent", "", "the revision the working tree is measured against (required)")
 	workloads := flag.String("workloads", "all", "comma-separated workload names, or all")
-	seeds := flag.String("seeds", "1,2,3,4,5,6,7,8,9,10", "comma-separated seeds, one pair of runs each")
-	seconds := flag.Float64("seconds", 0, "each run's timed window; 0 for BENCHMARK.json's run_seconds")
-	dir := flag.String("dir", filepath.Join(os.TempDir(), "portal-pairs"), "where the trees, binaries and results go")
+	seeds := flag.String("seeds", "", "comma-separated seeds, one pair of runs each (required)")
+	dir := flag.String("dir", filepath.Join(os.TempDir(), "portal-pairs"), "where the parent tree, binaries and results go")
 	flag.Parse()
-	code, err := run(*parent, *change, *workloads, *seeds, *seconds, *dir)
+	code, err := run(*parent, *workloads, *seeds, *dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pairs:", err)
 	}
 	os.Exit(code)
 }
 
-func run(parentRev, changeRev, workloadList, seedList string, seconds float64, dir string) (int, error) {
+func run(parentRev, workloadList, seedList string, dir string) (int, error) {
 	if parentRev == "" {
 		return 2, errors.New("-parent is required")
 	}
@@ -88,15 +89,14 @@ func run(parentRev, changeRev, workloadList, seedList string, seconds float64, d
 		return 2, err
 	}
 	top = strings.TrimSpace(top)
-	if seconds == 0 {
-		if seconds, err = runSeconds(filepath.Join(top, "BENCHMARK.json")); err != nil {
-			return 2, err
-		}
+	seconds, err := runSeconds(filepath.Join(top, "BENCHMARK.json"))
+	if err != nil {
+		return 2, err
 	}
 	if dir, err = filepath.Abs(dir); err != nil {
 		return 2, err
 	}
-	sides := []*side{{name: "parent", rev: parentRev}, {name: "change", rev: changeRev, root: top}}
+	sides := []*side{{name: "parent", rev: parentRev}, {name: "change", root: top}}
 	for _, s := range sides {
 		if s.rev != "" {
 			s.root = filepath.Join(dir, s.name)
@@ -106,7 +106,7 @@ func run(parentRev, changeRev, workloadList, seedList string, seconds float64, d
 		}
 		s.bin = filepath.Join(dir, s.name+".bench")
 		fmt.Printf("pairs: building %s (%s) from %s\n", s.name, orWorkingTree(s.rev), s.root)
-		// An exported tree has no .git of its own: stamp no revision
+		// The exported parent has no .git of its own: stamp no revision
 		// rather than look for one above it.
 		vcs := "auto"
 		if s.rev != "" {
@@ -149,7 +149,7 @@ func run(parentRev, changeRev, workloadList, seedList string, seconds float64, d
 		}
 	}
 
-	fmt.Printf("\npairs: %s (%s) vs %s (%s), %d pairs, results in %s\n", sides[0].name, sides[0].rev, sides[1].name, orWorkingTree(sides[1].rev), len(seeds), runDir)
+	fmt.Printf("\npairs: parent (%s) vs change (working tree), %d pairs, results in %s\n", parentRev, len(seeds), runDir)
 	if err := printPhases(sides); err != nil {
 		return 2, err
 	}
@@ -363,52 +363,83 @@ type resultFile struct {
 }
 
 // printWins prints, per workload and end-to-end metric, in how many
-// pairs the change's value beat the parent's. The two file lists are
-// in pair order, so a and b at the same index are one pair.
+// pairs the change's value beat the parent's.
 func printWins(specPath string, a, b []string) error {
 	spec, err := readSpec(specPath)
 	if err != nil {
 		return err
 	}
-	type key struct{ workload, metric string }
-	wins, pairs := map[key]int{}, map[key]int{}
-	var order []key
-	for i := range a {
-		ra, err := readResults(a[i])
-		if err != nil {
-			return err
-		}
-		rb, err := readResults(b[i])
-		if err != nil {
-			return err
-		}
-		for w, ma := range ra {
-			for _, m := range spec.EndToEnd {
-				va, okA := ma[m.Name]
-				vb, okB := rb[w][m.Name]
-				if !okA || !okB {
-					continue
-				}
-				k := key{w, m.Name}
-				if pairs[k] == 0 {
-					order = append(order, k)
-				}
-				pairs[k]++
-				if m.Better == "higher" && vb > va || m.Better != "higher" && vb < va {
-					wins[k]++
-				}
-			}
-		}
+	rows, err := countWins(spec, a, b)
+	if err != nil {
+		return err
 	}
 	fmt.Println("\npairs the change won (better value than its paired parent run):")
-	for _, k := range order {
-		fmt.Printf("%-12s %-16s %d/%d\n", k.workload, k.metric, wins[k], pairs[k])
+	for _, r := range rows {
+		fmt.Printf("%-12s %-16s %d/%d\n", r.workload, r.metric, r.wins, r.pairs)
 	}
 	return nil
 }
 
-// readResults maps each workload of a result file to its metric values.
-func readResults(path string) (map[string]map[string]float64, error) {
+// winRow is one workload and metric's count of pairs won.
+type winRow struct {
+	workload, metric string
+	wins, pairs      int
+}
+
+// countWins counts, per workload and end-to-end metric, the pairs whose
+// change value beat the parent's. The two file lists are in pair order,
+// so a and b at the same index are one pair. The rows come in the order
+// the workloads first appear in the parent's files, each workload's
+// metrics in spec order, so two reports compare line by line.
+func countWins(spec *benchmarkSpec, a, b []string) ([]winRow, error) {
+	var rows []winRow
+	at := map[[2]string]int{} // (workload, metric) -> index in rows
+	for i := range a {
+		ra, err := readResults(a[i])
+		if err != nil {
+			return nil, err
+		}
+		rb, err := readResults(b[i])
+		if err != nil {
+			return nil, err
+		}
+		vb := map[string]map[string]float64{}
+		for _, w := range rb {
+			vb[w.name] = w.values
+		}
+		for _, w := range ra {
+			for _, m := range spec.EndToEnd {
+				va, okA := w.values[m.Name]
+				vc, okB := vb[w.name][m.Name]
+				if !okA || !okB {
+					continue
+				}
+				k := [2]string{w.name, m.Name}
+				j, ok := at[k]
+				if !ok {
+					j = len(rows)
+					at[k] = j
+					rows = append(rows, winRow{workload: w.name, metric: m.Name})
+				}
+				rows[j].pairs++
+				if m.Better == "higher" && vc > va || m.Better != "higher" && vc < va {
+					rows[j].wins++
+				}
+			}
+		}
+	}
+	return rows, nil
+}
+
+// workloadValues is one workload's metric values in a result file.
+type workloadValues struct {
+	name   string
+	values map[string]float64
+}
+
+// readResults reads each workload's metric values from a result file, in
+// the file's order.
+func readResults(path string) ([]workloadValues, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -417,11 +448,11 @@ func readResults(path string) (map[string]map[string]float64, error) {
 	if err := json.Unmarshal(b, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out := map[string]map[string]float64{}
-	for _, r := range f.Results {
-		out[r.Workload] = map[string]float64{}
+	out := make([]workloadValues, len(f.Results))
+	for i, r := range f.Results {
+		out[i] = workloadValues{r.Workload, map[string]float64{}}
 		for name, m := range r.Metrics {
-			out[r.Workload][name] = m.Value
+			out[i].values[name] = m.Value
 		}
 	}
 	return out, nil
