@@ -65,7 +65,7 @@ bench-selftest:
 # builds and engine's 16 384-point KDE query-tree rows included: the
 # whole target is well under a minute).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/engine ./internal/fastmath ./internal/traverse ./internal/tree ./internal/persist ./internal/problems ./internal/serve ./internal/serve/client ./internal/shard
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/codegen ./internal/engine ./internal/fastmath ./internal/traverse ./internal/tree ./internal/persist ./internal/problems ./internal/serve ./internal/serve/client ./internal/shard ./internal/storage
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -467,8 +467,25 @@ func (r *Run) updateLeafBound(qn *tree.Node) {
 	if r.Ex.maxSide {
 		r.NodeBound[qn.ID] = slices.Min(pb)
 	} else {
-		r.NodeBound[qn.ID] = slices.Max(pb)
+		r.NodeBound[qn.ID] = maxOf(pb)
 	}
+}
+
+// maxOf is slices.Max over four independent accumulators instead of one
+// dependent chain. Go's float max is commutative and associative (a NaN
+// wins, +0 beats −0), so the result is slices.Max's to the bit. Only
+// the MIN side, which every k-NN walk takes, has it: no command,
+// example or benchmark workload runs a MAX-side bound rule.
+func maxOf(x []float64) float64 {
+	m0 := x[0]
+	m1, m2, m3 := m0, m0, m0
+	for x = x[1:]; len(x) >= 4; x = x[4:] {
+		m0, m1, m2, m3 = max(m0, x[0]), max(m1, x[1]), max(m2, x[2]), max(m3, x[3])
+	}
+	for _, v := range x {
+		m0 = max(m0, v)
+	}
+	return max(max(m0, m1), max(m2, m3))
 }
 
 // pointBound reads position i's admission threshold from the operator

@@ -17,6 +17,11 @@
 //     address mod 64: the burst divides every op_ms and cpu_ms_per_op,
 //     and the oracle behind setup_s is solveOne, so two binaries whose
 //     phases differ can read a difference no changed line causes;
+//   - prints the same for every function whose lines the working tree
+//     changes against the parent (`git diff -U0` hunks mapped onto
+//     go/parser function ranges, test files left out; a function the
+//     benchmark binary does not link reads "absent"), so a changed
+//     function's move can be told from its new code;
 //   - for each seed, runs each workload once a side, each binary from
 //     its own tree's root, the parent first on the first pair and the
 //     change first on the next, each run writing its stamped -out file
@@ -38,10 +43,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -96,6 +106,17 @@ func run(parentRev, workloadList, seedList string, dir string) (int, error) {
 	if dir, err = filepath.Abs(dir); err != nil {
 		return 2, err
 	}
+	diff, err := output(top, "git", "diff", "-U0", parentRev, "--", "*.go")
+	if err != nil {
+		return 2, err
+	}
+	changed, err := changedFuncs(diff, func(file string) ([]byte, error) {
+		return os.ReadFile(filepath.Join(top, filepath.FromSlash(file)))
+	})
+	if err != nil {
+		return 2, err
+	}
+	symbols := append(slices.Clone(phaseSymbols), changed...)
 	sides := []*side{{name: "parent", rev: parentRev}, {name: "change", root: top}}
 	for _, s := range sides {
 		if s.rev != "" {
@@ -117,7 +138,7 @@ func run(parentRev, workloadList, seedList string, dir string) (int, error) {
 			return 2, err
 		}
 	}
-	if err := printPhases(sides); err != nil {
+	if err := printPhases(sides, symbols); err != nil {
 		return 2, err
 	}
 
@@ -150,7 +171,7 @@ func run(parentRev, workloadList, seedList string, dir string) (int, error) {
 	}
 
 	fmt.Printf("\npairs: parent (%s) vs change (working tree), %d pairs, results in %s\n", parentRev, len(seeds), runDir)
-	if err := printPhases(sides); err != nil {
+	if err := printPhases(sides, symbols); err != nil {
 		return 2, err
 	}
 	cmd := exec.Command(sides[1].bin, append(append(append([]string{"compare"}, sides[0].out...), "--"), sides[1].out...)...)
@@ -269,9 +290,13 @@ func writeFile(path string, r io.Reader, mode os.FileMode) error {
 }
 
 // printPhases prints each side's address and phase mod 64 of every
-// phase symbol, from `go tool nm -n`.
-func printPhases(sides []*side) error {
-	fmt.Printf("%-32s", "phase (address mod 64)")
+// symbol, from `go tool nm -n`.
+func printPhases(sides []*side, symbols []string) error {
+	w := len("phase (address mod 64)")
+	for _, sym := range symbols {
+		w = max(w, len(sym))
+	}
+	fmt.Printf("%-*s", w, "phase (address mod 64)")
 	for _, s := range sides {
 		fmt.Printf(" %22s", s.name)
 	}
@@ -282,10 +307,10 @@ func printPhases(sides []*side) error {
 		if err != nil {
 			return err
 		}
-		addrs[i] = symbolAddrs(nm, phaseSymbols)
+		addrs[i] = symbolAddrs(nm, symbols)
 	}
-	for _, sym := range phaseSymbols {
-		fmt.Printf("%-32s", sym)
+	for _, sym := range symbols {
+		fmt.Printf("%-*s", w, sym)
 		for i := range sides {
 			if a, ok := addrs[i][sym]; ok {
 				fmt.Printf(" %22s", fmt.Sprintf("%#x (%d)", a, a%64))
@@ -318,6 +343,146 @@ func symbolAddrs(nm string, want []string) map[string]uint64 {
 		}
 	}
 	return out
+}
+
+// modulePath is the repository's module path. The benchmark module
+// (portal/benchmark) continues it, so a package's import path is
+// modulePath/<its directory> in either module.
+const modulePath = "portal"
+
+// changedFuncs lists, as `go tool nm` names them, the functions of the
+// benchmark binary's packages whose lines a `git diff -U0` changes: a
+// hunk's new-side lines that overlap a function declaration, or a
+// deletion between two of its lines. Test files, deleted files and
+// package main outside benchmark/ (never linked into it) are left out.
+// read returns a changed file's current contents by its diff path.
+func changedFuncs(diff string, read func(file string) ([]byte, error)) ([]string, error) {
+	var out []string
+	var file string
+	var hunks [][2]int // new-side [first, last] lines; last = first-1 for a deletion after first-1
+	flush := func() error {
+		if file == "" || len(hunks) == 0 {
+			return nil
+		}
+		src, err := read(file)
+		if err != nil {
+			return err
+		}
+		syms, err := funcsTouched(file, src, hunks)
+		out = append(out, syms...)
+		return err
+	}
+	for _, line := range strings.Split(diff, "\n") {
+		switch {
+		case strings.HasPrefix(line, "+++ "):
+			if err := flush(); err != nil {
+				return nil, err
+			}
+			file, hunks = "", nil
+			if name, ok := strings.CutPrefix(line, "+++ b/"); ok &&
+				strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+				file = name
+			}
+		case strings.HasPrefix(line, "@@ ") && file != "":
+			// @@ -a[,b] +c[,d] @@
+			f := strings.Fields(line)
+			if len(f) < 3 || !strings.HasPrefix(f[2], "+") {
+				return nil, fmt.Errorf("%s: bad hunk header %q", file, line)
+			}
+			first, count, err := hunkRange(f[2][1:])
+			if err != nil {
+				return nil, fmt.Errorf("%s: bad hunk header %q: %w", file, line, err)
+			}
+			if count == 0 { // lines deleted after line first
+				first++
+			}
+			hunks = append(hunks, [2]int{first, first + count - 1})
+		}
+	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	slices.Sort(out)
+	return slices.Compact(out), nil
+}
+
+// hunkRange parses a hunk header's "c" or "c,d" side (d defaults to 1).
+func hunkRange(s string) (first, count int, err error) {
+	c, d, ok := strings.Cut(s, ",")
+	if first, err = strconv.Atoi(c); err != nil {
+		return 0, 0, err
+	}
+	count = 1
+	if ok {
+		count, err = strconv.Atoi(d)
+	}
+	return first, count, err
+}
+
+// funcsTouched names the function declarations of one file that the
+// new-side hunks touch. A hunk [a, b] with b = a-1 is a deletion
+// between lines a-1 and a: it touches a function holding both.
+func funcsTouched(file string, src []byte, hunks [][2]int) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	pkg := modulePath + "/" + path.Dir(file)
+	if path.Dir(file) == "." {
+		pkg = modulePath
+	}
+	if f.Name.Name == "main" {
+		if path.Dir(file) != "benchmark" {
+			return nil, nil
+		}
+		pkg = "main"
+	}
+	var out []string
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		lo, hi := fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line
+		for _, h := range hunks {
+			if h[1] >= h[0] && h[0] <= hi && h[1] >= lo || h[1] < h[0] && h[1] >= lo && h[0] <= hi {
+				out = append(out, pkg+"."+funcSymbol(fd))
+				break
+			}
+		}
+	}
+	return out, nil
+}
+
+// funcSymbol is a declaration's name as the linker writes it after the
+// package path: F, T.M, (*T).M, and [...] for type parameters.
+func funcSymbol(fd *ast.FuncDecl) string {
+	name := fd.Name.Name
+	if fd.Type.TypeParams != nil {
+		name += "[...]"
+	}
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return name
+	}
+	typ := fd.Recv.List[0].Type
+	star := false
+	if s, ok := typ.(*ast.StarExpr); ok {
+		star, typ = true, s.X
+	}
+	recv := ""
+	switch t := typ.(type) {
+	case *ast.Ident:
+		recv = t.Name
+	case *ast.IndexExpr:
+		recv = fmt.Sprint(t.X) + "[...]"
+	case *ast.IndexListExpr:
+		recv = fmt.Sprint(t.X) + "[...]"
+	}
+	if star {
+		return "(*" + recv + ")." + fd.Name.Name
+	}
+	return recv + "." + fd.Name.Name
 }
 
 // benchmarkSpec is the part of BENCHMARK.json the driver reads.

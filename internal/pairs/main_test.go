@@ -76,3 +76,122 @@ func TestCountWinsOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestChangedFuncs maps a fixed `git diff -U0` onto the functions of the
+// changed files: a changed line inside a function, a pointer, value and
+// generic receiver, a generic function, a deletion inside a function and
+// one between two, a comment outside every function, the benchmark's own
+// package main; a test file, a command's package main and a deleted file
+// name nothing.
+func TestChangedFuncs(t *testing.T) {
+	files := map[string]string{
+		"internal/lib/a.go": `package lib
+
+// Doc comment, changed.
+func Plain() int {
+	return 1
+}
+
+func (r *Run) Ptr() {
+	r.x++
+}
+
+func (v Val) Value() {}
+
+func (g *Gen[K, V]) Method() {}
+
+func Generic[T any](x T) T {
+	return x
+}
+
+func Untouched() {
+	a := 1
+	b := 2
+	_, _ = a, b
+}
+
+func NextTo() {
+}
+`,
+		"benchmark/serve.go": `package main
+
+func publish() {
+	go func() {
+	}()
+}
+`,
+		"cmd/tool/main.go": `package main
+
+func run() {}
+`,
+	}
+	diff := `diff --git a/internal/lib/a.go b/internal/lib/a.go
+index 1111111..2222222 100644
+--- a/internal/lib/a.go
++++ b/internal/lib/a.go
+@@ -3 +3 @@ package lib
+-// Doc comment.
++// Doc comment, changed.
+@@ -5 +5 @@ func Plain() int {
+-	return 0
++	return 1
+@@ -9 +9 @@ func (r *Run) Ptr() {
+-	r.x--
++	r.x++
+@@ -11,0 +12 @@
++func (v Val) Value() {}
+@@ -14 +14 @@
+-func (g *Gen[K, V]) Method() { return }
++func (g *Gen[K, V]) Method() {}
+@@ -18,0 +17,0 @@ func Generic[T any](x T) T {
+-	x = x
+@@ -25,0 +25,0 @@ func Untouched() {
+-func Deleted() {}
+diff --git a/internal/lib/a_test.go b/internal/lib/a_test.go
+--- a/internal/lib/a_test.go
++++ b/internal/lib/a_test.go
+@@ -1 +1 @@
+-x
++y
+diff --git a/benchmark/serve.go b/benchmark/serve.go
+--- a/benchmark/serve.go
++++ b/benchmark/serve.go
+@@ -5,0 +5 @@ func publish() {
++	}()
+diff --git a/cmd/tool/main.go b/cmd/tool/main.go
+--- a/cmd/tool/main.go
++++ b/cmd/tool/main.go
+@@ -3 +3 @@
+-func run() { return }
++func run() {}
+diff --git a/internal/lib/gone.go b/internal/lib/gone.go
+deleted file mode 100644
+--- a/internal/lib/gone.go
++++ /dev/null
+@@ -1,3 +0,0 @@
+-package lib
+-
+-func Gone() {}
+`
+	got, err := changedFuncs(diff, func(file string) ([]byte, error) {
+		src, ok := files[file]
+		if !ok {
+			t.Fatalf("read %s: the diff leaves it out", file)
+		}
+		return []byte(src), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"main.publish",
+		"portal/internal/lib.(*Gen[...]).Method",
+		"portal/internal/lib.(*Run).Ptr",
+		"portal/internal/lib.Generic[...]",
+		"portal/internal/lib.Plain",
+		"portal/internal/lib.Val.Value",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("changedFuncs = %q, want %q", got, want)
+	}
+}

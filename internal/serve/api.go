@@ -17,7 +17,8 @@ import (
 //	PUT    /datasets/{name}   upload a dataset (CSV body, or a JSON
 //	                          array of rows with Content-Type
 //	                          application/json); builds the tree off
-//	                          to the side and swaps the head
+//	                          to the side, in the parsed points' own
+//	                          buffer, and swaps the head
 //	GET    /datasets          list dataset heads
 //	DELETE /datasets/{name}   drop a dataset head
 //	POST   /query             run a QueryRequest, returns QueryResponse
@@ -141,7 +142,7 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	snap, err := s.PutDataset(name, data)
+	snap, err := s.publish(name, data)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

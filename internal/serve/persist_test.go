@@ -31,6 +31,10 @@ func TestServerWarmRestart(t *testing.T) {
 		{Dataset: "pts", Problem: "2pc", Radius: 2},
 		{Dataset: "ref/with slash", Problem: "kde", Sigma: 1.1, Tau: 1e-3, Points: qRows},
 		{Dataset: "ref/with slash", Problem: "rangesearch", Lo: 0.5, Hi: 3, Points: qRows},
+		// No σ: the snapshot's Silverman bandwidth, which must not depend
+		// on whether the snapshot was built here or restored.
+		{Dataset: "pts", Problem: "kde"},
+		{Dataset: "ref/with slash", Problem: "kde", Points: qRows},
 	}
 
 	a := newTestServer(t, cfg)

@@ -19,8 +19,7 @@ import (
 func TestShapeMemoKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	s := newTestServer(t, Config{LeafSize: 8, Workers: 1})
-	rows := randRows(rng, 200, 3)
-	mustPut(t, s, "a", storage.MustFromRows(rows))
+	snap := mustPut(t, s, "a", storage.MustFromRows(randRows(rng, 200, 3)))
 	mustPut(t, s, "flat", storage.MustFromRows(randRows(rng, 200, 2)))
 	rowMajor := storage.NewWithLayout(200, 3, storage.RowMajor)
 	for i, r := range randRows(rng, 200, 3) {
@@ -28,7 +27,7 @@ func TestShapeMemoKeys(t *testing.T) {
 	}
 	mustPut(t, s, "rowmajor", rowMajor)
 	q3, q2 := randRows(rng, 8, 3), randRows(rng, 8, 2)
-	silverman := problems.SilvermanBandwidth(storage.MustFromRows(rows))
+	silverman := problems.SilvermanBandwidth(snap.Data) // over the snapshot's order, as the default is
 
 	for i, c := range []struct {
 		req QueryRequest

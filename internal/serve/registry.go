@@ -52,7 +52,8 @@ type Snapshot struct {
 	Name string
 	// Version is the registry-wide monotone version stamped at Put.
 	Version int64
-	// Data is the immutable point storage.
+	// Data is the immutable point storage. The server publishes and
+	// restores the tree's own (Tree.Data): the points in tree order.
 	Data *storage.Storage
 	// Tree is the snapshot's built tree, shared read-only by every
 	// query (self-joins bind it on both sides).
@@ -61,7 +62,7 @@ type Snapshot struct {
 	BuildNS int64
 
 	// sigma is Silverman's bandwidth for Data, the KDE default,
-	// computed on first use.
+	// computed on first use over Data's order, which a restore keeps.
 	sigmaOnce sync.Once
 	sigma     float64
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,17 +251,27 @@ func (s *Server) Close() {
 }
 
 // PutDataset publishes data under name: builds the tree off to the
-// side (parallel, under the server's worker budget) and swaps the
-// head. With a DataDir, the built tree is also written as a snapshot
-// file before the swap, so a crash after a successful Put can always
-// warm-restart the dataset. Returns the new head snapshot.
+// side (parallel, under the server's worker budget) over a copy of
+// data, which stays the caller's, and swaps the head. With a DataDir,
+// the built tree is also written as a snapshot file before the swap, so
+// a crash after a successful Put can always warm-restart the dataset.
+// Returns the new head snapshot.
 func (s *Server) PutDataset(name string, data *storage.Storage) (*Snapshot, error) {
+	return s.publish(name, storage.FromFlat(data.Len(), data.Dim(), data.Layout(), slices.Clone(data.Flat())))
+}
+
+// publish is PutDataset without the copy: the caller gives data up and
+// the tree is built in its buffer (tree.BuildInPlace, the tree BuildKD
+// builds over a copy). The snapshot's Data is the tree's, so a
+// published dataset's points exist once, in tree order, as a restored
+// one's do.
+func (s *Server) publish(name string, data *storage.Storage) (*Snapshot, error) {
 	start := time.Now()
-	t := tree.BuildKD(data, &tree.Options{
+	t := tree.BuildInPlace(data, &tree.Options{
 		LeafSize: s.cfg.LeafSize,
 		Parallel: s.cfg.Workers > 1,
 		Workers:  s.cfg.Workers,
-	})
+	}, false)
 	if s.cfg.DataDir != "" {
 		path := s.snapshotPath(name)
 		saveStart := time.Now()
@@ -272,7 +283,7 @@ func (s *Server) PutDataset(name string, data *storage.Storage) (*Snapshot, erro
 			s.m.snapSaveBytes.Add(fi.Size())
 		}
 	}
-	return s.reg.Put(name, data, t, time.Since(start).Nanoseconds()), nil
+	return s.reg.Put(name, t.Data, t, time.Since(start).Nanoseconds()), nil
 }
 
 // DropDataset removes name's head, and its snapshot file under

@@ -5,8 +5,10 @@
 // compiled-problem cache — exercises drop-and-reupload refcount
 // draining, then kills the process and restarts it over the same data
 // directory, asserting the dataset comes back without an upload and
-// answers the same knn query byte-identically. Exits non-zero on any
-// failure.
+// answers the same knn and default-σ kde queries byte-identically —
+// as does the same CSV published in-process through the Go API, whose
+// build copies the points where the HTTP upload's builds in place.
+// Exits non-zero on any failure.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -23,6 +26,7 @@ import (
 	"portal/internal/metrics"
 	"portal/internal/serve"
 	"portal/internal/serve/client"
+	"portal/internal/storage"
 )
 
 // ctx is the driver-wide context; per-call deadlines come from the
@@ -100,6 +104,14 @@ func scrapeQueries(c *client.Client) float64 {
 		fail("/metrics exposition does not validate: %v", err)
 	}
 	return e.Sum("portal_queries_total")
+}
+
+// sameAnswer reports whether two responses carry equal values, args
+// and lists.
+func sameAnswer(a, b *serve.QueryResponse) bool {
+	return slices.Equal(a.Values, b.Values) && slices.Equal(a.Args, b.Args) &&
+		slices.EqualFunc(a.ArgLists, b.ArgLists, slices.Equal) &&
+		slices.EqualFunc(a.ValueLists, b.ValueLists, slices.Equal)
 }
 
 // shutdown stops the process via SIGTERM and waits for a clean exit.
@@ -217,12 +229,37 @@ func main() {
 		fail("re-uploading dataset: %v", err)
 	}
 	f.Close()
-	knnReq := &serve.QueryRequest{Dataset: "smoke", Problem: "knn", K: 3}
-	want, err := c.Query(ctx, knnReq)
-	if err != nil {
-		fail("pre-restart knn query: %v", err)
+	reqs := []*serve.QueryRequest{
+		{Dataset: "smoke", Problem: "knn", K: 3},
+		{Dataset: "smoke", Problem: "kde", Tau: 1e-3}, // the snapshot's default σ
+	}
+	want := make([]*serve.QueryResponse, len(reqs))
+	for i, req := range reqs {
+		if want[i], err = c.Query(ctx, req); err != nil {
+			fail("pre-restart %s query: %v", req.Problem, err)
+		}
 	}
 	p.shutdown()
+
+	data, err := storage.FromCSV(*csvPath)
+	if err != nil {
+		fail("reading CSV: %v", err)
+	}
+	local := serve.NewServer(serve.Config{Workers: 4})
+	if _, err := local.PutDataset("smoke", data); err != nil {
+		fail("in-process publish: %v", err)
+	}
+	for i, req := range reqs {
+		got, err := local.QueryContext(ctx, req)
+		if err != nil {
+			fail("in-process %s query: %v", req.Problem, err)
+		}
+		if !sameAnswer(got, want[i]) {
+			fail("in-process %s differs from portald's answer", req.Problem)
+		}
+	}
+	local.Close()
+	fmt.Println("servesmoke: an in-process publish of the CSV answered as portald did")
 
 	restart := time.Now()
 	p2 := startPortald(*portald, "-data-dir", dataDir)
@@ -234,19 +271,13 @@ func main() {
 	if len(infos) != 1 || infos[0].Name != "smoke" || infos[0].N != info.N {
 		fail("warm restart did not restore the dataset (got %+v)", infos)
 	}
-	got, err := p2.c.Query(ctx, knnReq)
-	if err != nil {
-		fail("post-restart knn query: %v", err)
-	}
-	if len(got.ArgLists) != len(want.ArgLists) {
-		fail("post-restart knn returned %d rows, want %d", len(got.ArgLists), len(want.ArgLists))
-	}
-	for i := range want.ArgLists {
-		for j := range want.ArgLists[i] {
-			if got.ArgLists[i][j] != want.ArgLists[i][j] ||
-				got.ValueLists[i][j] != want.ValueLists[i][j] {
-				fail("post-restart knn row %d differs from pre-restart answer", i)
-			}
+	for i, req := range reqs {
+		got, err := p2.c.Query(ctx, req)
+		if err != nil {
+			fail("post-restart %s query: %v", req.Problem, err)
+		}
+		if !sameAnswer(got, want[i]) {
+			fail("post-restart %s differs from the pre-restart answer", req.Problem)
 		}
 	}
 	fmt.Printf("servesmoke: warm restart restored %q and answered identically in %v\n",

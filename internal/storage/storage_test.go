@@ -1,11 +1,15 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -337,21 +341,102 @@ func TestFromFlat(t *testing.T) {
 	FromFlat(4, 2, ColMajor, buf)
 }
 
+// readCSVOracle is ReadCSV as it was before it streamed: a
+// bufio.Scanner over lines (1 MiB buffer, 16 MiB cap), strings.Split
+// and one slice a row, then FromRows. The streaming reader must decide,
+// shape, lay out and value every input exactly as it does.
+func readCSVOracle(r io.Reader) (*Storage, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	var rows [][]float64
+	d := -1
+	lineNo := 0
+	headerSkipped := false
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		fields := strings.Split(line, ",")
+		row := make([]float64, 0, len(fields))
+		ok := true
+		for _, f := range fields {
+			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil {
+				ok = false
+				break
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("storage: line %d: non-finite value %q", lineNo, strings.TrimSpace(f))
+			}
+			row = append(row, v)
+		}
+		if !ok {
+			if !headerSkipped && len(rows) == 0 && d == -1 {
+				headerSkipped = true
+				continue
+			}
+			return nil, fmt.Errorf("storage: line %d: non-numeric field", lineNo)
+		}
+		if d == -1 {
+			d = len(row)
+		} else if len(row) != d {
+			return nil, fmt.Errorf("storage: line %d has %d fields, want %d", lineNo, len(row), d)
+		}
+		rows = append(rows, row)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(rows) == 0 {
+		return nil, errors.New("storage: empty CSV")
+	}
+	return FromRows(rows)
+}
+
+// matchCSVOracle reads data with ReadCSV and with the oracle and fails
+// unless both return the same error text, or both accept the same
+// shape and layout with the same values to the bit.
+func matchCSVOracle(t *testing.T, data []byte) {
+	t.Helper()
+	s, err := ReadCSV(bytes.NewReader(data))
+	o, oerr := readCSVOracle(bytes.NewReader(data))
+	if (err == nil) != (oerr == nil) || err != nil && err.Error() != oerr.Error() {
+		t.Fatalf("ReadCSV: %v; oracle: %v", err, oerr)
+	}
+	if err != nil {
+		if s != nil {
+			t.Fatalf("ReadCSV returned both a store and %v", err)
+		}
+		return
+	}
+	if s.Len() != o.Len() || s.Dim() != o.Dim() || s.Layout() != o.Layout() {
+		t.Fatalf("ReadCSV read %dx%d %v, oracle %dx%d %v", s.Len(), s.Dim(), s.Layout(), o.Len(), o.Dim(), o.Layout())
+	}
+	for i, v := range o.Flat() {
+		if math.Float64bits(s.Flat()[i]) != math.Float64bits(v) {
+			t.Fatalf("flat index %d: ReadCSV %v, oracle %v", i, s.Flat()[i], v)
+		}
+	}
+}
+
 // FuzzReadCSV: the CSV decoder is fed whatever a client uploads (PUT
 // /datasets) or a user points the CLI at. It must never panic, and what
 // it accepts must be a rectangular set of finite values — a NaN or an
 // infinity that got through would poison every pivot comparison and
-// bounding box downstream. The checked-in corpus (testdata/fuzz/
-// FuzzReadCSV) holds the small shapes; the line longer than the
-// scanner's first buffer is generated here rather than stored.
+// bounding box downstream — the same set, error for error and bit for
+// bit, that readCSVOracle reads. The checked-in corpus (testdata/fuzz/
+// FuzzReadCSV) holds the small shapes; the long lines are generated
+// here rather than stored.
 func FuzzReadCSV(f *testing.F) {
-	f.Add([]byte(strings.Repeat("0.125,", 350_000) + "1\n")) // one 2 MB line
+	f.Add([]byte(strings.Repeat("0.125,", 350_000) + "1\n"))                   // one 2 MB line
+	f.Add([]byte("x,y\n" + strings.Repeat("2.5,", csvReadBuf/4) + "1\n3,4\n")) // past the read buffer, then ragged
+	f.Add([]byte("1,2\n" + strings.Repeat(" ", maxCSVLine) + "3,4\n"))         // past the 16 MiB cap
 	f.Fuzz(func(t *testing.T, data []byte) {
+		matchCSVOracle(t, data)
 		s, err := ReadCSV(bytes.NewReader(data))
 		if err != nil {
-			if s != nil {
-				t.Fatalf("ReadCSV returned both a store and %v", err)
-			}
 			return
 		}
 		if s.Len() < 1 || s.Dim() < 1 || len(s.Flat()) != s.Len()*s.Dim() {
@@ -363,6 +448,35 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A line of maxCSVLine-1 bytes is read, one of maxCSVLine bytes fails
+// with bufio.ErrTooLong, with or without its newline, as the oracle's
+// scanner decides; lines at the read buffer's size are ordinary lines.
+func TestReadCSVLineCap(t *testing.T) {
+	for _, c := range []struct {
+		size int
+		tail string
+		ok   bool
+	}{
+		{csvReadBuf - 1, "\n", true},
+		{csvReadBuf, "\n", true},
+		{csvReadBuf + 1, "", true},
+		{maxCSVLine - 1, "\n", true},
+		{maxCSVLine - 1, "", true},
+		{maxCSVLine, "\n", false},
+		{maxCSVLine, "", false},
+	} {
+		data := []byte("0.5,1\n7" + strings.Repeat(" ", c.size-3) + ",8" + c.tail)
+		matchCSVOracle(t, data)
+		s, err := ReadCSV(bytes.NewReader(data))
+		if c.ok && (err != nil || s.Len() != 2 || s.At(1, 1) != 8) {
+			t.Fatalf("line of %d bytes%q: %v", c.size, c.tail, err)
+		}
+		if !c.ok && !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("line of %d bytes%q: %v, want bufio.ErrTooLong", c.size, c.tail, err)
+		}
+	}
 }
 
 // TestPanics calls each panic site the package doc lists, one case a
