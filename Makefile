@@ -141,6 +141,10 @@ hashes:
 # runs a seed in alternating order, each run BENCHMARK.json's
 # run_seconds long, then compare's verdict and the pairs the change
 # won, with each binary's reference-burst and solveOne phase mod 64.
+# When the two bursts' phases differ, a layout control (the parent plus
+# a pad file in its scratch export that moves its burst to the change's
+# phase) runs in the same alternation, and its verdict against the
+# parent follows the claim's.
 # SEEDS is required so every claim names its seeds. About 2 × run_seconds
 # plus set-up per workload and seed, so not a leg of check.
 pairs:

@@ -106,7 +106,7 @@ compare:
 // one after the other. Each row of a group has a register of its own
 // whose lanes are Hypot2Box's partial sums s0..s3: dimensions j..j+3 of
 // a chunk go to lanes 0..3, the d mod 4 last ones to lane 0 one at a
-// time, then (s0+s1)+(s2+s3) — sumGaussRowsAsm's layout, SQOFFSET's
+// time, then (s0+s1)+(s2+s3) — Hypot2's lanes, SQOFFSET's
 // operations. Every lane of every instruction is the IEEE operation,
 // operand order included, that Hypot2Box performs for one row; there is
 // no fused multiply-add in this file and there must never be one. It

@@ -17,23 +17,73 @@
 #define tabC8        104(DX)
 #define tabBias      112(DX)
 
-// func sumGaussRowsAsm(c float64, q *float64, d int, rows *float64, n int, acc float64, tab *[15]float64) (done int, sum float64)
+// func sumGaussQueriesAsm(c float64, qs [][]float64, d int, qt *float64, rows *float64, n int, acc *[4]float64, tab *[15]float64) (done int)
 //
-// Every lane of every instruction below is the IEEE operation, operand
-// order included, that sumGaussRowsGo performs for one row; there is no
-// fused multiply-add in this file and there must never be one.
+// One lane is one query: lane l is query qs[min(l, len(qs)-1)], so a
+// short group repeats its last query. Every lane of every instruction
+// below is the IEEE operation, operand order included, that
+// sumGaussRowsGo performs for that query and one row; there is no fused
+// multiply-add in this file and there must never be one.
 //
-//	SI q           CX d            R12 d &^ 3       DI row stride in bytes
-//	R8..R11 the group's four rows  BX rows left     R13 rows done
-//	Y0..Y3 distance lanes s0..s3 of the four rows   X14 acc
-//	Y9 ln2Hi  Y10 0.5  Y11 log2e  Y12 expMax  Y13 expMinNormal  Y15 c
-TEXT ·sumGaussRowsAsm(SB), NOSPLIT, $0-72
-	MOVQ         q+8(FP), SI
-	MOVQ         d+16(FP), CX
-	MOVQ         rows+24(FP), R8
-	MOVQ         n+32(FP), BX
-	MOVQ         tab+48(FP), DX
-	VMOVSD       acc+40(FP), X14
+//	SI transposed queries: 32 bytes a dimension, lane l at 8·l
+//	CX d        R12 d &^ 3        DI row stride in bytes
+//	R8 the row  BX rows           R13 rows done
+//	AX dimension index            R10 its transposed vector
+//	Y0..Y3 distance accumulators s0..s3 of the four lanes
+//	Y14 acc     Y9 ln2Hi  Y10 0.5  Y11 log2e  Y12 expMax
+//	Y13 expMinNormal              Y15 c
+//
+// The frame holds the transposed queries of d <= 32; a wider query
+// comes with its buffer in qt.
+TEXT ·sumGaussQueriesAsm(SB), $1024-88
+	MOVQ  qt+40(FP), SI
+	TESTQ SI, SI
+	JNE   transpose
+	MOVQ  SP, SI
+
+transpose:
+	// The four query pointers: header l of qs, or the last one's.
+	MOVQ    qs_base+8(FP), R8
+	MOVQ    qs_len+16(FP), BX
+	MOVQ    R8, R9
+	LEAQ    24(R8), AX
+	CMPQ    BX, $2
+	CMOVQGE AX, R9
+	MOVQ    R9, R10
+	LEAQ    24(R9), AX
+	CMPQ    BX, $3
+	CMOVQGE AX, R10
+	MOVQ    R10, R11
+	LEAQ    24(R10), AX
+	CMPQ    BX, $4
+	CMOVQGE AX, R11
+	MOVQ    (R8), R8
+	MOVQ    (R9), R9
+	MOVQ    (R10), R10
+	MOVQ    (R11), R11
+	MOVQ    d+32(FP), CX
+	XORQ    AX, AX
+	MOVQ    SI, DI
+
+tdim:
+	// Dimension AX of the four queries, one 8-byte load each: no load
+	// may run past a query row, which may end its mapping.
+	VMOVSD      (R8)(AX*8), X4
+	VMOVHPD     (R9)(AX*8), X4, X4
+	VMOVSD      (R10)(AX*8), X5
+	VMOVHPD     (R11)(AX*8), X5, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VMOVUPD     Y4, (DI)
+	ADDQ        $32, DI
+	INCQ        AX
+	CMPQ        AX, CX
+	JLT         tdim
+
+	MOVQ         rows+48(FP), R8
+	MOVQ         n+56(FP), BX
+	MOVQ         acc+64(FP), AX
+	MOVQ         tab+72(FP), DX
+	VMOVUPD      (AX), Y14
 	VBROADCASTSD c+0(FP), Y15
 	VBROADCASTSD tabMinNormal, Y13
 	VBROADCASTSD tabMax, Y12
@@ -46,91 +96,69 @@ TEXT ·sumGaussRowsAsm(SB), NOSPLIT, $0-72
 	ANDQ         $-4, R12
 	XORQ         R13, R13
 
-group:
-	// Rows 1..3 of a final group of fewer than four repeat its last
-	// valid row: nothing is read that the Go loop would not read, and
-	// only the first BX lanes are accumulated.
-	MOVQ    R8, R9
-	LEAQ    (R8)(DI*1), AX
-	CMPQ    BX, $2
-	CMOVQGE AX, R9
-	MOVQ    R9, R10
-	LEAQ    (R9)(DI*1), AX
-	CMPQ    BX, $3
-	CMOVQGE AX, R10
-	MOVQ    R10, R11
-	LEAQ    (R10)(DI*1), AX
-	CMPQ    BX, $4
-	CMOVQGE AX, R11
-
+row:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	XORQ   AX, AX
+	MOVQ   SI, R10
 	TESTQ  R12, R12
 	JEQ    tail
 
 chunk:
-	// s += (q - p)·(q - p), dimensions AX..AX+3 in lanes 0..3.
-	VMOVUPD (SI)(AX*8), Y4
-	VSUBPD  (R8)(AX*8), Y4, Y5
-	VSUBPD  (R9)(AX*8), Y4, Y6
-	VSUBPD  (R10)(AX*8), Y4, Y7
-	VSUBPD  (R11)(AX*8), Y4, Y8
-	VMULPD  Y5, Y5, Y5
-	VMULPD  Y6, Y6, Y6
-	VMULPD  Y7, Y7, Y7
-	VMULPD  Y8, Y8, Y8
-	VADDPD  Y5, Y0, Y0
-	VADDPD  Y6, Y1, Y1
-	VADDPD  Y7, Y2, Y2
-	VADDPD  Y8, Y3, Y3
-	ADDQ    $4, AX
-	CMPQ    AX, R12
-	JLT     chunk
+	// s_k += (q - p)·(q - p) for dimensions AX+k, k = 0..3, p broadcast.
+	VBROADCASTSD (R8)(AX*8), Y4
+	VBROADCASTSD 8(R8)(AX*8), Y5
+	VBROADCASTSD 16(R8)(AX*8), Y6
+	VBROADCASTSD 24(R8)(AX*8), Y7
+	VMOVUPD      (R10), Y8
+	VSUBPD       Y4, Y8, Y4
+	VMOVUPD      32(R10), Y8
+	VSUBPD       Y5, Y8, Y5
+	VMOVUPD      64(R10), Y8
+	VSUBPD       Y6, Y8, Y6
+	VMOVUPD      96(R10), Y8
+	VSUBPD       Y7, Y8, Y7
+	VMULPD       Y4, Y4, Y4
+	VMULPD       Y5, Y5, Y5
+	VMULPD       Y6, Y6, Y6
+	VMULPD       Y7, Y7, Y7
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	ADDQ         $4, AX
+	ADDQ         $128, R10
+	CMPQ         AX, R12
+	JLT          chunk
 
 tail:
-	// The d mod 4 last dimensions go to lane 0 one at a time, as in the
-	// Go loop. The 8-byte VMOVSD loads zero lanes 1..3, which therefore
-	// add (0-0)·(0-0) = +0 to sums that are >= +0 or NaN: unchanged. No
-	// 32-byte load may start here — the row may end its mapping.
+	// The d mod 4 last dimensions go to s0 one at a time, as in the Go
+	// loop: every lane is a query's own, so none is dead.
 	CMPQ AX, CX
 	JGE  hsum
 
 taildim:
-	VMOVSD (SI)(AX*8), X4
-	VMOVSD (R8)(AX*8), X5
-	VMOVSD (R9)(AX*8), X6
-	VMOVSD (R10)(AX*8), X7
-	VMOVSD (R11)(AX*8), X8
-	VSUBPD Y5, Y4, Y5
-	VSUBPD Y6, Y4, Y6
-	VSUBPD Y7, Y4, Y7
-	VSUBPD Y8, Y4, Y8
-	VMULPD Y5, Y5, Y5
-	VMULPD Y6, Y6, Y6
-	VMULPD Y7, Y7, Y7
-	VMULPD Y8, Y8, Y8
-	VADDPD Y5, Y0, Y0
-	VADDPD Y6, Y1, Y1
-	VADDPD Y7, Y2, Y2
-	VADDPD Y8, Y3, Y3
-	INCQ   AX
-	CMPQ   AX, CX
-	JLT    taildim
+	VBROADCASTSD (R8)(AX*8), Y4
+	VMOVUPD      (R10), Y8
+	VSUBPD       Y4, Y8, Y4
+	VMULPD       Y4, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $32, R10
+	INCQ         AX
+	CMPQ         AX, CX
+	JLT          taildim
 
 hsum:
-	// (s0+s1)+(s2+s3) of the four rows a, b, c, d at once.
-	VHADDPD    Y1, Y0, Y4            // a0+a1 b0+b1 a2+a3 b2+b3
-	VHADDPD    Y3, Y2, Y5            // c0+c1 d0+d1 c2+c3 d2+d3
-	VPERM2F128 $0x20, Y5, Y4, Y6     // a01 b01 c01 d01
-	VPERM2F128 $0x31, Y5, Y4, Y7     // a23 b23 c23 d23
-	VADDPD     Y7, Y6, Y6
-	VMULPD     Y6, Y15, Y6           // x = c·sum
+	// (s0+s1)+(s2+s3) in every lane: no horizontal sum.
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y6
+	VMULPD Y6, Y15, Y6 // x = c·sum
 
 	// expMinNormal <= x <= expMax in every lane (ordered, quiet: NaN is
-	// out), or the group is the Go body's.
+	// out), or the row is the Go body's.
 	VCMPPD    $0x1D, Y13, Y6, Y0
 	VCMPPD    $0x12, Y12, Y6, Y1
 	VANDPD    Y1, Y0, Y0
@@ -185,33 +213,17 @@ hsum:
 	VPSLLQ       $52, Y0, Y0
 	VMULPD       Y0, Y4, Y4          // expPoly(r)·pow2(k)
 
-	// acc += term, rows in order: the first BX lanes of at most four.
-	VPERMILPD    $1, X4, X5
-	VEXTRACTF128 $1, Y4, X6
-	VPERMILPD    $1, X6, X7
-	VADDSD       X4, X14, X14
-	CMPQ         BX, $2
-	JLT          finished
-	VADDSD       X5, X14, X14
-	CMPQ         BX, $3
-	JLT          finished
-	VADDSD       X6, X14, X14
-	CMPQ         BX, $4
-	JLT          finished
-	VADDSD       X7, X14, X14
-	JEQ          finished
-	ADDQ         $4, R13
-	SUBQ         $4, BX
-	LEAQ         (R11)(DI*1), R8
-	JMP          group
-
-finished:
-	// The group just added was the last one: all n rows are in.
-	MOVQ n+32(FP), R13
+	// acc += term: each query's own accumulator, rows in order.
+	VADDPD Y4, Y14, Y14
+	ADDQ   DI, R8
+	INCQ   R13
+	CMPQ   R13, BX
+	JLT    row
 
 out:
-	MOVQ   R13, done+56(FP)
-	VMOVSD X14, sum+64(FP)
+	MOVQ    acc+64(FP), AX
+	VMOVUPD Y14, (AX)
+	MOVQ    R13, done+80(FP)
 	VZEROUPPER
 	RET
 

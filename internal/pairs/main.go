@@ -22,18 +22,26 @@
 //     go/parser function ranges, test files left out; a function the
 //     benchmark binary does not link reads "absent"), so a changed
 //     function's move can be told from its new code;
+//   - when the two bursts' phases differ, builds a layout control: a
+//     second export of the parent with one pad file added to its
+//     benchmark/ (never to the repository), the pad grown one step at a
+//     time until `go tool nm -n` puts the control's burst at the
+//     change's phase;
 //   - for each seed, runs each workload once a side, each binary from
-//     its own tree's root, the parent first on the first pair and the
-//     change first on the next, each run writing its stamped -out file
-//     into a fresh DIR/run-<time> directory;
-//   - runs the change binary's `compare` over the two sets of files, and
-//     prints per workload and end-to-end metric, in the result files'
-//     workload order and BENCHMARK.json's metric order, how many pairs
-//     the change won.
+//     its own tree's root, the parent first on the first pair and last
+//     on the next (parent, change[, control], then reversed), each run
+//     writing its stamped -out file into a fresh DIR/run-<time>
+//     directory;
+//   - runs the change binary's `compare` over the parent's and the
+//     change's files — the claim — and, with a control, over the
+//     parent's and the control's, the move layout alone makes, and
+//     prints after each, per workload and end-to-end metric, in the
+//     result files' workload order and BENCHMARK.json's metric order,
+//     how many pairs the other side won.
 //
-// It leaves nothing inside the repository. The exit code is compare's
-// (1 when a row regressed or is unresolved), or 1 when a run failed the
-// oracle, or 2 when it could not run at all.
+// It leaves nothing inside the repository. The exit code is the claim's
+// compare's (1 when a row regressed or is unresolved), or 1 when a run
+// failed the oracle, or 2 when it could not run at all.
 package main
 
 import (
@@ -57,12 +65,14 @@ import (
 	"time"
 )
 
-// phaseSymbols are the functions whose phase mod 64 the header prints.
+// phaseSymbols are the functions whose phase mod 64 the header prints;
+// the first is the reference burst, whose phase the layout control
+// matches.
 var phaseSymbols = []string{"main.(*reference).burst.func1", "main.solveOne"}
 
 // side is one source tree under measurement.
 type side struct {
-	name string // "parent" or "change"
+	name string // "parent", "change" or "control"
 	rev  string // the parent's revision, "" for the working tree
 	root string // the tree's root, where its binary runs
 	bin  string
@@ -127,16 +137,16 @@ func run(parentRev, workloadList, seedList string, dir string) (int, error) {
 		}
 		s.bin = filepath.Join(dir, s.name+".bench")
 		fmt.Printf("pairs: building %s (%s) from %s\n", s.name, orWorkingTree(s.rev), s.root)
-		// The exported parent has no .git of its own: stamp no revision
-		// rather than look for one above it.
-		vcs := "auto"
-		if s.rev != "" {
-			vcs = "false"
-		}
-		args := []string{"build", "-C", "benchmark", "-buildvcs=" + vcs, "-o", s.bin, "."}
-		if _, err := output(s.root, "go", args...); err != nil {
+		if err := build(s); err != nil {
 			return 2, err
 		}
+	}
+	control, err := layoutControl(top, dir, sides[0], sides[1])
+	if err != nil {
+		return 2, err
+	}
+	if control != nil {
+		sides = append(sides, control)
 	}
 	if err := printPhases(sides, symbols); err != nil {
 		return 2, err
@@ -148,9 +158,9 @@ func run(parentRev, workloadList, seedList string, dir string) (int, error) {
 	}
 	failed := false
 	for p, seed := range seeds {
-		order := []*side{sides[0], sides[1]}
+		order := slices.Clone(sides)
 		if p%2 == 1 {
-			order[0], order[1] = order[1], order[0]
+			slices.Reverse(order)
 		}
 		for _, w := range workloads {
 			for _, s := range order {
@@ -174,23 +184,147 @@ func run(parentRev, workloadList, seedList string, dir string) (int, error) {
 	if err := printPhases(sides, symbols); err != nil {
 		return 2, err
 	}
-	cmd := exec.Command(sides[1].bin, append(append(append([]string{"compare"}, sides[0].out...), "--"), sides[1].out...)...)
-	cmd.Dir, cmd.Stdout, cmd.Stderr = sides[1].root, os.Stdout, os.Stderr
-	code := 0
-	if err := cmd.Run(); err != nil {
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) {
+	code, err := compare(sides[1], sides[0], sides[1])
+	if err != nil {
+		return 2, err
+	}
+	if control != nil {
+		fmt.Printf("\npairs: layout control: parent (%s) vs the parent with its burst at the change's phase\n", parentRev)
+		if _, err := compare(sides[1], sides[0], control); err != nil {
 			return 2, err
 		}
-		code = ee.ExitCode()
-	}
-	if err := printWins(filepath.Join(sides[1].root, "BENCHMARK.json"), sides[0].out, sides[1].out); err != nil {
-		return 2, err
 	}
 	if code == 0 && failed {
 		code = 1
 	}
 	return code, nil
+}
+
+// build builds a side's benchmark binary from its tree.
+func build(s *side) error {
+	// An exported tree has no .git of its own: stamp no revision rather
+	// than look for one above it.
+	vcs := "auto"
+	if s.rev != "" {
+		vcs = "false"
+	}
+	_, err := output(s.root, "go", "build", "-C", "benchmark", "-buildvcs="+vcs, "-o", s.bin, ".")
+	return err
+}
+
+// compare runs the change binary's compare over a's and b's result
+// files, then prints the pairs b won, and returns compare's exit code.
+func compare(change, a, b *side) (int, error) {
+	cmd := exec.Command(change.bin, append(append(append([]string{"compare"}, a.out...), "--"), b.out...)...)
+	cmd.Dir, cmd.Stdout, cmd.Stderr = change.root, os.Stdout, os.Stderr
+	code := 0
+	if err := cmd.Run(); err != nil {
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			return 0, err
+		}
+		code = ee.ExitCode()
+	}
+	return code, printWins(filepath.Join(change.root, "BENCHMARK.json"), b.name, a.out, b.out)
+}
+
+// The layout control's pad: a file that sorts before every other file
+// of the benchmark's package main, so that the compiler emits its
+// functions first and the linker places them ahead of the rest of the
+// package; its init keeps the pad function from dead-code elimination.
+const (
+	padFile   = "a_layout_pad.go"
+	padSymbol = "main.layoutPad"
+	maxPad    = 32
+)
+
+// padSource is the pad file with k steps in the pad function's body;
+// each step adds a few bytes of code, so some k moves everything after
+// the pad by an odd number of 32-byte function alignments.
+func padSource(k int) string {
+	var b strings.Builder
+	b.WriteString("package main\n\n// Layout control pad: not part of the repository.\n\n")
+	b.WriteString("var layoutPadSink uint64\n\nfunc init() { layoutPadSink = layoutPad(layoutPadSink) }\n\n")
+	b.WriteString("//go:noinline\nfunc layoutPad(x uint64) uint64 {\n")
+	for i := range k {
+		fmt.Fprintf(&b, "\tx ^= x >> %d * %d\n", i%31+1, 2*i+3)
+	}
+	b.WriteString("\treturn x\n}\n")
+	return b.String()
+}
+
+// layoutControl returns the control side when the parent's and the
+// change's reference bursts sit at different phases mod 64, nil when
+// they share one or either binary lacks the burst: a second export of
+// the parent, built with the pad whose size searchPad finds.
+func layoutControl(top, dir string, parent, change *side) (*side, error) {
+	burst := phaseSymbols[0]
+	var phases [2]uint64
+	for i, s := range []*side{parent, change} {
+		nm, err := output("", "go", "tool", "nm", "-n", s.bin)
+		if err != nil {
+			return nil, err
+		}
+		a, ok := symbolAddrs(nm, phaseSymbols[:1])[burst]
+		if !ok {
+			fmt.Printf("pairs: no layout control: %s has no %s\n", s.name, burst)
+			return nil, nil
+		}
+		phases[i] = a % 64
+	}
+	if phases[0] == phases[1] {
+		fmt.Printf("pairs: no layout control: both bursts sit at phase %d\n", phases[0])
+		return nil, nil
+	}
+	c := &side{name: "control", rev: parent.rev, root: filepath.Join(dir, "control"), bin: filepath.Join(dir, "control.bench")}
+	if err := export(top, c.rev, c.root); err != nil {
+		return nil, err
+	}
+	pad := filepath.Join(c.root, "benchmark", padFile)
+	k, err := searchPad(func(k int) (string, error) {
+		if err := os.WriteFile(pad, []byte(padSource(k)), 0o644); err != nil {
+			return "", err
+		}
+		if err := build(c); err != nil {
+			return "", err
+		}
+		return output("", "go", "tool", "nm", "-n", c.bin)
+	}, phases[1])
+	if err != nil {
+		return nil, fmt.Errorf("layout control: %w", err)
+	}
+	fmt.Printf("pairs: layout control: the parent plus a %d-step pad (%s) puts the burst at phase %d, the change's\n",
+		k, pad, phases[1])
+	return c, nil
+}
+
+// searchPad returns the least pad size k <= maxPad whose build, given
+// as its `go tool nm -n` output by build(k), puts the reference burst
+// at phase want mod 64 (the last build made is the one kept). A build
+// without the pad function, or with the pad behind the burst, cannot
+// move it: that is an error, not a reason to try a larger pad.
+func searchPad(build func(k int) (string, error), want uint64) (int, error) {
+	burst := phaseSymbols[0]
+	for k := 0; k <= maxPad; k++ {
+		nm, err := build(k)
+		if err != nil {
+			return 0, err
+		}
+		addrs := symbolAddrs(nm, []string{burst, padSymbol})
+		b, okB := addrs[burst]
+		p, okP := addrs[padSymbol]
+		switch {
+		case !okB:
+			return 0, fmt.Errorf("pad %d: no %s in the build", k, burst)
+		case !okP:
+			return 0, fmt.Errorf("pad %d: the linker dropped %s", k, padSymbol)
+		case p > b:
+			return 0, fmt.Errorf("pad %d: %s at %#x lies behind %s at %#x", k, padSymbol, p, burst, b)
+		case b%64 == want:
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("no pad of up to %d steps puts %s at phase %d", maxPad, burst, want)
 }
 
 func orWorkingTree(rev string) string {
@@ -324,7 +458,9 @@ func printPhases(sides []*side, symbols []string) error {
 }
 
 // symbolAddrs reads the addresses of the wanted symbols from `go tool
-// nm -n` output: one "address type name" line a symbol.
+// nm -n` output: one "address type name" line a symbol. An assembly
+// function is listed with the suffix of its ABI, ".abi0"; it is matched
+// by its Go name.
 func symbolAddrs(nm string, want []string) map[string]uint64 {
 	out := map[string]uint64{}
 	sc := bufio.NewScanner(strings.NewReader(nm))
@@ -333,7 +469,7 @@ func symbolAddrs(nm string, want []string) map[string]uint64 {
 		if len(f) < 3 {
 			continue
 		}
-		name := strings.Join(f[2:], " ")
+		name := strings.TrimSuffix(strings.Join(f[2:], " "), ".abi0")
 		for _, w := range want {
 			if name == w {
 				if a, err := strconv.ParseUint(f[0], 16, 64); err == nil {
@@ -528,8 +664,8 @@ type resultFile struct {
 }
 
 // printWins prints, per workload and end-to-end metric, in how many
-// pairs the change's value beat the parent's.
-func printWins(specPath string, a, b []string) error {
+// pairs the named side's value (b) beat the parent's (a).
+func printWins(specPath, name string, a, b []string) error {
 	spec, err := readSpec(specPath)
 	if err != nil {
 		return err
@@ -538,7 +674,7 @@ func printWins(specPath string, a, b []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("\npairs the change won (better value than its paired parent run):")
+	fmt.Printf("\npairs the %s won (better value than its paired parent run):\n", name)
 	for _, r := range rows {
 		fmt.Printf("%-12s %-16s %d/%d\n", r.workload, r.metric, r.wins, r.pairs)
 	}

@@ -2,16 +2,21 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // TestSymbolAddrs reads the phase symbols' addresses out of `go tool nm
 // -n` lines, names with spaces and parentheses included, and skips every
-// other symbol.
+// other symbol; an assembly function is found by its Go name.
 func TestSymbolAddrs(t *testing.T) {
 	nm := `  6f2cc0 T main.(*reference).burst
   6f2ce0 T main.(*reference).burst.func1
@@ -26,6 +31,10 @@ func TestSymbolAddrs(t *testing.T) {
 	}
 	if got[phaseSymbols[0]]%64 != 32 || got[phaseSymbols[1]]%64 != 0 {
 		t.Fatalf("phases %d and %d, want 32 and 0", got[phaseSymbols[0]]%64, got[phaseSymbols[1]]%64)
+	}
+	asm := "portal/internal/fastmath.sumGaussQueriesAsm"
+	if got := symbolAddrs("  4e1800 T "+asm+".abi0\n", []string{asm}); got[asm] != 0x4e1800 {
+		t.Fatalf("assembly function: %v, want %s at 0x4e1800", got, asm)
 	}
 }
 
@@ -193,5 +202,96 @@ deleted file mode 100644
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("changedFuncs = %q, want %q", got, want)
+	}
+}
+
+// TestSearchPad runs the pad search on fixed symbol tables: the least
+// pad that moves the burst to the wanted phase is found and the builds
+// stop there; a pad the linker dropped, or one placed behind the burst,
+// is an error at once, and so is a burst no pad up to maxPad moves.
+func TestSearchPad(t *testing.T) {
+	// Each pad step adds 11 bytes; functions start on 32-byte boundaries.
+	table := func(k int, pad, padLate bool) string {
+		shift := uint64((11*k+31)/32) * 32
+		burst := 0x6f3ae0 + shift
+		lines := []string{"  6e3960 T main.init.0"}
+		if pad && !padLate {
+			lines = append(lines, "  6e39a0 T main.layoutPad")
+		}
+		lines = append(lines,
+			fmt.Sprintf("  %x T main.setupBatch", 0x6e39c0+shift),
+			fmt.Sprintf("  %x T main.(*reference).burst", burst-0x20),
+			fmt.Sprintf("  %x T main.(*reference).burst.func1", burst))
+		if pad && padLate {
+			lines = append(lines, fmt.Sprintf("  %x T main.layoutPad", burst+0x40))
+		}
+		return strings.Join(lines, "\n") + "\n"
+	}
+	var built []int
+	fixed := func(pad, padLate bool) func(int) (string, error) {
+		built = built[:0]
+		return func(k int) (string, error) {
+			built = append(built, k)
+			return table(k, pad, padLate), nil
+		}
+	}
+	// 0x6f3ae0 is phase 32; 11·k bytes round up to 32 at k = 1..2, 64 at
+	// k = 3..5, 96 at k = 6..8.
+	if k, err := searchPad(fixed(true, false), 0); err != nil || k != 1 || !slices.Equal(built, []int{0, 1}) {
+		t.Errorf("phase 0: pad %d, %v after builds %v; want 1 after [0 1]", k, err, built)
+	}
+	if k, err := searchPad(fixed(true, false), 32); err != nil || k != 0 || !slices.Equal(built, []int{0}) {
+		t.Errorf("phase 32: pad %d, %v after builds %v; want 0 after [0]", k, err, built)
+	}
+	for _, c := range []struct {
+		name           string
+		pad, late      bool
+		want           uint64
+		builds, errHas string
+	}{
+		{"dropped pad", false, false, 0, "[0]", "dropped"},
+		{"pad behind the burst", true, true, 0, "[0]", "behind"},
+		{"unreachable phase", true, false, 16, fmt.Sprint(seq(maxPad + 1)), "no pad"},
+	} {
+		_, err := searchPad(fixed(c.pad, c.late), c.want)
+		if err == nil || !strings.Contains(err.Error(), c.errHas) || fmt.Sprint(built) != c.builds {
+			t.Errorf("%s: %v after builds %v; want an error naming %q after %s", c.name, err, built, c.errHas, c.builds)
+		}
+	}
+	boom := errors.New("build failed")
+	if _, err := searchPad(func(int) (string, error) { return "", boom }, 0); !errors.Is(err, boom) {
+		t.Errorf("a failed build: %v, want %v", err, boom)
+	}
+}
+
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// TestPadSource is package main with the pad function, its init and k
+// steps in the pad's body.
+func TestPadSource(t *testing.T) {
+	for _, k := range []int{0, 1, 7, maxPad} {
+		f, err := parser.ParseFile(token.NewFileSet(), padFile, padSource(k), 0)
+		if err != nil {
+			t.Fatalf("pad %d: %v", k, err)
+		}
+		var steps int
+		var names []string
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				names = append(names, fd.Name.Name)
+				if "main."+fd.Name.Name == padSymbol {
+					steps = len(fd.Body.List) - 1
+				}
+			}
+		}
+		if f.Name.Name != "main" || !slices.Equal(names, []string{"init", "layoutPad"}) || steps != k {
+			t.Errorf("pad %d: package %s, functions %v, %d steps", k, f.Name.Name, names, steps)
+		}
 	}
 }
