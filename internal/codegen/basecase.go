@@ -11,9 +11,9 @@ import (
 	"portal/internal/tree"
 )
 
-// This file holds the base case's entry: the point gate, and the
-// dispatcher that hands the points it leaves to one of three loops — a
-// hot loop of basecase_fused_hot.go (the paper's KNN/NN/KDE/2PC/RS
+// This file holds the base case's entry: the point gate, which hands
+// the points it leaves, as a survivor mask, to the one loop Bind picked —
+// a hot loop of basecase_fused_hot.go (the paper's KNN/NN/KDE/2PC/RS
 // shapes over either default layout: the Go analogue of its specialized,
 // auto-vectorized BaseCase, Section IV-F), the per-pair loop
 // pairBaseCase below (every other kernel × operator × layout), or, under
@@ -23,15 +23,13 @@ import (
 // gateChunk is how many query positions one survivor mask covers.
 const gateChunk = 64
 
-// fusedFn executes one leaf pair through a hot loop. Implementations
-// read all per-fork state (Val, Arg, the k-list slabs, the query leaf's
-// id lists) from the *Run argument so the same fusedFn value is safe to
-// share across Fork clones.
-type fusedFn func(r *Run, qb, qe int, rn *tree.Node)
-
-// maskFn executes the positions qb+i, i a set bit of m, of one gate
-// chunk against rn through a hot loop, with fusedFn's sharing rules.
-type maskFn func(r *Run, qb int, m uint64, rn *tree.Node)
+// sweepFn executes the positions qb+i, i a set bit of m, of one gate
+// chunk against every point of rn: a hot loop, the per-pair loop or the
+// interpreter, picked once at Bind. Implementations read all per-fork
+// state (Val, Arg, the k-list slabs, the query leaf's id lists) from the
+// *Run argument, so the same sweepFn value is safe to share across Fork
+// clones.
+type sweepFn func(r *Run, qb int, m uint64, rn *tree.Node)
 
 // fusedTileR is the hot loops' reference tile: 256 points is 2 KiB per
 // column (so all four columns of a d=4 leaf fit comfortably in L1
@@ -81,20 +79,19 @@ func (ex *Executable) classifyFused() {
 }
 
 // selectFused picks the hot loop for the bound tree pair, or nil when
-// the combination has none and sweep runs the per-pair loop, and the
-// same loop's masked entry when it has one (selectGaussHot). Called
-// once per Bind; the closures are shared by all forks.
-func (ex *Executable) selectFused(qd, rd *storage.Storage) (fusedFn, maskFn) {
+// the combination has none. Called once per Bind; the closures are
+// shared by all forks.
+func (ex *Executable) selectFused(qd, rd *storage.Storage) sweepFn {
 	op := ex.Plan.InnerOp
 	switch ex.fuseKind {
 	case fuseIdent:
-		return selectIdentHot(op, qd, rd), nil
+		return selectIdentHot(op, qd, rd)
 	case fuseGauss:
 		return selectGaussHot(op, qd, rd, ex.fuseC)
 	case fuseWindow:
-		return selectWindowHot(op, qd, rd, ex.winLo2, ex.winHi2), nil
+		return selectWindowHot(op, qd, rd, ex.winLo2, ex.winHi2)
 	}
-	return nil, nil
+	return nil
 }
 
 // BaseCase performs the direct point-to-point computation for a leaf
@@ -103,45 +100,34 @@ func (ex *Executable) selectFused(qd, rd *storage.Storage) (fusedFn, maskFn) {
 // point, with the kernel's own arithmetic at the point of rn's box
 // nearest to q (or the corner farthest from it). The gate decides a
 // chunk of the leaf at a time — a point's decision reads nothing another
-// point's sweep writes, so all of them can precede the first sweep — and
-// only the maximal runs of points the rule cannot settle are swept, most
-// often none; a loop that takes the chunk's mask whole (fusedMask) gets
-// all of them at once.
+// point's sweep writes, so all of them can precede the sweep — and the
+// sweep takes the points the rule cannot settle, most often none, as the
+// chunk's survivor mask.
 func (r *Run) BaseCase(qn, rn *tree.Node) {
 	r.leaf = qn
-	if r.fused != nil {
+	if r.hot {
 		r.fusedBaseCases++
 	}
 	pb := r.PointBound
-	if pb == nil && r.gate == gateNone {
-		r.sweep(qn.Begin, qn.End, rn)
-		return
-	}
 	swept := false
 	for qb := qn.Begin; qb < qn.End; qb += gateChunk {
-		qe := min(qb+gateChunk, qn.End)
-		m := r.settle(qb, qe, qn, rn)
-		if r.fusedMask != nil {
-			if m != 0 {
-				r.kernelEvals += int64(bits.OnesCount64(m)) * int64(rn.Count())
-				r.fusedMask(r, qb, m, rn)
-			}
+		m := r.settle(qb, min(qb+gateChunk, qn.End), qn, rn)
+		if m == 0 {
 			continue
 		}
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			e := b + bits.TrailingZeros64(^(m >> b)) // [b, e): the lowest run of set bits
-			m &^= 1<<e - 1
-			r.sweep(qb+b, qb+e, rn)
+		// Every loop evaluates the kernel exactly once per point pair: one
+		// multiply-add per sweep keeps the count without touching them.
+		r.kernelEvals += int64(bits.OnesCount64(m)) * int64(rn.Count())
+		r.sweep(r, qb, m, rn)
+		if pb != nil {
 			swept = true
-			if pb != nil {
-				for i := qb + b; i < qb+e; i++ {
-					pb[i] = r.pointBound(i)
-				}
+			for rest := m; rest != 0; rest &= rest - 1 {
+				i := qb + bits.TrailingZeros64(rest)
+				pb[i] = r.pointBound(i)
 			}
 		}
 	}
-	if swept && pb != nil {
+	if swept {
 		r.updateLeafBound(qn)
 	}
 }
@@ -280,32 +266,17 @@ func bit(b bool) uint64 {
 	return 0
 }
 
-// sweep evaluates query positions [qb, qe) against every point of rn
-// through the loop selected at Bind. Every loop evaluates the kernel
-// exactly once per point pair; one multiply-add per sweep keeps the
-// count without touching the inner loops.
-func (r *Run) sweep(qb, qe int, rn *tree.Node) {
-	r.kernelEvals += int64(qe-qb) * int64(rn.Count())
-	switch {
-	case r.Ex.Opts.ForceInterp:
-		r.interpBaseCase(qb, qe, rn)
-	case r.fused != nil:
-		r.fused(r, qb, qe, rn)
-	default:
-		r.pairBaseCase(qb, qe, rn)
-	}
-}
-
 // pairBaseCase is the per-pair loop: one kernel value per point pair,
 // handed to update. Euclidean-family kernels evaluate evalD2 over
 // Hypot2 of the two points' copies — whose lanes give the d² bits the
 // hot loops' written-out sums give for d ≤ 4 — so comparative, window
 // and list answers match a hot loop's bit for bit, ties included; other
 // metrics and Mahalanobis kernels evaluate the distance their own way.
-func (r *Run) pairBaseCase(qb, qe int, rn *tree.Node) {
+func (r *Run) pairBaseCase(qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	if f := r.evalD2; f != nil {
-		for qi := qb; qi < qe; qi++ {
+		for ; m != 0; m &= m - 1 {
+			qi := qb + bits.TrailingZeros64(m)
 			q := qd.Point(qi, r.qbuf)
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				r.update(qi, ri, f(fastmath.Hypot2(q, rd.Point(ri, r.rbuf))))
@@ -315,7 +286,8 @@ func (r *Run) pairBaseCase(qb, qe int, rn *tree.Node) {
 	}
 	body := r.Ex.bodyFnOrIdentity()
 	if r.mahal != nil {
-		for qi := qb; qi < qe; qi++ {
+		for ; m != 0; m &= m - 1 {
+			qi := qb + bits.TrailingZeros64(m)
 			q := qd.Point(qi, r.qbuf)
 			for ri := rn.Begin; ri < rn.End; ri++ {
 				r.update(qi, ri, body(r.mahal.PairDist2(q, rd.Point(ri, r.rbuf))))
@@ -324,7 +296,8 @@ func (r *Run) pairBaseCase(qb, qe int, rn *tree.Node) {
 		return
 	}
 	metric := r.Ex.Plan.DistKernel.Metric
-	for qi := qb; qi < qe; qi++ {
+	for ; m != 0; m &= m - 1 {
+		qi := qb + bits.TrailingZeros64(m)
 		q := qd.Point(qi, r.qbuf)
 		for ri := rn.Begin; ri < rn.End; ri++ {
 			r.update(qi, ri, body(metric.Dist(q, rd.Point(ri, r.rbuf))))

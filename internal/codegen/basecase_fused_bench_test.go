@@ -49,7 +49,7 @@ func benchLeafRun(b *testing.B, d int, l storage.Layout, op lang.Op, k int, kern
 }
 
 // BenchmarkBaseCaseLeaf is the hot loops' kill-rule table (DESIGN §9):
-// one 256 × 256 leaf pair through each of the 24 hot loops and through
+// one 256 × 256 leaf pair through each of the 20 hot loops and through
 // the per-pair loop on the same run, as <shape>/<layout>/d=<d>/{hot,pair},
 // in ns per point pair. A hot loop stays only while it beats pair beyond
 // the spread between runs. Both sides sweep every pair with no gate; the
@@ -80,8 +80,8 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 			for _, side := range []string{"hot", "pair"} {
 				b.Run(fmt.Sprintf("%s/%v/d=%d/%s", s.name, lay.l, lay.d, side), func(b *testing.B) {
 					run := benchLeafRun(b, lay.d, lay.l, s.op, s.k, s.mk(), Options{})
-					sweep := run.fused
-					if sweep == nil {
+					sweep := run.sweep
+					if !run.hot {
 						b.Fatal("the shape selected no hot loop")
 					}
 					if side == "pair" {
@@ -98,7 +98,7 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 								ids[j] = ids[j][:0]
 							}
 						}
-						sweep(run, 0, n, rn)
+						sweepAll(run, sweep, 0, n, rn)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/pair")
 				})
@@ -114,7 +114,10 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 // the gate settles ≈ 40 % of the leaf at positions that are not
 // contiguous (their points moved far away) and sweeps the rest; at
 // d = 42 and 68 (KDD's and Census's widths) the queries are past the
-// vector body's own frame and go through the run's transpose scratch.
+// vector body's own frame and go through the run's transpose scratch;
+// "cols/d=3" is serve-mixed's KDE shape, column-major leaves, which the
+// loop transposes (the reference tile) and gathers (each group's query
+// points) into rows before the same calls.
 // Each is reported per swept point pair, through Run.BaseCase, as the
 // hand-written loop over the same survivors (groups of four in position
 // order into fastmath.SumGaussRows; no gate, no dispatcher) it is to be
@@ -122,12 +125,20 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 // Hypot2 + ExpFast, the sum SumGaussRows is defined as and, where it
 // has a vector body, does not run (fastmath's own BenchmarkSumGaussRows
 // times its inlined Go body, which no other package can reach).
-// basecase − handwritten is what the framework adds (the gate and its
-// centroid estimates included); scalar − handwritten is what the vector
-// body buys.
+// Both read row-major copies of the leaves. basecase − handwritten is
+// what the framework adds (the gate and its centroid estimates, and for
+// column-major leaves the transpose and the gather, included); scalar −
+// handwritten is what the vector body buys.
 func BenchmarkGaussRowBaseCase(b *testing.B) {
 	const leaf = 32
-	for _, d := range []int{5, 9, 16, 42, 68} {
+	for _, c := range []struct {
+		d int
+		l storage.Layout
+	}{{3, storage.ColMajor}, {5, storage.RowMajor}, {9, storage.RowMajor}, {16, storage.RowMajor}, {42, storage.RowMajor}, {68, storage.RowMajor}} {
+		d, prefix := c.d, ""
+		if c.l == storage.ColMajor {
+			prefix = "cols/"
+		}
 		for _, shape := range []string{"overlap", "scattered"} {
 			rng := rand.New(rand.NewSource(11))
 			qRows := randRows(rng, leaf, d)
@@ -140,8 +151,8 @@ func BenchmarkGaussRowBaseCase(b *testing.B) {
 					}
 				}
 			}
-			q := storageWithLayout(qRows, storage.RowMajor)
-			r := storageWithLayout(randRows(rng, leaf, d), storage.RowMajor)
+			q := storageWithLayout(qRows, c.l)
+			r := storageWithLayout(randRows(rng, leaf, d), c.l)
 			spec := (&lang.PortalExpr{}).AddLayer(lang.FORALL, q, nil).
 				AddLayer(lang.SUM, r, expr.NewGaussianKernel(3))
 			plan, prog, err := lower.Lower("bench", spec, lower.Options{Tau: 1e-3})
@@ -164,17 +175,24 @@ func BenchmarkGaussRowBaseCase(b *testing.B) {
 			for rest := m; rest != 0; rest &= rest - 1 {
 				at = append(at, bits.TrailingZeros64(rest))
 			}
+			rows := func(s *storage.Storage) []float64 {
+				var flat []float64
+				for i := 0; i < s.Len(); i++ {
+					flat = append(flat, s.Point(i, make([]float64, d))...)
+				}
+				return flat
+			}
+			qf, rs, val := rows(run.Q.Data), rows(run.R.Data), run.Val
 			perPair := func(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(swept*leaf), "ns/pair")
 			}
-			b.Run(fmt.Sprintf("d=%d/%s/basecase", d, shape), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%sd=%d/%s/basecase", prefix, d, shape), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					run.BaseCase(qn, rn)
 				}
 				perPair(b)
 			})
-			b.Run(fmt.Sprintf("d=%d/%s/handwritten", d, shape), func(b *testing.B) {
-				qf, rs, val := run.Q.Data.Flat(), run.R.Data.Flat(), run.Val
+			b.Run(fmt.Sprintf("%sd=%d/%s/handwritten", prefix, d, shape), func(b *testing.B) {
 				var scratch []float64
 				for i := 0; i < b.N; i++ {
 					for g := 0; g < len(at); g += 4 {
@@ -192,8 +210,7 @@ func BenchmarkGaussRowBaseCase(b *testing.B) {
 				}
 				perPair(b)
 			})
-			b.Run(fmt.Sprintf("d=%d/%s/scalar", d, shape), func(b *testing.B) {
-				qf, rs, val := run.Q.Data.Flat(), run.R.Data.Flat(), run.Val
+			b.Run(fmt.Sprintf("%sd=%d/%s/scalar", prefix, d, shape), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, qi := range at {
 						var acc float64

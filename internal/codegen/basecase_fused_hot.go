@@ -12,17 +12,22 @@ import (
 // Hand-monomorphized fused loops for the hot (operator × kernel ×
 // layout) combinations — the paper's headline base cases (KNN, KDE,
 // two-point counting, range search, nearest neighbor) over both
-// storage layouts.
+// storage layouts: twenty loops, each a sweepFn (basecase.go) that takes
+// one gate chunk's survivor mask and walks its set bits.
 //
 // selectFused (basecase.go) consults only this table; every other
 // combination runs the per-pair loop pairBaseCase, which pays a closure
 // call for the kernel and the per-pair update switch on every point
-// pair. The loops here are plain functions written out per dimension,
-// so the pair body compiles to straight-line arithmetic — except the
-// window over column-major leaves, which hands blocks of 64 × 64 pairs
-// to the vector body fastmath.WindowMaskCols and reads its masks. Each
-// stays only while it beats the per-pair loop on its own shape
-// (BenchmarkBaseCaseLeaf; the kill rule of DESIGN §9).
+// pair. The k-nearest, nearest and minimum loops are plain functions
+// written out per dimension, so the pair body compiles to straight-line
+// arithmetic. Two hand their pairs to vector bodies instead: the
+// Gaussian, over either layout, groups of four queries against a tile
+// of reference rows to fastmath.SumGaussRows (column-major leaves
+// transposed and gathered into rows first), and the window over
+// column-major leaves blocks of 64 × 64 pairs, one run of set bits at a
+// time, to fastmath.WindowMaskCols. Each stays only while it beats the
+// per-pair loop on its own shape (BenchmarkBaseCaseLeaf; the kill rule
+// of DESIGN §9).
 //
 // Two idioms matter for the other column-major bodies:
 //
@@ -31,9 +36,9 @@ import (
 //     this hands the compiler the length equality it needs to
 //     eliminate the bounds checks on every per-dimension access,
 //     which otherwise cost as much as the arithmetic itself;
-//   - accumulators live in registers across the tile sweep (acc /
-//     cnt / best / the k-list admission threshold), with one
-//     Val/Arg/list write-back per (query, tile) — never per pair.
+//   - accumulators live in registers across the tile sweep (cnt /
+//     best / the k-list admission threshold), with one Val/Arg/list
+//     write-back per (query, tile) — never per pair.
 //
 // Comparative, window and list results are bit-identical to the
 // per-pair loop's: the same d² bits (Hypot2's lanes reduce to the sums
@@ -42,65 +47,41 @@ import (
 // tile) into Val instead of one value per pair: DESIGN §9's numerics
 // policy, not bit for bit.
 
-// selectGaussHot returns the hand-specialized KDE loop (SUM over
-// exp(c·d²) via ExpFast), or nil when the combination has none. The
-// row-major loop also comes as a maskFn: its vector body groups queries
-// four at a time and would waste lanes on the short runs the τ gate
-// leaves, so BaseCase hands it each chunk's survivor mask whole, and
-// its fusedFn feeds it all-ones masks chunk by chunk.
-func selectGaussHot(op lang.Op, qd, rd *storage.Storage, gc float64) (fusedFn, maskFn) {
-	if op != lang.SUM {
-		return nil, nil
+// selectGaussHot returns the KDE loop (SUM over exp(c·d²) via
+// ExpFast) when both leaves share a default layout, or nil.
+func selectGaussHot(op lang.Op, qd, rd *storage.Storage, gc float64) sweepFn {
+	if op != lang.SUM || !bothColMajor(qd, rd) && !bothRowMajor(qd, rd) {
+		return nil
 	}
-	switch {
-	case bothColMajor(qd, rd):
-		switch qd.Dim() {
-		case 1:
-			return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussCol1(r, gc, qb, qe, rn) }, nil
-		case 2:
-			return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussCol2(r, gc, qb, qe, rn) }, nil
-		case 3:
-			return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussCol3(r, gc, qb, qe, rn) }, nil
-		default:
-			return func(r *Run, qb, qe int, rn *tree.Node) { hotSumGaussCol4(r, gc, qb, qe, rn) }, nil
-		}
-	case bothRowMajor(qd, rd):
-		all := func(r *Run, qb, qe int, rn *tree.Node) {
-			for ; qb < qe; qb += gateChunk {
-				hotSumGaussRow(r, gc, qb, ^uint64(0)>>(gateChunk-min(qe-qb, gateChunk)), rn)
-			}
-		}
-		return all, func(r *Run, qb int, m uint64, rn *tree.Node) { hotSumGaussRow(r, gc, qb, m, rn) }
-	}
-	return nil, nil
+	return func(r *Run, qb int, m uint64, rn *tree.Node) { hotSumGauss(r, gc, qb, m, rn) }
 }
 
 // selectIdentHot returns the hand-specialized identity-kernel loops:
 // k-nearest admission (KMIN/KARGMIN), nearest neighbor (ARGMIN) and
 // MIN over the raw squared distance. SUM over it has no loop: no
 // problem builds it, and the per-pair loop runs it.
-func selectIdentHot(op lang.Op, qd, rd *storage.Storage) fusedFn {
+func selectIdentHot(op lang.Op, qd, rd *storage.Storage) sweepFn {
 	col := bothColMajor(qd, rd)
 	row := bothRowMajor(qd, rd)
 	switch op {
 	case lang.KMIN, lang.KARGMIN:
 		switch {
 		case col:
-			return [4]fusedFn{hotKMinIdentCol1, hotKMinIdentCol2, hotKMinIdentCol3, hotKMinIdentCol4}[qd.Dim()-1]
+			return [4]sweepFn{hotKMinIdentCol1, hotKMinIdentCol2, hotKMinIdentCol3, hotKMinIdentCol4}[qd.Dim()-1]
 		case row:
 			return hotKMinIdentRow
 		}
 	case lang.ARGMIN:
 		switch {
 		case col:
-			return [4]fusedFn{hotArgMinIdentCol1, hotArgMinIdentCol2, hotArgMinIdentCol3, hotArgMinIdentCol4}[qd.Dim()-1]
+			return [4]sweepFn{hotArgMinIdentCol1, hotArgMinIdentCol2, hotArgMinIdentCol3, hotArgMinIdentCol4}[qd.Dim()-1]
 		case row:
 			return hotArgMinIdentRow
 		}
 	case lang.MIN:
 		switch {
 		case col:
-			return [4]fusedFn{hotMinIdentCol1, hotMinIdentCol2, hotMinIdentCol3, hotMinIdentCol4}[qd.Dim()-1]
+			return [4]sweepFn{hotMinIdentCol1, hotMinIdentCol2, hotMinIdentCol3, hotMinIdentCol4}[qd.Dim()-1]
 		case row:
 			return hotMinIdentRow
 		}
@@ -112,8 +93,8 @@ func selectIdentHot(op lang.Op, qd, rd *storage.Storage) fusedFn {
 // counting and range-search collection against the compiled squared
 // thresholds): the vector window sweep over column-major leaves, the
 // per-pair Hypot2 loop over rows.
-func selectWindowHot(op lang.Op, qd, rd *storage.Storage, lo2, hi2 float64) fusedFn {
-	var f func(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node)
+func selectWindowHot(op lang.Op, qd, rd *storage.Storage, lo2, hi2 float64) sweepFn {
+	var f func(r *Run, lo2, hi2 float64, qb int, m uint64, rn *tree.Node)
 	switch col, row := bothColMajor(qd, rd), bothRowMajor(qd, rd); {
 	case op == lang.SUM && col:
 		f = hotWindowSumCols
@@ -126,7 +107,7 @@ func selectWindowHot(op lang.Op, qd, rd *storage.Storage, lo2, hi2 float64) fuse
 	default:
 		return nil
 	}
-	return func(r *Run, qb, qe int, rn *tree.Node) { f(r, lo2, hi2, qb, qe, rn) }
+	return func(r *Run, qb int, m uint64, rn *tree.Node) { f(r, lo2, hi2, qb, m, rn) }
 }
 
 func bothColMajor(qd, rd *storage.Storage) bool {
@@ -140,103 +121,44 @@ func bothRowMajor(qd, rd *storage.Storage) bool {
 
 // ---- KDE: SUM over the fast Gaussian body ----
 
-func hotSumGaussCol1(r *Run, gc float64, qb, qe int, rn *tree.Node) {
-	q0 := r.Q.Data.Col(0)
-	c0 := r.R.Data.Col(0)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0 := c0[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0 := q0[qi]
-			var acc float64
-			for _, v0 := range r0 {
-				d0 := a0 - v0
-				acc += fastmath.ExpFast(gc * (d0 * d0))
-			}
-			val[qi] += acc
-		}
-	}
+// gaussCols is the column-major Gaussian's scratch, on the stack of the
+// sweep: one reference tile transposed into rows, and one group's query
+// points gathered into rows.
+type gaussCols struct {
+	tile [fusedTileR * storage.ColMajorMaxDim]float64
+	pts  [4][storage.ColMajorMaxDim]float64
 }
 
-func hotSumGaussCol2(r *Run, gc float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1 := qd.Col(0), qd.Col(1)
-	c0, c1 := rd.Col(0), rd.Col(1)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1 := q0[qi], q1[qi]
-			var acc float64
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				acc += fastmath.ExpFast(gc * (d0*d0 + d1*d1))
-			}
-			val[qi] += acc
-		}
-	}
-}
-
-func hotSumGaussCol3(r *Run, gc float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
-	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
-			var acc float64
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				d2 := a2 - r2[j]
-				acc += fastmath.ExpFast(gc * (d0*d0 + d1*d1 + d2*d2))
-			}
-			val[qi] += acc
-		}
-	}
-}
-
-func hotSumGaussCol4(r *Run, gc float64, qb, qe int, rn *tree.Node) {
-	qd, rd := r.Q.Data, r.R.Data
-	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
-	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
-	val := r.Val
-	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		re := min(rb+fusedTileR, rn.End)
-		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qb; qi < qe; qi++ {
-			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
-			var acc float64
-			for j, v0 := range r0 {
-				d0 := a0 - v0
-				d1 := a1 - r1[j]
-				d2 := a2 - r2[j]
-				d3 := a3 - r3[j]
-				acc += fastmath.ExpFast(gc * ((d0*d0 + d1*d1) + (d2*d2 + d3*d3)))
-			}
-			val[qi] += acc
-		}
-	}
-}
-
-// hotSumGaussRow sweeps the positions qb+i, i a set bit of m, of one
-// gate chunk: it takes them four at a time by mask bit (the vector body
-// pads a short last group) and hands each group's query rows and a whole
+// hotSumGauss sweeps the positions qb+i, i a set bit of m, of one gate
+// chunk: it takes them four at a time by mask bit (the vector body pads
+// a short last group) and hands each group's query rows and a whole
 // tile of reference rows to fastmath.SumGaussRows, with the run's own
-// transpose scratch for a query wider than its frame. Hypot2 and
-// ExpFast do not inline, so the pair loop lives in fastmath where their
-// bodies can (same operations, same order, same bits for every query).
-func hotSumGaussRow(r *Run, gc float64, qb int, m uint64, rn *tree.Node) {
-	d := r.Q.Dim()
-	qf, refs, val := r.Q.Data.Flat(), r.R.Data.Flat(), r.Val
+// transpose scratch for a query wider than its frame. Column-major
+// leaves (d ≤ 4) are made rows first: each tile is transposed once, each
+// group's points gathered. Hypot2 and ExpFast do not inline, so the
+// pair loop lives in fastmath where their bodies can (same operations,
+// same order, same bits for every query; for d ≤ 4 Hypot2's lanes are
+// the column sums written out).
+func hotSumGauss(r *Run, gc float64, qb int, m uint64, rn *tree.Node) {
+	var cols *gaussCols
+	if r.Q.Data.Layout() == storage.ColMajor {
+		cols = new(gaussCols) // zeroed on this path only
+	}
+	d, rd := r.Q.Dim(), r.R.Data
+	qf, stride, val := r.qFlat, r.qStride, r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
-		tile := refs[rb*d : min(rb+fusedTileR, rn.End)*d]
+		re := min(rb+fusedTileR, rn.End)
+		var tile []float64
+		if cols == nil {
+			tile = rd.Flat()[rb*d : re*d]
+		} else {
+			tile = cols.tile[:(re-rb)*d]
+			for j := 0; j < d; j++ {
+				for i, v := range rd.Col(j)[rb:re] {
+					tile[i*d+j] = v
+				}
+			}
+		}
 		for rest := m; rest != 0; {
 			var qs [4][]float64
 			var at [4]int
@@ -244,7 +166,16 @@ func hotSumGaussRow(r *Run, gc float64, qb int, m uint64, rn *tree.Node) {
 			for ; n < len(qs) && rest != 0; n++ {
 				qi := qb + bits.TrailingZeros64(rest)
 				rest &= rest - 1
-				at[n], qs[n] = qi, qf[qi*d:(qi+1)*d]
+				at[n] = qi
+				if cols == nil {
+					qs[n] = qf[qi*d : (qi+1)*d]
+				} else {
+					p := cols.pts[n][:d]
+					for j := range p {
+						p[j] = qf[qi+j*stride]
+					}
+					qs[n] = p
+				}
 			}
 			var sums [4]float64
 			fastmath.SumGaussRows(&sums, gc, qs[:n], tile, &r.gaussQT)
@@ -263,13 +194,14 @@ func hotSumGaussRow(r *Run, gc float64, qb int, m uint64, rn *tree.Node) {
 // is that check) runs only on admission, which is rare once the list
 // warms up.
 
-func hotKMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
+func hotKMinIdentCol1(r *Run, qb int, m uint64, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0 := q0[qi]
 			kl := r.kl(qi)
 			worst := kl.Worst()
@@ -283,14 +215,15 @@ func hotKMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotKMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
+func hotKMinIdentCol2(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1 := q0[qi], q1[qi]
 			kl := r.kl(qi)
 			worst := kl.Worst()
@@ -305,14 +238,15 @@ func hotKMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotKMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
+func hotKMinIdentCol3(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			kl := r.kl(qi)
 			worst := kl.Worst()
@@ -328,14 +262,15 @@ func hotKMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotKMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
+func hotKMinIdentCol4(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			kl := r.kl(qi)
 			worst := kl.Worst()
@@ -352,11 +287,12 @@ func hotKMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotKMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
+func hotKMinIdentRow(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			q := qd.Row(qi)
 			kl := r.kl(qi)
 			worst := kl.Worst()
@@ -371,14 +307,15 @@ func hotKMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 
 // ---- MIN over the raw squared distance (nearest distance) ----
 
-func hotMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
+func hotMinIdentCol1(r *Run, qb int, m uint64, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0 := q0[qi]
 			best := val[qi]
 			for _, v0 := range r0 {
@@ -392,7 +329,7 @@ func hotMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
+func hotMinIdentCol2(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
@@ -400,7 +337,8 @@ func hotMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1 := q0[qi], q1[qi]
 			best := val[qi]
 			for j, v0 := range r0 {
@@ -415,7 +353,7 @@ func hotMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
+func hotMinIdentCol3(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
@@ -423,7 +361,8 @@ func hotMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			best := val[qi]
 			for j, v0 := range r0 {
@@ -439,7 +378,7 @@ func hotMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
+func hotMinIdentCol4(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
@@ -447,7 +386,8 @@ func hotMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			best := val[qi]
 			for j, v0 := range r0 {
@@ -464,12 +404,13 @@ func hotMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
+func hotMinIdentRow(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			q := qd.Row(qi)
 			best := val[qi]
 			for ri := rb; ri < re; ri++ {
@@ -484,14 +425,15 @@ func hotMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
 
 // ---- NN: ARGMIN over the raw squared distance ----
 
-func hotArgMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
+func hotArgMinIdentCol1(r *Run, qb int, m uint64, rn *tree.Node) {
 	q0 := r.Q.Data.Col(0)
 	c0 := r.R.Data.Col(0)
 	val, arg := r.Val, r.Arg
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0 := c0[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0 := q0[qi]
 			best := val[qi]
 			bestArg := -1
@@ -508,7 +450,7 @@ func hotArgMinIdentCol1(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotArgMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
+func hotArgMinIdentCol2(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1 := qd.Col(0), qd.Col(1)
 	c0, c1 := rd.Col(0), rd.Col(1)
@@ -516,7 +458,8 @@ func hotArgMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1 := c0[rb:re], c1[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1 := q0[qi], q1[qi]
 			best := val[qi]
 			bestArg := -1
@@ -534,7 +477,7 @@ func hotArgMinIdentCol2(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotArgMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
+func hotArgMinIdentCol3(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2 := qd.Col(0), qd.Col(1), qd.Col(2)
 	c0, c1, c2 := rd.Col(0), rd.Col(1), rd.Col(2)
@@ -542,7 +485,8 @@ func hotArgMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2 := c0[rb:re], c1[rb:re], c2[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1, a2 := q0[qi], q1[qi], q2[qi]
 			best := val[qi]
 			bestArg := -1
@@ -561,7 +505,7 @@ func hotArgMinIdentCol3(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotArgMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
+func hotArgMinIdentCol4(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	q0, q1, q2, q3 := qd.Col(0), qd.Col(1), qd.Col(2), qd.Col(3)
 	c0, c1, c2, c3 := rd.Col(0), rd.Col(1), rd.Col(2), rd.Col(3)
@@ -569,7 +513,8 @@ func hotArgMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
 		r0, r1, r2, r3 := c0[rb:re], c1[rb:re], c2[rb:re], c3[rb:re]
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			a0, a1, a2, a3 := q0[qi], q1[qi], q2[qi], q3[qi]
 			best := val[qi]
 			bestArg := -1
@@ -589,12 +534,13 @@ func hotArgMinIdentCol4(r *Run, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotArgMinIdentRow(r *Run, qb, qe int, rn *tree.Node) {
+func hotArgMinIdentRow(r *Run, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	val, arg := r.Val, r.Arg
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			q := qd.Row(qi)
 			best := val[qi]
 			bestArg := -1
@@ -633,13 +579,23 @@ func (r *Run) windowMasks(lo2, hi2 float64, qb, qe, rb, re int) []uint64 {
 	return m
 }
 
-// hotWindowSumCols counts the window's pairs a block at a time: the
-// counts are exact integers, so folding one per block into Val gives
-// the bits one per pair would.
-func hotWindowSumCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
+// lowestRun removes the lowest run of set bits from *m and returns the
+// query positions [qb+b, qb+e) it stood for.
+func lowestRun(qb int, m *uint64) (int, int) {
+	b := bits.TrailingZeros64(*m)
+	e := b + bits.TrailingZeros64(^(*m >> b))
+	*m &^= 1<<e - 1
+	return qb + b, qb + e
+}
+
+// hotWindowSumCols counts the window's pairs a block at a time, one run
+// of set bits against each 64-point reference block: the counts are
+// exact integers, so folding one per block into Val gives the bits one
+// per pair would.
+func hotWindowSumCols(r *Run, lo2, hi2 float64, qb int, m uint64, rn *tree.Node) {
 	val := r.Val
-	for cb := qb; cb < qe; cb += windowBlock {
-		ce := min(cb+windowBlock, qe)
+	for m != 0 {
+		cb, ce := lowestRun(qb, &m)
 		for rb := rn.Begin; rb < rn.End; rb += windowBlock {
 			for i, w := range r.windowMasks(lo2, hi2, cb, ce, rb, min(rb+windowBlock, rn.End)) {
 				if w != 0 {
@@ -650,12 +606,13 @@ func hotWindowSumCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotWindowSumRow(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
+func hotWindowSumRow(r *Run, lo2, hi2 float64, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	val := r.Val
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			q := qd.Row(qi)
 			cnt := 0
 			for ri := rb; ri < re; ri++ {
@@ -673,11 +630,11 @@ func hotWindowSumRow(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 // per-pair loop appends. The lists are the query leaf's (Run.leafIDs),
 // fetched at the first hit, so a sweep that lists nothing allocates
 // nothing.
-func hotWindowUnionCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
+func hotWindowUnionCols(r *Run, lo2, hi2 float64, qb int, m uint64, rn *tree.Node) {
 	var ids [][]int
 	base := r.leaf.Begin
-	for cb := qb; cb < qe; cb += windowBlock {
-		ce := min(cb+windowBlock, qe)
+	for m != 0 {
+		cb, ce := lowestRun(qb, &m)
 		for rb := rn.Begin; rb < rn.End; rb += windowBlock {
 			for i, w := range r.windowMasks(lo2, hi2, cb, ce, rb, min(rb+windowBlock, rn.End)) {
 				if w == 0 {
@@ -697,12 +654,13 @@ func hotWindowUnionCols(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
 	}
 }
 
-func hotWindowUnionRow(r *Run, lo2, hi2 float64, qb, qe int, rn *tree.Node) {
+func hotWindowUnionRow(r *Run, lo2, hi2 float64, qb int, m uint64, rn *tree.Node) {
 	qd, rd := r.Q.Data, r.R.Data
 	ids, base := r.idLists[r.leaf.ID], r.leaf.Begin
 	for rb := rn.Begin; rb < rn.End; rb += fusedTileR {
 		re := min(rb+fusedTileR, rn.End)
-		for qi := qb; qi < qe; qi++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			qi := qb + bits.TrailingZeros64(rest)
 			q := qd.Row(qi)
 			var idx []int
 			if ids != nil {

@@ -556,25 +556,25 @@ func TestFusedDispatchSelection(t *testing.T) {
 		}
 		return ex.Bind(tree.BuildKD(q, nil), tree.BuildKD(r, nil))
 	}
-	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{}); run.fused == nil {
+	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{}); !run.hot {
 		t.Error("KDE shape should select a hot loop")
 	}
-	if run := bind(expr.NewDistanceKernel(geom.Euclidean), lang.ARGMIN, Options{}); run.fused == nil {
+	if run := bind(expr.NewDistanceKernel(geom.Euclidean), lang.ARGMIN, Options{}); !run.hot {
 		t.Error("NN shape should select a hot loop")
 	}
-	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{ForceInterp: true}); run.fused != nil {
+	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{ForceInterp: true}); run.hot {
 		t.Error("ForceInterp must disable the hot loops")
 	}
-	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{ExactMath: true}); run.fused != nil {
+	if run := bind(expr.NewGaussianKernel(1), lang.SUM, Options{ExactMath: true}); run.hot {
 		t.Error("the exact-math Gaussian has no hot loop")
 	}
-	if run := bind(expr.NewPlummerKernel(0.1), lang.SUM, Options{}); run.fused != nil {
+	if run := bind(expr.NewPlummerKernel(0.1), lang.SUM, Options{}); run.hot {
 		t.Error("the Plummer body has no hot loop")
 	}
-	if run := bind(expr.NewDistanceKernel(geom.Manhattan), lang.MIN, Options{}); run.fused != nil {
+	if run := bind(expr.NewDistanceKernel(geom.Manhattan), lang.MIN, Options{}); run.hot {
 		t.Error("Manhattan metric must not fuse")
 	}
-	if run := bind(expr.NewDistanceKernel(geom.Chebyshev), lang.MIN, Options{}); run.fused != nil {
+	if run := bind(expr.NewDistanceKernel(geom.Chebyshev), lang.MIN, Options{}); run.hot {
 		t.Error("Chebyshev metric must not fuse")
 	}
 }
@@ -685,9 +685,19 @@ func TestFusedStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestHotGaussRowMatchesScalarLoop: the row-major KDE loop hands groups
-// of four query rows and whole reference tiles to fastmath.SumGaussRows;
-// it must stay bit-identical to the scalar loop it stands for — per tile
+// sweepAll runs sweep over the query positions [qb, qe) against rn a
+// gate chunk at a time, every position set: a leaf pair without the
+// gate.
+func sweepAll(run *Run, sweep sweepFn, qb, qe int, rn *tree.Node) {
+	for ; qb < qe; qb += gateChunk {
+		sweep(run, qb, ^uint64(0)>>(gateChunk-min(qe-qb, gateChunk)), rn)
+	}
+}
+
+// TestHotGaussRowMatchesScalarLoop: the KDE loop hands groups of four
+// query rows and whole reference tiles to fastmath.SumGaussRows —
+// column-major leaves transposed and gathered into rows first — and it
+// must stay bit-identical to the scalar loop it stands for — per tile
 // and query, a register sum of ExpFast(c·Hypot2) folded into Val once —
 // the cross-path check on the vector body one level up, across the tile
 // boundary (leaves of 297..300 points: every remainder of a four-row
@@ -695,15 +705,18 @@ func TestFusedStatsAccounting(t *testing.T) {
 // through BaseCase and the τ gate, the groups the survivor masks make:
 // one point, the last position only, alternating bits, every fifth
 // position and all of them, over leaves of one and of several 64-point
-// gate chunks with a short last group of every size.
+// gate chunks with a short last group of every size. A settled position
+// holds the gate's centroid estimate and nothing else.
 func TestHotGaussRowMatchesScalarLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	scalar := func(ex *Executable, qt, rt *tree.Tree, qi int) float64 {
+		q := qt.Data.Point(qi, make([]float64, qt.Dim()))
+		p := make([]float64, rt.Dim())
 		var want float64
 		for rb := 0; rb < rt.Len(); rb += fusedTileR {
 			var acc float64
 			for ri := rb; ri < min(rb+fusedTileR, rt.Len()); ri++ {
-				acc += fastmath.ExpFast(ex.fuseC * fastmath.Hypot2(qt.Data.Row(qi), rt.Data.Row(ri)))
+				acc += fastmath.ExpFast(ex.fuseC * fastmath.Hypot2(q, rt.Data.Point(ri, p)))
 			}
 			want += acc
 		}
@@ -722,18 +735,29 @@ func TestHotGaussRowMatchesScalarLoop(t *testing.T) {
 		}
 		return ex
 	}
+	shapes := []struct {
+		l storage.Layout
+		d int
+	}{
+		{storage.ColMajor, 1}, {storage.ColMajor, 2}, {storage.ColMajor, 3}, {storage.ColMajor, 4},
+		{storage.RowMajor, 1}, {storage.RowMajor, 3}, {storage.RowMajor, 4}, {storage.RowMajor, 5},
+		{storage.RowMajor, 9}, {storage.RowMajor, 16}, {storage.RowMajor, 17}, {storage.RowMajor, 28},
+	}
 	for _, n := range []int{297, 298, 299, 300} {
-		for _, d := range []int{1, 3, 4, 5, 9, 16, 17, 28} {
-			q := storageWithLayout(randRows(rng, n, d), storage.RowMajor)
-			r := storageWithLayout(randRows(rng, n, d), storage.RowMajor)
+		for _, sh := range shapes {
+			q := storageWithLayout(randRows(rng, n, sh.d), sh.l)
+			r := storageWithLayout(randRows(rng, n, sh.d), sh.l)
 			ex := compile(q, r, 1e-9)
 			qt := tree.BuildKD(q, &tree.Options{LeafSize: n})
 			rt := tree.BuildKD(r, &tree.Options{LeafSize: n})
 			hot := ex.Bind(qt, rt)
-			hot.fused(hot, 0, n, rt.Root)
+			if !hot.hot {
+				t.Fatalf("n=%d %v d=%d: no hot loop", n, sh.l, sh.d)
+			}
+			sweepAll(hot, hot.sweep, 0, n, rt.Root)
 			for qi, got := range hot.Val {
 				if want := scalar(ex, qt, rt, qi); math.Float64bits(got) != math.Float64bits(want) || got == 0 {
-					t.Fatalf("n=%d d=%d query %d: hot %v scalar %v", n, d, qi, got, want)
+					t.Fatalf("n=%d %v d=%d query %d: hot %v scalar %v", n, sh.l, sh.d, qi, got, want)
 				}
 			}
 		}
@@ -749,12 +773,19 @@ func TestHotGaussRowMatchesScalarLoop(t *testing.T) {
 		{"every fifth", func(i, n int) bool { return i%5 == 0 }},
 		{"all", func(i, n int) bool { return true }},
 	}
+	shapes = []struct {
+		l storage.Layout
+		d int
+	}{
+		{storage.ColMajor, 1}, {storage.ColMajor, 2}, {storage.ColMajor, 3}, {storage.ColMajor, 4},
+		{storage.RowMajor, 5}, {storage.RowMajor, 9}, {storage.RowMajor, 28},
+	}
 	for _, nq := range []int{1, 30, 64, 150, 151, 153} {
-		for _, d := range []int{5, 9, 28} {
+		for _, sh := range shapes {
 			for _, mk := range masks {
 				// Positions off the mask sit far from every reference point:
 				// the τ gate settles them with one centroid evaluation each.
-				qRows := randRows(rng, nq, d)
+				qRows := randRows(rng, nq, sh.d)
 				var swept int
 				for i, row := range qRows {
 					if mk.in(i, nq) {
@@ -765,35 +796,29 @@ func TestHotGaussRowMatchesScalarLoop(t *testing.T) {
 						row[j] += 1e3
 					}
 				}
-				q := storageWithLayout(qRows, storage.RowMajor)
-				r := storageWithLayout(randRows(rng, 299, d), storage.RowMajor)
+				q := storageWithLayout(qRows, sh.l)
+				r := storageWithLayout(randRows(rng, 299, sh.d), sh.l)
 				ex := compile(q, r, 1e-3)
 				qt := tree.BuildKD(q, &tree.Options{LeafSize: nq})
 				rt := tree.BuildKD(r, &tree.Options{LeafSize: 299})
-				masked, runs := ex.Bind(qt, rt), ex.Bind(qt, rt)
-				if masked.gate != gateTau || masked.fusedMask == nil {
-					t.Fatalf("gate %d, masked loop %v: want the τ gate and the row Gaussian's masked loop", masked.gate, masked.fusedMask != nil)
+				run := ex.Bind(qt, rt)
+				if run.gate != gateTau || !run.hot {
+					t.Fatalf("gate %d, hot loop %v: want the τ gate and the Gaussian's hot loop", run.gate, run.hot)
 				}
-				runs.fusedMask = nil // the same loop, fed run by run
-				masked.BaseCase(qt.Root, rt.Root)
-				runs.BaseCase(qt.Root, rt.Root)
-				name := fmt.Sprintf("%s, %d queries, d=%d", mk.name, nq, d)
-				if want := int64(swept*rt.Len() + nq - swept); masked.kernelEvals != want {
+				run.BaseCase(qt.Root, rt.Root)
+				name := fmt.Sprintf("%s, %d queries, %v d=%d", mk.name, nq, sh.l, sh.d)
+				if want := int64(swept*rt.Len() + nq - swept); run.kernelEvals != want {
 					t.Errorf("%s: %d kernel evaluations, want %d swept × %d references + %d centroids = %d",
-						name, masked.kernelEvals, swept, rt.Len(), nq-swept, want)
+						name, run.kernelEvals, swept, rt.Len(), nq-swept, want)
 				}
-				for qi, got := range masked.Val {
+				for qi, got := range run.Val {
+					want := scalar(ex, qt, rt, qi)
 					if !mk.in(qi, nq) {
-						if math.Float64bits(got) != math.Float64bits(runs.Val[qi]) {
-							t.Fatalf("%s: settled query %d: %v, run by run %v", name, qi, got, runs.Val[qi])
-						}
-						continue
+						root := rt.Root
+						want = run.evalD2(fastmath.Hypot2(qt.Data.Point(qi, make([]float64, sh.d)), root.Centroid)) * root.Mass
 					}
-					if want := scalar(ex, qt, rt, qi); math.Float64bits(got) != math.Float64bits(want) || got == 0 {
-						t.Fatalf("%s: swept query %d: masked %v, scalar %v", name, qi, got, want)
-					}
-					if math.Float64bits(got) != math.Float64bits(runs.Val[qi]) {
-						t.Fatalf("%s: swept query %d: masked %v, run by run %v", name, qi, got, runs.Val[qi])
+					if math.Float64bits(got) != math.Float64bits(want) || mk.in(qi, nq) && got == 0 {
+						t.Fatalf("%s: query %d (swept %v): %v, want %v", name, qi, mk.in(qi, nq), got, want)
 					}
 				}
 			}
@@ -875,7 +900,7 @@ func TestFusedLoopsZeroAlloc(t *testing.T) {
 		{"windowunion-col3", mk(3, storage.ColMajor, lang.UNIONARG, 0, expr.NewRangeKernel(1, 1+1e-9), 8), true, gateWindow},
 	}
 	for _, c := range cases {
-		if hot := c.run.fused != nil; hot != c.hot {
+		if hot := c.run.hot; hot != c.hot {
 			t.Errorf("%s: hot loop selected %v, want %v", c.name, hot, c.hot)
 			continue
 		}

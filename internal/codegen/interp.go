@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"portal/internal/fastmath"
 	"portal/internal/ir"
@@ -18,14 +19,20 @@ import (
 // as the oracle the hot loops and the per-pair loop are
 // differential-tested against.
 
-// interpBaseCase executes the BaseCase IR for a leaf pair.
-func (r *Run) interpBaseCase(qb, qe int, rn *tree.Node) {
+// interpBaseCase executes the BaseCase IR for the positions qb+i, i a
+// set bit of m, against rn: once per position, as the one-point query
+// range [qb+i, qb+i+1).
+func (r *Run) interpBaseCase(qb int, m uint64, rn *tree.Node) {
 	env := &interpEnv{
-		run: r, qb: qb, qe: qe, rn: rn,
+		run: r, rn: rn,
 		ints:    map[string]int{},
 		scalars: map[string]float64{},
 	}
-	env.execStmts(r.Ex.Prog.BaseCase.Body)
+	for ; m != 0; m &= m - 1 {
+		env.qb = qb + bits.TrailingZeros64(m)
+		env.qe = env.qb + 1
+		env.execStmts(r.Ex.Prog.BaseCase.Body)
+	}
 }
 
 type interpEnv struct {

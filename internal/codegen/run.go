@@ -114,16 +114,14 @@ type Run struct {
 	mahal      *linalg.Mahalanobis
 	// op caches the inner operator for the per-pair update switch.
 	op lang.Op
-	// fused is the hot loop selected at Bind for this (kernel, operator,
-	// layout) combination; nil when the combination has none and base
-	// cases run the per-pair loop. fusedBaseCases counts the leaf pairs
-	// it executed, folded into TraversalStats like kernelEvals.
-	fused          fusedFn
+	// sweep is the loop selected at Bind for this (kernel, operator,
+	// layout) combination: a hot loop, else the per-pair loop, or under
+	// ForceInterp the interpreter. hot reports a hot loop; fusedBaseCases
+	// counts the leaf pairs it executed, folded into TraversalStats like
+	// kernelEvals.
+	sweep          sweepFn
+	hot            bool
 	fusedBaseCases int64
-	// fusedMask is the same hot loop taking a gate chunk's survivor mask
-	// whole (the row-major Gaussian, a SUM: no PointBound to refresh),
-	// nil for every other loop.
-	fusedMask maskFn
 	// winMasks is the window sweep's scratch over column-major leaves,
 	// one fastmath.WindowMaskCols block's words: allocated by the run's
 	// (or the fork's) first such sweep, nil for every other loop.
@@ -240,7 +238,13 @@ func (ex *Executable) bind(q, r *tree.Tree, from *Run) *Run {
 		run.qStep, run.qStride = 1, n
 	}
 	run.op = ex.Plan.InnerOp
-	run.fused, run.fusedMask = ex.selectFused(q.Data, r.Data)
+	run.sweep = ex.selectFused(q.Data, r.Data)
+	switch run.hot = run.sweep != nil; {
+	case ex.Opts.ForceInterp:
+		run.sweep = (*Run).interpBaseCase
+	case !run.hot:
+		run.sweep = (*Run).pairBaseCase
+	}
 	if mk := ex.Plan.MahalKernel; mk != nil {
 		run.mahal = mk.M.Clone()
 	}

@@ -20,9 +20,9 @@
 // WindowMaskCols likewise: d outside 1..4, more than 64 points on either
 // side or a negative stride panics by name, and too short a q or r is an
 // index panic. LeftStoppers and RightStoppers panic by name on more than
-// 64 keys. SumGaussRows panics by name on more than four query rows;
-// a query row shorter than the first is an index panic, and a trailing
-// partial reference row is ignored.
+// 64 keys. SumGaussRows panics by name on more than four query rows or
+// on query rows of unequal length, on either body, and ignores a
+// trailing partial reference row.
 //
 // # Vector bodies
 //
@@ -255,16 +255,25 @@ func SumGaussRows(sums *[4]float64, c float64, qs [][]float64, rows []float64, s
 	if len(qs) > len(sums) {
 		panic("fastmath: SumGaussRows takes at most four query rows")
 	}
-	if len(qs) == 0 || len(qs[0]) == 0 {
+	if len(qs) == 0 {
+		return
+	}
+	// Checked here for both bodies: the Go one would read a short row's
+	// capacity past its length, the vector one the memory past it.
+	for _, q := range qs[1:] {
+		if len(q) != len(qs[0]) {
+			panic("fastmath: SumGaussRows takes query rows of one length")
+		}
+	}
+	if len(qs[0]) == 0 {
 		return
 	}
 	if sumGaussQueriesVec {
 		sumGaussQueriesAVX2(sums, c, qs, rows, scratch)
 		return
 	}
-	d := len(qs[0])
 	for i, q := range qs {
-		sums[i] = sumGaussRowsGo(sums[i], c, q[:d], rows)
+		sums[i] = sumGaussRowsGo(sums[i], c, q, rows)
 	}
 }
 

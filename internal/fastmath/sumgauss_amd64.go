@@ -65,12 +65,13 @@ func hasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// sumGaussQueriesAVX2 is SumGaussRows for 1 ≤ len(qs) ≤ 4 and d ≥ 1,
-// with one query per lane: the query rows are transposed once a call
-// into d four-lane vectors (a short group repeats its last query), each
-// reference row is broadcast against them, and each lane's term goes
-// into that lane's own accumulator in row order (DESIGN §9.2 has the
-// step-by-step identity argument). The assembly stops at a row with a lane outside
+// sumGaussQueriesAVX2 is SumGaussRows for 1 ≤ len(qs) ≤ 4 query rows of
+// one length d ≥ 1, with one query per lane: the query rows are
+// transposed once a call into d four-lane vectors (a short group repeats
+// its last query), each reference row is broadcast against them, and
+// each lane's term goes into that lane's own accumulator in row order
+// (DESIGN §9.2 has the step-by-step identity argument). The assembly
+// stops at a row with a lane outside
 // [expMinNormal, expMax]; the Go body — ExpFast's saturation and Ldexp
 // paths included — adds that row to every query's accumulator, and the
 // assembly resumes behind it. A query wider than vecMaxDim is
@@ -78,9 +79,6 @@ func hasAVX2() bool {
 // shorter.
 func sumGaussQueriesAVX2(sums *[vecGroup]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
 	d := len(qs[0])
-	for _, q := range qs[1:] {
-		_ = q[d-1] // a short query row panics here, not in the assembly
-	}
 	var qt *float64
 	if d > vecMaxDim {
 		if len(*scratch) < vecGroup*d {
@@ -97,7 +95,7 @@ func sumGaussQueriesAVX2(sums *[vecGroup]float64, c float64, qs [][]float64, row
 		if done < m {
 			row := rows[i*d : (i+1)*d]
 			for l, q := range qs {
-				acc[l] = sumGaussRowsGo(acc[l], c, q[:d], row)
+				acc[l] = sumGaussRowsGo(acc[l], c, q, row)
 			}
 			i++
 		}

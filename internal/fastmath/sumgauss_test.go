@@ -134,21 +134,32 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 	if got != want {
 		t.Errorf("SumGaussRows with a trailing partial row = %v, want %v", got, want)
 	}
-	for _, bad := range []struct {
-		name string
-		qs   [][]float64
-	}{
-		{"five query rows", [][]float64{buf[:2], buf[:2], buf[:2], buf[:2], buf[:2]}},
-		{"a short query row", [][]float64{buf[:3], buf[:2]}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SumGaussRows with %s did not panic", bad.name)
-				}
+	// Bad query rows panic on both bodies alike: the Go body is run here
+	// too, with the vector flag cleared, where the hardware has one. A
+	// short row sits in a longer buffer, so its capacity would hide a
+	// read past its length.
+	vec := sumGaussQueriesVec
+	defer func() { sumGaussQueriesVec = vec }()
+	for _, body := range []bool{false, vec} {
+		sumGaussQueriesVec = body
+		for _, bad := range []struct {
+			name string
+			qs   [][]float64
+		}{
+			{"five query rows", [][]float64{buf[:2], buf[:2], buf[:2], buf[:2], buf[:2]}},
+			{"a short query row", [][]float64{buf[:3], buf[:2]}},
+			{"a long query row", [][]float64{buf[:3], buf[:3], buf[:4]}},
+			{"an empty query row after a full one", [][]float64{buf[:3], buf[:0]}},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("SumGaussRows (%s) with %s did not panic", vectorPath(), bad.name)
+					}
+				}()
+				SumGaussRows(&sums, -1, bad.qs, buf[:6], new([]float64))
 			}()
-			SumGaussRows(&sums, -1, bad.qs, buf[:6], new([]float64))
-		}()
+		}
 	}
 }
 

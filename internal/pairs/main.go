@@ -575,15 +575,24 @@ func funcsTouched(file string, src []byte, hunks [][2]int) ([]string, error) {
 		pkg = "main"
 	}
 	var out []string
+	inits := 0
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok {
 			continue
 		}
+		sym := funcSymbol(fd)
+		if sym == "init" {
+			// The compiler numbers a package's init functions in order:
+			// the N-th of the file is init.N, exact while the file is the
+			// only one of its package that declares any.
+			sym = fmt.Sprintf("init.%d", inits)
+			inits++
+		}
 		lo, hi := fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line
 		for _, h := range hunks {
 			if h[1] >= h[0] && h[0] <= hi && h[1] >= lo || h[1] < h[0] && h[1] >= lo && h[0] <= hi {
-				out = append(out, pkg+"."+funcSymbol(fd))
+				out = append(out, pkg+"."+sym)
 				break
 			}
 		}

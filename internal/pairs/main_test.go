@@ -89,9 +89,10 @@ func TestCountWinsOrder(t *testing.T) {
 // TestChangedFuncs maps a fixed `git diff -U0` onto the functions of the
 // changed files: a changed line inside a function, a pointer, value and
 // generic receiver, a generic function, a deletion inside a function and
-// one between two, a comment outside every function, the benchmark's own
-// package main; a test file, a command's package main and a deleted file
-// name nothing.
+// one between two, a comment outside every function, the second of a
+// file's init functions (the linker's init.1; a method named init keeps
+// its name), the benchmark's own package main; a test file, a command's
+// package main and a deleted file name nothing.
 func TestChangedFuncs(t *testing.T) {
 	files := map[string]string{
 		"internal/lib/a.go": `package lib
@@ -121,6 +122,16 @@ func Untouched() {
 
 func NextTo() {
 }
+
+func init() {
+	_ = 1
+}
+
+func init() {
+	_ = 2
+}
+
+func (r *Run) init() {}
 `,
 		"benchmark/serve.go": `package main
 
@@ -156,6 +167,12 @@ index 1111111..2222222 100644
 -	x = x
 @@ -25,0 +25,0 @@ func Untouched() {
 -func Deleted() {}
+@@ -31 +34 @@ func init() {
+-	_ = 3
++	_ = 2
+@@ -34 +37 @@
+-func (r *Run) init() { return }
++func (r *Run) init() {}
 diff --git a/internal/lib/a_test.go b/internal/lib/a_test.go
 --- a/internal/lib/a_test.go
 +++ b/internal/lib/a_test.go
@@ -196,9 +213,11 @@ deleted file mode 100644
 		"main.publish",
 		"portal/internal/lib.(*Gen[...]).Method",
 		"portal/internal/lib.(*Run).Ptr",
+		"portal/internal/lib.(*Run).init",
 		"portal/internal/lib.Generic[...]",
 		"portal/internal/lib.Plain",
 		"portal/internal/lib.Val.Value",
+		"portal/internal/lib.init.1",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("changedFuncs = %q, want %q", got, want)
