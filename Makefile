@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke cover-audit hashes pairs
+.PHONY: check build vet asm-lint cross test purego fuzz-smoke race bench-selftest bench-smoke bench stats trace-smoke serve-smoke metrics-smoke cover-audit hashes pairs
 
 # Tier-1 gate: everything must pass before a change lands.
-check: build vet asm-lint cross test fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke
+check: build vet asm-lint cross test purego fuzz-smoke race bench-selftest bench-smoke trace-smoke serve-smoke metrics-smoke
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,20 @@ cross:
 
 test:
 	$(GO) test ./...
+
+# The purego tag drops every vector body (internal/fastmath/*_amd64.*)
+# and leaves the Go bodies, as a host without AVX2 runs them: the
+# packages that reach the kernels run their tests on that build, and the
+# cross-commit answer matrix (make hashes) must come out byte for byte
+# the default build's.
+purego:
+	$(GO) vet -tags purego ./internal/fastmath
+	$(GO) test -tags purego ./internal/fastmath ./internal/codegen ./internal/tree ./internal/engine ./internal/shard ./internal/serve
+	@mkdir -p /tmp/portal-purego
+	$(GO) run ./internal/hashout > /tmp/portal-purego/default.txt
+	$(GO) run -tags purego ./internal/hashout > /tmp/portal-purego/purego.txt
+	diff /tmp/portal-purego/default.txt /tmp/portal-purego/purego.txt
+	@echo "purego: $$(wc -l < /tmp/portal-purego/purego.txt) hash lines equal"
 
 # Fuzz targets run their seed corpus (testdata/fuzz/<Target>/) under
 # `go test`; this leg mutates for a few seconds as well. One line per

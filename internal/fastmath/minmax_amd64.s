@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // One step for the eight keys at mem: every lane does what the Go loop

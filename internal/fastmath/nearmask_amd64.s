@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // One dimension's squared offset for the four points x at mem, into sq:

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // func stoppersAsm(keys []float64, pivot float64, right bool) uint64

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package fastmath
 
 // expTab holds the constants of ExpFast's in-range path in the order
@@ -35,6 +37,10 @@ const vecMaxRows = 256
 // 1 KiB frame (32 dimensions × four lanes × 8 bytes); a wider one is
 // transposed into the caller's scratch.
 const vecMaxDim = 32
+
+// vectorBodies reports that this build links the vector bodies: amd64
+// without the purego tag.
+const vectorBodies = true
 
 func init() {
 	if hasAVX2() {

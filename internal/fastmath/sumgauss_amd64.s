@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // Indices into expTab (sumgauss_amd64.go), as byte offsets from DX.

@@ -1,8 +1,12 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package fastmath
 
+// vectorBodies reports that this build links the vector bodies: it does
+// not, off amd64 or under the purego tag, and every flag stays unset.
+const vectorBodies = false
+
 // sumGaussQueriesAVX2 is never called here: sumGaussQueriesVec stays false.
 func sumGaussQueriesAVX2(sums *[4]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
-	panic("fastmath: no vector body of SumGaussRows on this platform")
+	panic("fastmath: no vector body of SumGaussRows in this build")
 }

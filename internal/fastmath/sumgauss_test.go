@@ -165,12 +165,19 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 
 // A broken CPUID stub would turn every suite green on the Go bodies and
 // the benchmark would quietly lose the vector ones: where the hardware
-// has AVX2, the package must have selected every one.
+// has AVX2, the package must have selected every one. A build without
+// the vector bodies (off amd64, or -tags purego) must have selected
+// none: that is what makes its suites a run of the Go bodies.
 func TestVectorPathLive(t *testing.T) {
 	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body, NearMaskRows the %s body, MinMaxCol the %s body, WindowMaskCols the %s body, LeftStoppers and RightStoppers the %s body",
 		vectorPath(), nearMaskPath(), nearRowsPath(), minMaxPath(), windowMaskPath(), stoppersPath())
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("GOARCH=%s has no vector bodies: %s", runtime.GOARCH, paths)
+	if !vectorBodies {
+		if sumGaussQueriesVec || nearMaskColsVec != nil || nearMaskRowsVec != nil || minMaxColVec != nil ||
+			windowMaskColsVec != nil || stoppersPath() != "go" {
+			t.Fatalf("GOARCH=%s links no vector body but %s", runtime.GOARCH, paths)
+		}
+		t.Logf("GOARCH=%s, no vector bodies linked: %s", runtime.GOARCH, paths)
+		return
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // The lanes of a group of n <= 4 float64s: the 32 bytes at
