@@ -119,8 +119,8 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 // loop transposes (the reference tile) and gathers (each group's query
 // points) into rows before the same calls.
 // Each is reported per swept point pair, through Run.BaseCase, as the
-// hand-written loop over the same survivors (groups of four in position
-// order into fastmath.SumGaussRows; no gate, no dispatcher) it is to be
+// hand-written loop over the same survivors (groups of eight in position
+// order into fastmath.SumGaussRows, as hotSumGauss groups them; no gate, no dispatcher) it is to be
 // held against, and as the scalar Go form of that loop: per-pair
 // Hypot2 + ExpFast, the sum SumGaussRows is defined as and, where it
 // has a vector body, does not run (fastmath's own BenchmarkSumGaussRows
@@ -195,13 +195,13 @@ func BenchmarkGaussRowBaseCase(b *testing.B) {
 			b.Run(fmt.Sprintf("%sd=%d/%s/handwritten", prefix, d, shape), func(b *testing.B) {
 				var scratch []float64
 				for i := 0; i < b.N; i++ {
-					for g := 0; g < len(at); g += 4 {
-						group := at[g:min(g+4, len(at))]
-						var qs [4][]float64
+					for g := 0; g < len(at); g += 8 {
+						group := at[g:min(g+8, len(at))]
+						var qs [8][]float64
 						for l, qi := range group {
 							qs[l] = qf[qi*d : (qi+1)*d]
 						}
-						var sums [4]float64
+						var sums [8]float64
 						fastmath.SumGaussRows(&sums, ex.fuseC, qs[:len(group)], rs, &scratch)
 						for l, qi := range group {
 							val[qi] += sums[l]

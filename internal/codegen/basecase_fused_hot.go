@@ -21,7 +21,7 @@ import (
 // pair. The k-nearest, nearest and minimum loops are plain functions
 // written out per dimension, so the pair body compiles to straight-line
 // arithmetic. Two hand their pairs to vector bodies instead: the
-// Gaussian, over either layout, groups of four queries against a tile
+// Gaussian, over either layout, groups of eight queries against a tile
 // of reference rows to fastmath.SumGaussRows (column-major leaves
 // transposed and gathered into rows first), and the window over
 // column-major leaves blocks of 64 × 64 pairs, one run of set bits at a
@@ -126,12 +126,12 @@ func bothRowMajor(qd, rd *storage.Storage) bool {
 // points gathered into rows.
 type gaussCols struct {
 	tile [fusedTileR * storage.ColMajorMaxDim]float64
-	pts  [4][storage.ColMajorMaxDim]float64
+	pts  [8][storage.ColMajorMaxDim]float64
 }
 
 // hotSumGauss sweeps the positions qb+i, i a set bit of m, of one gate
-// chunk: it takes them four at a time by mask bit (the vector body pads
-// a short last group) and hands each group's query rows and a whole
+// chunk: it takes them eight at a time by mask bit (the vector bodies
+// pad a short last group) and hands each group's query rows and a whole
 // tile of reference rows to fastmath.SumGaussRows, with the run's own
 // transpose scratch for a query wider than its frame. Column-major
 // leaves (d ≤ 4) are made rows first: each tile is transposed once, each
@@ -160,8 +160,8 @@ func hotSumGauss(r *Run, gc float64, qb int, m uint64, rn *tree.Node) {
 			}
 		}
 		for rest := m; rest != 0; {
-			var qs [4][]float64
-			var at [4]int
+			var qs [8][]float64
+			var at [8]int
 			n := 0
 			for ; n < len(qs) && rest != 0; n++ {
 				qi := qb + bits.TrailingZeros64(rest)
@@ -177,7 +177,7 @@ func hotSumGauss(r *Run, gc float64, qb int, m uint64, rn *tree.Node) {
 					qs[n] = p
 				}
 			}
-			var sums [4]float64
+			var sums [8]float64
 			fastmath.SumGaussRows(&sums, gc, qs[:n], tile, &r.gaussQT)
 			for l, qi := range at[:n] {
 				val[qi] += sums[l]

@@ -694,13 +694,13 @@ func sweepAll(run *Run, sweep sweepFn, qb, qe int, rn *tree.Node) {
 	}
 }
 
-// TestHotGaussRowMatchesScalarLoop: the KDE loop hands groups of four
+// TestHotGaussRowMatchesScalarLoop: the KDE loop hands groups of eight
 // query rows and whole reference tiles to fastmath.SumGaussRows —
 // column-major leaves transposed and gathered into rows first — and it
 // must stay bit-identical to the scalar loop it stands for — per tile
 // and query, a register sum of ExpFast(c·Hypot2) folded into Val once —
 // the cross-path check on the vector body one level up, across the tile
-// boundary (leaves of 297..300 points: every remainder of a four-row
+// boundary (leaves of 297..304 points: every remainder of an eight-query
 // group after a 256-row tile), the 4-lane remainder dimensions, and,
 // through BaseCase and the τ gate, the groups the survivor masks make:
 // one point, the last position only, alternating bits, every fifth
@@ -743,7 +743,7 @@ func TestHotGaussRowMatchesScalarLoop(t *testing.T) {
 		{storage.RowMajor, 1}, {storage.RowMajor, 3}, {storage.RowMajor, 4}, {storage.RowMajor, 5},
 		{storage.RowMajor, 9}, {storage.RowMajor, 16}, {storage.RowMajor, 17}, {storage.RowMajor, 28},
 	}
-	for _, n := range []int{297, 298, 299, 300} {
+	for _, n := range []int{297, 298, 299, 300, 301, 302, 303, 304} {
 		for _, sh := range shapes {
 			q := storageWithLayout(randRows(rng, n, sh.d), sh.l)
 			r := storageWithLayout(randRows(rng, n, sh.d), sh.l)
@@ -780,7 +780,7 @@ func TestHotGaussRowMatchesScalarLoop(t *testing.T) {
 		{storage.ColMajor, 1}, {storage.ColMajor, 2}, {storage.ColMajor, 3}, {storage.ColMajor, 4},
 		{storage.RowMajor, 5}, {storage.RowMajor, 9}, {storage.RowMajor, 28},
 	}
-	for _, nq := range []int{1, 30, 64, 150, 151, 153} {
+	for _, nq := range []int{1, 30, 64, 150, 151, 153, 154, 155, 156, 157} {
 		for _, sh := range shapes {
 			for _, mk := range masks {
 				// Positions off the mask sit far from every reference point:

@@ -240,26 +240,27 @@ func Hypot2(p, q []float64) float64 {
 
 // SumGaussRows adds Σ ExpFast(c·Hypot2(q, row)) over the rows of a
 // flat row-major block of d = len(qs[0])-dimensional points to sums[i],
-// for each of the at most four query rows q = qs[i], in row order from
-// sums[i]: the fused Gaussian SUM base case for up to four query
+// for each of the at most eight query rows q = qs[i], in row order from
+// sums[i]: the fused Gaussian SUM base case for up to eight query
 // points, each bit for bit its own per-pair loop, without a call per
 // pair — neither Hypot2 nor ExpFast inlines. A trailing partial row is
 // ignored and sums[len(qs):] is left as it is.
 //
 // scratch is the caller's room, never nil, for the transposed query
-// rows of a query wider than the vector body's own frame (more than 32
-// dimensions): the vector body grows *scratch to 4·d floats when it is
-// shorter and keeps it there for the next call, so a caller that holds
-// one per goroutine allocates once. Nothing else reads or writes it.
-func SumGaussRows(sums *[4]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
+// rows of a query wider than the vector bodies' own frames (more than
+// 32 dimensions): a vector body grows *scratch to 8·d floats (the AVX2
+// body: 4·d) when it is shorter and keeps it there for the next call,
+// so a caller that holds one per goroutine allocates once. Nothing else
+// reads or writes it.
+func SumGaussRows(sums *[gaussLanes]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
 	if len(qs) > len(sums) {
-		panic("fastmath: SumGaussRows takes at most four query rows")
+		panic("fastmath: SumGaussRows takes at most eight query rows")
 	}
 	if len(qs) == 0 {
 		return
 	}
-	// Checked here for both bodies: the Go one would read a short row's
-	// capacity past its length, the vector one the memory past it.
+	// Checked here for every body: the Go one would read a short row's
+	// capacity past its length, the vector ones the memory past it.
 	for _, q := range qs[1:] {
 		if len(q) != len(qs[0]) {
 			panic("fastmath: SumGaussRows takes query rows of one length")
@@ -268,21 +269,36 @@ func SumGaussRows(sums *[4]float64, c float64, qs [][]float64, rows []float64, s
 	if len(qs[0]) == 0 {
 		return
 	}
-	if sumGaussQueriesVec {
-		sumGaussQueriesAVX2(sums, c, qs, rows, scratch)
-		return
-	}
-	for i, q := range qs {
-		sums[i] = sumGaussRowsGo(sums[i], c, q, rows)
+	switch {
+	case sumGaussQueries512:
+		sumGaussQueriesAVX512(sums, c, qs, rows, scratch)
+	case sumGaussQueriesVec:
+		for h := 0; h < len(qs); h += vecGroup {
+			sumGaussQueriesAVX2((*[vecGroup]float64)(sums[h:]), c, qs[h:min(h+vecGroup, len(qs))], rows, scratch)
+		}
+	default:
+		for i, q := range qs {
+			sums[i] = sumGaussRowsGo(sums[i], c, q, rows)
+		}
 	}
 }
 
-// sumGaussQueriesVec is set once at init where SumGaussRows has a vector
-// body (amd64 with AVX2, sumGaussQueriesAVX2) and false everywhere else.
-// It is a flag, not a function value as the other bodies' are: a call
-// through a function value would move the caller's query rows and
-// accumulators to the heap.
-var sumGaussQueriesVec bool
+// gaussLanes is how many query rows SumGaussRows takes at once: one per
+// float64 lane of a ZMM register on the AVX-512 body. The AVX2 body
+// takes vecGroup, one per lane of a YMM register, and runs once per
+// half.
+const (
+	gaussLanes = 8
+	vecGroup   = 4
+)
+
+// sumGaussQueries512 and sumGaussQueriesVec are set once at init where
+// SumGaussRows has vector bodies — amd64 with AVX-512 F
+// (sumGaussQueriesAVX512), and with AVX2 (sumGaussQueriesAVX2) — and are
+// false everywhere else; the first wins. They are flags, not function
+// values as the other bodies' are: a call through a function value
+// would move the caller's query rows and accumulators to the heap.
+var sumGaussQueries512, sumGaussQueriesVec bool
 
 // sumGaussRowsGo is SumGaussRows for one query row continuing from
 // acc: the whole implementation where there is no vector body, the

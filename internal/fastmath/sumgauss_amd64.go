@@ -24,18 +24,15 @@ var expTab = [...]float64{
 	14: expBias,
 }
 
-// vecGroup is how many query rows the vector body evaluates at once,
-// one per float64 lane of a YMM register.
-const vecGroup = 4
-
 // vecMaxRows bounds one call into the assembly: it cannot be preempted
-// asynchronously, and 256 rows (codegen's reference tile) against four
-// queries are ≈ 3 µs.
+// asynchronously, and 256 rows (codegen's reference tile) against eight
+// queries are ≈ 5 µs.
 const vecMaxRows = 256
 
 // vecMaxDim is the widest query the assembly transposes into its own
-// 1 KiB frame (32 dimensions × four lanes × 8 bytes); a wider one is
-// transposed into the caller's scratch.
+// frame (32 dimensions × four lanes × 8 bytes = 1 KiB for the AVX2 body,
+// × eight lanes = 2 KiB for the AVX-512 body); a wider one is transposed
+// into the caller's scratch.
 const vecMaxDim = 32
 
 // vectorBodies reports that this build links the vector bodies: amd64
@@ -45,6 +42,7 @@ const vectorBodies = true
 func init() {
 	if hasAVX2() {
 		sumGaussQueriesVec = true
+		sumGaussQueries512 = hasAVX512()
 		nearMaskColsVec = nearMaskColsAsm
 		nearMaskRowsVec = nearMaskRowsAsm
 		minMaxColVec = minMaxColAsm
@@ -69,6 +67,56 @@ func hasAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// hasAVX512 reports, on a CPU and OS with AVX2, whether the CPU also
+// implements AVX-512 F and the OS saves the opmask and ZMM state as well:
+// XCR0 bits 5–7 beside bits 1–2 (0xE6), CPUID.(7,0):EBX AVX512F (16).
+// The AVX-512 body uses F instructions alone.
+func hasAVX512() bool {
+	if eax, _ := xgetbv(); eax&0xE6 != 0xE6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0
+}
+
+// sumGaussQueriesAVX512 is SumGaussRows for 1 ≤ len(qs) ≤ 8 query rows
+// of one length d ≥ 1 on the AVX-512 body: sumGaussQueriesAVX2's
+// algorithm eight lanes wide, a short group repeating its last query,
+// each reference row broadcast against d eight-lane vectors and each
+// lane's term added to that lane's own accumulator in row order. A row
+// with a lane outside [expMinNormal, expMax] is the Go body's, as there;
+// a query wider than vecMaxDim is transposed into *scratch, grown to
+// gaussLanes·d floats when it is shorter.
+func sumGaussQueriesAVX512(sums *[gaussLanes]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
+	d := len(qs[0])
+	var qt *float64
+	if d > vecMaxDim {
+		if len(*scratch) < gaussLanes*d {
+			*scratch = make([]float64, gaussLanes*d)
+		}
+		qt = &(*scratch)[0]
+	}
+	var qp [gaussLanes]*float64
+	for l := range qp {
+		qp[l] = &qs[min(l, len(qs)-1)][0]
+	}
+	acc := *sums
+	n := len(rows) / d
+	for i := 0; i < n; {
+		m := min(n-i, vecMaxRows)
+		done := sumGaussQueries512Asm(c, &qp, d, qt, &rows[i*d], m, &acc, &expTab)
+		i += done
+		if done < m {
+			row := rows[i*d : (i+1)*d]
+			for l, q := range qs {
+				acc[l] = sumGaussRowsGo(acc[l], c, q, row)
+			}
+			i++
+		}
+	}
+	copy(sums[:], acc[:len(qs)])
 }
 
 // sumGaussQueriesAVX2 is SumGaussRows for 1 ≤ len(qs) ≤ 4 query rows of
@@ -119,6 +167,13 @@ func sumGaussQueriesAVX2(sums *[vecGroup]float64, c float64, qs [][]float64, row
 //
 //go:noescape
 func sumGaussQueriesAsm(c float64, qs [][]float64, d int, qt *float64, rows *float64, n int, acc *[vecGroup]float64, tab *[len(expTab)]float64) (done int)
+
+// sumGaussQueries512Asm is sumGaussQueriesAsm on eight lanes
+// (sumgauss512_amd64.s): lane l is the query row at qp[l], d >= 1
+// floats, and qt, when not nil, holds room for 8·d.
+//
+//go:noescape
+func sumGaussQueries512Asm(c float64, qp *[gaussLanes]*float64, d int, qt *float64, rows *float64, n int, acc *[gaussLanes]float64, tab *[len(expTab)]float64) (done int)
 
 // nearMaskColsAsm is the vector body of NearMaskCols (nearmask_amd64.s).
 //

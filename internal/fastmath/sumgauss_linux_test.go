@@ -36,45 +36,54 @@ func guardPage(t *testing.T) (beforeGuard func(src []float64) []float64) {
 // flush against a PROT_NONE page, at every dimension from one to past
 // the assembly's frame (every chunk count with every tail); and put the
 // caller's transpose scratch of a query wider than the frame there too,
-// exactly 4·d floats long, so a store past it faults.
+// exactly 8·d floats long, so a store past it faults. Every body the
+// host has runs the sweep.
 func TestSumGaussRowsNoOverRead(t *testing.T) {
 	beforeGuard := guardPage(t)
-	rng := rand.New(rand.NewSource(29))
-	for d := 1; d <= 37; d++ {
-		for n := 1; n <= 9; n++ {
-			for nq := 1; nq <= 4; nq++ {
-				qs := make([][]float64, nq)
-				var rows []float64
-				for l := range qs {
-					qs[l], rows = randPoints(rng, d, n)
-				}
-				c := -rng.Float64()
-				var want [4]float64
-				for l, q := range qs {
-					want[l] = sumGaussRowsGo(0, c, q, rows)
-				}
-				var got [4]float64
-				SumGaussRows(&got, c, qs, beforeGuard(rows), new([]float64))
-				if got != want {
-					t.Errorf("d=%d n=%d, %d queries, rows before the guard page: %v, want %v", d, n, nq, got, want)
-				}
-				for l := range qs {
-					guarded := slices.Clone(qs)
-					guarded[l] = beforeGuard(qs[l])
-					got = [4]float64{}
-					SumGaussRows(&got, c, guarded, rows, new([]float64))
-					if got != want {
-						t.Errorf("d=%d n=%d, %d queries, query %d before the guard page: %v, want %v", d, n, nq, l, got, want)
+	for _, body := range []string{"go", "avx2", "avx512"} {
+		withSumGaussBody(body, func() {
+			rng := rand.New(rand.NewSource(29))
+			for d := 1; d <= 37; d++ {
+				for n := 1; n <= 9; n++ {
+					for nq := 1; nq <= 8; nq++ {
+						checkSumGaussRowsNoOverRead(t, beforeGuard, rng, d, n, nq)
 					}
 				}
-				scratch := beforeGuard(make([]float64, 4*d))
-				got = [4]float64{}
-				SumGaussRows(&got, c, qs, rows, &scratch)
-				if got != want {
-					t.Errorf("d=%d n=%d, %d queries, scratch before the guard page: %v, want %v", d, n, nq, got, want)
-				}
 			}
+		})
+	}
+}
+
+func checkSumGaussRowsNoOverRead(t *testing.T, beforeGuard func([]float64) []float64, rng *rand.Rand, d, n, nq int) {
+	qs := make([][]float64, nq)
+	var rows []float64
+	for l := range qs {
+		qs[l], rows = randPoints(rng, d, n)
+	}
+	c := -rng.Float64()
+	var want [8]float64
+	for l, q := range qs {
+		want[l] = sumGaussRowsGo(0, c, q, rows)
+	}
+	var got [8]float64
+	SumGaussRows(&got, c, qs, beforeGuard(rows), new([]float64))
+	if got != want {
+		t.Errorf("%s body, d=%d n=%d, %d queries, rows before the guard page: %v, want %v", vectorPath(), d, n, nq, got, want)
+	}
+	for l := range qs {
+		guarded := slices.Clone(qs)
+		guarded[l] = beforeGuard(qs[l])
+		got = [8]float64{}
+		SumGaussRows(&got, c, guarded, rows, new([]float64))
+		if got != want {
+			t.Errorf("%s body, d=%d n=%d, %d queries, query %d before the guard page: %v, want %v", vectorPath(), d, n, nq, l, got, want)
 		}
+	}
+	scratch := beforeGuard(make([]float64, 8*d))
+	got = [8]float64{}
+	SumGaussRows(&got, c, qs, rows, &scratch)
+	if got != want {
+		t.Errorf("%s body, d=%d n=%d, %d queries, scratch before the guard page: %v, want %v", vectorPath(), d, n, nq, got, want)
 	}
 }
 

@@ -33,10 +33,40 @@ func randPoints(rng *rand.Rand, d, n int) (q, rows []float64) {
 
 // vectorPath names the body SumGaussRows dispatches to in this binary.
 func vectorPath() string {
-	if sumGaussQueriesVec {
+	switch {
+	case sumGaussQueries512:
+		return "avx512"
+	case sumGaussQueriesVec:
 		return "avx2"
 	}
 	return "go"
+}
+
+// withSumGaussBody runs f with SumGaussRows dispatching to the named
+// body — "go", "avx2" or "avx512" — and restores the host's selection
+// afterwards. It reports false, without running f, where the host has
+// no such body. The AVX2 body is reached on an AVX-512 host by clearing
+// the AVX-512 flag, the Go body by clearing both.
+func withSumGaussBody(name string, f func()) bool {
+	v512, vec := sumGaussQueries512, sumGaussQueriesVec
+	defer func() { sumGaussQueries512, sumGaussQueriesVec = v512, vec }()
+	switch name {
+	case "go":
+		sumGaussQueries512, sumGaussQueriesVec = false, false
+	case "avx2":
+		if !vec {
+			return false
+		}
+		sumGaussQueries512 = false
+	case "avx512":
+		if !v512 {
+			return false
+		}
+	default:
+		panic("unknown SumGaussRows body " + name)
+	}
+	f()
+	return true
 }
 
 // SumGaussRows must be, for every query of a group, the per-pair calls
@@ -46,12 +76,58 @@ func vectorPath() string {
 // every size, for queries and rows that start anywhere in a larger
 // buffer, and at dimensions on both sides of the assembly's frame.
 func TestSumGaussRowsMatchesPerPair(t *testing.T) {
-	const lanes = 4 // query rows per vector group, where there is a vector body
+	checkSumGaussRowsMatchesPerPair(t, 13)
+	// Bad query rows panic on every body alike: the Go and AVX2 bodies
+	// are run here too, with the vector flags cleared, where the
+	// hardware has a wider one. A short row sits in a longer buffer, so
+	// its capacity would hide a read past its length.
+	buf := make([]float64, 16)
+	q3 := buf[:3]
+	for _, body := range []string{"go", "avx2", "avx512"} {
+		withSumGaussBody(body, func() {
+			for _, bad := range []struct {
+				name string
+				qs   [][]float64
+			}{
+				{"nine query rows", [][]float64{q3, q3, q3, q3, q3, q3, q3, q3, q3}},
+				{"a short query row", [][]float64{buf[:3], buf[:2]}},
+				{"a long query row", [][]float64{buf[:3], buf[:3], buf[:4]}},
+				{"a short query row in the second half", [][]float64{q3, q3, q3, q3, q3, q3, buf[:2]}},
+				{"an empty query row after a full one", [][]float64{buf[:3], buf[:0]}},
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("SumGaussRows (%s) with %s did not panic", vectorPath(), bad.name)
+						}
+					}()
+					var sums [8]float64
+					SumGaussRows(&sums, -1, bad.qs, buf[:6], new([]float64))
+				}()
+			}
+		})
+	}
+}
+
+// The AVX2 body, which an AVX2 host without AVX-512 dispatches to once
+// per half of a group, held to the same identity with the AVX-512 flag
+// cleared, so that an AVX-512 host tests both vector bodies.
+func TestSumGaussRowsAVX2MatchesPerPair(t *testing.T) {
+	if sumGaussQueriesVec && !sumGaussQueries512 {
+		t.Skip("the AVX2 body is this host's own: TestSumGaussRowsMatchesPerPair holds it")
+	}
+	if !withSumGaussBody("avx2", func() { checkSumGaussRowsMatchesPerPair(t, 17) }) {
+		t.Skip("no AVX2 body on this host")
+	}
+}
+
+func checkSumGaussRowsMatchesPerPair(t *testing.T, seed int64) {
+	const lanes = 8 // query rows per call
 	wantPairs := int(2e7)
 	if testing.Short() {
 		wantPairs = 2e6
 	}
-	rng := rand.New(rand.NewSource(13))
+	rng := rand.New(rand.NewSource(seed))
 	buf := make([]float64, 1<<13)
 	var pairs, outOfRange int
 	var outLane, outInGroup [lanes]int
@@ -62,7 +138,7 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 				buf[i] = rng.NormFloat64()
 			}
 		}
-		d, n, nq := 1+rng.Intn(33), rng.Intn(71), 1+rng.Intn(lanes)
+		d, n, nq := 1+rng.Intn(40), rng.Intn(71), 1+rng.Intn(lanes)
 		qs := make([][]float64, nq)
 		for l := range qs {
 			qo := rng.Intn(len(buf) - d)
@@ -120,11 +196,11 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 			t.Errorf("no out-of-range pair in a group of %d queries", size+1)
 		}
 	}
-	sums := [lanes]float64{1, 2, 3, 4}
-	if SumGaussRows(&sums, -1, nil, buf[:8], new([]float64)); sums != [lanes]float64{1, 2, 3, 4} {
+	sums := [lanes]float64{1, 2, 3, 4, 5, 6, 7, 8}
+	if SumGaussRows(&sums, -1, nil, buf[:8], new([]float64)); sums != [lanes]float64{1, 2, 3, 4, 5, 6, 7, 8} {
 		t.Errorf("SumGaussRows of no query changed the sums: %v", sums)
 	}
-	if SumGaussRows(&sums, -1, [][]float64{{}}, buf[:8], new([]float64)); sums != [lanes]float64{1, 2, 3, 4} {
+	if SumGaussRows(&sums, -1, [][]float64{{}}, buf[:8], new([]float64)); sums != [lanes]float64{1, 2, 3, 4, 5, 6, 7, 8} {
 		t.Errorf("SumGaussRows of a 0-dimensional query changed the sums: %v", sums)
 	}
 	// A trailing partial row is ignored, not read as a short point.
@@ -133,33 +209,6 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 	SumGaussRows(&want, -1, [][]float64{buf[:3], buf[20:23]}, buf[3:9], new([]float64))
 	if got != want {
 		t.Errorf("SumGaussRows with a trailing partial row = %v, want %v", got, want)
-	}
-	// Bad query rows panic on both bodies alike: the Go body is run here
-	// too, with the vector flag cleared, where the hardware has one. A
-	// short row sits in a longer buffer, so its capacity would hide a
-	// read past its length.
-	vec := sumGaussQueriesVec
-	defer func() { sumGaussQueriesVec = vec }()
-	for _, body := range []bool{false, vec} {
-		sumGaussQueriesVec = body
-		for _, bad := range []struct {
-			name string
-			qs   [][]float64
-		}{
-			{"five query rows", [][]float64{buf[:2], buf[:2], buf[:2], buf[:2], buf[:2]}},
-			{"a short query row", [][]float64{buf[:3], buf[:2]}},
-			{"a long query row", [][]float64{buf[:3], buf[:3], buf[:4]}},
-			{"an empty query row after a full one", [][]float64{buf[:3], buf[:0]}},
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("SumGaussRows (%s) with %s did not panic", vectorPath(), bad.name)
-					}
-				}()
-				SumGaussRows(&sums, -1, bad.qs, buf[:6], new([]float64))
-			}()
-		}
 	}
 }
 
@@ -172,7 +221,7 @@ func TestVectorPathLive(t *testing.T) {
 	paths := fmt.Sprintf("SumGaussRows runs the %s body, NearMaskCols the %s body, NearMaskRows the %s body, MinMaxCol the %s body, WindowMaskCols the %s body, LeftStoppers and RightStoppers the %s body",
 		vectorPath(), nearMaskPath(), nearRowsPath(), minMaxPath(), windowMaskPath(), stoppersPath())
 	if !vectorBodies {
-		if sumGaussQueriesVec || nearMaskColsVec != nil || nearMaskRowsVec != nil || minMaxColVec != nil ||
+		if sumGaussQueries512 || sumGaussQueriesVec || nearMaskColsVec != nil || nearMaskRowsVec != nil || minMaxColVec != nil ||
 			windowMaskColsVec != nil || stoppersPath() != "go" {
 			t.Fatalf("GOARCH=%s links no vector body but %s", runtime.GOARCH, paths)
 		}
@@ -190,21 +239,24 @@ func TestVectorPathLive(t *testing.T) {
 		windowMaskColsVec == nil || stoppersPath() != "avx2" {
 		t.Fatalf("/proc/cpuinfo lists avx2 but %s", paths)
 	}
+	if strings.Contains(string(info), " avx512f") && !sumGaussQueries512 {
+		t.Fatalf("/proc/cpuinfo lists avx512f but %s", paths)
+	}
 	t.Log(paths)
 }
 
 // FuzzSumGaussRows holds the dispatching SumGaussRows to the Go body on
 // arbitrary bit patterns — NaN, ±Inf and subnormals included: the low
-// six bits of d are the dimension and the high two one less than the
+// six bits of d are the dimension and the next three one less than the
 // number of query rows; raw is little-endian float64s, the first
 // queries·dimension of them the query rows.
 func FuzzSumGaussRows(f *testing.F) {
-	f.Fuzz(func(t *testing.T, c float64, d uint8, raw []byte) {
+	f.Fuzz(func(t *testing.T, c float64, d uint16, raw []byte) {
 		vals := make([]float64, len(raw)/8)
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		dim, nq := int(d&63), 1+int(d>>6)
+		dim, nq := int(d&63), 1+int(d>>6&7)
 		if dim == 0 || len(vals) < nq*dim {
 			return
 		}
@@ -213,7 +265,7 @@ func FuzzSumGaussRows(f *testing.F) {
 			qs[l] = vals[l*dim : (l+1)*dim]
 		}
 		rows := vals[nq*dim:]
-		var got [4]float64
+		var got [8]float64
 		SumGaussRows(&got, c, qs, rows, new([]float64))
 		for l, q := range qs {
 			if want := sumGaussRowsGo(0, c, q, rows); !sameBits(got[l], want) {
@@ -224,45 +276,39 @@ func FuzzSumGaussRows(f *testing.F) {
 	})
 }
 
-// BenchmarkSumGaussRows is a group of 1..4 query rows against a leaf of
+// BenchmarkSumGaussRows is a group of 1..8 query rows against a leaf of
 // reference rows — 32, and the 23 that kde-batch's leaves really hold —
 // in ns per useful (query, row) pair, through the Go body and through
-// whatever SumGaussRows dispatches to. A group of fewer than four
-// queries pays the vector body for all four lanes: q=1 is what one
+// each vector body the host has (avx2 with the AVX-512 flag cleared:
+// what an AVX2-only host runs, once per half of a group). A group of
+// fewer than eight queries pays the AVX-512 body for all eight lanes,
+// and the AVX2 body for four in each half it calls: q=1 is what one
 // query alone costs.
 func BenchmarkSumGaussRows(b *testing.B) {
 	for _, d := range []int{3, 9, 16, 28} {
 		for _, n := range []int{23, 32} {
 			rng := rand.New(rand.NewSource(11))
-			qs := make([][]float64, 4)
+			qs := make([][]float64, 8)
 			var rows []float64
 			for l := range qs {
 				qs[l], rows = randPoints(rng, d, n)
 			}
 			c := -1 / float64(2*d)
-			for nq := 1; nq <= 4; nq++ {
-				perPair := func(b *testing.B) {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq*n), "ns/pair")
-				}
-				var sums [4]float64
+			for nq := 1; nq <= len(qs); nq++ {
+				var sums [8]float64
 				var scratch []float64
-				b.Run(fmt.Sprintf("d=%d/n=%d/q=%d/go", d, n, nq), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						for l, q := range qs[:nq] {
-							sums[l] = sumGaussRowsGo(sums[l], c, q, rows)
+				for _, body := range []string{"go", "avx2", "avx512"} {
+					b.Run(fmt.Sprintf("d=%d/n=%d/q=%d/%s", d, n, nq, body), func(b *testing.B) {
+						if !withSumGaussBody(body, func() {
+							for i := 0; i < b.N; i++ {
+								SumGaussRows(&sums, c, qs[:nq], rows, &scratch)
+							}
+						}) {
+							b.Skipf("no %s body on this host", body)
 						}
-					}
-					perPair(b)
-				})
-				b.Run(fmt.Sprintf("d=%d/n=%d/q=%d/avx2", d, n, nq), func(b *testing.B) {
-					if !sumGaussQueriesVec {
-						b.Skip("no vector body on this platform")
-					}
-					for i := 0; i < b.N; i++ {
-						SumGaussRows(&sums, c, qs[:nq], rows, &scratch)
-					}
-					perPair(b)
-				})
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq*n), "ns/pair")
+					})
+				}
 			}
 		}
 	}
