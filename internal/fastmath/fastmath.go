@@ -20,35 +20,41 @@
 // WindowMaskCols likewise: d outside 1..4, more than 64 points on either
 // side or a negative stride panics by name, and too short a q or r is an
 // index panic. LeftStoppers and RightStoppers panic by name on more than
-// 64 keys. SumGaussRows panics by name on more than four query rows or
-// on query rows of unequal length, on either body, and ignores a
+// 64 keys. SumGaussRows panics by name on more than eight query rows or
+// on query rows of unequal length, on every body, and ignores a
 // trailing partial reference row.
 //
 // # Vector bodies
 //
-// Six functions have a second body that returns the same bits:
+// Six functions have a second body that returns the same bits, and
+// SumGaussRows a third:
 //
 //	                   amd64, CPU and OS with AVX2                everything else
-//	SumGaussRows       sumgauss_amd64.s, four queries per step    sumGaussRowsGo
+//	SumGaussRows       sumgauss512_amd64.s, eight queries per     sumGaussRowsGo
+//	                   step, where the CPU and OS have AVX-512 F;
+//	                   else sumgauss_amd64.s, four queries per
+//	                   step, once per half of a group
 //	NearMaskCols       nearmask_amd64.s, four points per step     nearMaskColsGo
 //	NearMaskRows       nearmask_amd64.s, four rows per step       nearMaskRowsGo
 //	MinMaxCol          minmax_amd64.s, eight keys per step        minMaxColGo
 //	WindowMaskCols     windowmask_amd64.s, four queries per step  windowMaskColsGo
 //	Left/RightStoppers stoppers_amd64.s, four keys per step       left/rightStoppersGo
 //
-// SumGaussRows is the fused Gaussian base case for four query points,
+// SumGaussRows is the fused Gaussian base case for eight query points,
 // NearMaskCols the point gate's near test for one leaf of column-major
 // points, NearMaskRows the same test for rows, MinMaxCol the kd build's
 // bounding-box scan, WindowMaskCols the window base case over
 // column-major leaves and LeftStoppers / RightStoppers one block of the
 // kd build's partition (one body for both). The choice is one unexported
-// variable each, set at init from one CPUID probe; there is no flag,
-// environment variable or build tag to select with. The Go bodies are
-// also the vector bodies' finishers — a reference row with a term
+// variable each (two for SumGaussRows), set at init from one CPUID
+// probe; there is no flag or environment variable to select with. The
+// purego build tag leaves the vector bodies out of the build, so that an
+// amd64 host runs the Go bodies end to end (make purego). The Go bodies
+// are also the vector bodies' finishers — a reference row with a term
 // outside ExpFast's inlined range, the last len(w) mod 4 points of a
 // leaf, a box with a side that is not finite — and the oracles of their
-// tests; TestVectorPathLive and the avx2 variants of the benchmarks say
-// which bodies a machine runs.
+// tests; TestVectorPathLive and the avx2 and avx512 variants of the
+// benchmarks say which bodies a machine runs.
 //
 // What is promised is path independence within one binary: both bodies
 // perform the same IEEE operations in the same order, none of them
@@ -59,7 +65,7 @@
 //
 // Assembly cannot be preempted asynchronously, so one call into it
 // covers at most 256 rows, or 64 points (a few microseconds at most: 256
-// reference rows against four queries; 64 rows of a near mask take
+// reference rows against eight queries; 64 rows of a near mask take
 // d/30 µs or so).
 package fastmath
 
@@ -269,35 +275,25 @@ func SumGaussRows(sums *[gaussLanes]float64, c float64, qs [][]float64, rows []f
 	if len(qs[0]) == 0 {
 		return
 	}
-	switch {
-	case sumGaussQueries512:
-		sumGaussQueriesAVX512(sums, c, qs, rows, scratch)
-	case sumGaussQueriesVec:
-		for h := 0; h < len(qs); h += vecGroup {
-			sumGaussQueriesAVX2((*[vecGroup]float64)(sums[h:]), c, qs[h:min(h+vecGroup, len(qs))], rows, scratch)
-		}
-	default:
-		for i, q := range qs {
-			sums[i] = sumGaussRowsGo(sums[i], c, q, rows)
-		}
+	if sumGaussQueriesVec {
+		sumGaussQueries(sums, c, qs, rows, scratch)
+		return
+	}
+	for i, q := range qs {
+		sums[i] = sumGaussRowsGo(sums[i], c, q, rows)
 	}
 }
 
 // gaussLanes is how many query rows SumGaussRows takes at once: one per
-// float64 lane of a ZMM register on the AVX-512 body. The AVX2 body
-// takes vecGroup, one per lane of a YMM register, and runs once per
-// half.
-const (
-	gaussLanes = 8
-	vecGroup   = 4
-)
+// float64 lane of a ZMM register on the AVX-512 body.
+const gaussLanes = 8
 
-// sumGaussQueries512 and sumGaussQueriesVec are set once at init where
-// SumGaussRows has vector bodies — amd64 with AVX-512 F
-// (sumGaussQueriesAVX512), and with AVX2 (sumGaussQueriesAVX2) — and are
-// false everywhere else; the first wins. They are flags, not function
-// values as the other bodies' are: a call through a function value
-// would move the caller's query rows and accumulators to the heap.
+// sumGaussQueriesVec is set once at init where SumGaussRows has a vector
+// body (amd64 with AVX2: sumGaussQueries), and sumGaussQueries512 beside
+// it where the eight-lane one runs (AVX-512 F); both are false
+// everywhere else. They are flags, not function values as the other
+// bodies' are: a call through a function value would move the caller's
+// query rows and accumulators to the heap.
 var sumGaussQueries512, sumGaussQueriesVec bool
 
 // sumGaussRowsGo is SumGaussRows for one query row continuing from

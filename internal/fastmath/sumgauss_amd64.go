@@ -24,6 +24,10 @@ var expTab = [...]float64{
 	14: expBias,
 }
 
+// vecGroup is how many query rows the AVX2 body takes at once, one per
+// float64 lane of a YMM register: a group of gaussLanes is two calls.
+const vecGroup = 4
+
 // vecMaxRows bounds one call into the assembly: it cannot be preempted
 // asynchronously, and 256 rows (codegen's reference tile) against eight
 // queries are ≈ 5 µs.
@@ -81,84 +85,63 @@ func hasAVX512() bool {
 	return ebx&(1<<16) != 0
 }
 
-// sumGaussQueriesAVX512 is SumGaussRows for 1 ≤ len(qs) ≤ 8 query rows
-// of one length d ≥ 1 on the AVX-512 body: sumGaussQueriesAVX2's
-// algorithm eight lanes wide, a short group repeating its last query,
-// each reference row broadcast against d eight-lane vectors and each
-// lane's term added to that lane's own accumulator in row order. A row
-// with a lane outside [expMinNormal, expMax] is the Go body's, as there;
-// a query wider than vecMaxDim is transposed into *scratch, grown to
-// gaussLanes·d floats when it is shorter.
-func sumGaussQueriesAVX512(sums *[gaussLanes]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
-	d := len(qs[0])
-	var qt *float64
-	if d > vecMaxDim {
-		if len(*scratch) < gaussLanes*d {
-			*scratch = make([]float64, gaussLanes*d)
-		}
-		qt = &(*scratch)[0]
-	}
-	var qp [gaussLanes]*float64
-	for l := range qp {
-		qp[l] = &qs[min(l, len(qs)-1)][0]
-	}
-	acc := *sums
-	n := len(rows) / d
-	for i := 0; i < n; {
-		m := min(n-i, vecMaxRows)
-		done := sumGaussQueries512Asm(c, &qp, d, qt, &rows[i*d], m, &acc, &expTab)
-		i += done
-		if done < m {
-			row := rows[i*d : (i+1)*d]
-			for l, q := range qs {
-				acc[l] = sumGaussRowsGo(acc[l], c, q, row)
-			}
-			i++
-		}
-	}
-	copy(sums[:], acc[:len(qs)])
-}
-
-// sumGaussQueriesAVX2 is SumGaussRows for 1 ≤ len(qs) ≤ 4 query rows of
-// one length d ≥ 1, with one query per lane: the query rows are
-// transposed once a call into d four-lane vectors (a short group repeats
-// its last query), each reference row is broadcast against them, and
-// each lane's term goes into that lane's own accumulator in row order
-// (DESIGN §9.2 has the step-by-step identity argument). The assembly
-// stops at a row with a lane outside
+// sumGaussQueries is SumGaussRows on a vector body, for 1 ≤ len(qs) ≤ 8
+// query rows of one length d ≥ 1, one query per lane: the AVX-512 body
+// takes the group in its eight lanes, the AVX2 body in its four, once
+// per half. Each call transposes its queries once into d vectors (a
+// short group repeats its last query), broadcasts each reference row
+// against them, and adds each lane's term to that lane's own
+// accumulator in row order (DESIGN §9.2 has the step-by-step identity
+// argument). The assembly stops at a row with a lane outside
 // [expMinNormal, expMax]; the Go body — ExpFast's saturation and Ldexp
-// paths included — adds that row to every query's accumulator, and the
+// paths included — adds that row to each of the call's queries, and the
 // assembly resumes behind it. A query wider than vecMaxDim is
-// transposed into *scratch, grown to vecGroup·d floats when it is
-// shorter.
-func sumGaussQueriesAVX2(sums *[vecGroup]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
+// transposed into *scratch, grown to lanes·d floats when it is shorter.
+func sumGaussQueries(sums *[gaussLanes]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
+	lanes := vecGroup
+	if sumGaussQueries512 {
+		lanes = gaussLanes
+	}
 	d := len(qs[0])
 	var qt *float64
 	if d > vecMaxDim {
-		if len(*scratch) < vecGroup*d {
-			*scratch = make([]float64, vecGroup*d)
+		if len(*scratch) < lanes*d {
+			*scratch = make([]float64, lanes*d)
 		}
 		qt = &(*scratch)[0]
 	}
-	acc := *sums
 	n := len(rows) / d
-	for i := 0; i < n; {
-		m := min(n-i, vecMaxRows)
-		done := sumGaussQueriesAsm(c, qs, d, qt, &rows[i*d], m, &acc, &expTab)
-		i += done
-		if done < m {
-			row := rows[i*d : (i+1)*d]
-			for l, q := range qs {
-				acc[l] = sumGaussRowsGo(acc[l], c, q, row)
-			}
-			i++
+	for h := 0; h < len(qs); h += lanes {
+		group := qs[h:min(h+lanes, len(qs))]
+		var qp [gaussLanes]*float64
+		var acc [gaussLanes]float64
+		for l := range qp {
+			qp[l] = &group[min(l, len(group)-1)][0]
 		}
+		copy(acc[:], sums[h:])
+		for i := 0; i < n; {
+			m := min(n-i, vecMaxRows)
+			var done int
+			if lanes == gaussLanes {
+				done = sumGaussQueries512Asm(c, &qp, d, qt, &rows[i*d], m, &acc, &expTab)
+			} else {
+				done = sumGaussQueriesAsm(c, (*[vecGroup]*float64)(qp[:]), d, qt, &rows[i*d], m, (*[vecGroup]float64)(acc[:]), &expTab)
+			}
+			i += done
+			if done < m {
+				row := rows[i*d : (i+1)*d]
+				for l, q := range group {
+					acc[l] = sumGaussRowsGo(acc[l], c, q, row)
+				}
+				i++
+			}
+		}
+		copy(sums[h:], acc[:len(group)])
 	}
-	copy(sums[:], acc[:len(qs)])
 }
 
-// sumGaussQueriesAsm adds, to lane l of acc, the Gaussian terms of query
-// qs[min(l, len(qs)-1)] against n >= 1 rows of d >= 1 dimensions, in row
+// sumGaussQueriesAsm adds, to lane l of acc, the Gaussian terms of the
+// query row at qp[l] against n >= 1 rows of d >= 1 dimensions, in row
 // order, and returns done = n, or stops before the first row with an
 // out-of-range term in some lane and returns how many rows precede it.
 // The queries are transposed into qt, or into the assembly's own frame
@@ -166,11 +149,10 @@ func sumGaussQueriesAVX2(sums *[vecGroup]float64, c float64, qs [][]float64, row
 // rows and the first d floats of each query row, never a byte beyond.
 //
 //go:noescape
-func sumGaussQueriesAsm(c float64, qs [][]float64, d int, qt *float64, rows *float64, n int, acc *[vecGroup]float64, tab *[len(expTab)]float64) (done int)
+func sumGaussQueriesAsm(c float64, qp *[vecGroup]*float64, d int, qt *float64, rows *float64, n int, acc *[vecGroup]float64, tab *[len(expTab)]float64) (done int)
 
 // sumGaussQueries512Asm is sumGaussQueriesAsm on eight lanes
-// (sumgauss512_amd64.s): lane l is the query row at qp[l], d >= 1
-// floats, and qt, when not nil, holds room for 8·d.
+// (sumgauss512_amd64.s); qt, when not nil, holds room for 8·d floats.
 //
 //go:noescape
 func sumGaussQueries512Asm(c float64, qp *[gaussLanes]*float64, d int, qt *float64, rows *float64, n int, acc *[gaussLanes]float64, tab *[len(expTab)]float64) (done int)

@@ -19,13 +19,13 @@
 #define tabC8        104(DX)
 #define tabBias      112(DX)
 
-// func sumGaussQueriesAsm(c float64, qs [][]float64, d int, qt *float64, rows *float64, n int, acc *[4]float64, tab *[15]float64) (done int)
+// func sumGaussQueriesAsm(c float64, qp *[4]*float64, d int, qt *float64, rows *float64, n int, acc *[4]float64, tab *[15]float64) (done int)
 //
-// One lane is one query: lane l is query qs[min(l, len(qs)-1)], so a
-// short group repeats its last query. Every lane of every instruction
-// below is the IEEE operation, operand order included, that
-// sumGaussRowsGo performs for that query and one row; there is no fused
-// multiply-add in this file and there must never be one.
+// One lane is one query: lane l is the query row at qp[l] (the wrapper
+// repeats the last query in the lanes past a short group). Every lane of
+// every instruction below is the IEEE operation, operand order included,
+// that sumGaussRowsGo performs for that query and one row; there is no
+// fused multiply-add in this file and there must never be one.
 //
 //	SI transposed queries: 32 bytes a dimension, lane l at 8·l
 //	CX d        R12 d &^ 3        DI row stride in bytes
@@ -37,33 +37,19 @@
 //
 // The frame holds the transposed queries of d <= 32; a wider query
 // comes with its buffer in qt.
-TEXT ·sumGaussQueriesAsm(SB), $1024-88
-	MOVQ  qt+40(FP), SI
+TEXT ·sumGaussQueriesAsm(SB), $1024-72
+	MOVQ  qt+24(FP), SI
 	TESTQ SI, SI
 	JNE   transpose
 	MOVQ  SP, SI
 
 transpose:
-	// The four query pointers: header l of qs, or the last one's.
-	MOVQ    qs_base+8(FP), R8
-	MOVQ    qs_len+16(FP), BX
-	MOVQ    R8, R9
-	LEAQ    24(R8), AX
-	CMPQ    BX, $2
-	CMOVQGE AX, R9
-	MOVQ    R9, R10
-	LEAQ    24(R9), AX
-	CMPQ    BX, $3
-	CMOVQGE AX, R10
-	MOVQ    R10, R11
-	LEAQ    24(R10), AX
-	CMPQ    BX, $4
-	CMOVQGE AX, R11
-	MOVQ    (R8), R8
-	MOVQ    (R9), R9
-	MOVQ    (R10), R10
-	MOVQ    (R11), R11
-	MOVQ    d+32(FP), CX
+	MOVQ    qp+8(FP), AX
+	MOVQ    0(AX), R8
+	MOVQ    8(AX), R9
+	MOVQ    16(AX), R10
+	MOVQ    24(AX), R11
+	MOVQ    d+16(FP), CX
 	XORQ    AX, AX
 	MOVQ    SI, DI
 
@@ -81,10 +67,10 @@ tdim:
 	CMPQ        AX, CX
 	JLT         tdim
 
-	MOVQ         rows+48(FP), R8
-	MOVQ         n+56(FP), BX
-	MOVQ         acc+64(FP), AX
-	MOVQ         tab+72(FP), DX
+	MOVQ         rows+32(FP), R8
+	MOVQ         n+40(FP), BX
+	MOVQ         acc+48(FP), AX
+	MOVQ         tab+56(FP), DX
 	VMOVUPD      (AX), Y14
 	VBROADCASTSD c+0(FP), Y15
 	VBROADCASTSD tabMinNormal, Y13
@@ -223,9 +209,9 @@ hsum:
 	JLT    row
 
 out:
-	MOVQ    acc+64(FP), AX
+	MOVQ    acc+48(FP), AX
 	VMOVUPD Y14, (AX)
-	MOVQ    R13, done+80(FP)
+	MOVQ    R13, done+64(FP)
 	VZEROUPPER
 	RET
 

@@ -6,12 +6,7 @@ package fastmath
 // not, off amd64 or under the purego tag, and every flag stays unset.
 const vectorBodies = false
 
-// sumGaussQueriesAVX512 and sumGaussQueriesAVX2 are never called here:
-// sumGaussQueries512 and sumGaussQueriesVec stay false.
-func sumGaussQueriesAVX512(sums *[gaussLanes]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
-	panic("fastmath: no vector body of SumGaussRows in this build")
-}
-
-func sumGaussQueriesAVX2(sums *[vecGroup]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
+// sumGaussQueries is never called here: sumGaussQueriesVec stays false.
+func sumGaussQueries(sums *[gaussLanes]float64, c float64, qs [][]float64, rows []float64, scratch *[]float64) {
 	panic("fastmath: no vector body of SumGaussRows in this build")
 }
