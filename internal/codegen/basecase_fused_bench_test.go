@@ -120,8 +120,9 @@ func BenchmarkBaseCaseLeaf(b *testing.B) {
 // points) into rows before the same calls.
 // Each is reported per swept point pair, through Run.BaseCase, as the
 // hand-written loop over the same survivors (groups of eight in position
-// order into fastmath.SumGaussRows, as hotSumGauss groups them; no gate, no dispatcher) it is to be
-// held against, and as the scalar Go form of that loop: per-pair
+// order into fastmath.SumGaussRows, as hotSumGauss groups them; no gate,
+// no dispatcher) it is to be held against, and as the scalar Go form of
+// that loop: per-pair
 // Hypot2 + ExpFast, the sum SumGaussRows is defined as and, where it
 // has a vector body, does not run (fastmath's own BenchmarkSumGaussRows
 // times its inlined Go body, which no other package can reach).

@@ -85,20 +85,21 @@ func TestSumGaussRowsMatchesPerPair(t *testing.T) {
 	q3 := buf[:3]
 	for _, body := range []string{"go", "avx2", "avx512"} {
 		withSumGaussBody(body, func() {
+			const many, unequal = "at most eight query rows", "query rows of one length"
 			for _, bad := range []struct {
-				name string
-				qs   [][]float64
+				name, panic string
+				qs          [][]float64
 			}{
-				{"nine query rows", [][]float64{q3, q3, q3, q3, q3, q3, q3, q3, q3}},
-				{"a short query row", [][]float64{buf[:3], buf[:2]}},
-				{"a long query row", [][]float64{buf[:3], buf[:3], buf[:4]}},
-				{"a short query row in the second half", [][]float64{q3, q3, q3, q3, q3, q3, buf[:2]}},
-				{"an empty query row after a full one", [][]float64{buf[:3], buf[:0]}},
+				{"nine query rows", many, [][]float64{q3, q3, q3, q3, q3, q3, q3, q3, q3}},
+				{"a short query row", unequal, [][]float64{buf[:3], buf[:2]}},
+				{"a long query row", unequal, [][]float64{buf[:3], buf[:3], buf[:4]}},
+				{"a short query row in the second half", unequal, [][]float64{q3, q3, q3, q3, q3, q3, buf[:2]}},
+				{"an empty query row after a full one", unequal, [][]float64{buf[:3], buf[:0]}},
 			} {
 				func() {
 					defer func() {
-						if recover() == nil {
-							t.Errorf("SumGaussRows (%s) with %s did not panic", vectorPath(), bad.name)
+						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), bad.panic) {
+							t.Errorf("SumGaussRows (%s) with %s: panic %v, want one saying %q", vectorPath(), bad.name, r, bad.panic)
 						}
 					}()
 					var sums [8]float64
