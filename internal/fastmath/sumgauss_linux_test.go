@@ -36,8 +36,9 @@ func guardPage(t *testing.T) (beforeGuard func(src []float64) []float64) {
 // flush against a PROT_NONE page, at every dimension from one to past
 // the assembly's frame (every chunk count with every tail); and put the
 // caller's transpose scratch of a query wider than the frame there too,
-// exactly 8·d floats long, so a store past it faults. Every body the
-// host has runs the sweep.
+// exactly as long as the body grows it (8·d floats on the AVX-512 body,
+// 4·d on the AVX2 body), so a store past it faults. Every body the host
+// has runs the sweep.
 func TestSumGaussRowsNoOverRead(t *testing.T) {
 	beforeGuard := guardPage(t)
 	for _, body := range []string{"go", "avx2", "avx512"} {
@@ -79,7 +80,11 @@ func checkSumGaussRowsNoOverRead(t *testing.T, beforeGuard func([]float64) []flo
 			t.Errorf("%s body, d=%d n=%d, %d queries, query %d before the guard page: %v, want %v", vectorPath(), d, n, nq, l, got, want)
 		}
 	}
-	scratch := beforeGuard(make([]float64, 8*d))
+	lanes := gaussLanes
+	if !sumGaussQueries512 {
+		lanes = 4
+	}
+	scratch := beforeGuard(make([]float64, lanes*d))
 	got = [8]float64{}
 	SumGaussRows(&got, c, qs, rows, &scratch)
 	if got != want {
